@@ -14,6 +14,13 @@
 #   ./ci.sh serve-bench  # append the event-loop service throughput line
 #                        #   ({"sessions": …, "workers": …, …}) to
 #                        #   BENCH_fig5.json (requires a release build)
+#   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
+#                        #   workload for ~2 s, plumbing only; fails on
+#                        #   a failed clip or a failed benchmark check
+#                        #   (a timing check only if it fails twice)
+#   ./ci.sh release-tests  # cargo test --release: the suite under the
+#                        #   optimiser, minus one river-bench unit test
+#                        #   that cannot read CPU time at smoke size
 #   ./ci.sh docs         # rustdoc with warnings as errors (doctests run
 #                        #   under plain `cargo test`)
 #
@@ -144,6 +151,54 @@ serve_bench() {
         --serve-json --sessions 16 --workers 4 | tee -a BENCH_fig5.json
 }
 
+# --- benchmark self-verification ---------------------------------------
+# Runs all four river-bench workloads at smoke scale (about half a
+# minute; the numbers mean nothing at this size) so the benchmark's own
+# verification runs on every push: every clip's output digest against
+# the single-lane reference, the trace's closure ratio, and each
+# workload loading the layer it was chosen for (`spectrum` >= 70% of
+# `ensembles` stage time, `saxanomaly` >= 60% of `archive`'s). Reports,
+# traces and the run's log land in the git-ignored .river-bench/.
+#
+# A failed clip, a run that did not finish, or a failed structural check
+# (failed_share, stage shares, stage spans) fails the phase at once. The
+# four timing checks are read off passes of a few milliseconds at this
+# size, and a stall of the host moves them: a run that fails only those
+# is repeated once, and the phase fails if the second run does too.
+river_bench_smoke() {
+    local log=.river-bench/smoke.log attempt
+    local timing='trace\.overhead_ratio|loadgen\.late_ms_p95|pipeline\.closure_ratio|relay_wire above fleet_serve'
+    mkdir -p .river-bench
+    for attempt in 1 2; do
+        if cargo run --release --quiet -p ensemble-bench --bin river-bench -- \
+            all --smoke | tee "$log"; then
+            return 0
+        fi
+        if ! grep -q '^{"attempted": [0-9]*, "failed": 0,' "$log" ||
+            grep '^  FAIL ' "$log" | grep -qvE "$timing"; then
+            echo "river-bench-smoke: failed clip or structural check" >&2
+            return 1
+        fi
+        echo "river-bench-smoke: only timing checks failed (run $attempt of 2)" >&2
+    done
+    return 1
+}
+
+# --- the suite under the optimiser --------------------------------------
+# `cargo test --release` over the workspace: the release-only gates
+# (telemetry budget) and every differential at the float code the
+# shipped binaries run. One test is left to the debug run of tier-1:
+# river-bench's `smoke_runs_every_workload_end_to_end` asserts
+# `cpu_us_per_record > 0`, read from /proc/self/stat in 10 ms ticks, and
+# since PR 12 an optimised `--smoke` pass of `ensembles` takes ~5 ms, so
+# the metric reads 0 there (full-size passes span 13-14 ticks). Its
+# panic would also poison the lock two sibling tests share. The fix
+# belongs in the benchmark's files (ROADMAP open item 1); drop the
+# --skip with it.
+release_tests() {
+    cargo test --release -q -- --skip smoke_runs_every_workload_end_to_end
+}
+
 # --- rustdoc gate -----------------------------------------------------
 # The API docs must build warning-free (broken intra-doc links are the
 # usual regression); doctests themselves run under `cargo test`.
@@ -177,6 +232,14 @@ if [ "${1:-}" = "telemetry-check" ]; then
 fi
 if [ "${1:-}" = "serve-bench" ]; then
     serve_bench
+    exit 0
+fi
+if [ "${1:-}" = "river-bench-smoke" ]; then
+    river_bench_smoke
+    exit 0
+fi
+if [ "${1:-}" = "release-tests" ]; then
+    release_tests
     exit 0
 fi
 if [ "${1:-}" = "docs" ]; then
@@ -213,6 +276,9 @@ if [ "${1:-}" != "quick" ]; then
 
     phase "cargo bench --no-run (benches must compile)"
     cargo bench --no-run --quiet
+
+    phase "release-tests (cargo test --release)"
+    release_tests
 
     # Exercise the streaming execution path end-to-end: all three
     # examples drive real pipelines through the fused streaming
@@ -275,6 +341,9 @@ if [ "${1:-}" != "quick" ]; then
     lint_chains
     cargo run --release --quiet -p ensemble-bench --bin river-lint -- \
         --json | tee -a BENCH_fig5.json
+
+    phase "river-bench-smoke (benchmark plumbing + its own checks)"
+    river_bench_smoke
 
     phase "wire-check (v2 frames at most half the v1 bytes)"
     wire_check

@@ -1,6 +1,9 @@
-//! DFT backend comparison: radix-2 vs Bluestein vs the naive O(N²)
-//! reference, including the production record length (840, mixed
-//! radix → Bluestein path).
+//! DFT backend comparison. `Fft` picks its algorithm from the length's
+//! factorisation: 7-smooth lengths — the powers of two, the production
+//! record length 840 and its packed half 420 — run mixed-radix
+//! butterflies, everything else (here 421 and 842) Bluestein over a
+//! power-of-two mixed-radix convolution; the naive O(N²) reference
+//! anchors the scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use river_dsp::fft::{dft_naive, Fft};
@@ -16,7 +19,7 @@ fn input(n: usize) -> Vec<Complex64> {
 fn bench_sizes(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft/forward");
     group.sample_size(30);
-    for &n in &[256usize, 512, 700, 840, 1024, 2048] {
+    for &n in &[256usize, 420, 421, 512, 700, 840, 842, 1024, 2048, 4096] {
         let x = input(n);
         let plan = Fft::new(n);
         group.throughput(Throughput::Elements(n as u64));
@@ -33,7 +36,9 @@ fn bench_naive_comparison(c: &mut Criterion) {
     let n = 840;
     let x = input(n);
     let plan = Fft::new(n);
-    group.bench_function("bluestein_840", |b| b.iter(|| black_box(plan.forward(&x))));
+    group.bench_function("mixed_radix_840", |b| {
+        b.iter(|| black_box(plan.forward(&x)));
+    });
     group.bench_function("naive_840", |b| b.iter(|| black_box(dft_naive(&x))));
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! Benches each operator of the oracle chain (`welchwindow` →
 //! `float2cplx` → `dft` → `cabs`) in isolation on its own input shape,
 //! plus the fused `spectrum` operator and the two underlying FFT paths
-//! (complex Bluestein-840 vs packed real 840→420) — the evidence that
+//! (full complex 840 vs packed real 840→420) — the evidence that
 //! the fused real-input path is where the pipeline's throughput win
 //! comes from. `fig5_pipeline --stage-json` reports the same breakdown
 //! as JSON for `BENCH_fig5.json`.
@@ -90,7 +90,7 @@ fn bench_fft_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("stage_ns/fft");
     group.throughput(Throughput::Elements(1));
 
-    // The old hot path: full 840-point complex Bluestein transform.
+    // The oracle chain's path: full 840-point complex transform.
     group.bench_function("complex_840", |b| {
         let fft = Fft::new(n);
         let mut buf = packed.clone();
@@ -101,7 +101,7 @@ fn bench_fft_paths(c: &mut Criterion) {
             black_box(buf[1]);
         });
     });
-    // The new hot path: 840 real samples packed into a 420-point half.
+    // The fused path: 840 real samples packed into a 420-point half.
     group.bench_function("real_840", |b| {
         let fft = RealFft::new(n);
         let mut out = vec![Complex64::ZERO; n];

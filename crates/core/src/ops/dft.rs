@@ -6,9 +6,9 @@ use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
 use river_dsp::{Complex64, Fft};
 
 /// The `dft` operator: transforms interleaved-complex records in place.
-/// FFT plans are cached per record length in a bounded cache (Bluestein
-/// handles the non-power-of-two production length), and the
-/// deinterleave and Bluestein scratch buffers are reused across records
+/// FFT plans are cached per record length in a bounded cache (the
+/// production length 840 = 2³·3·5·7 takes the mixed-radix plan), and
+/// the deinterleave and FFT scratch buffers are reused across records
 /// so the steady state allocates nothing beyond COW output buffers.
 #[derive(Debug, Default, Clone)]
 pub struct Dft {

@@ -12,10 +12,12 @@
 //! stay within 5% ns/record of Off. Whatever the dead branch costs is
 //! necessarily below that.
 //!
-//! Timings are best-of-N minima with the two configs measured in
-//! alternation, so slow drift on a loaded single-core CI host (a
-//! background build, a noisy neighbor) hits both sides equally instead
-//! of landing on whichever config happened to run second. The chain's
+//! The two configs are timed in alternation, seven back-to-back pairs,
+//! and the verdict is the **median of the per-pair ratios** (as
+//! river-bench's `telemetry.counters_overhead_ratio` judges it): slow
+//! drift on a loaded CI host (a background build, a noisy neighbor)
+//! hits both sides of a pair alike, and one disturbed pass moves one
+//! ratio out of seven instead of deciding a minimum. The chain's
 //! per-record work (SAX anomaly scoring, fused spectra) dwarfs the
 //! timer's clock reads by an order of magnitude, so the honest Counters
 //! cost sits well inside the budget. The file holds a single `#[test]`
@@ -44,15 +46,16 @@ fn ns_per_record(cfg: ExtractorConfig, samples: &[f64], config: TelemetryConfig)
     dt / stats.source_records as f64 * 1e9
 }
 
-/// Best-of-N for Off and Counters, measured in alternation.
-fn measure_pair(cfg: ExtractorConfig, samples: &[f64]) -> (f64, f64) {
-    let mut off = f64::INFINITY;
-    let mut counters = f64::INFINITY;
-    for _ in 0..7 {
-        off = off.min(ns_per_record(cfg, samples, TelemetryConfig::Off));
-        counters = counters.min(ns_per_record(cfg, samples, TelemetryConfig::Counters));
+/// Counters over Off, ns/record, of seven alternating pairs, sorted.
+fn pair_ratios(cfg: ExtractorConfig, samples: &[f64]) -> [f64; 7] {
+    let mut ratios = [0.0; 7];
+    for ratio in &mut ratios {
+        let off = ns_per_record(cfg, samples, TelemetryConfig::Off);
+        let counters = ns_per_record(cfg, samples, TelemetryConfig::Counters);
+        *ratio = counters / off;
     }
-    (off, counters)
+    ratios.sort_by(f64::total_cmp);
+    ratios
 }
 
 #[test]
@@ -66,8 +69,9 @@ fn telemetry_off_overhead_stays_under_five_percent() {
     // One throwaway pass warms caches and the allocator.
     let _ = ns_per_record(cfg, samples, TelemetryConfig::Off);
 
-    let (off, counters) = measure_pair(cfg, samples);
-    eprintln!("telemetry overhead: off {off:.0} ns/record, counters {counters:.0} ns/record");
+    let ratios = pair_ratios(cfg, samples);
+    let median = ratios[ratios.len() / 2];
+    eprintln!("telemetry overhead: counters/off per pair {ratios:.3?}, median {median:.3}");
 
     if cfg!(debug_assertions) {
         // An unoptimized build times the executor's debug scaffolding,
@@ -77,9 +81,9 @@ fn telemetry_off_overhead_stays_under_five_percent() {
         eprintln!("debug build: timing budget not enforced");
     } else {
         assert!(
-            counters <= off * 1.05,
-            "telemetry Counters mode cost {counters:.0} ns/record vs {off:.0} ns/record with \
-             telemetry off — over the 5% budget, so the Off-mode dead branch cannot be cheap either"
+            median <= 1.05,
+            "telemetry Counters mode cost {median:.3}x the ns/record of telemetry off (median of \
+             {ratios:.3?}) — over the 5% budget, so the Off-mode dead branch cannot be cheap either"
         );
     }
 

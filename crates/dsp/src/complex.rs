@@ -81,9 +81,20 @@ impl Complex64 {
 
     /// The magnitude (complex absolute value), as computed by the pipeline's
     /// `cabs` operator.
+    ///
+    /// `sqrt(re² + im²)` whenever that sum sits comfortably inside the
+    /// normal range, where neither square can overflow or lose bits to
+    /// underflow and the result is within 2 ULP of the true magnitude;
+    /// everything else — huge, tiny, zero, infinite or NaN components —
+    /// takes libm's `hypot`, so the edge-case behaviour is `hypot`'s.
     #[inline]
     pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
+        let sum = self.norm_sqr();
+        if sum > 1e-280 && sum < 1e280 {
+            sum.sqrt()
+        } else {
+            self.re.hypot(self.im)
+        }
     }
 
     /// The squared magnitude; cheaper than [`abs`](Self::abs) when only

@@ -1,19 +1,25 @@
 //! Discrete Fourier transforms.
 //!
 //! The pipeline's `dft` operator transforms 840-sample records (20.16 kHz,
-//! 24 Hz bins), so an arbitrary-length transform is required. Three
-//! implementations are provided:
+//! 24 Hz bins), so an arbitrary-length transform is required. [`Fft`]
+//! picks its algorithm from the factorisation of the length alone:
 //!
-//! - an iterative radix-2 Cooley–Tukey FFT for power-of-two lengths,
-//! - Bluestein's chirp-z algorithm for all other lengths (it reduces an
-//!   arbitrary-N DFT to a power-of-two circular convolution), and
-//! - [`dft_naive`], an O(N²) reference used by tests.
+//! - every **7-smooth** length (prime factors ≤ 7: all powers of two, and
+//!   the production 840 = 2³·3·5·7 with its 420-point half) runs a
+//!   mixed-radix decimation-in-time Cooley–Tukey FFT with dedicated
+//!   radix-4/2/3/5/7 butterflies;
+//! - every other length runs Bluestein's chirp-z algorithm, which reduces
+//!   an arbitrary-N DFT to a power-of-two circular convolution — itself
+//!   two mixed-radix transforms.
+//!
+//! [`dft_naive`] is the O(N²) reference the tests compare both against.
 //!
 //! [`Fft`] plans a transform for one length and may be reused for every
-//! record of that length; planning precomputes twiddle factors and, for
-//! Bluestein, the convolution kernel.
+//! record of that length; planning precomputes the twiddle table and
+//! input permutation and, for Bluestein, the chirp and convolution kernel.
 
 use crate::complex::Complex64;
+use std::cell::Cell;
 use std::f64::consts::PI;
 
 /// A planned forward/inverse DFT of a fixed length.
@@ -39,11 +45,12 @@ pub struct Fft {
 
 #[derive(Debug, Clone)]
 enum Plan {
-    /// Radix-2 FFT: bit-reversal permutation plus precomputed twiddles.
-    Radix2 { twiddles: Vec<Complex64> },
+    /// Mixed-radix Cooley–Tukey for 7-smooth lengths.
+    Mixed(MixedRadix),
     /// Bluestein chirp-z: `a_k = x_k * c_k` convolved with `b`, sized `m`.
     Bluestein {
         m: usize,
+        /// The power-of-two (hence mixed-radix) transform of length `m`.
         inner: Box<Fft>,
         /// Chirp factors `exp(-i*pi*k^2/n)` for k in 0..n.
         chirp: Vec<Complex64>,
@@ -53,49 +60,46 @@ enum Plan {
 }
 
 impl Fft {
-    /// Plans a transform of length `n`.
+    /// Plans a transform of length `n`: mixed radix when every prime
+    /// factor of `n` is at most 7, Bluestein otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT length must be non-zero");
-        if n.is_power_of_two() {
-            let twiddles = (0..n / 2)
-                .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
-                .collect();
-            Fft {
+        if let Some(factors) = smooth_factors(n) {
+            return Fft {
                 n,
-                plan: Plan::Radix2 { twiddles },
-            }
-        } else {
-            // Bluestein: convolution length must be >= 2n-1 and power of two.
-            let m = (2 * n - 1).next_power_of_two();
-            let inner = Box::new(Fft::new(m));
-            let chirp: Vec<Complex64> = (0..n)
-                .map(|k| {
-                    // k^2 mod 2n keeps the argument small for numerical stability.
-                    let k2 = (k as u128 * k as u128) % (2 * n as u128);
-                    Complex64::cis(-PI * k2 as f64 / n as f64)
-                })
-                .collect();
-            let mut kernel = vec![Complex64::ZERO; m];
-            kernel[0] = chirp[0].conj();
-            for k in 1..n {
-                let c = chirp[k].conj();
-                kernel[k] = c;
-                kernel[m - k] = c;
-            }
-            let kernel_fft = inner.forward(&kernel);
-            Fft {
-                n,
-                plan: Plan::Bluestein {
-                    m,
-                    inner,
-                    chirp,
-                    kernel_fft,
-                },
-            }
+                plan: Plan::Mixed(MixedRadix::new(n, factors)),
+            };
+        }
+        // Bluestein: convolution length must be >= 2n-1 and power of two.
+        let m = (2 * n - 1).next_power_of_two();
+        let inner = Box::new(Fft::new(m));
+        let chirp: Vec<Complex64> = (0..n)
+            .map(|k| {
+                // k^2 mod 2n keeps the argument small for numerical stability.
+                let k2 = (k as u128 * k as u128) % (2 * n as u128);
+                Complex64::cis(-PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let mut kernel = vec![Complex64::ZERO; m];
+        kernel[0] = chirp[0].conj();
+        for k in 1..n {
+            let c = chirp[k].conj();
+            kernel[k] = c;
+            kernel[m - k] = c;
+        }
+        let kernel_fft = inner.forward(&kernel);
+        Fft {
+            n,
+            plan: Plan::Bluestein {
+                m,
+                inner,
+                chirp,
+                kernel_fft,
+            },
         }
     }
 
@@ -107,6 +111,12 @@ impl Fft {
     /// Returns `true` if the planned length is zero (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Whether this length took the mixed-radix plan (test hook).
+    #[cfg(test)]
+    fn is_mixed_radix(&self) -> bool {
+        matches!(self.plan, Plan::Mixed(_))
     }
 
     /// Computes the forward DFT: `X_k = sum_j x_j e^{-2πi jk/N}`.
@@ -122,16 +132,20 @@ impl Fft {
     }
 
     /// Scratch samples required by [`forward_scratch`](Self::forward_scratch)
-    /// and [`inverse_scratch`](Self::inverse_scratch): zero for radix-2
-    /// plans, the convolution length `m` for Bluestein plans. Planning
-    /// owns the twiddle, chirp, and kernel tables; a caller that also
-    /// supplies this much scratch makes every transform allocation-free.
+    /// and [`inverse_scratch`](Self::inverse_scratch): the length itself
+    /// for mixed-radix plans (the butterfly passes run in a permuted
+    /// copy), the convolution length `m` plus the inner transform's own
+    /// scratch for Bluestein plans. Planning owns the twiddle,
+    /// permutation, chirp, and kernel tables; a caller that also supplies
+    /// this much scratch makes every transform allocation-free.
+    ///
+    /// No plan runs without scratch — power-of-two lengths need `n` like
+    /// every other mixed-radix length — so size the buffer from this
+    /// method, never from the shape of `n`.
     pub fn scratch_len(&self) -> usize {
         match &self.plan {
-            Plan::Radix2 { .. } => 0,
-            // The inner plan is a power-of-two radix-2 FFT (it needs no
-            // scratch of its own), so `m` covers the whole chain.
-            Plan::Bluestein { m, .. } => *m,
+            Plan::Mixed(_) => self.n,
+            Plan::Bluestein { m, inner, .. } => m + inner.scratch_len(),
         }
     }
 
@@ -165,7 +179,7 @@ impl Fft {
             self.scratch_len()
         );
         match &self.plan {
-            Plan::Radix2 { twiddles } => radix2_in_place(buf, twiddles),
+            Plan::Mixed(mixed) => mixed.forward(buf, &mut scratch[..self.n]),
             Plan::Bluestein {
                 m,
                 inner,
@@ -242,15 +256,19 @@ impl Fft {
 /// are packed into an `N/2`-point **complex** FFT (`z_k = x_{2k} +
 /// i·x_{2k+1}`), transformed, and unpacked through the Hermitian
 /// symmetry `X_{N-k} = conj(X_k)` — so the production 840-sample record
-/// rides a 420-point (Bluestein, inner 1024) transform instead of the
-/// 840-point (inner 2048) one. Odd lengths cannot pack pairs and fall
-/// back to a full-length complex transform of the same plan family.
+/// rides a 420-point transform, and 420 = 2²·3·5·7 is 7-smooth: four
+/// mixed-radix butterfly passes (radix 7, 5, 3, 4). Odd lengths cannot
+/// pack pairs and fall back to a full-length complex transform; either
+/// way the inner [`Fft`] picks mixed radix or Bluestein from its own
+/// length's factorisation.
 ///
-/// Planning owns every table (half/full plan twiddles, chirp and kernel
-/// for Bluestein lengths, and the unpack twiddles); with a caller-kept
-/// scratch buffer ([`scratch_len`](Self::scratch_len)), the steady
-/// state is allocation-free via [`forward_into`](Self::forward_into)
-/// and [`magnitudes_into`](Self::magnitudes_into).
+/// Planning owns every table (the inner plan's, and the unpack
+/// twiddles); with a caller-kept scratch buffer
+/// ([`scratch_len`](Self::scratch_len)), the steady state is
+/// allocation-free via [`forward_into`](Self::forward_into) and
+/// [`magnitudes_into`](Self::magnitudes_into). Magnitudes are
+/// [`Complex64::abs`]: a guarded `sqrt(re² + im²)` within 2 ULP, with
+/// `hypot` kept for the extreme ranges.
 ///
 /// # Example
 ///
@@ -460,36 +478,229 @@ fn unpack_bin(z: &[Complex64], twiddles: &[Complex64], m: usize, k: usize) -> Co
     e + twiddles[k] * o
 }
 
-/// Iterative radix-2 Cooley–Tukey, decimation in time.
-fn radix2_in_place(buf: &mut [Complex64], twiddles: &[Complex64]) {
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            buf.swap(i, j);
+/// The radices of a 7-smooth `n`, outermost butterfly pass first: every
+/// 4, then at most one 2, then the 3s, 5s and 7s. `None` when `n` has
+/// a prime factor above 7 (the Bluestein lengths); empty for `n == 1`.
+fn smooth_factors(mut n: usize) -> Option<Vec<usize>> {
+    let mut factors = Vec::new();
+    for p in [4, 2, 3, 5, 7] {
+        while n.is_multiple_of(p) {
+            factors.push(p);
+            n /= p;
         }
     }
-    // Butterflies.
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let step = n / len;
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let w = twiddles[k * step];
-                let u = buf[start + k];
-                let v = buf[start + k + half] * w;
-                buf[start + k] = u + v;
-                buf[start + k + half] = u - v;
+    (n == 1).then_some(factors)
+}
+
+/// Mixed-radix decimation-in-time plan for a 7-smooth length
+/// `n = p₁·p₂·…·p_L`.
+///
+/// The innermost ("leaf") pass gathers each radix-`p_L` butterfly's
+/// inputs through the digit-reversal table and needs no twiddles; the
+/// remaining `L − 1` passes combine sub-transforms of growing size `m`
+/// in place, reading their twiddles `w^{jk·n/(pm)}` as strided entries
+/// of the one full-length table.
+#[derive(Debug, Clone)]
+struct MixedRadix {
+    /// Radices (each 2, 3, 4, 5 or 7), outermost pass first.
+    factors: Vec<usize>,
+    /// `w^k = e^{-2πik/n}` for `k` in `0..n`.
+    twiddles: Vec<Complex64>,
+    /// Input offset of each leaf butterfly's first sample, in output
+    /// order: the mixed-radix digit reversal of the block index.
+    perm: Vec<usize>,
+}
+
+impl MixedRadix {
+    fn new(n: usize, factors: Vec<usize>) -> Self {
+        let twiddles = (0..n)
+            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
+            .collect();
+        // Output block `Σ i_l·m_l` (digit `i_1` most significant) reads
+        // input offset `Σ i_l·s_l` with `s_l = p_1·…·p_{l-1}`.
+        let mut perm = vec![0];
+        let mut stride = 1;
+        let outer = factors.split_last().map_or(&[][..], |(_, outer)| outer);
+        for &p in outer {
+            perm = perm
+                .iter()
+                .flat_map(|&base| (0..p).map(move |i| base + i * stride))
+                .collect();
+            stride *= p;
+        }
+        MixedRadix {
+            factors,
+            twiddles,
+            perm,
+        }
+    }
+
+    /// Forward transform of `buf` in place; `work` is `buf.len()` samples
+    /// of scratch.
+    fn forward(&self, buf: &mut [Complex64], work: &mut [Complex64]) {
+        let Some((&leaf, outer)) = self.factors.split_last() else {
+            return; // n == 1: the identity.
+        };
+        self.leaf_pass(leaf, buf, work);
+        let Some((&top, middle)) = outer.split_first() else {
+            buf.copy_from_slice(work); // a single butterfly, n <= 7
+            return;
+        };
+        // Cells let one pass routine serve both the in-place middle
+        // passes and the final pass that lands the result back in `buf`.
+        let work = Cell::from_mut(work).as_slice_of_cells();
+        let mut m = leaf;
+        for &p in middle.iter().rev() {
+            self.pass(p, work, work, m);
+            m *= p;
+        }
+        self.pass(top, work, Cell::from_mut(buf).as_slice_of_cells(), m);
+    }
+
+    fn leaf_pass(&self, p: usize, src: &[Complex64], dst: &mut [Complex64]) {
+        let perm = &self.perm;
+        match p {
+            2 => leaf_pass(src, dst, perm, butterfly2),
+            3 => leaf_pass(src, dst, perm, butterfly3),
+            4 => leaf_pass(src, dst, perm, butterfly4),
+            5 => leaf_pass(src, dst, perm, butterfly5),
+            7 => leaf_pass(src, dst, perm, butterfly7),
+            _ => unreachable!("smooth_factors yields radices 2, 3, 4, 5, 7"),
+        }
+    }
+
+    fn pass(&self, p: usize, src: &[Cell<Complex64>], dst: &[Cell<Complex64>], m: usize) {
+        let tw = &self.twiddles;
+        match p {
+            2 => twiddle_pass(src, dst, m, tw, butterfly2),
+            3 => twiddle_pass(src, dst, m, tw, butterfly3),
+            4 => twiddle_pass(src, dst, m, tw, butterfly4),
+            5 => twiddle_pass(src, dst, m, tw, butterfly5),
+            7 => twiddle_pass(src, dst, m, tw, butterfly7),
+            _ => unreachable!("smooth_factors yields radices 2, 3, 4, 5, 7"),
+        }
+    }
+}
+
+/// Innermost pass: one twiddle-free radix-`P` butterfly per output
+/// block, its inputs gathered at stride `n / P` from the block's
+/// digit-reversed offset.
+#[inline]
+fn leaf_pass<const P: usize>(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    perm: &[usize],
+    butterfly: impl Fn([Complex64; P]) -> [Complex64; P],
+) {
+    let stride = src.len() / P;
+    for (&base, out) in perm.iter().zip(dst.chunks_exact_mut(P)) {
+        let x = std::array::from_fn(|j| src[base + j * stride]);
+        out.copy_from_slice(&butterfly(x));
+    }
+}
+
+/// One decimation-in-time pass: every run of `P` adjacent length-`m`
+/// sub-transforms in `src` becomes one length-`P·m` transform at the
+/// same place in `dst` (which may be `src` itself).
+#[inline]
+fn twiddle_pass<const P: usize>(
+    src: &[Cell<Complex64>],
+    dst: &[Cell<Complex64>],
+    m: usize,
+    twiddles: &[Complex64],
+    butterfly: impl Fn([Complex64; P]) -> [Complex64; P],
+) {
+    let span = P * m;
+    let step = twiddles.len() / span;
+    for (s, d) in src.chunks_exact(span).zip(dst.chunks_exact(span)) {
+        for k in 0..m {
+            let x = std::array::from_fn(|j| {
+                let v = s[k + j * m].get();
+                if j == 0 {
+                    v
+                } else {
+                    v * twiddles[j * k * step]
+                }
+            });
+            for (j, y) in butterfly(x).into_iter().enumerate() {
+                d[k + j * m].set(y);
             }
         }
-        len *= 2;
     }
+}
+
+/// `-i·z`: a quarter turn clockwise, the forward transform's `w_4`.
+#[inline]
+fn mul_neg_i(z: Complex64) -> Complex64 {
+    Complex64::new(z.im, -z.re)
+}
+
+#[inline]
+fn butterfly2([a, b]: [Complex64; 2]) -> [Complex64; 2] {
+    [a + b, a - b]
+}
+
+#[inline]
+fn butterfly4([a, b, c, d]: [Complex64; 4]) -> [Complex64; 4] {
+    let (s02, d02) = (a + c, a - c);
+    let (s13, d13) = (b + d, mul_neg_i(b - d));
+    [s02 + s13, d02 + d13, s02 - s13, d02 - d13]
+}
+
+/// `(cos, sin)(2πk/p)` for the odd radices, correctly rounded.
+const ROOT_1_3: (f64, f64) = (-0.5, 0.8660254037844386);
+const ROOT_1_5: (f64, f64) = (0.30901699437494745, 0.9510565162951535);
+const ROOT_2_5: (f64, f64) = (-0.8090169943749475, 0.5877852522924731);
+const ROOT_1_7: (f64, f64) = (0.6234898018587335, 0.7818314824680298);
+const ROOT_2_7: (f64, f64) = (-0.2225209339563144, 0.9749279121818236);
+const ROOT_3_7: (f64, f64) = (-0.9009688679024191, 0.4338837391175581);
+
+/// The odd butterflies use the conjugate-pair form: outputs `q` and
+/// `p - q` share `x_0 + Σ cos(2πqj/p)·(x_j + x_{p-j})` and differ in the
+/// sign of `-i·Σ sin(2πqj/p)·(x_j - x_{p-j})`, `j` in `1..=p/2`.
+#[inline]
+fn butterfly3([a, b, c]: [Complex64; 3]) -> [Complex64; 3] {
+    let (c1, s1) = ROOT_1_3;
+    let sum = b + c;
+    let mid = a + sum.scale(c1);
+    let rot = mul_neg_i((b - c).scale(s1));
+    [a + sum, mid + rot, mid - rot]
+}
+
+#[inline]
+fn butterfly5([a, b, c, d, e]: [Complex64; 5]) -> [Complex64; 5] {
+    let ((c1, s1), (c2, s2)) = (ROOT_1_5, ROOT_2_5);
+    let (s14, d14) = (b + e, b - e);
+    let (s23, d23) = (c + d, c - d);
+    let m1 = a + s14.scale(c1) + s23.scale(c2);
+    let m2 = a + s14.scale(c2) + s23.scale(c1);
+    let r1 = mul_neg_i(d14.scale(s1) + d23.scale(s2));
+    let r2 = mul_neg_i(d14.scale(s2) - d23.scale(s1));
+    [a + s14 + s23, m1 + r1, m2 + r2, m2 - r2, m1 - r1]
+}
+
+#[inline]
+fn butterfly7(x: [Complex64; 7]) -> [Complex64; 7] {
+    let ((c1, s1), (c2, s2), (c3, s3)) = (ROOT_1_7, ROOT_2_7, ROOT_3_7);
+    let a = x[0];
+    let (s16, d16) = (x[1] + x[6], x[1] - x[6]);
+    let (s25, d25) = (x[2] + x[5], x[2] - x[5]);
+    let (s34, d34) = (x[3] + x[4], x[3] - x[4]);
+    let m1 = a + s16.scale(c1) + s25.scale(c2) + s34.scale(c3);
+    let m2 = a + s16.scale(c2) + s25.scale(c3) + s34.scale(c1);
+    let m3 = a + s16.scale(c3) + s25.scale(c1) + s34.scale(c2);
+    let r1 = mul_neg_i(d16.scale(s1) + d25.scale(s2) + d34.scale(s3));
+    let r2 = mul_neg_i(d16.scale(s2) - d25.scale(s3) - d34.scale(s1));
+    let r3 = mul_neg_i(d16.scale(s3) - d25.scale(s1) + d34.scale(s2));
+    [
+        a + s16 + s25 + s34,
+        m1 + r1,
+        m2 + r2,
+        m3 + r3,
+        m3 - r3,
+        m2 - r2,
+        m1 - r1,
+    ]
 }
 
 /// Reference O(N²) DFT used to validate the fast paths.
@@ -605,23 +816,50 @@ mod tests {
         }
     }
 
+    fn probe(n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
+            .collect()
+    }
+
+    /// One length per butterfly and per mix of them, powers of two with
+    /// and without the odd radix-2 pass included.
     #[test]
-    fn radix2_matches_naive() {
-        let n = 64;
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        assert_spectra_close(&Fft::new(n).forward(&x), &dft_naive(&x), 1e-8);
+    fn mixed_radix_matches_naive() {
+        for &n in &[2usize, 3, 4, 5, 7, 8, 12, 64, 100, 105, 128, 175, 420, 700] {
+            let fft = Fft::new(n);
+            assert!(fft.is_mixed_radix(), "n={n}");
+            let x = probe(n);
+            assert_spectra_close(&fft.forward(&x), &dft_naive(&x), 1e-9);
+        }
     }
 
     #[test]
     fn bluestein_matches_naive_for_awkward_lengths() {
-        for &n in &[3usize, 5, 7, 12, 100, 175, 700] {
-            let x: Vec<Complex64> = (0..n)
-                .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
-                .collect();
-            assert_spectra_close(&Fft::new(n).forward(&x), &dft_naive(&x), 1e-7);
+        for &n in &[11usize, 13, 31, 101, 143, 418, 421, 842] {
+            let fft = Fft::new(n);
+            assert!(!fft.is_mixed_radix(), "n={n}");
+            let x = probe(n);
+            assert_spectra_close(&fft.forward(&x), &dft_naive(&x), 1e-9);
         }
+    }
+
+    #[test]
+    fn plan_follows_factorisation_alone() {
+        assert_eq!(smooth_factors(1), Some(vec![]));
+        assert_eq!(smooth_factors(420), Some(vec![4, 3, 5, 7]));
+        assert_eq!(smooth_factors(2048), Some(vec![4, 4, 4, 4, 4, 2]));
+        assert_eq!(smooth_factors(421), None);
+        assert_eq!(smooth_factors(2 * 11 * 19), None);
+        // Bluestein's power-of-two convolution rides the mixed plan, and
+        // the scratch covers both levels.
+        let awkward = Fft::new(421);
+        let Plan::Bluestein { m, inner, .. } = &awkward.plan else {
+            panic!("421 is prime");
+        };
+        assert_eq!(*m, 1024);
+        assert!(inner.is_mixed_radix());
+        assert_eq!(awkward.scratch_len(), 2048);
     }
 
     #[test]
@@ -677,11 +915,13 @@ mod tests {
     }
 
     /// `RealFft` against the full complex transform of zero-padded-
-    /// imaginary input, across packed radix-2 halves, packed Bluestein
-    /// halves, and the odd-length direct fallback.
+    /// imaginary input, across packed mixed-radix halves, packed
+    /// Bluestein halves (62, 842), and the odd-length direct fallback.
     #[test]
     fn realfft_matches_complex_fft() {
-        for &n in &[1usize, 2, 4, 8, 64, 100, 175, 420, 700, 840, 3, 5, 31, 101] {
+        for &n in &[
+            1usize, 2, 4, 8, 62, 64, 100, 420, 700, 840, 842, 3, 5, 31, 101, 175,
+        ] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin() * 0.7).collect();
             let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
             let expected = Fft::new(n).forward(&packed);
@@ -729,11 +969,17 @@ mod tests {
 
     #[test]
     fn realfft_production_length_uses_half_size_plan() {
-        // 840 packs into a 420-point transform: Bluestein inner 1024
-        // instead of the full-length 2048 — the halved-work claim.
+        // 840 packs into a 420-point transform, and 420 = 2²·3·5·7 is
+        // 7-smooth: the hot path runs four butterfly passes, with no
+        // Bluestein convolution anywhere under it.
         let packed = RealFft::new(840);
         assert_eq!(packed.len(), 840);
-        assert!(packed.scratch_len() < Fft::new(840).scratch_len());
+        let RealPlan::Packed { half, .. } = &packed.plan else {
+            panic!("even lengths pack");
+        };
+        assert_eq!(half.len(), 420);
+        assert!(half.is_mixed_radix());
+        assert_eq!(packed.scratch_len(), 840);
     }
 
     #[test]

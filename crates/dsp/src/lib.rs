@@ -5,9 +5,9 @@
 //! (*Automated Ensemble Extraction and Analysis of Acoustic Data Streams*,
 //! DEPSA/ICDCS 2007) is built on:
 //!
-//! - [`Complex64`] arithmetic and the [`fft`] module (radix-2 FFT, Bluestein
-//!   for arbitrary lengths, and a naive reference DFT) used by the paper's
-//!   `dft` operator;
+//! - [`Complex64`] arithmetic and the [`fft`] module (mixed-radix FFT for
+//!   7-smooth lengths, Bluestein for the rest, and a naive reference DFT)
+//!   used by the paper's `dft` operator;
 //! - [`window`] functions, most importantly the **Welch window** applied by
 //!   the `welchwindow` operator to minimize record edge effects;
 //! - [`wav`], a from-scratch RIFF/WAVE codec standing in for the field

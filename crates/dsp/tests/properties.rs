@@ -1,12 +1,144 @@
 //! Property-based tests for the DSP substrate.
 
 use proptest::prelude::*;
-use river_dsp::fft::{dft_naive, Fft};
+use river_dsp::fft::{dft_naive, Fft, RealFft};
 use river_dsp::signal::normalize_oscillogram;
 use river_dsp::stats::{SlidingStats, Welford};
 use river_dsp::wav::{SampleFormat, WavReader, WavSpec, WavWriter};
 use river_dsp::window::WindowKind;
 use river_dsp::Complex64;
+
+/// Deterministic pseudo-random complex samples in the unit square
+/// (xorshift64*).
+fn random_complex(n: usize, seed: u64) -> Vec<Complex64> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    };
+    (0..n).map(|_| Complex64::new(next(), next())).collect()
+}
+
+/// Distance in units in the last place between two finite,
+/// non-negative doubles.
+fn ulps_apart(a: f64, b: f64) -> u64 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+/// Every 7-smooth length up to 1024 — each mixed-radix plan shape,
+/// `n = 1` included — plus a spread of lengths with a larger prime
+/// factor, which take Bluestein: primes, 2·11·19, and twice a prime.
+fn differential_lengths() -> Vec<usize> {
+    let smooth = |mut n: usize| {
+        for p in [2, 3, 5, 7] {
+            while n.is_multiple_of(p) {
+                n /= p;
+            }
+        }
+        n == 1
+    };
+    let mut lengths: Vec<usize> = (1..=1024).filter(|&n| smooth(n)).collect();
+    lengths.extend([11, 13, 421, 2 * 11 * 19, 2 * 421]);
+    lengths
+}
+
+/// One naive reference per length judges every transform: `Fft` ≡
+/// `dft_naive` to 1e-9 of the spectrum's largest magnitude, with
+/// forward∘inverse the identity and Parseval's energy balance; and
+/// `RealFft` (bins and fused magnitudes) on the input's real part
+/// against the reference's Hermitian half, `(X_k + conj(X_{n-k})) / 2`
+/// — so every packed-half (even `n`) and direct (odd `n`) plan, over a
+/// mixed-radix or a Bluestein inner transform.
+#[test]
+fn every_transform_matches_naive_on_every_plan_shape() {
+    for n in differential_lengths() {
+        let x = random_complex(n, n as u64);
+        let expected = dft_naive(&x);
+        let scale = expected.iter().map(|z| z.abs()).fold(1.0_f64, f64::max);
+
+        let fft = Fft::new(n);
+        let spectrum = fft.forward(&x);
+        for (k, (a, b)) in spectrum.iter().zip(&expected).enumerate() {
+            let err = (*a - *b).abs();
+            assert!(err <= 1e-9 * scale, "n={n} bin {k}: err {err:.3e}");
+        }
+        for (k, (a, b)) in x.iter().zip(&fft.inverse(&spectrum)).enumerate() {
+            let err = (*a - *b).abs();
+            assert!(err <= 1e-9, "n={n} sample {k}: round-trip err {err:.3e}");
+        }
+        let time_energy: f64 = x.iter().map(|z| z.norm_sqr()).sum();
+        let freq_energy: f64 = spectrum.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
+        assert!(
+            (time_energy - freq_energy).abs() <= 1e-9 * time_energy,
+            "n={n}: {time_energy} vs {freq_energy}"
+        );
+
+        let real: Vec<f64> = x.iter().map(|z| z.re).collect();
+        let plan = RealFft::new(n);
+        let bins = plan.forward(&real);
+        let mut mags = vec![0.0; n];
+        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        plan.magnitudes_into(&real, None, &mut mags, &mut scratch);
+        for k in 0..n {
+            let want = (expected[k] + expected[(n - k) % n].conj()).scale(0.5);
+            let err = (bins[k] - want).abs();
+            assert!(err <= 1e-9 * scale, "n={n} real bin {k}: err {err:.3e}");
+            let err = (mags[k] - want.abs()).abs();
+            assert!(err <= 1e-9 * scale, "n={n} magnitude {k}: err {err:.3e}");
+        }
+    }
+}
+
+/// `Complex64::abs` is `sqrt(re² + im²)` only where that cannot
+/// overflow or underflow: there it stays within 4 ULP of libm's
+/// `hypot` (2 of the exact value), and everywhere else it *is* `hypot`.
+#[test]
+fn guarded_abs_tracks_hypot() {
+    // Ordinary values: mantissas and signs from the generator, decimal
+    // exponents swept independently so the components' ratio varies
+    // from balanced to one-sided.
+    let mantissas = random_complex(4096, 2007);
+    for (i, m) in mantissas.iter().enumerate() {
+        let z = Complex64::new(
+            m.re * 10f64.powi(i as i32 % 201 - 100),
+            m.im * 10f64.powi((i / 7) as i32 % 201 - 100),
+        );
+        let (got, want) = (z.abs(), z.re.hypot(z.im));
+        assert!(ulps_apart(got, want) <= 4, "{z}: {got:e} vs hypot {want:e}");
+    }
+    // Extremes: squares that underflow or overflow, subnormals, zeros,
+    // infinities and NaN — paired with each other and with an ordinary
+    // partner — must give hypot's answer bit for bit.
+    let extremes = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        1.3e-170,
+        -7.7e-171,
+        -4.1e169,
+        1.3e170,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let partners = extremes.iter().chain(&[1.0, -3.7]);
+    for (&a, &b) in extremes
+        .iter()
+        .flat_map(|a| partners.clone().map(move |b| (a, b)))
+    {
+        for (re, im) in [(a, b), (b, a)] {
+            let (got, want) = (Complex64::new(re, im).abs(), re.hypot(im));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "({re:e}, {im:e}): {got:e} vs hypot {want:e}"
+            );
+        }
+    }
+}
 
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1..max_len).prop_map(|v| {

@@ -1,9 +1,11 @@
 //! Property tests for the real-input FFT fast path: `RealFft` must
 //! agree with the naive O(N²) reference DFT (on zero-imaginary packed
-//! input) to ≤ 1e-9 relative error over random lengths spanning all
-//! three plan shapes — packed radix-2 halves (n = 2^k), packed
-//! Bluestein halves (other even n), and the odd-length direct fallback
-//! — plus the misuse panics of the scratch API.
+//! input) to ≤ 1e-9 relative error over random lengths spanning every
+//! plan shape — packed halves and the odd-length direct fallback, each
+//! over a mixed-radix (7-smooth) or a Bluestein inner transform — plus
+//! the misuse panics of the scratch API. The exhaustive sweep over every
+//! 7-smooth length rides `properties.rs`, off the reference it computes
+//! for `Fft`.
 
 use proptest::prelude::*;
 use river_dsp::fft::{dft_naive, RealFft};
@@ -39,8 +41,9 @@ fn assert_close(got: &[Complex64], expected: &[Complex64], tol: f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random lengths: powers of two exercise packed radix-2, other
-    /// even lengths packed Bluestein, odd lengths the direct fallback.
+    /// Random lengths: even ones pack into a half transform, odd ones
+    /// take the direct fallback; about half of either kind is 7-smooth
+    /// (mixed radix) below 260, the rest Bluestein.
     #[test]
     fn realfft_matches_naive_dft(n in 1usize..260, seed in 0u64..1_000_000) {
         let x = random_samples(n, seed);
@@ -81,15 +84,18 @@ proptest! {
 #[test]
 fn production_record_length_matches_naive() {
     // 840 = the 20.16 kHz record geometry: packs into a 420-point
-    // Bluestein half — the case the pipeline hot path rides.
+    // mixed-radix half — the case the pipeline hot path rides.
     let x = random_samples(840, 7);
     let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
     assert_close(&RealFft::new(840).forward(&x), &dft_naive(&packed), 1e-9);
 }
 
+/// Odd lengths take the direct fallback — mixed radix for 1, 3, 5, 7,
+/// Bluestein for the larger primes — and 418 = 2·11·19 and 842 = 2·421
+/// pack into a Bluestein half.
 #[test]
 fn odd_and_prime_lengths_match_naive() {
-    for &n in &[1usize, 3, 5, 7, 31, 101, 127, 211] {
+    for &n in &[1usize, 3, 5, 7, 31, 101, 127, 211, 11, 13, 421, 418, 842] {
         let x = random_samples(n, n as u64);
         let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
         assert_close(&RealFft::new(n).forward(&x), &dft_naive(&packed), 1e-9);
