@@ -280,14 +280,25 @@ if [ "${1:-}" != "quick" ]; then
     phase "release-tests (cargo test --release)"
     release_tests
 
-    # Exercise the streaming execution path end-to-end: all three
-    # examples drive real pipelines through the fused streaming
-    # executor; distributed_pipeline serves a concurrent client fleet
-    # through the multi-session PipelineServer over loopback TCP.
+    # Exercise the execution core end-to-end under each lane policy:
+    # quickstart and anomaly_monitor drive real pipelines inline
+    # (run_streaming); parallel_archive is the one example on
+    # run_sharded and asserts sharded == single-lane byte-identity;
+    # distributed_pipeline serves a concurrent client fleet through the
+    # multi-session PipelineServer over loopback TCP. (species_survey,
+    # the fifth example, is a classification study, not an execution
+    # path.)
     phase "examples (release)"
     cargo run --release --quiet --example quickstart
     cargo run --release --quiet --example anomaly_monitor
+    cargo run --release --quiet --example parallel_archive
     cargo run --release --quiet --example distributed_pipeline
+
+    # Decoder fuzz smoke: bounded, deterministic (fixed seeds inside the
+    # battery, fixed iteration count here) so CI time is predictable and
+    # failures reproduce with plain `FUZZ_ITERS=2048 cargo test`.
+    phase "fuzz smoke (decoder battery, FUZZ_ITERS=2048)"
+    FUZZ_ITERS=2048 cargo test -q -p dynamic-river --test fuzz_decoder
 
     # Perf trajectory: Figure 5 over a small clip archive at 1/2/4
     # worker shards, one machine-readable line each, accumulated at the
@@ -295,12 +306,6 @@ if [ "${1:-}" != "quick" ]; then
     # throughput and parallel scaling. Worker counts beyond the host's
     # cores are clamped (and flagged "clamped": true) so a small CI
     # host cannot fake a parallel slowdown.
-    # Decoder fuzz smoke: bounded, deterministic (fixed seeds inside the
-    # battery, fixed iteration count here) so CI time is predictable and
-    # failures reproduce with plain `FUZZ_ITERS=2048 cargo test`.
-    phase "fuzz smoke (decoder battery, FUZZ_ITERS=2048)"
-    FUZZ_ITERS=2048 cargo test -q -p dynamic-river --test fuzz_decoder
-
     phase "BENCH_fig5.json (sharded scaling: 1/2/4 workers)"
     : > BENCH_fig5.json
     for workers in 1 2 4; do

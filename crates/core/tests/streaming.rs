@@ -233,8 +233,8 @@ fn sharded_archive_matches_single_lane_with_constant_burst() {
     }
 }
 
-/// `run_count` streams through a counting sink — on a long stream it
-/// must agree with the collected output's length without keeping it.
+/// The streaming driver's `sink_records` over a discarding sink must
+/// agree with the collected output's length without keeping it.
 #[test]
 fn run_count_agrees_with_run_on_extraction() {
     let cfg = ExtractorConfig::default();
@@ -249,8 +249,10 @@ fn run_count_agrees_with_run_on_extraction() {
     );
 
     let collected = extraction_segment(cfg).run(records.clone()).unwrap();
-    let counted = extraction_segment(cfg).run_count(records).unwrap();
-    assert_eq!(counted, collected.len());
+    let stats = extraction_segment(cfg)
+        .run_streaming(records.into_iter(), &mut NullSink)
+        .unwrap();
+    assert_eq!(stats.sink_records as usize, collected.len());
     assert!(collected
         .iter()
         .any(|r| r.kind == RecordKind::Data && r.subtype == subtype::AUDIO));

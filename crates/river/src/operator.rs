@@ -3,8 +3,9 @@
 //! A Dynamic River pipeline is "a sequential set of operations composed
 //! between a data source and its final sink" (paper §2). Each operation
 //! implements [`Operator`]: it consumes records one at a time and emits
-//! zero or more records into a [`Sink`]. Operators are `Send` so the
-//! threaded runner can move each one onto its own thread.
+//! zero or more records into a [`Sink`]. Operators are `Send` so a
+//! chain can be driven on another thread: a shard worker, a server
+//! pool thread, a relocatable segment's coordinator.
 
 use crate::error::PipelineError;
 use crate::record::Record;

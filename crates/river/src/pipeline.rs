@@ -1,24 +1,26 @@
 //! Pipeline composition and execution.
 //!
-//! Three runners are provided:
+//! There is one execution model: the *fused step*. A record pushed into
+//! the first operator flows depth-first through the whole chain into
+//! the final [`Sink`] before the next record is taken, so peak
+//! buffering is bounded by operator-internal state (a cutter's open
+//! ensemble, a merger's group), never by stream length, and unbounded
+//! streams run in constant memory. A `Lane` (crate-private) is a chain
+//! being driven that way — operators, per-stage counters and timers,
+//! sink totals — and every runner is a policy for feeding lanes:
 //!
-//! - [`Pipeline::run_streaming`] — the fused, push-based streaming
-//!   driver: each record pulled from a [`Source`] flows depth-first
-//!   through the whole operator chain into the final [`Sink`] before
-//!   the next record is pulled. Peak buffering is bounded by
-//!   operator-internal state (a cutter's open ensemble, a merger's
-//!   group), never by stream length, so unbounded streams run in
-//!   constant memory. Per-stage record/byte counters come back as
-//!   [`StreamStats`].
-//! - [`Pipeline::run`] / [`Pipeline::run_count`] — thin wrappers over
-//!   the streaming driver that collect (or count) the final stage's
-//!   output; [`Pipeline::run_batch`] keeps the old stage-barrier
-//!   semantics as a reference implementation for differential tests.
-//! - [`Pipeline::run_threaded`] — one OS thread per operator connected
-//!   by bounded crossbeam channels, the execution model of the Dynamic
-//!   River prototype ("the network operators enable record processing to
-//!   be distributed across the processor and memory resources of many
-//!   hosts" — within one host, across cores).
+//! - [`Pipeline::run_streaming`] — one lane, fed inline from a
+//!   [`Source`]; [`Pipeline::run`] collects its output.
+//! - [`Pipeline::run_sharded`] ([`crate::shard`]) — N lanes on N
+//!   threads, fed whole top-level scopes and merged in stream order.
+//! - [`crate::serve::PipelineServer`] — one lane per network session,
+//!   M sessions multiplexed over an N-thread pool.
+//! - [`crate::segment::RelocatablePipeline`] — one lane that is
+//!   flushed and rebuilt on another host wherever scopes balance.
+//!
+//! [`Pipeline::run_batch`] is not a runner but the reference the fused
+//! step is differentially tested against: stage-barrier semantics, one
+//! materialized vector per hop.
 
 use crate::analyze::{CheckOptions, Diagnostic};
 use crate::error::PipelineError;
@@ -26,9 +28,7 @@ use crate::operator::{Operator, Sink};
 use crate::record::{Record, RecordKind};
 use crate::source::Source;
 use crate::telemetry::{EventKind, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 /// Nanoseconds since `started`, saturating at `u64::MAX`.
@@ -50,18 +50,6 @@ pub(crate) fn emit_scope_event(events: &EventSink, record: &Record) {
         RecordKind::Data => {}
     }
 }
-
-/// Default bounded-channel capacity between threaded stages.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 256;
-
-/// What [`Pipeline::spawn_threaded`] hands back: the per-stage thread
-/// handles, the sender feeding the first stage (drop it to signal
-/// end-of-stream), and the receiver draining the last stage.
-pub type SpawnedStages = (
-    Vec<thread::JoinHandle<Result<(), PipelineError>>>,
-    Sender<Record>,
-    Receiver<Record>,
-);
 
 /// Per-stage counters collected by the streaming driver.
 ///
@@ -115,9 +103,9 @@ impl PartialEq for StageStats {
 impl Eq for StageStats {}
 
 impl StageStats {
-    pub(crate) fn with_timer(name: &str, timer: Option<Arc<StageTimer>>) -> Self {
+    fn with_timer(name: String, timer: Option<Arc<StageTimer>>) -> Self {
         StageStats {
-            name: name.to_string(),
+            name,
             records_in: 0,
             bytes_in: 0,
             records_out: 0,
@@ -210,16 +198,15 @@ impl StreamStats {
 }
 
 #[derive(Default)]
-pub(crate) struct SinkTotals {
-    pub(crate) records: u64,
-    pub(crate) bytes: u64,
+struct SinkTotals {
+    records: u64,
+    bytes: u64,
 }
 
 /// Pushes `record` into the first operator of `ops`, whose output feeds
 /// the next, and so on down to `final_sink` — the fused depth-first
-/// step of the streaming driver. Shared with the sharded runtime, whose
-/// workers each drive a cloned chain through this same step.
-pub(crate) fn feed_chain(
+/// step every [`Lane`] takes.
+fn feed_chain(
     ops: &mut [Box<dyn Operator>],
     stats: &mut [StageStats],
     record: Record,
@@ -306,9 +293,8 @@ impl Sink for ChainSink<'_> {
 
 /// End-of-stream flush: each stage's `on_eos` output cascades through
 /// the remainder of the chain, upstream first, so a flushed record
-/// still traverses every later operator. Shared by the streaming driver
-/// and the sharded runtime's workers.
-pub(crate) fn flush_chain(
+/// still traverses every later operator.
+fn flush_chain(
     ops: &mut [Box<dyn Operator>],
     stats: &mut [StageStats],
     totals: &mut SinkTotals,
@@ -334,6 +320,123 @@ pub(crate) fn flush_chain(
     Ok(())
 }
 
+/// A chain being driven: its operators, per-stage counters and timers,
+/// sink totals and event sink — the one execution core under every
+/// runner. The inline driver owns one lane, the sharded runtime one per
+/// worker, the server one per session, and a relocatable segment one at
+/// a time; they differ only in who calls [`feed`](Self::feed) and where
+/// the sink leads.
+pub(crate) struct Lane {
+    ops: Vec<Box<dyn Operator>>,
+    stats: Vec<StageStats>,
+    totals: SinkTotals,
+    events: EventSink,
+}
+
+impl Lane {
+    /// Pre-flights `chain` and, once it passes, moves its operators into
+    /// a new lane recording into `telemetry`: stage timers are fetched
+    /// by operator name and operators are attached to the event ring as
+    /// lane `lane_id`. A refused chain keeps its operators.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Analysis`] when the static check proves
+    /// the chain broken.
+    pub(crate) fn new(
+        chain: &mut Pipeline,
+        telemetry: &Telemetry,
+        lane_id: u64,
+    ) -> Result<Self, PipelineError> {
+        chain.preflight(false)?;
+        let mut ops = std::mem::take(&mut chain.ops);
+        let names: Vec<String> = ops.iter().map(|op| op.name().to_string()).collect();
+        let timers = telemetry.stage_timers(&names);
+        let stats = names
+            .into_iter()
+            .zip(timers)
+            .map(|(name, timer)| StageStats::with_timer(name, timer))
+            .collect();
+        let events = telemetry.event_sink(lane_id);
+        if events.enabled() {
+            for op in &mut ops {
+                op.attach_events(&events);
+            }
+        }
+        Ok(Lane {
+            ops,
+            stats,
+            totals: SinkTotals::default(),
+            events,
+        })
+    }
+
+    /// One fused step: `record` flows through every operator into
+    /// `sink`.
+    pub(crate) fn feed(
+        &mut self,
+        record: Record,
+        sink: &mut dyn Sink,
+    ) -> Result<(), PipelineError> {
+        feed_chain(
+            &mut self.ops,
+            &mut self.stats,
+            record,
+            &mut self.totals,
+            sink,
+        )
+    }
+
+    /// [`feed`](Self::feed) for a record entering the river here (not
+    /// handed over by a splitter that already announced it): emits its
+    /// scope event first, so every runner produces the same scope-event
+    /// multiset for the same stream.
+    pub(crate) fn feed_source(
+        &mut self,
+        record: Record,
+        sink: &mut dyn Sink,
+    ) -> Result<(), PipelineError> {
+        if self.events.enabled() {
+            emit_scope_event(&self.events, &record);
+        }
+        self.feed(record, sink)
+    }
+
+    /// The inline policy: pulls `source` dry through
+    /// [`feed_source`](Self::feed_source), then flushes. Returns the
+    /// number of records pulled.
+    fn drive(
+        &mut self,
+        source: &mut impl Source,
+        sink: &mut dyn Sink,
+    ) -> Result<u64, PipelineError> {
+        let mut pulled = 0u64;
+        while let Some(record) = source.next_record()? {
+            pulled += 1;
+            self.feed_source(record, sink)?;
+        }
+        self.flush(sink)?;
+        Ok(pulled)
+    }
+
+    /// End-of-stream: every operator's `on_eos` output cascades through
+    /// the rest of the chain into `sink`.
+    pub(crate) fn flush(&mut self, sink: &mut dyn Sink) -> Result<(), PipelineError> {
+        flush_chain(&mut self.ops, &mut self.stats, &mut self.totals, sink)
+    }
+
+    /// Ends the lane, yielding its counters; `source_records` is what
+    /// the driver fed it.
+    pub(crate) fn into_stats(self, source_records: u64) -> StreamStats {
+        StreamStats {
+            stages: self.stats,
+            source_records,
+            sink_records: self.totals.records,
+            sink_bytes: self.totals.bytes,
+        }
+    }
+}
+
 /// An ordered chain of operators.
 ///
 /// # Example
@@ -350,27 +453,16 @@ pub(crate) fn flush_chain(
 /// let out = p.run(vec![Record::data(0, Payload::f64(vec![1.0]))]).unwrap();
 /// assert_eq!(out[0].payload.as_f64().unwrap(), &[10.0]);
 /// ```
+#[derive(Default)]
 pub struct Pipeline {
     ops: Vec<Box<dyn Operator>>,
-    channel_capacity: usize,
     telemetry: Telemetry,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline {
-            ops: Vec::new(),
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            telemetry: Telemetry::off(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("operators", &self.names())
-            .field("channel_capacity", &self.channel_capacity)
             .field("telemetry", &self.telemetry.config())
             .finish_non_exhaustive()
     }
@@ -414,28 +506,6 @@ impl Pipeline {
         self
     }
 
-    /// Sets the bounded-channel capacity used between stages by
-    /// [`run_threaded`](Self::run_threaded) and between the sharded
-    /// runtime's splitter/workers/merge by
-    /// [`run_sharded`](Self::run_sharded) (default
-    /// [`DEFAULT_CHANNEL_CAPACITY`]). Capacity 0 is a rendezvous
-    /// channel: every hop blocks until the downstream stage takes the
-    /// record.
-    ///
-    /// Non-consuming, like [`add`](Self::add) and
-    /// [`extend`](Self::extend) — all builder methods take `&mut self`
-    /// and chain through the returned reference.
-    pub fn set_channel_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.channel_capacity = capacity;
-        self
-    }
-
-    /// The channel capacity [`run_threaded`](Self::run_threaded) will
-    /// use.
-    pub fn channel_capacity(&self) -> usize {
-        self.channel_capacity
-    }
-
     /// Enables telemetry at `config`, replacing any previous registry
     /// (non-consuming builder, like [`add`](Self::add)).
     ///
@@ -457,9 +527,8 @@ impl Pipeline {
         self
     }
 
-    /// A clone of the pipeline's [`Telemetry`] handle. Useful before a
-    /// consuming runner ([`run_threaded`](Self::run_threaded)): keep the
-    /// handle, run, then call [`Telemetry::snapshot`] on it.
+    /// A clone of the pipeline's [`Telemetry`] handle, for sharing its
+    /// registry with another pipeline or runtime.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }
@@ -489,8 +558,8 @@ impl Pipeline {
     }
 
     /// Duplicates the whole operator chain via each operator's
-    /// [`Operator::clone_op`] hook, preserving the channel capacity —
-    /// how the sharded runtime instantiates one chain per worker.
+    /// [`Operator::clone_op`] hook — how the sharded runtime
+    /// instantiates one chain per worker and the server one per session.
     ///
     /// # Errors
     ///
@@ -509,17 +578,10 @@ impl Pipeline {
         }
         Ok(Pipeline {
             ops,
-            channel_capacity: self.channel_capacity,
             // Clones share the registry: every worker driving a cloned
             // chain records into the same per-stage histograms.
             telemetry: self.telemetry.clone(),
         })
-    }
-
-    /// Consumes the pipeline, yielding its operator chain — used by the
-    /// sharded runtime to move each worker's chain onto its thread.
-    pub(crate) fn into_ops(self) -> Vec<Box<dyn Operator>> {
-        self.ops
     }
 
     /// Statically verifies the chain with default options (completely
@@ -604,37 +666,13 @@ impl Pipeline {
         mut source: impl Source,
         sink: &mut dyn Sink,
     ) -> Result<StreamStats, PipelineError> {
-        self.preflight(false)?;
-        let names: Vec<String> = self.ops.iter().map(|op| op.name().to_string()).collect();
-        let timers = self.telemetry.stage_timers(&names);
-        let mut stats: Vec<StageStats> = self
-            .ops
-            .iter()
-            .zip(timers)
-            .map(|(op, timer)| StageStats::with_timer(op.name(), timer))
-            .collect();
-        let events = self.telemetry.event_sink(0);
-        if events.enabled() {
-            for op in &mut self.ops {
-                op.attach_events(&events);
-            }
-        }
-        let mut totals = SinkTotals::default();
-        let mut source_records = 0u64;
-        while let Some(record) = source.next_record()? {
-            source_records += 1;
-            if events.enabled() {
-                emit_scope_event(&events, &record);
-            }
-            feed_chain(&mut self.ops, &mut stats, record, &mut totals, sink)?;
-        }
-        flush_chain(&mut self.ops, &mut stats, &mut totals, sink)?;
-        Ok(StreamStats {
-            stages: stats,
-            source_records,
-            sink_records: totals.records,
-            sink_bytes: totals.bytes,
-        })
+        let telemetry = self.telemetry.clone();
+        let mut lane = Lane::new(self, &telemetry, 0)?;
+        let driven = lane.drive(&mut source, sink);
+        // The pipeline keeps its operators, and whatever state they
+        // hold, across runs — also when this one failed.
+        self.ops = std::mem::take(&mut lane.ops);
+        Ok(lane.into_stats(driven?))
     }
 
     /// Runs the pipeline data-parallel across `workers` shards: the
@@ -680,21 +718,6 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Runs the pipeline, discarding output but returning the record
-    /// count that reached the sink. Streams through a counting sink —
-    /// the full output vector is never materialized.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first operator error.
-    pub fn run_count<I>(&mut self, input: I) -> Result<usize, PipelineError>
-    where
-        I: IntoIterator<Item = Record>,
-    {
-        let stats = self.run_streaming(input.into_iter(), &mut crate::operator::NullSink)?;
-        Ok(stats.sink_records as usize)
-    }
-
     /// Runs the pipeline stage by stage with a barrier between stages:
     /// operator N processes the *entire* stream (including its `on_eos`
     /// flush) before operator N+1 sees a record, materializing the full
@@ -722,143 +745,6 @@ impl Pipeline {
         }
         Ok(records)
     }
-
-    /// Runs the pipeline with one thread per operator, consuming the
-    /// pipeline. Returns the final output records.
-    ///
-    /// Bounded channels (capacity
-    /// [`channel_capacity`](Self::channel_capacity)) apply backpressure
-    /// between stages. If any stage fails, the failure propagates and
-    /// the first error is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first operator error raised on any stage thread.
-    pub fn run_threaded<I>(self, input: I) -> Result<Vec<Record>, PipelineError>
-    where
-        I: IntoIterator<Item = Record> + Send + 'static,
-        I::IntoIter: Send,
-    {
-        let capacity = self.channel_capacity;
-        let (handles, feed_tx, out_rx) = self.spawn_threaded(capacity);
-
-        // Feed input from this thread (bounded channel applies
-        // backpressure).
-        let feeder = thread::spawn(move || {
-            for r in input {
-                if feed_tx.send(r).is_err() {
-                    // Downstream failed; stop feeding.
-                    break;
-                }
-            }
-            // Dropping feed_tx signals EOS.
-        });
-
-        let mut out = Vec::new();
-        for r in out_rx {
-            out.push(r);
-        }
-        feeder.join().expect("feeder thread panicked");
-
-        let mut first_error = None;
-        for h in handles {
-            if let Err(e) = h.join().expect("stage thread panicked") {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Spawns the stage threads and returns `(handles, input sender,
-    /// output receiver)`. Dropping the sender signals end-of-stream;
-    /// stages flush (`on_eos`) and shut down in order.
-    ///
-    /// With telemetry enabled, each stage thread times `op.on_record`
-    /// and subtracts time spent blocked sending downstream (stall time
-    /// is backpressure, not stage cost); with event tracing on, a full
-    /// downstream channel raises `StallEnter`/`StallExit` events
-    /// (subject: stage index).
-    pub fn spawn_threaded(self, capacity: usize) -> SpawnedStages {
-        struct ChannelSink {
-            tx: Sender<Record>,
-            events: EventSink,
-            stage: u64,
-            /// ns spent blocked on a full downstream channel during the
-            /// current `on_record` call; the stage thread subtracts it.
-            wait_ns: u64,
-            /// Timing or events on — take the `try_send` path.
-            instrumented: bool,
-        }
-        impl Sink for ChannelSink {
-            fn push(&mut self, record: Record) -> Result<(), PipelineError> {
-                if !self.instrumented {
-                    return self
-                        .tx
-                        .send(record)
-                        .map_err(|_| PipelineError::Disconnected("downstream stage gone".into()));
-                }
-                match self.tx.try_send(record) {
-                    Ok(()) => Ok(()),
-                    Err(TrySendError::Disconnected(_)) => {
-                        Err(PipelineError::Disconnected("downstream stage gone".into()))
-                    }
-                    Err(TrySendError::Full(record)) => {
-                        self.events.emit(EventKind::StallEnter, self.stage);
-                        let started = Instant::now();
-                        let result = self.tx.send(record).map_err(|_| {
-                            PipelineError::Disconnected("downstream stage gone".into())
-                        });
-                        self.wait_ns += elapsed_ns(started);
-                        self.events.emit(EventKind::StallExit, self.stage);
-                        result
-                    }
-                }
-            }
-        }
-
-        let names: Vec<String> = self.ops.iter().map(|op| op.name().to_string()).collect();
-        let timers = self.telemetry.stage_timers(&names);
-        let chain_events = self.telemetry.event_sink(0);
-        let (feed_tx, mut prev_rx) = bounded::<Record>(capacity);
-        let mut handles = Vec::with_capacity(self.ops.len());
-        for (stage, (mut op, timer)) in self.ops.into_iter().zip(timers).enumerate() {
-            let (tx, rx) = bounded::<Record>(capacity);
-            let stage_rx = prev_rx;
-            prev_rx = rx;
-            let events = chain_events.clone();
-            if events.enabled() {
-                op.attach_events(&events);
-            }
-            handles.push(thread::spawn(move || -> Result<(), PipelineError> {
-                let instrumented = timer.is_some() || events.enabled();
-                let mut sink = ChannelSink {
-                    tx,
-                    events,
-                    stage: stage as u64,
-                    wait_ns: 0,
-                    instrumented,
-                };
-                for record in stage_rx {
-                    if let Some(timer) = &timer {
-                        sink.wait_ns = 0;
-                        let started = Instant::now();
-                        op.on_record(record, &mut sink)?;
-                        timer.record(elapsed_ns(started).saturating_sub(sink.wait_ns));
-                    } else {
-                        op.on_record(record, &mut sink)?;
-                    }
-                }
-                op.on_eos(&mut sink)?;
-                Ok(())
-            }));
-        }
-        (handles, feed_tx, prev_rx)
-    }
 }
 
 #[cfg(test)]
@@ -866,7 +752,7 @@ mod tests {
     use super::*;
     use crate::operator::{CountingSink, NullSink};
     use crate::ops::{FnOp, MapPayload, Passthrough, RecordFilter};
-    use crate::record::{Payload, RecordKind};
+    use crate::record::Payload;
     use crate::source::FnSource;
 
     fn numbered(n: usize) -> Vec<Record> {
@@ -942,7 +828,10 @@ mod tests {
         p.add(RecordFilter::new("evens", |r: &Record| {
             r.seq.is_multiple_of(2)
         }));
-        assert_eq!(p.run_count(numbered(10)).unwrap(), 5);
+        let stats = p
+            .run_streaming(numbered(10).into_iter(), &mut NullSink)
+            .unwrap();
+        assert_eq!(stats.sink_records, 5);
     }
 
     #[test]
@@ -1076,96 +965,5 @@ mod tests {
             arrived_at_pull,
             vec![(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
         );
-    }
-
-    #[test]
-    fn default_channel_capacity_is_256() {
-        assert_eq!(Pipeline::new().channel_capacity(), DEFAULT_CHANNEL_CAPACITY);
-        assert_eq!(DEFAULT_CHANNEL_CAPACITY, 256);
-    }
-
-    #[test]
-    fn channel_capacity_is_configurable() {
-        // A rendezvous (capacity 0) and a tiny channel both produce the
-        // same output as the default — capacity only shapes scheduling.
-        for capacity in [0usize, 1, 4] {
-            let mut p = Pipeline::new();
-            p.set_channel_capacity(capacity);
-            p.add(MapPayload::new("plus1", |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x += 1.0);
-            }));
-            p.add(RecordFilter::new("evens", |r: &Record| {
-                r.seq.is_multiple_of(2)
-            }));
-            assert_eq!(p.channel_capacity(), capacity);
-            let out = p.run_threaded(numbered(50)).unwrap();
-            assert_eq!(out.len(), 25);
-            assert_eq!(out[0].payload.as_f64().unwrap(), &[1.0]);
-        }
-    }
-
-    #[test]
-    fn threaded_matches_sync() {
-        let build = || {
-            let mut p = Pipeline::new();
-            p.add(MapPayload::new("plus1", |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x += 1.0);
-            }));
-            p.add(RecordFilter::new("evens", |r: &Record| {
-                r.seq.is_multiple_of(2)
-            }));
-            p.add(MapPayload::new("times3", |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x *= 3.0);
-            }));
-            p
-        };
-        let sync_out = build().run(numbered(100)).unwrap();
-        let threaded_out = build().run_threaded(numbered(100)).unwrap();
-        assert_eq!(sync_out, threaded_out);
-        assert_eq!(sync_out.len(), 50);
-    }
-
-    #[test]
-    fn threaded_propagates_errors() {
-        let mut p = Pipeline::new();
-        p.add(FnOp::new("explode", |r: Record, out: &mut dyn Sink| {
-            if r.seq == 50 {
-                Err(PipelineError::operator("explode", "boom"))
-            } else {
-                out.push(r)
-            }
-        }));
-        let err = p.run_threaded(numbered(1000)).unwrap_err();
-        assert!(matches!(
-            err,
-            PipelineError::Operator { .. } | PipelineError::Disconnected(_)
-        ));
-    }
-
-    #[test]
-    fn threaded_preserves_order() {
-        let mut p = Pipeline::new();
-        for i in 0..4 {
-            p.add(MapPayload::new(format!("stage{i}"), |_: &mut [f64]| {}));
-        }
-        let out = p.run_threaded(numbered(500)).unwrap();
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-        }
-    }
-
-    #[test]
-    fn threaded_scope_stream_survives() {
-        let mut input = vec![Record::open_scope(1, vec![])];
-        input.extend(numbered(20));
-        input.push(Record::close_scope(1));
-        let mut p = Pipeline::new();
-        p.add(Passthrough);
-        p.add(Passthrough);
-        let out = p.run_threaded(input).unwrap();
-        assert_eq!(out.len(), 22);
-        assert_eq!(out[0].kind, RecordKind::OpenScope);
-        assert_eq!(out[21].kind, RecordKind::CloseScope);
-        crate::scope::validate_scopes(&out).unwrap();
     }
 }

@@ -7,20 +7,21 @@
 //! *scope boundaries* — the stream is cut only when no scopes are open,
 //! so downstream state never sees a torn scope.
 //!
-//! Hosts are modeled as named executors (threads). A
-//! [`RelocatablePipeline`] runs one segment instance at a time; a
-//! relocation command makes the coordinator retire the current instance
-//! at the next balanced point and start a fresh instance "on" the target
-//! host. For cross-machine composition over TCP, see
-//! [`run_network_segment`].
+//! Hosts are modeled as names. A [`RelocatablePipeline`] is one
+//! coordinator thread driving one lane (the same fused step as
+//! [`Pipeline::run_streaming`]) over a record channel; a relocation
+//! command makes it flush that lane at the next balanced point and
+//! build a fresh one "on" the target host. For cross-machine
+//! composition over TCP, see [`run_network_segment`].
 
 use crate::error::PipelineError;
 use crate::net::{StreamEnd, StreamIn, StreamOut};
-use crate::operator::{Operator, Sink};
-use crate::pipeline::Pipeline;
+use crate::operator::{NullSink, Sink};
+use crate::pipeline::{Lane, Pipeline};
 use crate::record::Record;
 use crate::scope::ScopeTracker;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::source::FnSource;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::thread::{self, JoinHandle};
 
@@ -31,8 +32,7 @@ pub struct Migration {
     pub from: String,
     /// Host the segment moved to.
     pub to: String,
-    /// Count of records the old instance had processed when it was
-    /// retired.
+    /// Count of records the segment had taken in when it moved.
     pub at_record: u64,
 }
 
@@ -55,57 +55,6 @@ pub enum SegmentCommand {
         /// Target host name.
         to_host: String,
     },
-}
-
-struct Instance {
-    feed_tx: Sender<Record>,
-    drainer: JoinHandle<Result<(), PipelineError>>,
-    stages: Vec<JoinHandle<Result<(), PipelineError>>>,
-    host: String,
-}
-
-fn spawn_instance(pipeline: Pipeline, output: Sender<Record>, host: String) -> Instance {
-    let capacity = pipeline.channel_capacity();
-    let (stages, feed_tx, out_rx) = pipeline.spawn_threaded(capacity);
-    // Continuous drainer: forwards the instance's output so bounded
-    // channels never deadlock between relocations.
-    let drainer = thread::spawn(move || -> Result<(), PipelineError> {
-        for r in out_rx {
-            output
-                .send(r)
-                .map_err(|_| PipelineError::Disconnected("segment output closed".into()))?;
-        }
-        Ok(())
-    });
-    Instance {
-        feed_tx,
-        drainer,
-        stages,
-        host,
-    }
-}
-
-fn retire(instance: Instance) -> Result<u64, PipelineError> {
-    let Instance {
-        feed_tx,
-        drainer,
-        stages,
-        ..
-    } = instance;
-    drop(feed_tx); // EOS to the instance
-    let mut first_error = None;
-    for h in stages {
-        if let Err(e) = h.join().expect("stage thread panicked") {
-            first_error.get_or_insert(e);
-        }
-    }
-    if let Err(e) = drainer.join().expect("drainer thread panicked") {
-        first_error.get_or_insert(e);
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(0),
-    }
 }
 
 /// A running, relocatable segment.
@@ -148,9 +97,12 @@ pub struct RelocatablePipeline {
 }
 
 impl RelocatablePipeline {
-    /// Spawns the coordinator with an initial segment instance on
-    /// `initial_host`. `factory` builds a fresh instance of the segment
-    /// for each host it runs on.
+    /// Spawns the coordinator with the segment running on
+    /// `initial_host`. `factory` builds a fresh chain for each host the
+    /// segment runs on; every chain it builds is pre-flighted
+    /// ([`Pipeline::check`]) before it sees a record, and a refused one
+    /// ends the run with [`PipelineError::Analysis`] from
+    /// [`join`](Self::join).
     pub fn spawn<F>(
         factory: F,
         input: Receiver<Record>,
@@ -161,50 +113,51 @@ impl RelocatablePipeline {
         F: Fn() -> Pipeline + Send + 'static,
     {
         let (control_tx, control_rx) = unbounded::<SegmentCommand>();
-        let initial_host = initial_host.into();
+        let mut host = initial_host.into();
         let handle = thread::spawn(move || -> Result<SegmentReport, PipelineError> {
+            let open_lane = || {
+                let mut chain = factory();
+                let telemetry = chain.telemetry();
+                Lane::new(&mut chain, &telemetry, 0)
+            };
+            let mut sink = ChannelSink(output);
+            let mut lane = open_lane()?;
             let mut tracker = ScopeTracker::new();
             let mut migrations = Vec::new();
             let mut records_in = 0u64;
             let mut pending: Option<String> = None;
-            let mut current = spawn_instance(factory(), output.clone(), initial_host);
 
             for record in input {
                 // Absorb any relocation commands.
                 while let Ok(SegmentCommand::Relocate { to_host }) = control_rx.try_recv() {
                     pending = Some(to_host);
                 }
-                // Cut only at scope boundaries (nothing open).
-                if let Some(to_host) = pending.take() {
-                    if tracker.is_balanced() {
-                        let from = current.host.clone();
-                        retire(current)?;
+                // Cut only at scope boundaries (nothing open); until
+                // then the command stays pending.
+                if tracker.is_balanced() {
+                    if let Some(to_host) = pending.take() {
+                        // The move: the old lane flushes what it holds
+                        // downstream, the target host starts a fresh one.
+                        lane.flush(&mut sink)?;
+                        lane = open_lane()?;
                         migrations.push(Migration {
-                            from,
-                            to: to_host.clone(),
+                            from: std::mem::replace(&mut host, to_host.clone()),
+                            to: to_host,
                             at_record: records_in,
                         });
-                        current = spawn_instance(factory(), output.clone(), to_host);
-                    } else {
-                        // Not balanced yet: keep the command pending.
-                        pending = Some(to_host);
                     }
                 }
                 // Tolerate scope noise in transit; the tracker only guides
                 // cut points.
                 let _ = tracker.observe(&record);
                 records_in += 1;
-                current
-                    .feed_tx
-                    .send(record)
-                    .map_err(|_| PipelineError::Disconnected("segment instance gone".into()))?;
+                lane.feed_source(record, &mut sink)?;
             }
-            let final_host = current.host.clone();
-            retire(current)?;
+            lane.flush(&mut sink)?;
             Ok(SegmentReport {
                 migrations,
                 records_in,
-                final_host,
+                final_host: host,
             })
         });
         RelocatablePipeline { control_tx, handle }
@@ -224,23 +177,28 @@ impl RelocatablePipeline {
     ///
     /// # Errors
     ///
-    /// Returns the first pipeline error raised by any instance.
+    /// Returns the first error raised by the segment's chain, or
+    /// [`PipelineError::Disconnected`] once the output channel closed.
     pub fn join(self) -> Result<SegmentReport, PipelineError> {
         self.handle.join().expect("segment coordinator panicked")
     }
 }
 
 /// Runs a network-bounded segment: accepts one upstream connection on
-/// `listener` (`streamin`), processes records through `pipeline`, and
-/// forwards results to `downstream` (`streamout`). Returns how the
-/// upstream session ended.
+/// `listener` (`streamin`), connects to `downstream` (`streamout`), and
+/// streams every record through `pipeline` to it as it arrives —
+/// memory stays bounded by the chain's own state and the next host
+/// starts work with the first record, not at upstream end-of-stream.
+/// Returns how the upstream session ended.
 ///
 /// This is the building block for composing one logical pipeline across
 /// several processes/hosts.
 ///
 /// # Errors
 ///
-/// Propagates connection and operator failures.
+/// Propagates connection, codec and operator failures. No end-of-stream
+/// sentinel is sent after one, so the downstream host sees an unclean
+/// end and repairs its open scopes.
 pub fn run_network_segment<A: ToSocketAddrs>(
     listener: &TcpListener,
     downstream: A,
@@ -249,24 +207,16 @@ pub fn run_network_segment<A: ToSocketAddrs>(
     let (stream, _peer) = listener.accept()?;
     stream.set_nodelay(true)?;
     let mut streamin = StreamIn::new(stream);
-
-    // Collect, process, forward. (Streaming via channels would also work;
-    // batch keeps the failure semantics simple: the whole upstream session
-    // is one unit.)
-    let mut received: Vec<Record> = Vec::new();
-    let end = streamin.pump(&mut received)?;
-    let processed = pipeline.run(received)?;
-
-    let mut out = StreamOut::connect(downstream)?;
-    let mut devnull = crate::operator::NullSink;
-    for r in processed {
-        out.on_record(r, &mut devnull)?;
-    }
-    out.on_eos(&mut devnull)?;
-    Ok(end)
+    pipeline.add(StreamOut::connect(downstream)?);
+    pipeline.run_streaming(FnSource(|| streamin.next_record()), &mut NullSink)?;
+    Ok(streamin
+        .end()
+        .expect("the source returned None, so the stream ended"))
 }
 
-/// A sink adapter so `StreamIn::pump` can feed a `Sender` directly.
+/// A sink adapter over a record channel: what a relocatable segment
+/// writes its output through, and how `StreamIn::pump` can feed a
+/// `Sender` directly.
 #[derive(Debug, Clone)]
 pub struct ChannelSink(pub Sender<Record>);
 
@@ -278,17 +228,14 @@ impl Sink for ChannelSink {
     }
 }
 
-/// Creates a bounded record channel (convenience re-export wrapper).
-pub fn record_channel(capacity: usize) -> (Sender<Record>, Receiver<Record>) {
-    bounded(capacity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{ScopeEffect, Signature};
     use crate::ops::{MapPayload, Passthrough};
     use crate::record::{Payload, RecordKind};
     use crate::scope::validate_scopes;
+    use crossbeam::channel::bounded;
 
     fn scope_burst(scope_type: u16, n: usize, base_seq: u64) -> Vec<Record> {
         let mut v = vec![Record::open_scope(scope_type, vec![])];
@@ -442,42 +389,114 @@ mod tests {
         assert_eq!(out_rx.iter().count(), 5);
     }
 
-    #[test]
-    fn network_segment_processes_and_forwards() {
-        use crate::net::send_all;
-        use std::net::TcpListener;
+    /// A passthrough whose signature net-opens a scope it never closes:
+    /// the analyzer proves the chain unbalanced (RL0003).
+    struct LeakyOpener;
+    impl crate::operator::Operator for LeakyOpener {
+        fn name(&self) -> &'static str {
+            "leaky-opener"
+        }
+        fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
+            out.push(record)
+        }
+        fn signature(&self) -> Option<Signature> {
+            Some(Signature::passthrough().with_scope(ScopeEffect::Opens { scope_type: 9 }))
+        }
+    }
 
+    #[test]
+    fn broken_chain_is_refused_before_any_record_is_forwarded() {
+        let (in_tx, in_rx) = unbounded();
+        let (out_tx, out_rx) = unbounded();
+        let seg = RelocatablePipeline::spawn(
+            || {
+                let mut p = Pipeline::new();
+                p.add(LeakyOpener);
+                p
+            },
+            in_rx,
+            out_tx,
+            "host-a",
+        );
+        for r in scope_burst(1, 3, 0) {
+            // The coordinator may already have refused and hung up.
+            let _ = in_tx.send(r);
+        }
+        drop(in_tx);
+        let err = seg.join().unwrap_err();
+        assert!(matches!(err, PipelineError::Analysis(_)), "{err}");
+        assert!(err.to_string().contains("leaky-opener"), "{err}");
+        assert_eq!(out_rx.iter().count(), 0);
+    }
+
+    /// Three hosts on loopback: `upstream` writes to the segment host,
+    /// which doubles payloads and forwards to a `serve_once` sink host.
+    /// Returns the segment's result and what the sink host saw.
+    fn relay_through_doubling_segment(
+        upstream: impl FnOnce(std::net::SocketAddr),
+    ) -> (Result<StreamEnd, PipelineError>, StreamEnd, Vec<Record>) {
         let seg_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let seg_addr = seg_listener.local_addr().unwrap();
         let sink_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let sink_addr = sink_listener.local_addr().unwrap();
 
-        // Final sink host.
         let sink_thread = thread::spawn(move || {
             let mut records: Vec<Record> = Vec::new();
             let (end, _received) = crate::net::serve_once(&sink_listener, &mut records).unwrap();
             (end, records)
         });
-
-        // Segment host: doubles payloads.
         let segment_thread = thread::spawn(move || {
             let mut p = Pipeline::new();
             p.add(MapPayload::new("x2", |v: &mut [f64]| {
                 v.iter_mut().for_each(|x| *x *= 2.0);
             }));
-            run_network_segment(&seg_listener, sink_addr, p).unwrap()
+            run_network_segment(&seg_listener, sink_addr, p)
         });
+        upstream(seg_addr);
 
-        // Source host.
-        let sent = send_all(seg_addr, &scope_burst(1, 4, 0)).unwrap();
-        assert_eq!(sent, 6);
-
-        let upstream_end = segment_thread.join().unwrap();
-        assert_eq!(upstream_end, StreamEnd::Clean);
+        let segment_result = segment_thread.join().unwrap();
         let (end, records) = sink_thread.join().unwrap();
+        (segment_result, end, records)
+    }
+
+    #[test]
+    fn network_segment_processes_and_forwards() {
+        let (upstream_end, end, records) = relay_through_doubling_segment(|seg_addr| {
+            let sent = crate::net::send_all(seg_addr, &scope_burst(1, 4, 0)).unwrap();
+            assert_eq!(sent, 6);
+        });
+        assert_eq!(upstream_end.unwrap(), StreamEnd::Clean);
         assert_eq!(end, StreamEnd::Clean);
         assert_eq!(records.len(), 6);
         validate_scopes(&records).unwrap();
         assert_eq!(records[2].payload.as_f64().unwrap(), &[2.0]);
+    }
+
+    #[test]
+    fn network_segment_corrupt_upstream_leaves_downstream_repaired() {
+        use crate::codec::{encode_frame, write_eos, write_record, HEADER_LEN};
+        use std::io::Write;
+
+        let (upstream_end, end, records) = relay_through_doubling_segment(|seg_addr| {
+            let mut w = std::io::BufWriter::new(std::net::TcpStream::connect(seg_addr).unwrap());
+            write_record(&mut w, &Record::open_scope(1, vec![])).unwrap();
+            write_record(&mut w, &Record::data(1, Payload::f64(vec![1.0]))).unwrap();
+            let mut frame = encode_frame(&Record::data(1, Payload::f64(vec![2.0])));
+            frame[HEADER_LEN + 2] ^= 0xFF; // payload corruption: CRC now fails
+            w.write_all(&frame).unwrap();
+            write_record(&mut w, &Record::close_scope(1)).unwrap();
+            write_eos(&mut w).unwrap();
+            w.flush().unwrap();
+        });
+        // The segment host reports the poisoned wire …
+        let err = upstream_end.unwrap_err();
+        assert!(matches!(err, PipelineError::Codec(_)), "{err}");
+        // … and the records it had already streamed downstream end in a
+        // repair there: no sentinel followed them.
+        assert_eq!(end, StreamEnd::Unclean { repaired_scopes: 1 });
+        validate_scopes(&records).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[1].payload.as_f64().unwrap(), &[2.0]);
+        assert_eq!(records[2].kind, RecordKind::BadCloseScope);
     }
 }

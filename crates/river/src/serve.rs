@@ -117,10 +117,8 @@
 
 use crate::error::PipelineError;
 use crate::net::{RecordAssembler, StreamEnd};
-use crate::operator::{Operator, Sink};
-use crate::pipeline::{
-    emit_scope_event, feed_chain, flush_chain, Pipeline, SinkTotals, StageStats, StreamStats,
-};
+use crate::operator::Sink;
+use crate::pipeline::{Lane, Pipeline, StreamStats};
 use crate::record::Record;
 use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -348,15 +346,12 @@ impl PipelineServer {
     /// Builds a server whose session chains come from a factory;
     /// `build(id)` is called once per accepted session — the route for
     /// chains whose operators do not implement `clone_op`. Each built
-    /// chain is pre-flighted ([`Pipeline::check`]) before its session
-    /// starts; analysis errors surface as the server's accept error.
+    /// chain is pre-flighted ([`Pipeline::check`]) as its session's
+    /// lane is created; analysis errors surface as the server's accept
+    /// error.
     pub fn from_factory(mut build: impl FnMut(u64) -> Pipeline + Send + 'static) -> Self {
         PipelineServer {
-            build: Box::new(move |id| {
-                let chain = build(id);
-                chain.preflight(false)?;
-                Ok(chain)
-            }),
+            build: Box::new(move |id| Ok(build(id))),
             max_sessions: default_parallelism(),
             workers: default_parallelism(),
             idle_timeout: None,
@@ -588,16 +583,13 @@ struct LoopCfg {
 }
 
 /// The per-session execution state that shuttles between the loop and
-/// the worker pool: the session's cloned chain, its stage stats, its
-/// sink and its event sink. At most one of these is in flight per
-/// session, which is what serializes a session's records while
+/// the worker pool: the session's lane (its own chain, stage stats and
+/// event sink) and its output sink. At most one of these is in flight
+/// per session, which is what serializes a session's records while
 /// different sessions execute truly in parallel.
 struct ExecState {
-    ops: Vec<Box<dyn Operator>>,
-    stats: Vec<StageStats>,
-    totals: SinkTotals,
+    lane: Lane,
     sink: SessionSink,
-    events: EventSink,
 }
 
 /// One unit of chain work: records to feed, plus end-of-session
@@ -886,10 +878,11 @@ where
                     peer: peer.to_string(),
                 };
                 let sink = (ctx.make_sink)(&info);
-                match (ctx.build)(id) {
-                    Ok(chain) => {
-                        let session =
-                            open_session(info, stream, chain, sink, ctx.telemetry, ctx.now);
+                let opened = (ctx.build)(id).and_then(|chain| {
+                    open_session(info, stream, chain, sink, ctx.telemetry, ctx.now)
+                });
+                match opened {
+                    Ok(session) => {
                         ctx.sessions.insert(id, session);
                     }
                     Err(e) => {
@@ -920,46 +913,28 @@ where
     }
 }
 
-/// Builds the resident state for a freshly accepted session: chain
-/// instantiated, telemetry forked, accept event emitted.
+/// Builds the resident state for a freshly accepted session: telemetry
+/// forked, the chain pre-flighted into the session's lane (lane id =
+/// session id), accept event emitted.
 fn open_session(
     info: SessionInfo,
     stream: TcpStream,
-    chain: Pipeline,
+    mut chain: Pipeline,
     sink: SessionSink,
     telemetry: &Telemetry,
     now: Instant,
-) -> Session {
+) -> Result<Session, PipelineError> {
     let fork = telemetry.fork_stages();
-    let mut ops = chain.into_ops();
-    let names: Vec<String> = ops.iter().map(|op| op.name().to_string()).collect();
-    let timers = fork.stage_timers(&names);
-    let chain_events = fork.event_sink(info.id);
-    if chain_events.enabled() {
-        for op in &mut ops {
-            op.attach_events(&chain_events);
-        }
-    }
-    let stats: Vec<StageStats> = ops
-        .iter()
-        .zip(timers)
-        .map(|(op, timer)| StageStats::with_timer(op.name(), timer))
-        .collect();
+    let lane = Lane::new(&mut chain, &fork, info.id)?;
     let events = fork.event_sink(info.id);
     events.emit(EventKind::SessionAccept, info.id);
     let fd = polling::fd_of(&stream);
-    Session {
+    Ok(Session {
         info,
         stream,
         fd,
         assembler: RecordAssembler::new(),
-        exec: Some(ExecState {
-            ops,
-            stats,
-            totals: SinkTotals::default(),
-            sink,
-            events: chain_events,
-        }),
+        exec: Some(ExecState { lane, sink }),
         pending_finish: None,
         events,
         telemetry: fork,
@@ -970,7 +945,7 @@ fn open_session(
         finishing: false,
         error: None,
         keepalives_seen: 0,
-    }
+    })
 }
 
 /// Drains one readable socket into its session's assembler, bounded by
@@ -1202,12 +1177,7 @@ fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
     } else {
         s.events.emit(EventKind::SessionDrain, received);
     }
-    let stats = exec.map_or_else(StreamStats::default, |exec| StreamStats {
-        stages: exec.stats,
-        source_records: received,
-        sink_records: exec.totals.records,
-        sink_bytes: exec.totals.bytes,
-    });
+    let stats = exec.map_or_else(StreamStats::default, |exec| exec.lane.into_stats(received));
     let duration = s.started.elapsed();
     SessionReport {
         id: s.info.id,
@@ -1225,8 +1195,8 @@ fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
     }
 }
 
-/// Executes one batch on a worker thread: scope events and
-/// `feed_chain` per record, then `flush_chain` on finish — the same
+/// Executes one batch on a worker thread: the session's lane is fed
+/// each record (scope event first), then flushed on finish — the same
 /// fused step as the streaming driver and the sharded runtime. Repair
 /// batches feed error-tolerantly and always flush; a panicking
 /// operator or sink is caught so the pool thread (and the session's
@@ -1244,16 +1214,7 @@ fn run_batch(job: Job) -> BatchDone {
         let mut error: Option<String> = None;
         let mut broken = false;
         for record in batch.records {
-            if exec.events.enabled() {
-                emit_scope_event(&exec.events, &record);
-            }
-            if let Err(e) = feed_chain(
-                &mut exec.ops,
-                &mut exec.stats,
-                record,
-                &mut exec.totals,
-                exec.sink.as_mut(),
-            ) {
+            if let Err(e) = exec.lane.feed_source(record, exec.sink.as_mut()) {
                 // Chain/sink failure: fatal for the session on the
                 // normal path, tolerated on the repair drain.
                 if !repair {
@@ -1264,12 +1225,7 @@ fn run_batch(job: Job) -> BatchDone {
             }
         }
         if finish && (!broken || repair) {
-            if let Err(e) = flush_chain(
-                &mut exec.ops,
-                &mut exec.stats,
-                &mut exec.totals,
-                exec.sink.as_mut(),
-            ) {
+            if let Err(e) = exec.lane.flush(exec.sink.as_mut()) {
                 if !repair && error.is_none() {
                     error = Some(e.to_string());
                 }

@@ -2,11 +2,10 @@
 //!
 //! The fused streaming driver ([`Pipeline::run_streaming`]) is
 //! single-lane: one core drives every record depth-first through the
-//! chain. The threaded runner adds pipeline-parallelism (one thread per
-//! stage) but throughput stays capped by the slowest stage. Archive
-//! workloads — thousands of clips flowing through the Figure 5 graph —
-//! are embarrassingly parallel *across* clips, and the paper's scope
-//! discipline is exactly the boundary that makes splitting them safe:
+//! chain. Archive workloads — thousands of clips flowing through the
+//! Figure 5 graph — are embarrassingly parallel *across* clips, and the
+//! paper's scope discipline is exactly the boundary that makes
+//! splitting them safe:
 //! "a data stream scope \[is\] a sequence of records that share some
 //! contextual meaning, such as having been produced from the same
 //! acoustic clip" (paper §2).
@@ -80,17 +79,18 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::PipelineError;
-use crate::operator::{Operator, Sink};
-use crate::pipeline::{
-    emit_scope_event, feed_chain, flush_chain, Pipeline, SinkTotals, StageStats, StreamStats,
-};
+use crate::operator::Sink;
+use crate::pipeline::{emit_scope_event, Lane, Pipeline, StreamStats};
 use crate::record::Record;
 use crate::scope::ScopeTracker;
 use crate::source::Source;
-use crate::telemetry::{EventKind, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig};
+use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use std::sync::Arc;
 use std::thread;
+
+/// Default capacity, in records, of each splitter→worker and
+/// worker→merge queue.
+const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
 /// Item flowing from the splitter to a worker.
 enum ShardIn {
@@ -139,6 +139,8 @@ impl Sink for WorkerSink<'_> {
 /// do not implement [`Operator::clone_op`]), then call
 /// [`run`](Self::run). [`Pipeline::run_sharded`] wraps the whole
 /// sequence for the common case.
+///
+/// [`Operator::clone_op`]: crate::operator::Operator::clone_op
 pub struct ShardedPipeline {
     chains: Vec<Pipeline>,
     queue_capacity: usize,
@@ -157,13 +159,14 @@ impl std::fmt::Debug for ShardedPipeline {
 
 impl ShardedPipeline {
     /// Builds a sharded runtime with `workers` clones of `pipeline`'s
-    /// operator chain. The queue capacity is taken from the pipeline's
-    /// [`channel_capacity`](Pipeline::channel_capacity).
+    /// operator chain.
     ///
     /// # Errors
     ///
     /// Returns an operator error naming the first operator that does
     /// not support duplication ([`Operator::clone_op`]).
+    ///
+    /// [`Operator::clone_op`]: crate::operator::Operator::clone_op
     ///
     /// # Panics
     ///
@@ -181,7 +184,7 @@ impl ShardedPipeline {
         }
         Ok(ShardedPipeline {
             chains,
-            queue_capacity: pipeline.channel_capacity(),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             // Share the source pipeline's registry: every worker records
             // into the same per-stage histograms, so the sharded
             // snapshot's totals equal a single-lane run's.
@@ -197,14 +200,9 @@ impl ShardedPipeline {
     /// Panics if `workers == 0`.
     pub fn from_factory(workers: usize, mut build: impl FnMut(usize) -> Pipeline) -> Self {
         assert!(workers > 0, "workers must be non-zero");
-        let chains: Vec<Pipeline> = (0..workers).map(&mut build).collect();
-        let queue_capacity = chains.first().map_or(
-            crate::pipeline::DEFAULT_CHANNEL_CAPACITY,
-            Pipeline::channel_capacity,
-        );
         ShardedPipeline {
-            chains,
-            queue_capacity,
+            chains: (0..workers).map(&mut build).collect(),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             telemetry: Telemetry::off(),
         }
     }
@@ -215,7 +213,8 @@ impl ShardedPipeline {
     }
 
     /// Sets the bounded-queue capacity between splitter, workers and
-    /// merge (records per queue). Capacity 0 is a rendezvous queue.
+    /// merge (records per queue, default 256). Capacity 0 is a
+    /// rendezvous queue.
     pub fn set_queue_capacity(&mut self, capacity: usize) -> &mut Self {
         self.queue_capacity = capacity;
         self
@@ -265,29 +264,27 @@ impl ShardedPipeline {
         source: impl Source + Send,
         sink: &mut dyn Sink,
     ) -> Result<StreamStats, PipelineError> {
-        // Factory-built chains (`from_factory`) have not been through a
-        // constructor pre-flight; verify every worker chain before any
-        // thread spawns. Shardability is not re-probed here — each
-        // worker already has its own chain instance.
-        for chain in &self.chains {
-            chain.preflight(false)?;
-        }
         let capacity = self.queue_capacity;
         let telemetry = self.telemetry.clone();
+        // Every worker's lane is built — and so pre-flighted — before
+        // any thread spawns; factory-built chains (`from_factory`) have
+        // seen no constructor pre-flight. Shardability is not re-probed:
+        // each worker already has its own chain instance. All lanes
+        // fetch the same per-stage timers (matched by name), so their
+        // latencies aggregate lock-free into one histogram per stage.
+        let lanes = self
+            .chains
+            .into_iter()
+            .enumerate()
+            .map(|(w, mut chain)| Lane::new(&mut chain, &telemetry, w as u64 + 1))
+            .collect::<Result<Vec<Lane>, PipelineError>>()?;
         thread::scope(|scope| {
-            let mut in_txs = Vec::with_capacity(self.chains.len());
-            let mut out_rxs = Vec::with_capacity(self.chains.len());
-            for (w, chain) in self.chains.into_iter().enumerate() {
+            let mut in_txs = Vec::with_capacity(lanes.len());
+            let mut out_rxs = Vec::with_capacity(lanes.len());
+            for lane in lanes {
                 let (in_tx, in_rx) = bounded::<ShardIn>(capacity);
                 let (out_tx, out_rx) = bounded::<ShardOut>(capacity);
-                // All workers fetch the same per-stage timers (matched
-                // by name), so their latencies aggregate lock-free into
-                // one histogram per stage.
-                let names: Vec<String> = chain.names().iter().map(ToString::to_string).collect();
-                let timers = telemetry.stage_timers(&names);
-                let events = telemetry.event_sink(w as u64 + 1);
-                let ops = chain.into_ops();
-                scope.spawn(move || run_worker(ops, &in_rx, &out_tx, timers, &events));
+                scope.spawn(move || run_worker(lane, &in_rx, &out_tx));
                 in_txs.push(in_tx);
                 out_rxs.push(out_rx);
             }
@@ -411,34 +408,18 @@ fn abort_all(txs: &[Sender<ShardIn>]) {
     }
 }
 
-/// Worker: drives one cloned chain over its shard of the stream,
-/// echoing unit boundaries so the merge can interleave outputs.
-fn run_worker(
-    mut ops: Vec<Box<dyn Operator>>,
-    rx: &Receiver<ShardIn>,
-    tx: &Sender<ShardOut>,
-    timers: Vec<Option<Arc<StageTimer>>>,
-    events: &EventSink,
-) {
-    if events.enabled() {
-        for op in &mut ops {
-            op.attach_events(events);
-        }
-    }
-    let mut stats: Vec<StageStats> = ops
-        .iter()
-        .zip(timers)
-        .map(|(op, timer)| StageStats::with_timer(op.name(), timer))
-        .collect();
-    let mut totals = SinkTotals::default();
+/// Worker: drives one lane over its shard of the stream, echoing unit
+/// boundaries so the merge can interleave outputs.
+fn run_worker(mut lane: Lane, rx: &Receiver<ShardIn>, tx: &Sender<ShardOut>) {
+    let mut sink = WorkerSink { tx };
     let mut received = 0u64;
     let mut aborted = false;
     loop {
         match rx.recv() {
             Ok(ShardIn::Rec(record)) => {
                 received += 1;
-                let mut sink = WorkerSink { tx };
-                if let Err(e) = feed_chain(&mut ops, &mut stats, record, &mut totals, &mut sink) {
+                // Plain `feed`: the splitter announced the scope event.
+                if let Err(e) = lane.feed(record, &mut sink) {
                     let _ = tx.send(ShardOut::Failed(e));
                     return;
                 }
@@ -459,18 +440,12 @@ fn run_worker(
         if tx.send(ShardOut::Eos).is_err() {
             return;
         }
-        let mut sink = WorkerSink { tx };
-        if let Err(e) = flush_chain(&mut ops, &mut stats, &mut totals, &mut sink) {
+        if let Err(e) = lane.flush(&mut sink) {
             let _ = tx.send(ShardOut::Failed(e));
             return;
         }
     }
-    let _ = tx.send(ShardOut::Done(Box::new(StreamStats {
-        stages: stats,
-        source_records: received,
-        sink_records: totals.records,
-        sink_bytes: totals.bytes,
-    })));
+    let _ = tx.send(ShardOut::Done(Box::new(lane.into_stats(received))));
 }
 
 /// Merge: drains worker outputs in unit order (round-robin over the
@@ -553,7 +528,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::fault::FailAfter;
-    use crate::operator::{CountingSink, NullSink};
+    use crate::operator::{CountingSink, NullSink, Operator};
     use crate::ops::{MapPayload, Passthrough, RecordCounter, RecordFilter, ScopeRepair, ScopeSum};
     use crate::record::{Payload, RecordKind};
     use crate::source::FnSource;

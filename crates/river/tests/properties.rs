@@ -1,6 +1,6 @@
 //! Property-based tests for Dynamic River: codec round trips, scope
 //! repair invariants, and pipeline equivalence (batch vs streaming vs
-//! threaded vs sharded).
+//! sharded).
 
 use bytes::Bytes;
 use dynamic_river::codec::{
@@ -250,8 +250,8 @@ proptest! {
         prop_assert_eq!(stats.stages[1].peak_burst as usize, stream.len());
     }
 
-    /// `run` (the streaming wrapper) and `run_count` agree with the
-    /// batch reference for arbitrary streams.
+    /// `run` (the streaming wrapper) and the streaming driver's sink
+    /// count agree with the batch reference for arbitrary streams.
     #[test]
     fn run_and_run_count_match_batch(stream in arb_stream(), keep_even in any::<bool>()) {
         let build = move || {
@@ -264,30 +264,8 @@ proptest! {
         };
         let batch = build().run_batch(stream.clone()).unwrap();
         prop_assert_eq!(&build().run(stream.clone()).unwrap(), &batch);
-        prop_assert_eq!(build().run_count(stream).unwrap(), batch.len());
-    }
-
-    /// The threaded runner agrees with the synchronous runner for
-    /// arbitrary map/filter chains.
-    #[test]
-    fn threaded_equals_sync(
-        stream in arb_stream(),
-        gain in -3.0f64..3.0,
-        keep_even in any::<bool>(),
-    ) {
-        let build = move || {
-            let mut p = Pipeline::new();
-            p.add(MapPayload::new("gain", move |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x *= gain);
-            }));
-            if keep_even {
-                p.add(RecordFilter::new("evens", |r: &Record| r.seq.is_multiple_of(2)));
-            }
-            p
-        };
-        let sync_out = build().run(stream.clone()).unwrap();
-        let threaded_out = build().run_threaded(stream).unwrap();
-        prop_assert_eq!(sync_out, threaded_out);
+        let stats = build().run_streaming(stream.into_iter(), &mut NullSink).unwrap();
+        prop_assert_eq!(stats.sink_records as usize, batch.len());
     }
 
     /// The scope-sharded runner agrees record-for-record with the

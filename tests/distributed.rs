@@ -1,6 +1,6 @@
 //! Integration tests for the distributed pipeline: TCP composition,
-//! fault recovery, threaded execution and segment relocation, driven by
-//! the acoustic operators.
+//! fault recovery and segment relocation, driven by the acoustic
+//! operators.
 
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::pipeline::{extraction_segment, full_pipeline};
@@ -431,16 +431,6 @@ fn crash_mid_clip_yields_balanced_stream_downstream() {
 }
 
 #[test]
-fn threaded_full_pipeline_matches_sync() {
-    let cfg = ExtractorConfig::default();
-    let records = clip_records(&cfg, 3);
-    let sync_out = full_pipeline(cfg, true).run(records.clone()).unwrap();
-    let threaded_out = full_pipeline(cfg, true).run_threaded(records).unwrap();
-    assert_eq!(sync_out, threaded_out);
-    validate_scopes(&sync_out).unwrap();
-}
-
-#[test]
 fn dropped_closes_are_repaired_before_analysis() {
     let cfg = ExtractorConfig::default();
     let mut records = clip_records(&cfg, 4);
@@ -500,4 +490,47 @@ fn relocation_during_acoustic_stream() {
     assert_eq!(report.final_host, "b");
     let out: Vec<Record> = out_rx.iter().collect();
     validate_scopes(&out).unwrap();
+}
+
+/// Relocation is "flush the lane, build a fresh one" at a balanced
+/// point, so for a scope-local chain it must be invisible in the
+/// output: with a move requested before every clip (a rendezvous input
+/// channel makes each request land exactly at that clip's start), the
+/// relocated run equals the single-lane streaming run record for
+/// record.
+#[test]
+fn relocated_extraction_equals_single_lane() {
+    let cfg = ExtractorConfig::default();
+    let clips: Vec<Vec<Record>> = (30..34u64).map(|seed| clip_records(&cfg, seed)).collect();
+    let mut expected = Vec::new();
+    extraction_segment(cfg)
+        .run_streaming(clips.iter().flatten().cloned(), &mut expected)
+        .unwrap();
+    assert!(expected
+        .iter()
+        .any(|r| r.kind == RecordKind::OpenScope && r.scope_type == scope_type::ENSEMBLE));
+
+    let (in_tx, in_rx) = bounded::<Record>(0);
+    let (out_tx, out_rx) = unbounded();
+    let seg = RelocatablePipeline::spawn(move || extraction_segment(cfg), in_rx, out_tx, "h0");
+    let mut boundaries = Vec::new();
+    let mut sent = 0u64;
+    for (i, clip) in clips.iter().enumerate() {
+        assert!(seg.relocate(format!("h{}", i + 1)));
+        boundaries.push(sent);
+        for r in clip {
+            in_tx.send(r.clone()).unwrap();
+            sent += 1;
+        }
+    }
+    drop(in_tx);
+
+    let report = seg.join().unwrap();
+    assert_eq!(report.records_in, sent);
+    assert_eq!(report.final_host, "h4");
+    // One move per clip boundary crossed, each at exactly that boundary.
+    let moved_at: Vec<u64> = report.migrations.iter().map(|m| m.at_record).collect();
+    assert_eq!(moved_at, boundaries);
+    let out: Vec<Record> = out_rx.iter().collect();
+    assert_eq!(out, expected);
 }
