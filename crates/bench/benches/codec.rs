@@ -1,16 +1,29 @@
-//! Wire-codec throughput for the Dynamic River network path: encode and
-//! decode rates for production-sized audio records.
+//! Wire-codec throughput for the Dynamic River network path, on the
+//! path senders and receivers actually run: v2 frames in each sample
+//! encoding, encoded through a warm [`StreamOut`] (one reused frame
+//! buffer) and decoded through [`Decoder::feed`], plus the CRC-32 that
+//! guards every frame. Records are the paper's 840-sample audio records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dynamic_river::codec::{decode_frame, encode_frame};
+use dynamic_river::codec::{crc32, encode_frame_v2, Decoder, SampleEncoding, WireFormat};
+use dynamic_river::net::StreamOut;
+use dynamic_river::operator::{NullSink, Operator};
 use dynamic_river::{Payload, Record};
 use std::hint::black_box;
 
-fn audio_record(samples: usize) -> Record {
+const SAMPLES: usize = 840;
+
+const ENCODINGS: [(&str, SampleEncoding); 3] = [
+    ("v2-f64", SampleEncoding::F64),
+    ("v2-f32", SampleEncoding::F32),
+    ("v2-i16", SampleEncoding::I16),
+];
+
+fn audio_record() -> Record {
     Record::data(
         1,
         Payload::f64(
-            (0..samples)
+            (0..SAMPLES)
                 .map(|i| (i as f64 * 0.1).sin())
                 .collect::<Vec<f64>>(),
         ),
@@ -20,11 +33,14 @@ fn audio_record(samples: usize) -> Record {
 
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/encode");
-    for &n in &[84usize, 840, 8_400] {
-        let rec = audio_record(n);
-        group.throughput(Throughput::Bytes((n * 8) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &rec, |b, rec| {
-            b.iter(|| black_box(encode_frame(rec)));
+    let rec = audio_record();
+    group.throughput(Throughput::Bytes((SAMPLES * 8) as u64));
+    for (label, enc) in ENCODINGS {
+        let mut out = StreamOut::new(std::io::sink()).with_format(WireFormat::V2(enc));
+        group.bench_with_input(BenchmarkId::from_parameter(label), &rec, |b, rec| {
+            // Cloning a record shares its samples; the clone is what a
+            // chain hands `streamout`.
+            b.iter(|| out.on_record(rec.clone(), &mut NullSink).unwrap());
         });
     }
     group.finish();
@@ -32,28 +48,33 @@ fn bench_encode(c: &mut Criterion) {
 
 fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/decode");
-    for &n in &[84usize, 840, 8_400] {
-        let frame = encode_frame(&audio_record(n));
+    for (label, enc) in ENCODINGS {
+        let frame = encode_frame_v2(&audio_record(), enc);
+        let mut decoder = Decoder::new();
+        let mut events = Vec::new();
         group.throughput(Throughput::Bytes(frame.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &frame, |b, frame| {
-            b.iter(|| black_box(decode_frame(frame).unwrap().unwrap().0.seq));
+        group.bench_with_input(BenchmarkId::from_parameter(label), &frame, |b, frame| {
+            b.iter(|| {
+                decoder.feed(frame, &mut events).unwrap();
+                black_box(events.drain(..).count())
+            });
         });
     }
     group.finish();
 }
 
-fn bench_round_trip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec/round_trip");
-    let rec = audio_record(840);
-    group.throughput(Throughput::Bytes((840 * 8) as u64));
-    group.bench_function("840_samples", |b| {
-        b.iter(|| {
-            let frame = encode_frame(&rec);
-            black_box(decode_frame(&frame).unwrap().unwrap().0.subtype)
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/crc32");
+    // One record's f64 samples, and one server read burst.
+    for &len in &[SAMPLES * 8, 64 * 1024] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(len), &bytes, |b, bytes| {
+            b.iter(|| black_box(crc32(black_box(bytes))));
         });
-    });
+    }
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_round_trip);
+criterion_group!(benches, bench_encode, bench_decode, bench_crc32);
 criterion_main!(benches);

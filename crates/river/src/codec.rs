@@ -54,6 +54,17 @@
 //! `0xB2` → v2), so version negotiation is simply the sender's choice of
 //! [`WireFormat`].
 //!
+//! # Data path
+//!
+//! [`encode_into`] is the one encoder: it appends a complete frame to a
+//! caller-owned buffer (every `encode_frame*` / `write_record*` entry
+//! point wraps it, and [`crate::net::StreamOut`] reuses one buffer for
+//! every record). On the way in, [`Decoder::read_from`] lets a socket
+//! read land directly in the decode buffer. [`crc32`] — checked on every
+//! frame of both versions — is table-driven, 16 bytes per step, its
+//! tables built at compile time. `DESIGN.md` §13 has the reasoning and
+//! the measurements.
+//!
 //! The decoder is push-based and incremental — feed it byte chunks of
 //! any size and frame boundaries are its problem, not the reader's:
 //!
@@ -82,7 +93,7 @@
 use crate::buf::SampleBuf;
 use crate::error::PipelineError;
 use crate::record::{Payload, Record, RecordKind};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::io::{self, Read, Write};
 
 /// Frame magic.
@@ -144,45 +155,85 @@ impl WireFormat {
     }
 }
 
-/// Computes the IEEE CRC-32 of `data` (table-driven, from scratch).
-pub fn crc32(data: &[u8]) -> u32 {
+/// Input bytes folded into the CRC register per table step. Slice-by-8
+/// is the textbook width; 16 measured 24-28 % faster on the benchmark's
+/// own probe (DESIGN.md §13), at 16 KiB of tables.
+const CRC_STEP: usize = 16;
+
+/// Slice-by-N lookup tables for the reflected IEEE polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which is what lets [`CRC_STEP`] input bytes fold into the register
+/// with that many independent lookups.
+static CRC_TABLES: [[u32; 256]; CRC_STEP] = {
     const POLY: u32 = 0xEDB8_8320;
-    // Build the table at first use; 256 entries.
-    fn table() -> &'static [u32; 256] {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, slot) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-                }
-                *slot = c;
-            }
-            t
-        })
+    let mut t = [[0u32; 256]; CRC_STEP];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
     }
-    let t = table();
+    let mut k = 1;
+    while k < CRC_STEP {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Computes the IEEE CRC-32 of `data`: 16 bytes per table step (read as
+/// bytes, so no alignment is assumed), byte-at-a-time over the tail.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut steps = data.chunks_exact(CRC_STEP);
+    for step in &mut steps {
+        let mut block = [0u8; CRC_STEP];
+        block.copy_from_slice(step);
+        // The register only meets the first four bytes; byte `i` of the
+        // block is then followed by `CRC_STEP - 1 - i` bytes of the step.
+        for (b, c) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        crc = block
+            .iter()
+            .zip(t.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    }
+    for &b in steps.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
 /// Appends a LEB128 unsigned varint (7 bits per byte, low bits first,
 /// high bit = continuation).
-fn put_uvarint(out: &mut BytesMut, mut v: u64) {
+fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
+}
+
+/// Bytes [`put_uvarint`] spends on `v`.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Byte-slice reader for varint/TLV parsing. All `take_*` methods return
@@ -248,19 +299,25 @@ impl<'a> ByteCursor<'a> {
     }
 }
 
-fn encode_payload(payload: &Payload, out: &mut BytesMut) {
+/// Appends `samples` as fixed-width little-endian values: one resize,
+/// then a bulk conversion over `chunks_exact_mut` the compiler can
+/// vectorize (no per-sample capacity check).
+fn put_samples<const N: usize>(dst: &mut Vec<u8>, samples: &[f64], to_le: impl Fn(f64) -> [u8; N]) {
+    let at = dst.len();
+    dst.resize(at + samples.len() * N, 0);
+    for (slot, &x) in dst[at..].chunks_exact_mut(N).zip(samples) {
+        slot.copy_from_slice(&to_le(x));
+    }
+}
+
+fn encode_payload(payload: &Payload, out: &mut Vec<u8>) {
     match payload {
         Payload::Empty => {}
         // Views serialize transparently: only the viewed samples are
         // framed, never the rest of the backing allocation, so a
         // non-zero-offset slice and an owned buffer with equal content
         // produce identical bytes.
-        Payload::F64(v) | Payload::Complex(v) => {
-            out.reserve(v.len() * 8);
-            for &x in v.iter() {
-                out.put_f64_le(x);
-            }
-        }
+        Payload::F64(v) | Payload::Complex(v) => put_samples(out, v, f64::to_le_bytes),
         Payload::Bytes(b) => out.extend_from_slice(b),
         Payload::Text(s) => out.extend_from_slice(s.as_bytes()),
         Payload::Pairs(pairs) => {
@@ -275,82 +332,66 @@ fn encode_payload(payload: &Payload, out: &mut BytesMut) {
     }
 }
 
+/// Up-front reservation cap for a decoded pairs list: a
+/// `(String, String)` slot is 48 bytes against as little as 2 wire bytes
+/// per pair, so a long list grows as it fills instead.
+const PAIRS_RESERVE_CAP: usize = 1024;
+
+/// Decodes a pairs payload: a count, then per pair a length-prefixed key
+/// and value, each of those integers a varint (v2) or a `u32` (v1). The
+/// count comes off the wire and sizes an allocation, so it is held to
+/// the pairs the remaining bytes can hold.
+fn decode_pairs(bytes: &[u8], varints: bool) -> Result<Payload, PipelineError> {
+    let truncated = || PipelineError::Codec("truncated pairs payload".into());
+    let mut cur = ByteCursor::new(bytes);
+    let take_len = |cur: &mut ByteCursor<'_>| -> Result<usize, PipelineError> {
+        let int = if varints {
+            cur.take_uvarint()?
+        } else {
+            cur.take_bytes(4).map(|b| u64::from(le_u32_at(b)))
+        };
+        usize::try_from(int.ok_or_else(truncated)?).map_err(|_| truncated())
+    };
+    let take_str = |cur: &mut ByteCursor<'_>| -> Result<String, PipelineError> {
+        let len = take_len(cur)?;
+        let s = cur.take_bytes(len).ok_or_else(truncated)?;
+        String::from_utf8(s.to_vec())
+            .map_err(|e| PipelineError::Codec(format!("invalid utf-8 in pairs: {e}")))
+    };
+    let count = take_len(&mut cur)?;
+    // A pair is at least its two length integers.
+    let min_pair = if varints { 2 } else { 8 };
+    if count > (bytes.len() - cur.pos()) / min_pair {
+        return Err(PipelineError::Codec("pairs count exceeds payload".into()));
+    }
+    let mut pairs = Vec::with_capacity(count.min(PAIRS_RESERVE_CAP));
+    for _ in 0..count {
+        let k = take_str(&mut cur)?;
+        let v = take_str(&mut cur)?;
+        pairs.push((k, v));
+    }
+    if !cur.is_empty() {
+        return Err(PipelineError::Codec(
+            "trailing bytes after pairs payload".into(),
+        ));
+    }
+    Ok(Payload::Pairs(pairs))
+}
+
+/// Decodes a v1 payload. Apart from the empty marker and the width of
+/// the pairs integers, it is byte for byte the value of a v2 block.
 fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Payload, PipelineError> {
-    let codec_err = |m: String| PipelineError::Codec(m);
     match tag {
-        0 => {
-            if !bytes.is_empty() {
-                return Err(codec_err("empty payload with non-zero length".into()));
-            }
-            Ok(Payload::Empty)
-        }
-        1 | 2 => {
-            if !bytes.len().is_multiple_of(8) {
-                return Err(codec_err(format!(
-                    "f64 payload length {} not a multiple of 8",
-                    bytes.len()
-                )));
-            }
-            // Complex payloads are interleaved [re, im, …] pairs; an odd
-            // number of f64s cannot be produced by any in-process
-            // constructor and must not enter through the wire.
-            if tag == 2 && !bytes.len().is_multiple_of(16) {
-                return Err(codec_err(format!(
-                    "complex payload length {} is not a whole number of (re, im) pairs",
-                    bytes.len()
-                )));
-            }
-            // Decoding always yields a canonical owned buffer: offset 0,
-            // view length == backing length, collected straight into the
-            // shared allocation.
-            let buf = SampleBuf::from_f64_le_bytes(bytes);
-            Ok(if tag == 1 {
-                Payload::F64(buf)
-            } else {
-                Payload::Complex(buf)
-            })
-        }
-        3 => Ok(Payload::Bytes(Bytes::copy_from_slice(bytes))),
-        4 => String::from_utf8(bytes.to_vec())
-            .map(Payload::Text)
-            .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}"))),
-        5 => {
-            let mut pos = 0usize;
-            let take_u32 = |pos: &mut usize| -> Result<u32, PipelineError> {
-                if *pos + 4 > bytes.len() {
-                    return Err(PipelineError::Codec("truncated pairs payload".into()));
-                }
-                let v = le_u32_at(&bytes[*pos..]);
-                *pos += 4;
-                Ok(v)
-            };
-            let take_str = |pos: &mut usize, len: usize| -> Result<String, PipelineError> {
-                if *pos + len > bytes.len() {
-                    return Err(PipelineError::Codec("truncated pairs payload".into()));
-                }
-                let s = String::from_utf8(bytes[*pos..*pos + len].to_vec())
-                    .map_err(|e| PipelineError::Codec(format!("invalid utf-8 in pairs: {e}")))?;
-                *pos += len;
-                Ok(s)
-            };
-            let count = take_u32(&mut pos)? as usize;
-            if count > bytes.len() {
-                return Err(codec_err("pairs count exceeds payload".into()));
-            }
-            let mut pairs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let klen = take_u32(&mut pos)? as usize;
-                let k = take_str(&mut pos, klen)?;
-                let vlen = take_u32(&mut pos)? as usize;
-                let v = take_str(&mut pos, vlen)?;
-                pairs.push((k, v));
-            }
-            if pos != bytes.len() {
-                return Err(codec_err("trailing bytes after pairs payload".into()));
-            }
-            Ok(Payload::Pairs(pairs))
-        }
-        t => Err(codec_err(format!("unknown payload tag {t}"))),
+        0 if bytes.is_empty() => Ok(Payload::Empty),
+        0 => Err(PipelineError::Codec(
+            "empty payload with non-zero length".into(),
+        )),
+        1 => decode_block(TLV_F64_AS_F64, bytes),
+        2 => decode_block(TLV_COMPLEX_AS_F64, bytes),
+        3 => decode_block(TLV_BYTES, bytes),
+        4 => decode_block(TLV_TEXT, bytes),
+        5 => decode_pairs(bytes, false),
+        t => Err(PipelineError::Codec(format!("unknown payload tag {t}"))),
     }
 }
 
@@ -369,23 +410,7 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Payload, PipelineError> {
 /// assert_eq!(used, frame.len());
 /// ```
 pub fn encode_frame(record: &Record) -> Vec<u8> {
-    let mut payload = BytesMut::new();
-    encode_payload(&record.payload, &mut payload);
-    let mut out = BytesMut::with_capacity(32 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(record.kind.tag());
-    out.put_u16_le(record.subtype);
-    out.put_u32_le(record.scope_depth);
-    out.put_u16_le(record.scope_type);
-    out.put_u8(record.payload.tag());
-    out.put_u8(0); // reserved
-    out.put_u64_le(record.seq);
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.put_u32_le(crc);
-    out.to_vec()
+    encode_frame_with(record, WireFormat::V1)
 }
 
 /// The fixed frame header length (before payload).
@@ -404,95 +429,167 @@ const TLV_BYTES: u64 = 7;
 const TLV_TEXT: u64 = 8;
 const TLV_PAIRS: u64 = 9;
 
-fn put_block(out: &mut BytesMut, ty: u64, value: &[u8]) {
-    put_uvarint(out, ty);
-    put_uvarint(out, value.len() as u64);
-    out.extend_from_slice(value);
+/// The value of a v2 payload block, settled before the frame header is
+/// written because the header declares the body length.
+enum BlockValue<'a> {
+    /// Bytes that already exist contiguously.
+    Raw(&'a [u8]),
+    /// Samples in the encoding they will actually get (an i16 request
+    /// may have fallen back to f64), with the i16 scale factor.
+    Samples(&'a [f64], SampleEncoding, f64),
 }
 
-/// Emits one sample block, choosing among the lossless f64, compact f32
-/// and quantized i16 representations. The i16 path falls back to f64
-/// when quantization cannot bound the error: non-finite samples, or a
-/// maximum magnitude so small that `max / 32767` underflows to zero.
-fn put_sample_block(
-    out: &mut BytesMut,
-    samples: &[f64],
-    enc: SampleEncoding,
-    types: (u64, u64, u64),
-) {
-    let (t_f64, t_f32, t_i16) = types;
-    match enc {
-        SampleEncoding::F32 => {
-            put_uvarint(out, t_f32);
-            put_uvarint(out, (samples.len() * 4) as u64);
-            out.reserve(samples.len() * 4);
-            for &x in samples {
-                out.put_f32_le(x as f32);
+impl<'a> BlockValue<'a> {
+    /// A sample block and its type from the payload kind's
+    /// `[f64, f32, i16]` block types. The i16 request falls back to f64
+    /// when quantization cannot bound the error: non-finite samples, or
+    /// a maximum magnitude so small that `max / 32767` underflows to 0.
+    fn samples(v: &'a [f64], enc: SampleEncoding, types: [u64; 3]) -> (u64, BlockValue<'a>) {
+        let mut scale = 0.0;
+        if enc == SampleEncoding::I16 {
+            let max = v.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+            scale = max / f64::from(i16::MAX);
+            if !(v.iter().all(|x| x.is_finite()) && (max == 0.0 || scale > 0.0)) {
+                return (types[0], BlockValue::Samples(v, SampleEncoding::F64, 0.0));
             }
-            return;
         }
-        SampleEncoding::I16 => {
-            let max = samples.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-            let scale = max / f64::from(i16::MAX);
-            let representable =
-                samples.iter().all(|x| x.is_finite()) && (max == 0.0 || scale > 0.0);
-            if representable {
-                put_uvarint(out, t_i16);
-                put_uvarint(out, (8 + samples.len() * 2) as u64);
-                out.put_f64_le(scale);
-                out.reserve(samples.len() * 2);
-                for &x in samples {
+        let ty = match enc {
+            SampleEncoding::F64 => types[0],
+            SampleEncoding::F32 => types[1],
+            SampleEncoding::I16 => types[2],
+        };
+        (ty, BlockValue::Samples(v, enc, scale))
+    }
+
+    fn len(&self) -> usize {
+        match *self {
+            BlockValue::Raw(bytes) => bytes.len(),
+            BlockValue::Samples(v, SampleEncoding::F64, _) => v.len() * 8,
+            BlockValue::Samples(v, SampleEncoding::F32, _) => v.len() * 4,
+            BlockValue::Samples(v, SampleEncoding::I16, _) => 8 + v.len() * 2,
+        }
+    }
+
+    fn put(&self, dst: &mut Vec<u8>) {
+        match *self {
+            BlockValue::Raw(bytes) => dst.extend_from_slice(bytes),
+            BlockValue::Samples(v, SampleEncoding::F64, _) => {
+                put_samples(dst, v, f64::to_le_bytes);
+            }
+            BlockValue::Samples(v, SampleEncoding::F32, _) => {
+                put_samples(dst, v, |x| (x as f32).to_le_bytes());
+            }
+            BlockValue::Samples(v, SampleEncoding::I16, scale) => {
+                dst.put_f64_le(scale);
+                put_samples(dst, v, |x| {
                     let q = if scale == 0.0 {
                         0.0
                     } else {
                         (x / scale).round()
                     };
-                    out.put_i16_le(q.clamp(-32767.0, 32767.0) as i16);
-                }
-                return;
+                    (q.clamp(-32767.0, 32767.0) as i16).to_le_bytes()
+                });
             }
         }
-        SampleEncoding::F64 => {}
-    }
-    put_uvarint(out, t_f64);
-    put_uvarint(out, (samples.len() * 8) as u64);
-    out.reserve(samples.len() * 8);
-    for &x in samples {
-        out.put_f64_le(x);
     }
 }
 
-fn encode_body_v2(payload: &Payload, enc: SampleEncoding, out: &mut BytesMut) {
-    match payload {
+/// Appends the v2 header and body of `record` (everything but the CRC).
+fn encode_v2(record: &Record, enc: SampleEncoding, dst: &mut Vec<u8>) {
+    // The one payload kind whose value is not contiguous bytes already
+    // (a few short strings, once per scope) is laid out on the side.
+    let mut pairs_value = Vec::new();
+    let block = match &record.payload {
         // Empty is the *absence* of a payload block, not a block of its
         // own — an all-unknown (or empty) body decodes as Empty.
-        Payload::Empty => {}
-        Payload::F64(v) => put_sample_block(
-            out,
-            v.as_slice(),
+        Payload::Empty => None,
+        Payload::F64(v) => Some(BlockValue::samples(
+            v,
             enc,
-            (TLV_F64_AS_F64, TLV_F64_AS_F32, TLV_F64_AS_I16),
-        ),
-        Payload::Complex(v) => put_sample_block(
-            out,
-            v.as_slice(),
+            [TLV_F64_AS_F64, TLV_F64_AS_F32, TLV_F64_AS_I16],
+        )),
+        Payload::Complex(v) => Some(BlockValue::samples(
+            v,
             enc,
-            (TLV_COMPLEX_AS_F64, TLV_COMPLEX_AS_F32, TLV_COMPLEX_AS_I16),
-        ),
-        Payload::Bytes(b) => put_block(out, TLV_BYTES, b),
-        Payload::Text(s) => put_block(out, TLV_TEXT, s.as_bytes()),
+            [TLV_COMPLEX_AS_F64, TLV_COMPLEX_AS_F32, TLV_COMPLEX_AS_I16],
+        )),
+        Payload::Bytes(b) => Some((TLV_BYTES, BlockValue::Raw(b))),
+        Payload::Text(s) => Some((TLV_TEXT, BlockValue::Raw(s.as_bytes()))),
         Payload::Pairs(pairs) => {
-            let mut tmp = BytesMut::new();
-            put_uvarint(&mut tmp, pairs.len() as u64);
-            for (k, v) in pairs {
-                put_uvarint(&mut tmp, k.len() as u64);
-                tmp.extend_from_slice(k.as_bytes());
-                put_uvarint(&mut tmp, v.len() as u64);
-                tmp.extend_from_slice(v.as_bytes());
+            put_uvarint(&mut pairs_value, pairs.len() as u64);
+            for s in pairs.iter().flat_map(|(k, v)| [k, v]) {
+                put_uvarint(&mut pairs_value, s.len() as u64);
+                pairs_value.extend_from_slice(s.as_bytes());
             }
-            put_block(out, TLV_PAIRS, &tmp);
+            Some((TLV_PAIRS, BlockValue::Raw(&pairs_value)))
         }
+    };
+    let body_len = block.as_ref().map_or(0, |(ty, value)| {
+        uvarint_len(*ty) + uvarint_len(value.len() as u64) + value.len()
+    });
+    // Magic, kind and five varints are at most 33 bytes; the CRC is 4.
+    dst.reserve(37 + body_len);
+    dst.push(V2_MAGIC);
+    dst.push(record.kind.tag());
+    put_uvarint(dst, u64::from(record.subtype));
+    put_uvarint(dst, u64::from(record.scope_depth));
+    put_uvarint(dst, u64::from(record.scope_type));
+    put_uvarint(dst, record.seq);
+    put_uvarint(dst, body_len as u64);
+    if let Some((ty, value)) = block {
+        put_uvarint(dst, ty);
+        put_uvarint(dst, value.len() as u64);
+        value.put(dst);
     }
+}
+
+/// Appends `record` to `dst` as one complete frame in the given
+/// [`WireFormat`] — the only encoder; every other entry point wraps it.
+///
+/// The frame is built in place: header, payload converted in bulk
+/// straight into `dst`, then the CRC over what was just written. Bytes
+/// already in `dst` are left alone, so a sender can reuse one buffer
+/// for every record ([`crate::net::StreamOut`] does) or batch frames
+/// back to back.
+///
+/// # Example
+///
+/// ```
+/// use dynamic_river::codec::{decode_frame, encode_into, SampleEncoding, WireFormat};
+/// use dynamic_river::record::{Payload, Record};
+///
+/// let rec = Record::data(1, Payload::f64(vec![1.0, -1.0])).with_seq(5);
+/// let mut wire = Vec::new();
+/// encode_into(&rec, WireFormat::V2(SampleEncoding::F64), &mut wire);
+/// let first = wire.len();
+/// encode_into(&rec, WireFormat::V1, &mut wire);
+/// assert_eq!(decode_frame(&wire).unwrap().unwrap(), (rec.clone(), first));
+/// assert_eq!(decode_frame(&wire[first..]).unwrap().unwrap().0, rec);
+/// ```
+pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
+    let start = dst.len();
+    match format {
+        WireFormat::V1 => {
+            dst.reserve(HEADER_LEN + 4);
+            dst.extend_from_slice(&MAGIC);
+            dst.push(VERSION);
+            dst.push(record.kind.tag());
+            dst.put_u16_le(record.subtype);
+            dst.put_u32_le(record.scope_depth);
+            dst.put_u16_le(record.scope_type);
+            dst.push(record.payload.tag());
+            dst.push(0); // reserved
+            dst.put_u64_le(record.seq);
+            dst.put_u32_le(0); // payload length, backfilled below
+            let payload_start = dst.len();
+            encode_payload(&record.payload, dst);
+            let payload_len = (dst.len() - payload_start) as u32;
+            dst[payload_start - 4..payload_start].copy_from_slice(&payload_len.to_le_bytes());
+        }
+        WireFormat::V2(enc) => encode_v2(record, enc, dst),
+    }
+    let crc = crc32(&dst[start..]);
+    dst.put_u32_le(crc);
 }
 
 /// Encodes one record as a compact v2 wire frame.
@@ -510,28 +607,14 @@ fn encode_body_v2(payload: &Payload, enc: SampleEncoding, out: &mut BytesMut) {
 /// assert_eq!(used, frame.len());
 /// ```
 pub fn encode_frame_v2(record: &Record, enc: SampleEncoding) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    encode_body_v2(&record.payload, enc, &mut body);
-    let mut out = BytesMut::with_capacity(16 + body.len());
-    out.put_u8(V2_MAGIC);
-    out.put_u8(record.kind.tag());
-    put_uvarint(&mut out, u64::from(record.subtype));
-    put_uvarint(&mut out, u64::from(record.scope_depth));
-    put_uvarint(&mut out, u64::from(record.scope_type));
-    put_uvarint(&mut out, record.seq);
-    put_uvarint(&mut out, body.len() as u64);
-    out.extend_from_slice(&body);
-    let crc = crc32(&out);
-    out.put_u32_le(crc);
-    out.to_vec()
+    encode_frame_with(record, WireFormat::V2(enc))
 }
 
 /// Encodes one record in the given [`WireFormat`].
 pub fn encode_frame_with(record: &Record, format: WireFormat) -> Vec<u8> {
-    match format {
-        WireFormat::V1 => encode_frame(record),
-        WireFormat::V2(enc) => encode_frame_v2(record, enc),
-    }
+    let mut frame = Vec::new();
+    encode_into(record, format, &mut frame);
+    frame
 }
 
 /// Writes one framed record in the given [`WireFormat`].
@@ -749,9 +832,15 @@ fn parse_frame_v2(frame: &[u8]) -> Result<Record, PipelineError> {
     let scope_type = u16::try_from(field(cur.take_uvarint()?)?)
         .map_err(|_| PipelineError::Codec("scope type out of range".into()))?;
     let seq = field(cur.take_uvarint()?)?;
-    let _body_len = field(cur.take_uvarint()?);
-    let body_start = 1 + cur.pos();
-    let payload = decode_body_v2(&frame[body_start..frame.len() - 4])?;
+    let body_len = field(cur.take_uvarint()?)?;
+    let body = &frame[1 + cur.pos()..frame.len() - 4];
+    if body_len != body.len() as u64 {
+        return Err(PipelineError::Codec(format!(
+            "declared body length {body_len} disagrees with the {} bytes framed",
+            body.len()
+        )));
+    }
+    let payload = decode_body_v2(body)?;
     Ok(Record {
         kind,
         subtype,
@@ -794,7 +883,8 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
         TLV_COMPLEX_AS_F64 | TLV_COMPLEX_AS_F32 | TLV_COMPLEX_AS_I16
     );
     // Complex payloads are interleaved [re, im, …] pairs; an odd sample
-    // count must not enter through the wire.
+    // count cannot be produced by any in-process constructor and must
+    // not enter through the wire.
     let check_pairs = |samples: usize| -> Result<(), PipelineError> {
         if complex && !samples.is_multiple_of(2) {
             return Err(codec_err(format!(
@@ -803,6 +893,9 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
         }
         Ok(())
     };
+    // Decoding always yields a canonical owned buffer: offset 0, view
+    // length == backing length, collected straight into the shared
+    // allocation.
     let wrap = |buf: SampleBuf| {
         if complex {
             Payload::Complex(buf)
@@ -855,31 +948,7 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
         TLV_TEXT => String::from_utf8(value.to_vec())
             .map(Payload::Text)
             .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}"))),
-        TLV_PAIRS => {
-            let truncated = || PipelineError::Codec("truncated pairs payload".into());
-            let mut cur = ByteCursor::new(value);
-            let count = cur.take_uvarint()?.ok_or_else(truncated)?;
-            if count > value.len() as u64 {
-                return Err(codec_err("pairs count exceeds payload".into()));
-            }
-            let take_str = |cur: &mut ByteCursor<'_>| -> Result<String, PipelineError> {
-                let len = usize::try_from(cur.take_uvarint()?.ok_or_else(truncated)?)
-                    .map_err(|_| truncated())?;
-                let bytes = cur.take_bytes(len).ok_or_else(truncated)?;
-                String::from_utf8(bytes.to_vec())
-                    .map_err(|e| PipelineError::Codec(format!("invalid utf-8 in pairs: {e}")))
-            };
-            let mut pairs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let k = take_str(&mut cur)?;
-                let v = take_str(&mut cur)?;
-                pairs.push((k, v));
-            }
-            if !cur.is_empty() {
-                return Err(codec_err("trailing bytes after pairs payload".into()));
-            }
-            Ok(Payload::Pairs(pairs))
-        }
+        TLV_PAIRS => decode_pairs(value, true),
         _ => unreachable!("decode_block called only for known payload block types"),
     }
 }
@@ -890,9 +959,8 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
 /// # Errors
 ///
 /// Returns [`PipelineError::Io`] on sink failure.
-pub fn write_record<W: Write>(mut writer: W, record: &Record) -> Result<(), PipelineError> {
-    writer.write_all(&encode_frame(record))?;
-    Ok(())
+pub fn write_record<W: Write>(writer: W, record: &Record) -> Result<(), PipelineError> {
+    write_record_with(writer, record, WireFormat::V1)
 }
 
 /// Writes the clean end-of-stream sentinel.
@@ -970,10 +1038,16 @@ pub enum DecodeEvent {
 /// ```
 #[derive(Debug, Default)]
 pub struct Decoder {
+    /// Decode buffer. Every byte of it is initialized, including the
+    /// tail past `end`, so a reader can fill that tail in place
+    /// ([`read_from`](Decoder::read_from)) without unsafe code and
+    /// without re-zeroing it per read.
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by decoded frames; compacted on
     /// the next push so polling never memmoves per frame.
     start: usize,
+    /// End of the bytes received so far: `buf[start..end]` is pending.
+    end: usize,
     /// Clean end seen: any further bytes are a protocol error.
     done: bool,
     poisoned: bool,
@@ -988,14 +1062,28 @@ impl Decoder {
     }
 
     fn pending(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
+    }
+
+    /// The `n` writable bytes after `end`, compacting the consumed
+    /// prefix away and growing the buffer as needed.
+    fn spare(&mut self, n: usize) -> &mut [u8] {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + n {
+            self.buf.resize(self.end + n, 0);
+        }
+        &mut self.buf[self.end..self.end + n]
     }
 
     /// Bytes buffered but not yet consumed by a decoded frame — at EOF
     /// this is the partial-frame residue (it still counts as wire
     /// traffic for session accounting).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// The wire version of the most recently decoded frame, if any —
@@ -1044,12 +1132,30 @@ impl Decoder {
                 "bytes after end-of-stream sentinel".into(),
             ));
         }
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.spare(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
         Ok(())
+    }
+
+    /// One `read` of at most `max` bytes from `reader`, landing directly
+    /// in the decode buffer (no intermediate chunk to copy from), without
+    /// polling. Returns the bytes read; `Ok(0)` is end of input (or
+    /// `max == 0`). Bytes after the end-of-stream sentinel, or into a
+    /// poisoned decoder, are accepted here and refused by the next
+    /// [`poll`](Decoder::poll).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `reader.read` returns, `WouldBlock` and `Interrupted`
+    /// included; the decoder is unchanged by a failed read.
+    pub fn read_from<R: Read>(&mut self, reader: &mut R, max: usize) -> io::Result<usize> {
+        if self.poisoned {
+            // Nothing more will decode: do not let the buffer grow.
+            self.start = self.end;
+        }
+        let n = reader.read(self.spare(max))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Feeds a chunk and drains every event it completes into `out`
@@ -1199,49 +1305,16 @@ pub fn read_record_counted<R: Read>(mut reader: R) -> Result<(ReadOutcome, u64),
         }
         let need = dec.needed();
         debug_assert!(need > 0, "poll returned None without requesting bytes");
-        let mut chunk = vec![0u8; need];
-        match read_exact_or_eof(&mut reader, &mut chunk)? {
-            ReadFill::Full => {
-                counted += need as u64;
-                dec.push_bytes(&chunk)?;
-            }
-            ReadFill::Partial(n) => {
-                counted += n as u64;
-                dec.push_bytes(&chunk[..n])?;
-                dec.end_of_input()?;
-                return Ok((ReadOutcome::UncleanEnd, counted));
-            }
-            ReadFill::Eof => {
-                dec.end_of_input()?;
-                return Ok((ReadOutcome::UncleanEnd, counted));
-            }
-        }
-    }
-}
-
-enum ReadFill {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadFill, PipelineError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
+        match dec.read_from(&mut reader, need) {
             Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadFill::Eof
-                } else {
-                    ReadFill::Partial(filled)
-                })
+                dec.end_of_input()?;
+                return Ok((ReadOutcome::UncleanEnd, counted));
             }
-            Ok(n) => filled += n,
+            Ok(n) => counted += n as u64,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(PipelineError::Io(e)),
         }
     }
-    Ok(ReadFill::Full)
 }
 
 #[cfg(test)]
@@ -1320,9 +1393,52 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[0x00; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    /// The definition of the checksum, one bit at a time: the reference
+    /// the table-driven [`crc32`] is held to.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
+        // Every length 0..=1100 at every start offset 0..16: each
+        // remainder of the wide steps, wherever the slice starts.
+        let mut rng = crate::fault::WireMangler::new(0xC2C32);
+        let mut buf = Vec::with_capacity(1100 + 16 + 8);
+        while buf.len() < 1100 + 16 {
+            buf.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        for offset in 0..16 {
+            for len in 0..=1100 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bitwise(data),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1557,30 +1673,44 @@ mod tests {
         assert_eq!(decoded, rec);
     }
 
+    /// The body (TLV blocks) of `rec`'s v2/F64 frame.
+    fn v2_body(rec: &Record) -> Vec<u8> {
+        let frame = encode_frame_v2(rec, SampleEncoding::F64);
+        // Past magic and kind: four header varints, then the body length.
+        let mut cur = ByteCursor::new(&frame[2..frame.len() - 4]);
+        for _ in 0..5 {
+            cur.take_uvarint().unwrap().unwrap();
+        }
+        cur.buf[cur.pos()..].to_vec()
+    }
+
+    /// A CRC-valid v2 frame with `rec`'s header around an arbitrary body.
+    fn v2_frame_around(rec: &Record, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![V2_MAGIC, rec.kind.tag()];
+        put_uvarint(&mut out, u64::from(rec.subtype));
+        put_uvarint(&mut out, u64::from(rec.scope_depth));
+        put_uvarint(&mut out, u64::from(rec.scope_type));
+        put_uvarint(&mut out, rec.seq);
+        put_uvarint(&mut out, body.len() as u64);
+        out.extend_from_slice(body);
+        out.extend_from_slice(&[0; 4]);
+        fix_crc(&mut out);
+        out
+    }
+
     #[test]
     fn v2_unknown_tlv_blocks_are_skipped() {
         // Splice an unknown block (type 200) ahead of the payload block:
         // a forward-compatible reader must decode the record unchanged.
         let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
         let frame = encode_frame_v2(&rec, SampleEncoding::F64);
-        // Rebuild the frame with the extra block prepended to the body.
-        let mut body = BytesMut::new();
+        assert_eq!(v2_frame_around(&rec, &v2_body(&rec)), frame);
+        let mut body = Vec::new();
         put_uvarint(&mut body, 200);
         put_uvarint(&mut body, 3);
         body.extend_from_slice(b"xyz");
-        encode_body_v2(&rec.payload, SampleEncoding::F64, &mut body);
-        let mut out = BytesMut::new();
-        out.put_u8(V2_MAGIC);
-        out.put_u8(rec.kind.tag());
-        put_uvarint(&mut out, u64::from(rec.subtype));
-        put_uvarint(&mut out, u64::from(rec.scope_depth));
-        put_uvarint(&mut out, u64::from(rec.scope_type));
-        put_uvarint(&mut out, rec.seq);
-        put_uvarint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-        let crc = crc32(&out);
-        out.put_u32_le(crc);
-        let spliced = out.to_vec();
+        body.extend_from_slice(&v2_body(&rec));
+        let spliced = v2_frame_around(&rec, &body);
         assert_ne!(spliced, frame);
         let (decoded, used) = decode_frame(&spliced).unwrap().unwrap();
         assert_eq!(decoded, rec);
@@ -1590,21 +1720,77 @@ mod tests {
     #[test]
     fn v2_duplicate_payload_block_rejected() {
         let rec = Record::data(5, Payload::Text("hi".into()));
-        let mut body = BytesMut::new();
-        encode_body_v2(&rec.payload, SampleEncoding::F64, &mut body);
-        encode_body_v2(&rec.payload, SampleEncoding::F64, &mut body);
-        let mut out = BytesMut::new();
-        out.put_u8(V2_MAGIC);
-        out.put_u8(rec.kind.tag());
-        for _ in 0..4 {
-            put_uvarint(&mut out, 0);
-        }
-        put_uvarint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-        let crc = crc32(&out);
-        out.put_u32_le(crc);
-        let err = decode_frame(&out).unwrap_err();
+        let body = [v2_body(&rec), v2_body(&rec)].concat();
+        let err = decode_frame(&v2_frame_around(&rec, &body)).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("duplicate")));
+    }
+
+    #[test]
+    fn v2_declared_body_length_must_match_the_framed_span() {
+        // `scan` sizes a frame from its body-length varint, so through
+        // `decode_frame` the two cannot disagree: one more declared
+        // byte just means one more byte is awaited.
+        let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
+        let frame = encode_frame_v2(&rec, SampleEncoding::F64);
+        let len_at = frame.len() - 4 - v2_body(&rec).len() - 1;
+        assert_eq!(usize::from(frame[len_at]), v2_body(&rec).len());
+        let mut longer = frame.clone();
+        longer[len_at] += 1;
+        fix_crc(&mut longer);
+        assert!(decode_frame(&longer).unwrap().is_none());
+        // The parser itself holds its caller to that contract: handed a
+        // CRC-valid span the header does not describe, it refuses.
+        for delta in [1u8, 255] {
+            let mut mutated = frame.clone();
+            mutated[len_at] = mutated[len_at].wrapping_add(delta);
+            fix_crc(&mut mutated);
+            let err = parse_frame_v2(&mutated).unwrap_err();
+            assert!(
+                matches!(&err, PipelineError::Codec(m) if m.contains("body length")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn pairs_count_is_bounded_by_the_bytes_a_pair_occupies() {
+        // v1: count (u32) then per pair two u32 lengths. 9 declared
+        // pairs in a payload with room for one: refused before any
+        // reservation is sized from the count.
+        let pairs = Record::open_scope(7, vec![("k".into(), "v".into())]);
+        let mut v1 = encode_frame(&pairs);
+        assert_eq!(v1[HEADER_LEN..HEADER_LEN + 4], 1u32.to_le_bytes());
+        v1[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&9u32.to_le_bytes());
+        fix_crc(&mut v1);
+        let err = decode_frame(&v1).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::Codec(m) if m.contains("count")),
+            "{err}"
+        );
+
+        // v2: count varint then per pair two length varints. The old
+        // bound (count <= value length) let 6 through here, with room
+        // for 2.
+        let mut body = Vec::new();
+        put_uvarint(&mut body, TLV_PAIRS);
+        put_uvarint(&mut body, 5);
+        body.extend_from_slice(&[6, 0, 0, 0, 0]);
+        let err = decode_frame(&v2_frame_around(&pairs, &body)).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::Codec(m) if m.contains("count")),
+            "{err}"
+        );
+
+        // A count the bytes can hold still decodes, however many pairs
+        // (the reservation is capped, the list is not).
+        let n = PAIRS_RESERVE_CAP * 2 + 1;
+        let many = Record::open_scope(7, vec![(String::new(), String::new()); n]);
+        for format in [WireFormat::V1, WireFormat::V2(SampleEncoding::F64)] {
+            let (decoded, _) = decode_frame(&encode_frame_with(&many, format))
+                .unwrap()
+                .unwrap();
+            assert_eq!(decoded, many);
+        }
     }
 
     #[test]
@@ -1659,8 +1845,9 @@ mod tests {
             u64::from(u32::MAX),
             u64::MAX,
         ] {
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             put_uvarint(&mut out, v);
+            assert_eq!(out.len(), uvarint_len(v));
             let mut cur = ByteCursor::new(&out);
             assert_eq!(cur.take_uvarint().unwrap(), Some(v));
             assert!(cur.is_empty());

@@ -9,7 +9,7 @@
 //! scopes open, the `streamin` operator will generate `BadCloseScope`
 //! records to close all open scopes."
 
-use crate::codec::{write_eos, write_record_with, DecodeEvent, Decoder, WireFormat};
+use crate::codec::{encode_into, write_eos, DecodeEvent, Decoder, WireFormat};
 use crate::error::PipelineError;
 use crate::operator::{Operator, Sink};
 use crate::record::Record;
@@ -27,8 +27,17 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 /// negotiation: receivers detect the version per frame, so v1 peers
 /// keep working and v2 senders get compact frames with no handshake
 /// round trip.
+///
+/// Every record is encoded in place into one frame buffer the operator
+/// keeps ([`encode_into`]) and handed to a buffered writer, so a warm
+/// sender allocates nothing per record. Dropping the operator flushes
+/// what is buffered (write errors are then lost; `on_eos` flushes and
+/// reports them).
 pub struct StreamOut<W: Write + Send> {
     writer: BufWriter<W>,
+    /// The frame being sent, reused for every record: once it has grown
+    /// to the stream's largest frame, sending allocates nothing.
+    frame: Vec<u8>,
     sent: u64,
     format: WireFormat,
 }
@@ -38,6 +47,7 @@ impl<W: Write + Send> StreamOut<W> {
     pub fn new(writer: W) -> Self {
         StreamOut {
             writer: BufWriter::new(writer),
+            frame: Vec::new(),
             sent: 0,
             format: WireFormat::V1,
         }
@@ -91,7 +101,9 @@ impl<W: Write + Send> Operator for StreamOut<W> {
     }
 
     fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
-        write_record_with(&mut self.writer, &record, self.format)?;
+        self.frame.clear();
+        encode_into(&record, self.format, &mut self.frame);
+        self.writer.write_all(&self.frame)?;
         self.sent += 1;
         // streamout is usually terminal, but passing records through lets
         // callers tee the stream locally as well.
@@ -124,8 +136,10 @@ pub enum StreamEnd {
 /// into a scope-consistent record sequence.
 ///
 /// [`feed`](Self::feed) accepts whatever a (possibly non-blocking)
-/// socket read produced; [`next_ready`](Self::next_ready) hands back
-/// the records that have fully materialized so far. On top of the
+/// socket read produced, and [`read_from`](Self::read_from) does the
+/// read itself, straight into the decode buffer;
+/// [`next_ready`](Self::next_ready) hands back the records that have
+/// fully materialized so far. On top of the
 /// incremental [`Decoder`] it layers exactly the session semantics
 /// `streamin` promises:
 ///
@@ -219,12 +233,37 @@ impl RecordAssembler {
     /// delivery order.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.wire_bytes += bytes.len() as u64;
-        let mut decoded = Vec::new();
-        let fed = self.decoder.feed(bytes, &mut decoded);
-        self.events.extend(decoded);
-        if let Err(e) = fed {
-            // Keep the first error; a poisoned decoder repeats itself.
-            self.pending_error.get_or_insert(e);
+        match self.decoder.push_bytes(bytes) {
+            Ok(()) => self.decode_ready(),
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// Like [`feed`](Self::feed), but the bytes come from one `read` of
+    /// at most `max` bytes on `reader`, landing directly in the decode
+    /// buffer. Returns the bytes read; `Ok(0)` is EOF (the caller
+    /// decides whether to [`finish`](Self::finish)).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `reader.read` returns (`WouldBlock` and `Interrupted`
+    /// included); decode errors queue exactly as in `feed`.
+    pub fn read_from<R: Read>(&mut self, reader: &mut R, max: usize) -> io::Result<usize> {
+        let n = self.decoder.read_from(reader, max)?;
+        self.wire_bytes += n as u64;
+        self.decode_ready();
+        Ok(n)
+    }
+
+    /// Decodes every event the buffered bytes complete, straight into
+    /// the delivery queue.
+    fn decode_ready(&mut self) {
+        loop {
+            match self.decoder.poll() {
+                Ok(Some(event)) => self.events.push_back(event),
+                Ok(None) => return,
+                Err(e) => return self.fail(e),
+            }
         }
     }
 
@@ -232,6 +271,7 @@ impl RecordAssembler {
     /// queue, behind the records already decoded — the non-blocking
     /// counterpart of a blocking read returning `Err`.
     pub fn fail(&mut self, error: PipelineError) {
+        // Keep the first error; a poisoned decoder repeats itself.
         self.pending_error.get_or_insert(error);
     }
 
@@ -428,10 +468,9 @@ impl<R: Read> StreamIn<R> {
                     }
                 }
             }
-            let mut chunk = [0u8; 8192];
-            match self.reader.read(&mut chunk) {
+            match self.assembler.read_from(&mut self.reader, 8192) {
                 Ok(0) => self.assembler.finish(),
-                Ok(n) => self.assembler.feed(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(PipelineError::Io(e)),
             }
@@ -527,7 +566,7 @@ pub fn send_all_with<A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{write_record, SampleEncoding};
+    use crate::codec::{write_record, write_record_with, SampleEncoding};
     use crate::record::{Payload, RecordKind};
     use std::net::TcpListener;
     use std::thread;

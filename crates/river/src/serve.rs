@@ -124,15 +124,15 @@ use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfi
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::PollFd;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Socket read buffer: one readiness wake drains the socket in chunks
-/// of this size.
+/// First read of a readiness wake; a socket that fills it is read again
+/// for the rest of [`READ_BURST`].
 const READ_CHUNK: usize = 8 * 1024;
 
 /// Fairness bound: at most this many bytes are read from one socket
@@ -950,13 +950,18 @@ fn open_session(
 
 /// Drains one readable socket into its session's assembler, bounded by
 /// [`READ_BURST`] (loop fairness) and [`BACKLOG_CAP`] (decode-ahead
-/// backpressure). EOF and read errors end the wire; the records
-/// already decoded still flow.
+/// backpressure). Each read lands directly in the session's decode
+/// buffer: a first one of [`READ_CHUNK`], and only a socket that filled
+/// it is asked for the rest of the burst in one more call, so a trickling
+/// session keeps a small buffer and a firehose costs two syscalls per
+/// burst. A short read means the socket is drained (the poll is level
+/// triggered, so anything arriving later wakes the loop again). EOF and
+/// read errors end the wire; the records already decoded still flow.
 fn read_session(s: &mut Session, now: Instant) {
-    let mut chunk = [0u8; READ_CHUNK];
     let mut total = 0usize;
+    let mut ask = READ_CHUNK;
     while s.wants_read() && total < READ_BURST {
-        match s.stream.read(&mut chunk) {
+        match s.assembler.read_from(&mut s.stream, ask) {
             Ok(0) => {
                 s.assembler.finish();
                 s.read_done = true;
@@ -965,7 +970,10 @@ fn read_session(s: &mut Session, now: Instant) {
             Ok(n) => {
                 s.last_activity = now;
                 total += n;
-                s.assembler.feed(&chunk[..n]);
+                if n < ask {
+                    return;
+                }
+                ask = READ_BURST - total;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

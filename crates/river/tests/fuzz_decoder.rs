@@ -14,7 +14,10 @@
 //!    must always terminate with balanced scopes (repairs included) and
 //!    may only surface `Codec` errors.
 
-use dynamic_river::codec::{write_eos, write_record_with, Decoder, SampleEncoding, WireFormat};
+use dynamic_river::codec::{
+    crc32, encode_frame_with, write_eos, write_record_with, Decoder, SampleEncoding, WireFormat,
+    HEADER_LEN,
+};
 use dynamic_river::fault::WireMangler;
 use dynamic_river::net::StreamIn;
 use dynamic_river::record::{Payload, Record, RecordKind};
@@ -142,6 +145,44 @@ fn magic_prefixed_noise_fails_as_codec() {
             bytes.extend_from_slice(&rng.next_u64().to_le_bytes());
         }
         drive_decoder(&mut rng, &bytes, &format!("magic-noise round {round}"));
+    }
+}
+
+/// Family 1c: CRC-valid pairs frames whose pair *count* is forged. The
+/// count sizes an allocation, so the decoder must hold it to the bytes
+/// the payload actually has (one 64 MiB frame could otherwise demand
+/// gigabytes of `(String, String)` slots): every forged count is a
+/// `Codec` error, never a panic, and only the true count decodes.
+#[test]
+fn forged_pairs_counts_fail_as_codec() {
+    let context: Vec<(String, String)> = [("sample_rate", "20160"), ("site", "kbs"), ("", "")]
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let record = Record::open_scope(7, context.clone());
+    let mut rng = WireMangler::new(0x9A125);
+    for round in 0..fuzz_iters() {
+        // Where the count sits: after the fixed v1 header, or after the
+        // six one-byte v2 header fields, body length, block type and
+        // block length (all one-byte varints for this record).
+        let (format, at, width) = if rng.next_u64().is_multiple_of(2) {
+            (WireFormat::V1, HEADER_LEN, 4)
+        } else {
+            (WireFormat::V2(SampleEncoding::F32), 9, 1)
+        };
+        let mut frame = encode_frame_with(&record, format);
+        let honest = frame[at..at + width].to_vec();
+        assert_eq!(honest[0] as usize, context.len(), "count field moved");
+        // Small lies and enormous ones alike.
+        let forged = (rng.next_u64() as u32) >> (rng.next_u64() % 32);
+        let forged = if width == 1 { forged & 0x7F } else { forged };
+        frame[at..at + width].copy_from_slice(&forged.to_le_bytes()[..width]);
+        let body_end = frame.len() - 4;
+        let crc = crc32(&frame[..body_end]);
+        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let decoded = drive_decoder(&mut rng, &frame, &format!("forged count round {round}"));
+        let lied = frame[at..at + width] != honest[..];
+        assert_eq!(decoded, usize::from(!lied), "round {round}: count {forged}");
     }
 }
 
