@@ -11,9 +11,6 @@
 #   ./ci.sh telemetry-check  # validate the fig5 --telemetry-json
 #                        #   snapshot, append per-stage p50/p99 lines to
 #                        #   BENCH_fig5.json, enforce the overhead budget
-#   ./ci.sh serve-bench  # append the event-loop service throughput line
-#                        #   ({"sessions": …, "workers": …, …}) to
-#                        #   BENCH_fig5.json (requires a release build)
 #   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
 #                        #   workload for ~2 s, plumbing only; fails on
 #                        #   a failed clip or a failed benchmark check
@@ -77,30 +74,6 @@ bench_check() {
     }'
 }
 
-# --- wire compactness gate -------------------------------------------
-# Reads the two wire-format lines of BENCH_fig5.json and fails unless
-# v2 (compact f32 frames) costs at most half the bytes per record of
-# v1 on the same clip — the headline claim of DESIGN.md §13.
-wire_bytes_for() {
-    grep -m1 "\"format\": \"$2\"" "$1" |
-        sed -E 's/.*"wire_bytes_per_record": ([0-9.]+).*/\1/'
-}
-wire_check() {
-    local cur=BENCH_fig5.json v1 v2
-    v1=$(wire_bytes_for "$cur" v1)
-    v2=$(wire_bytes_for "$cur" v2)
-    [ -n "$v1" ] || { echo "wire-check: no v1 line in $cur" >&2; exit 1; }
-    [ -n "$v2" ] || { echo "wire-check: no v2 line in $cur" >&2; exit 1; }
-    awk -v v1="$v1" -v v2="$v2" 'BEGIN {
-        printf "wire-check: bytes/record: v1 %.1f, v2 %.1f (ratio %.4f)\n", v1, v2, v2 / v1
-        if (v2 > 0.5 * v1) {
-            print "wire-check: FAIL — v2 frames exceed half the v1 wire cost"
-            exit 1
-        }
-        print "wire-check: OK"
-    }'
-}
-
 # --- per-stage spectral cost -----------------------------------------
 # Appends one {"stage": …, "ns_per_record": …} line per spectral stage
 # to BENCH_fig5.json: the four oracle operators, their chained total,
@@ -138,17 +111,6 @@ telemetry_check() {
     printf '%s\n' "$stages" | tee -a BENCH_fig5.json
     echo "telemetry-check: snapshot OK ($(printf '%s\n' "$stages" | wc -l) stages)"
     cargo test --release -q -p ensemble-core --test telemetry_overhead
-}
-
-# --- event-loop service throughput ------------------------------------
-# Appends one {"sessions": M, "workers": N, "records_per_sec": …} line
-# to BENCH_fig5.json: M concurrent loopback clients multiplexed over an
-# N-thread worker pool by the readiness-driven PipelineServer
-# (DESIGN.md §17), so service-layer throughput is tracked
-# commit-over-commit alongside the pipeline trajectory.
-serve_bench() {
-    cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
-        --serve-json --sessions 16 --workers 4 | tee -a BENCH_fig5.json
 }
 
 # --- benchmark self-verification ---------------------------------------
@@ -230,10 +192,6 @@ if [ "${1:-}" = "telemetry-check" ]; then
     telemetry_check
     exit 0
 fi
-if [ "${1:-}" = "serve-bench" ]; then
-    serve_bench
-    exit 0
-fi
 if [ "${1:-}" = "river-bench-smoke" ]; then
     river_bench_smoke
     exit 0
@@ -313,24 +271,10 @@ if [ "${1:-}" != "quick" ]; then
             --json --repeat 8 --workers "$workers" | tee -a BENCH_fig5.json
     done
 
-    # Wire-format trajectory: bytes-per-record each format pays for the
-    # same clip, appended to the same artifact so the compression ratio
-    # is tracked commit-over-commit.
-    phase "BENCH_fig5.json (wire bytes per record: v1 vs v2)"
-    for fmt in v1 v2; do
-        cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
-            --wire-json "$fmt" | tee -a BENCH_fig5.json
-    done
-
     # Per-stage spectral cost, same artifact: shows which stage the
     # single-lane throughput comes from (dft vs fused spectrum).
     phase "BENCH_fig5.json (per-stage spectral ns/record)"
     stage_bench
-
-    # Service-layer throughput, same artifact: 16 sessions multiplexed
-    # over the event loop's 4-thread worker pool (DESIGN.md §17).
-    phase "BENCH_fig5.json (serve-bench: event-loop service throughput)"
-    serve_bench
 
     # Telemetry gate: the live snapshot must parse and carry per-stage
     # percentiles plus a non-empty event log; its p50/p99 lines join the
@@ -349,9 +293,6 @@ if [ "${1:-}" != "quick" ]; then
 
     phase "river-bench-smoke (benchmark plumbing + its own checks)"
     river_bench_smoke
-
-    phase "wire-check (v2 frames at most half the v1 bytes)"
-    wire_check
 
     phase "bench-check (workers=1 throughput vs BENCH_baseline.json)"
     bench_check

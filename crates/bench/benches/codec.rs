@@ -5,7 +5,7 @@
 //! guards every frame. Records are the paper's 840-sample audio records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dynamic_river::codec::{crc32, encode_frame_v2, Decoder, SampleEncoding, WireFormat};
+use dynamic_river::codec::{crc32, encode_into, Decoder, SampleEncoding, WireFormat};
 use dynamic_river::net::StreamOut;
 use dynamic_river::operator::{NullSink, Operator};
 use dynamic_river::{Payload, Record};
@@ -49,7 +49,8 @@ fn bench_encode(c: &mut Criterion) {
 fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/decode");
     for (label, enc) in ENCODINGS {
-        let frame = encode_frame_v2(&audio_record(), enc);
+        let mut frame = Vec::new();
+        encode_into(&audio_record(), WireFormat::V2(enc), &mut frame);
         let mut decoder = Decoder::new();
         let mut events = Vec::new();
         group.throughput(Throughput::Bytes(frame.len() as u64));

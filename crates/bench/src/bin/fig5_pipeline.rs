@@ -31,13 +31,6 @@
 //! count, so a flat curve on a small machine is not mistaken for a
 //! runtime regression.
 //!
-//! `--wire-json v1|v2` skips the pipeline run and instead measures the
-//! sensor uplink: it encodes the clip's record stream with the chosen
-//! wire format (v2 uses the compact f32 sample encoding) and prints
-//! `{"wire_bytes_per_record": …, "format": "v1"|"v2"}`. `ci.sh`
-//! appends both lines to `BENCH_fig5.json` and gates v2 at ≤ 50% of
-//! v1 (DESIGN.md §13).
-//!
 //! `--spectral fused|oracle` selects the spectral implementation: the
 //! fused `spectrum` operator (default) or the original four-operator
 //! `welchwindow → float2cplx → dft → cabs` oracle chain; the `--json`
@@ -49,15 +42,6 @@
 //! `{"stage": …, "ns_per_record": …}` line per stage — the per-stage
 //! evidence behind the fused path's throughput claim (DESIGN.md §14).
 //!
-//! `--serve-json` skips the pipeline run and instead measures the
-//! event-driven service layer (DESIGN.md §17): `--sessions M`
-//! (default 16) concurrent loopback clients blast pre-encoded framed
-//! clip streams at a `PipelineServer` multiplexing them over
-//! `--workers N` (default 4, clamped to cores) execution threads, and
-//! the best-of-3 end-to-end rate is printed as
-//! `{"sessions": …, "workers": …, "records_per_sec": …}` — the line
-//! `ci.sh serve-bench` appends to `BENCH_fig5.json`.
-//!
 //! `--telemetry-json` runs the same Figure 5 graph with full telemetry
 //! ([`TelemetryConfig::Full`]) and prints the resulting
 //! [`Snapshot`](dynamic_river::Snapshot) as one JSON object: per-stage
@@ -68,10 +52,8 @@
 //! sharded executor's merged snapshot is printed, whose per-stage
 //! totals equal the single-lane run's by construction (DESIGN.md §16).
 
-use dynamic_river::codec::{encode_frame_with, SampleEncoding, WireFormat};
 use dynamic_river::{CountingSink, TelemetryConfig};
 use ensemble_bench::{header, Scale};
-use ensemble_core::ops::clip_to_records;
 use ensemble_core::ops::clips_record_source;
 use ensemble_core::pipeline::{full_pipeline_sharded_with, full_pipeline_with, SpectralPath};
 use ensemble_core::prelude::*;
@@ -88,27 +70,6 @@ fn flag_str(flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// `--wire-json v1|v2`: encodes the clip's record stream with one wire
-/// format and prints bytes-per-record, the uplink cost a sensor pays
-/// per record on the wire (v2 sends compact f32 samples).
-fn wire_json(which: &str, cfg: &ExtractorConfig, samples: &[f64]) {
-    let format = match which {
-        "v1" => WireFormat::V1,
-        "v2" => WireFormat::V2(SampleEncoding::F32),
-        other => panic!("--wire-json expects v1 or v2, got {other}"),
-    };
-    let records = clip_to_records(samples, cfg.sample_rate, cfg.record_len, &[]);
-    let wire_bytes: usize = records
-        .iter()
-        .map(|r| encode_frame_with(r, format).len())
-        .sum();
-    println!(
-        "{{\"wire_bytes_per_record\": {:.1}, \"format\": \"{}\"}}",
-        wire_bytes as f64 / records.len() as f64,
-        which
-    );
 }
 
 /// `--stage-json`: per-stage cost of the spectral chain. Each
@@ -186,96 +147,6 @@ fn stage_json(cfg: &ExtractorConfig, samples: &[f64]) {
     }
 }
 
-/// `--serve-json`: end-to-end throughput of the event-driven service
-/// layer. `sessions` concurrent clients each push the same pre-encoded
-/// framed clip stream over loopback TCP at a
-/// [`PipelineServer`](dynamic_river::serve::PipelineServer)
-/// running `workers` execution threads; the reported rate covers
-/// accept, poll, decode, chain and graceful shutdown (best of 3 runs).
-/// The workload mirrors the `serve_throughput` Criterion bench so the
-/// JSON trajectory and the bench agree on what they measure.
-fn serve_json(sessions: usize, workers: usize) {
-    use dynamic_river::codec::{encode_frame, EOS_MAGIC};
-    use dynamic_river::operator::NullSink;
-    use dynamic_river::ops::MapPayload;
-    use dynamic_river::serve::PipelineServer;
-    use dynamic_river::{Payload, Pipeline, Record};
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
-
-    const CLIPS_PER_SESSION: usize = 4;
-    const RECORDS_PER_CLIP: usize = 64;
-    const SAMPLES_PER_RECORD: usize = 120;
-
-    let mut bytes = Vec::new();
-    let mut records_per_session = 0u64;
-    for clip in 0..CLIPS_PER_SESSION {
-        bytes.extend_from_slice(&encode_frame(&Record::open_scope(1, vec![])));
-        records_per_session += 1;
-        for i in 0..RECORDS_PER_CLIP {
-            let samples: Vec<f64> = (0..SAMPLES_PER_RECORD)
-                .map(|s| ((clip * RECORDS_PER_CLIP + i) * SAMPLES_PER_RECORD + s) as f64)
-                .collect();
-            bytes.extend_from_slice(&encode_frame(
-                &Record::data(0, Payload::f64(samples)).with_seq(i as u64),
-            ));
-            records_per_session += 1;
-        }
-        bytes.extend_from_slice(&encode_frame(&Record::close_scope(1)));
-        records_per_session += 1;
-    }
-    bytes.extend_from_slice(&EOS_MAGIC);
-    let bytes = Arc::new(bytes);
-
-    let chain = || {
-        let mut p = Pipeline::new();
-        p.add(MapPayload::new("gain", |v: &mut [f64]| {
-            v.iter_mut().for_each(|x| *x *= 0.5);
-        }));
-        p
-    };
-
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let mut server = PipelineServer::from_pipeline(&chain()).expect("serve bench chain");
-        server.set_max_sessions(sessions).set_workers(workers);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let handle = server
-            .start(listener, |_info| Box::new(NullSink))
-            .expect("start server");
-        let addr = handle.local_addr();
-        let t0 = std::time::Instant::now();
-        let clients: Vec<_> = (0..sessions)
-            .map(|_| {
-                let bytes = Arc::clone(&bytes);
-                std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    stream.set_nodelay(true).expect("nodelay");
-                    stream.write_all(&bytes).expect("send stream");
-                })
-            })
-            .collect();
-        for client in clients {
-            client.join().expect("client thread");
-        }
-        handle.wait_for_completed(sessions as u64);
-        let report = handle.shutdown().expect("server report");
-        let elapsed = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            report.aggregate.source_records,
-            records_per_session * sessions as u64
-        );
-        best = best.min(elapsed);
-    }
-    println!(
-        "{{\"sessions\": {}, \"workers\": {}, \"records_per_sec\": {:.1}}}",
-        sessions,
-        workers,
-        records_per_session as f64 * sessions as f64 / best
-    );
-}
-
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
     let scale = Scale::from_args();
@@ -292,18 +163,6 @@ fn main() {
     let clip = synth.clip(SpeciesCode::Noca, scale.seed);
     let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
     let samples = &clip.samples[..usable];
-    if let Some(which) = flag_str("--wire-json") {
-        wire_json(&which, &cfg, samples);
-        return;
-    }
-    if std::env::args().any(|a| a == "--serve-json") {
-        let sessions = flag_value("--sessions").unwrap_or(16).max(1);
-        serve_json(
-            sessions,
-            flag_value("--workers").unwrap_or(4).max(1).min(cores),
-        );
-        return;
-    }
     if std::env::args().any(|a| a == "--stage-json") {
         stage_json(&cfg, samples);
         return;

@@ -3,10 +3,11 @@
 //! "Audio clips are acquired by a sensor platform and transmitted to a
 //! `readout` operator that writes the clips to record for storage …
 //! it is often desirable to retain a copy of the raw data for later
-//! study" (paper §3). Records are archived in the wire-frame format, so
-//! an archive can later be replayed through `streamin`.
+//! study" (paper §3). Records are archived in the (lossless, default)
+//! wire-frame format, so an archive can later be replayed through
+//! `streamin`.
 
-use dynamic_river::codec::{write_eos, write_record};
+use dynamic_river::codec::{encode_into, write_eos, WireFormat};
 use dynamic_river::{Operator, PipelineError, Record, Sink};
 use std::io::Write;
 
@@ -14,6 +15,8 @@ use std::io::Write;
 /// and also forwarded downstream.
 pub struct Readout<W: Write + Send> {
     writer: W,
+    /// The frame being archived, reused for every record.
+    frame: Vec<u8>,
     archived: u64,
 }
 
@@ -23,6 +26,7 @@ impl<W: Write + Send> Readout<W> {
     pub fn new(writer: W) -> Self {
         Readout {
             writer,
+            frame: Vec::new(),
             archived: 0,
         }
     }
@@ -39,7 +43,9 @@ impl<W: Write + Send> Operator for Readout<W> {
     }
 
     fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
-        write_record(&mut self.writer, &record)?;
+        self.frame.clear();
+        encode_into(&record, WireFormat::default(), &mut self.frame);
+        self.writer.write_all(&self.frame)?;
         self.archived += 1;
         out.push(record)
     }

@@ -1,35 +1,10 @@
 //! Binary wire codec for records.
 //!
-//! Frames are length-prefixed and CRC-32 protected so `streamin` can
-//! detect truncation and corruption (and respond by resynchronizing
-//! scope state rather than propagating garbage):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "RVDR"
-//! 4       1     version (1)
-//! 5       1     record kind tag
-//! 6       2     subtype            (LE)
-//! 8       4     scope depth        (LE)
-//! 12      2     scope type         (LE)
-//! 14      1     payload tag
-//! 15      1     reserved (0)
-//! 16      8     sequence number    (LE)
-//! 24      4     payload length     (LE, bytes)
-//! 28      n     payload
-//! 28+n    4     CRC-32 (IEEE) over bytes [0, 28+n)
-//! ```
-//!
-//! A special 4-byte end-of-stream sentinel `"RVEO"` marks *clean* stream
-//! termination; its absence at EOF tells the reader the upstream died
-//! unexpectedly.
-//!
-//! # Wire format v2
-//!
-//! The compact v2 frame replaces the fixed 28-byte header with
-//! varint-encoded fields and a TLV (type-length-value) body, cutting the
-//! per-record overhead and — with the `f32`/`i16` sample encodings —
-//! roughly halving sample payload bytes:
+//! Records travel as self-delimiting, CRC-32 protected frames so
+//! `streamin` can detect truncation and corruption (and respond by
+//! resynchronizing scope state rather than propagating garbage). There
+//! is one frame format — a varint header, a TLV (type-length-value)
+//! body and a checksum:
 //!
 //! ```text
 //! offset  size     field
@@ -45,35 +20,43 @@
 //! ```
 //!
 //! Each body block is `varint type · varint length · value`. Unknown
-//! block types are **skipped, not fatal** — a v2 reader stays compatible
+//! block types are **skipped, not fatal** — a reader stays compatible
 //! with future extensions. At most one *payload* block (types 1–9) may
-//! appear; a body with none decodes as [`Payload::Empty`].
+//! appear; a body with none decodes as [`Payload::Empty`]. The sender's
+//! [`WireFormat`] picks how sample payloads are encoded
+//! ([`SampleEncoding`]: lossless `f64`, or compact `f32` / `i16`); the
+//! receiver reads the block type, so there is nothing to negotiate.
 //!
-//! Both formats coexist on one stream: the [`Decoder`] distinguishes
-//! them per frame by the first byte (`'R'` → v1 frame or sentinel,
-//! `0xB2` → v2), so version negotiation is simply the sender's choice of
-//! [`WireFormat`].
+//! Two 4-byte sentinels travel between frames: `"RVEO"` marks *clean*
+//! stream termination (its absence at EOF tells the reader the upstream
+//! died unexpectedly) and `"RVKA"` is a keepalive.
+//!
+//! This format is wire version 2. Version 1 (fixed 28-byte header,
+//! magic `"RVDR"`) was retired before anything was archived in it: a
+//! stream that opens a frame with `"RVDR"` is refused with a
+//! [`PipelineError::Codec`] naming the version, and the session layer
+//! repairs it like any other poisoned wire.
 //!
 //! # Data path
 //!
 //! [`encode_into`] is the one encoder: it appends a complete frame to a
-//! caller-owned buffer (every `encode_frame*` / `write_record*` entry
-//! point wraps it, and [`crate::net::StreamOut`] reuses one buffer for
-//! every record). On the way in, [`Decoder::read_from`] lets a socket
-//! read land directly in the decode buffer. [`crc32`] — checked on every
-//! frame of both versions — is table-driven, 16 bytes per step, its
-//! tables built at compile time. `DESIGN.md` §13 has the reasoning and
-//! the measurements.
+//! caller-owned buffer ([`crate::net::StreamOut`] reuses one buffer for
+//! every record). [`Decoder`] is the one reader, and
+//! [`Decoder::read_from`] lets a socket read land directly in its
+//! buffer. [`crc32`] — checked on every frame — is table-driven, 16
+//! bytes per step, its tables built at compile time. `DESIGN.md` §13 has
+//! the reasoning and the measurements.
 //!
 //! The decoder is push-based and incremental — feed it byte chunks of
 //! any size and frame boundaries are its problem, not the reader's:
 //!
 //! ```
-//! use dynamic_river::codec::{encode_frame, write_eos, Decoder};
+//! use dynamic_river::codec::{encode_into, write_eos, Decoder, WireFormat};
 //! use dynamic_river::prelude::*;
 //!
 //! let rec = Record::data(7, Payload::f64(vec![0.5, -0.5])).with_seq(1);
-//! let mut wire = encode_frame(&rec);
+//! let mut wire = Vec::new();
+//! encode_into(&rec, WireFormat::default(), &mut wire);
 //! write_eos(&mut wire).unwrap();
 //!
 //! // Worst-case fragmentation: one byte per feed.
@@ -96,8 +79,6 @@ use crate::record::{Payload, Record, RecordKind};
 use bytes::{BufMut, Bytes};
 use std::io::{self, Read, Write};
 
-/// Frame magic.
-pub const MAGIC: [u8; 4] = *b"RVDR";
 /// Clean end-of-stream sentinel.
 pub const EOS_MAGIC: [u8; 4] = *b"RVEO";
 /// Keepalive sentinel: a 4-byte no-op frame a quiet sensor emits so an
@@ -105,18 +86,16 @@ pub const EOS_MAGIC: [u8; 4] = *b"RVEO";
 /// knows the connection is dormant, not dead. Decoders consume it
 /// without producing a record; it is legal anywhere between frames.
 pub const KEEPALIVE_MAGIC: [u8; 4] = *b"RVKA";
-/// Wire format version.
-pub const VERSION: u8 = 1;
-/// Compact frame magic (first byte of every v2 frame). Distinct from
-/// `b'R'` so both versions coexist on one stream.
+/// Frame magic (first byte of every frame). Distinct from `b'R'`, which
+/// opens the sentinels.
 pub const V2_MAGIC: u8 = 0xB2;
-/// Compact wire format version.
-pub const VERSION_V2: u8 = 2;
+/// Magic of the retired v1 frame, recognized only to be refused by name.
+const V1_MAGIC: [u8; 4] = *b"RVDR";
 /// Maximum accepted payload length (64 MiB) — guards against corrupted
 /// length fields allocating unbounded memory.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// How v2 frames encode `F64`/`Complex` sample payloads on the wire.
+/// How frames encode `F64`/`Complex` sample payloads on the wire.
 ///
 /// Chosen per stream by the sender; the receiver reads the block type,
 /// so mixed encodings on one stream also decode fine.
@@ -135,23 +114,17 @@ pub enum SampleEncoding {
     I16,
 }
 
-/// The frame format a sender emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The frame format a sender emits. The default is lossless:
+/// `V2(SampleEncoding::F64)` round-trips every record bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
-    /// Fixed-header v1 frames (the seed format; always lossless).
-    #[default]
-    V1,
-    /// Compact varint/TLV v2 frames with the given sample encoding.
+    /// Varint/TLV v2 frames with the given sample encoding.
     V2(SampleEncoding),
 }
 
-impl WireFormat {
-    /// The wire version byte this format produces.
-    pub fn version(self) -> u8 {
-        match self {
-            WireFormat::V1 => VERSION,
-            WireFormat::V2(_) => VERSION_V2,
-        }
+impl Default for WireFormat {
+    fn default() -> Self {
+        WireFormat::V2(SampleEncoding::default())
     }
 }
 
@@ -310,47 +283,20 @@ fn put_samples<const N: usize>(dst: &mut Vec<u8>, samples: &[f64], to_le: impl F
     }
 }
 
-fn encode_payload(payload: &Payload, out: &mut Vec<u8>) {
-    match payload {
-        Payload::Empty => {}
-        // Views serialize transparently: only the viewed samples are
-        // framed, never the rest of the backing allocation, so a
-        // non-zero-offset slice and an owned buffer with equal content
-        // produce identical bytes.
-        Payload::F64(v) | Payload::Complex(v) => put_samples(out, v, f64::to_le_bytes),
-        Payload::Bytes(b) => out.extend_from_slice(b),
-        Payload::Text(s) => out.extend_from_slice(s.as_bytes()),
-        Payload::Pairs(pairs) => {
-            out.put_u32_le(pairs.len() as u32);
-            for (k, v) in pairs {
-                out.put_u32_le(k.len() as u32);
-                out.extend_from_slice(k.as_bytes());
-                out.put_u32_le(v.len() as u32);
-                out.extend_from_slice(v.as_bytes());
-            }
-        }
-    }
-}
-
 /// Up-front reservation cap for a decoded pairs list: a
 /// `(String, String)` slot is 48 bytes against as little as 2 wire bytes
 /// per pair, so a long list grows as it fills instead.
 const PAIRS_RESERVE_CAP: usize = 1024;
 
 /// Decodes a pairs payload: a count, then per pair a length-prefixed key
-/// and value, each of those integers a varint (v2) or a `u32` (v1). The
-/// count comes off the wire and sizes an allocation, so it is held to
-/// the pairs the remaining bytes can hold.
-fn decode_pairs(bytes: &[u8], varints: bool) -> Result<Payload, PipelineError> {
+/// and value, each of those integers a varint. The count comes off the
+/// wire and sizes an allocation, so it is held to the pairs the
+/// remaining bytes can hold.
+fn decode_pairs(bytes: &[u8]) -> Result<Payload, PipelineError> {
     let truncated = || PipelineError::Codec("truncated pairs payload".into());
     let mut cur = ByteCursor::new(bytes);
     let take_len = |cur: &mut ByteCursor<'_>| -> Result<usize, PipelineError> {
-        let int = if varints {
-            cur.take_uvarint()?
-        } else {
-            cur.take_bytes(4).map(|b| u64::from(le_u32_at(b)))
-        };
-        usize::try_from(int.ok_or_else(truncated)?).map_err(|_| truncated())
+        usize::try_from(cur.take_uvarint()?.ok_or_else(truncated)?).map_err(|_| truncated())
     };
     let take_str = |cur: &mut ByteCursor<'_>| -> Result<String, PipelineError> {
         let len = take_len(cur)?;
@@ -359,9 +305,8 @@ fn decode_pairs(bytes: &[u8], varints: bool) -> Result<Payload, PipelineError> {
             .map_err(|e| PipelineError::Codec(format!("invalid utf-8 in pairs: {e}")))
     };
     let count = take_len(&mut cur)?;
-    // A pair is at least its two length integers.
-    let min_pair = if varints { 2 } else { 8 };
-    if count > (bytes.len() - cur.pos()) / min_pair {
+    // A pair is at least its two one-byte length varints.
+    if count > (bytes.len() - cur.pos()) / 2 {
         return Err(PipelineError::Codec("pairs count exceeds payload".into()));
     }
     let mut pairs = Vec::with_capacity(count.min(PAIRS_RESERVE_CAP));
@@ -378,47 +323,10 @@ fn decode_pairs(bytes: &[u8], varints: bool) -> Result<Payload, PipelineError> {
     Ok(Payload::Pairs(pairs))
 }
 
-/// Decodes a v1 payload. Apart from the empty marker and the width of
-/// the pairs integers, it is byte for byte the value of a v2 block.
-fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Payload, PipelineError> {
-    match tag {
-        0 if bytes.is_empty() => Ok(Payload::Empty),
-        0 => Err(PipelineError::Codec(
-            "empty payload with non-zero length".into(),
-        )),
-        1 => decode_block(TLV_F64_AS_F64, bytes),
-        2 => decode_block(TLV_COMPLEX_AS_F64, bytes),
-        3 => decode_block(TLV_BYTES, bytes),
-        4 => decode_block(TLV_TEXT, bytes),
-        5 => decode_pairs(bytes, false),
-        t => Err(PipelineError::Codec(format!("unknown payload tag {t}"))),
-    }
-}
-
-/// Encodes one record as a complete wire frame.
-///
-/// # Example
-///
-/// ```
-/// use dynamic_river::codec::{decode_frame, encode_frame};
-/// use dynamic_river::record::{Payload, Record};
-///
-/// let rec = Record::data(1, Payload::f64(vec![1.0, -1.0])).with_seq(5);
-/// let frame = encode_frame(&rec);
-/// let (decoded, used) = decode_frame(&frame).unwrap().unwrap();
-/// assert_eq!(decoded, rec);
-/// assert_eq!(used, frame.len());
-/// ```
-pub fn encode_frame(record: &Record) -> Vec<u8> {
-    encode_frame_with(record, WireFormat::V1)
-}
-
-/// The fixed frame header length (before payload).
-pub const HEADER_LEN: usize = 28;
-
-// v2 TLV payload block types. 1–9 are payload blocks (at most one per
+// TLV payload block types. 1–9 are payload blocks (at most one per
 // frame); all other types are reserved for future extensions and are
-// skipped by decoders.
+// skipped by decoders (`decode_block` is the one place that knows which
+// is which).
 const TLV_F64_AS_F64: u64 = 1;
 const TLV_F64_AS_F32: u64 = 2;
 const TLV_F64_AS_I16: u64 = 3;
@@ -429,7 +337,7 @@ const TLV_BYTES: u64 = 7;
 const TLV_TEXT: u64 = 8;
 const TLV_PAIRS: u64 = 9;
 
-/// The value of a v2 payload block, settled before the frame header is
+/// The value of a payload block, settled before the frame header is
 /// written because the header declares the body length.
 enum BlockValue<'a> {
     /// Bytes that already exist contiguously.
@@ -494,8 +402,34 @@ impl<'a> BlockValue<'a> {
     }
 }
 
-/// Appends the v2 header and body of `record` (everything but the CRC).
-fn encode_v2(record: &Record, enc: SampleEncoding, dst: &mut Vec<u8>) {
+/// Appends `record` to `dst` as one complete frame in the given
+/// [`WireFormat`] — the only encoder.
+///
+/// The frame is built in place: header, payload converted in bulk
+/// straight into `dst`, then the CRC over what was just written. Bytes
+/// already in `dst` are left alone, so a sender can reuse one buffer
+/// for every record ([`crate::net::StreamOut`] does) or batch frames
+/// back to back.
+///
+/// # Example
+///
+/// ```
+/// use dynamic_river::codec::{encode_into, DecodeEvent, Decoder, SampleEncoding, WireFormat};
+/// use dynamic_river::record::{Payload, Record};
+///
+/// let rec = Record::data(1, Payload::f64(vec![1.0, -1.0])).with_seq(5);
+/// let mut wire = Vec::new();
+/// encode_into(&rec, WireFormat::default(), &mut wire);
+/// let lossless = wire.len();
+/// encode_into(&rec, WireFormat::V2(SampleEncoding::F32), &mut wire);
+/// assert!(wire.len() - lossless < lossless);
+/// let mut events = Vec::new();
+/// Decoder::new().feed(&wire, &mut events).unwrap();
+/// assert_eq!(events, [DecodeEvent::Record(rec.clone()), DecodeEvent::Record(rec)]);
+/// ```
+pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
+    let WireFormat::V2(enc) = format;
+    let start = dst.len();
     // The one payload kind whose value is not contiguous bytes already
     // (a few short strings, once per scope) is laid out on the side.
     let mut pairs_value = Vec::new();
@@ -541,148 +475,32 @@ fn encode_v2(record: &Record, enc: SampleEncoding, dst: &mut Vec<u8>) {
         put_uvarint(dst, value.len() as u64);
         value.put(dst);
     }
-}
-
-/// Appends `record` to `dst` as one complete frame in the given
-/// [`WireFormat`] — the only encoder; every other entry point wraps it.
-///
-/// The frame is built in place: header, payload converted in bulk
-/// straight into `dst`, then the CRC over what was just written. Bytes
-/// already in `dst` are left alone, so a sender can reuse one buffer
-/// for every record ([`crate::net::StreamOut`] does) or batch frames
-/// back to back.
-///
-/// # Example
-///
-/// ```
-/// use dynamic_river::codec::{decode_frame, encode_into, SampleEncoding, WireFormat};
-/// use dynamic_river::record::{Payload, Record};
-///
-/// let rec = Record::data(1, Payload::f64(vec![1.0, -1.0])).with_seq(5);
-/// let mut wire = Vec::new();
-/// encode_into(&rec, WireFormat::V2(SampleEncoding::F64), &mut wire);
-/// let first = wire.len();
-/// encode_into(&rec, WireFormat::V1, &mut wire);
-/// assert_eq!(decode_frame(&wire).unwrap().unwrap(), (rec.clone(), first));
-/// assert_eq!(decode_frame(&wire[first..]).unwrap().unwrap().0, rec);
-/// ```
-pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
-    let start = dst.len();
-    match format {
-        WireFormat::V1 => {
-            dst.reserve(HEADER_LEN + 4);
-            dst.extend_from_slice(&MAGIC);
-            dst.push(VERSION);
-            dst.push(record.kind.tag());
-            dst.put_u16_le(record.subtype);
-            dst.put_u32_le(record.scope_depth);
-            dst.put_u16_le(record.scope_type);
-            dst.push(record.payload.tag());
-            dst.push(0); // reserved
-            dst.put_u64_le(record.seq);
-            dst.put_u32_le(0); // payload length, backfilled below
-            let payload_start = dst.len();
-            encode_payload(&record.payload, dst);
-            let payload_len = (dst.len() - payload_start) as u32;
-            dst[payload_start - 4..payload_start].copy_from_slice(&payload_len.to_le_bytes());
-        }
-        WireFormat::V2(enc) => encode_v2(record, enc, dst),
-    }
     let crc = crc32(&dst[start..]);
     dst.put_u32_le(crc);
 }
 
-/// Encodes one record as a compact v2 wire frame.
-///
-/// # Example
-///
-/// ```
-/// use dynamic_river::codec::{decode_frame, encode_frame_v2, SampleEncoding};
-/// use dynamic_river::record::{Payload, Record};
-///
-/// let rec = Record::data(1, Payload::f64(vec![1.0, -1.0])).with_seq(5);
-/// let frame = encode_frame_v2(&rec, SampleEncoding::F64);
-/// let (decoded, used) = decode_frame(&frame).unwrap().unwrap();
-/// assert_eq!(decoded, rec);
-/// assert_eq!(used, frame.len());
-/// ```
-pub fn encode_frame_v2(record: &Record, enc: SampleEncoding) -> Vec<u8> {
-    encode_frame_with(record, WireFormat::V2(enc))
-}
-
-/// Encodes one record in the given [`WireFormat`].
-pub fn encode_frame_with(record: &Record, format: WireFormat) -> Vec<u8> {
-    let mut frame = Vec::new();
-    encode_into(record, format, &mut frame);
-    frame
-}
-
-/// Writes one framed record in the given [`WireFormat`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Io`] on sink failure.
-pub fn write_record_with<W: Write>(
-    mut writer: W,
-    record: &Record,
-    format: WireFormat,
-) -> Result<(), PipelineError> {
-    writer.write_all(&encode_frame_with(record, format))?;
-    Ok(())
-}
-
-/// Attempts to decode one frame from the front of `buf`.
-///
-/// Returns `Ok(None)` when more bytes are needed, or
-/// `Ok(Some((record, bytes_consumed)))` on success.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Codec`] for bad magic, version, CRC, tags or
-/// malformed payloads.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Record, usize)>, PipelineError> {
-    match scan(buf)? {
-        Scan::Need(_) => Ok(None),
-        Scan::Eos => Err(PipelineError::Codec("end-of-stream sentinel".into())),
-        Scan::KeepAlive => Err(PipelineError::Codec("keepalive sentinel".into())),
-        Scan::Frame { version, total } => {
-            if buf.len() < total {
-                return Ok(None);
-            }
-            let record = if version == VERSION {
-                parse_frame_v1(&buf[..total])?
-            } else {
-                parse_frame_v2(&buf[..total])?
-            };
-            Ok(Some((record, total)))
-        }
-    }
-}
-
 /// What the front of a byte buffer holds — the single place frame
-/// boundaries for both wire versions are computed. Everything layered on
-/// top ([`decode_frame`], [`Decoder`], [`frame_len`], the counted read
-/// path) consults this rather than re-indexing headers by hand.
+/// boundaries are computed. [`Decoder`] and [`frame_len`] consult this
+/// rather than indexing headers by hand.
 enum Scan {
-    /// More bytes are required: the buffer must grow to at least this
-    /// total length before another scan can make progress.
-    Need(usize),
+    /// More bytes are required before another scan can make progress.
+    Need,
     /// The clean end-of-stream sentinel (4 bytes).
     Eos,
     /// The keepalive sentinel (4 bytes): consumed, no record produced.
     KeepAlive,
     /// A frame header: the complete frame spans `total` bytes.
-    Frame { version: u8, total: usize },
+    Frame { total: usize },
 }
 
 fn scan(buf: &[u8]) -> Result<Scan, PipelineError> {
     let Some(&first) = buf.first() else {
-        return Ok(Scan::Need(1));
+        return Ok(Scan::Need);
     };
     match first {
         b'R' => {
             if buf.len() < 4 {
-                return Ok(Scan::Need(4));
+                return Ok(Scan::Need);
             }
             if buf[..4] == EOS_MAGIC {
                 return Ok(Scan::Eos);
@@ -690,45 +508,31 @@ fn scan(buf: &[u8]) -> Result<Scan, PipelineError> {
             if buf[..4] == KEEPALIVE_MAGIC {
                 return Ok(Scan::KeepAlive);
             }
-            if buf[..4] != MAGIC {
-                return Err(PipelineError::Codec(format!(
-                    "bad frame magic {:02x?}",
-                    &buf[..4]
-                )));
+            // The version gate: a v1 sender is told what is wrong with
+            // its stream, not that its bytes are noise.
+            if buf[..4] == V1_MAGIC {
+                return Err(PipelineError::Codec(
+                    "unsupported wire version 1: `RVDR` frames are retired, send v2".into(),
+                ));
             }
-            if buf.len() >= 5 && buf[4] != VERSION {
-                return Err(PipelineError::Codec(format!(
-                    "unsupported version {}",
-                    buf[4]
-                )));
-            }
-            if buf.len() < HEADER_LEN {
-                return Ok(Scan::Need(HEADER_LEN));
-            }
-            let payload_len = u32::from_le_bytes([buf[24], buf[25], buf[26], buf[27]]) as usize;
-            if payload_len > MAX_PAYLOAD {
-                return Err(PipelineError::Codec(format!(
-                    "payload length {payload_len} exceeds maximum {MAX_PAYLOAD}"
-                )));
-            }
-            Ok(Scan::Frame {
-                version: VERSION,
-                total: HEADER_LEN + payload_len + 4,
-            })
+            Err(PipelineError::Codec(format!(
+                "bad frame magic {:02x?}",
+                &buf[..4]
+            )))
         }
         V2_MAGIC => {
             let mut cur = ByteCursor::new(&buf[1..]);
             if cur.take_u8().is_none() {
-                return Ok(Scan::Need(buf.len() + 1));
+                return Ok(Scan::Need);
             }
             // subtype, scope depth, scope type, seq.
             for _ in 0..4 {
                 if cur.take_uvarint()?.is_none() {
-                    return Ok(Scan::Need(buf.len() + 1));
+                    return Ok(Scan::Need);
                 }
             }
             let Some(body_len) = cur.take_uvarint()? else {
-                return Ok(Scan::Need(buf.len() + 1));
+                return Ok(Scan::Need);
             };
             if body_len > MAX_PAYLOAD as u64 {
                 return Err(PipelineError::Codec(format!(
@@ -737,7 +541,6 @@ fn scan(buf: &[u8]) -> Result<Scan, PipelineError> {
             }
             let header_end = 1 + cur.pos();
             Ok(Scan::Frame {
-                version: VERSION_V2,
                 total: header_end + body_len as usize + 4,
             })
         }
@@ -754,9 +557,9 @@ fn scan(buf: &[u8]) -> Result<Scan, PipelineError> {
 /// Returns [`PipelineError::Codec`] for unrecognizable frame headers.
 pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, PipelineError> {
     match scan(buf)? {
-        Scan::Need(_) => Ok(None),
+        Scan::Need => Ok(None),
         Scan::Eos | Scan::KeepAlive => Ok(Some(4)),
-        Scan::Frame { total, .. } => Ok((buf.len() >= total).then_some(total)),
+        Scan::Frame { total } => Ok((buf.len() >= total).then_some(total)),
     }
 }
 
@@ -768,16 +571,11 @@ fn le_u32_at(b: &[u8]) -> u32 {
     u32::from_le_bytes(a)
 }
 
-/// Little-endian `u64` from the first 8 bytes of `b`.
-fn le_u64_at(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
-}
-
 /// Little-endian `f64` from the first 8 bytes of `b`.
 fn le_f64_at(b: &[u8]) -> f64 {
-    f64::from_bits(le_u64_at(b))
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&b[..8]);
+    f64::from_le_bytes(a)
 }
 
 fn check_crc(frame: &[u8]) -> Result<(), PipelineError> {
@@ -792,38 +590,17 @@ fn check_crc(frame: &[u8]) -> Result<(), PipelineError> {
     Ok(())
 }
 
-/// Parses one complete v1 frame (`frame.len()` == the scanned total).
-fn parse_frame_v1(frame: &[u8]) -> Result<Record, PipelineError> {
-    let kind = RecordKind::from_tag(frame[5])
-        .ok_or_else(|| PipelineError::Codec(format!("unknown record kind {}", frame[5])))?;
-    let subtype = u16::from_le_bytes([frame[6], frame[7]]);
-    let scope_depth = u32::from_le_bytes([frame[8], frame[9], frame[10], frame[11]]);
-    let scope_type = u16::from_le_bytes([frame[12], frame[13]]);
-    let payload_tag = frame[14];
-    let seq = le_u64_at(&frame[16..]);
-    check_crc(frame)?;
-    let payload = decode_payload(payload_tag, &frame[HEADER_LEN..frame.len() - 4])?;
-    Ok(Record {
-        kind,
-        subtype,
-        scope_depth,
-        scope_type,
-        seq,
-        payload,
-    })
-}
-
-/// Parses one complete v2 frame (`frame.len()` == the scanned total).
-fn parse_frame_v2(frame: &[u8]) -> Result<Record, PipelineError> {
+/// Parses one complete frame (`frame.len()` == the scanned total).
+fn parse_frame(frame: &[u8]) -> Result<Record, PipelineError> {
     check_crc(frame)?;
     let mut cur = ByteCursor::new(&frame[1..frame.len() - 4]);
     let kind_tag = cur
         .take_u8()
-        .ok_or_else(|| PipelineError::Codec("truncated v2 header".into()))?;
+        .ok_or_else(|| PipelineError::Codec("truncated frame header".into()))?;
     let kind = RecordKind::from_tag(kind_tag)
         .ok_or_else(|| PipelineError::Codec(format!("unknown record kind {kind_tag}")))?;
     let field = |v: Option<u64>| -> Result<u64, PipelineError> {
-        v.ok_or_else(|| PipelineError::Codec("truncated v2 header".into()))
+        v.ok_or_else(|| PipelineError::Codec("truncated frame header".into()))
     };
     let subtype = u16::try_from(field(cur.take_uvarint()?)?)
         .map_err(|_| PipelineError::Codec("subtype out of range".into()))?;
@@ -840,7 +617,7 @@ fn parse_frame_v2(frame: &[u8]) -> Result<Record, PipelineError> {
             body.len()
         )));
     }
-    let payload = decode_body_v2(body)?;
+    let payload = decode_body(body)?;
     Ok(Record {
         kind,
         subtype,
@@ -851,7 +628,7 @@ fn parse_frame_v2(frame: &[u8]) -> Result<Record, PipelineError> {
     })
 }
 
-fn decode_body_v2(body: &[u8]) -> Result<Payload, PipelineError> {
+fn decode_body(body: &[u8]) -> Result<Payload, PipelineError> {
     let truncated = || PipelineError::Codec("truncated TLV block header".into());
     let mut cur = ByteCursor::new(body);
     let mut payload: Option<Payload> = None;
@@ -864,19 +641,20 @@ fn decode_body_v2(body: &[u8]) -> Result<Payload, PipelineError> {
             .ok_or_else(|| PipelineError::Codec("TLV block length exceeds body".into()))?;
         // Unknown block types are skipped, not fatal: forward
         // compatibility with future extensions.
-        if let 1..=9 = ty {
-            if payload.is_some() {
+        if let Some(block) = decode_block(ty, value)? {
+            if payload.replace(block).is_some() {
                 return Err(PipelineError::Codec(
                     "duplicate payload block in frame body".into(),
                 ));
             }
-            payload = Some(decode_block(ty, value)?);
         }
     }
     Ok(payload.unwrap_or(Payload::Empty))
 }
 
-fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
+/// Decodes one TLV block: `Ok(None)` for a type that is not a payload
+/// block (the caller skips it).
+fn decode_block(ty: u64, value: &[u8]) -> Result<Option<Payload>, PipelineError> {
     let codec_err = |m: String| PipelineError::Codec(m);
     let complex = matches!(
         ty,
@@ -903,7 +681,7 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
             Payload::F64(buf)
         }
     };
-    match ty {
+    let payload = match ty {
         TLV_F64_AS_F64 | TLV_COMPLEX_AS_F64 => {
             if !value.len().is_multiple_of(8) {
                 return Err(codec_err(format!(
@@ -912,7 +690,7 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
                 )));
             }
             check_pairs(value.len() / 8)?;
-            Ok(wrap(SampleBuf::from_f64_le_bytes(value)))
+            wrap(SampleBuf::from_f64_le_bytes(value))
         }
         TLV_F64_AS_F32 | TLV_COMPLEX_AS_F32 => {
             if !value.len().is_multiple_of(4) {
@@ -922,7 +700,7 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
                 )));
             }
             check_pairs(value.len() / 4)?;
-            Ok(wrap(SampleBuf::from_f32_le_bytes(value)))
+            wrap(SampleBuf::from_f32_le_bytes(value))
         }
         TLV_F64_AS_I16 | TLV_COMPLEX_AS_I16 => {
             if value.len() < 8 {
@@ -942,25 +720,16 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Payload, PipelineError> {
                 )));
             }
             check_pairs(rest.len() / 2)?;
-            Ok(wrap(SampleBuf::from_i16_scaled_le_bytes(scale, rest)))
+            wrap(SampleBuf::from_i16_scaled_le_bytes(scale, rest))
         }
-        TLV_BYTES => Ok(Payload::Bytes(Bytes::copy_from_slice(value))),
+        TLV_BYTES => Payload::Bytes(Bytes::copy_from_slice(value)),
         TLV_TEXT => String::from_utf8(value.to_vec())
             .map(Payload::Text)
-            .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}"))),
-        TLV_PAIRS => decode_pairs(value, true),
-        _ => unreachable!("decode_block called only for known payload block types"),
-    }
-}
-
-/// Writes one framed record to a [`Write`] sink. A `&mut W` may be
-/// passed.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Io`] on sink failure.
-pub fn write_record<W: Write>(writer: W, record: &Record) -> Result<(), PipelineError> {
-    write_record_with(writer, record, WireFormat::V1)
+            .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}")))?,
+        TLV_PAIRS => decode_pairs(value)?,
+        _ => return Ok(None),
+    };
+    Ok(Some(payload))
 }
 
 /// Writes the clean end-of-stream sentinel.
@@ -987,17 +756,6 @@ pub fn write_keepalive<W: Write>(mut writer: W) -> Result<(), PipelineError> {
     Ok(())
 }
 
-/// Outcome of reading one frame from a byte stream.
-#[derive(Debug, PartialEq)]
-pub enum ReadOutcome {
-    /// A record was decoded.
-    Record(Record),
-    /// Clean end of stream (sentinel seen).
-    CleanEnd,
-    /// The stream ended without a sentinel — the upstream died.
-    UncleanEnd,
-}
-
 /// A decode event emitted by the incremental [`Decoder`].
 #[derive(Debug, PartialEq)]
 pub enum DecodeEvent {
@@ -1013,8 +771,7 @@ pub enum DecodeEvent {
 
 /// Push-based incremental frame decoder: feed it byte chunks of *any*
 /// size (network reads, fuzzer fragments, whole streams) and it emits
-/// complete records as they materialize, for both wire versions on the
-/// same stream.
+/// complete records as they materialize.
 ///
 /// The decoder is a state machine over an internal buffer. After any
 /// error it is *poisoned* — further calls keep failing — because a
@@ -1024,10 +781,12 @@ pub enum DecodeEvent {
 /// # Example
 ///
 /// ```
-/// use dynamic_river::codec::{encode_frame, DecodeEvent, Decoder};
+/// use dynamic_river::codec::{encode_into, DecodeEvent, Decoder, WireFormat};
 /// use dynamic_river::record::{Payload, Record};
 ///
-/// let frame = encode_frame(&Record::data(1, Payload::f64(vec![1.0])));
+/// let mut frame = Vec::new();
+/// let rec = Record::data(1, Payload::f64(vec![1.0]));
+/// encode_into(&rec, WireFormat::default(), &mut frame);
 /// let mut dec = Decoder::new();
 /// // Feed the frame one byte at a time: the record pops out whole.
 /// let mut events = Vec::new();
@@ -1051,8 +810,6 @@ pub struct Decoder {
     /// Clean end seen: any further bytes are a protocol error.
     done: bool,
     poisoned: bool,
-    /// Version of the most recently decoded frame.
-    version: Option<u8>,
 }
 
 impl Decoder {
@@ -1086,34 +843,9 @@ impl Decoder {
         self.end - self.start
     }
 
-    /// The wire version of the most recently decoded frame, if any —
-    /// how a receiver learns what the peer negotiated simply by
-    /// decoding.
-    pub fn wire_version(&self) -> Option<u8> {
-        self.version
-    }
-
     /// Whether the clean end-of-stream sentinel has been consumed.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Exact additional bytes required before [`poll`](Decoder::poll)
-    /// can make progress, or 0 when an event/error is already pending.
-    /// Readers that must not over-read a shared stream (the counted
-    /// read path) use this to size exact reads.
-    pub fn needed(&self) -> usize {
-        if self.done || self.poisoned {
-            return 0;
-        }
-        let buf = self.pending();
-        match scan(buf) {
-            // Errors surface at the next poll; sentinels need nothing
-            // more.
-            Err(_) | Ok(Scan::Eos | Scan::KeepAlive) => 0,
-            Ok(Scan::Need(n)) => n.saturating_sub(buf.len()).max(1),
-            Ok(Scan::Frame { total, .. }) => total.saturating_sub(buf.len()),
-        }
     }
 
     /// Appends bytes to the decode buffer without polling.
@@ -1205,7 +937,7 @@ impl Decoder {
             }
         };
         match scanned {
-            Scan::Need(_) => Ok(None),
+            Scan::Need => Ok(None),
             Scan::Eos => {
                 self.start += 4;
                 self.done = true;
@@ -1215,19 +947,13 @@ impl Decoder {
                 self.start += 4;
                 Ok(Some(DecodeEvent::KeepAlive))
             }
-            Scan::Frame { version, total } => {
+            Scan::Frame { total } => {
                 if buf.len() < total {
                     return Ok(None);
                 }
-                let parsed = if version == VERSION {
-                    parse_frame_v1(&buf[..total])
-                } else {
-                    parse_frame_v2(&buf[..total])
-                };
-                match parsed {
+                match parse_frame(&buf[..total]) {
                     Ok(record) => {
                         self.start += total;
-                        self.version = Some(version);
                         Ok(Some(DecodeEvent::Record(record)))
                     }
                     Err(e) => {
@@ -1252,10 +978,9 @@ impl Decoder {
         if self.done || self.poisoned || self.buffered() == 0 {
             return Ok(());
         }
-        // Fewer than 4 non-v2 bytes cannot be told apart from a partial
-        // sentinel, so they report as a plain unclean end (matching v1
-        // reader behavior); a v2 magic byte unambiguously starts a
-        // frame.
+        // Fewer than 4 non-frame bytes cannot be told apart from a
+        // partial sentinel, so they report as a plain unclean end; the
+        // frame magic byte unambiguously starts a frame.
         if self.pending()[0] != V2_MAGIC && self.buffered() < 4 {
             return Ok(());
         }
@@ -1269,58 +994,16 @@ fn poisoned_err() -> PipelineError {
     PipelineError::Codec("decoder poisoned by earlier error".into())
 }
 
-/// Reads one frame from a [`Read`] source (blocking). A `&mut R` may be
-/// passed.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Codec`] for corrupted frames and
-/// [`PipelineError::Io`] for I/O failures other than clean EOF.
-pub fn read_record<R: Read>(reader: R) -> Result<ReadOutcome, PipelineError> {
-    read_record_counted(reader).map(|(outcome, _)| outcome)
-}
-
-/// Like [`read_record`], but also returns the number of wire bytes
-/// consumed — the per-session traffic accounting used by the service
-/// layer's session-tagged statistics ([`crate::serve::SessionReport`]).
-///
-/// A clean end-of-stream sentinel counts its 4 bytes; an unclean end
-/// counts whatever partial prefix was drained before EOF.
-///
-/// # Errors
-///
-/// Same contract as [`read_record`].
-pub fn read_record_counted<R: Read>(mut reader: R) -> Result<(ReadOutcome, u64), PipelineError> {
-    // One frame, one throwaway decoder: every byte it buffers was read
-    // exactly for this frame (the `needed()` hints keep reads exact), so
-    // the reader is never over-drained and the byte count is precise.
-    let mut dec = Decoder::new();
-    let mut counted = 0u64;
-    loop {
-        match dec.poll()? {
-            Some(DecodeEvent::Record(record)) => return Ok((ReadOutcome::Record(record), counted)),
-            Some(DecodeEvent::CleanEnd) => return Ok((ReadOutcome::CleanEnd, counted)),
-            // Keepalives carry no record: keep reading for a real frame.
-            Some(DecodeEvent::KeepAlive) | None => {}
-        }
-        let need = dec.needed();
-        debug_assert!(need > 0, "poll returned None without requesting bytes");
-        match dec.read_from(&mut reader, need) {
-            Ok(0) => {
-                dec.end_of_input()?;
-                return Ok((ReadOutcome::UncleanEnd, counted));
-            }
-            Ok(n) => counted += n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(PipelineError::Io(e)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+
+    const ENCODINGS: [SampleEncoding; 3] = [
+        SampleEncoding::F64,
+        SampleEncoding::F32,
+        SampleEncoding::I16,
+    ];
 
     fn samples() -> Vec<Record> {
         vec![
@@ -1342,30 +1025,69 @@ mod tests {
         ]
     }
 
+    /// `rec` as one frame in the given sample encoding.
+    fn frame(rec: &Record, enc: SampleEncoding) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(rec, WireFormat::V2(enc), &mut out);
+        out
+    }
+
+    /// `rec` as one lossless frame (the default format).
+    fn lossless(rec: &Record) -> Vec<u8> {
+        frame(rec, SampleEncoding::F64)
+    }
+
+    /// Everything a fresh decoder makes of `wire`, fed in one piece.
+    fn decode(wire: &[u8]) -> Result<Vec<DecodeEvent>, PipelineError> {
+        let mut events = Vec::new();
+        Decoder::new().feed(wire, &mut events)?;
+        Ok(events)
+    }
+
+    /// The record in `wire`, which must be exactly one complete frame.
+    fn decode_one(wire: &[u8]) -> Record {
+        match decode(wire).unwrap().pop() {
+            Some(DecodeEvent::Record(rec)) => rec,
+            other => panic!("expected one record, got {other:?}"),
+        }
+    }
+
+    /// Rewrites the trailing CRC of a hand-mutated frame so the check
+    /// under test (not the CRC) is what fires.
+    fn fix_crc(frame: &mut [u8]) {
+        let body_end = frame.len() - 4;
+        let crc = crc32(&frame[..body_end]);
+        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn frame_round_trip_all_payloads() {
         for rec in samples() {
-            let frame = encode_frame(&rec);
-            let (decoded, used) = decode_frame(&frame).unwrap().unwrap();
-            assert_eq!(decoded, rec);
-            assert_eq!(used, frame.len());
+            let frame = lossless(&rec);
+            let mut dec = Decoder::new();
+            let mut events = Vec::new();
+            dec.feed(&frame, &mut events).unwrap();
+            assert_eq!(events, [DecodeEvent::Record(rec)]);
+            assert_eq!(dec.buffered(), 0, "the frame is consumed whole");
         }
     }
 
     #[test]
     fn offset_view_encodes_like_owned_buffer() {
         // A non-zero-offset view frames byte-for-byte identically to an
-        // owned buffer with the same content, and decodes back to a
-        // canonical (offset 0) buffer equal to the view.
+        // owned buffer with the same content (only the viewed samples
+        // are framed, never the rest of the backing allocation), and
+        // decodes back to a canonical (offset 0) buffer equal to the
+        // view.
         use crate::buf::SampleBuf;
         let backing = SampleBuf::from((0..16).map(|i| i as f64).collect::<Vec<f64>>());
         let view = backing.slice(5..11);
         for make in [Payload::F64, Payload::Complex] {
             let viewed = Record::data(2, make(view.clone())).with_seq(3);
             let owned = Record::data(2, make(SampleBuf::from(view.to_vec()))).with_seq(3);
-            let frame_view = encode_frame(&viewed);
-            assert_eq!(frame_view, encode_frame(&owned));
-            let (decoded, _) = decode_frame(&frame_view).unwrap().unwrap();
+            let frame_view = lossless(&viewed);
+            assert_eq!(frame_view, lossless(&owned));
+            let decoded = decode_one(&frame_view);
             assert_eq!(decoded, viewed);
             let buf = decoded
                 .payload
@@ -1379,15 +1101,14 @@ mod tests {
 
     #[test]
     fn odd_complex_payload_rejected() {
-        // Re-tag an F64 frame with 3 samples as Complex and fix the CRC:
-        // 24 bytes is a valid f64 count but not a whole (re, im) pair
-        // count, so decode must refuse it.
-        let mut frame = encode_frame(&Record::data(1, Payload::f64(vec![1.0, 2.0, 3.0])));
-        frame[14] = 2; // payload tag -> Complex
-        let body_end = frame.len() - 4;
-        let crc = crc32(&frame[..body_end]);
-        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-        let err = decode_frame(&frame).unwrap_err();
+        // Re-type an F64 block with 3 samples as Complex and fix the
+        // CRC: 24 bytes is a valid f64 count but not a whole (re, im)
+        // pair count, so decode must refuse it.
+        let rec = Record::data(1, Payload::f64(vec![1.0, 2.0, 3.0]));
+        let mut body = body_of(&rec);
+        assert_eq!(u64::from(body[0]), TLV_F64_AS_F64);
+        body[0] = TLV_COMPLEX_AS_F64 as u8;
+        let err = decode(&frame_around(&rec, &body)).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("pairs")));
     }
 
@@ -1443,121 +1164,158 @@ mod tests {
 
     #[test]
     fn partial_frames_request_more_bytes() {
-        let frame = encode_frame(&samples()[1]);
-        for cut in [0usize, 3, 10, HEADER_LEN, frame.len() - 1] {
-            assert!(decode_frame(&frame[..cut]).unwrap().is_none(), "cut {cut}");
+        let frame = lossless(&samples()[1]);
+        // Nothing, magic only, mid-header, mid-body, all but one byte.
+        for cut in [0usize, 1, 4, 10, frame.len() - 1] {
+            assert!(decode(&frame[..cut]).unwrap().is_empty(), "cut {cut}");
         }
     }
 
     #[test]
     fn corrupted_payload_fails_crc() {
-        let mut frame = encode_frame(&samples()[1]);
-        let mid = HEADER_LEN + 4;
+        let mut frame = lossless(&samples()[1]);
+        let mid = frame.len() - 4 - 10; // inside the sample block
         frame[mid] ^= 0xFF;
-        let err = decode_frame(&frame).unwrap_err();
+        let err = decode(&frame).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("crc")));
     }
 
     #[test]
     fn corrupted_header_detected() {
-        let mut frame = encode_frame(&samples()[0]);
-        frame[5] = 250; // invalid kind; also breaks CRC
-        assert!(decode_frame(&frame).is_err());
+        let mut frame = lossless(&samples()[0]);
+        frame[1] = 250; // invalid kind; also breaks CRC
+        assert!(decode(&frame).is_err());
+        fix_crc(&mut frame);
+        let err = decode(&frame).unwrap_err();
+        assert!(matches!(err, PipelineError::Codec(m) if m.contains("kind")));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = encode_frame(&samples()[0]);
+        let mut frame = lossless(&samples()[0]);
         frame[0] = b'X';
-        let err = decode_frame(&frame).unwrap_err();
+        let err = decode(&frame).unwrap_err();
+        assert!(matches!(err, PipelineError::Codec(m) if m.contains("magic")));
+        // Four bytes that open like a sentinel but are none.
+        let err = decode(b"RVXX").unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("magic")));
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let mut frame = encode_frame(&samples()[0]);
-        frame[4] = 9;
-        // Fix CRC so the version check is what fires.
-        let body_end = frame.len() - 4;
-        let crc = crc32(&frame[..body_end]);
-        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-        let err = decode_frame(&frame).unwrap_err();
-        assert!(matches!(err, PipelineError::Codec(m) if m.contains("version")));
+        // The version gate: the opening of a (retired) v1 frame is
+        // refused by name as soon as its magic has arrived, whatever
+        // follows, and the decoder stays poisoned.
+        let mut v1 = b"RVDR\x01\x00".to_vec();
+        v1.resize(32, 0);
+        for wire in [&v1[..4], &v1[..]] {
+            let mut dec = Decoder::new();
+            let mut events = Vec::new();
+            let err = dec.feed(wire, &mut events).unwrap_err();
+            assert!(
+                matches!(&err, PipelineError::Codec(m) if m.contains("version 1")),
+                "{err}"
+            );
+            assert!(events.is_empty());
+            assert!(dec.feed(&[], &mut events).is_err());
+        }
+        // A partial magic is not yet a verdict.
+        assert!(decode(b"RVD").unwrap().is_empty());
     }
 
     #[test]
     fn oversized_payload_len_rejected_without_allocation() {
-        let mut frame = encode_frame(&samples()[0]);
-        frame[24..28].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let err = decode_frame(&frame).unwrap_err();
+        // A header declaring a body just past the cap is refused from
+        // the header alone: none of the body has to arrive first.
+        let rec = &samples()[0];
+        let mut header = vec![V2_MAGIC, rec.kind.tag(), 0, 0, 0, 0];
+        put_uvarint(&mut header, MAX_PAYLOAD as u64 + 1);
+        let err = decode(&header).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("maximum")));
+    }
+
+    /// `samples()` framed back to back in `enc`, plus the sentinel.
+    fn sample_stream(enc: SampleEncoding) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for rec in samples() {
+            encode_into(&rec, WireFormat::V2(enc), &mut wire);
+        }
+        write_eos(&mut wire).unwrap();
+        wire
+    }
+
+    /// Reads `wire` the way a socket is read — `read_from` in reads of
+    /// at most `max` bytes, polling between them — through to its clean
+    /// end. Returns the records and the bytes the reads reported.
+    fn read_through(wire: &[u8], max: usize) -> (Vec<Record>, usize) {
+        let mut reader = wire;
+        let mut dec = Decoder::new();
+        let (mut records, mut counted) = (Vec::new(), 0);
+        loop {
+            match dec.read_from(&mut reader, max).unwrap() {
+                0 => break,
+                n => counted += n,
+            }
+            while let Some(event) = dec.poll().unwrap() {
+                if let DecodeEvent::Record(rec) = event {
+                    records.push(rec);
+                }
+            }
+        }
+        assert!(dec.is_done(), "no clean end");
+        assert_eq!(dec.buffered(), 0);
+        (records, counted)
     }
 
     #[test]
     fn stream_read_write_round_trip() {
-        let mut buf = Vec::new();
-        for rec in samples() {
-            write_record(&mut buf, &rec).unwrap();
-        }
-        write_eos(&mut buf).unwrap();
-
-        let mut cursor = buf.as_slice();
-        let mut decoded = Vec::new();
-        loop {
-            match read_record(&mut cursor).unwrap() {
-                ReadOutcome::Record(r) => decoded.push(r),
-                ReadOutcome::CleanEnd => break,
-                ReadOutcome::UncleanEnd => panic!("unexpected unclean end"),
-            }
-        }
-        assert_eq!(decoded, samples());
+        let wire = sample_stream(SampleEncoding::F64);
+        assert_eq!(read_through(&wire, 7).0, samples());
     }
 
     #[test]
     fn counted_reads_account_for_every_wire_byte() {
-        let mut buf = Vec::new();
-        let mut expected = 0u64;
-        for rec in samples() {
-            let frame = encode_frame(&rec);
-            expected += frame.len() as u64;
-            buf.extend_from_slice(&frame);
+        // What `read_from` reports adds up to every frame byte plus the
+        // 4-byte sentinel (the count behind session wire-byte
+        // accounting), a byte at a time and in odd small reads.
+        let wire = sample_stream(SampleEncoding::F64);
+        for max in [1, 5] {
+            assert_eq!(read_through(&wire, max).1, wire.len(), "max {max}");
         }
-        write_eos(&mut buf).unwrap();
-        let mut cursor = buf.as_slice();
-        let mut counted = 0u64;
-        loop {
-            let (outcome, n) = read_record_counted(&mut cursor).unwrap();
-            counted += n;
-            match outcome {
-                ReadOutcome::Record(_) => {}
-                ReadOutcome::CleanEnd => break,
-                ReadOutcome::UncleanEnd => panic!("unexpected unclean end"),
-            }
+    }
+
+    #[test]
+    fn counted_reads_handle_v2_frames() {
+        // The compact encodings, at the service layer's read size.
+        for enc in [SampleEncoding::F32, SampleEncoding::I16] {
+            let wire = sample_stream(enc);
+            let (records, counted) = read_through(&wire, 8192);
+            assert_eq!(records.len(), samples().len(), "{enc:?}");
+            assert_eq!(counted, wire.len(), "{enc:?}");
         }
-        // Every frame byte plus the 4-byte sentinel is accounted for.
-        assert_eq!(counted, expected + 4);
     }
 
     #[test]
     fn missing_sentinel_reports_unclean_end() {
-        let mut buf = Vec::new();
-        write_record(&mut buf, &samples()[0]).unwrap();
-        // No EOS sentinel.
-        let mut cursor = buf.as_slice();
-        assert!(matches!(
-            read_record(&mut cursor).unwrap(),
-            ReadOutcome::Record(_)
-        ));
-        assert_eq!(read_record(&mut cursor).unwrap(), ReadOutcome::UncleanEnd);
+        // One whole frame and then nothing: the record is delivered,
+        // and the end of input is unclean (no sentinel) but not an
+        // error.
+        let mut dec = Decoder::new();
+        let mut events = Vec::new();
+        dec.feed(&lossless(&samples()[0]), &mut events).unwrap();
+        assert!(matches!(events.as_slice(), [DecodeEvent::Record(_)]));
+        assert!(dec.end_of_input().is_ok());
+        assert!(!dec.is_done());
     }
 
     #[test]
     fn truncated_mid_frame_is_disconnect() {
-        let mut buf = Vec::new();
-        write_record(&mut buf, &samples()[1]).unwrap();
-        buf.truncate(buf.len() - 6);
-        let mut cursor = buf.as_slice();
-        let err = read_record(&mut cursor).unwrap_err();
+        let frame = lossless(&samples()[1]);
+        let mut dec = Decoder::new();
+        let mut events = Vec::new();
+        dec.feed(&frame[..frame.len() - 6], &mut events).unwrap();
+        assert!(events.is_empty());
+        let err = dec.end_of_input().unwrap_err();
         assert!(matches!(err, PipelineError::Disconnected(_)));
     }
 
@@ -1572,44 +1330,14 @@ mod tests {
             seq: 0,
             payload: Payload::Pairs(vec![]),
         };
-        let frame = encode_frame(&rec);
-        let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
-        assert_eq!(decoded.payload, Payload::Pairs(vec![]));
-    }
-
-    #[test]
-    fn empty_payload_with_length_rejected() {
-        // Build a frame claiming Empty (tag 0) but with payload bytes.
-        let mut frame = encode_frame(&Record::data(0, Payload::Text("ab".into())));
-        frame[14] = 0; // payload tag -> Empty
-        let body_end = frame.len() - 4;
-        let crc = crc32(&frame[..body_end]);
-        let len = frame.len();
-        frame[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(decode_frame(&frame).is_err());
-    }
-
-    // ---- wire format v2 ----------------------------------------------
-
-    /// Rewrites the trailing CRC of a hand-mutated frame so the check
-    /// under test (not the CRC) is what fires.
-    fn fix_crc(frame: &mut [u8]) {
-        let body_end = frame.len() - 4;
-        let crc = crc32(&frame[..body_end]);
-        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_one(&lossless(&rec)).payload, Payload::Pairs(vec![]));
     }
 
     #[test]
     fn v2_lossless_round_trip_all_payloads() {
         for rec in samples() {
-            for enc in [
-                SampleEncoding::F64,
-                SampleEncoding::F32,
-                SampleEncoding::I16,
-            ] {
-                let frame = encode_frame_v2(&rec, enc);
-                let (decoded, used) = decode_frame(&frame).unwrap().unwrap();
-                assert_eq!(used, frame.len(), "{enc:?}");
+            for enc in ENCODINGS {
+                let decoded = decode_one(&frame(&rec, enc));
                 if enc == SampleEncoding::F64
                     || !matches!(rec.payload, Payload::F64(_) | Payload::Complex(_))
                 {
@@ -1624,16 +1352,20 @@ mod tests {
     }
 
     #[test]
-    fn v2_is_more_compact_than_v1() {
-        // The acceptance target: an 840-sample data record (the paper's
-        // record length) in f32 mode is at most half the v1 frame.
+    fn compact_encodings_halve_and_quarter_the_f64_frame() {
+        // The compactness claim, on an 840-sample data record (the
+        // paper's record length): against the lossless frame, f32
+        // halves and i16 quarters the sample bytes; the 16 bytes of
+        // header, block header and CRC (and the i16 block's 8-byte
+        // scale) stay what they are.
         let samples: Vec<f64> = (0..840).map(|i| (i as f64 * 0.01).sin()).collect();
         let rec = Record::data(2, Payload::f64(samples)).with_seq(1234);
-        let v1 = encode_frame(&rec).len();
-        let f32_len = encode_frame_v2(&rec, SampleEncoding::F32).len();
-        let i16_len = encode_frame_v2(&rec, SampleEncoding::I16).len();
-        assert!(f32_len * 2 <= v1, "f32 {f32_len} vs v1 {v1}");
-        assert!(i16_len * 3 <= v1, "i16 {i16_len} vs v1 {v1}");
+        let f64_len = frame(&rec, SampleEncoding::F64).len();
+        let f32_len = frame(&rec, SampleEncoding::F32).len();
+        let i16_len = frame(&rec, SampleEncoding::I16).len();
+        assert_eq!(f64_len, 840 * 8 + 16);
+        assert!(f32_len <= f64_len / 2 + 16, "f32 {f32_len} vs {f64_len}");
+        assert!(i16_len <= f64_len / 4 + 24, "i16 {i16_len} vs {f64_len}");
     }
 
     #[test]
@@ -1642,8 +1374,7 @@ mod tests {
         let max = samples.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         let bound = max / f64::from(i16::MAX) / 2.0 * (1.0 + 1e-9);
         let rec = Record::data(2, Payload::f64(samples.clone()));
-        let frame = encode_frame_v2(&rec, SampleEncoding::I16);
-        let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
+        let decoded = decode_one(&frame(&rec, SampleEncoding::I16));
         let buf = decoded.payload.as_f64_buf().unwrap();
         assert_eq!(buf.len(), samples.len());
         for (a, b) in samples.iter().zip(buf.iter()) {
@@ -1658,8 +1389,7 @@ mod tests {
         // silently emits the lossless f64 block instead.
         for samples in [vec![1.0, f64::NAN, 3.0], vec![0.0, 4e-320]] {
             let rec = Record::data(2, Payload::f64(samples.clone()));
-            let frame = encode_frame_v2(&rec, SampleEncoding::I16);
-            let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
+            let decoded = decode_one(&frame(&rec, SampleEncoding::I16));
             let buf = decoded.payload.as_f64_buf().unwrap();
             for (a, b) in samples.iter().zip(buf.iter()) {
                 assert!(a.to_bits() == b.to_bits(), "{a} vs {b}");
@@ -1667,15 +1397,12 @@ mod tests {
         }
         // All-zero records stay on the i16 path (scale 0 ⇒ exact zeros).
         let rec = Record::data(2, Payload::f64(vec![0.0; 16]));
-        let (decoded, _) = decode_frame(&encode_frame_v2(&rec, SampleEncoding::I16))
-            .unwrap()
-            .unwrap();
-        assert_eq!(decoded, rec);
+        assert_eq!(decode_one(&frame(&rec, SampleEncoding::I16)), rec);
     }
 
-    /// The body (TLV blocks) of `rec`'s v2/F64 frame.
-    fn v2_body(rec: &Record) -> Vec<u8> {
-        let frame = encode_frame_v2(rec, SampleEncoding::F64);
+    /// The body (TLV blocks) of `rec`'s lossless frame.
+    fn body_of(rec: &Record) -> Vec<u8> {
+        let frame = lossless(rec);
         // Past magic and kind: four header varints, then the body length.
         let mut cur = ByteCursor::new(&frame[2..frame.len() - 4]);
         for _ in 0..5 {
@@ -1684,8 +1411,8 @@ mod tests {
         cur.buf[cur.pos()..].to_vec()
     }
 
-    /// A CRC-valid v2 frame with `rec`'s header around an arbitrary body.
-    fn v2_frame_around(rec: &Record, body: &[u8]) -> Vec<u8> {
+    /// A CRC-valid frame with `rec`'s header around an arbitrary body.
+    fn frame_around(rec: &Record, body: &[u8]) -> Vec<u8> {
         let mut out = vec![V2_MAGIC, rec.kind.tag()];
         put_uvarint(&mut out, u64::from(rec.subtype));
         put_uvarint(&mut out, u64::from(rec.scope_depth));
@@ -1700,51 +1427,57 @@ mod tests {
 
     #[test]
     fn v2_unknown_tlv_blocks_are_skipped() {
-        // Splice an unknown block (type 200) ahead of the payload block:
-        // a forward-compatible reader must decode the record unchanged.
+        // Splice a block of a type that is not a payload block ahead of
+        // the payload block: a forward-compatible reader must decode
+        // the record unchanged. Type 0, the first type past the payload
+        // range, and one- and two-byte varint types further out.
         let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
-        let frame = encode_frame_v2(&rec, SampleEncoding::F64);
-        assert_eq!(v2_frame_around(&rec, &v2_body(&rec)), frame);
-        let mut body = Vec::new();
-        put_uvarint(&mut body, 200);
-        put_uvarint(&mut body, 3);
-        body.extend_from_slice(b"xyz");
-        body.extend_from_slice(&v2_body(&rec));
-        let spliced = v2_frame_around(&rec, &body);
-        assert_ne!(spliced, frame);
-        let (decoded, used) = decode_frame(&spliced).unwrap().unwrap();
-        assert_eq!(decoded, rec);
-        assert_eq!(used, spliced.len());
+        let frame = lossless(&rec);
+        assert_eq!(frame_around(&rec, &body_of(&rec)), frame);
+        for ty in [0u64, 10, 127, 128, 200, 16_383] {
+            let mut body = Vec::new();
+            put_uvarint(&mut body, ty);
+            put_uvarint(&mut body, 3);
+            body.extend_from_slice(b"xyz");
+            body.extend_from_slice(&body_of(&rec));
+            let spliced = frame_around(&rec, &body);
+            assert_ne!(spliced, frame);
+            assert_eq!(decode_one(&spliced), rec, "type {ty}");
+            // Alone in the body, it leaves an empty payload.
+            body.truncate(body.len() - body_of(&rec).len());
+            let alone = decode_one(&frame_around(&rec, &body));
+            assert_eq!(alone.payload, Payload::Empty, "type {ty}");
+        }
     }
 
     #[test]
     fn v2_duplicate_payload_block_rejected() {
         let rec = Record::data(5, Payload::Text("hi".into()));
-        let body = [v2_body(&rec), v2_body(&rec)].concat();
-        let err = decode_frame(&v2_frame_around(&rec, &body)).unwrap_err();
+        let body = [body_of(&rec), body_of(&rec)].concat();
+        let err = decode(&frame_around(&rec, &body)).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("duplicate")));
     }
 
     #[test]
     fn v2_declared_body_length_must_match_the_framed_span() {
         // `scan` sizes a frame from its body-length varint, so through
-        // `decode_frame` the two cannot disagree: one more declared
-        // byte just means one more byte is awaited.
+        // the decoder the two cannot disagree: one more declared byte
+        // just means one more byte is awaited.
         let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
-        let frame = encode_frame_v2(&rec, SampleEncoding::F64);
-        let len_at = frame.len() - 4 - v2_body(&rec).len() - 1;
-        assert_eq!(usize::from(frame[len_at]), v2_body(&rec).len());
+        let frame = lossless(&rec);
+        let len_at = frame.len() - 4 - body_of(&rec).len() - 1;
+        assert_eq!(usize::from(frame[len_at]), body_of(&rec).len());
         let mut longer = frame.clone();
         longer[len_at] += 1;
         fix_crc(&mut longer);
-        assert!(decode_frame(&longer).unwrap().is_none());
+        assert!(decode(&longer).unwrap().is_empty());
         // The parser itself holds its caller to that contract: handed a
         // CRC-valid span the header does not describe, it refuses.
         for delta in [1u8, 255] {
             let mut mutated = frame.clone();
             mutated[len_at] = mutated[len_at].wrapping_add(delta);
             fix_crc(&mut mutated);
-            let err = parse_frame_v2(&mutated).unwrap_err();
+            let err = parse_frame(&mutated).unwrap_err();
             assert!(
                 matches!(&err, PipelineError::Codec(m) if m.contains("body length")),
                 "{err}"
@@ -1754,28 +1487,16 @@ mod tests {
 
     #[test]
     fn pairs_count_is_bounded_by_the_bytes_a_pair_occupies() {
-        // v1: count (u32) then per pair two u32 lengths. 9 declared
-        // pairs in a payload with room for one: refused before any
-        // reservation is sized from the count.
+        // Count varint, then per pair two length varints: 6 declared
+        // pairs in a value with room for 2 is refused before any
+        // reservation is sized from the count (a bound of count <=
+        // value length would let it through).
         let pairs = Record::open_scope(7, vec![("k".into(), "v".into())]);
-        let mut v1 = encode_frame(&pairs);
-        assert_eq!(v1[HEADER_LEN..HEADER_LEN + 4], 1u32.to_le_bytes());
-        v1[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&9u32.to_le_bytes());
-        fix_crc(&mut v1);
-        let err = decode_frame(&v1).unwrap_err();
-        assert!(
-            matches!(&err, PipelineError::Codec(m) if m.contains("count")),
-            "{err}"
-        );
-
-        // v2: count varint then per pair two length varints. The old
-        // bound (count <= value length) let 6 through here, with room
-        // for 2.
         let mut body = Vec::new();
         put_uvarint(&mut body, TLV_PAIRS);
         put_uvarint(&mut body, 5);
         body.extend_from_slice(&[6, 0, 0, 0, 0]);
-        let err = decode_frame(&v2_frame_around(&pairs, &body)).unwrap_err();
+        let err = decode(&frame_around(&pairs, &body)).unwrap_err();
         assert!(
             matches!(&err, PipelineError::Codec(m) if m.contains("count")),
             "{err}"
@@ -1785,12 +1506,7 @@ mod tests {
         // (the reservation is capped, the list is not).
         let n = PAIRS_RESERVE_CAP * 2 + 1;
         let many = Record::open_scope(7, vec![(String::new(), String::new()); n]);
-        for format in [WireFormat::V1, WireFormat::V2(SampleEncoding::F64)] {
-            let (decoded, _) = decode_frame(&encode_frame_with(&many, format))
-                .unwrap()
-                .unwrap();
-            assert_eq!(decoded, many);
-        }
+        assert_eq!(decode_one(&lossless(&many)), many);
     }
 
     #[test]
@@ -1798,7 +1514,7 @@ mod tests {
         // Corrupt the 8-byte scale inside an i16 block, then repair the
         // CRC so the *scale check* (not the checksum) is what fires.
         let rec = Record::data(1, Payload::f64(vec![1.0, -0.5, 0.25]));
-        let frame = encode_frame_v2(&rec, SampleEncoding::I16);
+        let frame = frame(&rec, SampleEncoding::I16);
         let scale = 1.0 / f64::from(i16::MAX);
         let pos = frame
             .windows(8)
@@ -1808,7 +1524,7 @@ mod tests {
             let mut mutated = frame.clone();
             mutated[pos..pos + 8].copy_from_slice(&bad.to_le_bytes());
             fix_crc(&mut mutated);
-            let err = decode_frame(&mutated).unwrap_err();
+            let err = decode(&mutated).unwrap_err();
             assert!(
                 matches!(&err, PipelineError::Codec(m) if m.contains("scale")),
                 "scale {bad}: {err}"
@@ -1818,18 +1534,22 @@ mod tests {
 
     #[test]
     fn v2_crc_corruption_detected() {
-        let mut frame = encode_frame_v2(&samples()[1], SampleEncoding::F64);
-        let mid = frame.len() / 2;
-        frame[mid] ^= 0xFF;
-        let err = decode_frame(&frame).unwrap_err();
-        assert!(matches!(err, PipelineError::Codec(_)));
+        // A flipped checksum byte, in each encoding: the frame length
+        // is intact, so this is a checksum failure, not a truncation.
+        for enc in ENCODINGS {
+            let mut frame = frame(&samples()[1], enc);
+            let last = frame.len() - 1;
+            frame[last] ^= 0xFF;
+            let err = decode(&frame).unwrap_err();
+            assert!(matches!(err, PipelineError::Codec(m) if m.contains("crc")));
+        }
     }
 
     #[test]
     fn v2_partial_frames_request_more_bytes() {
-        let frame = encode_frame_v2(&samples()[1], SampleEncoding::F32);
+        let frame = frame(&samples()[1], SampleEncoding::F32);
         for cut in [0usize, 1, 2, 5, frame.len() - 1] {
-            assert!(decode_frame(&frame[..cut]).unwrap().is_none(), "cut {cut}");
+            assert!(decode(&frame[..cut]).unwrap().is_empty(), "cut {cut}");
         }
     }
 
@@ -1866,13 +1586,11 @@ mod tests {
     fn decoder_chunked_feed_yields_same_records() {
         let mut wire = Vec::new();
         for (i, rec) in samples().iter().enumerate() {
-            // Mixed versions on one stream.
-            let format = if i % 2 == 0 {
-                WireFormat::V1
-            } else {
-                WireFormat::V2(SampleEncoding::F64)
-            };
-            wire.extend_from_slice(&encode_frame_with(rec, format));
+            // Mixed encodings on one stream: the receiver reads the
+            // encoding off each frame. (Every sample here is exact in
+            // f32.)
+            let enc = ENCODINGS[i % 2];
+            encode_into(rec, WireFormat::V2(enc), &mut wire);
         }
         write_eos(&mut wire).unwrap();
 
@@ -1891,7 +1609,6 @@ mod tests {
                 .collect();
             assert_eq!(records.len(), samples().len(), "chunk {chunk}");
             assert!(events.last() == Some(&DecodeEvent::CleanEnd));
-            assert_eq!(dec.wire_version(), Some(VERSION_V2));
             assert!(dec.is_done());
             for (got, want) in records.iter().zip(samples().iter()) {
                 assert_eq!(*got, want);
@@ -1901,7 +1618,7 @@ mod tests {
 
     #[test]
     fn decoder_end_of_input_mid_frame_is_disconnect() {
-        let frame = encode_frame_v2(&samples()[1], SampleEncoding::F64);
+        let frame = lossless(&samples()[1]);
         let mut dec = Decoder::new();
         let mut events = Vec::new();
         dec.feed(&frame[..frame.len() / 2], &mut events).unwrap();
@@ -1936,10 +1653,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_len_reports_boundaries_for_both_versions() {
+    fn frame_len_reports_boundaries_for_every_encoding() {
         let rec = &samples()[1];
-        for format in [WireFormat::V1, WireFormat::V2(SampleEncoding::I16)] {
-            let frame = encode_frame_with(rec, format);
+        for enc in ENCODINGS {
+            let frame = frame(rec, enc);
             assert_eq!(frame_len(&frame).unwrap(), Some(frame.len()));
             assert_eq!(frame_len(&frame[..frame.len() - 1]).unwrap(), None);
             let mut extended = frame.clone();
@@ -1947,32 +1664,8 @@ mod tests {
             assert_eq!(frame_len(&extended).unwrap(), Some(frame.len()));
         }
         assert_eq!(frame_len(&EOS_MAGIC).unwrap(), Some(4));
+        assert_eq!(frame_len(&KEEPALIVE_MAGIC).unwrap(), Some(4));
         assert!(frame_len(&[0x00]).is_err());
-    }
-
-    #[test]
-    fn counted_reads_handle_v2_frames() {
-        let mut wire = Vec::new();
-        let mut expected = 0u64;
-        for rec in samples() {
-            let frame = encode_frame_v2(&rec, SampleEncoding::F64);
-            expected += frame.len() as u64;
-            wire.extend_from_slice(&frame);
-        }
-        write_eos(&mut wire).unwrap();
-        let mut cursor = wire.as_slice();
-        let mut counted = 0u64;
-        let mut records = 0usize;
-        loop {
-            let (outcome, n) = read_record_counted(&mut cursor).unwrap();
-            counted += n;
-            match outcome {
-                ReadOutcome::Record(_) => records += 1,
-                ReadOutcome::CleanEnd => break,
-                ReadOutcome::UncleanEnd => panic!("unexpected unclean end"),
-            }
-        }
-        assert_eq!(records, samples().len());
-        assert_eq!(counted, expected + 4);
+        assert!(frame_len(b"RVDR").is_err());
     }
 }

@@ -184,7 +184,7 @@ pub enum Mangle {
 }
 
 /// Byte-level corruption injector that understands *frame boundaries*
-/// for both wire versions (via [`crate::codec::frame_len`]), so tests
+/// (via [`crate::codec::frame_len`]), so tests
 /// and the fuzz harness can aim mutations precisely: inside a frame
 /// (checksum territory), between frames (magic/sync territory), or at
 /// whole-frame granularity (duplicate/delete). Deterministic: the same
@@ -381,22 +381,22 @@ mod tests {
     }
 
     fn wire() -> Vec<u8> {
-        use crate::codec::{write_eos, write_record_with, SampleEncoding, WireFormat};
+        use crate::codec::{encode_into, write_eos, SampleEncoding, WireFormat};
         let mut buf = Vec::new();
         for (i, r) in stream().iter().enumerate() {
-            let fmt = if i % 2 == 0 {
-                WireFormat::V1
+            let enc = if i % 2 == 0 {
+                SampleEncoding::F64
             } else {
-                WireFormat::V2(SampleEncoding::F32)
+                SampleEncoding::F32
             };
-            write_record_with(&mut buf, r, fmt).unwrap();
+            encode_into(r, WireFormat::V2(enc), &mut buf);
         }
         write_eos(&mut buf).unwrap();
         buf
     }
 
     #[test]
-    fn mangler_splits_mixed_version_wire_at_frame_boundaries() {
+    fn mangler_splits_mixed_encoding_wire_at_frame_boundaries() {
         let wire = wire();
         let frames = WireMangler::frames(&wire);
         // 18 records + the EOS sentinel.

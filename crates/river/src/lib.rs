@@ -37,12 +37,12 @@
 //! - [`source::Source`] — pull-based record producers feeding the
 //!   streaming driver: iterators, fallible closures, and chunked
 //!   sample sources.
-//! - [`codec`] — the CRC-32-protected wire formats used by
-//!   [`net::StreamOut`] / [`net::StreamIn`] across TCP: fixed-header v1
-//!   frames plus the compact varint/TLV v2 frames
-//!   ([`codec::WireFormat`]) with `f32`/`i16` sample encodings, decoded
-//!   by a push-based incremental [`codec::Decoder`] that handles both
-//!   versions on one stream (see `DESIGN.md` §13).
+//! - [`codec`] — the CRC-32-protected wire format used by
+//!   [`net::StreamOut`] / [`net::StreamIn`] across TCP: compact
+//!   varint/TLV frames ([`codec::WireFormat`]) with lossless `f64` or
+//!   compact `f32`/`i16` sample encodings, written by one encoder
+//!   ([`codec::encode_into`]) and decoded by a push-based incremental
+//!   [`codec::Decoder`] (see `DESIGN.md` §13).
 //! - [`serve`] — the event-driven service layer: a
 //!   [`serve::PipelineServer`] multiplexes many concurrent `streamin`
 //!   connections over a readiness loop (non-blocking sockets, one

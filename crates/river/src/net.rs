@@ -9,6 +9,11 @@
 //! scopes open, the `streamin` operator will generate `BadCloseScope`
 //! records to close all open scopes."
 
+// This module reads bytes off the network: library code surfaces
+// failures as errors, never panics; unwraps are confined to the test
+// module below.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::codec::{encode_into, write_eos, DecodeEvent, Decoder, WireFormat};
 use crate::error::PipelineError;
 use crate::operator::{Operator, Sink};
@@ -23,10 +28,9 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 /// (typically a TCP connection) and emits the clean end-of-stream
 /// sentinel when the pipeline finishes.
 ///
-/// The sender picks the [`WireFormat`] — that *is* the version
-/// negotiation: receivers detect the version per frame, so v1 peers
-/// keep working and v2 senders get compact frames with no handshake
-/// round trip.
+/// The sender picks the [`WireFormat`] (lossless by default, or a
+/// compact sample encoding); receivers read the encoding off each
+/// frame, so there is no handshake round trip.
 ///
 /// Every record is encoded in place into one frame buffer the operator
 /// keeps ([`encode_into`]) and handed to a buffered writer, so a warm
@@ -43,13 +47,14 @@ pub struct StreamOut<W: Write + Send> {
 }
 
 impl<W: Write + Send> StreamOut<W> {
-    /// Wraps a byte sink (emitting v1 frames, the default).
+    /// Wraps a byte sink (emitting lossless frames, the default
+    /// [`WireFormat`]).
     pub fn new(writer: W) -> Self {
         StreamOut {
             writer: BufWriter::new(writer),
             frame: Vec::new(),
             sent: 0,
-            format: WireFormat::V1,
+            format: WireFormat::default(),
         }
     }
 
@@ -184,13 +189,6 @@ impl RecordAssembler {
     /// A fresh assembler with no buffered bytes.
     pub fn new() -> Self {
         RecordAssembler::default()
-    }
-
-    /// The wire version of the most recently decoded frame, if any —
-    /// what this peer's sender negotiated, learned passively from the
-    /// bytes themselves.
-    pub fn wire_version(&self) -> Option<u8> {
-        self.decoder.wire_version()
     }
 
     /// Records received so far (synthesized repairs are not counted).
@@ -413,13 +411,6 @@ impl<R: Read> StreamIn<R> {
         }
     }
 
-    /// The wire version of the most recently decoded frame, if any —
-    /// what this peer's sender negotiated, learned passively from the
-    /// bytes themselves.
-    pub fn wire_version(&self) -> Option<u8> {
-        self.assembler.wire_version()
-    }
-
     /// Records received so far (synthesized repairs are not counted).
     pub fn received(&self) -> u64 {
         self.assembler.received()
@@ -494,13 +485,14 @@ impl<R: Read> StreamIn<R> {
     /// [`PipelineError::Io`] on I/O failure; disconnects mid-frame are
     /// treated as unclean ends rather than errors.
     pub fn pump(&mut self, sink: &mut dyn Sink) -> Result<StreamEnd, PipelineError> {
-        while let Some(record) = self.next_record()? {
-            sink.push(record)?;
+        loop {
+            if let Some(record) = self.next_record()? {
+                sink.push(record)?;
+            } else if let Some(end) = self.assembler.end() {
+                // `None` comes only once the end is recorded.
+                return Ok(end);
+            }
         }
-        Ok(self
-            .assembler
-            .end()
-            .expect("next() returned None, so the stream ended"))
     }
 }
 
@@ -540,11 +532,11 @@ pub fn serve_once(
 ///
 /// Returns [`PipelineError::Io`] on connection or write failure.
 pub fn send_all<A: ToSocketAddrs>(addr: A, records: &[Record]) -> Result<u64, PipelineError> {
-    send_all_with(addr, records, WireFormat::V1)
+    send_all_with(addr, records, WireFormat::default())
 }
 
 /// Like [`send_all`], but emitting frames in the given [`WireFormat`] —
-/// how a sensor opts into the compact v2 wire.
+/// how a sensor opts into a compact sample encoding.
 ///
 /// # Errors
 ///
@@ -565,11 +557,17 @@ pub fn send_all_with<A: ToSocketAddrs>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::codec::{write_record, write_record_with, SampleEncoding};
+    use crate::codec::SampleEncoding;
     use crate::record::{Payload, RecordKind};
     use std::net::TcpListener;
     use std::thread;
+
+    /// Appends `record` to `wire` as a frame in the default format.
+    fn put(wire: &mut Vec<u8>, record: &Record) {
+        encode_into(record, WireFormat::default(), wire);
+    }
 
     fn scoped_records(n: usize) -> Vec<Record> {
         let mut v = vec![Record::open_scope(1, vec![("rate".into(), "20160".into())])];
@@ -601,12 +599,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sender = thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut writer = BufWriter::new(stream);
-            write_record(&mut writer, &Record::open_scope(3, vec![])).unwrap();
-            write_record(&mut writer, &Record::open_scope(4, vec![])).unwrap();
-            write_record(&mut writer, &Record::data(1, Payload::f64(vec![1.0]))).unwrap();
-            writer.flush().unwrap();
+            let mut wire = Vec::new();
+            put(&mut wire, &Record::open_scope(3, vec![]));
+            put(&mut wire, &Record::open_scope(4, vec![]));
+            put(&mut wire, &Record::data(1, Payload::f64(vec![1.0])));
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&wire).unwrap();
             // Drop without sentinel: simulated crash.
         });
         let mut sink: Vec<Record> = Vec::new();
@@ -624,7 +622,7 @@ mod tests {
     #[test]
     fn clean_end_with_open_scope_still_repairs() {
         let mut buf = Vec::new();
-        write_record(&mut buf, &Record::open_scope(9, vec![])).unwrap();
+        put(&mut buf, &Record::open_scope(9, vec![]));
         write_eos(&mut buf).unwrap();
         let mut sink: Vec<Record> = Vec::new();
         let mut si = StreamIn::new(buf.as_slice());
@@ -636,8 +634,8 @@ mod tests {
     #[test]
     fn stray_close_dropped_at_boundary() {
         let mut buf = Vec::new();
-        write_record(&mut buf, &Record::close_scope(2)).unwrap();
-        write_record(&mut buf, &Record::data(0, Payload::Empty)).unwrap();
+        put(&mut buf, &Record::close_scope(2));
+        put(&mut buf, &Record::data(0, Payload::Empty));
         write_eos(&mut buf).unwrap();
         let mut sink: Vec<Record> = Vec::new();
         let mut si = StreamIn::new(buf.as_slice());
@@ -672,9 +670,9 @@ mod tests {
         // open, open, data, then death: next() yields the three real
         // records, then the two repairs, then None with an Unclean end.
         let mut buf = Vec::new();
-        write_record(&mut buf, &Record::open_scope(3, vec![])).unwrap();
-        write_record(&mut buf, &Record::open_scope(4, vec![])).unwrap();
-        write_record(&mut buf, &Record::data(1, Payload::f64(vec![1.0]))).unwrap();
+        put(&mut buf, &Record::open_scope(3, vec![]));
+        put(&mut buf, &Record::open_scope(4, vec![]));
+        put(&mut buf, &Record::data(1, Payload::f64(vec![1.0])));
         let expected_bytes = buf.len() as u64;
         let mut si = StreamIn::new(buf.as_slice());
         assert_eq!(si.end(), None);
@@ -697,7 +695,7 @@ mod tests {
     fn streamin_is_a_source_for_the_streaming_driver() {
         let mut buf = Vec::new();
         for r in scoped_records(4) {
-            write_record(&mut buf, &r).unwrap();
+            put(&mut buf, &r);
         }
         write_eos(&mut buf).unwrap();
         let mut p = crate::pipeline::Pipeline::new();
@@ -712,8 +710,8 @@ mod tests {
     #[test]
     fn abort_repair_closes_scopes_administratively() {
         let mut buf = Vec::new();
-        write_record(&mut buf, &Record::open_scope(5, vec![])).unwrap();
-        write_record(&mut buf, &Record::open_scope(6, vec![])).unwrap();
+        put(&mut buf, &Record::open_scope(5, vec![]));
+        put(&mut buf, &Record::open_scope(6, vec![]));
         let mut si = StreamIn::new(buf.as_slice());
         si.next_record().unwrap();
         si.next_record().unwrap();
@@ -731,8 +729,8 @@ mod tests {
         // after only one was delivered must hand back the other and keep
         // the recorded end, not reset the repair count to zero.
         let mut buf = Vec::new();
-        write_record(&mut buf, &Record::open_scope(3, vec![])).unwrap();
-        write_record(&mut buf, &Record::open_scope(4, vec![])).unwrap();
+        put(&mut buf, &Record::open_scope(3, vec![]));
+        put(&mut buf, &Record::open_scope(4, vec![]));
         let mut si = StreamIn::new(buf.as_slice());
         si.next_record().unwrap();
         si.next_record().unwrap();
@@ -748,39 +746,45 @@ mod tests {
     }
 
     #[test]
-    fn v2_stream_round_trips_and_reports_version() {
-        let mut buf = Vec::new();
-        {
-            let mut op = StreamOut::new(&mut buf).with_format(WireFormat::V2(SampleEncoding::F64));
-            let mut tee: Vec<Record> = Vec::new();
-            for r in scoped_records(20) {
-                op.on_record(r, &mut tee).unwrap();
+    fn v2_stream_round_trips_in_every_encoding() {
+        // Every sample of `scoped_records` is exact in f32 and i16.
+        for enc in [
+            SampleEncoding::F64,
+            SampleEncoding::F32,
+            SampleEncoding::I16,
+        ] {
+            let mut buf = Vec::new();
+            {
+                let mut op = StreamOut::new(&mut buf).with_format(WireFormat::V2(enc));
+                let mut tee: Vec<Record> = Vec::new();
+                for r in scoped_records(20) {
+                    op.on_record(r, &mut tee).unwrap();
+                }
+                op.on_eos(&mut tee).unwrap();
             }
-            op.on_eos(&mut tee).unwrap();
+            let expected_bytes = buf.len() as u64;
+            let mut sink: Vec<Record> = Vec::new();
+            let mut si = StreamIn::new(buf.as_slice());
+            assert_eq!(si.pump(&mut sink).unwrap(), StreamEnd::Clean);
+            assert_eq!(sink, scoped_records(20), "{enc:?}");
+            assert_eq!(si.wire_bytes(), expected_bytes);
         }
-        let expected_bytes = buf.len() as u64;
-        let mut sink: Vec<Record> = Vec::new();
-        let mut si = StreamIn::new(buf.as_slice());
-        assert_eq!(si.wire_version(), None);
-        assert_eq!(si.pump(&mut sink).unwrap(), StreamEnd::Clean);
-        assert_eq!(sink, scoped_records(20));
-        assert_eq!(si.wire_version(), Some(crate::codec::VERSION_V2));
-        assert_eq!(si.wire_bytes(), expected_bytes);
     }
 
     #[test]
-    fn mixed_version_frames_on_one_stream() {
-        // A v1 sender and a v2 sender sharing one byte stream (e.g. a
-        // proxy splice) decode seamlessly: versions are per frame.
+    fn mixed_encodings_on_one_stream() {
+        // Two senders with different sample encodings sharing one byte
+        // stream (e.g. a proxy splice) decode seamlessly: the encoding
+        // is per frame.
         let records = scoped_records(6);
         let mut buf = Vec::new();
         for (i, r) in records.iter().enumerate() {
-            let format = if i % 2 == 0 {
-                WireFormat::V1
+            let enc = if i % 2 == 0 {
+                SampleEncoding::F64
             } else {
-                WireFormat::V2(SampleEncoding::F64)
+                SampleEncoding::I16
             };
-            write_record_with(&mut buf, r, format).unwrap();
+            encode_into(r, WireFormat::V2(enc), &mut buf);
         }
         write_eos(&mut buf).unwrap();
         let mut sink: Vec<Record> = Vec::new();
@@ -793,14 +797,14 @@ mod tests {
     fn v2_unclean_disconnect_synthesizes_bad_closes() {
         let fmt = WireFormat::V2(SampleEncoding::F32);
         let mut buf = Vec::new();
-        write_record_with(&mut buf, &Record::open_scope(3, vec![]), fmt).unwrap();
-        write_record_with(&mut buf, &Record::open_scope(4, vec![]), fmt).unwrap();
-        write_record_with(&mut buf, &Record::data(1, Payload::f64(vec![1.0])), fmt).unwrap();
+        encode_into(&Record::open_scope(3, vec![]), fmt, &mut buf);
+        encode_into(&Record::open_scope(4, vec![]), fmt, &mut buf);
+        encode_into(&Record::data(1, Payload::f64(vec![1.0])), fmt, &mut buf);
         // Truncate mid-frame: the sensor died while writing.
         let full = buf.len();
-        buf.extend_from_slice(
-            &crate::codec::encode_frame_with(&Record::data(1, Payload::f64(vec![2.0])), fmt)[..9],
-        );
+        let mut partial = Vec::new();
+        encode_into(&Record::data(1, Payload::f64(vec![2.0])), fmt, &mut partial);
+        buf.extend_from_slice(&partial[..9]);
         let mut sink: Vec<Record> = Vec::new();
         let mut si = StreamIn::new(buf.as_slice());
         let end = si.pump(&mut sink).unwrap();
@@ -818,10 +822,10 @@ mod tests {
         // buffer: the good records come out before the error fires.
         let records = scoped_records(1);
         let mut buf = Vec::new();
-        write_record(&mut buf, &records[0]).unwrap();
-        write_record(&mut buf, &records[1]).unwrap();
-        let mut bad =
-            crate::codec::encode_frame_with(&records[2], WireFormat::V2(SampleEncoding::F64));
+        put(&mut buf, &records[0]);
+        put(&mut buf, &records[1]);
+        let mut bad = Vec::new();
+        put(&mut bad, &records[2]);
         // Flip a CRC byte: the frame length stays intact, so this is a
         // deterministic checksum failure rather than apparent truncation.
         let last = bad.len() - 1;
@@ -843,7 +847,7 @@ mod tests {
         let mut buf = Vec::new();
         let records = scoped_records(2_000);
         for r in &records {
-            write_record(&mut buf, r).unwrap();
+            put(&mut buf, r);
         }
         write_eos(&mut buf).unwrap();
         let mut sink: Vec<Record> = Vec::new();

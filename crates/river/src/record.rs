@@ -99,18 +99,6 @@ impl Payload {
         Payload::Complex(interleaved.into())
     }
 
-    /// Stable wire tag for the payload variant.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Payload::Empty => 0,
-            Payload::F64(_) => 1,
-            Payload::Complex(_) => 2,
-            Payload::Bytes(_) => 3,
-            Payload::Text(_) => 4,
-            Payload::Pairs(_) => 5,
-        }
-    }
-
     /// Borrows the `F64` samples, if that is the variant.
     pub fn as_f64(&self) -> Option<&[f64]> {
         match self {

@@ -474,19 +474,21 @@ mod tests {
 
     #[test]
     fn network_segment_corrupt_upstream_leaves_downstream_repaired() {
-        use crate::codec::{encode_frame, write_eos, write_record, HEADER_LEN};
+        use crate::codec::{encode_into, write_eos, WireFormat};
         use std::io::Write;
 
         let (upstream_end, end, records) = relay_through_doubling_segment(|seg_addr| {
-            let mut w = std::io::BufWriter::new(std::net::TcpStream::connect(seg_addr).unwrap());
-            write_record(&mut w, &Record::open_scope(1, vec![])).unwrap();
-            write_record(&mut w, &Record::data(1, Payload::f64(vec![1.0]))).unwrap();
-            let mut frame = encode_frame(&Record::data(1, Payload::f64(vec![2.0])));
-            frame[HEADER_LEN + 2] ^= 0xFF; // payload corruption: CRC now fails
-            w.write_all(&frame).unwrap();
-            write_record(&mut w, &Record::close_scope(1)).unwrap();
+            let put = |w: &mut Vec<u8>, r: Record| encode_into(&r, WireFormat::default(), w);
+            let mut w = Vec::new();
+            put(&mut w, Record::open_scope(1, vec![]));
+            put(&mut w, Record::data(1, Payload::f64(vec![1.0])));
+            put(&mut w, Record::data(1, Payload::f64(vec![2.0])));
+            let mid = w.len() - 4 - 6;
+            w[mid] ^= 0xFF; // payload corruption: CRC now fails
+            put(&mut w, Record::close_scope(1));
             write_eos(&mut w).unwrap();
-            w.flush().unwrap();
+            let mut stream = std::net::TcpStream::connect(seg_addr).unwrap();
+            stream.write_all(&w).unwrap();
         });
         // The segment host reports the poisoned wire …
         let err = upstream_end.unwrap_err();

@@ -184,7 +184,7 @@ pub struct SessionInfo {
 /// Everything one session reported when it finished — the
 /// session-tagged counterpart of a single `streamin` run's
 /// `(StreamEnd, received)` pair, extended with wire-byte accounting
-/// ([`crate::codec::read_record_counted`]) and the session chain's
+/// ([`crate::net::RecordAssembler::wire_bytes`]) and the session chain's
 /// per-stage [`StreamStats`].
 #[derive(Debug, Clone)]
 pub struct SessionReport {
@@ -202,10 +202,6 @@ pub struct SessionReport {
     pub keepalives: u64,
     /// Per-stage statistics of the session's cloned chain.
     pub stats: StreamStats,
-    /// Wire format version the peer sent (`None` if no frame decoded) —
-    /// negotiation is sender-driven, so this is how the server learns
-    /// which format each session used.
-    pub wire_version: Option<u8>,
     /// The codec/chain/sink error that ended the session, if any. Scope
     /// repair has already been applied when this is set.
     pub error: Option<String>,
@@ -1195,7 +1191,6 @@ fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
         wire_bytes: s.assembler.wire_bytes(),
         keepalives: s.assembler.keepalives(),
         stats,
-        wire_version: s.assembler.wire_version(),
         error: s.error,
         duration,
         idle: duration.saturating_sub(s.busy),
@@ -1278,13 +1273,24 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::codec::{encode_frame, write_eos, write_record};
+    use crate::codec::{encode_into, write_eos, SampleEncoding, WireFormat};
     use crate::net::send_all;
     use crate::operator::SharedSink;
     use crate::ops::{MapPayload, Passthrough};
     use crate::record::{Payload, Record, RecordKind};
     use std::io::Write;
     use std::sync::Mutex;
+
+    /// Appends `record` to `wire` as a frame in the default format.
+    fn put(wire: &mut Vec<u8>, record: &Record) {
+        encode_into(record, WireFormat::default(), wire);
+    }
+
+    /// A client that connects, sends `wire` verbatim and vanishes.
+    fn send_raw(addr: std::net::SocketAddr, wire: &[u8]) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(wire).unwrap();
+    }
 
     fn scoped_records(tag: f64, n: usize) -> Vec<Record> {
         let mut v = vec![Record::open_scope(1, vec![])];
@@ -1389,12 +1395,11 @@ mod tests {
 
         // One crashing client: opens a scope, sends data, vanishes.
         let crasher = thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = std::io::BufWriter::new(stream);
-            write_record(&mut w, &Record::open_scope(9, vec![])).unwrap();
-            write_record(&mut w, &Record::data(0, Payload::f64(vec![5.0]))).unwrap();
-            w.flush().unwrap();
-            // Dropped without CloseScope or sentinel: simulated crash.
+            let mut w = Vec::new();
+            put(&mut w, &Record::open_scope(9, vec![]));
+            put(&mut w, &Record::data(0, Payload::f64(vec![5.0])));
+            // No CloseScope, no sentinel: simulated crash.
+            send_raw(addr, &w);
         });
         // Two healthy clients.
         let healthy: Vec<_> = (0..2u64)
@@ -1438,17 +1443,15 @@ mod tests {
         // byte is flipped (CRC mismatch), then more valid traffic that
         // must never be trusted.
         let corrupt = thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = std::io::BufWriter::new(stream);
-            write_record(&mut w, &Record::open_scope(3, vec![])).unwrap();
-            write_record(&mut w, &Record::data(0, Payload::f64(vec![1.0]))).unwrap();
-            let mut frame = encode_frame(&Record::data(0, Payload::f64(vec![2.0])));
-            let mid = crate::codec::HEADER_LEN + 2;
-            frame[mid] ^= 0xFF; // payload corruption: CRC now fails
-            w.write_all(&frame).unwrap();
-            write_record(&mut w, &Record::close_scope(3)).unwrap();
+            let mut w = Vec::new();
+            put(&mut w, &Record::open_scope(3, vec![]));
+            put(&mut w, &Record::data(0, Payload::f64(vec![1.0])));
+            put(&mut w, &Record::data(0, Payload::f64(vec![2.0])));
+            let mid = w.len() - 4 - 6;
+            w[mid] ^= 0xFF; // payload corruption: CRC now fails
+            put(&mut w, &Record::close_scope(3));
             write_eos(&mut w).unwrap();
-            w.flush().unwrap();
+            send_raw(addr, &w);
         });
         let healthy = thread::spawn(move || send_all(addr, &scoped_records(7.0, 12)).unwrap());
         corrupt.join().unwrap();
@@ -1490,15 +1493,15 @@ mod tests {
         let addr = handle.local_addr();
 
         let truncator = thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = std::io::BufWriter::new(stream);
-            write_record(&mut w, &Record::open_scope(2, vec![])).unwrap();
-            write_record(&mut w, &Record::data(0, Payload::f64(vec![4.0]))).unwrap();
+            let mut w = Vec::new();
+            put(&mut w, &Record::open_scope(2, vec![]));
+            put(&mut w, &Record::data(0, Payload::f64(vec![4.0])));
             // Half a frame, then death: the reader sees a truncated
             // stream, not a codec error.
-            let frame = encode_frame(&Record::data(0, Payload::f64(vec![8.0])));
-            w.write_all(&frame[..frame.len() / 2]).unwrap();
-            w.flush().unwrap();
+            let whole = w.len();
+            put(&mut w, &Record::data(0, Payload::f64(vec![8.0])));
+            w.truncate(whole + (w.len() - whole) / 2);
+            send_raw(addr, &w);
         });
         let healthy = thread::spawn(move || send_all(addr, &scoped_records(1.0, 5)).unwrap());
         truncator.join().unwrap();
@@ -1731,61 +1734,21 @@ mod tests {
         let (handle, _outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
         let records = scoped_records(0.0, 4);
-        let expected: u64 = records
-            .iter()
-            .map(|r| encode_frame(r).len() as u64)
-            .sum::<u64>()
-            + 4; // EOS sentinel
+        let mut wire = Vec::new();
+        for r in &records {
+            put(&mut wire, r);
+        }
+        let expected = wire.len() as u64 + 4; // EOS sentinel
         send_all(addr, &records).unwrap();
         handle.wait_for_completed(1);
         let report = handle.shutdown().unwrap();
         assert_eq!(report.sessions[0].wire_bytes, expected);
         assert_eq!(report.sessions[0].received as usize, records.len());
-        assert_eq!(report.sessions[0].wire_version, Some(crate::codec::VERSION));
-    }
-
-    #[test]
-    fn sessions_report_their_negotiated_wire_version() {
-        use crate::codec::{SampleEncoding, WireFormat};
-        use crate::net::send_all_with;
-        let mut server = PipelineServer::from_pipeline(&doubling_chain()).unwrap();
-        server.set_max_sessions(2);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (handle, outputs) = start_collecting(server, listener);
-        let addr = handle.local_addr();
-
-        send_all(addr, &scoped_records(1.0, 8)).unwrap();
-        handle.wait_for_completed(1);
-        send_all_with(
-            addr,
-            &scoped_records(2.0, 8),
-            WireFormat::V2(SampleEncoding::F64),
-        )
-        .unwrap();
-        handle.wait_for_completed(2);
-
-        let report = handle.shutdown().unwrap();
-        assert_eq!(report.clean_sessions(), 2);
-        let mut versions: Vec<Option<u8>> =
-            report.sessions.iter().map(|s| s.wire_version).collect();
-        versions.sort();
-        assert_eq!(
-            versions,
-            vec![Some(crate::codec::VERSION), Some(crate::codec::VERSION_V2)]
-        );
-        // Both sessions produced the same doubled output regardless of
-        // the wire format that carried them in.
-        for (_id, sink) in outputs.lock().unwrap().iter() {
-            let got = sink.take();
-            assert_eq!(got.len(), 8 + 2);
-            crate::scope::validate_scopes(&got).unwrap();
-        }
     }
 
     #[test]
     fn corrupted_v2_frame_aborts_only_that_session_with_repair() {
-        use crate::codec::{encode_frame_with, SampleEncoding, WireFormat};
-        let fmt = WireFormat::V2(SampleEncoding::F64);
+        let fmt = WireFormat::V2(SampleEncoding::F32);
         let mut server = PipelineServer::from_pipeline(&doubling_chain()).unwrap();
         server.set_max_sessions(2);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1793,24 +1756,16 @@ mod tests {
         let addr = handle.local_addr();
 
         let corrupt = thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = std::io::BufWriter::new(stream);
-            w.write_all(&encode_frame_with(&Record::open_scope(3, vec![]), fmt))
-                .unwrap();
-            w.write_all(&encode_frame_with(
-                &Record::data(0, Payload::f64(vec![1.0])),
-                fmt,
-            ))
-            .unwrap();
+            let mut w = Vec::new();
+            encode_into(&Record::open_scope(3, vec![]), fmt, &mut w);
+            encode_into(&Record::data(0, Payload::f64(vec![1.0])), fmt, &mut w);
+            encode_into(&Record::data(0, Payload::f64(vec![2.0])), fmt, &mut w);
             // Flip a CRC byte: frame length stays intact, checksum fails.
-            let mut frame = encode_frame_with(&Record::data(0, Payload::f64(vec![2.0])), fmt);
-            let last = frame.len() - 1;
-            frame[last] ^= 0xFF;
-            w.write_all(&frame).unwrap();
-            w.write_all(&encode_frame_with(&Record::close_scope(3), fmt))
-                .unwrap();
+            let last = w.len() - 1;
+            w[last] ^= 0xFF;
+            encode_into(&Record::close_scope(3), fmt, &mut w);
             write_eos(&mut w).unwrap();
-            w.flush().unwrap();
+            send_raw(addr, &w);
         });
         let healthy = thread::spawn(move || send_all(addr, &scoped_records(7.0, 12)).unwrap());
         corrupt.join().unwrap();
@@ -1822,7 +1777,6 @@ mod tests {
         let bad: Vec<_> = report.sessions.iter().filter(|s| !s.is_clean()).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].end, StreamEnd::Unclean { repaired_scopes: 1 });
-        assert_eq!(bad[0].wire_version, Some(crate::codec::VERSION_V2));
         let err = bad[0].error.as_deref().unwrap();
         assert!(
             err.contains("crc"),
@@ -1843,32 +1797,25 @@ mod tests {
 
     #[test]
     fn client_dying_mid_v2_frame_is_repaired_in_place() {
-        use crate::codec::{encode_frame_with, SampleEncoding, WireFormat};
         let fmt = WireFormat::V2(SampleEncoding::I16);
         let server = PipelineServer::from_pipeline(&doubling_chain()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (handle, outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
 
-        thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = std::io::BufWriter::new(stream);
-            w.write_all(&encode_frame_with(&Record::open_scope(2, vec![]), fmt))
-                .unwrap();
-            let frame = encode_frame_with(&Record::data(0, Payload::f64(vec![8.0; 64])), fmt);
-            w.write_all(&frame[..frame.len() / 2]).unwrap();
-            w.flush().unwrap();
-            // Dropped mid-frame: simulated crash.
-        })
-        .join()
-        .unwrap();
+        let mut w = Vec::new();
+        encode_into(&Record::open_scope(2, vec![]), fmt, &mut w);
+        let whole = w.len();
+        encode_into(&Record::data(0, Payload::f64(vec![8.0; 64])), fmt, &mut w);
+        w.truncate(whole + (w.len() - whole) / 2);
+        // Dropped mid-frame: simulated crash.
+        send_raw(addr, &w);
 
         handle.wait_for_completed(1);
         let report = handle.shutdown().unwrap();
         let s = &report.sessions[0];
         assert_eq!(s.end, StreamEnd::Unclean { repaired_scopes: 1 });
         assert!(s.error.is_none(), "truncation is repair, not error");
-        assert_eq!(s.wire_version, Some(crate::codec::VERSION_V2));
         let (_, sink) = &outputs.lock().unwrap()[0];
         let got = sink.take();
         crate::scope::validate_scopes(&got).unwrap();

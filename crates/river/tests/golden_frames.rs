@@ -1,20 +1,27 @@
-//! Golden wire frames: the exact bytes every encoder entry point must
-//! produce, for one record of each payload kind in each wire format.
+//! Golden wire frames: the exact bytes the encoder must produce, for
+//! one record of each payload kind in each sample encoding — and, from
+//! the same file, what a receiver must refuse.
 //!
 //! `golden_frames.txt` was rendered at commit `0b7481e` (the last one
-//! with the two-buffer `encode_frame`/`encode_frame_v2` encoders) from
-//! the records below, one `name format hex` line per record and format.
-//! The wire format is a compatibility contract, so the file is never
-//! regenerated: a new payload kind or format appends lines.
+//! with the two-buffer encoders) from the records below, one
+//! `name format hex` line per record and format. The wire format is a
+//! compatibility contract, so the file is never regenerated: a new
+//! payload kind or encoding appends lines. Its `v1` lines are frames of
+//! the retired fixed-header format, kept as inputs: every one of them
+//! must stop at the version gate.
 
 use dynamic_river::buf::SampleBuf;
-use dynamic_river::codec::{
-    encode_frame, encode_frame_v2, encode_frame_with, encode_into, write_record, write_record_with,
-    SampleEncoding, WireFormat,
-};
-use dynamic_river::net::StreamOut;
-use dynamic_river::operator::{NullSink, Operator};
-use dynamic_river::record::{Payload, Record};
+use dynamic_river::codec::{encode_into, write_eos, Decoder, SampleEncoding, WireFormat};
+use dynamic_river::net::{send_all, StreamEnd, StreamIn, StreamOut};
+use dynamic_river::operator::{NullSink, Operator, SharedSink};
+use dynamic_river::ops::MapPayload;
+use dynamic_river::record::{Payload, Record, RecordKind};
+use dynamic_river::scope::validate_scopes;
+use dynamic_river::serve::PipelineServer;
+use dynamic_river::{Pipeline, PipelineError};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = include_str!("golden_frames.txt");
 
@@ -78,8 +85,7 @@ fn records() -> Vec<(&'static str, Record)> {
     ]
 }
 
-const FORMATS: [(&str, WireFormat); 4] = [
-    ("v1", WireFormat::V1),
+const FORMATS: [(&str, WireFormat); 3] = [
     ("v2-f64", WireFormat::V2(SampleEncoding::F64)),
     ("v2-f32", WireFormat::V2(SampleEncoding::F32)),
     ("v2-i16", WireFormat::V2(SampleEncoding::I16)),
@@ -103,38 +109,21 @@ fn golden(name: &str, format: &str) -> Vec<u8> {
 
 #[test]
 fn every_encode_entry_point_produces_the_golden_bytes() {
-    assert_eq!(GOLDEN.lines().count(), records().len() * FORMATS.len());
+    // One line per record for each encoding, plus its retired v1 line.
+    assert_eq!(
+        GOLDEN.lines().count(),
+        records().len() * (FORMATS.len() + 1)
+    );
     for (name, record) in records() {
         for (label, format) in FORMATS {
             let want = golden(name, label);
             let ctx = format!("{name} {label}");
-            assert_eq!(encode_frame_with(&record, format), want, "{ctx}");
 
             // encode_into appends: what is already in the buffer stays.
             let mut appended = b"prefix".to_vec();
             encode_into(&record, format, &mut appended);
             assert_eq!(&appended[..6], b"prefix", "{ctx}");
             assert_eq!(&appended[6..], want, "{ctx}: encode_into");
-
-            let mut written = Vec::new();
-            write_record_with(&mut written, &record, format).unwrap();
-            assert_eq!(written, want, "{ctx}: write_record_with");
-
-            match format {
-                WireFormat::V1 => {
-                    assert_eq!(encode_frame(&record), want, "{ctx}: encode_frame");
-                    let mut written = Vec::new();
-                    write_record(&mut written, &record).unwrap();
-                    assert_eq!(written, want, "{ctx}: write_record");
-                }
-                WireFormat::V2(enc) => {
-                    assert_eq!(
-                        encode_frame_v2(&record, enc),
-                        want,
-                        "{ctx}: encode_frame_v2"
-                    );
-                }
-            }
 
             // StreamOut, twice through one operator: the reused frame
             // buffer must not leak one record's bytes into the next.
@@ -146,5 +135,133 @@ fn every_encode_entry_point_produces_the_golden_bytes() {
             }
             assert_eq!(wire, [want.clone(), want].concat(), "{ctx}: StreamOut");
         }
+
+        // The default format is the lossless one.
+        let mut wire = Vec::new();
+        StreamOut::new(&mut wire)
+            .on_record(record, &mut NullSink)
+            .unwrap();
+        assert_eq!(wire, golden(name, "v2-f64"), "{name}: default format");
+    }
+}
+
+/// `records` as frames in the default format, back to back.
+fn frames(records: &[Record]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for r in records {
+        encode_into(r, WireFormat::default(), &mut wire);
+    }
+    wire
+}
+
+/// A healthy opening, then the golden v1 frame `name`, then traffic
+/// that must never be trusted.
+fn wire_with_v1_frame(name: &str) -> Vec<u8> {
+    let mut wire = frames(&[
+        Record::open_scope(3, vec![]),
+        Record::data(0, Payload::f64(vec![1.0])),
+    ]);
+    wire.extend_from_slice(&golden(name, "v1"));
+    wire.extend_from_slice(&frames(&[Record::close_scope(3)]));
+    write_eos(&mut wire).unwrap();
+    wire
+}
+
+fn names_version_1(err: &PipelineError) -> bool {
+    matches!(err, PipelineError::Codec(m) if m.contains("version 1"))
+}
+
+#[test]
+fn v1_golden_frames_stop_at_the_version_gate() {
+    for (name, _) in records() {
+        // The bare frame, through the decoder: an error naming the
+        // version, never a record.
+        let mut events = Vec::new();
+        let err = Decoder::new()
+            .feed(&golden(name, "v1"), &mut events)
+            .unwrap_err();
+        assert!(names_version_1(&err), "{name}: {err}");
+        assert!(events.is_empty(), "{name}");
+
+        // Mid-stream, through `streamin`: the records before it are
+        // delivered first, and the standard repair balances the session.
+        let wire = wire_with_v1_frame(name);
+        let mut streamin = StreamIn::new(wire.as_slice());
+        let mut delivered = vec![
+            streamin.next_record().unwrap().unwrap(),
+            streamin.next_record().unwrap().unwrap(),
+        ];
+        let err = streamin.next_record().unwrap_err();
+        assert!(names_version_1(&err), "{name}: {err}");
+        delivered.extend(streamin.abort_repair());
+        assert_eq!(delivered.len(), 3, "{name}");
+        assert_eq!(delivered[2].kind, RecordKind::BadCloseScope, "{name}");
+        validate_scopes(&delivered).unwrap();
+        assert_eq!(
+            streamin.end(),
+            Some(StreamEnd::Unclean { repaired_scopes: 1 })
+        );
+    }
+}
+
+#[test]
+fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
+    let chain = || {
+        let mut p = Pipeline::new();
+        p.add(MapPayload::new("double", |v: &mut [f64]| {
+            v.iter_mut().for_each(|x| *x *= 2.0);
+        }));
+        p
+    };
+    let v1_sessions = records().len();
+    let mut server = PipelineServer::from_pipeline(&chain()).unwrap();
+    server.set_max_sessions(v1_sessions + 1);
+    let outputs: Arc<Mutex<Vec<(u64, SharedSink)>>> = Arc::default();
+    let registry = Arc::clone(&outputs);
+    let handle = server
+        .start(TcpListener::bind("127.0.0.1:0").unwrap(), move |info| {
+            let sink = SharedSink::new();
+            registry.lock().unwrap().push((info.id, sink.clone()));
+            Box::new(sink)
+        })
+        .unwrap();
+    let addr = handle.local_addr();
+
+    for (name, _) in records() {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&wire_with_v1_frame(name)).unwrap();
+    }
+    let mut healthy = vec![Record::open_scope(1, vec![])];
+    healthy.extend((0..40).map(|i| Record::data(2, Payload::f64(vec![f64::from(i); 8]))));
+    healthy.push(Record::close_scope(1));
+    send_all(addr, &healthy).unwrap();
+
+    handle.wait_for_completed(v1_sessions as u64 + 1);
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.clean_sessions(), 1);
+    assert_eq!(report.repaired_sessions(), v1_sessions);
+
+    let mut expected = Vec::new();
+    chain()
+        .run_streaming(healthy.into_iter(), &mut expected)
+        .unwrap();
+    for session in &report.sessions {
+        let outputs = outputs.lock().unwrap();
+        let (_, sink) = outputs.iter().find(|(id, _)| *id == session.id).unwrap();
+        let got = sink.take();
+        if session.is_clean() {
+            assert_eq!(got, expected, "the v2 neighbour is untouched");
+            continue;
+        }
+        // Only its own session is poisoned: the error names the
+        // version, nothing after the v1 frame was trusted, and the
+        // output is open + data + the synthesized close.
+        let err = session.error.as_deref().unwrap();
+        assert!(err.contains("version 1"), "{err}");
+        assert_eq!(session.end, StreamEnd::Unclean { repaired_scopes: 1 });
+        assert_eq!(session.received, 2);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[2].kind, RecordKind::BadCloseScope);
+        validate_scopes(&got).unwrap();
     }
 }

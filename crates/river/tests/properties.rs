@@ -4,8 +4,7 @@
 
 use bytes::Bytes;
 use dynamic_river::codec::{
-    decode_frame, encode_frame, encode_frame_v2, encode_frame_with, write_eos, write_record,
-    write_record_with, DecodeEvent, Decoder, SampleEncoding, WireFormat,
+    encode_into, write_eos, DecodeEvent, Decoder, SampleEncoding, WireFormat,
 };
 use dynamic_river::fault::{DropCloses, FailAfter, TruncateAfter};
 use dynamic_river::net::StreamIn;
@@ -13,6 +12,24 @@ use dynamic_river::ops::{ScopeRepair, ScopeSum};
 use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
 use proptest::prelude::*;
+
+/// `rec` as one frame in the given sample encoding.
+fn frame(rec: &Record, enc: SampleEncoding) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(rec, WireFormat::V2(enc), &mut out);
+    out
+}
+
+/// What a fresh decoder makes of `bytes` fed in one piece: the record
+/// of a complete frame, `None` while more bytes are awaited.
+fn decode(bytes: &[u8]) -> Result<Option<Record>, PipelineError> {
+    let mut events = Vec::new();
+    Decoder::new().feed(bytes, &mut events)?;
+    Ok(events.pop().map(|event| match event {
+        DecodeEvent::Record(rec) => rec,
+        other => panic!("expected a record, got {other:?}"),
+    }))
+}
 
 /// Sample buffers in every representation the payload model allows:
 /// owned (offset 0) and non-trivial views (non-zero offset and/or a
@@ -95,10 +112,8 @@ proptest! {
     /// Any record round-trips exactly through the wire codec.
     #[test]
     fn codec_round_trip(rec in arb_record()) {
-        let frame = encode_frame(&rec);
-        let (decoded, used) = decode_frame(&frame).unwrap().unwrap();
-        prop_assert_eq!(decoded, rec);
-        prop_assert_eq!(used, frame.len());
+        let decoded = decode(&frame(&rec, SampleEncoding::F64)).unwrap();
+        prop_assert_eq!(decoded, Some(rec));
     }
 
     /// Encoding is canonical byte-for-byte: whatever the payload variant
@@ -107,19 +122,19 @@ proptest! {
     /// so views and owned buffers are indistinguishable on the wire.
     #[test]
     fn codec_reencode_is_byte_identical(rec in arb_record()) {
-        let frame = encode_frame(&rec);
-        let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
-        prop_assert_eq!(encode_frame(&decoded), frame);
+        let wire = frame(&rec, SampleEncoding::F64);
+        let decoded = decode(&wire).unwrap().unwrap();
+        prop_assert_eq!(frame(&decoded, SampleEncoding::F64), wire);
     }
 
     /// Every prefix of a frame asks for more bytes rather than erroring
     /// or mis-decoding.
     #[test]
     fn codec_prefix_safe(rec in arb_record(), frac in 0.0f64..1.0) {
-        let frame = encode_frame(&rec);
+        let frame = frame(&rec, SampleEncoding::F64);
         let cut = ((frame.len() as f64) * frac) as usize;
         if cut < frame.len() {
-            prop_assert!(decode_frame(&frame[..cut]).unwrap().is_none());
+            prop_assert!(decode(&frame[..cut]).unwrap().is_none());
         }
     }
 
@@ -128,14 +143,12 @@ proptest! {
     /// different record.
     #[test]
     fn codec_detects_bit_flips(rec in arb_record(), byte_idx in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let mut frame = encode_frame(&rec);
+        let mut frame = frame(&rec, SampleEncoding::I16);
         let idx = byte_idx.index(frame.len());
         frame[idx] ^= 1 << bit;
         // Ok(None) (length field corrupted upward, more bytes
         // requested) and Err (corruption detected) both pass.
-        if let Ok(Some((decoded, _))) = decode_frame(&frame) {
-            prop_assert_eq!(decoded, rec, "corruption went unnoticed");
-        }
+        prop_assert!(!matches!(decode(&frame), Ok(Some(_))), "corruption went unnoticed");
     }
 
     /// Concatenated frames decode back to the original sequence.
@@ -143,20 +156,14 @@ proptest! {
     fn codec_stream_round_trip(records in prop::collection::vec(arb_record(), 0..20)) {
         let mut buf = Vec::new();
         for r in &records {
-            write_record(&mut buf, r).unwrap();
+            encode_into(r, WireFormat::default(), &mut buf);
         }
         write_eos(&mut buf).unwrap();
-        let mut decoded = Vec::new();
-        let mut offset = 0usize;
-        loop {
-            if buf[offset..].starts_with(b"RVEO") {
-                break;
-            }
-            let (r, used) = decode_frame(&buf[offset..]).unwrap().unwrap();
-            decoded.push(r);
-            offset += used;
-        }
-        prop_assert_eq!(decoded, records);
+        let mut events = Vec::new();
+        Decoder::new().feed(&buf, &mut events).unwrap();
+        prop_assert_eq!(events.pop(), Some(DecodeEvent::CleanEnd));
+        let expected: Vec<_> = records.into_iter().map(DecodeEvent::Record).collect();
+        prop_assert_eq!(events, expected);
     }
 
     /// ScopeRepair output always passes scope validation, whatever the
@@ -183,7 +190,7 @@ proptest! {
 
         let mut buf = Vec::new();
         for r in &clean {
-            write_record(&mut buf, r).unwrap();
+            encode_into(r, WireFormat::default(), &mut buf);
         }
         write_eos(&mut buf).unwrap();
         let cut = ((buf.len() as f64) * keep_frac) as usize;
@@ -355,29 +362,11 @@ proptest! {
         prop_assert_eq!(single_bad, sharded_bad);
     }
 
-    /// Differential v1 ↔ v2: for any record — offset `SampleBuf` views,
-    /// every scope type, empty payloads — the lossless v2 frame decodes
-    /// to exactly the record the v1 frame decodes to, and v2 encoding is
-    /// canonical (decode → re-encode is byte-identical).
-    #[test]
-    fn v2_lossless_decodes_identically_to_v1(rec in arb_record()) {
-        let v1 = encode_frame(&rec);
-        let v2 = encode_frame_v2(&rec, SampleEncoding::F64);
-        let (from_v1, used1) = decode_frame(&v1).unwrap().unwrap();
-        let (from_v2, used2) = decode_frame(&v2).unwrap().unwrap();
-        prop_assert_eq!(used1, v1.len());
-        prop_assert_eq!(used2, v2.len());
-        prop_assert_eq!(&from_v1, &from_v2);
-        prop_assert_eq!(&from_v1, &rec);
-        prop_assert_eq!(encode_frame_v2(&from_v2, SampleEncoding::F64), v2);
-    }
-
     /// The f32 encoding loses exactly the bits `f64 → f32 → f64` loses,
     /// nothing more: each decoded sample equals its f32-rounded source.
     #[test]
     fn v2_f32_samples_round_to_f32_exactly(rec in arb_record()) {
-        let frame = encode_frame_v2(&rec, SampleEncoding::F32);
-        let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
+        let decoded = decode(&frame(&rec, SampleEncoding::F32)).unwrap().unwrap();
         let pairs = |p: &Payload| -> Option<(Vec<f64>, Vec<f64>)> {
             match p {
                 Payload::F64(b) | Payload::Complex(b) => Some((b.to_vec(), Vec::new())),
@@ -399,8 +388,7 @@ proptest! {
     /// `scale = max|x| / 32767`, per record.
     #[test]
     fn v2_i16_error_stays_within_half_scale(rec in arb_record()) {
-        let frame = encode_frame_v2(&rec, SampleEncoding::I16);
-        let (decoded, _) = decode_frame(&frame).unwrap().unwrap();
+        let decoded = decode(&frame(&rec, SampleEncoding::I16)).unwrap().unwrap();
         let samples = |p: &Payload| -> Option<Vec<f64>> {
             match p {
                 Payload::F64(b) | Payload::Complex(b) => Some(b.to_vec()),
@@ -419,7 +407,7 @@ proptest! {
         }
     }
 
-    /// Chunking invariance: however a mixed-version byte stream is
+    /// Chunking invariance: however a mixed-encoding byte stream is
     /// split, the incremental decoder yields the identical record
     /// sequence and clean end.
     #[test]
@@ -430,13 +418,12 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         for (i, r) in records.iter().enumerate() {
-            let format = match (i + enc_pick as usize) % 4 {
-                0 => WireFormat::V1,
-                1 => WireFormat::V2(SampleEncoding::F64),
-                2 => WireFormat::V2(SampleEncoding::F32),
-                _ => WireFormat::V2(SampleEncoding::I16),
+            let enc = match (i + enc_pick as usize) % 3 {
+                0 => SampleEncoding::F64,
+                1 => SampleEncoding::F32,
+                _ => SampleEncoding::I16,
             };
-            write_record_with(&mut wire, r, format).unwrap();
+            encode_into(r, WireFormat::V2(enc), &mut wire);
         }
         write_eos(&mut wire).unwrap();
 
@@ -459,7 +446,7 @@ proptest! {
         prop_assert!(matches!(chunked.last(), Some(DecodeEvent::CleanEnd)));
     }
 
-    /// Single-bit corruption in a v2 frame is always detected — decode
+    /// Single-bit corruption in a frame is always detected — decode
     /// never silently yields a different record, and every failure is a
     /// recoverable `Codec` error (never a panic, never `Io`).
     #[test]
@@ -468,11 +455,11 @@ proptest! {
         byte_idx in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        let mut frame = encode_frame_with(&rec, WireFormat::V2(SampleEncoding::F64));
+        let mut frame = frame(&rec, SampleEncoding::F64);
         let idx = byte_idx.index(frame.len());
         frame[idx] ^= 1 << bit;
-        match decode_frame(&frame) {
-            Ok(Some((decoded, _))) => prop_assert_eq!(decoded, rec, "corruption went unnoticed"),
+        match decode(&frame) {
+            Ok(Some(decoded)) => prop_assert_eq!(decoded, rec, "corruption went unnoticed"),
             Ok(None) => {} // length field corrupted upward: more bytes requested
             Err(e) => {
                 let is_codec = matches!(e, PipelineError::Codec(_));

@@ -10,7 +10,7 @@
 //! running that client's records through
 //! [`Pipeline::run_streaming`] on a single lane.
 
-use dynamic_river::codec::{encode_frame, write_eos, write_keepalive, write_record};
+use dynamic_river::codec::{encode_into, write_eos, write_keepalive};
 use dynamic_river::net::StreamEnd;
 use dynamic_river::prelude::*;
 use dynamic_river::serve::PipelineServer;
@@ -43,12 +43,18 @@ fn clip(tag: f64, n: usize) -> Vec<Record> {
     v
 }
 
-/// The full wire image of a clip: every frame plus the EOS sentinel.
-fn wire_image(records: &[Record]) -> Vec<u8> {
+/// The frames of `records`, back to back (no sentinel).
+fn frames(records: &[Record]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for r in records {
-        bytes.extend_from_slice(&encode_frame(r));
+        encode_into(r, WireFormat::default(), &mut bytes);
     }
+    bytes
+}
+
+/// The full wire image of a clip: every frame plus the EOS sentinel.
+fn wire_image(records: &[Record]) -> Vec<u8> {
+    let mut bytes = frames(records);
     write_eos(&mut bytes).unwrap();
     bytes
 }
@@ -192,9 +198,11 @@ fn idle_session_is_reaped_while_keepalive_pinger_survives() {
     // nothing — but the socket stays open, so only the idle reaper
     // (not disconnect repair) can end it.
     let mut silent = TcpStream::connect(addr).unwrap();
-    write_record(&mut silent, &Record::open_scope(9, vec![])).unwrap();
-    write_record(&mut silent, &Record::data(0, Payload::f64(vec![5.0]))).unwrap();
-    silent.flush().unwrap();
+    let opening = [
+        Record::open_scope(9, vec![]),
+        Record::data(0, Payload::f64(vec![5.0])),
+    ];
+    silent.write_all(&frames(&opening)).unwrap();
 
     // Session 2 is dormant-but-alive: it pings keepalives through a
     // stretch far longer than the idle timeout, then finishes its clip
@@ -206,14 +214,12 @@ fn idle_session_is_reaped_while_keepalive_pinger_survives() {
             Record::close_scope(3),
         ];
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_record(&mut stream, &records[0]).unwrap();
-        write_record(&mut stream, &records[1]).unwrap();
-        stream.flush().unwrap();
+        stream.write_all(&frames(&records[..2])).unwrap();
         for _ in 0..10 {
             thread::sleep(Duration::from_millis(80));
             write_keepalive(&mut stream).unwrap();
         }
-        write_record(&mut stream, &records[2]).unwrap();
+        stream.write_all(&frames(&records[2..])).unwrap();
         write_eos(&mut stream).unwrap();
         stream.flush().unwrap();
         records

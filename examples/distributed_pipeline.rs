@@ -14,13 +14,11 @@
 
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::prelude::*;
-use acoustic_ensembles::river::codec::write_record;
-use acoustic_ensembles::river::net::send_all_with;
+use acoustic_ensembles::river::net::{send_all_with, StreamOut};
 use acoustic_ensembles::river::operator::SharedSink;
 use acoustic_ensembles::river::prelude::*;
 use acoustic_ensembles::river::telemetry::EventKind;
-use std::io::{BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -71,19 +69,19 @@ fn main() {
     // Four sensor hosts push their clips concurrently; with only three
     // session slots, the fourth waits in the accept backlog until a
     // slot frees (accept-time backpressure, not half-service). The
-    // fleet is mixed-generation: even sensors still speak the v1 wire,
-    // odd sensors upgraded to the compact v2/f32 frames — the server
-    // detects each sender's format and reports it per session.
+    // fleet mixes sample encodings: even sensors send lossless f64
+    // frames, odd sensors the compact f32 ones (about half the wire
+    // bytes) — the server reads the encoding off each frame.
     let clients: Vec<_> = (0..SENSORS)
         .map(|s| {
             thread::spawn(move || {
                 let cfg = ExtractorConfig::default();
                 let records = sensor_clip(&cfg, 11 + s);
-                let format = if s % 2 == 0 {
-                    WireFormat::V1
+                let format = WireFormat::V2(if s % 2 == 0 {
+                    SampleEncoding::F64
                 } else {
-                    WireFormat::V2(SampleEncoding::F32)
-                };
+                    SampleEncoding::F32
+                });
                 let sent = send_all_with(addr, &records, format).unwrap();
                 println!("sensor {s}: streamout sent {sent} records ({format:?} wire)");
                 sent
@@ -100,13 +98,11 @@ fn main() {
     // sessions are untouched.
     let crash_records = sensor_clip(&cfg, 99);
     thread::spawn(move || {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut w = BufWriter::new(stream);
+        let mut out = StreamOut::connect(addr).unwrap();
         for r in crash_records.iter().take(5) {
-            write_record(&mut w, r).unwrap();
+            out.on_record(r.clone(), &mut NullSink).unwrap();
         }
-        w.flush().unwrap();
-        // Dropped here: simulated crash.
+        // Dropped here (which flushes): simulated crash.
     })
     .join()
     .unwrap();
@@ -122,13 +118,12 @@ fn main() {
     );
     for s in &report.sessions {
         println!(
-            "  session {} [{}]: {} records in, {} wire bytes (wire v{}), \
+            "  session {} [{}]: {} records in, {} wire bytes, \
              {:.1} ms wall ({:.0}% idle on the socket), ended {:?}{}",
             s.id,
             s.peer,
             s.received,
             s.wire_bytes,
-            s.wire_version.map_or_else(|| "?".into(), |v| v.to_string()),
             s.duration.as_secs_f64() * 1e3,
             100.0 * s.idle.as_secs_f64() / s.duration.as_secs_f64().max(1e-9),
             s.end,

@@ -120,17 +120,14 @@ fn concurrent_sessions_through_one_server_match_single_lane() {
     // A fifth client dies mid-clip: open scope, a few records, gone.
     let crashing = clip_records(42);
     let crash_peer = thread::spawn(move || {
-        use acoustic_ensembles::river::codec::write_record;
-        use std::io::{BufWriter, Write};
         let stream = TcpStream::connect(addr).unwrap();
         let peer = stream.local_addr().unwrap().to_string();
-        let mut w = BufWriter::new(stream);
+        let mut out = StreamOut::new(stream);
         for r in crashing.iter().take(8) {
-            write_record(&mut w, r).unwrap();
+            out.on_record(r.clone(), &mut NullSink).unwrap();
         }
-        w.flush().unwrap();
         peer
-        // Dropped: no CloseScope, no sentinel.
+        // Dropped (which flushes): no CloseScope, no sentinel.
     })
     .join()
     .unwrap();
@@ -176,55 +173,67 @@ fn concurrent_sessions_through_one_server_match_single_lane() {
     );
 }
 
-/// Cross-version interop matrix (ISSUE satellite 3): v1 and v2 clients
-/// drive the same Figure 5 [`PipelineServer`] concurrently. The server
-/// auto-detects the wire version per frame, so "v1 client → v2 server"
-/// and "v2 client → v1-era server" are both exercised by mixing
-/// formats across sessions of one server. Every session's output must
-/// be byte-identical to the single-lane streaming driver, and each
-/// session must report the wire version its sender chose.
+/// Mixed sample encodings through one server: lossless F64 sensors and
+/// compact F32 and I16 ones drive the same Figure 5 [`PipelineServer`]
+/// concurrently. The server reads the encoding off each frame, so
+/// nothing is negotiated. Every session's output must be byte-identical
+/// to the single-lane streaming driver over the records *as decoded*
+/// from that session's own wire (the lossy encodings change the samples
+/// at the sender, not the pipeline).
 #[test]
-fn mixed_wire_versions_interoperate_through_one_server() {
+fn mixed_wire_encodings_interoperate_through_one_server() {
     use acoustic_ensembles::river::codec::{SampleEncoding, WireFormat};
-    use acoustic_ensembles::river::net::send_all_with;
+    use acoustic_ensembles::river::net::StreamIn;
+    use std::io::Write;
 
     let cfg = ExtractorConfig::default();
     let synth = ClipSynthesizer::new(SynthConfig {
         clip_seconds: 4.0,
         ..SynthConfig::paper()
     });
-    let clip_records = |seed: u64| {
+    // Each lane: its encoding, the wire image of one clip in it, and
+    // the single-lane output over what that wire decodes to.
+    let lanes: Vec<(SampleEncoding, Vec<u8>, Vec<Record>)> = [
+        (SampleEncoding::F64, 31),
+        (SampleEncoding::F32, 35),
+        (SampleEncoding::I16, 33),
+    ]
+    .into_iter()
+    .map(|(enc, seed)| {
         let clip = synth.clip(SpeciesCode::Bcch, seed);
         let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
-        clip_to_records(
+        let records = clip_to_records(
             &clip.samples[..usable],
             cfg.sample_rate,
             cfg.record_len,
             &[],
-        )
-    };
-    // Lossless formats only: byte-identity is the acceptance bar.
-    let lanes: Vec<(WireFormat, Vec<Record>)> = vec![
-        (WireFormat::V1, clip_records(31)),
-        (WireFormat::V2(SampleEncoding::F64), clip_records(32)),
-        (WireFormat::V1, clip_records(33)),
-        (WireFormat::V2(SampleEncoding::F64), clip_records(34)),
-    ];
-    let expected: Vec<Vec<Record>> = lanes
-        .iter()
-        .map(|(_, records)| {
-            let mut out = Vec::new();
-            full_pipeline(cfg, true)
-                .run_streaming(records.clone().into_iter(), &mut out)
-                .unwrap();
-            out
-        })
-        .collect();
+        );
+        let mut wire = Vec::new();
+        {
+            let mut out = StreamOut::new(&mut wire).with_format(WireFormat::V2(enc));
+            for r in &records {
+                out.on_record(r.clone(), &mut NullSink).unwrap();
+            }
+            out.on_eos(&mut NullSink).unwrap();
+        }
+        let mut decoded = Vec::new();
+        let end = StreamIn::new(wire.as_slice()).pump(&mut decoded).unwrap();
+        assert_eq!(end, StreamEnd::Clean);
+        // Only the lossless encoding hands the pipeline the sender's
+        // very samples.
+        assert_eq!(decoded == records, enc == SampleEncoding::F64, "{enc:?}");
+        let mut expected = Vec::new();
+        full_pipeline(cfg, true)
+            .run_streaming(decoded.into_iter(), &mut expected)
+            .unwrap();
+        (enc, wire, expected)
+    })
+    .collect();
 
     let outputs: Arc<Mutex<HashMap<String, SharedSink>>> = Arc::new(Mutex::new(HashMap::new()));
     let registry = Arc::clone(&outputs);
     let mut server = PipelineServer::from_factory(move |_session| full_pipeline(cfg, true));
-    server.set_max_sessions(4);
+    server.set_max_sessions(lanes.len());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = server
         .start(listener, move |info| {
@@ -240,77 +249,43 @@ fn mixed_wire_versions_interoperate_through_one_server() {
 
     let clients: Vec<_> = lanes
         .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, (format, records))| {
+        .map(|(_, wire, _)| {
+            let wire = wire.clone();
             thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                let peer = stream.local_addr().unwrap().to_string();
-                let mut out = StreamOut::new(stream).with_format(format);
-                let mut devnull = NullSink;
-                for r in &records {
-                    out.on_record(r.clone(), &mut devnull).unwrap();
-                }
-                out.on_eos(&mut devnull).unwrap();
-                (i, peer)
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(&wire).unwrap();
+                stream.local_addr().unwrap().to_string()
             })
         })
         .collect();
-    let peers: Vec<(usize, String)> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-    handle.wait_for_completed(4);
+    let peers: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    handle.wait_for_completed(lanes.len() as u64);
     let report = handle.shutdown().unwrap();
-    assert_eq!(report.clean_sessions(), 4);
+    assert_eq!(report.clean_sessions(), lanes.len());
 
     let outputs = outputs.lock().unwrap();
-    for (i, peer) in &peers {
+    for (peer, (enc, wire, expected)) in peers.iter().zip(&lanes) {
         let got = outputs.get(peer).expect("session output registered").take();
         assert_eq!(
-            got, expected[*i],
-            "wire format {:?} diverged from the single-lane run",
-            lanes[*i].0
+            &got, expected,
+            "{enc:?} session diverged from the single-lane run"
+        );
+        validate_scopes(&got).unwrap();
+        assert!(
+            got.iter()
+                .any(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN),
+            "{enc:?} clip still yields pattern output"
         );
         let session = report
             .sessions
             .iter()
             .find(|s| s.peer == *peer)
             .expect("session reported");
-        assert_eq!(
-            session.wire_version,
-            Some(lanes[*i].0.version()),
-            "session must report its sender's negotiated version"
-        );
+        assert_eq!(session.wire_bytes, wire.len() as u64);
     }
-
-    // The compact path also holds end-to-end for a whole clip:
-    // send_all_with over v2/f32 halves the wire (typed satellite check
-    // lives in the bench; here we just require the session to work and
-    // report v2).
-    let f32_records = clip_records(35);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mut server = PipelineServer::from_factory(move |_session| full_pipeline(cfg, true));
-    server.set_max_sessions(1);
-    let sink = SharedSink::new();
-    let sink_out = sink.clone();
-    let handle = server
-        .start(listener, move |_info| Box::new(sink_out.clone()))
-        .unwrap();
-    send_all_with(
-        handle.local_addr(),
-        &f32_records,
-        WireFormat::V2(SampleEncoding::F32),
-    )
-    .unwrap();
-    handle.wait_for_completed(1);
-    let report = handle.shutdown().unwrap();
-    assert_eq!(report.sessions[0].wire_version, Some(2));
-    assert_eq!(report.sessions[0].end, StreamEnd::Clean);
-    let out = sink.take();
-    validate_scopes(&out).unwrap();
-    assert!(
-        out.iter()
-            .any(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN),
-        "f32-quantized clip still yields pattern output"
-    );
+    // The compact encodings are what they are for: fewer wire bytes.
+    assert!(lanes[1].1.len() * 2 < lanes[0].1.len() + lanes[0].1.len() / 50);
+    assert!(lanes[2].1.len() * 4 < lanes[0].1.len() + lanes[0].1.len() / 20);
 }
 
 #[test]
@@ -407,15 +382,11 @@ fn crash_mid_clip_yields_balanced_stream_downstream() {
     let addr = listener.local_addr().unwrap();
 
     thread::spawn(move || {
-        use acoustic_ensembles::river::codec::write_record;
-        use std::io::{BufWriter, Write};
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let mut w = BufWriter::new(stream);
+        let mut out = StreamOut::connect(addr).unwrap();
         for r in records.iter().take(20) {
-            write_record(&mut w, r).unwrap();
+            out.on_record(r.clone(), &mut NullSink).unwrap();
         }
-        w.flush().unwrap();
-        // Crash: no CloseScope, no EOS sentinel.
+        // Crash (the drop flushes): no CloseScope, no EOS sentinel.
     });
 
     let mut received: Vec<Record> = Vec::new();
