@@ -3,6 +3,7 @@
 //! parameter choices (window 100, alphabet 8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use river_dsp::stats::MovingAverage;
 use river_sax::anomaly::{AnomalyConfig, BitmapAnomaly, Normalization};
 use std::hint::black_box;
 
@@ -107,11 +108,58 @@ fn bench_normalization(c: &mut Criterion) {
     group.finish();
 }
 
+/// The block kernel as `saxanomaly` calls it — one 840-sample record
+/// at a time, scored then smoothed in place — next to the same stream
+/// fed through one-sample calls, under the paper's `Sliding(8400)` and
+/// under `Global`.
+fn bench_block(c: &mut Criterion) {
+    let samples = signal(50_400);
+    let mut scores = vec![0.0; 840];
+    let mut group = c.benchmark_group("sax_anomaly/block840");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    for (name, norm) in [
+        ("sliding8400", Normalization::Sliding(8_400)),
+        ("global", Normalization::Global),
+    ] {
+        let config = AnomalyConfig {
+            normalization: norm,
+            ..AnomalyConfig::default()
+        };
+        group.bench_function(BenchmarkId::new("score_block", name), |b| {
+            b.iter(|| {
+                let mut det = BitmapAnomaly::new(config);
+                let mut ma = MovingAverage::new(2_250);
+                let mut acc = 0.0;
+                for record in samples.chunks(840) {
+                    det.score_block(record, &mut scores);
+                    ma.smooth_in_place(&mut scores);
+                    acc += scores[839];
+                }
+                black_box(acc)
+            });
+        });
+        group.bench_function(BenchmarkId::new("push", name), |b| {
+            b.iter(|| {
+                let mut det = BitmapAnomaly::new(config);
+                let mut ma = MovingAverage::new(2_250);
+                let mut acc = 0.0;
+                for &x in &samples {
+                    acc += ma.push(det.push(x));
+                }
+                black_box(acc)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_window,
     bench_alphabet,
     bench_ngram,
-    bench_normalization
+    bench_normalization,
+    bench_block
 );
 criterion_main!(benches);

@@ -209,14 +209,11 @@ impl EnsembleExtractor {
         let mut scores = Vec::with_capacity(samples.len());
         let mut trig = Vec::with_capacity(samples.len());
         let mut ensembles = Vec::new();
-        for &x in samples {
-            let step = stream.push_sample(x);
+        stream.for_each_step(samples, |step| {
             scores.push(step.score);
             trig.push(u8::from(step.triggered));
-            if let Some(e) = step.completed {
-                ensembles.push(e);
-            }
-        }
+            ensembles.extend(step.completed);
+        });
         // Trigger still high at end of clip: close the dangling ensemble
         // (the record pipeline emits CloseScope at clip close).
         ensembles.extend(stream.finish());
@@ -435,6 +432,11 @@ impl EnsembleExtractor {
     }
 }
 
+/// Samples a [`StreamingExtractor`] scores per kernel call: its score
+/// scratch lives on the stack, so a chunk of any length costs no
+/// allocation.
+const SCORE_TILE: usize = 512;
+
 /// The outcome of feeding one sample to a [`StreamingExtractor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStep {
@@ -477,8 +479,12 @@ impl StreamingExtractor {
     /// Feeds one sample, returning its score, trigger state, and any
     /// ensemble it completed.
     pub fn push_sample(&mut self, x: f64) -> StreamStep {
-        let raw = self.detector.push(x);
-        let score = self.smoother.push(raw);
+        let score = self.smoother.push(self.detector.push(x));
+        self.step(x, score)
+    }
+
+    /// `trigger` and `cutter` for one sample and its smoothed score.
+    fn step(&mut self, x: f64, score: f64) -> StreamStep {
         let triggered = self.trigger.push(score);
         let completed = if triggered {
             match &mut self.open {
@@ -505,9 +511,21 @@ impl StreamingExtractor {
     /// Feeds a chunk of samples, appending completed ensembles to
     /// `out`.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<Ensemble>) {
-        for &x in chunk {
-            if let Some(e) = self.push_sample(x).completed {
-                out.push(e);
+        self.for_each_step(chunk, |step| out.extend(step.completed));
+    }
+
+    /// Feeds a chunk, handing every sample's [`StreamStep`] to `f`: the
+    /// chunk is scored and smoothed a tile at a time by the block
+    /// kernel, then stepped through `trigger` and `cutter` — the same
+    /// steps [`push_sample`](Self::push_sample) yields one by one.
+    fn for_each_step(&mut self, chunk: &[f64], mut f: impl FnMut(StreamStep)) {
+        let mut scores = [0.0; SCORE_TILE];
+        for tile in chunk.chunks(SCORE_TILE) {
+            let scores = &mut scores[..tile.len()];
+            self.detector.score_block(tile, scores);
+            self.smoother.smooth_in_place(scores);
+            for (&x, &score) in tile.iter().zip(scores.iter()) {
+                f(self.step(x, score));
             }
         }
     }

@@ -10,6 +10,7 @@
 
 use crate::config::ExtractorConfig;
 use crate::{scope_type, subtype};
+use dynamic_river::buf::SampleBuf;
 use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
 use river_dsp::stats::MovingAverage;
 use river_sax::anomaly::BitmapAnomaly;
@@ -59,11 +60,13 @@ impl Operator for SaxAnomaly {
                         "audio record without F64 payload",
                     ));
                 };
-                let scores: Vec<f64> = samples
-                    .iter()
-                    .map(|&x| self.smoother.push(self.detector.push(x)))
-                    .collect();
-                let score_record = Record::data(subtype::SCORE, Payload::f64(scores))
+                // The one allocation a record costs: the score payload,
+                // which the kernel and the smoother then write in place.
+                let mut scores = SampleBuf::from(samples);
+                let in_place = scores.make_mut();
+                self.detector.score_block(samples, in_place);
+                self.smoother.smooth_in_place(in_place);
+                let score_record = Record::data(subtype::SCORE, Payload::F64(scores))
                     .with_seq(record.seq)
                     .with_depth(record.scope_depth);
                 out.push(record)?;

@@ -3,11 +3,14 @@
 //! The fused `spectrum` operator and the SAX anomaly detector carry the
 //! per-record cost of the Figure 5 pipeline, and both were built to run
 //! allocation-free once warm: `RealFft::magnitudes_into` writes into
-//! caller-provided output and scratch buffers, and `BitmapAnomaly::push`
-//! updates ring buffers and running sums in place (DESIGN.md §14). This
-//! test pins that property with a counting `#[global_allocator]`: after
-//! a warm-up pass, a sustained run of both kernels must perform **zero**
-//! heap allocations.
+//! caller-provided output and scratch buffers, and `BitmapAnomaly`
+//! sizes its tiles, histories and count matrix in `new` (DESIGN.md
+//! §14). This test pins that property with a counting
+//! `#[global_allocator]`: after a warm-up pass, a sustained run of both
+//! kernels — the detector through one-sample `push` calls and through
+//! `score_block` — must perform **zero** heap allocations, and the
+//! `saxanomaly` operator exactly one per audio record, the score
+//! payload it emits.
 //!
 //! The telemetry layer rides in the same measured window (ISSUE 9
 //! satellite 4): [`StageTimer::record`] is pure atomics, and
@@ -20,7 +23,11 @@
 //! file holds a single `#[test]` so no concurrent test can allocate in
 //! the measured window.
 
+use dynamic_river::operator::NullSink;
 use dynamic_river::telemetry::{EventKind, EventLog, StageTimer};
+use dynamic_river::{Operator, Payload, Record};
+use ensemble_core::ops::SaxAnomaly;
+use ensemble_core::{subtype, ExtractorConfig};
 use river_dsp::complex::Complex64;
 use river_dsp::fft::RealFft;
 use river_dsp::window::WindowKind;
@@ -67,7 +74,7 @@ fn warm_spectral_kernels_do_not_allocate() {
     let timer = StageTimer::new();
     let events = EventLog::new(64);
 
-    // Warm-up: let the detector fill its ring/windows and both kernels
+    // Warm-up: let the detector fill its windows and both kernels
     // touch every buffer they will ever need; the event ring is pushed
     // past capacity so steady-state pushes only evict, never grow.
     let mut acc = 0.0;
@@ -94,7 +101,46 @@ fn warm_spectral_kernels_do_not_allocate() {
     }
     let after = ALLOCS.load(Ordering::Relaxed);
 
+    // The block kernel, over 840-sample records and over blocks that
+    // are no multiple of its tile: tiles and history were sized in
+    // `new`, so the block length costs nothing.
+    let long: Vec<f64> = samples.iter().chain(&samples).copied().collect();
+    let mut scores = vec![0.0; long.len()];
+    let before_block = ALLOCS.load(Ordering::Relaxed);
+    for round in 0..32 {
+        detector.score_block(&mags, &mut scores[..n]);
+        acc += scores[round];
+    }
+    detector.score_block(&long[..1_025], &mut scores[..1_025]);
+    detector.score_block(&long, &mut scores);
+    acc += scores[1_679];
+    let after_block = ALLOCS.load(Ordering::Relaxed);
+
+    // The operator around it: one allocation per audio record — the
+    // score payload, scored and smoothed in place.
+    let mut op = SaxAnomaly::new(ExtractorConfig::paper());
+    let audio = Record::data(subtype::AUDIO, Payload::f64(samples.clone())).with_seq(7);
+    let mut sink = NullSink;
+    for _ in 0..4 {
+        op.on_record(audio.clone(), &mut sink).unwrap();
+    }
+    let before_op = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..32 {
+        op.on_record(audio.clone(), &mut sink).unwrap();
+    }
+    let after_op = ALLOCS.load(Ordering::Relaxed);
+
     assert!(acc.is_finite(), "kernels produced non-finite output");
+    assert_eq!(
+        after_block - before_block,
+        0,
+        "score_block allocated (840-, 1,025- and 1,680-sample blocks)"
+    );
+    assert_eq!(
+        after_op - before_op,
+        32,
+        "saxanomaly: exactly the score payload per audio record"
+    );
     assert_eq!(timer.histogram().count, 32);
     assert_eq!(events.len(), 64, "ring should sit exactly at capacity");
     assert_eq!(

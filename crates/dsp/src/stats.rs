@@ -7,8 +7,6 @@
 //! [`MovingAverage`]. [`SlidingStats`] provides exact windowed mean and
 //! variance for the streaming Z-normalization used by SAX symbolization.
 
-use std::collections::VecDeque;
-
 /// Welford's online algorithm for mean and variance over an unbounded
 /// stream.
 ///
@@ -111,10 +109,86 @@ impl Welford {
     }
 }
 
+/// Flat ring of the most recent samples under [`SlidingStats`] and
+/// [`MovingAverage`], allocated once. While it fills, samples land at
+/// `buf[len]` and `head` stays 0; once full, `head` is the oldest sample
+/// and the next slot to overwrite, so a block walks the ring as
+/// contiguous runs with no per-sample wrap test.
+#[derive(Debug, Clone)]
+struct Ring {
+    buf: Vec<f64>,
+    len: usize,
+    head: usize,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be non-zero");
+        Ring {
+            buf: vec![0.0; capacity],
+            len: 0,
+            head: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.buf.len()
+    }
+
+    /// Samples a block can still push before the ring is full.
+    fn room(&self) -> usize {
+        self.buf.len() - self.len
+    }
+
+    /// Stores `x`, returning the sample it evicts once the ring is full.
+    #[inline]
+    fn replace(&mut self, x: f64) -> Option<f64> {
+        if self.is_full() {
+            let old = std::mem::replace(&mut self.buf[self.head], x);
+            self.head += 1;
+            if self.head == self.buf.len() {
+                self.head = 0;
+            }
+            Some(old)
+        } else {
+            self.buf[self.len] = x;
+            self.len += 1;
+            None
+        }
+    }
+
+    /// Of a full ring: the next contiguous run of at most `want` slots,
+    /// oldest first. The caller overwrites every slot of the run with a
+    /// new sample.
+    fn take_run(&mut self, want: usize) -> &mut [f64] {
+        debug_assert!(self.is_full());
+        let start = self.head;
+        let run = want.min(self.buf.len() - start);
+        self.head = if start + run == self.buf.len() {
+            0
+        } else {
+            start + run
+        };
+        &mut self.buf[start..start + run]
+    }
+
+    /// Oldest first.
+    fn iter(&self) -> impl Iterator<Item = &f64> {
+        let (newer, older) = self.buf[..self.len].split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.head = 0;
+    }
+}
+
 /// Exact mean and variance over a fixed-size sliding window.
 ///
-/// Maintains running sums over a ring buffer: O(1) per sample, O(window)
-/// memory. Used for streaming Z-normalization in the SAX symbolizer.
+/// Maintains running sums over a flat ring: O(1) per sample, O(window)
+/// memory, allocated in [`new`](Self::new). Used for streaming
+/// Z-normalization in the SAX symbolizer.
 ///
 /// # Example
 ///
@@ -130,10 +204,16 @@ impl Welford {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingStats {
-    window: VecDeque<f64>,
-    capacity: usize,
+    ring: Ring,
     sum: f64,
     sum_sq: f64,
+}
+
+/// Population variance of `n` samples from their running sums, clamped
+/// at zero against rounding.
+#[inline]
+fn variance_of(sum_sq: f64, n: f64, mean: f64) -> f64 {
+    (sum_sq / n - mean * mean).max(0.0)
 }
 
 impl SlidingStats {
@@ -143,10 +223,8 @@ impl SlidingStats {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be non-zero");
         SlidingStats {
-            window: VecDeque::with_capacity(capacity),
-            capacity,
+            ring: Ring::new(capacity),
             sum: 0.0,
             sum_sq: 0.0,
         }
@@ -155,57 +233,113 @@ impl SlidingStats {
     /// Pushes a sample, evicting the oldest if the window is full. Returns
     /// the evicted sample, if any.
     pub fn push(&mut self, x: f64) -> Option<f64> {
-        let evicted = if self.window.len() == self.capacity {
-            let old = self.window.pop_front().expect("window non-empty");
+        let evicted = self.ring.replace(x);
+        if let Some(old) = evicted {
             self.sum -= old;
             self.sum_sq -= old * old;
-            Some(old)
-        } else {
-            None
-        };
-        self.window.push_back(x);
+        }
         self.sum += x;
         self.sum_sq += x * x;
         evicted
     }
 
+    /// Pushes every sample of `xs` in order, writing the window's
+    /// [`mean`](Self::mean) and
+    /// [`population_std_dev`](Self::population_std_dev) after each push
+    /// to `mean[i]` and `std[i]` — bit for bit what [`push`](Self::push)
+    /// followed by those two calls returns.
+    ///
+    /// The running sums are a recurrence and are walked sample by
+    /// sample; the two divisions and the square root depend on nothing
+    /// but their own sample's sums, so once the window is full (a
+    /// constant divisor) they run as a separate loop the compiler packs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn push_block(&mut self, xs: &[f64], mean: &mut [f64], std: &mut [f64]) {
+        assert!(
+            xs.len() == mean.len() && xs.len() == std.len(),
+            "block slices must be equally long"
+        );
+        // Still filling: the divisor changes with every sample.
+        let filling = self.ring.room().min(xs.len());
+        for ((&x, m), s) in xs
+            .iter()
+            .zip(mean.iter_mut())
+            .zip(std.iter_mut())
+            .take(filling)
+        {
+            self.push(x);
+            *m = self.mean();
+            *s = self.population_std_dev();
+        }
+        let (xs, mean, std) = (&xs[filling..], &mut mean[filling..], &mut std[filling..]);
+
+        // Recurrence: the sums after each sample, parked in the outputs.
+        let (mut sum, mut sum_sq) = (self.sum, self.sum_sq);
+        let mut done = 0;
+        while done < xs.len() {
+            let slots = self.ring.take_run(xs.len() - done);
+            let end = done + slots.len();
+            let outs = mean[done..end].iter_mut().zip(&mut std[done..end]);
+            for ((slot, &x), (m, s)) in slots.iter_mut().zip(&xs[done..end]).zip(outs) {
+                let old = std::mem::replace(slot, x);
+                sum -= old;
+                sum_sq -= old * old;
+                sum += x;
+                sum_sq += x * x;
+                *m = sum;
+                *s = sum_sq;
+            }
+            done = end;
+        }
+        self.sum = sum;
+        self.sum_sq = sum_sq;
+
+        // Pure: sums to moments, same expressions as the accessors.
+        let n = self.ring.len as f64;
+        for (m, s) in mean.iter_mut().zip(std.iter_mut()) {
+            *m /= n;
+            *s = variance_of(*s, n, *m).sqrt();
+        }
+    }
+
     /// Number of samples currently held.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.ring.len
     }
 
     /// Returns `true` if no samples are held.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.ring.len == 0
     }
 
     /// Returns `true` when the window has reached capacity.
     pub fn is_full(&self) -> bool {
-        self.window.len() == self.capacity
+        self.ring.is_full()
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.buf.len()
     }
 
     /// Mean of the samples in the window; `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        if self.window.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.sum / self.window.len() as f64
+            self.sum / self.len() as f64
         }
     }
 
     /// Population variance of the window, clamped at zero against rounding.
     pub fn population_variance(&self) -> f64 {
-        let n = self.window.len();
-        if n == 0 {
+        if self.is_empty() {
             return 0.0;
         }
-        let mean = self.mean();
-        (self.sum_sq / n as f64 - mean * mean).max(0.0)
+        variance_of(self.sum_sq, self.len() as f64, self.mean())
     }
 
     /// Population standard deviation of the window.
@@ -215,12 +349,12 @@ impl SlidingStats {
 
     /// Iterates over the samples currently in the window, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &f64> {
-        self.window.iter()
+        self.ring.iter()
     }
 
     /// Clears the window.
     pub fn clear(&mut self) {
-        self.window.clear();
+        self.ring.clear();
         self.sum = 0.0;
         self.sum_sq = 0.0;
     }
@@ -241,7 +375,8 @@ impl SlidingStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MovingAverage {
-    stats: SlidingStats,
+    ring: Ring,
+    sum: f64,
 }
 
 impl MovingAverage {
@@ -252,40 +387,81 @@ impl MovingAverage {
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
         MovingAverage {
-            stats: SlidingStats::new(window),
+            ring: Ring::new(window),
+            sum: 0.0,
         }
     }
 
     /// Pushes a sample and returns the current mean. Until the window
     /// fills, the mean is over the samples seen so far (warm-up behaviour).
     pub fn push(&mut self, x: f64) -> f64 {
-        self.stats.push(x);
-        self.stats.mean()
+        if let Some(old) = self.ring.replace(x) {
+            self.sum -= old;
+        }
+        self.sum += x;
+        self.current()
+    }
+
+    /// Pushes every sample of `xs` in order and replaces it with the
+    /// mean after its push — bit for bit what [`push`](Self::push)
+    /// returns sample by sample. The sliding sum is walked as a
+    /// recurrence; once the window is full the division is a separate
+    /// loop the compiler packs.
+    pub fn smooth_in_place(&mut self, xs: &mut [f64]) {
+        let filling = self.ring.room().min(xs.len());
+        for x in &mut xs[..filling] {
+            *x = self.push(*x);
+        }
+        let xs = &mut xs[filling..];
+
+        let mut sum = self.sum;
+        let mut done = 0;
+        while done < xs.len() {
+            let slots = self.ring.take_run(xs.len() - done);
+            let end = done + slots.len();
+            for (slot, x) in slots.iter_mut().zip(&mut xs[done..end]) {
+                sum -= std::mem::replace(slot, *x);
+                sum += *x;
+                *x = sum;
+            }
+            done = end;
+        }
+        self.sum = sum;
+
+        let n = self.ring.len as f64;
+        for x in xs {
+            *x /= n;
+        }
     }
 
     /// The current mean without pushing.
     pub fn current(&self) -> f64 {
-        self.stats.mean()
+        if self.is_empty() {
+            0.0
+        } else {
+            self.sum / self.len() as f64
+        }
     }
 
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
-        self.stats.len()
+        self.ring.len
     }
 
     /// Returns `true` if no samples have been pushed.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.ring.len == 0
     }
 
     /// The configured window size.
     pub fn window(&self) -> usize {
-        self.stats.capacity()
+        self.ring.buf.len()
     }
 
     /// Clears all state.
     pub fn clear(&mut self) {
-        self.stats.clear();
+        self.ring.clear();
+        self.sum = 0.0;
     }
 }
 
@@ -463,6 +639,79 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
+    }
+
+    /// Block lengths that straddle the fill point and the ring's wrap
+    /// several times over.
+    const BLOCKS: [usize; 6] = [1, 2, 5, 16, 17, 200];
+
+    #[test]
+    fn sliding_stats_block_pass_equals_pushes_bit_for_bit() {
+        let xs: Vec<f64> = (0..200).map(|i| (i as f64 * 0.9).cos() * 3.0).collect();
+        for cap in [1, 3, 16, 64, 500] {
+            let mut one = SlidingStats::new(cap);
+            let want: Vec<(u64, u64)> = xs
+                .iter()
+                .map(|&x| {
+                    one.push(x);
+                    (one.mean().to_bits(), one.population_std_dev().to_bits())
+                })
+                .collect();
+            for block in BLOCKS {
+                let mut s = SlidingStats::new(cap);
+                let (mut mean, mut std) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+                for ((xs, mean), std) in xs
+                    .chunks(block)
+                    .zip(mean.chunks_mut(block))
+                    .zip(std.chunks_mut(block))
+                {
+                    s.push_block(xs, mean, std);
+                }
+                let got: Vec<(u64, u64)> = mean
+                    .iter()
+                    .zip(&std)
+                    .map(|(m, s)| (m.to_bits(), s.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "capacity {cap}, blocks of {block}");
+                assert!(s.iter().eq(one.iter()), "capacity {cap}, blocks of {block}");
+                assert_eq!(s.len(), one.len());
+            }
+        }
+    }
+
+    #[test]
+    fn sliding_stats_iterates_oldest_first_across_the_wrap() {
+        let mut s = SlidingStats::new(3);
+        for x in [1.0, 2.0] {
+            s.push(x);
+        }
+        assert!(s.iter().eq(&[1.0, 2.0]));
+        for x in [3.0, 4.0, 5.0] {
+            s.push(x);
+        }
+        assert!(s.iter().eq(&[3.0, 4.0, 5.0]));
+        s.push(6.0);
+        assert!(s.iter().eq(&[4.0, 5.0, 6.0]));
+    }
+
+    #[test]
+    fn moving_average_block_pass_equals_pushes_bit_for_bit() {
+        let xs: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin().abs()).collect();
+        for window in [1, 3, 16, 64, 500] {
+            let mut one = MovingAverage::new(window);
+            let want: Vec<u64> = xs.iter().map(|&x| one.push(x).to_bits()).collect();
+            for block in BLOCKS {
+                let mut ma = MovingAverage::new(window);
+                let mut smoothed = xs.clone();
+                for chunk in smoothed.chunks_mut(block) {
+                    ma.smooth_in_place(chunk);
+                }
+                let got: Vec<u64> = smoothed.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "window {window}, blocks of {block}");
+                assert_eq!(ma.current().to_bits(), one.current().to_bits());
+                assert_eq!(ma.len(), one.len());
+            }
+        }
     }
 
     #[test]

@@ -205,19 +205,31 @@ struct SinkTotals {
 
 /// Pushes `record` into the first operator of `ops`, whose output feeds
 /// the next, and so on down to `final_sink` — the fused depth-first
-/// step every [`Lane`] takes.
+/// step every [`Lane`] takes. A timed upstream stage passes `caller_ns`
+/// and gets the nanoseconds this call took added to it, from the clock
+/// reads the callee makes for its own histogram.
 fn feed_chain(
     ops: &mut [Box<dyn Operator>],
     stats: &mut [StageStats],
     record: Record,
     totals: &mut SinkTotals,
     final_sink: &mut dyn Sink,
+    caller_ns: Option<&mut u64>,
 ) -> Result<(), PipelineError> {
     match ops.split_first_mut() {
         None => {
             totals.records += 1;
             totals.bytes += record.byte_len() as u64;
-            final_sink.push(record)
+            // The sink is no stage and has no histogram: it is timed
+            // only so that the last stage can subtract it.
+            if let Some(caller_ns) = caller_ns {
+                let started = Instant::now();
+                let result = final_sink.push(record);
+                *caller_ns += elapsed_ns(started);
+                result
+            } else {
+                final_sink.push(record)
+            }
         }
         Some((op, rest_ops)) => {
             let (st, rest_stats) = stats.split_first_mut().expect("stats parallel ops");
@@ -239,7 +251,11 @@ fn feed_chain(
                     };
                     op.on_record(record, &mut sink)
                 };
-                timer.record(elapsed_ns(started).saturating_sub(child_ns));
+                let total_ns = elapsed_ns(started);
+                timer.record(total_ns.saturating_sub(child_ns));
+                if let Some(caller_ns) = caller_ns {
+                    *caller_ns += total_ns;
+                }
                 result
             } else {
                 let mut sink = ChainSink {
@@ -280,14 +296,14 @@ struct ChainSink<'a> {
 impl Sink for ChainSink<'_> {
     fn push(&mut self, record: Record) -> Result<(), PipelineError> {
         self.emitter.note_out(&record);
-        if let Some(child_ns) = self.child_ns.as_deref_mut() {
-            let started = Instant::now();
-            let result = feed_chain(self.ops, self.stats, record, self.totals, self.final_sink);
-            *child_ns += elapsed_ns(started);
-            result
-        } else {
-            feed_chain(self.ops, self.stats, record, self.totals, self.final_sink)
-        }
+        feed_chain(
+            self.ops,
+            self.stats,
+            record,
+            self.totals,
+            self.final_sink,
+            self.child_ns.as_deref_mut(),
+        )
     }
 }
 
@@ -384,6 +400,7 @@ impl Lane {
             record,
             &mut self.totals,
             sink,
+            None,
         )
     }
 
