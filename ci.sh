@@ -1,16 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, lint, docs, bench compile, perf gate.
+# CI entry point: build, test, lint, docs, bench compile, benchmark smoke.
 #
 #   ./ci.sh              # everything (tier-1 + clippy + fmt + docs +
-#                        #   bench compile + examples + perf json + gate)
+#                        #   bench compile + release tests + examples +
+#                        #   fuzz smoke + chain lint + benchmark smoke)
 #   ./ci.sh quick        # tier-1 only (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
-#   ./ci.sh bench-check  # compare BENCH_fig5.json vs BENCH_baseline.json
-#   ./ci.sh stage-bench  # append per-stage spectral ns/record lines to
-#                        #   BENCH_fig5.json (requires a release build)
-#   ./ci.sh telemetry-check  # validate the fig5 --telemetry-json
-#                        #   snapshot, append per-stage p50/p99 lines to
-#                        #   BENCH_fig5.json, enforce the overhead budget
 #   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
 #                        #   workload for ~2 s, plumbing only; fails on
 #                        #   a failed clip or a failed benchmark check
@@ -42,75 +37,6 @@ phase_end() {
         echo "    [phase '$PHASE_NAME' took $((SECONDS - PHASE_T0))s]"
     fi
     PHASE_NAME=""
-}
-
-# --- bench regression gate -------------------------------------------
-# Parses the freshly written BENCH_fig5.json against the committed
-# BENCH_baseline.json and fails if single-lane (workers=1, unclamped)
-# throughput regressed by more than 25%. Machine-readable lines look
-# like: {"workers": 1, "requested_workers": 1, "clamped": false, ...,
-# "records_per_sec": 6514.9, ...}
-rps_at_workers1() {
-    grep -m1 '"workers": 1, "requested_workers": 1,' "$1" |
-        sed -E 's/.*"records_per_sec": ([0-9.]+).*/\1/'
-}
-bench_check() {
-    local base=BENCH_baseline.json cur=BENCH_fig5.json
-    [ -f "$base" ] || { echo "bench-check: missing $base" >&2; exit 1; }
-    [ -f "$cur" ] || { echo "bench-check: missing $cur (run ./ci.sh first)" >&2; exit 1; }
-    local base_rps cur_rps
-    base_rps=$(rps_at_workers1 "$base")
-    cur_rps=$(rps_at_workers1 "$cur")
-    [ -n "$base_rps" ] || { echo "bench-check: no workers=1 line in $base" >&2; exit 1; }
-    [ -n "$cur_rps" ] || { echo "bench-check: no workers=1 line in $cur" >&2; exit 1; }
-    awk -v base="$base_rps" -v cur="$cur_rps" 'BEGIN {
-        floor = 0.75 * base
-        printf "bench-check: workers=1 records_per_sec: baseline %.1f, current %.1f (floor %.1f)\n", base, cur, floor
-        if (cur < floor) {
-            print "bench-check: FAIL — single-lane throughput regressed by more than 25%"
-            exit 1
-        }
-        print "bench-check: OK"
-    }'
-}
-
-# --- per-stage spectral cost -----------------------------------------
-# Appends one {"stage": …, "ns_per_record": …} line per spectral stage
-# to BENCH_fig5.json: the four oracle operators, their chained total,
-# and the fused `spectrum` replacement — the per-stage evidence that
-# the real-input FFT path is where the throughput win comes from
-# (DESIGN.md §14).
-stage_bench() {
-    cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
-        --stage-json | tee -a BENCH_fig5.json
-}
-
-# --- telemetry snapshot gate ------------------------------------------
-# Runs Figure 5 with --telemetry-json, validates that the snapshot
-# parses (python3 when present, structural grep otherwise), requires a
-# non-empty event log, then appends one {"stage": …, "p50_ns": …,
-# "p99_ns": …} line per stage to BENCH_fig5.json so stage latency is
-# tracked commit-over-commit (DESIGN.md §16). Finishes by running the
-# telemetry overhead guard in the only build where its 5% budget is
-# enforced (release).
-telemetry_check() {
-    local snap stages
-    snap=$(cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
-        --telemetry-json)
-    if command -v python3 >/dev/null 2>&1; then
-        printf '%s\n' "$snap" | python3 -m json.tool >/dev/null ||
-            { echo "telemetry-check: snapshot is not valid JSON" >&2; exit 1; }
-    fi
-    printf '%s\n' "$snap" | grep -q '"events": \[{' ||
-        { echo "telemetry-check: event log is empty" >&2; exit 1; }
-    stages=$(printf '%s\n' "$snap" |
-        grep -oE '\{"stage": "[^"]+", "p50_ns": [0-9]+, "p99_ns": [0-9]+' |
-        sed 's/$/}/')
-    [ -n "$stages" ] ||
-        { echo "telemetry-check: no per-stage percentile lines in snapshot" >&2; exit 1; }
-    printf '%s\n' "$stages" | tee -a BENCH_fig5.json
-    echo "telemetry-check: snapshot OK ($(printf '%s\n' "$stages" | wc -l) stages)"
-    cargo test --release -q -p ensemble-core --test telemetry_overhead
 }
 
 # --- benchmark self-verification ---------------------------------------
@@ -155,7 +81,7 @@ river_bench_smoke() {
 # since PR 12 an optimised `--smoke` pass of `ensembles` takes ~5 ms, so
 # the metric reads 0 there (full-size passes span 13-14 ticks). Its
 # panic would also poison the lock two sibling tests share. The fix
-# belongs in the benchmark's files (ROADMAP open item 1); drop the
+# belongs in the benchmark's files (ROADMAP open item 0); drop the
 # --skip with it.
 release_tests() {
     cargo test --release -q -- --skip smoke_runs_every_workload_end_to_end
@@ -169,27 +95,15 @@ docs_check() {
 }
 
 # --- static chain verification ---------------------------------------
-# Runs river-lint over every shipped pipeline chain (Figure 5 in both
-# spectral paths plus the standalone segments, the chains every example
-# composes) and fails on any error-severity diagnostic (DESIGN.md §15).
+# Runs river-lint over every shipped pipeline chain (Figure 5 plus the
+# standalone segments, the chains every example composes) and fails on
+# any error-severity diagnostic (DESIGN.md §15).
 lint_chains() {
     cargo run --release --quiet -p ensemble-bench --bin river-lint
 }
 
 if [ "${1:-}" = "lint-chains" ]; then
     lint_chains
-    exit 0
-fi
-if [ "${1:-}" = "bench-check" ]; then
-    bench_check
-    exit 0
-fi
-if [ "${1:-}" = "stage-bench" ]; then
-    stage_bench
-    exit 0
-fi
-if [ "${1:-}" = "telemetry-check" ]; then
-    telemetry_check
     exit 0
 fi
 if [ "${1:-}" = "river-bench-smoke" ]; then
@@ -258,44 +172,13 @@ if [ "${1:-}" != "quick" ]; then
     phase "fuzz smoke (decoder battery, FUZZ_ITERS=2048)"
     FUZZ_ITERS=2048 cargo test -q -p dynamic-river --test fuzz_decoder
 
-    # Perf trajectory: Figure 5 over a small clip archive at 1/2/4
-    # worker shards, one machine-readable line each, accumulated at the
-    # repo root so successive commits can compare both single-lane
-    # throughput and parallel scaling. Worker counts beyond the host's
-    # cores are clamped (and flagged "clamped": true) so a small CI
-    # host cannot fake a parallel slowdown.
-    phase "BENCH_fig5.json (sharded scaling: 1/2/4 workers)"
-    : > BENCH_fig5.json
-    for workers in 1 2 4; do
-        cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
-            --json --repeat 8 --workers "$workers" | tee -a BENCH_fig5.json
-    done
-
-    # Per-stage spectral cost, same artifact: shows which stage the
-    # single-lane throughput comes from (dft vs fused spectrum).
-    phase "BENCH_fig5.json (per-stage spectral ns/record)"
-    stage_bench
-
-    # Telemetry gate: the live snapshot must parse and carry per-stage
-    # percentiles plus a non-empty event log; its p50/p99 lines join the
-    # perf artifact, and the release-mode overhead budget is enforced.
-    phase "telemetry-check (fig5 --telemetry-json + overhead budget)"
-    telemetry_check
-
     # Static chain verification: every shipped chain must lint clean
-    # (zero error-severity diagnostics, DESIGN.md §15); the
-    # machine-readable line joins the perf artifact so the chain count
-    # is tracked commit-over-commit.
+    # (zero error-severity diagnostics, DESIGN.md §15).
     phase "lint-chains (river-lint over every shipped chain)"
     lint_chains
-    cargo run --release --quiet -p ensemble-bench --bin river-lint -- \
-        --json | tee -a BENCH_fig5.json
 
     phase "river-bench-smoke (benchmark plumbing + its own checks)"
     river_bench_smoke
-
-    phase "bench-check (workers=1 throughput vs BENCH_baseline.json)"
-    bench_check
 fi
 
 phase_end

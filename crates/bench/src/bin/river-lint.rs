@@ -2,33 +2,28 @@
 //! repository ships (DESIGN.md §15).
 //!
 //! ```text
-//! cargo run -p ensemble-bench --release --bin river-lint [-- --json]
+//! cargo run -p ensemble-bench --release --bin river-lint
 //! ```
 //!
 //! Each chain is checked with [`Pipeline::check_with`] under the
 //! profile every Figure 5 chain actually runs with — audio records
 //! (`F64` payloads) arriving inside clip scopes — and every diagnostic
 //! is printed in rustc style (`error[RL0002]: … --> stage 2: operator
-//! `trigger``). The lint set covers the full Figure 5 chain in both
-//! spectral paths (fused `spectrum` and the four-operator oracle), with
-//! and without PAA, plus the extraction and featurization segments on
+//! `trigger``). The lint set covers the full Figure 5 chain, with and
+//! without PAA, plus the extraction and featurization segments on
 //! their own — which between them are the chains built by every
 //! example (`quickstart`, `parallel_archive`, `anomaly_monitor`,
 //! `distributed_pipeline`, `species_survey` all compose
-//! `full_pipeline` / `EnsembleExtractor`).
+//! `full_pipeline` / `EnsembleExtractor`). The four-operator
+//! `welchwindow` → `float2cplx` → `dft` → `cabs` reference chain is
+//! linted where it is composed, in `crates/core/tests/analyze.rs`.
 //!
 //! Exit status is non-zero if any chain produces an `error`-severity
-//! diagnostic; warnings are reported but do not fail the lint. With
-//! `--json`, prints one machine-readable line
-//! (`{"chains": …, "errors": …, "warnings": …, "elapsed_ms": …}`)
-//! instead of the report — `ci.sh lint-chains` appends it to
-//! `BENCH_fig5.json` so the chain count is tracked commit-over-commit.
+//! diagnostic; warnings are reported but do not fail the lint.
 
 use dynamic_river::analyze::{CheckOptions, Severity};
 use dynamic_river::{PayloadKind, Pipeline, RecordClass};
-use ensemble_core::pipeline::{
-    extraction_segment, featurization_segment_with, full_pipeline_with, SpectralPath,
-};
+use ensemble_core::pipeline::{extraction_segment, featurization_segment, full_pipeline};
 use ensemble_core::{scope_type, subtype, ExtractorConfig};
 use std::time::Instant;
 
@@ -46,27 +41,18 @@ fn audio_input() -> CheckOptions {
 /// Every chain the repository ships, labeled for the report.
 fn chains(cfg: ExtractorConfig) -> Vec<(String, Pipeline)> {
     let mut out = vec![("extraction-segment".to_string(), extraction_segment(cfg))];
-    for (path_name, path) in [
-        ("fused", SpectralPath::Fused),
-        ("oracle", SpectralPath::Oracle),
-    ] {
-        for with_paa in [false, true] {
-            let paa = if with_paa { "+paa" } else { "-paa" };
-            out.push((
-                format!("full-pipeline/{path_name}{paa}"),
-                full_pipeline_with(cfg, with_paa, path),
-            ));
-            out.push((
-                format!("featurization-segment/{path_name}{paa}"),
-                featurization_segment_with(cfg, with_paa, path),
-            ));
-        }
+    for with_paa in [false, true] {
+        let paa = if with_paa { "+paa" } else { "-paa" };
+        out.push((format!("full-pipeline{paa}"), full_pipeline(cfg, with_paa)));
+        out.push((
+            format!("featurization-segment{paa}"),
+            featurization_segment(cfg, with_paa),
+        ));
     }
     out
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let t0 = Instant::now();
     let opts = audio_input();
 
@@ -77,39 +63,28 @@ fn main() {
     for (label, chain) in all {
         let diags = chain.check_with(&opts);
         let stages = chain.names().len();
-        if !json {
-            let verdict = if diags.iter().any(|d| d.severity == Severity::Error) {
-                "FAIL"
-            } else if diags.is_empty() {
-                "ok"
-            } else {
-                "ok (warnings)"
-            };
-            println!("river-lint: {label} ({stages} stages): {verdict}");
-        }
+        let verdict = if diags.iter().any(|d| d.severity == Severity::Error) {
+            "FAIL"
+        } else if diags.is_empty() {
+            "ok"
+        } else {
+            "ok (warnings)"
+        };
+        println!("river-lint: {label} ({stages} stages): {verdict}");
         for d in &diags {
             match d.severity {
                 Severity::Error => errors += 1,
                 Severity::Warning => warnings += 1,
             }
-            if !json {
-                println!("{}", d.render());
-            }
+            println!("{}", d.render());
         }
     }
 
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if json {
-        println!(
-            "{{\"lint_chains\": {total}, \"errors\": {errors}, \
-             \"warnings\": {warnings}, \"elapsed_ms\": {elapsed_ms:.2}}}"
-        );
-    } else {
-        println!(
-            "river-lint: {total} chains, {errors} error(s), {warnings} warning(s) \
-             in {elapsed_ms:.1} ms"
-        );
-    }
+    println!(
+        "river-lint: {total} chains, {errors} error(s), {warnings} warning(s) \
+         in {elapsed_ms:.1} ms"
+    );
     if errors > 0 {
         std::process::exit(1);
     }

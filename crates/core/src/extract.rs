@@ -266,71 +266,6 @@ impl EnsembleExtractor {
         }
     }
 
-    /// Extracts ensembles from many independent clips in parallel:
-    /// clip *i* is processed by worker *i* mod `workers`, each through
-    /// its own fresh [`StreamingExtractor`], and the results come back
-    /// in clip order. Deterministic: `result[i]` is exactly what
-    /// `extract(&clips[i])` on a fresh extractor returns, whatever the
-    /// worker count — the extractor-level counterpart of the
-    /// record-level sharded runtime (`Pipeline::run_sharded`), where a
-    /// clip scope is likewise the unit of partitioning.
-    ///
-    /// Ensemble positions are clip-local (each clip restarts the stream
-    /// clock), matching per-clip extraction rather than concatenated
-    /// extraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ensemble_core::prelude::*;
-    ///
-    /// let synth = ClipSynthesizer::new(SynthConfig::short_test());
-    /// let clips: Vec<Vec<f64>> = (0..4)
-    ///     .map(|i| synth.clip(SpeciesCode::Rwbl, i).samples)
-    ///     .collect();
-    /// let ex = EnsembleExtractor::new(ExtractorConfig::default());
-    /// let sharded = ex.extract_stream_sharded(&clips, 2);
-    /// assert_eq!(sharded.len(), 4);
-    /// for (i, per_clip) in sharded.iter().enumerate() {
-    ///     assert_eq!(per_clip, &ex.extract(&clips[i]));
-    /// }
-    /// ```
-    pub fn extract_stream_sharded(
-        &self,
-        clips: &[impl AsRef<[f64]> + Sync],
-        workers: usize,
-    ) -> Vec<Vec<Ensemble>> {
-        assert!(workers > 0, "workers must be non-zero");
-        let workers = workers.min(clips.len()).max(1);
-        let mut results: Vec<Vec<Ensemble>> = vec![Vec::new(); clips.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    for (i, clip) in clips.iter().enumerate().skip(w).step_by(workers) {
-                        let mut stream = self.extract_stream();
-                        let mut ensembles = Vec::new();
-                        stream.push_chunk(clip.as_ref(), &mut ensembles);
-                        ensembles.extend(stream.finish());
-                        mine.push((i, ensembles));
-                    }
-                    mine
-                }));
-            }
-            for handle in handles {
-                for (i, ensembles) in handle.join().expect("shard worker panicked") {
-                    results[i] = ensembles;
-                }
-            }
-        });
-        results
-    }
-
     /// Serves the full Figure 5 analysis chain to a fleet of networked
     /// clients: a [`PipelineServer`] multiplexing up to `max_sessions`
     /// concurrent `streamin` connections over its event loop and
@@ -697,22 +632,6 @@ mod tests {
         let a = extractor().extract(&clip.samples);
         let b = extractor().extract(&clip.samples);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_extraction_matches_per_clip_extraction() {
-        let synth = ClipSynthesizer::new(SynthConfig::short_test());
-        let clips: Vec<Vec<f64>> = (0..5u64)
-            .map(|seed| synth.clip(SpeciesCode::Noca, seed).samples)
-            .collect();
-        let ex = extractor();
-        let expected: Vec<Vec<Ensemble>> = clips.iter().map(|c| ex.extract(c)).collect();
-        // Worker counts below, equal to, and above the clip count all
-        // return the same clip-ordered results.
-        for workers in [1usize, 2, 5, 9] {
-            let sharded = ex.extract_stream_sharded(&clips, workers);
-            assert_eq!(sharded, expected, "workers={workers}");
-        }
     }
 
     #[test]

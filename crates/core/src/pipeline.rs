@@ -3,29 +3,12 @@
 
 use crate::config::ExtractorConfig;
 use crate::ops::{
-    Cabs, Cutout, Cutter, Dft, Float2Cplx, LogScale, PaaOp, Rec2Vect, Reslice, SaxAnomaly,
-    Spectrum, TriggerOp, WelchWindow,
+    Cutout, Cutter, LogScale, PaaOp, Rec2Vect, Reslice, SaxAnomaly, Spectrum, TriggerOp,
 };
 use dynamic_river::Pipeline;
 use river_dsp::window::WindowKind;
 use river_dsp::{Complex64, RealFft};
 use river_sax::paa::paa_by_factor;
-
-/// Which spectral implementation the featurization segment runs.
-///
-/// The fused path is the production default; the oracle chain is the
-/// original four-operator decomposition, kept as a differential
-/// reference (property tests assert the two agree record-for-record to
-/// ≤ 1e-9 relative error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralPath {
-    /// The fused `spectrum` operator: Welch window × real-input FFT →
-    /// magnitudes in one pass over planned scratch.
-    #[default]
-    Fused,
-    /// The unfused `welchwindow` → `float2cplx` → `dft` → `cabs` chain.
-    Oracle,
-}
 
 /// Builds the ensemble-extraction segment (`saxanomaly` → `trigger` →
 /// `cutter`), the first half of Figure 5.
@@ -38,35 +21,17 @@ pub fn extraction_segment(config: ExtractorConfig) -> Pipeline {
 }
 
 /// Builds the spectral featurization segment, the second half of
-/// Figure 5, using the default fused spectral path: `[reslice]` →
-/// `spectrum` → `cutout` → `[paa]` → `[logscale]` → `rec2vect`.
+/// Figure 5: `[reslice]` → `spectrum` → `cutout` → `[paa]` →
+/// `[logscale]` → `rec2vect`. `spectrum` fuses the paper's
+/// `welchwindow` → `float2cplx` → `dft` → `cabs` boxes into one pass;
+/// those four stay public operators and the test suites compose them
+/// as the differential reference.
 pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipeline {
-    featurization_segment_with(config, with_paa, SpectralPath::Fused)
-}
-
-/// Builds the featurization segment with an explicit spectral path —
-/// [`SpectralPath::Oracle`] substitutes the original `welchwindow` →
-/// `float2cplx` → `dft` → `cabs` chain for the fused `spectrum` stage.
-pub fn featurization_segment_with(
-    config: ExtractorConfig,
-    with_paa: bool,
-    spectral: SpectralPath,
-) -> Pipeline {
     let mut p = Pipeline::new();
     if config.reslice {
         p.add(Reslice::new());
     }
-    match spectral {
-        SpectralPath::Fused => {
-            p.add(Spectrum::new());
-        }
-        SpectralPath::Oracle => {
-            p.add(WelchWindow::new());
-            p.add(Float2Cplx::new());
-            p.add(Dft::new());
-            p.add(Cabs::new());
-        }
-    }
+    p.add(Spectrum::new());
     p.add(Cutout::new(
         config.cutout_low_hz,
         config.cutout_high_hz,
@@ -99,17 +64,8 @@ pub fn featurization_segment_with(
 /// );
 /// ```
 pub fn full_pipeline(config: ExtractorConfig, with_paa: bool) -> Pipeline {
-    full_pipeline_with(config, with_paa, SpectralPath::Fused)
-}
-
-/// Builds the complete Figure 5 pipeline with an explicit spectral path.
-pub fn full_pipeline_with(
-    config: ExtractorConfig,
-    with_paa: bool,
-    spectral: SpectralPath,
-) -> Pipeline {
     let mut p = extraction_segment(config);
-    p.extend(featurization_segment_with(config, with_paa, spectral));
+    p.extend(featurization_segment(config, with_paa));
     p
 }
 
@@ -149,20 +105,8 @@ pub fn full_pipeline_sharded(
     with_paa: bool,
     workers: usize,
 ) -> dynamic_river::shard::ShardedPipeline {
-    full_pipeline_sharded_with(config, with_paa, workers, SpectralPath::Fused)
-}
-
-/// [`full_pipeline_sharded`] with an explicit spectral path; used by the
-/// benchmarks to compare fused and oracle throughput under identical
-/// sharding.
-pub fn full_pipeline_sharded_with(
-    config: ExtractorConfig,
-    with_paa: bool,
-    workers: usize,
-    spectral: SpectralPath,
-) -> dynamic_river::shard::ShardedPipeline {
     dynamic_river::shard::ShardedPipeline::from_factory(workers, move |_| {
-        full_pipeline_with(config, with_paa, spectral)
+        full_pipeline(config, with_paa)
     })
 }
 
@@ -241,19 +185,6 @@ mod tests {
         assert_eq!(
             featurization_segment(cfg, true).names(),
             ["spectrum", "cutout", "paa", "logscale", "rec2vect"]
-        );
-        assert_eq!(
-            featurization_segment_with(cfg, true, SpectralPath::Oracle).names(),
-            [
-                "welchwindow",
-                "float2cplx",
-                "dft",
-                "cabs",
-                "cutout",
-                "paa",
-                "logscale",
-                "rec2vect"
-            ]
         );
         let resliced = ExtractorConfig {
             reslice: true,

@@ -2,13 +2,14 @@
 //! §15): the real chains check clean, deliberately broken chains are
 //! refused pre-flight with a diagnostic naming the offending operator.
 
+mod common;
+
+use common::{oracle_featurization_segment, oracle_full_pipeline};
 use dynamic_river::analyze::{CheckOptions, DiagnosticKind, PayloadKind, RecordClass, Severity};
 use dynamic_river::prelude::*;
 use dynamic_river::{ScopeEffect, Signature};
 use ensemble_core::ops::{clip_to_records, Cutter, Readout, Rec2Vect, SaxAnomaly, TriggerOp};
-use ensemble_core::pipeline::{
-    extraction_segment, featurization_segment_with, full_pipeline_with, SpectralPath,
-};
+use ensemble_core::pipeline::{extraction_segment, featurization_segment, full_pipeline};
 use ensemble_core::{scope_type, subtype, ExtractorConfig};
 
 /// The analysis profile of every Figure 5 chain: audio records (F64
@@ -25,14 +26,11 @@ fn audio_input() -> CheckOptions {
 fn every_figure5_chain_checks_clean() {
     let cfg = ExtractorConfig::default();
     let mut chains = vec![("extraction", extraction_segment(cfg))];
-    for (path_name, path) in [
-        ("fused", SpectralPath::Fused),
-        ("oracle", SpectralPath::Oracle),
-    ] {
-        for with_paa in [false, true] {
-            chains.push(("full", full_pipeline_with(cfg, with_paa, path)));
-            chains.push((path_name, featurization_segment_with(cfg, with_paa, path)));
-        }
+    for with_paa in [false, true] {
+        chains.push(("full", full_pipeline(cfg, with_paa)));
+        chains.push(("fused", featurization_segment(cfg, with_paa)));
+        chains.push(("full/oracle", oracle_full_pipeline(cfg, with_paa)));
+        chains.push(("oracle", oracle_featurization_segment(cfg, with_paa)));
     }
     for (label, chain) in chains {
         let diags = chain.check_with(&audio_input());
@@ -51,7 +49,7 @@ fn mis_ordered_chain_names_the_dead_operator() {
     // triggers again — a dead stage, named.
     let cfg = ExtractorConfig::default();
     let mut p = Pipeline::new();
-    p.extend(featurization_segment_with(cfg, false, SpectralPath::Fused));
+    p.extend(featurization_segment(cfg, false));
     p.extend(extraction_segment(cfg));
     let diags = p.check_with(&audio_input());
     let dead: Vec<_> = diags
@@ -152,7 +150,7 @@ fn scope_unbalanced_chain_names_the_opener() {
 #[test]
 fn sharded_run_with_readout_fails_preflight_naming_it() {
     let cfg = ExtractorConfig::default();
-    let mut p = full_pipeline_with(cfg, false, SpectralPath::Fused);
+    let mut p = full_pipeline(cfg, false);
     p.add(Readout::new(Vec::new()));
     let records = clip_to_records(&[0.01; 840 * 2], 20_160.0, 840, &[]);
     let err = p

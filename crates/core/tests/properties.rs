@@ -1,9 +1,12 @@
 //! Property-based tests for ensemble extraction and featurization.
 
+mod common;
+
+use common::oracle_full_pipeline;
+use dynamic_river::shard::ShardedPipeline;
+use dynamic_river::Pipeline;
 use ensemble_core::extract::AdaptiveTrigger;
-use ensemble_core::pipeline::{
-    featurize_ensemble, full_pipeline_sharded_with, full_pipeline_with, SpectralPath,
-};
+use ensemble_core::pipeline::{featurize_ensemble, full_pipeline};
 use ensemble_core::prelude::*;
 use proptest::prelude::*;
 
@@ -128,26 +131,24 @@ proptest! {
     }
 }
 
-/// Runs the full Figure 5 pipeline over `clips` with the given spectral
-/// path, both streaming and sharded, returning (streaming, sharded)
-/// outputs.
+/// Runs the chain `build` composes over `clips`, both streaming and
+/// sharded, returning (streaming, sharded) outputs.
 fn run_both_modes(
     cfg: ExtractorConfig,
-    with_paa: bool,
-    spectral: SpectralPath,
+    build: impl Fn() -> Pipeline,
     clips: &[Vec<f64>],
     workers: usize,
 ) -> (Vec<dynamic_river::Record>, Vec<dynamic_river::Record>) {
     use ensemble_core::ops::clips_record_source;
     let mut streamed = Vec::new();
-    full_pipeline_with(cfg, with_paa, spectral)
+    build()
         .run_streaming(
             clips_record_source(clips.to_vec(), cfg.sample_rate, cfg.record_len),
             &mut streamed,
         )
         .unwrap();
     let mut sharded = Vec::new();
-    full_pipeline_sharded_with(cfg, with_paa, workers, spectral)
+    ShardedPipeline::from_factory(workers, |_| build())
         .run(
             clips_record_source(clips.to_vec(), cfg.sample_rate, cfg.record_len),
             &mut sharded,
@@ -212,9 +213,9 @@ proptest! {
             .collect();
 
         let (fused_stream, fused_shard) =
-            run_both_modes(cfg, with_paa, SpectralPath::Fused, &clips, workers);
+            run_both_modes(cfg, || full_pipeline(cfg, with_paa), &clips, workers);
         let (oracle_stream, oracle_shard) =
-            run_both_modes(cfg, with_paa, SpectralPath::Oracle, &clips, workers);
+            run_both_modes(cfg, || oracle_full_pipeline(cfg, with_paa), &clips, workers);
 
         // Sharding is deterministic within a path…
         prop_assert_eq!(&fused_stream, &fused_shard);

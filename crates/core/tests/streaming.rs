@@ -236,7 +236,7 @@ fn sharded_archive_matches_single_lane_with_constant_burst() {
 /// The streaming driver's `sink_records` over a discarding sink must
 /// agree with the collected output's length without keeping it.
 #[test]
-fn run_count_agrees_with_run_on_extraction() {
+fn sink_records_agrees_with_run_on_extraction() {
     let cfg = ExtractorConfig::default();
     let synth = ClipSynthesizer::new(SynthConfig::short_test());
     let clip = synth.clip(SpeciesCode::Noca, 3);

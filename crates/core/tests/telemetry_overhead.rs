@@ -25,14 +25,14 @@
 
 use dynamic_river::{CountingSink, TelemetryConfig};
 use ensemble_core::ops::clips_record_source;
-use ensemble_core::pipeline::{full_pipeline_with, SpectralPath};
+use ensemble_core::pipeline::full_pipeline;
 use ensemble_core::prelude::*;
 use std::time::Instant;
 
 /// One timed pass of the fused Figure 5 chain under `config`,
 /// returning ns per source record.
 fn ns_per_record(cfg: ExtractorConfig, samples: &[f64], config: TelemetryConfig) -> f64 {
-    let mut p = full_pipeline_with(cfg, true, SpectralPath::Fused);
+    let mut p = full_pipeline(cfg, true);
     p.set_telemetry(config);
     let mut sink = CountingSink::default();
     let source = clips_record_source(
@@ -77,7 +77,7 @@ fn telemetry_off_overhead_stays_under_five_percent() {
         // An unoptimized build times the executor's debug scaffolding,
         // not the shipped hot path, and on a one-core CI host that
         // noise alone exceeds the budget. The 5% gate is enforced on
-        // the release build (`ci.sh telemetry-check` runs it optimized).
+        // the release build (`ci.sh release-tests` runs it optimized).
         eprintln!("debug build: timing budget not enforced");
     } else {
         assert!(
@@ -98,14 +98,14 @@ fn telemetry_off_overhead_stays_under_five_percent() {
         )
     };
 
-    let mut p = full_pipeline_with(cfg, true, SpectralPath::Fused);
+    let mut p = full_pipeline(cfg, true);
     let mut sink = CountingSink::default();
     p.run_streaming(source(), &mut sink).expect("off run");
     let snap = p.telemetry_snapshot();
     assert!(snap.stages.is_empty());
     assert!(snap.events.is_empty());
 
-    let mut p = full_pipeline_with(cfg, true, SpectralPath::Fused);
+    let mut p = full_pipeline(cfg, true);
     p.set_telemetry(TelemetryConfig::Counters);
     let mut sink = CountingSink::default();
     p.run_streaming(source(), &mut sink).expect("counters run");

@@ -17,8 +17,7 @@
 //! - [`stats`], streaming statistics (Welford, sliding windows, moving
 //!   averages) that the adaptive `trigger` operator and the anomaly
 //!   smoother rely on;
-//! - [`filter`] and [`resample`] utilities used by the synthetic workload
-//!   generator.
+//! - [`filter`] utilities used by the synthetic workload generator.
 //!
 //! Everything is implemented from scratch: no FFT, audio or statistics
 //! crates are used.
@@ -45,7 +44,6 @@ pub mod complex;
 pub mod fft;
 pub mod filter;
 pub mod goertzel;
-pub mod resample;
 pub mod signal;
 pub mod spectrogram;
 pub mod stats;

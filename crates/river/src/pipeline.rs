@@ -840,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn run_count_matches_run() {
+    fn sink_records_counts_filtered_output() {
         let mut p = Pipeline::new();
         p.add(RecordFilter::new("evens", |r: &Record| {
             r.seq.is_multiple_of(2)

@@ -588,9 +588,8 @@ impl Snapshot {
     /// Serializes the snapshot as a single JSON object.
     ///
     /// Each stage object leads with exactly
-    /// `{"stage": "<name>", "p50_ns": N, "p99_ns": N, …}` so shell
-    /// tooling (`ci.sh telemetry-check`) can extract per-stage
-    /// percentile lines with a grep.
+    /// `{"stage": "<name>", "p50_ns": N, "p99_ns": N, …}` so a grep
+    /// can extract per-stage percentile lines.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"stages\": [");

@@ -260,7 +260,7 @@ proptest! {
     /// `run` (the streaming wrapper) and the streaming driver's sink
     /// count agree with the batch reference for arbitrary streams.
     #[test]
-    fn run_and_run_count_match_batch(stream in arb_stream(), keep_even in any::<bool>()) {
+    fn run_and_sink_records_match_batch(stream in arb_stream(), keep_even in any::<bool>()) {
         let build = move || {
             let mut p = Pipeline::new();
             if keep_even {

@@ -15,10 +15,7 @@
 //!   whose Euclidean distance yields an anomaly score;
 //! - [`anomaly`] — the **streaming** lag/lead-window bitmap anomaly
 //!   detector used by the paper's `saxanomaly` operator (single scan,
-//!   O(1) state update per sample);
-//! - [`discord`] and [`motif`] — the related-work notions (HOT SAX
-//!   discords, frequent motifs) that the paper positions ensembles
-//!   against (§5); provided so the repository can compare all three.
+//!   O(1) state update per sample).
 //!
 //! ## Example: streaming anomaly scores
 //!
@@ -43,10 +40,7 @@
 
 pub mod anomaly;
 pub mod bitmap;
-pub mod discord;
-pub mod distance;
 pub mod gaussian;
-pub mod motif;
 pub mod paa;
 pub mod sax;
 pub mod znorm;

@@ -9,9 +9,7 @@
 //!
 //! Runs the archive through the single-lane fused executor and through
 //! `run_sharded` at the requested worker count, verifies the outputs
-//! are byte-identical, and reports both throughputs. It also shows the
-//! extractor-level route (`EnsembleExtractor::extract_stream_sharded`)
-//! for workloads that want ensembles, not records.
+//! are byte-identical, and reports both throughputs.
 
 use acoustic_ensembles::core::ops::clips_record_source;
 use acoustic_ensembles::core::pipeline::{full_pipeline, full_pipeline_sharded};
@@ -81,17 +79,5 @@ fn main() {
     println!(
         "\nper-stage latency, merged across {workers} shards:\n{}",
         telemetry.snapshot().render_table()
-    );
-
-    // The extractor-level route: clip-parallel ensemble extraction.
-    let ex = EnsembleExtractor::new(cfg);
-    let t0 = Instant::now();
-    let per_clip = ex.extract_stream_sharded(&archive, workers);
-    let extract_secs = t0.elapsed().as_secs_f64();
-    let ensembles: usize = per_clip.iter().map(Vec::len).sum();
-    println!(
-        "extract_stream_sharded: {ensembles} ensembles from {clips} clips in {:.2} s ({:.1} M samples/s)",
-        extract_secs,
-        total_samples as f64 / extract_secs / 1e6,
     );
 }
