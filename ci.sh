@@ -3,7 +3,8 @@
 #
 #   ./ci.sh              # everything (tier-1 + clippy + fmt + docs +
 #                        #   bench compile + release tests + examples +
-#                        #   fuzz smoke + chain lint + benchmark smoke)
+#                        #   fuzz smoke + serve-job battery + chain lint +
+#                        #   benchmark smoke)
 #   ./ci.sh quick        # tier-1 only (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
 #   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
@@ -171,6 +172,15 @@ if [ "${1:-}" != "quick" ]; then
     # failures reproduce with plain `FUZZ_ITERS=2048 cargo test`.
     phase "fuzz smoke (decoder battery, FUZZ_ITERS=2048)"
     FUZZ_ITERS=2048 cargo test -q -p dynamic-river --test fuzz_decoder
+
+    # The served session's job against a scripted socket (read sizes,
+    # WouldBlock/EOF/reset/stall anywhere, corruption, a panicking
+    # sink), each seed held to run_streaming over the bytes delivered.
+    # Seeds are independent: a failure names the one to replay. The
+    # release-tests phase above has run the first 256 under the
+    # optimiser.
+    phase "serve-job battery (scripted socket, FUZZ_ITERS=2048)"
+    FUZZ_ITERS=2048 cargo test -q -p dynamic-river --lib serve::job_battery
 
     # Static chain verification: every shipped chain must lint clean
     # (zero error-severity diagnostics, DESIGN.md §15).

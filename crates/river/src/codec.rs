@@ -283,6 +283,25 @@ fn put_samples<const N: usize>(dst: &mut Vec<u8>, samples: &[f64], to_le: impl F
     }
 }
 
+/// `x / scale` rounded half away from zero and clamped to ±32767 (0 for
+/// a zero scale or a NaN quotient) — `(x / scale).round()` then the
+/// clamp, bit for bit, without `round`, which below SSE4.1 is a libm
+/// call per sample that also keeps the loop from vectorizing. Clamping
+/// first is the same (rounding is monotonic and the bounds are
+/// integers); then the `as` cast's truncation rounds once the largest
+/// double below one half has been added away from zero. Not `0.5`: that
+/// would carry `0.5 - ulp` up to 1, where this sum stays below it, and
+/// an exact `n + 0.5` still reaches `n + 1` because the sum's nearest
+/// double is.
+#[inline]
+fn quantize_i16(x: f64, scale: f64) -> i16 {
+    if scale == 0.0 {
+        return 0;
+    }
+    let q = (x / scale).clamp(-32767.0, 32767.0);
+    (q + (0.5 - f64::EPSILON / 4.0).copysign(q)) as i16
+}
+
 /// Up-front reservation cap for a decoded pairs list: a
 /// `(String, String)` slot is 48 bytes against as little as 2 wire bytes
 /// per pair, so a long list grows as it fills instead.
@@ -389,14 +408,7 @@ impl<'a> BlockValue<'a> {
             }
             BlockValue::Samples(v, SampleEncoding::I16, scale) => {
                 dst.put_f64_le(scale);
-                put_samples(dst, v, |x| {
-                    let q = if scale == 0.0 {
-                        0.0
-                    } else {
-                        (x / scale).round()
-                    };
-                    (q.clamp(-32767.0, 32767.0) as i16).to_le_bytes()
-                });
+                put_samples(dst, v, |x| quantize_i16(x, scale).to_le_bytes());
             }
         }
     }
@@ -841,6 +853,13 @@ impl Decoder {
     /// traffic for session accounting).
     pub fn buffered(&self) -> usize {
         self.end - self.start
+    }
+
+    /// The largest the decode buffer has ever been (it never shrinks),
+    /// for tests that bound a reader's memory.
+    #[cfg(test)]
+    pub(crate) fn buffer_high_water(&self) -> usize {
+        self.buf.len()
     }
 
     /// Whether the clean end-of-stream sentinel has been consumed.
@@ -1366,6 +1385,70 @@ mod tests {
         assert_eq!(f64_len, 840 * 8 + 16);
         assert!(f32_len <= f64_len / 2 + 16, "f32 {f32_len} vs {f64_len}");
         assert!(i16_len <= f64_len / 4 + 24, "i16 {i16_len} vs {f64_len}");
+    }
+
+    /// The quantiser as it was written before: libm `round`, then clamp.
+    fn quantize_i16_by_round(x: f64, scale: f64) -> i16 {
+        let q = if scale == 0.0 {
+            0.0
+        } else {
+            (x / scale).round()
+        };
+        q.clamp(-32767.0, 32767.0) as i16
+    }
+
+    #[test]
+    fn i16_quantiser_matches_round_for_every_input() {
+        let scales = [
+            1.0,
+            -1.0,
+            0.5,
+            3.0,
+            1.0 / 32767.0,
+            1e-300,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let check = |x: f64| {
+            for scale in scales {
+                assert_eq!(
+                    quantize_i16(x, scale),
+                    quantize_i16_by_round(x, scale),
+                    "x = {x:e} ({:#018x}), scale = {scale:e}",
+                    x.to_bits()
+                );
+            }
+        };
+        // Every half-integer in ±40,000 and its neighbours two ulps
+        // either side: where rounding decides, and past both clamps.
+        for k in -80_000i64..=80_000 {
+            let half = k as f64 / 2.0;
+            for ulps in -2i64..=2 {
+                check(f64::from_bits((half.to_bits() as i64 + ulps) as u64));
+            }
+        }
+        for x in [
+            0.5 - f64::EPSILON / 4.0, // pred(0.5): trunc(x + 0.5) gets it wrong
+            -(0.5 - f64::EPSILON / 4.0),
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+        ] {
+            check(x);
+        }
+        // Random bit patterns: every exponent, NaN payloads, subnormals.
+        let mut rng = crate::fault::WireMangler::new(0x1016);
+        for _ in 0..200_000 {
+            check(f64::from_bits(rng.next_u64()));
+        }
     }
 
     #[test]

@@ -209,11 +209,11 @@ impl RecordAssembler {
         self.keepalives
     }
 
-    /// Decoded-but-undelivered events — the service layer's decode-ahead
-    /// backlog gauge, used to stop reading a socket whose chain has
-    /// fallen behind (backpressure moves into the peer's TCP window).
-    pub fn backlog(&self) -> usize {
-        self.events.len()
+    /// High-water mark of the decode buffer
+    /// ([`Decoder::buffer_high_water`]).
+    #[cfg(test)]
+    pub(crate) fn buffer_high_water(&self) -> usize {
+        self.decoder.buffer_high_water()
     }
 
     /// How the stream ended, once [`next_ready`](Self::next_ready) has

@@ -436,6 +436,12 @@ impl Lane {
         Ok(pulled)
     }
 
+    /// The lane's event sink, for a driver with events of its own to
+    /// put on the same ring under the same lane id.
+    pub(crate) fn events(&self) -> &EventSink {
+        &self.events
+    }
+
     /// End-of-stream: every operator's `on_eos` output cascades through
     /// the rest of the chain into `sink`.
     pub(crate) fn flush(&mut self, sink: &mut dyn Sink) -> Result<(), PipelineError> {

@@ -12,20 +12,21 @@
 //! and a decode buffer rather than a parked thread:
 //!
 //! 1. **One event loop, N workers.** A single supervisor thread owns
-//!    every socket and waits for readability with `poll(2)` (via the
-//!    offline `polling` shim). Arriving bytes are pushed into the
-//!    session's incremental [`RecordAssembler`]; once whole records
-//!    are ready they are dispatched as a *batch* to a worker-pool
-//!    thread ([`set_workers`](PipelineServer::set_workers)) that runs
-//!    them through the session's own clone of the operator chain. `M`
-//!    sessions ([`set_max_sessions`](PipelineServer::set_max_sessions))
+//!    the listener and waits for readability with `poll(2)` (via the
+//!    offline `polling` shim). A session whose socket turns readable is
+//!    handed — socket, incremental [`RecordAssembler`], chain and sink
+//!    together — to a worker-pool thread
+//!    ([`set_workers`](PipelineServer::set_workers)), which reads the
+//!    bytes itself, decodes them and runs the records through the
+//!    session's own clone of the operator chain until the socket runs
+//!    dry. `M` sessions
+//!    ([`set_max_sessions`](PipelineServer::set_max_sessions))
 //!    multiplex over `N` threads, with `M ≫ N` the intended shape.
 //! 2. **Accept-time backpressure.** The listener is only polled while
 //!    a session slot is free, so excess clients queue in the OS accept
-//!    backlog rather than being half-served. A second, decode-side
-//!    valve stops reading any socket whose chain has fallen behind
-//!    ([`RecordAssembler::backlog`]), moving backpressure into the
-//!    peer's TCP window.
+//!    backlog rather than being half-served. Behind it, a session is
+//!    read only as fast as its chain runs: unread bytes wait in the
+//!    kernel's socket buffer and then in the peer's TCP window.
 //! 3. **Repair isolation.** A session that dies mid-scope (abrupt
 //!    disconnect, truncation) gets `BadCloseScope` repairs injected
 //!    into *its* chain, exactly like single-connection `streamin`; a
@@ -33,8 +34,8 @@
 //!    aborted with the same repair
 //!    ([`RecordAssembler::abort_repair`]). One session's chain
 //!    crashing, stalling or panicking never blocks its neighbours:
-//!    each session has at most one batch in flight, so a slow chain
-//!    occupies one worker while the loop keeps serving every other
+//!    each session has at most one job in flight, so a slow chain
+//!    occupies one worker while the loop keeps watching every other
 //!    socket.
 //! 4. **Idle policy.** With
 //!    [`set_idle_timeout`](PipelineServer::set_idle_timeout) armed, a
@@ -60,12 +61,12 @@
 //!    and [`ServerHandle::telemetry_snapshot`] reads the live event
 //!    stream while the server runs.
 //!
-//! A session moves through five states, all owned by the loop:
-//! *accepting* → *reading* (bytes → assembler) → *executing* (a batch
-//! on a worker) → *draining* (final flush/repair batch dispatched) →
-//! *closed* (report recorded). Reading and executing overlap freely —
-//! the loop keeps decoding while the chain crunches the previous
-//! batch.
+//! A session moves through four states: *accepting* → *resident* (its
+//! data plane rests with the loop, its socket in the poll set) ⇄ *on a
+//! worker* (one job reads, decodes and runs the chain; the loop does
+//! not watch the socket meanwhile) → *closed* (report recorded). The
+//! loop keeps only what no worker can do: the listener, readiness,
+//! idle deadlines and the reports.
 //!
 //! Sessions — not scope shards — are the unit of concurrency here:
 //! each connection is an independent record stream with its own scope
@@ -131,24 +132,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// First read of a readiness wake; a socket that fills it is read again
-/// for the rest of [`READ_BURST`].
+/// First read of a burst; a socket that fills it is read again for the
+/// rest of [`READ_BURST`].
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Fairness bound: at most this many bytes are read from one socket
-/// per loop iteration, so a firehose client cannot starve its
-/// neighbours of the loop's attention.
+/// Bytes read between two runs of the chain, so a session's decode
+/// buffer holds at most one burst plus one frame.
 const READ_BURST: usize = 64 * 1024;
 
-/// Records per dispatched batch: large enough to amortize the
-/// loop↔worker handoff, small enough that completions (and therefore
-/// per-stage timing attribution) stay responsive.
+/// Fairness bound: a job that has fed this many records hands its
+/// session back after the burst in progress, so a firehose client holds
+/// a worker for a bounded time and completions (and therefore idle
+/// clocks and per-stage timing attribution) stay responsive.
 const BATCH_RECORDS: usize = 256;
-
-/// Decode-ahead bound per session: once this many decoded events are
-/// queued ahead of the chain, the loop stops reading that socket and
-/// lets backpressure move into the peer's TCP window.
-const BACKLOG_CAP: usize = 4096;
 
 /// Completed-session counter shared between the event loop and the
 /// [`ServerHandle`], so callers can wait for a known client fleet to be
@@ -208,9 +204,10 @@ pub struct SessionReport {
     /// Wall-clock time from accept to the report being written.
     pub duration: Duration,
     /// Portion of [`duration`](Self::duration) the session spent *not*
-    /// executing on a worker — waiting for wire bytes, or for a worker
-    /// slot. Under the event loop an idle session holds no thread, so
-    /// this is bookkeeping, not a parked resource.
+    /// on a worker — waiting for wire bytes, or for a worker slot. A
+    /// worker's time covers reading the socket, decoding and running the
+    /// chain. An idle session holds no thread, so this is bookkeeping,
+    /// not a parked resource.
     pub idle: Duration,
     /// The session's telemetry [`Snapshot`]: its own per-stage latency
     /// histograms (each session forks fresh timers,
@@ -274,7 +271,7 @@ impl ServerReport {
 }
 
 /// Boxed per-session output sink (must be `Send`: it travels to
-/// worker-pool threads inside execution batches).
+/// worker-pool threads with the rest of its session).
 pub type SessionSink = Box<dyn Sink + Send>;
 
 /// A multi-session pipeline server: one readiness-driven event loop
@@ -578,77 +575,259 @@ struct LoopCfg {
     idle_timeout: Option<Duration>,
 }
 
-/// The per-session execution state that shuttles between the loop and
-/// the worker pool: the session's lane (its own chain, stage stats and
-/// event sink) and its output sink. At most one of these is in flight
-/// per session, which is what serializes a session's records while
-/// different sessions execute truly in parallel.
-struct ExecState {
+/// A session's whole data plane — its wire, its incremental
+/// [`RecordAssembler`], its lane (own chain, stage stats and event
+/// sink) and its output sink — and the unit that shuttles between the
+/// loop and the worker pool. It is in one place at a time, which is what
+/// serializes a session's records while different sessions execute
+/// truly in parallel (boxed at accept, so a hand-off moves a pointer).
+/// Generic over the wire so that [`run_job`] can be driven without a
+/// socket.
+struct Plane<R> {
+    wire: R,
+    assembler: RecordAssembler,
     lane: Lane,
     sink: SessionSink,
 }
 
-/// One unit of chain work: records to feed, plus end-of-session
-/// semantics. `finish` flushes operator state after the records;
-/// `repair` marks a scope-repair drain (synthesized `BadCloseScope`
-/// records after a wire fault or idle reap), which is fed
-/// error-tolerantly and always flushed — exactly the blocking
-/// `streamin` driver's three termination paths.
-struct Batch {
-    records: Vec<Record>,
-    finish: bool,
-    repair: bool,
+/// What one job left behind, short of panicking.
+enum Step {
+    /// The wire is still live (the socket ran dry, or the job reached
+    /// its fairness bound): the plane goes back to the poll set.
+    /// `last_read` is the instant of the job's last non-empty read.
+    Yield { last_read: Option<Instant> },
+    /// The session is over: clean end, repaired end, or a failed chain.
+    Done { error: Option<String> },
 }
 
-/// A batch dispatched to the pool, carrying the session's chain.
+impl<R: io::Read> Plane<R> {
+    /// One job: *read a burst → pull the ready records → feed the
+    /// chain*, until the wire would block, the stream ends or
+    /// [`BATCH_RECORDS`] have been fed — the streaming driver's fused
+    /// step with a non-blocking wire as its source. A wire fault runs
+    /// the repair drain where it surfaces, after the records decoded
+    /// before it; a `reap` job (idle timeout) does only that drain.
+    fn run(&mut self, reap: Option<Duration>) -> Step {
+        if let Some(limit) = reap {
+            self.repair_drain();
+            return Step::Done {
+                error: Some(format!("idle timeout: no wire activity for {limit:?}")),
+            };
+        }
+        let mut last_read = None;
+        let mut fed = 0usize;
+        while fed < BATCH_RECORDS {
+            let blocked = self.read_burst(&mut last_read);
+            loop {
+                match self.next_record() {
+                    Ok(Some(record)) => {
+                        fed += 1;
+                        if let Err(e) = self.lane.feed_source(record, self.sink.as_mut()) {
+                            // The session's own chain or sink failed:
+                            // it is no longer trustworthy, so the
+                            // repairs are only counted into the end
+                            // state, not pushed through it (like the
+                            // blocking driver).
+                            let _ = self.assembler.abort_repair();
+                            return Step::Done {
+                                error: Some(e.to_string()),
+                            };
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        // Poisoned wire (CRC mismatch, bad magic, read
+                        // error): the decoded prefix has flowed, now
+                        // the synthesized repairs drain the chain.
+                        self.repair_drain();
+                        return Step::Done {
+                            error: Some(e.to_string()),
+                        };
+                    }
+                }
+            }
+            if self.assembler.end().is_some() {
+                let flushed = self.lane.flush(self.sink.as_mut());
+                return Step::Done {
+                    error: flushed.err().map(|e| e.to_string()),
+                };
+            }
+            if blocked {
+                break;
+            }
+        }
+        Step::Yield { last_read }
+    }
+
+    /// Reads up to [`READ_BURST`] bytes straight into the decode buffer:
+    /// a first read of [`READ_CHUNK`], and only a wire that filled it is
+    /// asked for the rest in one more call, so a trickling session keeps
+    /// a small buffer and a firehose costs two syscalls per burst. EOF
+    /// and read errors end the wire (the records already decoded still
+    /// flow). Returns whether the wire would block.
+    fn read_burst(&mut self, last_read: &mut Option<Instant>) -> bool {
+        let mut total = 0usize;
+        let mut ask = READ_CHUNK;
+        while total < READ_BURST {
+            match self.assembler.read_from(&mut self.wire, ask) {
+                Ok(0) => {
+                    self.assembler.finish();
+                    break;
+                }
+                Ok(n) => {
+                    *last_read = Some(Instant::now());
+                    total += n;
+                    if n < ask {
+                        break;
+                    }
+                    ask = READ_BURST - total;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.assembler.fail(PipelineError::Io(e));
+                    break;
+                }
+            }
+        }
+        false
+    }
+
+    /// The assembler's next ready record, with one `session_keepalive`
+    /// event per keepalive sentinel consumed on the way to it.
+    fn next_record(&mut self) -> Result<Option<Record>, PipelineError> {
+        let seen = self.assembler.keepalives();
+        let next = self.assembler.next_ready();
+        for nth in seen..self.assembler.keepalives() {
+            self.lane
+                .events()
+                .emit(EventKind::SessionKeepalive, nth + 1);
+        }
+        next
+    }
+
+    /// Ends a session whose wire can no longer be trusted: the
+    /// synthesized `BadCloseScope` records are fed error-tolerantly and
+    /// the chain is always flushed — the blocking `streamin` driver's
+    /// repair path.
+    fn repair_drain(&mut self) {
+        for record in self.assembler.abort_repair() {
+            if self.lane.feed_source(record, self.sink.as_mut()).is_err() {
+                break;
+            }
+        }
+        let _ = self.lane.flush(self.sink.as_mut());
+    }
+
+    /// Closes the plane (dropping its wire and sink) into what the
+    /// session's report needs.
+    fn close(self, error: Option<String>) -> Ended {
+        let stats = self.lane.into_stats(self.assembler.received());
+        Ended::new(&self.assembler, stats, error)
+    }
+}
+
+/// How a session ended, in the terms of its [`SessionReport`].
+struct Ended {
+    end: StreamEnd,
+    received: u64,
+    wire_bytes: u64,
+    keepalives: u64,
+    stats: StreamStats,
+    error: Option<String>,
+}
+
+impl Ended {
+    fn new(assembler: &RecordAssembler, stats: StreamStats, error: Option<String>) -> Self {
+        Ended {
+            end: assembler
+                .end()
+                .unwrap_or(StreamEnd::Unclean { repaired_scopes: 0 }),
+            received: assembler.received(),
+            wire_bytes: assembler.wire_bytes(),
+            keepalives: assembler.keepalives(),
+            stats,
+            error,
+        }
+    }
+}
+
+/// Where a job left its session.
+enum Outcome<R> {
+    /// Still open: the plane returns to the loop.
+    Resident {
+        plane: Box<Plane<R>>,
+        last_read: Option<Instant>,
+    },
+    /// Over: the plane was closed on the worker.
+    Closed(Ended),
+}
+
+/// Runs one job on the calling (worker) thread. A panicking operator or
+/// sink is caught, so the pool thread survives and the session is
+/// reported with the counters its assembler had reached.
+fn run_job<R: io::Read>(mut plane: Box<Plane<R>>, reap: Option<Duration>) -> Outcome<R> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plane.run(reap))) {
+        Ok(Step::Yield { last_read }) => Outcome::Resident { plane, last_read },
+        Ok(Step::Done { error }) => Outcome::Closed(plane.close(error)),
+        Err(panic) => {
+            let message = format!("session panicked: {}", panic_message(panic.as_ref()));
+            let Plane {
+                assembler,
+                lane,
+                sink,
+                ..
+            } = *plane;
+            // The chain may be mid-unwind-poisoned; dropping it can
+            // itself panic, which must not take the worker down.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                drop((lane, sink));
+            }));
+            Outcome::Closed(Ended::new(
+                &assembler,
+                StreamStats::default(),
+                Some(message),
+            ))
+        }
+    }
+}
+
+/// A session's plane on its way to a worker.
 struct Job {
     sid: u64,
-    exec: ExecState,
-    batch: Batch,
+    plane: Box<Plane<TcpStream>>,
+    reap: Option<Duration>,
 }
 
-/// A worker's completion notice: the chain comes back (unless the
-/// batch panicked), with any chain/sink error and the execution time.
-struct BatchDone {
+/// A worker's completion notice, with the time the job held it.
+struct JobDone {
     sid: u64,
-    exec: Option<ExecState>,
-    error: Option<String>,
-    finished: bool,
+    outcome: Outcome<TcpStream>,
     busy: Duration,
 }
 
-/// One live session, owned entirely by the event loop.
+/// What the event loop keeps of one live session.
 struct Session {
     info: SessionInfo,
-    stream: TcpStream,
     fd: polling::OsFd,
-    assembler: RecordAssembler,
-    /// The session's chain when resident; `None` while a batch is out
-    /// on a worker.
-    exec: Option<ExecState>,
-    /// Final (flush or repair) batch waiting for the chain to return.
-    pending_finish: Option<Batch>,
+    /// The data plane while resident; `None` while its job is out.
+    plane: Option<Box<Plane<TcpStream>>>,
     /// Loop-side event sink (same ring and lane as the chain's).
     events: EventSink,
     /// Per-session telemetry fork, for the closing snapshot.
     telemetry: Telemetry,
     started: Instant,
+    /// The last non-empty read of the session's wire (or its accept).
     last_activity: Instant,
     busy: Duration,
-    /// No more socket reads: EOF, read error, wire fault or reap.
-    read_done: bool,
-    /// The final batch has been dispatched; nothing more may follow.
-    finishing: bool,
-    error: Option<String>,
-    keepalives_seen: u64,
 }
 
-impl Session {
-    /// Whether the loop should poll this session's socket: the wire is
-    /// still live and the decode-ahead backlog has room.
-    fn wants_read(&self) -> bool {
-        !self.read_done && self.assembler.end().is_none() && self.assembler.backlog() <= BACKLOG_CAP
-    }
+/// The loop's books: live sessions, finished reports and the
+/// completed-session counter behind [`ServerHandle::wait_for_completed`].
+struct Roster<'a> {
+    sessions: HashMap<u64, Session>,
+    reports: Vec<SessionReport>,
+    progress: &'a Progress,
 }
 
 /// What each slot in the poll set refers to.
@@ -658,9 +837,10 @@ enum PollTag {
     Session(u64),
 }
 
-/// The event loop: accepts, polls, decodes, dispatches and reaps.
-/// Returns the final report once shutdown (or a fatal accept error)
-/// has been observed and every accepted session has drained.
+/// The event loop: accepts, polls, hands readable sessions to the pool
+/// and reaps idle ones. Returns the final report once shutdown (or a
+/// fatal accept error) has been observed and every accepted session has
+/// drained.
 fn event_loop<F>(
     listener: &TcpListener,
     build: &mut (dyn FnMut(u64) -> Result<Pipeline, PipelineError> + Send),
@@ -677,18 +857,20 @@ where
     let (waker, wake_rx) = polling::wake_pair()?;
     let waker = Arc::new(waker);
     let (job_tx, job_rx) = unbounded::<Job>();
-    let (done_tx, done_rx) = unbounded::<BatchDone>();
+    let (done_tx, done_rx) = unbounded::<JobDone>();
     let mut pool = Vec::with_capacity(cfg.workers);
     for w in 0..cfg.workers {
         let job_rx: Receiver<Job> = job_rx.clone();
-        let done_tx: Sender<BatchDone> = done_tx.clone();
+        let done_tx: Sender<JobDone> = done_tx.clone();
         let waker = Arc::clone(&waker);
         let worker = thread::Builder::new()
             .name(format!("session-worker-{w}"))
             .spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    let done = run_batch(job);
-                    let delivered = done_tx.send(done).is_ok();
+                while let Ok(Job { sid, plane, reap }) = job_rx.recv() {
+                    let started = Instant::now();
+                    let outcome = run_job(plane, reap);
+                    let busy = started.elapsed();
+                    let delivered = done_tx.send(JobDone { sid, outcome, busy }).is_ok();
                     waker.wake();
                     if !delivered {
                         return; // loop gone
@@ -702,8 +884,11 @@ where
     drop(done_tx);
 
     let listener_fd = polling::fd_of(listener);
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut reports: Vec<SessionReport> = Vec::new();
+    let mut roster = Roster {
+        sessions: HashMap::new(),
+        reports: Vec::new(),
+        progress,
+    };
     let mut accept_error: Option<String> = None;
     let mut accepting = true;
     let mut next_id = 0u64;
@@ -712,53 +897,43 @@ where
     let mut tags: Vec<PollTag> = Vec::new();
 
     loop {
-        // Worker completions first: chains return to their sessions,
+        // Worker completions first: planes return to their sessions,
         // finished sessions close, capacity frees for the accept step.
         while let Ok(done) = done_rx.try_recv() {
-            handle_done(done, &mut sessions, &mut reports, progress);
+            roster.handle_done(done);
         }
         if shutdown.load(Ordering::Acquire) {
             accepting = false;
         }
-        if !accepting && sessions.is_empty() {
+        if !accepting && roster.sessions.is_empty() {
             break;
         }
-        let now = Instant::now();
-        if let Some(limit) = cfg.idle_timeout {
-            reap_idle(&mut sessions, now, limit);
-        }
-        // Dispatch: any session holding its chain and ready records
-        // (or its end-of-session batch) goes to the pool.
-        for (&sid, s) in &mut sessions {
-            try_dispatch(sid, s, &job_tx);
-        }
-        // Sessions that failed dispatch fatally were closed in place.
-        close_undispatchable(&mut sessions, &mut reports, progress);
 
         // Build the poll set: the waker always; the listener only
         // while a session slot is free (accept-time backpressure);
-        // each live session socket with decode-ahead room.
+        // the socket of each resident session — a session whose job is
+        // out is the worker's to read.
         fds.clear();
         tags.clear();
         fds.push(PollFd::readable(wake_rx.fd()));
         tags.push(PollTag::Waker);
-        if accepting && sessions.len() < cfg.capacity {
+        if accepting && roster.sessions.len() < cfg.capacity {
             fds.push(PollFd::readable(listener_fd));
             tags.push(PollTag::Listener);
         }
-        for (&sid, s) in &sessions {
-            if s.wants_read() {
+        let mut quietest: Option<Instant> = None;
+        for (&sid, s) in &roster.sessions {
+            if s.plane.is_some() {
                 fds.push(PollFd::readable(s.fd));
                 tags.push(PollTag::Session(sid));
+                quietest = Some(quietest.map_or(s.last_activity, |q| q.min(s.last_activity)));
             }
         }
-        let timeout = cfg.idle_timeout.and_then(|limit| {
-            sessions
-                .values()
-                .filter(|s| !s.read_done && s.assembler.end().is_none())
-                .map(|s| (s.last_activity + limit).saturating_duration_since(now))
-                .min()
-        });
+        // Sleep no longer than the nearest idle deadline.
+        let timeout = cfg
+            .idle_timeout
+            .zip(quietest)
+            .map(|(limit, since)| (since + limit).saturating_duration_since(Instant::now()));
         if let Err(e) = polling::wait(&mut fds, timeout) {
             // poll(2) itself failing is unrecoverable for the loop.
             accept_error.get_or_insert(PipelineError::Io(e).to_string());
@@ -780,31 +955,33 @@ where
                         cfg,
                         shutdown,
                         telemetry,
-                        sessions: &mut sessions,
+                        sessions: &mut roster.sessions,
                         accepting: &mut accepting,
                         accept_error: &mut accept_error,
                         next_id: &mut next_id,
                         now,
                     });
-                    peak = peak.max(sessions.len());
+                    peak = peak.max(roster.sessions.len());
                 }
-                PollTag::Session(sid) => {
-                    if let Some(s) = sessions.get_mut(sid) {
-                        read_session(s, now);
-                    }
-                }
+                PollTag::Session(sid) => roster.dispatch(*sid, None, &job_tx),
             }
+        }
+        // Reap after the readable sessions have gone to read: bytes
+        // already in the socket buffer always beat the deadline.
+        if let Some(limit) = cfg.idle_timeout {
+            roster.reap_idle(now, limit, &job_tx);
         }
     }
 
     // Shutdown: close the job channel, let workers finish their
-    // in-flight batches and exit. The loop only breaks once every
+    // in-flight jobs and exit. The loop only breaks once every
     // session has closed, so nothing is pending here on the normal
     // path (a poll failure is the exception — its sessions are lost).
     drop(job_tx);
     for worker in pool {
         let _ = worker.join();
     }
+    let mut reports = roster.reports;
     reports.sort_by_key(|s| s.id);
     let mut aggregate = StreamStats::default();
     // Events come once from the shared ring (already interleaved across
@@ -924,340 +1101,113 @@ fn open_session(
     let lane = Lane::new(&mut chain, &fork, info.id)?;
     let events = fork.event_sink(info.id);
     events.emit(EventKind::SessionAccept, info.id);
-    let fd = polling::fd_of(&stream);
     Ok(Session {
         info,
-        stream,
-        fd,
-        assembler: RecordAssembler::new(),
-        exec: Some(ExecState { lane, sink }),
-        pending_finish: None,
+        fd: polling::fd_of(&stream),
+        plane: Some(Box::new(Plane {
+            wire: stream,
+            assembler: RecordAssembler::new(),
+            lane,
+            sink,
+        })),
         events,
         telemetry: fork,
         started: now,
         last_activity: now,
         busy: Duration::ZERO,
-        read_done: false,
-        finishing: false,
-        error: None,
-        keepalives_seen: 0,
     })
 }
 
-/// Drains one readable socket into its session's assembler, bounded by
-/// [`READ_BURST`] (loop fairness) and [`BACKLOG_CAP`] (decode-ahead
-/// backpressure). Each read lands directly in the session's decode
-/// buffer: a first one of [`READ_CHUNK`], and only a socket that filled
-/// it is asked for the rest of the burst in one more call, so a trickling
-/// session keeps a small buffer and a firehose costs two syscalls per
-/// burst. A short read means the socket is drained (the poll is level
-/// triggered, so anything arriving later wakes the loop again). EOF and
-/// read errors end the wire; the records already decoded still flow.
-fn read_session(s: &mut Session, now: Instant) {
-    let mut total = 0usize;
-    let mut ask = READ_CHUNK;
-    while s.wants_read() && total < READ_BURST {
-        match s.assembler.read_from(&mut s.stream, ask) {
-            Ok(0) => {
-                s.assembler.finish();
-                s.read_done = true;
-                return;
-            }
-            Ok(n) => {
-                s.last_activity = now;
-                total += n;
-                if n < ask {
-                    return;
+impl Roster<'_> {
+    /// Sends a resident session's plane to the pool: to read its socket,
+    /// or — `reap` carrying the idle limit that expired — only to repair
+    /// and close it, a `session_timeout` event marking the reap.
+    fn dispatch(&mut self, sid: u64, reap: Option<Duration>, job_tx: &Sender<Job>) {
+        let Some(s) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        let Some(plane) = s.plane.take() else {
+            return;
+        };
+        if reap.is_some() {
+            s.events.emit(EventKind::SessionTimeout, sid);
+        }
+        if let Err(refused) = job_tx.send(Job { sid, plane, reap }) {
+            // Only possible if the whole pool died (a bug, not a load
+            // condition): fail the session rather than wedging it open.
+            let mut plane = refused.0.plane;
+            let _ = plane.assembler.abort_repair();
+            let ended = plane.close(Some("worker pool unavailable".to_string()));
+            self.handle_done(JobDone {
+                sid,
+                outcome: Outcome::Closed(ended),
+                busy: Duration::ZERO,
+            });
+        }
+    }
+
+    /// Ends every resident session whose wire has been silent past
+    /// `limit`, with a job that repairs its open scopes through its
+    /// chain and reports an `idle timeout` error. A session whose job is
+    /// out is being read, not idle.
+    fn reap_idle(&mut self, now: Instant, limit: Duration, job_tx: &Sender<Job>) {
+        let expired: Vec<u64> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| {
+                s.plane.is_some() && now.saturating_duration_since(s.last_activity) >= limit
+            })
+            .map(|(&sid, _)| sid)
+            .collect();
+        for sid in expired {
+            self.dispatch(sid, Some(limit), job_tx);
+        }
+    }
+
+    /// Processes one worker completion: a still-open session gets its
+    /// plane back (and so returns to the poll set), its idle clock set
+    /// to where the job last read bytes; a closed one is reported.
+    fn handle_done(&mut self, done: JobDone) {
+        let Some(mut s) = self.sessions.remove(&done.sid) else {
+            return; // unreachable: sessions only close through here
+        };
+        s.busy += done.busy;
+        match done.outcome {
+            Outcome::Resident { plane, last_read } => {
+                s.plane = Some(plane);
+                if let Some(at) = last_read {
+                    s.last_activity = at;
                 }
-                ask = READ_BURST - total;
+                self.sessions.insert(done.sid, s);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                s.assembler.fail(PipelineError::Io(e));
-                s.read_done = true;
-                return;
+            Outcome::Closed(ended) => {
+                self.reports.push(close_session(s, ended));
+                self.progress.bump();
             }
-        }
-    }
-}
-
-/// Dispatches the session's next batch to the pool if its chain is
-/// resident and work is ready. Wire faults discovered here (a corrupt
-/// frame surfacing from the assembler) convert into a trailing repair
-/// batch, after the cleanly decoded prefix has been dispatched.
-fn try_dispatch(sid: u64, s: &mut Session, job_tx: &Sender<Job>) {
-    if s.finishing || s.exec.is_none() {
-        return;
-    }
-    let Some(batch) = next_batch(s) else {
-        note_keepalives(s);
-        return;
-    };
-    note_keepalives(s);
-    let Some(exec) = s.exec.take() else {
-        return; // unreachable: checked resident above
-    };
-    if batch.finish {
-        s.finishing = true;
-    }
-    if let Err(send_failed) = job_tx.send(Job { sid, exec, batch }) {
-        // Only possible if the whole pool died (a bug, not a load
-        // condition): fail the session rather than wedging it open.
-        let job = send_failed.0;
-        s.exec = Some(job.exec);
-        s.error
-            .get_or_insert_with(|| "worker pool unavailable".to_string());
-        s.read_done = true;
-        s.finishing = true;
-    }
-}
-
-/// Emits one `session_keepalive` event per keepalive sentinel newly
-/// consumed by the assembler (they are decoded during batch building).
-fn note_keepalives(s: &mut Session) {
-    let seen = s.assembler.keepalives();
-    while s.keepalives_seen < seen {
-        s.keepalives_seen += 1;
-        s.events
-            .emit(EventKind::SessionKeepalive, s.keepalives_seen);
-    }
-}
-
-/// Pulls the session's next batch out of its assembler: up to
-/// [`BATCH_RECORDS`] ready records, a finish marker once the stream
-/// has ended, or the pending repair batch after a fault. `None` means
-/// nothing to do until more bytes (or the chain) arrive.
-fn next_batch(s: &mut Session) -> Option<Batch> {
-    if let Some(batch) = s.pending_finish.take() {
-        return Some(batch);
-    }
-    let mut records = Vec::new();
-    let mut finish = false;
-    loop {
-        if records.len() >= BATCH_RECORDS {
-            break;
-        }
-        match s.assembler.next_ready() {
-            Ok(Some(record)) => records.push(record),
-            Ok(None) => {
-                finish = s.assembler.end().is_some();
-                break;
-            }
-            Err(e) => {
-                // Poisoned wire (CRC mismatch, bad magic, read error):
-                // the decoded prefix still flows through the chain,
-                // then the synthesized repairs drain it — matching the
-                // blocking driver's error ordering exactly.
-                s.error.get_or_insert_with(|| e.to_string());
-                s.read_done = true;
-                let repair = Batch {
-                    records: s.assembler.abort_repair(),
-                    finish: true,
-                    repair: true,
-                };
-                if records.is_empty() {
-                    return Some(repair);
-                }
-                s.pending_finish = Some(repair);
-                return Some(Batch {
-                    records,
-                    finish: false,
-                    repair: false,
-                });
-            }
-        }
-    }
-    if records.is_empty() && !finish {
-        return None;
-    }
-    Some(Batch {
-        records,
-        finish,
-        repair: false,
-    })
-}
-
-/// Ends every session whose wire has been silent past `limit`:
-/// `session_timeout` event, scope repair through its chain, and an
-/// `idle timeout` session error. Sessions that already ended (or
-/// stopped reading for any reason) are exempt.
-fn reap_idle(sessions: &mut HashMap<u64, Session>, now: Instant, limit: Duration) {
-    for (&sid, s) in sessions.iter_mut() {
-        if s.read_done || s.assembler.end().is_some() || s.finishing {
-            continue;
-        }
-        if now.saturating_duration_since(s.last_activity) < limit {
-            continue;
-        }
-        s.events.emit(EventKind::SessionTimeout, sid);
-        s.error
-            .get_or_insert_with(|| format!("idle timeout: no wire activity for {limit:?}"));
-        s.read_done = true;
-        s.pending_finish = Some(Batch {
-            records: s.assembler.abort_repair(),
-            finish: true,
-            repair: true,
-        });
-    }
-}
-
-/// Processes one worker completion: the chain returns to its session,
-/// errors and finishes close it, otherwise it goes back to the poll
-/// set for more records.
-fn handle_done(
-    done: BatchDone,
-    sessions: &mut HashMap<u64, Session>,
-    reports: &mut Vec<SessionReport>,
-    progress: &Progress,
-) {
-    let Some(mut s) = sessions.remove(&done.sid) else {
-        return; // unreachable: sessions only close through here
-    };
-    s.busy += done.busy;
-    match done.exec {
-        // The batch panicked: the chain and sink are gone; report the
-        // session as failed with whatever the assembler knew.
-        None => {
-            s.error = done.error.or(s.error);
-            s.read_done = true;
-            reports.push(close_session(s, None));
-            progress.bump();
-        }
-        Some(exec) => {
-            if let Some(e) = done.error {
-                // The session's own chain or sink failed: it is no
-                // longer trustworthy, so end without pushing repairs
-                // through it (counting them in the report's end state,
-                // like the blocking driver).
-                s.error = Some(e);
-                s.read_done = true;
-                let _ = s.assembler.abort_repair();
-                reports.push(close_session(s, Some(exec)));
-                progress.bump();
-            } else if done.finished {
-                reports.push(close_session(s, Some(exec)));
-                progress.bump();
-            } else {
-                s.exec = Some(exec);
-                sessions.insert(done.sid, s);
-            }
-        }
-    }
-}
-
-/// Closes sessions that a failed dispatch marked dead while their
-/// chain is still resident (worker pool gone — a bug path, kept
-/// non-wedging).
-fn close_undispatchable(
-    sessions: &mut HashMap<u64, Session>,
-    reports: &mut Vec<SessionReport>,
-    progress: &Progress,
-) {
-    let dead: Vec<u64> = sessions
-        .iter()
-        .filter(|(_, s)| s.finishing && s.error.is_some() && s.exec.is_some())
-        .map(|(&sid, _)| sid)
-        .collect();
-    for sid in dead {
-        if let Some(mut s) = sessions.remove(&sid) {
-            let exec = s.exec.take();
-            let _ = s.assembler.abort_repair();
-            reports.push(close_session(s, exec));
-            progress.bump();
         }
     }
 }
 
 /// Builds the session's final report and emits its closing event.
-fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
-    let received = s.assembler.received();
-    let end = s
-        .assembler
-        .end()
-        .unwrap_or(StreamEnd::Unclean { repaired_scopes: 0 });
-    if s.error.is_some() {
+fn close_session(s: Session, ended: Ended) -> SessionReport {
+    if ended.error.is_some() {
         s.events.emit(EventKind::SessionError, s.info.id);
     } else {
-        s.events.emit(EventKind::SessionDrain, received);
+        s.events.emit(EventKind::SessionDrain, ended.received);
     }
-    let stats = exec.map_or_else(StreamStats::default, |exec| exec.lane.into_stats(received));
     let duration = s.started.elapsed();
     SessionReport {
         id: s.info.id,
         peer: s.info.peer,
-        end,
-        received,
-        wire_bytes: s.assembler.wire_bytes(),
-        keepalives: s.assembler.keepalives(),
-        stats,
-        error: s.error,
+        end: ended.end,
+        received: ended.received,
+        wire_bytes: ended.wire_bytes,
+        keepalives: ended.keepalives,
+        stats: ended.stats,
+        error: ended.error,
         duration,
         idle: duration.saturating_sub(s.busy),
         telemetry: s.telemetry.snapshot_for_lane(s.info.id),
-    }
-}
-
-/// Executes one batch on a worker thread: the session's lane is fed
-/// each record (scope event first), then flushed on finish — the same
-/// fused step as the streaming driver and the sharded runtime. Repair
-/// batches feed error-tolerantly and always flush; a panicking
-/// operator or sink is caught so the pool thread (and the session's
-/// report) survive.
-fn run_batch(job: Job) -> BatchDone {
-    let Job {
-        sid,
-        mut exec,
-        batch,
-    } = job;
-    let started = Instant::now();
-    let repair = batch.repair;
-    let finish = batch.finish;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut error: Option<String> = None;
-        let mut broken = false;
-        for record in batch.records {
-            if let Err(e) = exec.lane.feed_source(record, exec.sink.as_mut()) {
-                // Chain/sink failure: fatal for the session on the
-                // normal path, tolerated on the repair drain.
-                if !repair {
-                    error = Some(e.to_string());
-                }
-                broken = true;
-                break;
-            }
-        }
-        if finish && (!broken || repair) {
-            if let Err(e) = exec.lane.flush(exec.sink.as_mut()) {
-                if !repair && error.is_none() {
-                    error = Some(e.to_string());
-                }
-            }
-        }
-        error
-    }));
-    let busy = started.elapsed();
-    match outcome {
-        Ok(error) => BatchDone {
-            sid,
-            exec: Some(exec),
-            error,
-            finished: finish,
-            busy,
-        },
-        Err(panic) => {
-            let message = format!("session panicked: {}", panic_message(&panic));
-            // The chain may be mid-unwind-poisoned; dropping it can
-            // itself panic, which must not take the worker down.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(exec)));
-            BatchDone {
-                sid,
-                exec: None,
-                error: Some(message),
-                finished: true,
-                busy,
-            }
-        }
     }
 }
 
@@ -1301,7 +1251,7 @@ mod tests {
         v
     }
 
-    fn doubling_chain() -> Pipeline {
+    pub(super) fn doubling_chain() -> Pipeline {
         let mut p = Pipeline::new();
         p.add(MapPayload::new("double", |v: &mut [f64]| {
             v.iter_mut().for_each(|x| *x *= 2.0);
@@ -1822,3 +1772,6 @@ mod tests {
         assert_eq!(got.last().unwrap().kind, RecordKind::BadCloseScope);
     }
 }
+
+#[cfg(test)]
+mod job_battery;

@@ -307,3 +307,67 @@ fn capacity_and_workers_are_reported_separately() {
     assert_eq!(report.peak_sessions, 0);
     assert!(report.sessions.is_empty());
 }
+
+#[test]
+fn peer_stalled_mid_frame_is_reaped_and_holds_no_worker() {
+    let mut pipeline = doubling_chain();
+    pipeline.set_telemetry(TelemetryConfig::Full);
+    let mut server = PipelineServer::from_pipeline(&pipeline).unwrap();
+    server
+        .set_max_sessions(2)
+        .set_workers(1)
+        .set_idle_timeout(Duration::from_millis(400));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (handle, outputs) = start_collecting(server, listener);
+    let addr = handle.local_addr();
+
+    // Session 1 opens a scope, sends half a data frame and goes silent
+    // with its socket open: the one worker reads what there is and must
+    // then be free again — only the reaper can end this session.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let mut image = frames(&[Record::open_scope(9, vec![])]);
+    let whole = image.len();
+    image.extend(frames(&[Record::data(0, Payload::f64(vec![5.0; 64]))]));
+    image.truncate(whole + (image.len() - whole) / 2);
+    stalled.write_all(&image).unwrap();
+
+    // Session 2 sends a whole clip meanwhile.
+    let records = clip(7.0, 40);
+    let mut neighbour = TcpStream::connect(addr).unwrap();
+    neighbour.write_all(&wire_image(&records)).unwrap();
+
+    handle.wait_for_completed(2);
+    let report = handle.shutdown().unwrap();
+    drop(stalled);
+
+    assert_eq!(report.sessions.len(), 2);
+    let (reaped, served) = (&report.sessions[0], &report.sessions[1]);
+    let err = reaped.error.as_deref().expect("session 1 is reaped");
+    assert!(err.contains("idle timeout"), "got: {err}");
+    assert_eq!(reaped.end, StreamEnd::Unclean { repaired_scopes: 1 });
+    assert_eq!(reaped.received, 1);
+    assert_eq!(reaped.wire_bytes, image.len() as u64);
+    assert!(served.is_clean(), "neighbour: {:?}", served.error);
+
+    // The neighbour drained before the stalled session timed out: with
+    // one worker, that is only possible if the stall held none.
+    let at = |kind: EventKind, lane: u64| {
+        report
+            .telemetry
+            .events
+            .iter()
+            .position(|e| e.kind == kind && e.lane == lane)
+            .unwrap_or_else(|| panic!("no {kind:?} event on lane {lane}"))
+    };
+    assert!(at(EventKind::SessionDrain, served.id) < at(EventKind::SessionTimeout, reaped.id));
+
+    for (id, sink) in outputs.lock().unwrap().iter() {
+        let got = sink.take();
+        if *id == reaped.id {
+            assert_eq!(got.len(), 2);
+            assert_eq!(got[1].kind, RecordKind::BadCloseScope);
+        } else {
+            assert_eq!(got, single_lane(&records));
+        }
+    }
+}
