@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: build, test, lint, docs, bench compile, benchmark smoke.
 #
-#   ./ci.sh              # everything (tier-1 + clippy + fmt + docs +
-#                        #   bench compile + release tests + examples +
-#                        #   fuzz smoke + serve-job battery + chain lint +
-#                        #   benchmark smoke)
-#   ./ci.sh quick        # tier-1 only (build --release && test -q)
+#   ./ci.sh              # everything (unsafe policy + tier-1 + clippy +
+#                        #   fmt + docs + bench compile + release tests +
+#                        #   examples + crc32 paths + fuzz smoke +
+#                        #   serve-job battery + chain lint + benchmark
+#                        #   smoke)
+#   ./ci.sh quick        # unsafe policy + tier-1 (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
 #   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
 #                        #   workload for ~2 s, plumbing only; fails on
@@ -95,6 +96,24 @@ docs_check() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 }
 
+# --- unsafe policy ------------------------------------------------------
+# `dynamic-river` denies `unsafe_code` and exempts one function for one
+# call, into the CRC-32 folding kernel behind its CPU-feature check
+# (crate docs, "Unsafe policy"). The lint cannot count exemptions, so
+# this does: one unsafe block and one lint exemption in the crate's
+# sources, comments and docs included.
+unsafe_policy() {
+    local blocks allows
+    blocks=$(grep -rF 'unsafe {' crates/river/src | wc -l)
+    allows=$(grep -rF 'allow(unsafe_code)' crates/river/src | wc -l)
+    if [ "$blocks" -ne 1 ] || [ "$allows" -ne 1 ]; then
+        echo "unsafe-policy: crates/river/src has $blocks 'unsafe {' and" \
+            "$allows 'allow(unsafe_code)'; the policy is exactly one of each" >&2
+        grep -rnF -e 'unsafe {' -e 'allow(unsafe_code)' crates/river/src >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -119,6 +138,9 @@ if [ "${1:-}" = "docs" ]; then
     docs_check
     exit 0
 fi
+
+phase "unsafe-policy (one unsafe block, one exemption in dynamic-river)"
+unsafe_policy
 
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"
@@ -166,6 +188,12 @@ if [ "${1:-}" != "quick" ]; then
     cargo run --release --quiet --example anomaly_monitor
     cargo run --release --quiet --example parallel_archive
     cargo run --release --quiet --example distributed_pipeline
+
+    # Both paths of the checksum are forced against the bit-at-a-time
+    # reference whatever this host dispatches to; uncaptured, so a CPU
+    # without pclmulqdq shows its skipped kernel legs in this log.
+    phase "crc32 paths (tables, fold kernel, dispatch; --nocapture)"
+    cargo test -q -p dynamic-river --lib codec::tests::crc32 -- --nocapture
 
     # Decoder fuzz smoke: bounded, deterministic (fixed seeds inside the
     # battery, fixed iteration count here) so CI time is predictable and

@@ -66,8 +66,10 @@ fn bench_decode(c: &mut Criterion) {
 
 fn bench_crc32(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/crc32");
-    // One record's f64 samples, and one server read burst.
-    for &len in &[SAMPLES * 8, 64 * 1024] {
+    // A scope marker's frame (under the 64 bytes `crc32` starts folding
+    // at, so the table path), a v2/F32 frame, one record's f64 samples,
+    // and one server read burst.
+    for &len in &[48, 3_366, SAMPLES * 8, 64 * 1024] {
         let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
         group.bench_with_input(BenchmarkId::from_parameter(len), &bytes, |b, bytes| {

@@ -43,9 +43,12 @@
 //! caller-owned buffer ([`crate::net::StreamOut`] reuses one buffer for
 //! every record). [`Decoder`] is the one reader, and
 //! [`Decoder::read_from`] lets a socket read land directly in its
-//! buffer. [`crc32`] — checked on every frame — is table-driven, 16
-//! bytes per step, its tables built at compile time. `DESIGN.md` §13 has
-//! the reasoning and the measurements.
+//! buffer. [`crc32`] — checked on every frame — has two paths with one
+//! value: carry-less-multiply folding, 64 bytes per step, where the CPU
+//! has it (x86-64 with `pclmulqdq`) and the input is at least 64 bytes,
+//! and slice-by-16 tables built at compile time for everything else.
+//! The CPU picks; there is nothing to configure. `DESIGN.md` §13 has the
+//! reasoning and the measurements.
 //!
 //! The decoder is push-based and incremental — feed it byte chunks of
 //! any size and frame boundaries are its problem, not the reader's:
@@ -130,14 +133,19 @@ impl Default for WireFormat {
 
 /// Input bytes folded into the CRC register per table step. Slice-by-8
 /// is the textbook width; 16 measured 24-28 % faster on the benchmark's
-/// own probe (DESIGN.md §13), at 16 KiB of tables.
+/// own probe (DESIGN.md §13), at 16 KiB of tables. Also the granule of
+/// the carry-less-multiply path: [`clmul::fold`] consumes whole 16-byte
+/// blocks and leaves a shorter tail to the tables.
 const CRC_STEP: usize = 16;
 
 /// Slice-by-N lookup tables for the reflected IEEE polynomial, built at
 /// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
 /// which is what lets [`CRC_STEP`] input bytes fold into the register
-/// with that many independent lookups.
+/// with that many independent lookups. The tables are the portable path
+/// of [`crc32`] — all of it where [`clmul::fold`] declines, the tail
+/// where it does not — and the oracle the folding kernel is tested
+/// against.
 static CRC_TABLES: [[u32; 256]; CRC_STEP] = {
     const POLY: u32 = 0xEDB8_8320;
     let mut t = [[0u32; 256]; CRC_STEP];
@@ -165,11 +173,21 @@ static CRC_TABLES: [[u32; 256]; CRC_STEP] = {
     t
 };
 
-/// Computes the IEEE CRC-32 of `data`: 16 bytes per table step (read as
-/// bytes, so no alignment is assumed), byte-at-a-time over the tail.
+/// Computes the IEEE CRC-32 of `data`. On an x86-64 CPU with carry-less
+/// multiply, inputs of 64 bytes and more are folded 64 bytes per step
+/// and the tables finish the tail of under 16 bytes; everywhere else the
+/// tables do every byte. The CPU picks; the value is the same on both
+/// paths for every input.
 pub fn crc32(data: &[u8]) -> u32 {
+    let (crc, tail) = clmul::fold(0xFFFF_FFFF, data).unwrap_or((0xFFFF_FFFF, data));
+    !crc32_tables(crc, tail)
+}
+
+/// Advances the raw (uninverted) CRC register `crc` over `data`: 16
+/// bytes per table step (read as bytes, so no alignment is assumed),
+/// byte-at-a-time over the tail.
+fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut steps = data.chunks_exact(CRC_STEP);
     for step in &mut steps {
         let mut block = [0u8; CRC_STEP];
@@ -187,7 +205,150 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in steps.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC-32 by carry-less-multiply folding (Gopal et al., *Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ*, bit-reflected
+/// form). The message is a polynomial over GF(2); a 128-bit lane `x`
+/// that sits `d` bits ahead of the data it is folded into contributes
+/// `x · x^d mod P`, and multiplying its two halves by the precomputed
+/// `x^(d+32) mod P` and `x^(d-32) mod P` does that without reducing.
+/// Four lanes fold 64 bytes per iteration, fold into one, fold the
+/// remaining 16-byte blocks one at a time, and a Barrett step reduces
+/// the last 128 bits to the 32-bit register.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::CRC_STEP;
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Each `K*` is `bitreflect32(x^n mod P) << 1` for the reflected IEEE
+    // polynomial P = 0x1_04C1_1DB7; `codec::tests` derives all seven
+    // constants from P.
+    /// n = 544: the low half of a lane, 64 bytes ahead.
+    pub(super) const K1: i64 = 0x1_5444_2bd4;
+    /// n = 480: the high half of a lane, 64 bytes ahead.
+    pub(super) const K2: i64 = 0x1_c6e4_1596;
+    /// n = 160: the low half of a lane, 16 bytes ahead.
+    pub(super) const K3: i64 = 0x1_7519_97d0;
+    /// n = 96: the high half, 16 bytes ahead; also 128 → 96 bits.
+    pub(super) const K4: i64 = 0x0_ccaa_009e;
+    /// n = 64: 96 → 64 bits.
+    pub(super) const K5: i64 = 0x1_63cd_6124;
+    /// P itself, 33 bits reflected.
+    pub(super) const P_REFLECTED: i64 = 0x1_db71_0641;
+    /// µ = ⌊x⁶⁴ / P⌋, 33 bits reflected (the Barrett quotient).
+    pub(super) const MU: i64 = 0x1_f701_1641;
+
+    /// Input consumed per iteration of the four-lane loop, and the
+    /// shortest input worth folding.
+    const QUAD: usize = 4 * CRC_STEP;
+
+    /// Advances the raw CRC register `crc` over every whole 16-byte
+    /// block of `data` and returns it with the tail (under 16 bytes) it
+    /// did not consume, or `None` — nothing consumed — when `data` is
+    /// under 64 bytes or the CPU lacks `pclmulqdq` or `sse4.1`.
+    #[allow(unsafe_code)]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> Option<(u32, &[u8])> {
+        let (first, rest) = data.split_first_chunk::<QUAD>()?;
+        if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+            return None;
+        }
+        // SAFETY: `kernel` is a safe function whose only requirement is
+        // that the CPU executes `pclmulqdq`, `sse4.1` and `sse2`
+        // instructions. The first two were detected on this CPU on the
+        // lines above; `sse2` is part of the x86-64 baseline this module
+        // is compiled for.
+        Some(unsafe { kernel(crc, first, rest) })
+    }
+
+    #[target_feature(enable = "pclmulqdq,sse4.1,sse2")]
+    fn kernel<'a>(crc: u32, first: &[u8; QUAD], rest: &'a [u8]) -> (u32, &'a [u8]) {
+        let [mut x0, mut x1, mut x2, mut x3] = load_quad(first);
+        // The register meets the first four bytes of the message.
+        x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(crc as i32));
+
+        let (quads, rest) = rest.as_chunks::<QUAD>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            let [y0, y1, y2, y3] = load_quad(quad);
+            x0 = fold_into(x0, y0, k1k2);
+            x1 = fold_into(x1, y1, k1k2);
+            x2 = fold_into(x2, y2, k1k2);
+            x3 = fold_into(x3, y3, k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x0, x1, k3k4);
+        x = fold_into(x, x2, k3k4);
+        x = fold_into(x, x3, k3k4);
+        let (blocks, tail) = rest.as_chunks::<CRC_STEP>();
+        for block in blocks {
+            x = fold_into(x, load(block), k3k4);
+        }
+
+        // 128 → 96 → 64 bits: the low half times x^96, then the low 32
+        // bits of what is left times x^64.
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett, 64 → 32 bits: T1 = (x mod x^32) · µ, T2 = (T1 mod
+        // x^32) · P, and the register is the high word of x + T2.
+        let p_mu = _mm_set_epi64x(MU, P_REFLECTED);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        (crc, tail)
+    }
+
+    /// `x` moved ahead by the distance `keys` encodes, added to `next`:
+    /// the low half of `x` times the low key, the high half times the
+    /// high key.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold_into(x: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// An unaligned 16-byte load, first byte in the lowest lane byte.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; CRC_STEP]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load_quad(quad: &[u8; QUAD]) -> [__m128i; 4] {
+        let (lanes, _) = quad.as_chunks::<CRC_STEP>();
+        [
+            load(&lanes[0]),
+            load(&lanes[1]),
+            load(&lanes[2]),
+            load(&lanes[3]),
+        ]
+    }
+}
+
+/// No carry-less-multiply kernel for this architecture: the tables do
+/// every byte.
+#[cfg(not(target_arch = "x86_64"))]
+mod clmul {
+    pub(super) fn fold(_crc: u32, _data: &[u8]) -> Option<(u32, &[u8])> {
+        None
+    }
 }
 
 /// Appends a LEB128 unsigned varint (7 bits per byte, low bits first,
@@ -1144,7 +1305,7 @@ mod tests {
     }
 
     /// The definition of the checksum, one bit at a time: the reference
-    /// the table-driven [`crc32`] is held to.
+    /// both paths of [`crc32`] are held to.
     fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in data {
@@ -1160,25 +1321,122 @@ mod tests {
         !crc
     }
 
-    #[test]
-    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
-        // Every length 0..=1100 at every start offset 0..16: each
-        // remainder of the wide steps, wherever the slice starts.
-        let mut rng = crate::fault::WireMangler::new(0xC2C32);
-        let mut buf = Vec::with_capacity(1100 + 16 + 8);
-        while buf.len() < 1100 + 16 {
+    /// `len` bytes of seeded noise.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = crate::fault::WireMangler::new(seed);
+        let mut buf = Vec::with_capacity(len + 8);
+        while buf.len() < len {
             buf.extend_from_slice(&rng.next_u64().to_le_bytes());
         }
+        buf.truncate(len);
+        buf
+    }
+
+    /// Whether this CPU runs the folding kernel; says so when it does
+    /// not, so a run that skipped the kernel legs shows it under
+    /// `--nocapture` and in the `ci.sh` log.
+    fn clmul_detected() -> bool {
+        let detected = clmul::fold(0, &[0; 64]).is_some();
+        if !detected {
+            eprintln!("crc32: no pclmulqdq + sse4.1 on this CPU: fold kernel legs SKIPPED");
+        }
+        detected
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
+        // Every length 0..=1100 at every start offset 0..16 — each
+        // remainder of the wide steps, wherever the slice starts — and
+        // the lengths around the 64-byte switch, one single fold, the
+        // four-lane loop's first iteration, the benchmark's F32 and F64
+        // frames and a read burst. Each path is forced, not left to
+        // whichever one this host dispatches to.
+        const LONG: [usize; 13] = [
+            63, 64, 65, 79, 80, 127, 128, 129, 3_366, 6_717, 65_535, 65_536, 65_537,
+        ];
+        let folds = clmul_detected();
+        let buf = noise(0xC2C32, 65_537 + 16);
         for offset in 0..16 {
-            for len in 0..=1100 {
+            for len in (0..=1100).chain(LONG) {
                 let data = &buf[offset..offset + len];
-                assert_eq!(
-                    crc32(data),
-                    crc32_bitwise(data),
-                    "offset {offset}, length {len}"
-                );
+                let want = crc32_bitwise(data);
+                let at = format!("offset {offset}, length {len}");
+                assert_eq!(!crc32_tables(0xFFFF_FFFF, data), want, "tables, {at}");
+                assert_eq!(crc32(data), want, "dispatch, {at}");
+                match clmul::fold(0xFFFF_FFFF, data) {
+                    Some((crc, tail)) => {
+                        assert!(tail.len() < 16 && data.ends_with(tail), "{at}");
+                        assert_eq!(!crc32_tables(crc, tail), want, "fold, {at}");
+                    }
+                    None => assert!(len < 64 || !folds, "fold declined, {at}"),
+                }
             }
         }
+    }
+
+    #[test]
+    fn crc32_fold_hands_the_register_to_the_tables_at_any_block_seam() {
+        // The kernel's output is the raw register, so the tables can
+        // pick up after it at any multiple of 16, not only at the tail:
+        // tables(fold(a), b) == tables(a ‖ b).
+        if !clmul_detected() {
+            return;
+        }
+        let buf = noise(0x5EA4, 8 * 1024);
+        let mut rng = crate::fault::WireMangler::new(0x5EA5);
+        for _ in 0..512 {
+            let len = 64 + rng.next_u64() as usize % (buf.len() - 63);
+            let start = rng.next_u64() as usize % (buf.len() - len + 1);
+            let data = &buf[start..start + len];
+            let split = 64 + 16 * (rng.next_u64() as usize % ((len - 64) / 16 + 1));
+            let (a, b) = data.split_at(split);
+            let (crc, tail) = clmul::fold(0xFFFF_FFFF, a).unwrap();
+            assert!(tail.is_empty(), "a split at {split} is whole blocks");
+            assert_eq!(
+                crc32_tables(crc, b),
+                crc32_tables(0xFFFF_FFFF, data),
+                "start {start}, length {len}, split {split}"
+            );
+        }
+    }
+
+    /// The constants of the folding kernel, derived from the polynomial
+    /// by shift-and-xor rather than copied from a whitepaper.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_fold_constants_derive_from_the_polynomial() {
+        const P: u64 = 0x1_04C1_1DB7;
+        /// x^n mod P, for n >= 32.
+        fn x_pow_mod_p(n: u32) -> u32 {
+            let mut r = P ^ (1 << 32); // x^32 mod P
+            for _ in 32..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= P;
+                }
+            }
+            r as u32
+        }
+        /// ⌊x^64 / P⌋ by long division: 33 quotient bits.
+        fn x64_div_p() -> u64 {
+            let (mut rem, mut quotient) = (1u128 << 64, 0u64);
+            for shift in (0..=32).rev() {
+                if rem >> (shift + 32) & 1 != 0 {
+                    rem ^= u128::from(P) << shift;
+                    quotient |= 1 << shift;
+                }
+            }
+            quotient
+        }
+        let key = |n| i64::from(x_pow_mod_p(n).reverse_bits()) << 1;
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        assert_eq!(clmul::K1, key(544), "k1");
+        assert_eq!(clmul::K2, key(480), "k2");
+        assert_eq!(clmul::K3, key(160), "k3");
+        assert_eq!(clmul::K4, key(96), "k4");
+        assert_eq!(clmul::K5, key(64), "k5");
+        assert_eq!(clmul::P_REFLECTED, reflect33(P), "P'");
+        assert_eq!(clmul::MU, reflect33(x64_div_p()), "mu");
     }
 
     #[test]

@@ -183,6 +183,37 @@ fn forged_pairs_counts_fail_as_codec() {
     }
 }
 
+/// Family 2a: every single-bit error in a production-size frame is
+/// refused. One 840-sample record in v2/F64 and in v2/F32 — long enough
+/// that the checksum's four-lane loop, its single folds, its table tail
+/// and the trailer itself each cover some of the bits — with each bit
+/// flipped in turn: the decoder answers with a `Codec` error or waits
+/// for more bytes (a length field that grew), and never yields a record.
+#[test]
+fn every_single_bit_flip_of_a_full_frame_is_refused() {
+    let samples: Vec<f64> = (0..840).map(|i| (i as f64 * 0.37).sin() * 0.8).collect();
+    let record = Record::data(3, Payload::f64(samples)).with_seq(0x1234);
+    for enc in [SampleEncoding::F64, SampleEncoding::F32] {
+        let mut frame = Vec::new();
+        encode_into(&record, WireFormat::V2(enc), &mut frame);
+        let mut events = Vec::new();
+        Decoder::new().feed(&frame, &mut events).unwrap();
+        assert_eq!(events.len(), 1, "{enc:?}: the intact frame decodes");
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            events.clear();
+            if let Err(e) = Decoder::new().feed(&frame, &mut events) {
+                assert_codec(&e, &format!("{enc:?} bit {bit}"));
+            }
+            assert!(
+                events.is_empty(),
+                "{enc:?}: bit {bit} flipped, yet {events:?}"
+            );
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
 /// Family 2: mangled valid streams never panic the raw decoder.
 #[test]
 fn mangled_streams_never_panic_decoder() {
