@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: build, test, lint, docs, bench compile, benchmark smoke.
 #
-#   ./ci.sh              # everything (unsafe policy + tier-1 + clippy +
+#   ./ci.sh              # everything (source policies + tier-1 + clippy +
 #                        #   fmt + docs + bench compile + release tests +
 #                        #   examples + crc32 paths + fuzz smoke +
 #                        #   serve-job battery + chain lint + benchmark
 #                        #   smoke)
-#   ./ci.sh quick        # unsafe policy + tier-1 (build --release && test -q)
+#   ./ci.sh quick        # source policies + tier-1 (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
 #   ./ci.sh river-bench-smoke  # river-bench all --smoke: every
 #                        #   workload for ~2 s, plumbing only; fails on
@@ -114,6 +114,21 @@ unsafe_policy() {
     fi
 }
 
+# --- one Figure 5 -------------------------------------------------------
+# Extraction and featurization exist once, as the operators: `extract`,
+# `extract_from`, `extract_with_trace` and `featurize_ensemble` drive
+# the shipped chain (DESIGN.md §3, "One Figure 5"). The sample-granular
+# fork PR 24 deleted must not come back under its old names, in code or
+# in prose; its state machine lives on as a test oracle under other ones.
+one_figure5() {
+    local fork='StreamingExtractor|StreamStep|extract_stream|push_chunk|push_sample'
+    if grep -rnE "$fork" crates src tests examples README.md DESIGN.md docs .claude; then
+        echo "one-figure5: the per-sample extraction fork is named above;" \
+            "drive extraction_segment / featurization_segment instead" >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -141,6 +156,9 @@ fi
 
 phase "unsafe-policy (one unsafe block, one exemption in dynamic-river)"
 unsafe_policy
+
+phase "one-figure5 (no second extraction path)"
+one_figure5
 
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"
@@ -177,8 +195,9 @@ if [ "${1:-}" != "quick" ]; then
 
     # Exercise the execution core end-to-end under each lane policy:
     # quickstart and anomaly_monitor drive real pipelines inline
-    # (run_streaming); parallel_archive is the one example on
-    # run_sharded and asserts sharded == single-lane byte-identity;
+    # (run_streaming, through `extract_from`); parallel_archive is the
+    # one example on run_sharded and asserts sharded == single-lane
+    # byte-identity;
     # distributed_pipeline serves a concurrent client fleet through the
     # multi-session PipelineServer over loopback TCP. (species_survey,
     # the fifth example, is a classification study, not an execution

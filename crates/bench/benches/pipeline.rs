@@ -1,26 +1,14 @@
-//! End-to-end pipeline throughput: ensemble extraction over a 30 s
-//! clip, featurization of the cut ensembles, and the full Figure 5
-//! graph — in samples per second.
+//! End-to-end pipeline throughput: the extraction segment and the full
+//! Figure 5 graph over a 30 s clip — in samples per second.
+//! (`EnsembleExtractor::extract` and `featurize_ensemble` drive these
+//! same segments, so they have no legs of their own.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dynamic_river::CountingSink;
 use ensemble_core::ops::{clip_record_source, clip_to_records};
-use ensemble_core::pipeline::{extraction_segment, featurize_ensemble, full_pipeline};
+use ensemble_core::pipeline::{extraction_segment, full_pipeline};
 use ensemble_core::prelude::*;
 use std::hint::black_box;
-
-fn bench_direct_extraction(c: &mut Criterion) {
-    let synth = ClipSynthesizer::new(SynthConfig::paper());
-    let clip = synth.clip(SpeciesCode::Noca, 5);
-    let extractor = EnsembleExtractor::new(ExtractorConfig::paper());
-    let mut group = c.benchmark_group("pipeline/extract");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(clip.samples.len() as u64));
-    group.bench_function("direct_30s_clip", |b| {
-        b.iter(|| black_box(extractor.extract(&clip.samples).len()));
-    });
-    group.finish();
-}
 
 fn bench_record_pipeline(c: &mut Criterion) {
     let cfg = ExtractorConfig::paper();
@@ -72,23 +60,6 @@ fn bench_record_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_featurization(c: &mut Criterion) {
-    let cfg = ExtractorConfig::paper();
-    let samples: Vec<f64> = (0..cfg.record_len * 24)
-        .map(|i| (i as f64 * 0.21).sin() * 0.3)
-        .collect();
-    let mut group = c.benchmark_group("pipeline/featurize");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(samples.len() as u64));
-    group.bench_function("raw_1050", |b| {
-        b.iter(|| black_box(featurize_ensemble(&samples, &cfg, false).len()));
-    });
-    group.bench_function("paa_105", |b| {
-        b.iter(|| black_box(featurize_ensemble(&samples, &cfg, true).len()));
-    });
-    group.finish();
-}
-
 fn bench_synthesis(c: &mut Criterion) {
     let synth = ClipSynthesizer::new(SynthConfig::paper());
     let mut group = c.benchmark_group("pipeline/synthesis");
@@ -103,11 +74,5 @@ fn bench_synthesis(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_direct_extraction,
-    bench_record_pipeline,
-    bench_featurization,
-    bench_synthesis
-);
+criterion_group!(benches, bench_record_pipeline, bench_synthesis);
 criterion_main!(benches);

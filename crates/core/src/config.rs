@@ -58,7 +58,8 @@ pub struct ExtractorConfig {
     /// Z-normalization, §2) at the pattern level; see `DESIGN.md`.
     pub log_scale: bool,
     /// Minimum ensemble length in samples; shorter trigger bursts are
-    /// discarded as noise.
+    /// discarded as noise (as is any burst under one record, which has
+    /// no whole record for `cutter` to emit).
     pub min_ensemble_samples: usize,
 }
 

@@ -1,5 +1,6 @@
-//! High-level ensemble extraction: the `saxanomaly` → `trigger` →
-//! `cutter` chain as one convenient call over raw samples.
+//! High-level ensemble extraction: [`extraction_segment`] (`saxanomaly`
+//! → `trigger` → `cutter`) as one call over raw samples or any record
+//! [`Source`], `cutter`'s ensemble scopes read back as [`Ensemble`]s.
 //!
 //! "The moving average of the SAX anomaly score … is output by
 //! `saxanomaly` … The `trigger` operator transforms the anomaly score
@@ -13,20 +14,24 @@
 //! that correspond to when the trigger value is 1" (paper §3).
 
 use crate::config::ExtractorConfig;
+use crate::ops::{clip_to_records, Cutter, SaxAnomaly, TriggerOp};
+use crate::pipeline::extraction_segment;
+use crate::{context_key, scope_type, subtype};
 use dynamic_river::error::PipelineError;
 use dynamic_river::serve::{PipelineServer, ServerHandle, SessionInfo, SessionSink};
 use dynamic_river::telemetry::TelemetryConfig;
-use dynamic_river::SampleBuf;
-use river_dsp::stats::{MovingAverage, Welford};
-use river_sax::anomaly::BitmapAnomaly;
+use dynamic_river::{Operator, Pipeline, Record, RecordKind, SampleBuf, Sink, Source, StreamStats};
+use river_dsp::stats::Welford;
 use std::net::TcpListener;
 
-/// One extracted ensemble.
+/// One extracted ensemble — what `cutter` emits for one trigger-high
+/// run: whole `record_len`-sample records, the last one zero-padded
+/// when at least half full, else dropped (DESIGN.md §3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ensemble {
     /// Index of the first sample (within the source clip).
     pub start: usize,
-    /// One past the last sample.
+    /// `start + len()`: within half a record of where the trigger fell.
     pub end: usize,
     /// The ensemble's samples, as a shared buffer: cloning an
     /// `Ensemble` (dataset construction, cross-validation resampling)
@@ -52,8 +57,8 @@ impl Ensemble {
     }
 }
 
-/// Per-sample traces from an extraction run — the data behind the
-/// paper's Figure 6.
+/// Per-sample traces from an extraction run over a clip's whole
+/// records — the data behind the paper's Figure 6.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionTrace {
     /// Smoothed anomaly score per sample.
@@ -197,73 +202,78 @@ impl EnsembleExtractor {
         &self.config
     }
 
-    /// Extracts ensembles from `samples`.
+    /// Extracts ensembles from one clip: [`extract_from`](Self::extract_from)
+    /// over its whole records (a trailing partial record is not
+    /// analysed — the sensor platform sends whole records).
     pub fn extract(&self, samples: &[f64]) -> Vec<Ensemble> {
-        self.extract_with_trace(samples).ensembles
-    }
-
-    /// Extracts ensembles and returns the full per-sample traces
-    /// (Figure 6).
-    pub fn extract_with_trace(&self, samples: &[f64]) -> ExtractionTrace {
-        let mut stream = self.extract_stream();
-        let mut scores = Vec::with_capacity(samples.len());
-        let mut trig = Vec::with_capacity(samples.len());
+        let records = self.clip_records(samples).into_iter();
         let mut ensembles = Vec::new();
-        stream.for_each_step(samples, |step| {
-            scores.push(step.score);
-            trig.push(u8::from(step.triggered));
-            ensembles.extend(step.completed);
-        });
-        // Trigger still high at end of clip: close the dangling ensemble
-        // (the record pipeline emits CloseScope at clip close).
-        ensembles.extend(stream.finish());
-        ExtractionTrace {
-            scores,
-            trigger: trig,
-            ensembles,
-        }
+        self.extract_from(records, |e| ensembles.push(e))
+            .expect("clip records are well-formed");
+        ensembles
     }
 
-    /// Starts an incremental extraction over a stream of sample chunks.
+    /// Runs [`extraction_segment`] over a record stream — clip scopes of
+    /// `record_len`-sample audio records, e.g.
+    /// [`clip_record_source`](crate::ops::clip_record_source) over a live
+    /// sample iterator — handing each ensemble to `on_ensemble` the
+    /// moment `cutter` closes its scope. Memory is the detector windows
+    /// plus the open ensemble, never the stream's length; every clip
+    /// scope restarts the detector and the sample clock.
     ///
-    /// The returned [`StreamingExtractor`] ingests samples as they
-    /// arrive and yields each ensemble the moment its trigger releases,
-    /// so a sensor feed of unbounded length is processed with memory
-    /// bounded by the detector windows plus the currently open ensemble
-    /// — never by stream length. [`extract`](Self::extract) and
-    /// [`extract_with_trace`](Self::extract_with_trace) are wrappers
-    /// over this same state machine, so the two paths agree
-    /// sample-for-sample whatever the chunking.
+    /// # Errors
+    ///
+    /// Returns the source's or the chain's first error.
     ///
     /// # Example
     ///
     /// ```
+    /// use ensemble_core::ops::clip_record_source;
     /// use ensemble_core::prelude::*;
     ///
     /// let clip = ClipSynthesizer::new(SynthConfig::short_test()).clip(SpeciesCode::Rwbl, 3);
-    /// let extractor = EnsembleExtractor::new(ExtractorConfig::default());
-    ///
-    /// let mut stream = extractor.extract_stream();
+    /// let cfg = ExtractorConfig::default();
+    /// // A lazily chunked feed: no record vector is ever materialized.
+    /// let samples = clip.samples.iter().copied();
+    /// let feed = clip_record_source(samples, cfg.sample_rate, cfg.record_len, &[]);
     /// let mut streamed = Vec::new();
-    /// for chunk in clip.samples.chunks(512) {
-    ///     stream.push_chunk(chunk, &mut streamed);
-    /// }
-    /// streamed.extend(stream.finish());
+    /// let extractor = EnsembleExtractor::new(cfg);
+    /// extractor.extract_from(feed, |e| streamed.push(e)).unwrap();
     /// assert_eq!(streamed, extractor.extract(&clip.samples));
     /// ```
-    pub fn extract_stream(&self) -> StreamingExtractor {
-        let c = self.config;
-        // Let the detector windows fill and the smoother settle before
-        // the trigger may fire.
-        let warmup = (2 * c.anomaly_window + c.ma_window) as u64;
-        StreamingExtractor {
-            config: c,
-            detector: BitmapAnomaly::new(c.anomaly_config()),
-            smoother: MovingAverage::new(c.ma_window),
-            trigger: AdaptiveTrigger::with_hold(c.trigger_sigmas, warmup, c.trigger_hold as u64),
-            pos: 0,
-            open: None,
+    pub fn extract_from(
+        &self,
+        source: impl Source,
+        on_ensemble: impl FnMut(Ensemble),
+    ) -> Result<StreamStats, PipelineError> {
+        extraction_segment(self.config).run_streaming(source, &mut EnsembleSink::new(on_ensemble))
+    }
+
+    /// Extracts ensembles and returns the full per-sample traces
+    /// (Figure 6): the same three operators, one stage at a time, so
+    /// the score and trigger records can be read between them.
+    pub fn extract_with_trace(&self, samples: &[f64]) -> ExtractionTrace {
+        let cfg = self.config;
+        let scored = run_stage(SaxAnomaly::new(cfg), self.clip_records(samples));
+        let scores = samples_of(&scored, subtype::SCORE);
+        let triggered = run_stage(TriggerOp::new(cfg), scored);
+        let trigger = samples_of(&triggered, subtype::TRIGGER);
+        let trigger = trigger.iter().map(|&t| t as u8).collect();
+        let mut ensembles = Vec::new();
+        let mut readout = EnsembleSink::new(|e| ensembles.push(e));
+        for record in run_stage(Cutter::new(cfg), triggered) {
+            readout.push(record).expect("cutter output is well-formed");
         }
+        ExtractionTrace {
+            scores,
+            trigger,
+            ensembles,
+        }
+    }
+
+    fn clip_records(&self, samples: &[f64]) -> Vec<Record> {
+        let cfg = &self.config;
+        clip_to_records(samples, cfg.sample_rate, cfg.record_len, &[])
     }
 
     /// Serves the full Figure 5 analysis chain to a fleet of networked
@@ -275,7 +285,7 @@ impl EnsembleExtractor {
     /// timeout, build the [`PipelineServer`] directly
     /// (`set_workers` / `set_idle_timeout`).
     /// Clients push framed clip records (e.g. via
-    /// [`clip_to_records`](crate::ops::clip_to_records) +
+    /// [`clip_to_records`] +
     /// `send_all`); each session's pattern output lands in the sink
     /// produced by `make_sink`. Returns immediately with the
     /// [`ServerHandle`]; call
@@ -367,142 +377,79 @@ impl EnsembleExtractor {
     }
 }
 
-/// Samples a [`StreamingExtractor`] scores per kernel call: its score
-/// scratch lives on the stack, so a chunk of any length costs no
-/// allocation.
-const SCORE_TILE: usize = 512;
-
-/// The outcome of feeding one sample to a [`StreamingExtractor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamStep {
-    /// Smoothed anomaly score for the sample.
-    pub score: f64,
-    /// Trigger value after the sample.
-    pub triggered: bool,
-    /// An ensemble completed by this sample (its trigger released and
-    /// it met the minimum length), if any.
-    pub completed: Option<Ensemble>,
+/// One shipped operator as its own stage over a clip's records.
+fn run_stage(op: impl Operator + 'static, input: Vec<Record>) -> Vec<Record> {
+    let mut stage = Pipeline::new();
+    stage.add(op);
+    stage.run(input).expect("clip records are well-formed")
 }
 
-/// Incremental ensemble extraction over a stream of samples — the
-/// `saxanomaly` → `trigger` → `cutter` chain as a resumable state
-/// machine ([`EnsembleExtractor::extract_stream`]).
-///
-/// State is the SAX/normalization windows, the moving average, the
-/// trigger estimate, and the currently open ensemble's samples;
-/// completed ensembles are handed to the caller immediately, so nothing
-/// grows with stream length.
-#[derive(Debug, Clone)]
-pub struct StreamingExtractor {
-    config: ExtractorConfig,
-    detector: BitmapAnomaly,
-    smoother: MovingAverage,
-    trigger: AdaptiveTrigger,
-    /// Absolute index of the next sample (monotonic across chunks and
-    /// clips — ensemble positions are stream positions).
-    pos: usize,
-    open: Option<OpenEnsemble>,
+/// The samples of every data record of `subtype`, in stream order.
+fn samples_of(records: &[Record], subtype: u16) -> Vec<f64> {
+    let payloads = records.iter().filter(|r| r.subtype == subtype);
+    let samples = payloads.filter_map(|r| r.payload.as_f64()).flatten();
+    samples.copied().collect()
 }
 
-#[derive(Debug, Clone)]
-struct OpenEnsemble {
-    start: usize,
-    samples: Vec<f64>,
+/// The sink that reads `cutter`'s output back into [`Ensemble`]s: each
+/// ensemble scope's `start_sample` and audio records become one value
+/// (its own allocation, so keeping it does not keep its clip resident),
+/// handed to the callback at the scope's close. Everything outside an
+/// ensemble scope is ignored.
+pub struct EnsembleSink<F> {
+    on_ensemble: F,
+    /// Start sample and audio so far of the ensemble scope being read.
+    open: Option<(usize, Vec<f64>)>,
 }
 
-impl StreamingExtractor {
-    /// Feeds one sample, returning its score, trigger state, and any
-    /// ensemble it completed.
-    pub fn push_sample(&mut self, x: f64) -> StreamStep {
-        let score = self.smoother.push(self.detector.push(x));
-        self.step(x, score)
+impl<F: FnMut(Ensemble)> EnsembleSink<F> {
+    /// Creates the sink around the per-ensemble callback.
+    pub fn new(on_ensemble: F) -> Self {
+        let open = None;
+        EnsembleSink { on_ensemble, open }
     }
+}
 
-    /// `trigger` and `cutter` for one sample and its smoothed score.
-    fn step(&mut self, x: f64, score: f64) -> StreamStep {
-        let triggered = self.trigger.push(score);
-        let completed = if triggered {
-            match &mut self.open {
-                Some(open) => open.samples.push(x),
-                None => {
-                    self.open = Some(OpenEnsemble {
-                        start: self.pos,
-                        samples: vec![x],
+impl<F: FnMut(Ensemble)> Sink for EnsembleSink<F> {
+    fn push(&mut self, record: Record) -> Result<(), PipelineError> {
+        let ensemble_scope = record.scope_type == scope_type::ENSEMBLE;
+        match record.kind {
+            RecordKind::OpenScope if ensemble_scope => {
+                let start = record.payload.context(context_key::START_SAMPLE);
+                let start = start.and_then(|s| s.parse().ok()).ok_or_else(|| {
+                    PipelineError::operator("ensemble readout", "scope without start_sample")
+                })?;
+                self.open = Some((start, Vec::new()));
+            }
+            RecordKind::Data if record.subtype == subtype::AUDIO => {
+                if let (Some((_, samples)), Some(audio)) = (&mut self.open, record.payload.as_f64())
+                {
+                    samples.extend_from_slice(audio);
+                }
+            }
+            kind if kind.closes_scope() && ensemble_scope => {
+                if let Some((start, samples)) = self.open.take() {
+                    let (end, samples) = (start + samples.len(), SampleBuf::from(samples));
+                    (self.on_ensemble)(Ensemble {
+                        start,
+                        end,
+                        samples,
                     });
                 }
             }
-            None
-        } else {
-            self.take_open()
-        };
-        self.pos += 1;
-        StreamStep {
-            score,
-            triggered,
-            completed,
+            _ => {}
         }
-    }
-
-    /// Feeds a chunk of samples, appending completed ensembles to
-    /// `out`.
-    pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<Ensemble>) {
-        self.for_each_step(chunk, |step| out.extend(step.completed));
-    }
-
-    /// Feeds a chunk, handing every sample's [`StreamStep`] to `f`: the
-    /// chunk is scored and smoothed a tile at a time by the block
-    /// kernel, then stepped through `trigger` and `cutter` — the same
-    /// steps [`push_sample`](Self::push_sample) yields one by one.
-    fn for_each_step(&mut self, chunk: &[f64], mut f: impl FnMut(StreamStep)) {
-        let mut scores = [0.0; SCORE_TILE];
-        for tile in chunk.chunks(SCORE_TILE) {
-            let scores = &mut scores[..tile.len()];
-            self.detector.score_block(tile, scores);
-            self.smoother.smooth_in_place(scores);
-            for (&x, &score) in tile.iter().zip(scores.iter()) {
-                f(self.step(x, score));
-            }
-        }
-    }
-
-    /// Ends the stream: closes a still-open ensemble (the batch path's
-    /// dangling-ensemble rule). The extractor remains usable, but the
-    /// trigger keeps its learned state — create a fresh one per
-    /// independent stream.
-    pub fn finish(&mut self) -> Option<Ensemble> {
-        self.take_open()
-    }
-
-    /// Samples consumed so far — the absolute stream clock.
-    pub fn samples_seen(&self) -> usize {
-        self.pos
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ExtractorConfig {
-        &self.config
-    }
-
-    fn take_open(&mut self) -> Option<Ensemble> {
-        let open = self.open.take()?;
-        if open.samples.len() < self.config.min_ensemble_samples {
-            return None; // too short to be a vocalization
-        }
-        Some(Ensemble {
-            start: open.start,
-            end: open.start + open.samples.len(),
-            // One conversion into the shared buffer; every later clone
-            // or hand-off of this ensemble is O(1).
-            samples: open.samples.into(),
-        })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{clip_record_source, clips_record_source};
     use crate::species::SpeciesCode;
     use crate::synth::{ClipSynthesizer, SynthConfig};
+    use dynamic_river::source::FnSource;
 
     fn extractor() -> EnsembleExtractor {
         EnsembleExtractor::new(ExtractorConfig::default())
@@ -601,9 +548,19 @@ mod tests {
     fn trace_lengths_match_input() {
         let synth = ClipSynthesizer::new(SynthConfig::short_test());
         let clip = synth.clip(SpeciesCode::Bcch, 1);
-        let trace = extractor().extract_with_trace(&clip.samples);
-        assert_eq!(trace.scores.len(), clip.samples.len());
-        assert_eq!(trace.trigger.len(), clip.samples.len());
+        let n = ExtractorConfig::default().record_len;
+        // short_test clips are whole records; cut one mid-record.
+        assert_eq!(clip.samples.len() % n, 0);
+        let ragged = &clip.samples[..clip.samples.len() - n / 3];
+        let trace = extractor().extract_with_trace(ragged);
+        assert_eq!(trace.scores.len(), clip.samples.len() - n);
+        assert_eq!(trace.trigger.len(), trace.scores.len());
+        // The partial tail is not analysed at all: same trace as the
+        // clip cut at the record boundary.
+        assert_eq!(
+            trace,
+            extractor().extract_with_trace(&clip.samples[..clip.samples.len() - n])
+        );
     }
 
     #[test]
@@ -611,11 +568,19 @@ mod tests {
         let synth = ClipSynthesizer::new(SynthConfig::paper());
         let clip = synth.clip(SpeciesCode::Wbnu, 3);
         let trace = extractor().extract_with_trace(&clip.samples);
+        let half = ExtractorConfig::default().record_len / 2;
         assert!(trace.trigger.iter().all(|&t| t <= 1));
-        // Inside every reported ensemble, the trigger is 1 throughout.
+        assert!(!trace.ensembles.is_empty());
+        // An ensemble is its high run rounded to whole records: the
+        // trigger rises at `start` and is 1 at least until half a
+        // record before `end` (the rest may be the zero-padded tail).
         for e in &trace.ensembles {
-            assert!(trace.trigger[e.start..e.end].iter().all(|&t| t == 1));
+            assert!(e.start == 0 || trace.trigger[e.start - 1] == 0);
+            let high_until = (e.end - half).min(trace.trigger.len());
+            assert!(trace.trigger[e.start..high_until].iter().all(|&t| t == 1));
         }
+        // The trace is the chain's: same ensembles as `extract`.
+        assert_eq!(trace.ensembles, extractor().extract(&clip.samples));
     }
 
     #[test]
@@ -634,77 +599,93 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn lazy_feed(samples: &[f64]) -> impl Source + '_ {
+        let cfg = ExtractorConfig::default();
+        let samples = samples.iter().copied();
+        clip_record_source(samples, cfg.sample_rate, cfg.record_len, &[])
+    }
+
     #[test]
-    fn streaming_matches_batch_for_any_chunking() {
+    fn extract_from_a_lazy_source_matches_extract() {
+        // `extract` cuts views out of one clip allocation; a lazily
+        // chunked feed gives every record its own, so `cutter` takes its
+        // copying path. Same ensembles.
         let synth = ClipSynthesizer::new(SynthConfig::short_test());
         let clip = synth.clip(SpeciesCode::Noca, 11);
-        let ex = extractor();
-        let batch = ex.extract(&clip.samples);
-        for chunk_len in [1usize, 17, 840, 4_096, clip.samples.len()] {
-            let mut stream = ex.extract_stream();
-            let mut streamed = Vec::new();
-            for chunk in clip.samples.chunks(chunk_len) {
-                stream.push_chunk(chunk, &mut streamed);
-            }
-            streamed.extend(stream.finish());
-            assert_eq!(streamed, batch, "chunk_len={chunk_len}");
-            assert_eq!(stream.samples_seen(), clip.samples.len());
-        }
+        let mut streamed = Vec::new();
+        let stats = extractor().extract_from(lazy_feed(&clip.samples), |e| streamed.push(e));
+        assert_eq!(stats.unwrap().stages.len(), 3);
+        assert!(!streamed.is_empty());
+        assert_eq!(streamed, extractor().extract(&clip.samples));
     }
 
     #[test]
-    fn streaming_yields_ensembles_before_finish() {
+    fn extract_from_yields_ensembles_before_end_of_stream() {
         let synth = ClipSynthesizer::new(SynthConfig::paper());
         let clip = synth.clip(SpeciesCode::Noca, 42);
-        let ex = extractor();
-        let batch = ex.extract(&clip.samples);
-        assert!(!batch.is_empty());
-        // Every ensemble whose trigger released inside the clip arrives
-        // incrementally, not at finish().
-        let mut stream = ex.extract_stream();
-        let mut incremental = Vec::new();
-        stream.push_chunk(&clip.samples, &mut incremental);
-        let at_finish = stream.finish();
-        assert_eq!(
-            incremental.len() + usize::from(at_finish.is_some()),
-            batch.len()
-        );
-        for (a, b) in incremental.iter().zip(&batch) {
-            assert_eq!(a, b);
-        }
+        let n = ExtractorConfig::default().record_len;
+        // Count the records pulled so far: an ensemble lands with the
+        // record in which its trigger fell (within half a record of
+        // `end`), not when the feed ends.
+        let pulled = std::cell::Cell::new(0usize);
+        let mut feed = lazy_feed(&clip.samples);
+        let counting = FnSource(|| {
+            pulled.set(pulled.get() + 1);
+            feed.next_record()
+        });
+        let mut landed = 0;
+        let on_ensemble = |e: Ensemble| {
+            assert!(pulled.get() <= e.end / n + 3, "ensemble at {}", e.start);
+            landed += 1;
+        };
+        extractor().extract_from(counting, on_ensemble).unwrap();
+        assert!(landed >= 2 && pulled.get() == clip.samples.len() / n + 3);
     }
 
     #[test]
-    fn streaming_positions_are_absolute_across_chunks() {
-        // Two clips fed back-to-back: ensemble positions land on the
-        // concatenated stream's clock.
+    fn every_clip_scope_restarts_detector_and_sample_clock() {
         let synth = ClipSynthesizer::new(SynthConfig::short_test());
-        let a = synth.clip(SpeciesCode::Hofi, 1);
-        let b = synth.clip(SpeciesCode::Hofi, 2);
-        let mut joined = a.samples.clone();
-        joined.extend_from_slice(&b.samples);
-        let batch = extractor().extract(&joined);
-
-        let mut stream = extractor().extract_stream();
+        let [a, b] = [1, 2].map(|seed| synth.clip(SpeciesCode::Hofi, seed).samples);
+        let cfg = ExtractorConfig::default();
+        let mut apart = extractor().extract(&a);
+        apart.extend(extractor().extract(&b));
+        let archive = clips_record_source([a, b], cfg.sample_rate, cfg.record_len);
         let mut streamed = Vec::new();
-        stream.push_chunk(&a.samples, &mut streamed);
-        stream.push_chunk(&b.samples, &mut streamed);
-        streamed.extend(stream.finish());
-        assert_eq!(streamed, batch);
-        assert_eq!(stream.samples_seen(), joined.len());
+        extractor()
+            .extract_from(archive, |e| streamed.push(e))
+            .unwrap();
+        assert_eq!(streamed, apart);
     }
 
     #[test]
-    fn streaming_trace_matches_extract_with_trace() {
-        let synth = ClipSynthesizer::new(SynthConfig::short_test());
-        let clip = synth.clip(SpeciesCode::Wbnu, 8);
-        let ex = extractor();
-        let trace = ex.extract_with_trace(&clip.samples);
-        let mut stream = ex.extract_stream();
-        for (i, &x) in clip.samples.iter().enumerate() {
-            let step = stream.push_sample(x);
-            assert_eq!(step.score, trace.scores[i], "score at {i}");
-            assert_eq!(u8::from(step.triggered), trace.trigger[i], "trigger at {i}");
+    fn readout_sink_ignores_everything_outside_an_ensemble_scope() {
+        let audio = |v: f64| Record::data(subtype::AUDIO, dynamic_river::Payload::f64(vec![v; 2]));
+        let open = |start: &str| {
+            let context = vec![(context_key::START_SAMPLE.into(), start.into())];
+            Record::open_scope(scope_type::ENSEMBLE, context)
+        };
+        let close = Record::close_scope(scope_type::ENSEMBLE);
+        let mut got = Vec::new();
+        let mut sink = EnsembleSink::new(|e| got.push(e));
+        for r in [
+            audio(9.0),
+            open("40"),
+            audio(1.0),
+            audio(2.0),
+            close,
+            audio(9.0),
+        ] {
+            sink.push(r).unwrap();
         }
+        assert!(sink.push(open("forty")).is_err());
+        let samples = SampleBuf::from(vec![1.0, 1.0, 2.0, 2.0]);
+        assert_eq!(
+            got,
+            [Ensemble {
+                start: 40,
+                end: 44,
+                samples
+            }]
+        );
     }
 }

@@ -15,8 +15,14 @@
 //!   `welchwindow`, `float2cplx`, `dft`, `cabs`, `cutout`, `paa`,
 //!   `rec2vect` (plus `readout`), each a `dynamic_river::Operator`;
 //! - [`extract`] — [`extract::EnsembleExtractor`], a convenience API
-//!   that runs the extraction chain over raw samples;
-//! - [`pipeline`] — assembles the full Figure 5 operator graph;
+//!   that runs the extraction operators over raw samples
+//!   ([`extract`](extract::EnsembleExtractor::extract)) or any record
+//!   source ([`extract_from`](extract::EnsembleExtractor::extract_from))
+//!   and reads `cutter`'s ensemble scopes back into
+//!   [`extract::Ensemble`] values;
+//! - [`pipeline`] — assembles the full Figure 5 operator graph, and
+//!   drives its featurization half over one ensemble
+//!   ([`pipeline::featurize_ensemble`]);
 //! - [`synth`] — the synthetic birdsong workload generator standing in
 //!   for the paper's field recordings (see `DESIGN.md` substitutions):
 //!   species-specific song grammars for the ten species of Table 1 over

@@ -147,24 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_extraction_scores() {
-        // The record-level operator and the direct extractor must produce
-        // identical score traces.
-        let samples: Vec<f64> = (0..840 * 4)
-            .map(|i| (i as f64 * 0.37).sin() * 0.01)
-            .collect();
-        let out = run_on(&samples);
-        let record_scores: Vec<f64> = out
-            .iter()
-            .filter(|r| r.subtype == subtype::SCORE && r.kind == RecordKind::Data)
-            .flat_map(|r| r.payload.as_f64().unwrap().to_vec())
-            .collect();
-        let cfg = ExtractorConfig::default();
-        let trace = crate::extract::EnsembleExtractor::new(cfg).extract_with_trace(&samples);
-        assert_eq!(record_scores, trace.scores);
-    }
-
-    #[test]
     fn state_resets_between_clips() {
         let cfg = ExtractorConfig::default();
         let samples = vec![0.01; 840 * 2];

@@ -115,7 +115,6 @@ mod tests {
     use super::*;
     use crate::ops::saxanomaly::SaxAnomaly;
     use crate::ops::wav2rec::clip_to_records;
-    use crate::prelude::*;
     use dynamic_river::Pipeline;
 
     fn run_chain(samples: &[f64]) -> Vec<Record> {
@@ -151,30 +150,6 @@ mod tests {
                 assert!(v == 0.0 || v == 1.0);
             }
         }
-    }
-
-    #[test]
-    fn matches_direct_extraction_trigger() {
-        let synth = ClipSynthesizer::new(SynthConfig::short_test());
-        let clip = synth.clip(SpeciesCode::Rwbl, 11);
-        let cfg = ExtractorConfig::default();
-        let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
-        let out = run_chain(&clip.samples[..usable]);
-        let record_trigger: Vec<u8> = out
-            .iter()
-            .filter(|r| r.subtype == subtype::TRIGGER && r.kind == RecordKind::Data)
-            .flat_map(|r| {
-                r.payload
-                    .as_f64()
-                    .unwrap()
-                    .iter()
-                    .map(|&v| v as u8)
-                    .collect::<Vec<u8>>()
-            })
-            .collect();
-        let trace =
-            crate::extract::EnsembleExtractor::new(cfg).extract_with_trace(&clip.samples[..usable]);
-        assert_eq!(record_trigger, trace.trigger);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Assembly of the paper's Figure 5 operator graph, plus a fast direct
-//! featurization path used by dataset construction.
+//! Assembly of the paper's Figure 5 operator graph, and the
+//! one-ensemble driver of its featurization half that dataset
+//! construction and the classifier use.
 
 use crate::config::ExtractorConfig;
 use crate::ops::{
-    Cutout, Cutter, LogScale, PaaOp, Rec2Vect, Reslice, SaxAnomaly, Spectrum, TriggerOp,
+    clip_to_records, Cutout, Cutter, LogScale, PaaOp, Rec2Vect, Reslice, SaxAnomaly, Spectrum,
+    TriggerOp,
 };
-use dynamic_river::Pipeline;
-use river_dsp::window::WindowKind;
-use river_dsp::{Complex64, RealFft};
-use river_sax::paa::paa_by_factor;
+use crate::{scope_type, subtype};
+use dynamic_river::{Pipeline, Record, RecordKind};
+use std::borrow::Cow;
 
 /// Builds the ensemble-extraction segment (`saxanomaly` → `trigger` →
 /// `cutter`), the first half of Figure 5.
@@ -110,60 +111,37 @@ pub fn full_pipeline_sharded(
     })
 }
 
-/// Direct featurization of one ensemble's samples (no record plumbing):
-/// chunk into records, Welch window, DFT, magnitude, cutout, optional
-/// PAA, merge `pattern_records` per pattern. This is the fast path used
-/// by dataset construction; `tests` assert it agrees with the operator
-/// pipeline bit-for-bit.
+/// Featurizes one ensemble's samples: [`featurization_segment`] run
+/// over a clip of one ensemble scope of `record_len`-sample records,
+/// its pattern records returned as vectors — what dataset construction
+/// and [`SpeciesClassifier`](crate::SpeciesClassifier) call, and the
+/// same operators `full_pipeline` runs. An [`Ensemble`](crate::Ensemble)
+/// is already whole records; any other slice gets `cutter`'s closing
+/// rule (last record zero-padded when at least half full, else
+/// dropped).
 pub fn featurize_ensemble(
     samples: &[f64],
     config: &ExtractorConfig,
     with_paa: bool,
 ) -> Vec<Vec<f64>> {
     let n = config.record_len;
-    let fft = RealFft::new(n);
-    let window = WindowKind::Welch.coefficients(n);
-    let lo = config.cutout_low_bin();
-    let hi = config.cutout_high_bin();
-
-    // Re-chunk exactly like `cutter`: full records; final partial padded
-    // when at least half full.
-    let mut records: Vec<Vec<f64>> = samples.chunks(n).map(<[f64]>::to_vec).collect();
-    if let Some(last) = records.last_mut() {
-        if last.len() < n {
-            if last.len() >= n / 2 {
-                last.resize(n, 0.0);
-            } else {
-                records.pop();
-            }
-        }
+    let tail = samples.len() % n;
+    let mut audio = Cow::Borrowed(samples);
+    if tail > 0 && tail >= n / 2 {
+        audio.to_mut().resize(samples.len() + n - tail, 0.0);
     }
-
-    let mut spectra: Vec<Vec<f64>> = Vec::with_capacity(records.len());
-    let mut all_mags = vec![0.0; n];
-    let mut scratch = vec![Complex64::ZERO; fft.scratch_len()];
-    for rec in &records {
-        // Same fused window × real-FFT → magnitude pass as the
-        // `spectrum` operator, so the direct path stays bit-identical to
-        // the operator pipeline.
-        fft.magnitudes_into(rec, Some(&window), &mut all_mags, &mut scratch);
-        let mags: Vec<f64> = all_mags[lo..hi].to_vec();
-        let mut reduced = if with_paa {
-            paa_by_factor(&mags, config.paa_factor)
-        } else {
-            mags
-        };
-        if config.log_scale {
-            for x in &mut reduced {
-                *x = crate::ops::logscale::log_scale_value(*x);
-            }
-        }
-        spectra.push(reduced);
-    }
-
-    spectra
-        .chunks_exact(config.pattern_records)
-        .map(<[std::vec::Vec<f64>]>::concat)
+    // A clip scope of whole records (a tail left unpadded is dropped),
+    // made one ensemble.
+    let mut scope = clip_to_records(&audio, config.sample_rate, n, &[]);
+    scope.insert(1, Record::open_scope(scope_type::ENSEMBLE, vec![]));
+    let close = Record::close_scope(scope_type::ENSEMBLE);
+    scope.insert(scope.len() - 1, close);
+    featurization_segment(*config, with_paa)
+        .run(scope)
+        .expect("an ensemble scope of audio records is well-formed")
+        .iter()
+        .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN)
+        .filter_map(|r| r.payload.as_f64().map(<[f64]>::to_vec))
         .collect()
 }
 
@@ -172,8 +150,6 @@ mod tests {
     use super::*;
     use crate::ops::wav2rec::clip_to_records;
     use crate::prelude::*;
-    use crate::{scope_type, subtype};
-    use dynamic_river::{Record, RecordKind};
 
     #[test]
     fn segment_operator_names_match_figure5() {
@@ -228,50 +204,38 @@ mod tests {
 
     #[test]
     fn direct_path_matches_operator_pipeline() {
-        let cfg = ExtractorConfig::default();
-        let synth = ClipSynthesizer::new(SynthConfig::short_test());
+        // `featurize_ensemble` over each extracted ensemble is exactly
+        // `full_pipeline`'s pattern output for the clip, with and
+        // without `reslice` and PAA.
+        let synth = ClipSynthesizer::new(SynthConfig {
+            clip_seconds: 10.0,
+            ..SynthConfig::paper()
+        });
         let clip = synth.clip(SpeciesCode::Hofi, 9);
-        // Build an "ensemble" directly from a slice of the clip so both
-        // paths see identical samples (whole records so chunking agrees).
-        let samples = &clip.samples[0..cfg.record_len * 6];
-
-        for with_paa in [false, true] {
-            let direct = featurize_ensemble(samples, &cfg, with_paa);
-
-            // Operator path: wrap the samples in an ensemble scope inside
-            // a clip scope and run featurization.
-            let mut records = vec![
-                Record::open_scope(
-                    scope_type::CLIP,
-                    vec![(
-                        crate::context_key::SAMPLE_RATE.to_string(),
-                        format!("{}", cfg.sample_rate),
-                    )],
-                ),
-                Record::open_scope(scope_type::ENSEMBLE, vec![]),
-            ];
-            for (i, chunk) in samples.chunks_exact(cfg.record_len).enumerate() {
-                records.push(
-                    Record::data(subtype::AUDIO, dynamic_river::Payload::f64(chunk.to_vec()))
-                        .with_seq(i as u64),
-                );
-            }
-            records.push(Record::close_scope(scope_type::ENSEMBLE));
-            records.push(Record::close_scope(scope_type::CLIP));
-
-            let out = featurization_segment(cfg, with_paa).run(records).unwrap();
-            let patterns: Vec<Vec<f64>> = out
+        for (reslice, with_paa) in [(false, false), (false, true), (true, false), (true, true)] {
+            let cfg = ExtractorConfig {
+                reslice,
+                ..ExtractorConfig::default()
+            };
+            let chained: Vec<Vec<f64>> = full_pipeline(cfg, with_paa)
+                .run(clip_to_records(
+                    &clip.samples,
+                    cfg.sample_rate,
+                    cfg.record_len,
+                    &[],
+                ))
+                .unwrap()
                 .iter()
                 .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN)
                 .map(|r| r.payload.as_f64().unwrap().to_vec())
                 .collect();
-            assert_eq!(patterns.len(), direct.len(), "with_paa={with_paa}");
-            for (a, b) in patterns.iter().zip(&direct) {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-9, "with_paa={with_paa}");
-                }
-            }
+            assert!(!chained.is_empty());
+            let driven: Vec<Vec<f64>> = EnsembleExtractor::new(cfg)
+                .extract(&clip.samples)
+                .iter()
+                .flat_map(|e| featurize_ensemble(&e.samples, &cfg, with_paa))
+                .collect();
+            assert_eq!(driven, chained, "reslice={reslice} with_paa={with_paa}");
         }
     }
 

@@ -1,9 +1,10 @@
 //! Continuous anomaly monitor: feeds a long acoustic stream through the
-//! streaming ensemble extractor chunk by chunk — the "timely, automated
-//! processing of continuous streams" the paper targets (§5) — and
-//! reports each ensemble the moment its trigger releases.
+//! extraction chain (`saxanomaly` → `trigger` → `cutter`) record by
+//! record — the "timely, automated processing of continuous streams"
+//! the paper targets (§5) — and reports each ensemble the moment its
+//! trigger releases.
 //!
-//! The extractor's state is the SAX/normalization windows, the
+//! The chain's state is the SAX/normalization windows, the
 //! moving-average window, the trigger estimate, and the currently open
 //! ensemble: O(window), however long the stream runs.
 //!
@@ -11,6 +12,7 @@
 //! cargo run --release --example anomaly_monitor
 //! ```
 
+use acoustic_ensembles::core::ops::clip_record_source;
 use acoustic_ensembles::core::prelude::*;
 
 fn main() {
@@ -18,18 +20,16 @@ fn main() {
     let synth = ClipSynthesizer::new(SynthConfig::paper());
 
     // A "continuous" stream: several clips of different species back to
-    // back, as a sensor station would deliver them.
+    // back, as a sensor station would deliver them — one unbroken
+    // sample iterator, each clip synthesized only when the chain has
+    // consumed the one before it.
     let sequence = [
         (SpeciesCode::Noca, 1u64),
         (SpeciesCode::Dowo, 2),
         (SpeciesCode::Modo, 3),
     ];
-
-    let extractor = EnsembleExtractor::new(cfg);
-    let mut stream = extractor.extract_stream();
-    let mut events = 0usize;
-    println!("monitoring stream (single scan, O(window) state)...\n");
-    for (species, seed) in sequence {
+    let mut fed = 0usize;
+    let stream = sequence.into_iter().flat_map(|(species, seed)| {
         let clip = synth.clip(species, seed);
         println!(
             "-- clip of {} arrives ({} bouts at {:?})",
@@ -40,12 +40,19 @@ fn main() {
                 .map(|e| format!("{:.1}s", e.start as f64 / clip.sample_rate))
                 .collect::<Vec<_>>()
         );
-        // Record-sized chunks, reported as soon as they complete — no
-        // per-clip batch, no buffering beyond the open ensemble.
-        let mut completed = Vec::new();
-        for chunk in clip.samples.chunks(cfg.record_len) {
-            stream.push_chunk(chunk, &mut completed);
-            for e in completed.drain(..) {
+        fed += clip.samples.len();
+        clip.samples
+    });
+
+    println!("monitoring stream (single scan, O(window) state)...\n");
+    // Record-sized reads, each ensemble reported as soon as `cutter`
+    // closes it — no per-clip batch, no buffering beyond the open
+    // ensemble. One still open when the stream ends is closed with it.
+    let mut events = 0usize;
+    EnsembleExtractor::new(cfg)
+        .extract_from(
+            clip_record_source(stream, cfg.sample_rate, cfg.record_len, &[]),
+            |e| {
                 events += 1;
                 println!(
                     "   EVENT {events}: {:.1}s..{:.1}s ({:.2}s, {} samples)",
@@ -54,20 +61,11 @@ fn main() {
                     e.duration(cfg.sample_rate),
                     e.len(),
                 );
-            }
-        }
-    }
-    // End of monitoring session: close a still-open ensemble.
-    if let Some(e) = stream.finish() {
-        events += 1;
-        println!(
-            "   EVENT {events}: {:.1}s.. (open at shutdown, {} samples)",
-            e.start as f64 / cfg.sample_rate,
-            e.len()
-        );
-    }
+            },
+        )
+        .expect("monitoring run");
     println!(
-        "\nmonitored {:.0} s of audio, detected {events} events; extractor state stayed O(window).",
-        stream.samples_seen() as f64 / cfg.sample_rate
+        "\nmonitored {:.0} s of audio, detected {events} events; chain state stayed O(window).",
+        fed as f64 / cfg.sample_rate
     );
 }

@@ -1,5 +1,5 @@
 //! Quickstart: synthesize a field clip, stream it through ensemble
-//! extraction chunk by chunk, featurize what was found, and run the
+//! extraction record by record, featurize what was found, and run the
 //! full Figure 5 record pipeline with per-stage statistics.
 //!
 //! ```text
@@ -24,17 +24,24 @@ fn main() {
     );
 
     // Extract ensembles with the paper's parameters (SAX window 100,
-    // alphabet 8, moving average 2250, adaptive 3-sigma trigger) — fed
-    // record-sized chunks, as a sensor stream would deliver them. Each
-    // ensemble pops out the moment its trigger releases.
+    // alphabet 8, moving average 2250, adaptive 3-sigma trigger) — the
+    // `saxanomaly` → `trigger` → `cutter` chain fed records lazily, as a
+    // sensor stream would deliver them. Each ensemble pops out the
+    // moment its trigger releases.
     let config = ExtractorConfig::default();
     let extractor = EnsembleExtractor::new(config);
-    let mut stream = extractor.extract_stream();
+    let feed = || {
+        clip_record_source(
+            clip.samples.iter().copied(),
+            config.sample_rate,
+            config.record_len,
+            &[],
+        )
+    };
     let mut ensembles = Vec::new();
-    for chunk in clip.samples.chunks(config.record_len) {
-        stream.push_chunk(chunk, &mut ensembles);
-    }
-    ensembles.extend(stream.finish());
+    extractor
+        .extract_from(feed(), |e| ensembles.push(e))
+        .expect("extraction run");
 
     println!(
         "\nextracted {} ensemble(s) while streaming:",
@@ -70,15 +77,7 @@ fn main() {
     let mut pipeline = full_pipeline(config, true);
     let mut sink = CountingSink::default();
     let stats = pipeline
-        .run_streaming(
-            clip_record_source(
-                clip.samples.iter().copied(),
-                config.sample_rate,
-                config.record_len,
-                &[],
-            ),
-            &mut sink,
-        )
+        .run_streaming(feed(), &mut sink)
         .expect("pipeline run");
 
     println!(

@@ -24,6 +24,11 @@
 //! assert!(!ensembles.is_empty());
 //! println!("{} ensembles", ensembles.len());
 //! ```
+//!
+//! `extract` is the `saxanomaly` → `trigger` → `cutter` operator chain
+//! over the clip's records; `EnsembleExtractor::extract_from` runs the
+//! same chain over any record `Source` — a live feed, a socket — and
+//! hands each ensemble over as its trigger releases.
 
 pub use dynamic_river as river;
 pub use ensemble_core as core;

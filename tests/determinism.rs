@@ -5,6 +5,8 @@ use acoustic_ensembles::core::prelude::*;
 use acoustic_ensembles::river::scope::validate_scopes;
 use acoustic_ensembles::river::Record;
 
+const GOLDEN_ENSEMBLES: &str = include_str!("golden_ensembles.txt");
+
 #[test]
 fn same_seed_same_everything() {
     let cfg = CorpusConfig {
@@ -55,9 +57,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn record_and_direct_paths_agree_on_real_ensembles() {
-    // Take real extracted ensembles and verify the operator pipeline and
-    // the direct featurizer agree (they are asserted equal at unit level
-    // on synthetic slices; this checks real cutter output).
+    // Real `cutter` output through the one-ensemble featurization
+    // driver, by way of the facade (`ensemble-core`'s pipeline tests hold
+    // it to `full_pipeline`'s patterns exactly).
     let cfg = ExtractorConfig::paper();
     let synth = ClipSynthesizer::new(SynthConfig {
         clip_seconds: 12.0,
@@ -111,4 +113,46 @@ fn config_geometry_is_self_consistent() {
     assert_eq!(cfg.paa_pattern_features(), 105);
     assert!((cfg.pattern_seconds() - 0.125).abs() < 1e-12);
     assert_eq!(cfg.bins_per_record(), 350);
+}
+
+/// FNV-1a folded over 64-bit words (river-bench's record digest).
+fn digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, x| {
+        (hash ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `golden_ensembles.txt` was rendered at commit `04822d4` — the last
+/// one whose `extract` and `featurize_ensemble` were a per-sample state
+/// machine and a private window/FFT loop beside the operator chain —
+/// one `species clip start patterns raw-digest paa-digest` line per
+/// ensemble of the test-scale corpus. Both now drive the shipped
+/// operators, and what Tables 1–3 are computed from must not move in
+/// any bit, so the file is never regenerated. An ensemble's `end` is
+/// deliberately not in it: `cutter` emits whole records (DESIGN.md §3).
+#[test]
+fn corpus_ensembles_match_the_parent_commits_golden_file() {
+    let corpus = Corpus::build(CorpusConfig::test_scale());
+    let bundle = DatasetBundle::build(&corpus);
+    assert_eq!(bundle.skipped_short, 0, "groups line up with ensembles");
+    let raw_groups = bundle.ensemble.group_members();
+    let paa_groups = bundle.paa_ensemble.group_members();
+    assert_eq!(raw_groups.len(), corpus.ensembles.len());
+    let rendered: Vec<String> = corpus
+        .ensembles
+        .iter()
+        .zip(raw_groups.iter().zip(&paa_groups))
+        .map(|(le, (raw, paa))| {
+            format!(
+                "{} {} {} {} {:016x} {:016x}",
+                le.species,
+                le.clip_index,
+                le.ensemble.start,
+                raw.len(),
+                digest(raw.iter().flat_map(|&i| bundle.ensemble.features(i))),
+                digest(paa.iter().flat_map(|&i| bundle.paa_ensemble.features(i))),
+            )
+        })
+        .collect();
+    assert_eq!(rendered, GOLDEN_ENSEMBLES.lines().collect::<Vec<_>>());
 }

@@ -24,12 +24,17 @@ fn quickstart_extracts_ensembles_from_a_paper_scale_clip() {
         "a clip with song bouts must yield at least one ensemble"
     );
 
-    // Ensembles are in-bounds, ordered and disjoint.
+    // Ensembles are whole records, ordered, disjoint and in-bounds (up
+    // to the last record's zero padding).
+    let record_len = ExtractorConfig::default().record_len;
     let mut prev_end = 0usize;
     for e in &ensembles {
         assert!(e.start >= prev_end, "ensembles out of order");
-        assert!(e.end <= clip.samples.len(), "ensemble exceeds the clip");
-        assert!(!e.is_empty());
+        assert!(
+            e.end <= clip.samples.len() + record_len / 2,
+            "ensemble exceeds the clip"
+        );
+        assert!(!e.is_empty() && e.len() % record_len == 0);
         prev_end = e.end;
     }
 
