@@ -222,12 +222,15 @@ if [ "${1:-}" != "quick" ]; then
 
     # The served session's job against a scripted socket (read sizes,
     # WouldBlock/EOF/reset/stall anywhere, corruption, a panicking
-    # sink), each seed held to run_streaming over the bytes delivered.
-    # Seeds are independent: a failure names the one to replay. The
+    # sink) and a scripted pool (another job waiting never, from the
+    # k-th ask on, or always), each seed held to run_streaming over the
+    # bytes delivered. Seeds are independent: a failure names the one to
+    # replay. Uncaptured, so the log shows how many seeds reached each
+    # path — the contended bound and the lone firehose among them. The
     # release-tests phase above has run the first 256 under the
     # optimiser.
-    phase "serve-job battery (scripted socket, FUZZ_ITERS=2048)"
-    FUZZ_ITERS=2048 cargo test -q -p dynamic-river --lib serve::job_battery
+    phase "serve-job battery (scripted socket and pool, FUZZ_ITERS=2048; --nocapture)"
+    FUZZ_ITERS=2048 cargo test -q -p dynamic-river --lib serve::job_battery -- --nocapture
 
     # Static chain verification: every shipped chain must lint clean
     # (zero error-severity diagnostics, DESIGN.md §15).

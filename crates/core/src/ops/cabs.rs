@@ -2,7 +2,7 @@
 //! power-spectrum record (paper §3).
 
 use crate::subtype;
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 
 /// The `cabs` operator: interleaved complex payloads become `F64`
 /// magnitude payloads with subtype [`crate::subtype::POWER`].
@@ -24,7 +24,7 @@ impl Operator for Cabs {
     fn on_record(&mut self, mut record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
         if record.kind == RecordKind::Data && record.subtype == subtype::SPECTRUM {
             if let Payload::Complex(v) = &record.payload {
-                let mags: Vec<f64> = v.chunks_exact(2).map(|c| c[0].hypot(c[1])).collect();
+                let mags: SampleBuf = v.chunks_exact(2).map(|c| c[0].hypot(c[1])).collect();
                 record.payload = Payload::f64(mags);
                 record.subtype = subtype::POWER;
             }

@@ -2,7 +2,7 @@
 
 use crate::ops::plan_cache::PlanCache;
 use crate::subtype;
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 use river_dsp::{Complex64, Fft};
 
 /// The `dft` operator: transforms interleaved-complex records in place.
@@ -55,11 +55,7 @@ impl Operator for Dft {
                 // (the float2cplx output always is) are rewritten in
                 // place with no allocation at all.
                 if v.is_shared() {
-                    let mut interleaved = Vec::with_capacity(2 * n);
-                    for z in buf {
-                        interleaved.push(z.re);
-                        interleaved.push(z.im);
-                    }
+                    let interleaved: SampleBuf = buf.iter().flat_map(|z| [z.re, z.im]).collect();
                     record.payload = Payload::complex(interleaved);
                 } else {
                     let samples = v.make_mut();

@@ -2,7 +2,7 @@
 //! by the `dft` operator (paper §3).
 
 use crate::subtype;
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 
 /// The `float2cplx` operator: `F64` audio payloads become interleaved
 /// `Complex` payloads (`re`, `im = 0`) with subtype
@@ -25,11 +25,7 @@ impl Operator for Float2Cplx {
     fn on_record(&mut self, mut record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
         if record.kind == RecordKind::Data && record.subtype == subtype::AUDIO {
             if let Payload::F64(v) = &record.payload {
-                let mut complex = Vec::with_capacity(v.len() * 2);
-                for &x in v.iter() {
-                    complex.push(x);
-                    complex.push(0.0);
-                }
+                let complex: SampleBuf = v.iter().flat_map(|&x| [x, 0.0]).collect();
                 record.payload = Payload::complex(complex);
                 record.subtype = subtype::SPECTRUM;
             }

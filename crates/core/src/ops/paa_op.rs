@@ -2,8 +2,8 @@
 //! "reduced by a factor of 10 using PAA").
 
 use crate::subtype;
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
-use river_sax::paa::paa_by_factor;
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
+use river_sax::paa::paa_by_factor_iter;
 
 /// The optional `paa` operator: reduces `F64` power records by an
 /// integer factor.
@@ -32,7 +32,8 @@ impl Operator for PaaOp {
     fn on_record(&mut self, mut record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
         if record.kind == RecordKind::Data && record.subtype == subtype::POWER {
             if let Payload::F64(v) = &record.payload {
-                record.payload = Payload::f64(paa_by_factor(v, self.factor));
+                let means: SampleBuf = paa_by_factor_iter(v, self.factor).collect();
+                record.payload = Payload::f64(means);
             }
         }
         out.push(record)

@@ -83,12 +83,14 @@ impl Operator for Rec2Vect {
                 self.buffer.extend_from_slice(v);
                 self.buffered_records += 1;
                 if self.buffered_records == self.per_pattern {
-                    let features = std::mem::take(&mut self.buffer);
+                    // One copy into the payload; the buffer keeps its
+                    // capacity for the next pattern.
+                    let features = Payload::f64(&self.buffer[..]);
                     let seq = self.pattern_seq;
                     self.pattern_seq += 1;
-                    self.buffered_records = 0;
+                    self.reset_group();
                     out.push(
-                        Record::data(subtype::PATTERN, Payload::f64(features))
+                        Record::data(subtype::PATTERN, features)
                             .with_seq(seq)
                             .with_depth(record.scope_depth),
                     )?;

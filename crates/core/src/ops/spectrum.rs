@@ -12,7 +12,7 @@
 
 use crate::ops::plan_cache::PlanCache;
 use crate::subtype;
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 use river_dsp::window::WindowKind;
 use river_dsp::{Complex64, RealFft};
 
@@ -71,11 +71,14 @@ impl Operator for Spectrum {
                     if self.scratch.len() < need {
                         self.scratch.resize(need, Complex64::ZERO);
                     }
-                    let mut mags = vec![0.0; n];
+                    // A fresh buffer nothing else holds: `make_mut`
+                    // hands it out in place, so the payload is
+                    // allocated once and written by the kernel.
+                    let mut mags: SampleBuf = std::iter::repeat_n(0.0, n).collect();
                     plan.rfft.magnitudes_into(
                         v,
                         Some(&plan.window),
-                        &mut mags,
+                        mags.make_mut(),
                         &mut self.scratch[..need],
                     );
                     record.payload = Payload::f64(mags);

@@ -9,7 +9,7 @@ use crate::config::ExtractorConfig;
 use crate::extract::AdaptiveTrigger;
 use crate::{scope_type, subtype};
 use dynamic_river::telemetry::{EventKind, EventSink};
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 
 /// The `trigger` operator.
 #[derive(Clone)]
@@ -65,7 +65,8 @@ impl Operator for TriggerOp {
                         "score record without F64 payload",
                     ));
                 };
-                let values: Vec<f64> = scores
+                // Collected straight into the payload's allocation.
+                let values: SampleBuf = scores
                     .iter()
                     .map(|&s| {
                         let high = self.trigger.push(s);

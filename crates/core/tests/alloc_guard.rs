@@ -9,8 +9,9 @@
 //! `#[global_allocator]`: after a warm-up pass, a sustained run of both
 //! kernels — the detector through one-sample `push` calls and through
 //! `score_block` — must perform **zero** heap allocations, and the
-//! `saxanomaly` operator exactly one per audio record, the score
-//! payload it emits.
+//! `saxanomaly`, `trigger` and `spectrum` operators exactly one per
+//! record each, the payload they emit (built in its shared allocation,
+//! not in a `Vec` that is then copied).
 //!
 //! The telemetry layer rides in the same measured window (ISSUE 9
 //! satellite 4): [`StageTimer::record`] is pure atomics, and
@@ -26,7 +27,7 @@
 use dynamic_river::operator::NullSink;
 use dynamic_river::telemetry::{EventKind, EventLog, StageTimer};
 use dynamic_river::{Operator, Payload, Record};
-use ensemble_core::ops::SaxAnomaly;
+use ensemble_core::ops::{SaxAnomaly, Spectrum, TriggerOp};
 use ensemble_core::{subtype, ExtractorConfig};
 use river_dsp::complex::Complex64;
 use river_dsp::fft::RealFft;
@@ -130,6 +131,20 @@ fn warm_spectral_kernels_do_not_allocate() {
     }
     let after_op = ALLOCS.load(Ordering::Relaxed);
 
+    // `trigger` and `spectrum` build their payloads in place: one
+    // allocation per record each, not a `Vec` copied into a second one.
+    let mut trigger = TriggerOp::new(ExtractorConfig::paper());
+    let mut spectrum = Spectrum::new();
+    let score = Record::data(subtype::SCORE, Payload::f64(samples.clone())).with_seq(7);
+    let mut both = || {
+        trigger.on_record(score.clone(), &mut sink).unwrap();
+        spectrum.on_record(audio.clone(), &mut sink).unwrap();
+    };
+    (0..4).for_each(|_| both());
+    let before_payloads = ALLOCS.load(Ordering::Relaxed);
+    (0..32).for_each(|_| both());
+    let after_payloads = ALLOCS.load(Ordering::Relaxed);
+
     assert!(acc.is_finite(), "kernels produced non-finite output");
     assert_eq!(
         after_block - before_block,
@@ -140,6 +155,11 @@ fn warm_spectral_kernels_do_not_allocate() {
         after_op - before_op,
         32,
         "saxanomaly: exactly the score payload per audio record"
+    );
+    assert_eq!(
+        after_payloads - before_payloads,
+        64,
+        "trigger and spectrum: exactly one payload allocation per record each"
     );
     assert_eq!(timer.histogram().count, 32);
     assert_eq!(events.len(), 64, "ring should sit exactly at capacity");

@@ -19,10 +19,10 @@ use std::sync::Arc;
 /// An immutable, cheaply cloneable view over shared `f64` samples.
 ///
 /// `SampleBuf` dereferences to `&[f64]`, so read paths treat it exactly
-/// like a slice. Construction from owned data is `From<Vec<f64>>`
-/// (one move of the samples into the shared allocation) or
-/// `From<&[f64]>` (one copy); [`slice`](Self::slice) and `clone` never
-/// copy samples.
+/// like a slice. Construction is `collect()` (written once, in place,
+/// when the iterator knows its length), `From<Vec<f64>>` or
+/// `From<&[f64]>` (one copy into the shared allocation each);
+/// [`slice`](Self::slice) and `clone` never copy samples.
 ///
 /// # Example
 ///
@@ -161,21 +161,6 @@ impl SampleBuf {
         self.as_slice().to_vec()
     }
 
-    /// Builds a canonical buffer by collecting an exact-size sample
-    /// iterator **directly into the shared allocation** — the decode
-    /// path's constructor: no intermediate `Vec<f64>` is built and then
-    /// copied into the `Arc`, so wire decode pays exactly one pass over
-    /// the samples.
-    fn collect_exact(iter: impl ExactSizeIterator<Item = f64>) -> SampleBuf {
-        let data: Arc<[f64]> = iter.collect();
-        let len = data.len();
-        SampleBuf {
-            data,
-            offset: 0,
-            len,
-        }
-    }
-
     /// Decodes little-endian `f64` wire bytes into a canonical buffer
     /// (offset 0, view length == backing length) in a single pass.
     ///
@@ -189,11 +174,10 @@ impl SampleBuf {
             "f64 byte length {} not a multiple of 8",
             bytes.len()
         );
-        Self::collect_exact(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-        )
+        bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect()
     }
 
     /// Decodes little-endian `f32` wire bytes (the compact v2 sample
@@ -208,11 +192,10 @@ impl SampleBuf {
             "f32 byte length {} not a multiple of 4",
             bytes.len()
         );
-        Self::collect_exact(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f64::from(f32::from_le_bytes(c.try_into().expect("4-byte chunk")))),
-        )
+        bytes
+            .chunks_exact(4)
+            .map(|c| f64::from(f32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+            .collect()
     }
 
     /// Decodes little-endian `i16` wire bytes quantized with a
@@ -228,9 +211,10 @@ impl SampleBuf {
             "i16 byte length {} not a multiple of 2",
             bytes.len()
         );
-        Self::collect_exact(bytes.chunks_exact(2).map(move |c| {
-            f64::from(i16::from_le_bytes(c.try_into().expect("2-byte chunk"))) * scale
-        }))
+        bytes
+            .chunks_exact(2)
+            .map(|c| f64::from(i16::from_le_bytes(c.try_into().expect("2-byte chunk"))) * scale)
+            .collect()
     }
 
     /// Detaches the view from any larger backing allocation: after
@@ -302,9 +286,21 @@ impl From<SampleBuf> for Vec<f64> {
     }
 }
 
+/// Collects straight into the shared allocation: std builds the
+/// `Arc<[f64]>` in place from an iterator that knows its exact length
+/// (a map over a slice, a range or `chunks_exact`), so a payload built
+/// this way is allocated and written once, where `From<Vec<f64>>`
+/// allocates the `Arc` a second time and copies into it. Other
+/// iterators go through one `Vec`.
 impl FromIterator<f64> for SampleBuf {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        SampleBuf::from(iter.into_iter().collect::<Vec<f64>>())
+        let data: Arc<[f64]> = iter.into_iter().collect();
+        let len = data.len();
+        SampleBuf {
+            data,
+            offset: 0,
+            len,
+        }
     }
 }
 

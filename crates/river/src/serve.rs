@@ -19,7 +19,8 @@
 //!    ([`set_workers`](PipelineServer::set_workers)), which reads the
 //!    bytes itself, decodes them and runs the records through the
 //!    session's own clone of the operator chain until the socket runs
-//!    dry. `M` sessions
+//!    dry — or, once another session's job is waiting for a worker,
+//!    until it has fed 256 records. `M` sessions
 //!    ([`set_max_sessions`](PipelineServer::set_max_sessions))
 //!    multiplex over `N` threads, with `M ≫ N` the intended shape.
 //! 2. **Accept-time backpressure.** The listener is only polled while
@@ -66,7 +67,11 @@
 //! worker* (one job reads, decodes and runs the chain; the loop does
 //! not watch the socket meanwhile) → *closed* (report recorded). The
 //! loop keeps only what no worker can do: the listener, readiness,
-//! idle deadlines and the reports.
+//! idle deadlines and the reports. A session that keeps its wire busy
+//! keeps its worker for as long as no other job waits: the fairness
+//! bound binds only under contention, so a lone firehose pays no loop
+//! round trip per 256 records ([`SessionReport::jobs`] counts the
+//! hand-offs).
 //!
 //! Sessions — not scope shards — are the unit of concurrency here:
 //! each connection is an independent record stream with its own scope
@@ -140,10 +145,12 @@ const READ_CHUNK: usize = 8 * 1024;
 /// buffer holds at most one burst plus one frame.
 const READ_BURST: usize = 64 * 1024;
 
-/// Fairness bound: a job that has fed this many records hands its
-/// session back after the burst in progress, so a firehose client holds
-/// a worker for a bounded time and completions (and therefore idle
-/// clocks and per-stage timing attribution) stay responsive.
+/// Fairness bound: once another job is waiting for the pool, a job that
+/// has fed this many records hands its session back after the burst in
+/// progress, so a firehose client holds a worker for a bounded time
+/// while a neighbour waits. With nobody waiting the job keeps its
+/// worker: handing the session back would buy a loop round trip (done
+/// channel, waker byte, two polls, job channel) and nothing else.
 const BATCH_RECORDS: usize = 256;
 
 /// Completed-session counter shared between the event loop and the
@@ -196,6 +203,10 @@ pub struct SessionReport {
     pub wire_bytes: u64,
     /// Keepalive sentinels the peer sent to hold its slot open.
     pub keepalives: u64,
+    /// Worker jobs the session took, its idle reap included: one per
+    /// hand-off from the loop to the pool, so `received / jobs` is the
+    /// records a hand-off carried.
+    pub jobs: u64,
     /// Per-stage statistics of the session's cloned chain.
     pub stats: StreamStats,
     /// The codec/chain/sink error that ended the session, if any. Scope
@@ -593,8 +604,9 @@ struct Plane<R> {
 /// What one job left behind, short of panicking.
 enum Step {
     /// The wire is still live (the socket ran dry, or the job reached
-    /// its fairness bound): the plane goes back to the poll set.
-    /// `last_read` is the instant of the job's last non-empty read.
+    /// its fairness bound while another job waited): the plane goes
+    /// back to the poll set. `last_read` is the instant of the job's
+    /// last non-empty read.
     Yield { last_read: Option<Instant> },
     /// The session is over: clean end, repaired end, or a failed chain.
     Done { error: Option<String> },
@@ -602,12 +614,15 @@ enum Step {
 
 impl<R: io::Read> Plane<R> {
     /// One job: *read a burst → pull the ready records → feed the
-    /// chain*, until the wire would block, the stream ends or
-    /// [`BATCH_RECORDS`] have been fed — the streaming driver's fused
-    /// step with a non-blocking wire as its source. A wire fault runs
-    /// the repair drain where it surfaces, after the records decoded
-    /// before it; a `reap` job (idle timeout) does only that drain.
-    fn run(&mut self, reap: Option<Duration>) -> Step {
+    /// chain*, until the wire would block, the stream ends, or
+    /// [`BATCH_RECORDS`] have been fed and `contended` says another job
+    /// is waiting for the pool — asked once per burst past the bound,
+    /// so a lone session keeps its worker while its wire delivers. The
+    /// streaming driver's fused step with a non-blocking wire as its
+    /// source. A wire fault runs the repair drain where it surfaces,
+    /// after the records decoded before it; a `reap` job (idle timeout)
+    /// does only that drain.
+    fn run(&mut self, reap: Option<Duration>, contended: &dyn Fn() -> bool) -> Step {
         if let Some(limit) = reap {
             self.repair_drain();
             return Step::Done {
@@ -616,7 +631,7 @@ impl<R: io::Read> Plane<R> {
         }
         let mut last_read = None;
         let mut fed = 0usize;
-        while fed < BATCH_RECORDS {
+        loop {
             let blocked = self.read_burst(&mut last_read);
             loop {
                 match self.next_record() {
@@ -652,11 +667,10 @@ impl<R: io::Read> Plane<R> {
                     error: flushed.err().map(|e| e.to_string()),
                 };
             }
-            if blocked {
-                break;
+            if blocked || (fed >= BATCH_RECORDS && contended()) {
+                return Step::Yield { last_read };
             }
         }
-        Step::Yield { last_read }
     }
 
     /// Reads up to [`READ_BURST`] bytes straight into the decode buffer:
@@ -763,11 +777,17 @@ enum Outcome<R> {
     Closed(Ended),
 }
 
-/// Runs one job on the calling (worker) thread. A panicking operator or
-/// sink is caught, so the pool thread survives and the session is
-/// reported with the counters its assembler had reached.
-fn run_job<R: io::Read>(mut plane: Box<Plane<R>>, reap: Option<Duration>) -> Outcome<R> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plane.run(reap))) {
+/// Runs one job on the calling (worker) thread; `contended` answers
+/// whether another job is waiting for the pool ([`Plane::run`]). A
+/// panicking operator or sink is caught, so the pool thread survives
+/// and the session is reported with the counters its assembler had
+/// reached.
+fn run_job<R: io::Read>(
+    mut plane: Box<Plane<R>>,
+    reap: Option<Duration>,
+    contended: &dyn Fn() -> bool,
+) -> Outcome<R> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plane.run(reap, contended))) {
         Ok(Step::Yield { last_read }) => Outcome::Resident { plane, last_read },
         Ok(Step::Done { error }) => Outcome::Closed(plane.close(error)),
         Err(panic) => {
@@ -820,6 +840,8 @@ struct Session {
     /// The last non-empty read of the session's wire (or its accept).
     last_activity: Instant,
     busy: Duration,
+    /// Jobs handed to the pool ([`SessionReport::jobs`]).
+    jobs: u64,
 }
 
 /// The loop's books: live sessions, finished reports and the
@@ -866,9 +888,12 @@ where
         let worker = thread::Builder::new()
             .name(format!("session-worker-{w}"))
             .spawn(move || {
+                // Another session's job queued for the pool is what
+                // makes a job past the fairness bound give its worker up.
+                let contended = || !job_rx.is_empty();
                 while let Ok(Job { sid, plane, reap }) = job_rx.recv() {
                     let started = Instant::now();
-                    let outcome = run_job(plane, reap);
+                    let outcome = run_job(plane, reap, &contended);
                     let busy = started.elapsed();
                     let delivered = done_tx.send(JobDone { sid, outcome, busy }).is_ok();
                     waker.wake();
@@ -1115,6 +1140,7 @@ fn open_session(
         started: now,
         last_activity: now,
         busy: Duration::ZERO,
+        jobs: 0,
     })
 }
 
@@ -1132,6 +1158,7 @@ impl Roster<'_> {
         if reap.is_some() {
             s.events.emit(EventKind::SessionTimeout, sid);
         }
+        s.jobs += 1;
         if let Err(refused) = job_tx.send(Job { sid, plane, reap }) {
             // Only possible if the whole pool died (a bug, not a load
             // condition): fail the session rather than wedging it open.
@@ -1203,6 +1230,7 @@ fn close_session(s: Session, ended: Ended) -> SessionReport {
         received: ended.received,
         wire_bytes: ended.wire_bytes,
         keepalives: ended.keepalives,
+        jobs: s.jobs,
         stats: ended.stats,
         error: ended.error,
         duration,
@@ -1280,6 +1308,16 @@ mod tests {
         (handle, outputs)
     }
 
+    /// Shuts the server down and checks what every report holds: each
+    /// session reached the pool at least once.
+    fn shutdown_checked(handle: ServerHandle) -> ServerReport {
+        let report = handle.shutdown().unwrap();
+        for s in &report.sessions {
+            assert!(s.jobs >= 1, "session {} took no job", s.id);
+        }
+        report
+    }
+
     #[test]
     fn four_concurrent_sessions_each_match_single_lane() {
         let mut server = PipelineServer::from_pipeline(&doubling_chain()).unwrap();
@@ -1311,7 +1349,7 @@ mod tests {
         let sent: Vec<Vec<Record>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
 
         handle.wait_for_completed(4);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 4);
         assert_eq!(report.clean_sessions(), 4);
 
@@ -1361,7 +1399,7 @@ mod tests {
         }
 
         handle.wait_for_completed(3);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 3);
         assert_eq!(report.clean_sessions(), 2);
         assert_eq!(report.repaired_sessions(), 1);
@@ -1408,7 +1446,7 @@ mod tests {
         healthy.join().unwrap();
 
         handle.wait_for_completed(2);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 2);
         assert_eq!(report.clean_sessions(), 1);
         let bad: Vec<_> = report.sessions.iter().filter(|s| !s.is_clean()).collect();
@@ -1458,7 +1496,7 @@ mod tests {
         healthy.join().unwrap();
 
         handle.wait_for_completed(2);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 2);
         let bad: Vec<_> = report.sessions.iter().filter(|s| !s.is_clean()).collect();
         assert_eq!(bad.len(), 1);
@@ -1487,7 +1525,7 @@ mod tests {
         }
         handle.wait_for_completed(3);
         assert_eq!(handle.sessions_completed(), 3);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 3);
         assert_eq!(report.clean_sessions(), 3);
         // Serialized through one slot: session ids are still 1..=3.
@@ -1528,7 +1566,7 @@ mod tests {
         send_all(addr, &scoped_records(2.0, 3)).unwrap();
         handle.wait_for_completed(2);
 
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert!(report.accept_error.is_none());
         assert_eq!(report.sessions.len(), 2);
         let err = report.sessions[0].error.as_deref().unwrap();
@@ -1561,7 +1599,7 @@ mod tests {
             .count();
         assert_eq!(accepts, 2);
 
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.clean_sessions(), 2);
         for s in &report.sessions {
             // Stage timers are per-session: the one "double" stage saw
@@ -1613,7 +1651,7 @@ mod tests {
         let addr = handle.local_addr();
         send_all(addr, &scoped_records(1.0, 4)).unwrap();
         handle.wait_for_completed(1);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert!(report.sessions[0].telemetry.stages.is_empty());
         assert!(report.sessions[0].telemetry.events.is_empty());
         assert!(report.telemetry.events.is_empty());
@@ -1628,7 +1666,7 @@ mod tests {
         let handle = server
             .start(listener, |_info| Box::new(crate::operator::NullSink))
             .unwrap();
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert!(report.sessions.is_empty());
         assert_eq!(report.aggregate, StreamStats::default());
     }
@@ -1651,7 +1689,7 @@ mod tests {
             send_all(addr, &scoped_records(c as f64, 3)).unwrap();
         }
         handle.wait_for_completed(3);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 3);
         assert_eq!(built.load(Ordering::SeqCst), 3);
     }
@@ -1691,7 +1729,7 @@ mod tests {
         let expected = wire.len() as u64 + 4; // EOS sentinel
         send_all(addr, &records).unwrap();
         handle.wait_for_completed(1);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.sessions[0].wire_bytes, expected);
         assert_eq!(report.sessions[0].received as usize, records.len());
     }
@@ -1722,7 +1760,7 @@ mod tests {
         healthy.join().unwrap();
 
         handle.wait_for_completed(2);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         assert_eq!(report.clean_sessions(), 1);
         let bad: Vec<_> = report.sessions.iter().filter(|s| !s.is_clean()).collect();
         assert_eq!(bad.len(), 1);
@@ -1762,7 +1800,7 @@ mod tests {
         send_raw(addr, &w);
 
         handle.wait_for_completed(1);
-        let report = handle.shutdown().unwrap();
+        let report = shutdown_checked(handle);
         let s = &report.sessions[0];
         assert_eq!(s.end, StreamEnd::Unclean { repaired_scopes: 1 });
         assert!(s.error.is_none(), "truncation is repair, not error");

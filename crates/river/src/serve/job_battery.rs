@@ -5,6 +5,9 @@
 //! and `Interrupted` between any two bytes, EOF or `ConnectionReset`
 //! mid-frame, a peer that stalls until it is reaped, [`WireMangler`]
 //! corruption, a retired `RVDR` frame, keepalives, a sink that panics.
+//! The pool is scripted too: each seed draws when another job starts
+//! waiting for a worker — never, from the k-th time a job asks on, or
+//! always — and answers the job's contention predicate accordingly.
 //! The test plays the event loop's part — hand the plane to a job, take
 //! it back, hand it out again — and checks, per seed:
 //!
@@ -13,10 +16,17 @@
 //!   delivered, plus the `BadCloseScope` repair suffix (DESIGN §12);
 //! - `received`, `wire_bytes`, `keepalives` and the [`StreamEnd`] equal
 //!   that assembler's, and survive a panic in the chain;
-//! - a job feeds at most [`BATCH_RECORDS`] plus one burst's records,
-//!   yields only when the wire blocks or that bound is reached, and
-//!   reports a read instant exactly when it read bytes;
-//! - the decode buffer never exceeds one burst plus the largest frame.
+//! - a job asks whether another job waits only once it has fed
+//!   [`BATCH_RECORDS`], and yields with its wire live exactly when told
+//!   one does — so an uncontended job yields only when its wire blocks
+//!   or ends;
+//! - once another job waits, a job feeds fewer than one burst's records
+//!   more than the larger of [`BATCH_RECORDS`] and what it had fed when
+//!   last told nobody waits: a job contended from its start stops
+//!   within one burst of the bound, a lone one keeps going;
+//! - a job reports a read instant exactly when it read bytes;
+//! - the decode buffer never exceeds one burst plus the largest frame,
+//!   however long the job keeps its worker.
 //!
 //! Each seed is independent of the others and a pure function of its
 //! number: a failure names its seed, and `run_seed(seed)` replays it.
@@ -30,6 +40,7 @@ use crate::fault::WireMangler;
 use crate::operator::SharedSink;
 use crate::record::Payload;
 use crate::telemetry::TelemetryConfig;
+use std::cell::{Cell, RefCell};
 
 /// Bounded seed budget: deterministic by default, tunable via env.
 fn fuzz_iters() -> u64 {
@@ -314,6 +325,31 @@ fn oracle(delivered: &[u8], exhausted: bool, tail: Tail, stop_after: Option<usiz
     o
 }
 
+/// The pool as a job sees it through its contention predicate.
+struct Pool<'a> {
+    /// The check (counted over the whole session) from which another
+    /// job is waiting: `None` never, `Some(0)` always.
+    busy_from: Option<u64>,
+    checks: Cell<u64>,
+    /// The current job's answers, each with the records it had fed
+    /// when it asked.
+    answers: RefCell<Vec<(bool, usize)>>,
+    out: &'a SharedSink,
+    /// The sink's length when the current job started.
+    out_before: Cell<usize>,
+}
+
+impl Pool<'_> {
+    fn contended(&self) -> bool {
+        let n = self.checks.get();
+        self.checks.set(n + 1);
+        let busy = self.busy_from.is_some_and(|k| n >= k);
+        let fed = self.out.len() - self.out_before.get();
+        self.answers.borrow_mut().push((busy, fed));
+        busy
+    }
+}
+
 /// Everything observable about one seed's session — compared whole by
 /// the replay test — plus which paths it took.
 #[derive(Debug, PartialEq)]
@@ -325,8 +361,12 @@ struct Verdict {
     keepalives: u64,
     error: Option<String>,
     jobs: usize,
-    /// A job gave its worker back at the fairness bound, wire unblocked.
-    capped: bool,
+    /// Jobs that gave their worker back at the fairness bound, wire
+    /// live, because another job waited.
+    capped: usize,
+    /// Times a job past the bound was told nobody waits and kept
+    /// reading.
+    kept: usize,
     reaped: bool,
     panicked: bool,
 }
@@ -357,6 +397,11 @@ fn run_seed(seed: u64) -> Verdict {
         .next_u64()
         .is_multiple_of(6)
         .then(|| 1 + rng.next_u64() as usize % 20);
+    let busy_from = match rng.next_u64() % 3 {
+        0 => None,
+        1 => Some(0),
+        _ => Some(1 + rng.next_u64() % 4),
+    };
 
     let telemetry = Telemetry::new(TelemetryConfig::Full);
     let out = SharedSink::new();
@@ -377,33 +422,64 @@ fn run_seed(seed: u64) -> Verdict {
     // What one burst can complete (one more light frame if the mangler
     // duplicated one).
     let burst_records = READ_BURST / wire.min_heavy + wire.light_frames + 1;
+    let pool = Pool {
+        busy_from,
+        checks: Cell::new(0),
+        answers: RefCell::new(Vec::new()),
+        out: &out,
+        out_before: Cell::new(0),
+    };
     let mut jobs = 0usize;
-    let mut capped = false;
+    let (mut capped, mut kept) = (0, 0);
     let mut reap = None;
     let ended = loop {
         jobs += 1;
         let (pos_before, out_before) = (plane.wire.pos, out.len());
-        let outcome = run_job(plane, reap);
-        // Holds for a closing job too: its repairs close scopes whose
-        // markers `burst_records` counts.
+        pool.out_before.set(out_before);
+        let outcome = run_job(plane, reap, &|| pool.contended());
+        let answers = pool.answers.take();
         let fed = out.len() - out_before;
         assert!(
-            fed < BATCH_RECORDS + burst_records,
-            "seed {seed}: job {jobs} fed {fed} records"
+            answers.iter().all(|&(_, at)| at >= BATCH_RECORDS),
+            "seed {seed}: job {jobs} asked before the bound: {answers:?}"
         );
+        let busy = answers.iter().position(|&(busy, _)| busy);
+        assert!(
+            busy.is_none_or(|i| i + 1 == answers.len()),
+            "seed {seed}: job {jobs} kept its worker after a job waited: {answers:?}"
+        );
+        // Holds for a closing job too: its repairs close scopes whose
+        // markers `burst_records` counts.
+        let quiet = answers
+            .iter()
+            .rev()
+            .find(|&&(busy, _)| !busy)
+            .map_or(0, |&(_, at)| at);
+        assert!(
+            fed < BATCH_RECORDS.max(quiet) + burst_records,
+            "seed {seed}: job {jobs} fed {fed} records, last told nobody waits at {quiet}"
+        );
+        capped += usize::from(busy.is_some());
+        kept += answers.iter().filter(|&&(busy, _)| !busy).count();
         match outcome {
-            Outcome::Closed(ended) => break ended,
+            Outcome::Closed(ended) => {
+                assert!(
+                    busy.is_none(),
+                    "seed {seed}: job {jobs} ran on past a waiting job"
+                );
+                break ended;
+            }
             Outcome::Resident {
                 plane: back,
                 last_read,
             } => {
                 plane = back;
                 assert!(reap.is_none(), "seed {seed}: a reap job must close");
-                assert!(
-                    plane.wire.blocked || fed >= BATCH_RECORDS,
-                    "seed {seed}: job {jobs} yielded after {fed} records, wire unblocked"
+                assert_eq!(
+                    !plane.wire.blocked,
+                    busy.is_some(),
+                    "seed {seed}: job {jobs} yielded after {fed} records; wire live vs a job waiting"
                 );
-                capped |= !plane.wire.blocked;
                 assert_eq!(
                     last_read.is_some(),
                     plane.wire.pos > pos_before,
@@ -483,6 +559,7 @@ fn run_seed(seed: u64) -> Verdict {
         error: ended.error,
         jobs,
         capped,
+        kept,
         reaped: o.reaped,
         panicked,
     }
@@ -492,9 +569,14 @@ fn run_seed(seed: u64) -> Verdict {
 fn served_equals_single_lane_over_the_bytes_delivered() {
     let verdicts: Vec<Verdict> = (0..fuzz_iters()).map(run_seed).collect();
     // The battery is only worth its name if the seeds reach the paths
-    // it claims to cover.
+    // it claims to cover; the tally lands in the log under --nocapture.
     let reached = |what: &str, hit: &dyn Fn(&Verdict) -> bool| {
-        assert!(verdicts.iter().any(hit), "no seed reached: {what}");
+        let n = verdicts.iter().filter(|v| hit(v)).count();
+        println!(
+            "serve-job battery: {n:>5} of {} seeds: {what}",
+            verdicts.len()
+        );
+        assert!(n > 0, "no seed reached: {what}");
     };
     let error_has =
         |v: &Verdict, needle: &str| v.error.as_deref().is_some_and(|e| e.contains(needle));
@@ -509,7 +591,8 @@ fn served_equals_single_lane_over_the_bytes_delivered() {
             }
         ) && v.error.is_none()
     });
-    reached("the fairness bound", &|v| v.capped);
+    reached("the fairness bound (under contention)", &|v| v.capped > 0);
+    reached("a lone firehose past the bound", &|v| v.kept > 0);
     reached("an idle reap", &|v| v.reaped);
     reached("a panicking sink", &|v| v.panicked);
     reached("a CRC mismatch", &|v| error_has(v, "crc"));

@@ -106,6 +106,9 @@ pub struct ChunkedF64Source<I> {
     scope: Option<(u16, Vec<(String, String)>)>,
     state: ChunkState,
     seq: u64,
+    /// Where a chunk is gathered before it is copied, once, into its
+    /// payload; reused for every chunk.
+    chunk: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +137,7 @@ where
             scope: None,
             state: ChunkState::Start,
             seq: 0,
+            chunk: Vec::with_capacity(chunk_len),
         }
     }
 
@@ -152,18 +156,17 @@ where
     }
 
     fn next_chunk(&mut self) -> Option<Record> {
-        let mut chunk = Vec::with_capacity(self.chunk_len);
-        for x in self.samples.by_ref().take(self.chunk_len) {
-            chunk.push(x);
-        }
-        if chunk.len() < self.chunk_len {
+        self.chunk.clear();
+        self.chunk
+            .extend(self.samples.by_ref().take(self.chunk_len));
+        if self.chunk.len() < self.chunk_len {
             return None; // trailing partial (or empty) chunk: dropped
         }
         let seq = self.seq;
         self.seq += 1;
         let depth = u32::from(self.scope.is_some());
         Some(
-            Record::data(self.subtype, Payload::f64(chunk))
+            Record::data(self.subtype, Payload::f64(&self.chunk[..]))
                 .with_seq(seq)
                 .with_depth(depth),
         )

@@ -84,6 +84,41 @@ fn start_collecting(server: PipelineServer, listener: TcpListener) -> (ServerHan
     (handle, outputs)
 }
 
+/// Shuts the server down and checks what every report holds: each
+/// session reached the pool at least once.
+fn shutdown_checked(handle: ServerHandle) -> ServerReport {
+    let report = handle.shutdown().unwrap();
+    for s in &report.sessions {
+        assert!(s.jobs >= 1, "session {} took no job", s.id);
+    }
+    report
+}
+
+/// A reaped session's reap is its last job: it took at least the job
+/// that read its bytes and then the reap, and after its
+/// `SessionTimeout` its lane shows only the repair drain's scope closes
+/// and the closing error — nothing was read again.
+fn assert_reap_was_last_job(s: &SessionReport) {
+    assert!(
+        s.jobs >= 2,
+        "session {}: {} job(s), not a read and a reap",
+        s.id,
+        s.jobs
+    );
+    let events = &s.telemetry.events;
+    let reap = events
+        .iter()
+        .position(|e| e.kind == EventKind::SessionTimeout)
+        .expect("a reaped session has a SessionTimeout event");
+    let after: Vec<EventKind> = events[reap + 1..].iter().map(|e| e.kind).collect();
+    let (last, drain) = after.split_last().expect("events after the reap");
+    assert_eq!(*last, EventKind::SessionError, "after the reap: {after:?}");
+    assert!(
+        drain.iter().all(|k| *k == EventKind::ScopeClose),
+        "after the reap: {after:?}"
+    );
+}
+
 #[test]
 fn hundred_slow_drip_clients_multiplex_over_four_workers() {
     const CLIENTS: usize = 100;
@@ -119,7 +154,7 @@ fn hundred_slow_drip_clients_multiplex_over_four_workers() {
     let sent: Vec<Vec<Record>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
 
     handle.wait_for_completed(CLIENTS as u64);
-    let report = handle.shutdown().unwrap();
+    let report = shutdown_checked(handle);
 
     assert_eq!(report.sessions.len(), CLIENTS);
     assert_eq!(report.clean_sessions(), CLIENTS);
@@ -174,7 +209,7 @@ fn one_byte_drip_is_byte_identical_to_single_lane() {
     drop(stream);
 
     handle.wait_for_completed(1);
-    let report = handle.shutdown().unwrap();
+    let report = shutdown_checked(handle);
     assert_eq!(report.clean_sessions(), 1);
     assert_eq!(report.sessions[0].wire_bytes, image.len() as u64);
     let outputs = outputs.lock().unwrap();
@@ -229,7 +264,7 @@ fn idle_session_is_reaped_while_keepalive_pinger_survives() {
     // one by the reaper (without the reaper this wait would hang).
     handle.wait_for_completed(2);
     let pinger_records = pinger.join().unwrap();
-    let report = handle.shutdown().unwrap();
+    let report = shutdown_checked(handle);
     drop(silent);
 
     assert_eq!(report.sessions.len(), 2);
@@ -261,6 +296,7 @@ fn idle_session_is_reaped_while_keepalive_pinger_survives() {
         .events
         .iter()
         .any(|e| e.kind == EventKind::SessionError));
+    assert_reap_was_last_job(reaped);
 
     // The pinger: clean, with its keepalives counted and reported, and
     // no timeout events in its lane.
@@ -301,7 +337,7 @@ fn capacity_and_workers_are_reported_separately() {
     assert_eq!(server.idle_timeout(), None);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = server.start(listener, |_| Box::new(NullSink)).unwrap();
-    let report = handle.shutdown().unwrap();
+    let report = shutdown_checked(handle);
     assert_eq!(report.session_capacity, 64);
     assert_eq!(report.workers, 3);
     assert_eq!(report.peak_sessions, 0);
@@ -337,7 +373,7 @@ fn peer_stalled_mid_frame_is_reaped_and_holds_no_worker() {
     neighbour.write_all(&wire_image(&records)).unwrap();
 
     handle.wait_for_completed(2);
-    let report = handle.shutdown().unwrap();
+    let report = shutdown_checked(handle);
     drop(stalled);
 
     assert_eq!(report.sessions.len(), 2);
@@ -347,6 +383,7 @@ fn peer_stalled_mid_frame_is_reaped_and_holds_no_worker() {
     assert_eq!(reaped.end, StreamEnd::Unclean { repaired_scopes: 1 });
     assert_eq!(reaped.received, 1);
     assert_eq!(reaped.wire_bytes, image.len() as u64);
+    assert_reap_was_last_job(reaped);
     assert!(served.is_clean(), "neighbour: {:?}", served.error);
 
     // The neighbour drained before the stalled session timed out: with

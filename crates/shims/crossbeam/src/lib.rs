@@ -343,6 +343,20 @@ pub mod channel {
             }
         }
 
+        /// `true` when no message is queued. A zero-capacity channel is
+        /// always empty, as in crossbeam: a rendezvous message belongs
+        /// to its blocked sender until a receiver takes it.
+        pub fn is_empty(&self) -> bool {
+            self.inner.capacity == Some(0)
+                || self
+                    .inner
+                    .state
+                    .lock()
+                    .expect("channel poisoned")
+                    .queue
+                    .is_empty()
+        }
+
         /// A blocking iterator that yields until the channel disconnects.
         pub fn iter(&self) -> Iter<'_, T> {
             Iter { receiver: self }
@@ -454,6 +468,30 @@ mod tests {
         assert_eq!(rx.try_recv(), Ok(9));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn is_empty_tracks_the_queue() {
+        let (tx, rx) = unbounded::<u8>();
+        assert!(rx.is_empty());
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert!(!rx.is_empty());
+        let other = rx.clone();
+        assert!(!other.is_empty(), "every receiver sees the one queue");
+        assert_eq!(rx.recv(), Ok(1));
+        assert!(!rx.is_empty());
+        assert_eq!(rx.recv(), Ok(2));
+        assert!(rx.is_empty());
+        // Dropping every sender leaves what was queued, then nothing.
+        tx.send(3).unwrap();
+        drop(tx);
+        assert!(!rx.is_empty());
+        assert_eq!(rx.recv(), Ok(3));
+        assert!(rx.is_empty());
+        // A rendezvous channel holds nothing between sends.
+        let (_tx0, rx0) = bounded::<u8>(0);
+        assert!(rx0.is_empty());
     }
 
     #[test]

@@ -83,10 +83,19 @@ pub fn paa(q: &[f64], segments: usize) -> Vec<f64> {
 /// assert_eq!(paa_by_factor(&[2.0, 4.0, 6.0, 8.0, 10.0], 2), vec![3.0, 7.0, 10.0]);
 /// ```
 pub fn paa_by_factor(q: &[f64], factor: usize) -> Vec<f64> {
+    paa_by_factor_iter(q, factor).collect()
+}
+
+/// The segment means of [`paa_by_factor`], computed as they are taken,
+/// so a caller can collect them straight into its own buffer type.
+///
+/// # Panics
+///
+/// Panics if `factor == 0`.
+pub fn paa_by_factor_iter(q: &[f64], factor: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
     assert!(factor > 0, "factor must be non-zero");
     q.chunks(factor)
         .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
 }
 
 /// Reconstructs an approximation of the original sequence from PAA
