@@ -129,6 +129,19 @@ one_figure5() {
     fi
 }
 
+# --- one way to move a segment -------------------------------------------
+# A segment moves between hosts when its sender redirects at a balanced
+# point (`StreamOut::redirect`, DESIGN.md §3). The in-process coordinator
+# that moved a lane between host names must not come back.
+no_coordinator() {
+    local gone='RelocatablePipeline|SegmentCommand|SegmentReport|ChannelSink'
+    if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
+        echo "no-coordinator: the in-process relocation coordinator is named above;" \
+            "move a segment with StreamOut::redirect instead" >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -159,6 +172,9 @@ unsafe_policy
 
 phase "one-figure5 (no second extraction path)"
 one_figure5
+
+phase "no-coordinator (segments move by StreamOut::redirect)"
+no_coordinator
 
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"

@@ -25,11 +25,11 @@
 //!   `CloseScope` — or a `BadCloseScope` when an upstream failure forces
 //!   closure before the intended point ([`scope::ScopeTracker`]).
 //! - [`operator::Operator`] — the processing trait; [`pipeline`] runs
-//!   operator chains as a fused streaming chain
+//!   operator chains as one fused step, driven inline
 //!   ([`pipeline::Pipeline::run_streaming`], constant memory over
-//!   unbounded streams, per-stage counters), stage-by-stage in batch,
-//!   with one thread per operator, or data-parallel across worker
-//!   shards ([`pipeline::Pipeline::run_sharded`]).
+//!   unbounded streams, per-stage counters), sharded across worker
+//!   threads ([`pipeline::Pipeline::run_sharded`]) or served, one lane
+//!   per network session ([`serve::PipelineServer`]).
 //! - [`shard`] — the scope-sharded runtime: a splitter that partitions
 //!   the stream at top-level scope boundaries, one cloned chain per
 //!   worker over bounded queues, and a deterministic ordered merge
@@ -51,9 +51,10 @@
 //!   scopes independently, reaps idle sessions (keepalive-aware), and
 //!   reports per-session plus aggregate [`StreamStats`] (see
 //!   `DESIGN.md` §17).
-//! - [`segment`] — named operator chains on in-process *hosts*, with a
-//!   coordinator that relocates segments between hosts at scope
-//!   boundaries ([`segment::RelocatablePipeline`]).
+//! - [`segment`] — a chain between two TCP connections
+//!   ([`segment::run_network_segment`]). A segment moves between hosts
+//!   when its sender redirects at a balanced point
+//!   ([`net::StreamOut::redirect`]).
 //! - [`analyze`] — static chain verification: operators declare
 //!   [`Signature`]s, [`pipeline::Pipeline::check`] walks a chain
 //!   propagating abstract record classes and reports typed

@@ -17,7 +17,7 @@
 use crate::codec::{encode_into, write_eos, DecodeEvent, Decoder, WireFormat};
 use crate::error::PipelineError;
 use crate::operator::{Operator, Sink};
-use crate::record::Record;
+use crate::record::{Record, RecordKind};
 use crate::scope::ScopeTracker;
 use crate::source::Source;
 use std::collections::VecDeque;
@@ -37,6 +37,9 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 /// sender allocates nothing per record. Dropping the operator flushes
 /// what is buffered (write errors are then lost; `on_eos` flushes and
 /// reports them).
+///
+/// [`redirect`](Self::redirect) moves the stream to another writer at
+/// the next balanced point: this is how a segment moves between hosts.
 pub struct StreamOut<W: Write + Send> {
     writer: BufWriter<W>,
     /// The frame being sent, reused for every record: once it has grown
@@ -44,6 +47,11 @@ pub struct StreamOut<W: Write + Send> {
     frame: Vec<u8>,
     sent: u64,
     format: WireFormat,
+    /// Scopes open in what has been sent (saturating at zero, so a
+    /// stray close cannot hide a later balanced point).
+    depth: u32,
+    /// A redirect waiting for `depth` to reach zero.
+    pending: Option<W>,
 }
 
 impl<W: Write + Send> StreamOut<W> {
@@ -55,6 +63,8 @@ impl<W: Write + Send> StreamOut<W> {
             frame: Vec::new(),
             sent: 0,
             format: WireFormat::default(),
+            depth: 0,
+            pending: None,
         }
     }
 
@@ -85,6 +95,68 @@ impl<W: Write + Send> StreamOut<W> {
     pub fn keepalive(&mut self) -> Result<(), PipelineError> {
         crate::codec::write_keepalive(&mut self.writer)
     }
+
+    /// Moves the stream to `to` at the first balanced point (no scope
+    /// open in what has been sent) at or after this call: at once if
+    /// the stream is balanced now, otherwise right after the record
+    /// that closes the last open scope. The current writer then gets
+    /// the end-of-stream sentinel and is flushed and dropped, so its
+    /// receiver sees a clean session of whole scopes. A newer request
+    /// replaces a pending one, and the replaced writer gets only the
+    /// sentinel (an empty clean session), as does a writer still
+    /// pending at [`on_eos`](Operator::on_eos).
+    ///
+    /// Each receiver runs a fresh chain over its share, so the joined
+    /// outputs equal one chain over the whole stream only if the chain
+    /// is scope-local (`DESIGN.md` §3).
+    ///
+    /// ```
+    /// use dynamic_river::net::{StreamEnd, StreamIn, StreamOut};
+    /// use dynamic_river::prelude::*;
+    ///
+    /// let (mut first, mut second) = (Vec::new(), Vec::new());
+    /// let mut out = StreamOut::new(&mut first);
+    /// out.on_record(Record::open_scope(1, vec![]), &mut NullSink)?;
+    /// out.redirect(&mut second)?; // mid-scope: waits for the close
+    /// out.on_record(Record::close_scope(1), &mut NullSink)?;
+    /// out.on_record(Record::open_scope(2, vec![]), &mut NullSink)?;
+    /// out.on_record(Record::close_scope(2), &mut NullSink)?;
+    /// out.on_eos(&mut NullSink)?;
+    /// drop(out);
+    ///
+    /// for (wire, scope_type) in [(&first, 1), (&second, 2)] {
+    ///     let mut records: Vec<Record> = Vec::new();
+    ///     assert_eq!(StreamIn::new(wire.as_slice()).pump(&mut records)?, StreamEnd::Clean);
+    ///     assert_eq!(records.len(), 2);
+    ///     assert_eq!(records[0].scope_type, scope_type);
+    /// }
+    /// # Ok::<(), PipelineError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Io`] if writing the sentinel to the
+    /// writer being left fails.
+    pub fn redirect(&mut self, to: W) -> Result<(), PipelineError> {
+        if let Some(replaced) = self.pending.replace(to) {
+            write_eos(replaced)?;
+        }
+        if self.depth == 0 {
+            self.switch()?;
+        }
+        Ok(())
+    }
+
+    /// Ends the current writer's session cleanly and continues on the
+    /// pending one. The buffer is empty once the sentinel is flushed, so
+    /// only the writer under it changes.
+    fn switch(&mut self) -> Result<(), PipelineError> {
+        if let Some(to) = self.pending.take() {
+            write_eos(&mut self.writer)?;
+            *self.writer.get_mut() = to;
+        }
+        Ok(())
+    }
 }
 
 impl StreamOut<TcpStream> {
@@ -110,6 +182,16 @@ impl<W: Write + Send> Operator for StreamOut<W> {
         encode_into(&record, self.format, &mut self.frame);
         self.writer.write_all(&self.frame)?;
         self.sent += 1;
+        match record.kind {
+            RecordKind::OpenScope => self.depth += 1,
+            RecordKind::CloseScope | RecordKind::BadCloseScope => {
+                self.depth = self.depth.saturating_sub(1);
+            }
+            RecordKind::Data => {}
+        }
+        if self.depth == 0 && self.pending.is_some() {
+            self.switch()?;
+        }
         // streamout is usually terminal, but passing records through lets
         // callers tee the stream locally as well.
         out.push(record)
@@ -117,6 +199,9 @@ impl<W: Write + Send> Operator for StreamOut<W> {
 
     fn on_eos(&mut self, _out: &mut dyn Sink) -> Result<(), PipelineError> {
         write_eos(&mut self.writer)?;
+        if let Some(pending) = self.pending.take() {
+            write_eos(pending)?;
+        }
         Ok(())
     }
 }
@@ -560,7 +645,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::codec::SampleEncoding;
-    use crate::record::{Payload, RecordKind};
+    use crate::operator::NullSink;
+    use crate::record::Payload;
     use std::net::TcpListener;
     use std::thread;
 
@@ -663,6 +749,160 @@ mod tests {
         let end = StreamIn::new(buf.as_slice()).pump(&mut sink).unwrap();
         assert_eq!(end, StreamEnd::Clean);
         assert_eq!(sink, scoped_records(3));
+    }
+
+    /// A stream of 3–8 top-level scopes, some holding a nested scope,
+    /// and 1–4 redirect requests as record indices (`len` means after
+    /// the last record), sorted, some back to back.
+    fn redirect_script(seed: u64) -> (Vec<Record>, Vec<usize>) {
+        let mut rng = crate::fault::WireMangler::new(0x5ED1 ^ seed);
+        let mut below = |n: u64| (rng.next_u64() % n) as usize;
+        let mut stream = Vec::new();
+        let datum = |stream: &mut Vec<Record>| {
+            let x = stream.len() as f64;
+            stream.push(Record::data(1, Payload::f64(vec![x])).with_seq(x as u64));
+        };
+        for _ in 0..3 + below(6) {
+            stream.push(Record::open_scope(1, vec![]));
+            for _ in 0..=below(4) {
+                if below(3) == 0 {
+                    stream.push(Record::open_scope(2, vec![]));
+                    (0..below(3)).for_each(|_| datum(&mut stream));
+                    stream.push(Record::close_scope(2));
+                } else {
+                    datum(&mut stream);
+                }
+            }
+            stream.push(Record::close_scope(1));
+        }
+        let mut requests: Vec<usize> = (0..=below(4))
+            .map(|_| below(stream.len() as u64 + 1))
+            .collect();
+        requests.sort_unstable();
+        for k in 1..requests.len() {
+            if below(3) == 0 {
+                requests[k] = requests[k - 1];
+            }
+        }
+        (stream, requests)
+    }
+
+    /// Where each writer's share of the stream should begin, or `None`
+    /// for a writer whose request a newer one replaced: request `k`
+    /// switches at the first balanced point at or after it, unless
+    /// request `k + 1` comes before that point.
+    fn expected_starts(stream: &[Record], requests: &[usize]) -> Vec<Option<usize>> {
+        let mut depth = 0u32;
+        let mut balanced = vec![true];
+        for r in stream {
+            match r.kind {
+                RecordKind::OpenScope => depth += 1,
+                RecordKind::CloseScope => depth -= 1,
+                _ => {}
+            }
+            balanced.push(depth == 0);
+        }
+        let mut starts = vec![Some(0)];
+        for (k, &at) in requests.iter().enumerate() {
+            let switch = (at..balanced.len()).find(|&i| balanced[i]).unwrap();
+            let replaced = requests.get(k + 1).is_some_and(|&next| next < switch);
+            starts.push((!replaced).then_some(switch));
+        }
+        starts
+    }
+
+    /// Plays one seed and checks it; returns which paths it reached: a
+    /// request made mid-scope, two back to back, one replaced.
+    fn redirect_seed(seed: u64) -> [bool; 3] {
+        let (stream, requests) = redirect_script(seed);
+        let chain = || {
+            let mut p = crate::pipeline::Pipeline::new();
+            p.add(crate::ops::ScopeSum::new(99));
+            p
+        };
+        let mut expected: Vec<Record> = Vec::new();
+        chain()
+            .run_streaming(stream.clone().into_iter(), &mut expected)
+            .unwrap();
+
+        let mut wires = vec![Vec::new(); requests.len() + 1];
+        {
+            let mut writers = wires.iter_mut();
+            let mut out = StreamOut::new(writers.next().unwrap());
+            let mut due = requests.iter().peekable();
+            for (i, record) in stream.iter().enumerate() {
+                while due.next_if(|&&at| at == i).is_some() {
+                    out.redirect(writers.next().unwrap()).unwrap();
+                }
+                out.on_record(record.clone(), &mut NullSink).unwrap();
+            }
+            for _ in due {
+                out.redirect(writers.next().unwrap()).unwrap();
+            }
+            out.on_eos(&mut NullSink).unwrap();
+        }
+
+        let starts = expected_starts(&stream, &requests);
+        let mut joined: Vec<Record> = Vec::new();
+        for (w, wire) in wires.iter().enumerate() {
+            let mut got: Vec<Record> = Vec::new();
+            let end = StreamIn::new(wire.as_slice()).pump(&mut got).unwrap();
+            assert_eq!(end, StreamEnd::Clean, "seed {seed}: writer {w}");
+            let share = starts[w].map_or(0..0, |from| {
+                let to = starts[w + 1..].iter().flatten().next();
+                from..to.copied().unwrap_or(stream.len())
+            });
+            assert_eq!(
+                got,
+                stream[share.clone()],
+                "seed {seed}: writer {w} should carry records {share:?} (requests {requests:?})"
+            );
+            chain()
+                .run_streaming(StreamIn::new(wire.as_slice()), &mut joined)
+                .unwrap();
+        }
+        assert_eq!(joined, expected, "seed {seed}: joined sessions vs one lane");
+        [
+            requests
+                .iter()
+                .zip(&starts[1..])
+                .any(|(&at, s)| *s != Some(at)),
+            requests.windows(2).any(|w| w[0] == w[1]),
+            starts.contains(&None),
+        ]
+    }
+
+    #[test]
+    fn redirect_lands_at_balanced_points_and_joins_to_one_lane() {
+        let mut reached = [0usize; 3];
+        for seed in 0..256 {
+            for (n, hit) in reached.iter_mut().zip(redirect_seed(seed)) {
+                *n += usize::from(hit);
+            }
+        }
+        // Mid-scope, back-to-back and replaced requests all occur.
+        assert!(
+            reached.iter().all(|&n| n > 0),
+            "seeds per path: {reached:?}"
+        );
+    }
+
+    #[test]
+    fn redirect_pending_at_end_of_stream_gets_an_empty_clean_session() {
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        {
+            let mut out = StreamOut::new(&mut first);
+            out.on_record(Record::open_scope(1, vec![]), &mut NullSink)
+                .unwrap();
+            out.redirect(&mut second).unwrap();
+            out.on_eos(&mut NullSink).unwrap();
+        }
+        let mut got: Vec<Record> = Vec::new();
+        let end = StreamIn::new(first.as_slice()).pump(&mut got).unwrap();
+        assert_eq!(end, StreamEnd::Unclean { repaired_scopes: 1 });
+        got.clear();
+        let end = StreamIn::new(second.as_slice()).pump(&mut got).unwrap();
+        assert_eq!((end, got.len()), (StreamEnd::Clean, 0));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! between a data source and its final sink" (paper §2). Each operation
 //! implements [`Operator`]: it consumes records one at a time and emits
 //! zero or more records into a [`Sink`]. Operators are `Send` so a
-//! chain can be driven on another thread: a shard worker, a server
-//! pool thread, a relocatable segment's coordinator.
+//! chain can be driven on another thread: a shard worker or a server
+//! pool thread.
 
 use crate::error::PipelineError;
 use crate::record::Record;

@@ -15,8 +15,10 @@
 //!   threads, fed whole top-level scopes and merged in stream order.
 //! - [`crate::serve::PipelineServer`] — one lane per network session,
 //!   M sessions multiplexed over an N-thread pool.
-//! - [`crate::segment::RelocatablePipeline`] — one lane that is
-//!   flushed and rebuilt on another host wherever scopes balance.
+//!
+//! A segment moves between hosts without a runner of its own: the
+//! upstream [`crate::net::StreamOut::redirect`]s to another server at a
+//! balanced point, and that session's fresh lane takes over.
 //!
 //! [`Pipeline::run_batch`] is not a runner but the reference the fused
 //! step is differentially tested against: stage-barrier semantics, one
@@ -339,9 +341,8 @@ fn flush_chain(
 /// A chain being driven: its operators, per-stage counters and timers,
 /// sink totals and event sink — the one execution core under every
 /// runner. The inline driver owns one lane, the sharded runtime one per
-/// worker, the server one per session, and a relocatable segment one at
-/// a time; they differ only in who calls [`feed`](Self::feed) and where
-/// the sink leads.
+/// worker and the server one per session; they differ only in who calls
+/// [`feed`](Self::feed) and where the sink leads.
 pub(crate) struct Lane {
     ops: Vec<Box<dyn Operator>>,
     stats: Vec<StageStats>,

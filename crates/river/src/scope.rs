@@ -79,8 +79,8 @@ impl ScopeTracker {
         &self.stack
     }
 
-    /// `true` when no scopes are open (a safe cut point for segment
-    /// relocation).
+    /// `true` when no scopes are open (a safe cut point for a shard
+    /// split).
     pub fn is_balanced(&self) -> bool {
         self.stack.is_empty()
     }

@@ -1716,6 +1716,36 @@ mod tests {
     }
 
     #[test]
+    fn broken_chain_is_rejected_up_front() {
+        /// A passthrough whose signature net-opens a scope it never
+        /// closes: the analyzer proves the chain unbalanced (RL0003).
+        struct LeakyOpener;
+        impl crate::operator::Operator for LeakyOpener {
+            fn name(&self) -> &'static str {
+                "leaky-opener"
+            }
+            fn on_record(
+                &mut self,
+                record: Record,
+                out: &mut dyn Sink,
+            ) -> Result<(), PipelineError> {
+                out.push(record)
+            }
+            fn signature(&self) -> Option<crate::analyze::Signature> {
+                Some(
+                    crate::analyze::Signature::passthrough()
+                        .with_scope(crate::analyze::ScopeEffect::Opens { scope_type: 9 }),
+                )
+            }
+        }
+        let mut p = Pipeline::new();
+        p.add(LeakyOpener);
+        let err = PipelineServer::from_pipeline(&p).unwrap_err();
+        assert!(matches!(err, PipelineError::Analysis(_)), "{err}");
+        assert!(err.to_string().contains("leaky-opener"), "{err}");
+    }
+
+    #[test]
     fn wire_bytes_are_session_tagged() {
         let server = PipelineServer::from_pipeline(&Pipeline::new()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -5,8 +5,9 @@
 //! [`channel::Receiver`] are cloneable; disconnection is tracked by
 //! endpoint counts. A capacity of 0 creates a rendezvous channel, like
 //! crossbeam's: `send` returns only after a receiver has taken the
-//! message, which the segment-relocation tests rely on for deterministic
-//! command interleaving.
+//! message. Its remaining user is the sharded runtime at
+//! `ShardedPipeline::set_queue_capacity(0)` (the `shard.rs` test
+//! `tiny_queue_capacity_still_correct`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Integration tests for the distributed pipeline: TCP composition,
-//! fault recovery and segment relocation, driven by the acoustic
-//! operators.
+//! fault recovery and segment relocation by redirect, driven by the
+//! acoustic operators.
 
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::pipeline::{extraction_segment, full_pipeline};
@@ -12,9 +12,8 @@ use acoustic_ensembles::river::operator::{NullSink, Operator, SharedSink};
 use acoustic_ensembles::river::ops::ScopeRepair;
 use acoustic_ensembles::river::prelude::*;
 use acoustic_ensembles::river::scope::validate_scopes;
-use acoustic_ensembles::river::segment::{run_network_segment, RelocatablePipeline};
+use acoustic_ensembles::river::segment::run_network_segment;
 use acoustic_ensembles::river::serve::PipelineServer;
-use crossbeam::channel::{bounded, unbounded};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Mutex};
@@ -436,72 +435,120 @@ fn truncated_stream_keeps_extraction_alive() {
     validate_scopes(&out).unwrap();
 }
 
+/// Single-lane reference: one extraction chain over `records`.
+fn extract_single_lane(cfg: ExtractorConfig, records: &[Record]) -> Vec<Record> {
+    let mut out = Vec::new();
+    extraction_segment(cfg)
+        .run_streaming(records.iter().cloned(), &mut out)
+        .unwrap();
+    out
+}
+
+/// Streams `records` from one `StreamOut` that opens on server 1 of two
+/// `PipelineServer`s running `extraction_segment`. Before record `at` of
+/// each `(at, to)` in `redirects`, the sender asks to move to server
+/// `to`. Checks that every session on both servers ended clean and
+/// returns the session outputs in the order the sender connected.
+fn relay_with_redirects(
+    cfg: ExtractorConfig,
+    records: &[Record],
+    redirects: &[(usize, usize)],
+) -> Vec<Vec<Record>> {
+    let outputs: Arc<Mutex<HashMap<String, SharedSink>>> = Arc::new(Mutex::new(HashMap::new()));
+    let servers: Vec<_> = (0..2)
+        .map(|_| {
+            let registry = Arc::clone(&outputs);
+            PipelineServer::from_factory(move |_session| extraction_segment(cfg))
+                .start(TcpListener::bind("127.0.0.1:0").unwrap(), move |info| {
+                    let sink = SharedSink::new();
+                    registry
+                        .lock()
+                        .unwrap()
+                        .insert(info.peer.clone(), sink.clone());
+                    Box::new(sink)
+                })
+                .unwrap()
+        })
+        .collect();
+    let mut peers = Vec::new();
+    let mut sessions = [0u64; 2];
+    let mut connect = |server: usize| {
+        let stream = TcpStream::connect(servers[server].local_addr()).unwrap();
+        peers.push(stream.local_addr().unwrap().to_string());
+        sessions[server] += 1;
+        stream
+    };
+
+    let mut out = StreamOut::new(connect(1));
+    let mut redirects = redirects.iter().peekable();
+    for (i, r) in records.iter().enumerate() {
+        while let Some(&(_, to)) = redirects.next_if(|&&(at, _)| at == i) {
+            out.redirect(connect(to)).unwrap();
+        }
+        out.on_record(r.clone(), &mut NullSink).unwrap();
+    }
+    assert!(redirects.next().is_none(), "a redirect past the stream");
+    out.on_eos(&mut NullSink).unwrap();
+    drop(out);
+
+    for (handle, n) in servers.into_iter().zip(sessions) {
+        handle.wait_for_completed(n);
+        let report = handle.shutdown().unwrap();
+        assert_eq!(report.sessions.len() as u64, n);
+        assert_eq!(report.clean_sessions() as u64, n);
+    }
+    let outputs = outputs.lock().unwrap();
+    peers.iter().map(|peer| outputs[peer].take()).collect()
+}
+
+/// A move requested mid-clip waits for the clip to close: the first
+/// server's session runs the whole first clip, a newer request replaces
+/// the pending one (whose server then sees an empty clean session), and
+/// the last session runs the whole second clip.
 #[test]
 fn relocation_during_acoustic_stream() {
     let cfg = ExtractorConfig::default();
-    let (in_tx, in_rx) = bounded::<Record>(0);
-    let (out_tx, out_rx) = unbounded();
-    let seg = RelocatablePipeline::spawn(move || extraction_segment(cfg), in_rx, out_tx, "a");
-
     let first = clip_records(&cfg, 7);
     let second = clip_records(&cfg, 8);
-    let expected_total = first.len() + second.len();
-    for r in first {
-        in_tx.send(r).unwrap();
-    }
-    seg.relocate("b");
-    for r in second {
-        in_tx.send(r).unwrap();
-    }
-    drop(in_tx);
+    let records: Vec<Record> = first.iter().chain(&second).cloned().collect();
 
-    let report = seg.join().unwrap();
-    assert_eq!(report.records_in as usize, expected_total);
-    assert_eq!(report.migrations.len(), 1);
-    assert_eq!(report.final_host, "b");
-    let out: Vec<Record> = out_rx.iter().collect();
-    validate_scopes(&out).unwrap();
+    let mid = first.len() / 2;
+    let sessions = relay_with_redirects(cfg, &records, &[(mid, 0), (mid + 1, 1)]);
+    assert_eq!(sessions.len(), 3);
+    assert_eq!(sessions[0], extract_single_lane(cfg, &first));
+    assert!(
+        sessions[1].is_empty(),
+        "the replaced writer got only a sentinel"
+    );
+    assert_eq!(sessions[2], extract_single_lane(cfg, &second));
+    validate_scopes(&sessions.concat()).unwrap();
 }
 
-/// Relocation is "flush the lane, build a fresh one" at a balanced
-/// point, so for a scope-local chain it must be invisible in the
-/// output: with a move requested before every clip (a rendezvous input
-/// channel makes each request land exactly at that clip's start), the
-/// relocated run equals the single-lane streaming run record for
-/// record.
+/// Moving a segment between hosts is a redirect at a balanced point:
+/// the sender moves its stream to the other of two servers before every
+/// clip, so each session runs a fresh extraction chain over whole clips.
+/// Every Figure 5 chain is scope-local (DESIGN.md §11), so the session
+/// outputs, joined in redirect order, equal the single-lane run record
+/// for record.
 #[test]
 fn relocated_extraction_equals_single_lane() {
     let cfg = ExtractorConfig::default();
     let clips: Vec<Vec<Record>> = (30..34u64).map(|seed| clip_records(&cfg, seed)).collect();
-    let mut expected = Vec::new();
-    extraction_segment(cfg)
-        .run_streaming(clips.iter().flatten().cloned(), &mut expected)
-        .unwrap();
+    let records = clips.concat();
+    let expected = extract_single_lane(cfg, &records);
     assert!(expected
         .iter()
         .any(|r| r.kind == RecordKind::OpenScope && r.scope_type == scope_type::ENSEMBLE));
 
-    let (in_tx, in_rx) = bounded::<Record>(0);
-    let (out_tx, out_rx) = unbounded();
-    let seg = RelocatablePipeline::spawn(move || extraction_segment(cfg), in_rx, out_tx, "h0");
-    let mut boundaries = Vec::new();
-    let mut sent = 0u64;
+    // The stream opens on server 1, so the first redirect leaves an
+    // empty session there; clips then go to servers 0, 1, 0, 1.
+    let mut redirects = Vec::new();
+    let mut start = 0;
     for (i, clip) in clips.iter().enumerate() {
-        assert!(seg.relocate(format!("h{}", i + 1)));
-        boundaries.push(sent);
-        for r in clip {
-            in_tx.send(r.clone()).unwrap();
-            sent += 1;
-        }
+        redirects.push((start, i % 2));
+        start += clip.len();
     }
-    drop(in_tx);
-
-    let report = seg.join().unwrap();
-    assert_eq!(report.records_in, sent);
-    assert_eq!(report.final_host, "h4");
-    // One move per clip boundary crossed, each at exactly that boundary.
-    let moved_at: Vec<u64> = report.migrations.iter().map(|m| m.at_record).collect();
-    assert_eq!(moved_at, boundaries);
-    let out: Vec<Record> = out_rx.iter().collect();
-    assert_eq!(out, expected);
+    let sessions = relay_with_redirects(cfg, &records, &redirects);
+    assert_eq!(sessions.len(), 1 + clips.len());
+    assert_eq!(sessions.concat(), expected);
 }
