@@ -114,6 +114,26 @@ unsafe_policy() {
     fi
 }
 
+# --- shims as used --------------------------------------------------------
+# The offline shims stand in only for what std cannot do (DESIGN.md §9).
+# The `bytes` shim and the sharded runner's queue-capacity setter are
+# gone: payload bytes are an `Arc<[u8]>` and the shard queues are std
+# `sync_channel`s. The `crossbeam` shim is the session pool's job queue,
+# and `serve.rs` is the one file outside the shims that names it.
+shims_as_used() {
+    local gone='\bbytes::|BytesMut|BufMut|set_queue_capacity|shims/bytes' users
+    if grep -rnE "$gone" crates src tests examples Cargo.toml README.md DESIGN.md docs .claude; then
+        echo "shims-as-used: the deleted bytes shim or queue setter is named above" >&2
+        return 1
+    fi
+    users=$(grep -rlF 'crossbeam::' crates src tests examples | grep -v '^crates/shims/' | sort)
+    if [ "$users" != "crates/river/src/serve.rs" ]; then
+        echo "shims-as-used: crossbeam:: is named outside crates/shims/ by" \
+            "'${users//$'\n'/ }'; the one user is crates/river/src/serve.rs" >&2
+        return 1
+    fi
+}
+
 # --- one Figure 5 -------------------------------------------------------
 # Extraction and featurization exist once, as the operators: `extract`,
 # `extract_from`, `extract_with_trace` and `featurize_ensemble` drive
@@ -169,6 +189,9 @@ fi
 
 phase "unsafe-policy (one unsafe block, one exemption in dynamic-river)"
 unsafe_policy
+
+phase "shims-as-used (no bytes shim; crossbeam only in serve.rs)"
+shims_as_used
 
 phase "one-figure5 (no second extraction path)"
 one_figure5

@@ -236,7 +236,6 @@ impl Operator for Wav2Rec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dynamic_river::scope::validate_scopes;
     use dynamic_river::{Pipeline, RecordKind};
     use river_dsp::wav::{WavSpec, WavWriter};
@@ -295,7 +294,7 @@ mod tests {
         let mut p = Pipeline::new();
         p.add(Wav2Rec::new(840));
         let out = p
-            .run(vec![Record::data(0, Payload::Bytes(Bytes::from(wav)))])
+            .run(vec![Record::data(0, Payload::Bytes(wav.into()))])
             .unwrap();
         assert_eq!(out.len(), 4);
         validate_scopes(&out).unwrap();
@@ -322,7 +321,7 @@ mod tests {
         let err = p
             .run(vec![Record::data(
                 0,
-                Payload::Bytes(Bytes::from_static(b"not a wav")),
+                Payload::Bytes(b"not a wav"[..].into()),
             )])
             .unwrap_err();
         assert!(matches!(err, PipelineError::Operator { .. }));

@@ -79,7 +79,6 @@
 use crate::buf::SampleBuf;
 use crate::error::PipelineError;
 use crate::record::{Payload, Record, RecordKind};
-use bytes::{BufMut, Bytes};
 use std::io::{self, Read, Write};
 
 /// Clean end-of-stream sentinel.
@@ -568,7 +567,7 @@ impl<'a> BlockValue<'a> {
                 put_samples(dst, v, |x| (x as f32).to_le_bytes());
             }
             BlockValue::Samples(v, SampleEncoding::I16, scale) => {
-                dst.put_f64_le(scale);
+                dst.extend_from_slice(&scale.to_le_bytes());
                 put_samples(dst, v, |x| quantize_i16(x, scale).to_le_bytes());
             }
         }
@@ -649,7 +648,7 @@ pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
         value.put(dst);
     }
     let crc = crc32(&dst[start..]);
-    dst.put_u32_le(crc);
+    dst.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// What the front of a byte buffer holds — the single place frame
@@ -895,7 +894,7 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Option<Payload>, PipelineError>
             check_pairs(rest.len() / 2)?;
             wrap(SampleBuf::from_i16_scaled_le_bytes(scale, rest))
         }
-        TLV_BYTES => Payload::Bytes(Bytes::copy_from_slice(value)),
+        TLV_BYTES => Payload::Bytes(value.into()),
         TLV_TEXT => String::from_utf8(value.to_vec())
             .map(Payload::Text)
             .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}")))?,
@@ -1190,7 +1189,7 @@ mod tests {
             Record::data(1, Payload::Empty),
             Record::data(2, Payload::f64(vec![1.5, -2.5, 0.0])).with_seq(99),
             Record::data(3, Payload::complex(vec![1.0, 2.0])),
-            Record::data(4, Payload::Bytes(Bytes::from_static(b"hello"))),
+            Record::data(4, Payload::Bytes(b"hello"[..].into())),
             Record::data(5, Payload::Text("héllo wörld".into())),
             Record::open_scope(
                 7,

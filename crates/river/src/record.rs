@@ -10,8 +10,8 @@
 //! as the sampling rate of an acoustic clip." (paper §2)
 
 use crate::buf::SampleBuf;
-use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// Structural kind of a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,8 +78,10 @@ pub enum Payload {
     /// it, but the wire codec rejects odd counts on decode and the
     /// `dft` operator errors on them.
     Complex(SampleBuf),
-    /// Raw bytes (encapsulated file content, opaque blobs).
-    Bytes(Bytes),
+    /// Raw bytes (encapsulated file content, opaque blobs). Cloning
+    /// shares the bytes; build it from a `Vec<u8>` or `&[u8]` with
+    /// `.into()`.
+    Bytes(Arc<[u8]>),
     /// UTF-8 text.
     Text(String),
     /// Key/value context pairs (e.g. `sample_rate` on an `OpenScope`).
@@ -365,7 +367,7 @@ mod tests {
         assert_eq!(Payload::Empty.byte_len(), 0);
         assert_eq!(Payload::f64(vec![0.0; 10]).byte_len(), 80);
         assert_eq!(Payload::Text("abc".into()).byte_len(), 3);
-        assert_eq!(Payload::Bytes(Bytes::from_static(b"abcd")).byte_len(), 4);
+        assert_eq!(Payload::Bytes(b"abcd"[..].into()).byte_len(), 4);
     }
 
     #[test]
@@ -416,21 +418,23 @@ mod tests {
     fn record_clone_shares_sample_backing() {
         // The acceptance criterion for the zero-copy payload redesign:
         // cloning an F64/Complex record copies no samples — the clone's
-        // payload is a view into the same backing allocation.
+        // payload is a view into the same backing allocation. `Bytes`
+        // holds an `Arc` for the same reason: a clone shares the bytes.
         use crate::buf::SampleBuf;
         for payload in [
             Payload::f64((0..840).map(|i| i as f64).collect::<Vec<f64>>()),
             Payload::complex(vec![1.0; 1_680]),
+            Payload::Bytes(vec![7u8; 4_096].into()),
         ] {
             let rec = Record::data(1, payload).with_seq(7);
             let cloned = rec.clone();
-            let (a, b) = match (&rec.payload, &cloned.payload) {
+            match (&rec.payload, &cloned.payload) {
                 (Payload::F64(a), Payload::F64(b)) | (Payload::Complex(a), Payload::Complex(b)) => {
-                    (a, b)
+                    assert!(SampleBuf::shares_backing(a, b));
                 }
+                (Payload::Bytes(a), Payload::Bytes(b)) => assert!(Arc::ptr_eq(a, b)),
                 other => panic!("variant changed by clone: {other:?}"),
-            };
-            assert!(SampleBuf::shares_backing(a, b));
+            }
             assert_eq!(rec, cloned);
         }
     }

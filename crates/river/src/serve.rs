@@ -133,7 +133,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -879,11 +879,11 @@ where
     let (waker, wake_rx) = polling::wake_pair()?;
     let waker = Arc::new(waker);
     let (job_tx, job_rx) = unbounded::<Job>();
-    let (done_tx, done_rx) = unbounded::<JobDone>();
+    let (done_tx, done_rx) = mpsc::channel::<JobDone>();
     let mut pool = Vec::with_capacity(cfg.workers);
     for w in 0..cfg.workers {
         let job_rx: Receiver<Job> = job_rx.clone();
-        let done_tx: Sender<JobDone> = done_tx.clone();
+        let done_tx: mpsc::Sender<JobDone> = done_tx.clone();
         let waker = Arc::clone(&waker);
         let worker = thread::Builder::new()
             .name(format!("session-worker-{w}"))

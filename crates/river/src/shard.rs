@@ -85,12 +85,12 @@ use crate::record::Record;
 use crate::scope::ScopeTracker;
 use crate::source::Source;
 use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread;
 
-/// Default capacity, in records, of each splitter→worker and
-/// worker→merge queue.
-const DEFAULT_QUEUE_CAPACITY: usize = 256;
+/// Capacity, in records, of each splitter→worker and worker→merge
+/// queue.
+const QUEUE_CAPACITY: usize = 256;
 
 /// Item flowing from the splitter to a worker.
 enum ShardIn {
@@ -119,7 +119,7 @@ enum ShardOut {
 
 /// Forwards chain output into the worker's output queue.
 struct WorkerSink<'a> {
-    tx: &'a Sender<ShardOut>,
+    tx: &'a SyncSender<ShardOut>,
 }
 
 impl Sink for WorkerSink<'_> {
@@ -143,7 +143,6 @@ impl Sink for WorkerSink<'_> {
 /// [`Operator::clone_op`]: crate::operator::Operator::clone_op
 pub struct ShardedPipeline {
     chains: Vec<Pipeline>,
-    queue_capacity: usize,
     telemetry: Telemetry,
 }
 
@@ -151,7 +150,6 @@ impl std::fmt::Debug for ShardedPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedPipeline")
             .field("workers", &self.chains.len())
-            .field("queue_capacity", &self.queue_capacity)
             .field("telemetry", &self.telemetry.config())
             .finish()
     }
@@ -184,7 +182,6 @@ impl ShardedPipeline {
         }
         Ok(ShardedPipeline {
             chains,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             // Share the source pipeline's registry: every worker records
             // into the same per-stage histograms, so the sharded
             // snapshot's totals equal a single-lane run's.
@@ -202,7 +199,6 @@ impl ShardedPipeline {
         assert!(workers > 0, "workers must be non-zero");
         ShardedPipeline {
             chains: (0..workers).map(&mut build).collect(),
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             telemetry: Telemetry::off(),
         }
     }
@@ -210,14 +206,6 @@ impl ShardedPipeline {
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
         self.chains.len()
-    }
-
-    /// Sets the bounded-queue capacity between splitter, workers and
-    /// merge (records per queue, default 256). Capacity 0 is a
-    /// rendezvous queue.
-    pub fn set_queue_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.queue_capacity = capacity;
-        self
     }
 
     /// Enables telemetry at `config`, replacing any previous registry
@@ -264,7 +252,6 @@ impl ShardedPipeline {
         source: impl Source + Send,
         sink: &mut dyn Sink,
     ) -> Result<StreamStats, PipelineError> {
-        let capacity = self.queue_capacity;
         let telemetry = self.telemetry.clone();
         // Every worker's lane is built — and so pre-flighted — before
         // any thread spawns; factory-built chains (`from_factory`) have
@@ -282,8 +269,8 @@ impl ShardedPipeline {
             let mut in_txs = Vec::with_capacity(lanes.len());
             let mut out_rxs = Vec::with_capacity(lanes.len());
             for lane in lanes {
-                let (in_tx, in_rx) = bounded::<ShardIn>(capacity);
-                let (out_tx, out_rx) = bounded::<ShardOut>(capacity);
+                let (in_tx, in_rx) = sync_channel::<ShardIn>(QUEUE_CAPACITY);
+                let (out_tx, out_rx) = sync_channel::<ShardOut>(QUEUE_CAPACITY);
                 scope.spawn(move || run_worker(lane, &in_rx, &out_tx));
                 in_txs.push(in_tx);
                 out_rxs.push(out_rx);
@@ -315,7 +302,7 @@ impl ShardedPipeline {
 /// when event tracing is on and the queue is full, `StallEnter`/
 /// `StallExit` bracket the blocking send (subject: the worker index).
 /// Returns `false` when the worker is gone.
-fn send_in(tx: &Sender<ShardIn>, msg: ShardIn, events: &EventSink, shard: u64) -> bool {
+fn send_in(tx: &SyncSender<ShardIn>, msg: ShardIn, events: &EventSink, shard: u64) -> bool {
     if !events.enabled() {
         return tx.send(msg).is_ok();
     }
@@ -336,7 +323,7 @@ fn send_in(tx: &Sender<ShardIn>, msg: ShardIn, events: &EventSink, shard: u64) -
 /// source error.
 fn run_splitter(
     mut source: impl Source,
-    txs: &[Sender<ShardIn>],
+    txs: &[SyncSender<ShardIn>],
     events: &EventSink,
 ) -> (u64, Option<PipelineError>) {
     let workers = txs.len() as u64;
@@ -402,7 +389,7 @@ fn run_splitter(
     }
 }
 
-fn abort_all(txs: &[Sender<ShardIn>]) {
+fn abort_all(txs: &[SyncSender<ShardIn>]) {
     for tx in txs {
         let _ = tx.send(ShardIn::Abort);
     }
@@ -410,7 +397,7 @@ fn abort_all(txs: &[Sender<ShardIn>]) {
 
 /// Worker: drives one lane over its shard of the stream, echoing unit
 /// boundaries so the merge can interleave outputs.
-fn run_worker(mut lane: Lane, rx: &Receiver<ShardIn>, tx: &Sender<ShardOut>) {
+fn run_worker(mut lane: Lane, rx: &Receiver<ShardIn>, tx: &SyncSender<ShardOut>) {
     let mut sink = WorkerSink { tx };
     let mut received = 0u64;
     let mut aborted = false;
@@ -830,19 +817,21 @@ mod tests {
     }
 
     #[test]
-    fn tiny_queue_capacity_still_correct() {
-        let input = clip_stream(9, 3);
+    fn units_longer_than_the_queues_match_single_lane() {
+        // Each unit outgrows both queues: while the merge drains one
+        // worker, the others fill their output queues, block, and let
+        // their input queues fill behind them — backpressure on every
+        // hop, and the output is still the single-lane run's.
+        let input = clip_stream(9, 3 * QUEUE_CAPACITY);
         let mut single = Vec::new();
         stateful_pipeline()
             .run_streaming(input.clone().into_iter(), &mut single)
             .unwrap();
-        for capacity in [0usize, 1, 2] {
-            let mut sharded = ShardedPipeline::from_pipeline(&stateful_pipeline(), 3).unwrap();
-            sharded.set_queue_capacity(capacity);
-            let mut out = Vec::new();
-            sharded.run(input.clone().into_iter(), &mut out).unwrap();
-            assert_eq!(single, out, "capacity={capacity}");
-        }
+        let mut sharded = Vec::new();
+        stateful_pipeline()
+            .run_sharded(input.into_iter(), &mut sharded, 3)
+            .unwrap();
+        assert_eq!(single, sharded);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! repair invariants, and pipeline equivalence (batch vs streaming vs
 //! sharded).
 
-use bytes::Bytes;
 use dynamic_river::codec::{
     encode_into, write_eos, DecodeEvent, Decoder, SampleEncoding, WireFormat,
 };
@@ -60,7 +59,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
             let even = b.len() & !1;
             Payload::Complex(b.slice(..even))
         }),
-        prop::collection::vec(any::<u8>(), 0..128).prop_map(|b| Payload::Bytes(Bytes::from(b))),
+        prop::collection::vec(any::<u8>(), 0..128).prop_map(|b| Payload::Bytes(b.into())),
         "[a-zA-Z0-9 äöü]{0,40}".prop_map(Payload::Text),
         prop::collection::vec(("[a-z]{1,8}", "[a-z0-9]{0,12}"), 0..6).prop_map(|pairs| {
             Payload::Pairs(
