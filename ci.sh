@@ -135,15 +135,19 @@ shims_as_used() {
 }
 
 # --- one Figure 5 -------------------------------------------------------
-# Extraction and featurization exist once, as the operators: `extract`,
-# `extract_from`, `extract_with_trace` and `featurize_ensemble` drive
-# the shipped chain (DESIGN.md §3, "One Figure 5"). The sample-granular
-# fork PR 24 deleted must not come back under its old names, in code or
-# in prose; its state machine lives on as a test oracle under other ones.
+# Extraction and featurization exist once, as the shipped operators:
+# `extract`, `extract_from`, `extract_with_trace` and
+# `featurize_ensemble` drive the shipped chain (DESIGN.md §3, "One
+# Figure 5"), and `spectrum` is the one spectral stage (§14). Neither
+# deleted fork may come back under its old names, in code or in prose:
+# not the sample-granular extractor, nor the four public spectral
+# operators with their complex subtype. Both live on as test oracles in
+# crates/core/tests/common/mod.rs under other names.
 one_figure5() {
     local fork='StreamingExtractor|StreamStep|extract_stream|push_chunk|push_sample'
+    fork+='|\b(WelchWindow|Float2Cplx|Dft|Cabs)\b|subtype::SPECTRUM'
     if grep -rnE "$fork" crates src tests examples README.md DESIGN.md docs .claude; then
-        echo "one-figure5: the per-sample extraction fork is named above;" \
+        echo "one-figure5: a deleted extraction or spectral fork is named above;" \
             "drive extraction_segment / featurization_segment instead" >&2
         return 1
     fi
@@ -193,7 +197,7 @@ unsafe_policy
 phase "shims-as-used (no bytes shim; crossbeam only in serve.rs)"
 shims_as_used
 
-phase "one-figure5 (no second extraction path)"
+phase "one-figure5 (no second extraction or spectral path)"
 one_figure5
 
 phase "no-coordinator (segments move by StreamOut::redirect)"

@@ -14,9 +14,9 @@
 //! their own — which between them are the chains built by every
 //! example (`quickstart`, `parallel_archive`, `anomaly_monitor`,
 //! `distributed_pipeline`, `species_survey` all compose
-//! `full_pipeline` / `EnsembleExtractor`). The four-operator
-//! `welchwindow` → `float2cplx` → `dft` → `cabs` reference chain is
-//! linted where it is composed, in `crates/core/tests/analyze.rs`.
+//! `full_pipeline` / `EnsembleExtractor`). The test oracle's chain,
+//! with its complex-FFT stage in `spectrum`'s place, is linted where
+//! it is composed, in `crates/core/tests/analyze.rs`.
 //!
 //! Exit status is non-zero if any chain produces an `error`-severity
 //! diagnostic; warnings are reported but do not fail the lint.

@@ -12,8 +12,9 @@
 //!
 //! - [`ops`] — every pipeline operator of the paper's Figure 5:
 //!   `wav2rec`, `saxanomaly`, `trigger`, `cutter`, `reslice`,
-//!   `welchwindow`, `float2cplx`, `dft`, `cabs`, `cutout`, `paa`,
-//!   `rec2vect` (plus `readout`), each a `dynamic_river::Operator`;
+//!   `spectrum` (the paper's `welchwindow` → `float2cplx` → `dft` →
+//!   `cabs` in one pass), `cutout`, `paa`, `rec2vect` (plus `readout`),
+//!   each a `dynamic_river::Operator`;
 //! - [`extract`] — [`extract::EnsembleExtractor`], a convenience API
 //!   that runs the extraction operators over raw samples
 //!   ([`extract`](extract::EnsembleExtractor::extract)) or any record
@@ -84,9 +85,7 @@ pub mod subtype {
     pub const SCORE: u16 = 2;
     /// Trigger values, 0.0 or 1.0 (output of `trigger`).
     pub const TRIGGER: u16 = 3;
-    /// Complex spectral values (output of `float2cplx`/`dft`).
-    pub const SPECTRUM: u16 = 4;
-    /// Power-spectrum magnitudes (output of `cabs` and later stages).
+    /// Power-spectrum magnitudes (output of `spectrum` and later stages).
     pub const POWER: u16 = 5;
     /// Merged feature patterns (output of `rec2vect`).
     pub const PATTERN: u16 = 6;

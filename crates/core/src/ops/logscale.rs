@@ -40,7 +40,8 @@ impl Operator for LogScale {
         if record.kind == RecordKind::Data && record.subtype == subtype::POWER {
             if let Payload::F64(ref mut v) = record.payload {
                 // Copy-on-write: in place for uniquely owned spectra
-                // (the common case after cabs/cutout).
+                // (the common case: `cutout`'s view of `spectrum`'s
+                // fresh buffer, or `paa`'s means).
                 for x in v.make_mut().iter_mut() {
                     *x = log_scale_value(*x);
                 }

@@ -3,23 +3,20 @@
 //! Acquisition: [`wav2rec::Wav2Rec`] (and [`readout::Readout`] for
 //! archival). Ensemble extraction: [`saxanomaly::SaxAnomaly`] →
 //! [`trigger_op::TriggerOp`] → [`cutter::Cutter`]. Spectral
-//! featurization: [`reslice::Reslice`] → [`spectrum::Spectrum`] (the
-//! fused window × real-FFT → magnitude hot path) → [`cutout::Cutout`]
-//! → optional [`paa_op::PaaOp`] → [`rec2vect::Rec2Vect`]. The unfused
-//! chain [`welchwindow::WelchWindow`] → [`float2cplx::Float2Cplx`] →
-//! [`dft::Dft`] → [`cabs::Cabs`] is kept as `spectrum`'s differential
-//! oracle and remains fully supported.
+//! featurization: [`reslice::Reslice`] → [`spectrum::Spectrum`] →
+//! [`cutout::Cutout`] → optional [`paa_op::PaaOp`] →
+//! [`rec2vect::Rec2Vect`]. `spectrum` is the paper's four boxes
+//! `welchwindow` → `float2cplx` → `dft` → `cabs` in one pass (window ×
+//! real FFT → magnitude); the test suites hold it against a plain
+//! complex-FFT oracle.
 //!
 //! All operators preserve scope discipline: clip scopes pass through
 //! `saxanomaly`/`trigger`, `cutter` nests ensemble scopes inside clip
-//! scopes, and the spectral stages transform data records in place
-//! without touching scope records.
+//! scopes, and the spectral stages transform data records without
+//! touching scope records.
 
-pub mod cabs;
 pub mod cutout;
 pub mod cutter;
-pub mod dft;
-pub mod float2cplx;
 pub mod logscale;
 pub mod paa_op;
 pub mod plan_cache;
@@ -30,13 +27,9 @@ pub mod saxanomaly;
 pub mod spectrum;
 pub mod trigger_op;
 pub mod wav2rec;
-pub mod welchwindow;
 
-pub use cabs::Cabs;
 pub use cutout::Cutout;
 pub use cutter::Cutter;
-pub use dft::Dft;
-pub use float2cplx::Float2Cplx;
 pub use logscale::LogScale;
 pub use paa_op::PaaOp;
 pub use plan_cache::PlanCache;
@@ -49,4 +42,3 @@ pub use trigger_op::TriggerOp;
 pub use wav2rec::{
     clip_buf_to_records, clip_record_source, clip_to_records, clips_record_source, Wav2Rec,
 };
-pub use welchwindow::WelchWindow;

@@ -1,12 +1,12 @@
 //! Bounded per-record-length plan caches for the spectral operators.
 //!
-//! `dft`, `spectrum`, and `welchwindow` all precompute per-length state
-//! (FFT plans, window coefficient tables) and reuse it for every record
-//! of that length. Record lengths come off the wire, though, so an
-//! unbounded `HashMap` would let a pathological stream of varying
-//! lengths grow operator memory without limit. [`PlanCache`] caps the
-//! entry count with FIFO eviction: the production workload uses one or
-//! two lengths (840, and 2 × 840 interleaved complex), so any small cap
+//! `spectrum` precomputes per-length state (the real-FFT plan and the
+//! Welch coefficient table) and reuses it for every record of that
+//! length. Record lengths come off the wire, though, so an unbounded
+//! `HashMap` would let a pathological stream of varying lengths grow
+//! operator memory without limit. [`PlanCache`] caps the entry count
+//! with FIFO eviction: the production workload uses one length (840;
+//! `reslice`'s overlap records are whole records too), so any small cap
 //! keeps the hot path a single hash probe while bounding the worst
 //! case.
 

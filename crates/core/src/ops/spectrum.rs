@@ -1,14 +1,14 @@
 //! `spectrum`: the fused spectral hot path.
 //!
-//! Replaces the four-operator chain `welchwindow` → `float2cplx` →
-//! `dft` → `cabs` with a single pass: Welch-window the audio samples,
-//! run a real-input FFT (N real samples packed into an N/2 complex
-//! transform), and take bin magnitudes straight out of the Hermitian
-//! unpack — all into buffers owned by the plan, so the steady state
-//! allocates only the output payload. The original four operators are
-//! retained as a differential oracle; `spectrum` must match them
-//! record-for-record to ≤ 1e-9 relative error (enforced by property
-//! tests in `tests/properties.rs`).
+//! The paper's Figure 5 draws four boxes here, `welchwindow` →
+//! `float2cplx` → `dft` → `cabs`; this is all four in a single pass:
+//! Welch-window the audio samples, run a real-input FFT (N real samples
+//! packed into an N/2 complex transform), and take bin magnitudes
+//! straight out of the Hermitian unpack — all into buffers owned by the
+//! plan, so the steady state allocates only the output payload. The
+//! test suites hold it to a plain Welch × complex FFT → `hypot` oracle,
+//! record-for-record to ≤ 1e-9 relative error over whole clips
+//! (`tests/properties.rs`).
 
 use crate::ops::plan_cache::PlanCache;
 use crate::subtype;
@@ -25,7 +25,7 @@ struct SpectrumPlan {
 }
 
 /// The fused `spectrum` operator: audio records in, magnitude spectra
-/// (subtype [`subtype::POWER`]) out, equivalent to
+/// (subtype [`subtype::POWER`]) out: the paper's
 /// `welchwindow → float2cplx → dft → cabs` in one pass.
 ///
 /// Plans are cached per record length in a bounded [`PlanCache`];
@@ -58,9 +58,8 @@ impl Operator for Spectrum {
     fn on_record(&mut self, mut record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
         if record.kind == RecordKind::Data && record.subtype == subtype::AUDIO {
             if let Payload::F64(v) = &record.payload {
-                // The oracle chain passes empty records through
-                // unchanged (an empty DFT has nothing to transform), so
-                // the fused path must too.
+                // An empty record has nothing to transform (and no
+                // FFT plan): it passes through unchanged.
                 if !v.is_empty() {
                     let n = v.len();
                     let plan = self.plans.get_or_insert_with(n, |n| SpectrumPlan {
@@ -93,9 +92,8 @@ impl Operator for Spectrum {
         Some(Box::new(self.clone()))
     }
 
-    /// Identical to the oracle chain's end-to-end signature:
-    /// `welchwindow -> float2cplx -> dft -> cabs` composes to the
-    /// same AUDIO/f64 -> POWER/f64 transfer function.
+    /// AUDIO/f64 -> POWER/f64, the composition of the paper's four
+    /// boxes.
     fn signature(&self) -> Option<dynamic_river::Signature> {
         use dynamic_river::{PayloadKind, RecordClass, Signature};
         Some(Signature::map(
@@ -108,8 +106,8 @@ impl Operator for Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Cabs, Dft, Float2Cplx, WelchWindow};
     use dynamic_river::Pipeline;
+    use river_dsp::Fft;
     use std::f64::consts::PI;
 
     fn tone(n: usize, k0: usize) -> Vec<f64> {
@@ -124,27 +122,43 @@ mod tests {
         p.run(records).unwrap()
     }
 
-    fn run_oracle(records: Vec<Record>) -> Vec<Record> {
-        let mut p = Pipeline::new();
-        p.add(WelchWindow::new());
-        p.add(Float2Cplx::new());
-        p.add(Dft::new());
-        p.add(Cabs::new());
-        p.run(records).unwrap()
+    /// The paper's four boxes spelled out: Welch window, the full
+    /// complex FFT of the zero-imaginary input, `hypot` per bin.
+    fn oracle_magnitudes(samples: &[f64]) -> Vec<f64> {
+        let window = WindowKind::Welch.coefficients(samples.len());
+        let x: Vec<Complex64> = samples
+            .iter()
+            .zip(&window)
+            .map(|(&s, &w)| Complex64::from_real(s * w))
+            .collect();
+        let spectrum = Fft::new(samples.len()).forward(&x);
+        spectrum.iter().map(|z| z.re.hypot(z.im)).collect()
     }
 
+    /// Record lengths come off the wire, so the fused path is held to
+    /// the oracle at every kind of `RealFft` plan, not only at 840:
+    /// packed halves that are mixed radix (2, 420, 840, 1024) and
+    /// the odd-length direct fallback on mixed radix (1, 7) and on
+    /// Bluestein (839 is prime, 841 = 29²).
     #[test]
     fn matches_oracle_chain_on_production_length() {
-        let input = vec![Record::data(subtype::AUDIO, Payload::f64(tone(840, 17)))];
-        let fused = run_fused(input.clone());
-        let oracle = run_oracle(input);
-        assert_eq!(fused.len(), oracle.len());
-        assert_eq!(fused[0].subtype, oracle[0].subtype);
-        let a = fused[0].payload.as_f64().unwrap();
-        let b = oracle[0].payload.as_f64().unwrap();
-        let scale = b.iter().copied().fold(1.0_f64, f64::max);
-        for (k, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!((x - y).abs() <= 1e-9 * scale, "bin {k}: {x} vs {y}");
+        for n in [1usize, 2, 7, 420, 839, 840, 841, 1024] {
+            let samples: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.37).sin() + 0.5 * (i as f64 * 1.3).cos())
+                .collect();
+            let fused = run_fused(vec![Record::data(
+                subtype::AUDIO,
+                Payload::f64(samples.clone()),
+            )]);
+            assert_eq!(fused.len(), 1);
+            assert_eq!(fused[0].subtype, subtype::POWER);
+            let got = fused[0].payload.as_f64().unwrap();
+            let want = oracle_magnitudes(&samples);
+            assert_eq!(got.len(), n);
+            let scale = want.iter().copied().fold(1.0_f64, f64::max);
+            for (k, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert!((x - y).abs() <= 1e-9 * scale, "n={n} bin {k}: {x} vs {y}");
+            }
         }
     }
 
@@ -160,9 +174,9 @@ mod tests {
 
     #[test]
     fn empty_audio_record_passes_through() {
-        // The oracle chain cannot process empty records (a zero-length
-        // FFT has no plan), so the fused path leaves them untouched
-        // rather than emitting an empty spectrum.
+        // A zero-length FFT has no plan, so the fused path leaves
+        // empty records untouched rather than emitting an empty
+        // spectrum.
         let input = vec![Record::data(subtype::AUDIO, Payload::f64(vec![]))];
         assert_eq!(run_fused(input.clone()), input);
     }

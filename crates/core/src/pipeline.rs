@@ -25,8 +25,7 @@ pub fn extraction_segment(config: ExtractorConfig) -> Pipeline {
 /// Figure 5: `[reslice]` → `spectrum` → `cutout` → `[paa]` →
 /// `[logscale]` → `rec2vect`. `spectrum` fuses the paper's
 /// `welchwindow` → `float2cplx` → `dft` → `cabs` boxes into one pass;
-/// those four stay public operators and the test suites compose them
-/// as the differential reference.
+/// the test suites hold it to a plain complex-FFT oracle.
 pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipeline {
     let mut p = Pipeline::new();
     if config.reslice {

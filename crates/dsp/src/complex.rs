@@ -1,7 +1,7 @@
 //! Complex number arithmetic.
 //!
 //! A minimal, dependency-free complex type sufficient for FFT computation
-//! and the pipeline's `float2cplx` / `cabs` operators. Only `f64` precision
+//! and the pipeline's `spectrum` stage. Only `f64` precision
 //! is provided; the acoustic pipeline converts samples to `f64` before
 //! spectral processing.
 
@@ -79,8 +79,8 @@ impl Complex64 {
         }
     }
 
-    /// The magnitude (complex absolute value), as computed by the pipeline's
-    /// `cabs` operator.
+    /// The magnitude (complex absolute value), as the pipeline's
+    /// `spectrum` stage takes it per bin (the paper's `cabs`).
     ///
     /// `sqrt(re² + im²)` whenever that sum sits comfortably inside the
     /// normal range, where neither square can overflow or lose bits to

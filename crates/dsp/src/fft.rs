@@ -1,6 +1,6 @@
 //! Discrete Fourier transforms.
 //!
-//! The pipeline's `dft` operator transforms 840-sample records (20.16 kHz,
+//! The pipeline's `spectrum` stage transforms 840-sample records (20.16 kHz,
 //! 24 Hz bins), so an arbitrary-length transform is required. [`Fft`]
 //! picks its algorithm from the factorisation of the length alone:
 //!
@@ -121,13 +121,18 @@ impl Fft {
 
     /// Computes the forward DFT: `X_k = sum_j x_j e^{-2πi jk/N}`.
     ///
+    /// Allocates the output and the plan's scratch on each call; hot
+    /// paths should plan a scratch buffer once and use
+    /// [`forward_scratch`](Self::forward_scratch).
+    ///
     /// # Panics
     ///
     /// Panics if `input.len() != self.len()`.
     pub fn forward(&self, input: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(input.len(), self.n, "input length must match plan");
         let mut buf = input.to_vec();
-        self.forward_in_place(&mut buf);
+        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
+        self.forward_scratch(&mut buf, &mut scratch);
         buf
     }
 
@@ -147,20 +152,6 @@ impl Fft {
             Plan::Mixed(_) => self.n,
             Plan::Bluestein { m, inner, .. } => m + inner.scratch_len(),
         }
-    }
-
-    /// Computes the forward DFT in place.
-    ///
-    /// Allocates the plan's scratch on each call; hot paths should plan
-    /// a scratch buffer once and use
-    /// [`forward_scratch`](Self::forward_scratch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != self.len()`.
-    pub fn forward_in_place(&self, buf: &mut [Complex64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.forward_scratch(buf, &mut scratch);
     }
 
     /// Computes the forward DFT in place using caller-provided scratch —
@@ -206,27 +197,18 @@ impl Fft {
 
     /// Computes the (normalized) inverse DFT.
     ///
+    /// Allocates the output and the plan's scratch on each call; hot
+    /// paths should use [`inverse_scratch`](Self::inverse_scratch).
+    ///
     /// # Panics
     ///
     /// Panics if `input.len() != self.len()`.
     pub fn inverse(&self, input: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(input.len(), self.n, "input length must match plan");
         let mut buf = input.to_vec();
-        self.inverse_in_place(&mut buf);
-        buf
-    }
-
-    /// Computes the (normalized) inverse DFT in place.
-    ///
-    /// Allocates the plan's scratch on each call; hot paths should use
-    /// [`inverse_scratch`](Self::inverse_scratch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != self.len()`.
-    pub fn inverse_in_place(&self, buf: &mut [Complex64]) {
         let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.inverse_scratch(buf, &mut scratch);
+        self.inverse_scratch(&mut buf, &mut scratch);
+        buf
     }
 
     /// Computes the (normalized) inverse DFT in place using
@@ -404,7 +386,8 @@ impl RealFft {
     /// materializing the complex spectrum: pack (× window), half-size
     /// FFT, and `|X_k|` straight out of the Hermitian unpack (the
     /// conjugate top half shares the bottom half's magnitudes). This is
-    /// the fused `welchwindow → float2cplx → dft → cabs` hot path.
+    /// the `spectrum` stage's hot path, the paper's `welchwindow →
+    /// float2cplx → dft → cabs` fused.
     ///
     /// `scratch` contents are clobbered.
     ///

@@ -79,7 +79,7 @@ impl WindowKind {
 
     /// Multiplies `samples` by the window in place.
     ///
-    /// This is the operation of the `welchwindow` operator (with
+    /// This is the paper's `welchwindow` step (with
     /// [`WindowKind::Welch`]).
     pub fn apply(self, samples: &mut [f64]) {
         let n = samples.len();

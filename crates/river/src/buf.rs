@@ -6,7 +6,7 @@
 //! whatever its payload size, re-windowing operators (`reslice`,
 //! `cutout`, `cutter`) emit views into the allocation they received
 //! instead of copying samples, and operators that genuinely rewrite
-//! samples (`welchwindow`, `logscale`, `dft`) use copy-on-write
+//! samples (`logscale`, `saxanomaly`'s score buffer) use copy-on-write
 //! [`make_mut`](SampleBuf::make_mut): in place when the buffer is
 //! uniquely owned, one honest copy when it is shared.
 //!

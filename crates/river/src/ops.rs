@@ -1,7 +1,7 @@
 //! General-purpose operators: map, filter, inspect, count, scope repair.
 //!
 //! The acoustic operators of the paper (`saxanomaly`, `trigger`,
-//! `cutter`, `dft`, …) live in the `ensemble-core` crate; these are the
+//! `cutter`, `spectrum`, …) live in the `ensemble-core` crate; these are the
 //! domain-independent building blocks.
 
 use crate::analyze::{PayloadKind, RecordClass, ScopeEffect, Signature};

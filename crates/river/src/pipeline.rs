@@ -543,16 +543,11 @@ impl Pipeline {
         self
     }
 
-    /// Shares an existing [`Telemetry`] registry with this pipeline —
-    /// several pipelines recording into one set of histograms and one
-    /// event log.
-    pub fn set_telemetry_handle(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// A clone of the pipeline's [`Telemetry`] handle, for sharing its
-    /// registry with another pipeline or runtime.
+    /// A clone of the pipeline's [`Telemetry`] handle: the registry a
+    /// [`ShardedPipeline::from_pipeline`](crate::shard::ShardedPipeline::from_pipeline)
+    /// built from this chain records into, and the config a
+    /// [`PipelineServer`](crate::serve::PipelineServer) gives each
+    /// session.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }

@@ -72,11 +72,10 @@ pub enum Payload {
     /// 64-bit float samples (audio, anomaly scores, spectra) as a
     /// shared, sliceable view.
     F64(SampleBuf),
-    /// Interleaved complex values as `[re, im, re, im, …]` (the
-    /// `float2cplx`/`dft` stages), also a shared view. By contract the
-    /// length is a whole number of pairs: constructors do not enforce
-    /// it, but the wire codec rejects odd counts on decode and the
-    /// `dft` operator errors on them.
+    /// Interleaved complex values as `[re, im, re, im, …]`, also a
+    /// shared view. By contract the length is a whole number of pairs:
+    /// constructors do not enforce it, but the wire codec rejects odd
+    /// counts on decode.
     Complex(SampleBuf),
     /// Raw bytes (encapsulated file content, opaque blobs). Cloning
     /// shares the bytes; build it from a `Vec<u8>` or `&[u8]` with

@@ -219,12 +219,6 @@ impl ShardedPipeline {
         self
     }
 
-    /// Shares an existing [`Telemetry`] registry with this runtime.
-    pub fn set_telemetry_handle(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// A clone of the runtime's [`Telemetry`] handle. Keep it before
     /// the consuming [`run`](Self::run), then snapshot after.
     pub fn telemetry(&self) -> Telemetry {

@@ -713,18 +713,12 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A registry recording at `config`, with the default event
-    /// capacity.
-    pub fn new(config: TelemetryConfig) -> Self {
-        Telemetry::with_event_capacity(config, DEFAULT_EVENT_CAPACITY)
-    }
-
     /// A registry recording at `config` whose event ring retains at
-    /// most `capacity` events.
-    pub fn with_event_capacity(config: TelemetryConfig, capacity: usize) -> Self {
+    /// most [`DEFAULT_EVENT_CAPACITY`] events.
+    pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             config,
-            events: Arc::new(EventLog::new(capacity)),
+            events: Arc::new(EventLog::new(DEFAULT_EVENT_CAPACITY)),
             stages: Arc::new(Mutex::new(Vec::new())),
         }
     }
