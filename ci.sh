@@ -166,6 +166,21 @@ no_coordinator() {
     fi
 }
 
+# --- one entry point per runner ------------------------------------------
+# Each lane policy has one door (DESIGN.md §3): `Pipeline::run_sharded`
+# shards a chain and `PipelineServer` serves one. The sharded runtime
+# type, the Figure 5 sharding and serving wrappers, and the telemetry
+# knobs nothing called must not come back.
+one_door() {
+    local gone='ShardedPipeline|full_pipeline_sharded|serve_with_telemetry|EnsembleExtractor::serve'
+    gone+='|set_min_severity|with_lane'
+    if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
+        echo "one-door: a deleted runner wrapper or telemetry knob is named above;" \
+            "use Pipeline::run_sharded or PipelineServer" >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -203,6 +218,9 @@ one_figure5
 phase "no-coordinator (segments move by StreamOut::redirect)"
 no_coordinator
 
+phase "one-door (run_sharded shards, PipelineServer serves)"
+one_door
+
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"
 
@@ -238,11 +256,11 @@ if [ "${1:-}" != "quick" ]; then
 
     # Exercise the execution core end-to-end under each lane policy:
     # quickstart and anomaly_monitor drive real pipelines inline
-    # (run_streaming, through `extract_from`); parallel_archive is the
-    # one example on run_sharded and asserts sharded == single-lane
-    # byte-identity;
-    # distributed_pipeline serves a concurrent client fleet through the
-    # multi-session PipelineServer over loopback TCP. (species_survey,
+    # (run_streaming, through `extract_from`); parallel_archive is
+    # run_sharded over full_pipeline and asserts sharded == single-lane
+    # byte-identity; distributed_pipeline serves a concurrent client
+    # fleet through a PipelineServer built from_factory(full_pipeline)
+    # over loopback TCP. (species_survey,
     # the fifth example, is a classification study, not an execution
     # path.)
     phase "examples (release)"

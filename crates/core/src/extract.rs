@@ -18,11 +18,8 @@ use crate::ops::{clip_to_records, Cutter, SaxAnomaly, TriggerOp};
 use crate::pipeline::extraction_segment;
 use crate::{context_key, scope_type, subtype};
 use dynamic_river::error::PipelineError;
-use dynamic_river::serve::{PipelineServer, ServerHandle, SessionInfo, SessionSink};
-use dynamic_river::telemetry::TelemetryConfig;
 use dynamic_river::{Operator, Pipeline, Record, RecordKind, SampleBuf, Sink, Source, StreamStats};
 use river_dsp::stats::Welford;
-use std::net::TcpListener;
 
 /// One extracted ensemble — what `cutter` emits for one trigger-high
 /// run: whole `record_len`-sample records, the last one zero-padded
@@ -274,106 +271,6 @@ impl EnsembleExtractor {
     fn clip_records(&self, samples: &[f64]) -> Vec<Record> {
         let cfg = &self.config;
         clip_to_records(samples, cfg.sample_rate, cfg.record_len, &[])
-    }
-
-    /// Serves the full Figure 5 analysis chain to a fleet of networked
-    /// clients: a [`PipelineServer`] multiplexing up to `max_sessions`
-    /// concurrent `streamin` connections over its event loop and
-    /// worker pool (DESIGN.md §17), each session running its own fresh
-    /// `full_pipeline` instance over this extractor's configuration.
-    /// For separate control of the pool width or an idle-session
-    /// timeout, build the [`PipelineServer`] directly
-    /// (`set_workers` / `set_idle_timeout`).
-    /// Clients push framed clip records (e.g. via
-    /// [`clip_to_records`] +
-    /// `send_all`); each session's pattern output lands in the sink
-    /// produced by `make_sink`. Returns immediately with the
-    /// [`ServerHandle`]; call
-    /// [`shutdown`](ServerHandle::shutdown) for the per-session and
-    /// aggregate statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Io`] if the listener's address cannot
-    /// be resolved or the service threads cannot be spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_sessions == 0`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dynamic_river::net::send_all;
-    /// use dynamic_river::operator::SharedSink;
-    /// use ensemble_core::ops::clip_to_records;
-    /// use ensemble_core::prelude::*;
-    /// use std::net::TcpListener;
-    ///
-    /// let cfg = ExtractorConfig::default();
-    /// let ex = EnsembleExtractor::new(cfg);
-    /// let out = SharedSink::new();
-    /// let per_session = out.clone();
-    /// let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    /// let handle = ex
-    ///     .serve(listener, 2, move |_info| Box::new(per_session.clone()))
-    ///     .unwrap();
-    ///
-    /// // One "sensor host" pushes a (quiet) clip.
-    /// let clip = vec![0.01; cfg.record_len * 4];
-    /// let records = clip_to_records(&clip, cfg.sample_rate, cfg.record_len, &[]);
-    /// send_all(handle.local_addr(), &records).unwrap();
-    ///
-    /// handle.wait_for_completed(1);
-    /// let report = handle.shutdown().unwrap();
-    /// assert_eq!(report.clean_sessions(), 1);
-    /// assert_eq!(out.take().len(), 2); // quiet clip: scope markers only
-    /// ```
-    pub fn serve<F>(
-        &self,
-        listener: TcpListener,
-        max_sessions: usize,
-        make_sink: F,
-    ) -> Result<ServerHandle, PipelineError>
-    where
-        F: FnMut(&SessionInfo) -> SessionSink + Send + 'static,
-    {
-        self.serve_with_telemetry(listener, max_sessions, TelemetryConfig::Off, make_sink)
-    }
-
-    /// [`serve`](Self::serve) with telemetry enabled: every session
-    /// records per-stage latency histograms (its lane is its session
-    /// id) into the server's shared registry, and with
-    /// [`TelemetryConfig::Full`] traces session and scope events. Read
-    /// the merged view live from
-    /// [`ServerHandle::telemetry_snapshot`], or per session from each
-    /// [`SessionReport`](dynamic_river::serve::SessionReport) after
-    /// shutdown (DESIGN.md §16).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Io`] if the listener's address cannot
-    /// be resolved or the service threads cannot be spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_sessions == 0`.
-    pub fn serve_with_telemetry<F>(
-        &self,
-        listener: TcpListener,
-        max_sessions: usize,
-        telemetry: TelemetryConfig,
-        make_sink: F,
-    ) -> Result<ServerHandle, PipelineError>
-    where
-        F: FnMut(&SessionInfo) -> SessionSink + Send + 'static,
-    {
-        let cfg = self.config;
-        let mut server =
-            PipelineServer::from_factory(move |_session| crate::pipeline::full_pipeline(cfg, true));
-        server.set_max_sessions(max_sessions);
-        server.set_telemetry(telemetry);
-        server.start(listener, make_sink)
     }
 }
 

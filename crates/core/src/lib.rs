@@ -23,7 +23,11 @@
 //!   [`extract::Ensemble`] values;
 //! - [`pipeline`] — assembles the full Figure 5 operator graph, and
 //!   drives its featurization half over one ensemble
-//!   ([`pipeline::featurize_ensemble`]);
+//!   ([`pipeline::featurize_ensemble`]). The graph is a plain
+//!   `dynamic_river::Pipeline`: `full_pipeline(cfg, paa).run_sharded(..)`
+//!   shards an archive, and
+//!   `PipelineServer::from_factory(move |_| full_pipeline(cfg, true))`
+//!   serves a sensor fleet;
 //! - [`synth`] — the synthetic birdsong workload generator standing in
 //!   for the paper's field recordings (see `DESIGN.md` substitutions):
 //!   species-specific song grammars for the ten species of Table 1 over

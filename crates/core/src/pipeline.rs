@@ -50,6 +50,11 @@ pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipelin
 /// Builds the complete Figure 5 pipeline: extraction followed by
 /// featurization.
 ///
+/// Every Figure 5 operator is scope-local — `saxanomaly`, `trigger`,
+/// `cutter`, `cutout` and `rec2vect` all reset their state at each
+/// clip's `OpenScope` — so `run_sharded` over it is byte-identical to
+/// `run_streaming` over the same stream (DESIGN.md §11).
+///
 /// # Example
 ///
 /// ```
@@ -67,47 +72,6 @@ pub fn full_pipeline(config: ExtractorConfig, with_paa: bool) -> Pipeline {
     let mut p = extraction_segment(config);
     p.extend(featurization_segment(config, with_paa));
     p
-}
-
-/// The complete Figure 5 pipeline as a scope-sharded runtime: `workers`
-/// clones of the operator chain, fed whole clip scopes round-robin and
-/// merged back deterministically
-/// ([`ShardedPipeline`](dynamic_river::shard::ShardedPipeline)).
-///
-/// Every Figure 5 operator is scope-local — `saxanomaly`, `trigger`,
-/// `cutter`, `cutout` and `rec2vect` all reset their state at each
-/// clip's `OpenScope` — so the sharded run is byte-identical to
-/// [`full_pipeline`] + `run_streaming` over the same stream, at up to
-/// `workers`× the throughput on archive workloads.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or the configuration is invalid.
-///
-/// # Example
-///
-/// ```
-/// use ensemble_core::ops::clips_record_source;
-/// use ensemble_core::pipeline::full_pipeline_sharded;
-/// use ensemble_core::ExtractorConfig;
-/// use dynamic_river::prelude::*;
-///
-/// let cfg = ExtractorConfig::default();
-/// let clips = vec![vec![0.01; cfg.record_len * 4]; 3];
-/// let mut sink = CountingSink::default();
-/// full_pipeline_sharded(cfg, true, 2)
-///     .run(clips_record_source(clips, cfg.sample_rate, cfg.record_len), &mut sink)
-///     .unwrap();
-/// assert_eq!(sink.records, 3 * 2); // quiet clips: scope markers only
-/// ```
-pub fn full_pipeline_sharded(
-    config: ExtractorConfig,
-    with_paa: bool,
-    workers: usize,
-) -> dynamic_river::shard::ShardedPipeline {
-    dynamic_river::shard::ShardedPipeline::from_factory(workers, move |_| {
-        full_pipeline(config, with_paa)
-    })
 }
 
 /// Featurizes one ensemble's samples: [`featurization_segment`] run
@@ -283,10 +247,11 @@ mod tests {
 
         for workers in [1usize, 3] {
             let mut sharded = Vec::new();
-            let stats = full_pipeline_sharded(cfg, true, workers)
-                .run(
+            let stats = full_pipeline(cfg, true)
+                .run_sharded(
                     clips_record_source(clips.clone(), cfg.sample_rate, cfg.record_len),
                     &mut sharded,
+                    workers,
                 )
                 .unwrap();
             assert_eq!(single, sharded, "workers={workers}");

@@ -3,7 +3,6 @@
 mod common;
 
 use common::oracle_full_pipeline;
-use dynamic_river::shard::ShardedPipeline;
 use dynamic_river::Pipeline;
 use ensemble_core::extract::AdaptiveTrigger;
 use ensemble_core::pipeline::{featurize_ensemble, full_pipeline};
@@ -126,10 +125,11 @@ fn run_both_modes(
         )
         .unwrap();
     let mut sharded = Vec::new();
-    ShardedPipeline::from_factory(workers, |_| build())
-        .run(
+    build()
+        .run_sharded(
             clips_record_source(clips.to_vec(), cfg.sample_rate, cfg.record_len),
             &mut sharded,
+            workers,
         )
         .unwrap();
     (streamed, sharded)

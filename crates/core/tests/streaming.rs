@@ -185,7 +185,6 @@ fn unbounded_stream_runs_in_constant_memory() {
 #[test]
 fn sharded_archive_matches_single_lane_with_constant_burst() {
     use ensemble_core::ops::clips_record_source;
-    use ensemble_core::pipeline::full_pipeline_sharded;
 
     let cfg = ExtractorConfig::default();
     let clip_samples = SynthConfig::short_test().clip_samples();
@@ -214,8 +213,8 @@ fn sharded_archive_matches_single_lane_with_constant_burst() {
     let bound = 2 + (cfg.min_ensemble_samples / cfg.record_len + 2) as u64;
     for workers in [2usize, 4] {
         let mut sharded = Vec::new();
-        let stats = full_pipeline_sharded(cfg, true, workers)
-            .run(archive(), &mut sharded)
+        let stats = full_pipeline(cfg, true)
+            .run_sharded(archive(), &mut sharded, workers)
             .unwrap();
         assert_eq!(single, sharded, "workers={workers}");
         assert_eq!(stats.source_records, single_stats.source_records);

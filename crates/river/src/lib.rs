@@ -29,11 +29,13 @@
 //!   ([`pipeline::Pipeline::run_streaming`], constant memory over
 //!   unbounded streams, per-stage counters), sharded across worker
 //!   threads ([`pipeline::Pipeline::run_sharded`]) or served, one lane
-//!   per network session ([`serve::PipelineServer`]).
-//! - [`shard`] — the scope-sharded runtime: a splitter that partitions
-//!   the stream at top-level scope boundaries, one cloned chain per
-//!   worker over bounded queues, and a deterministic ordered merge
-//!   whose output is byte-identical to the single-lane driver.
+//!   per network session ([`serve::PipelineServer`]) — one entry point
+//!   per policy.
+//! - [`shard`] — how [`pipeline::Pipeline::run_sharded`] works: a
+//!   splitter that partitions the stream at top-level scope boundaries,
+//!   one cloned chain per worker over bounded queues, and a
+//!   deterministic ordered merge whose output is byte-identical to the
+//!   single-lane driver.
 //! - [`source::Source`] — pull-based record producers feeding the
 //!   streaming driver: iterators, fallible closures, and chunked
 //!   sample sources.
@@ -50,7 +52,7 @@
 //!   through its own cloned operator chain, repairs each session's
 //!   scopes independently, reaps idle sessions (keepalive-aware), and
 //!   reports per-session plus aggregate [`StreamStats`] (see
-//!   `DESIGN.md` §17).
+//!   `DESIGN.md` §12).
 //! - [`segment`] — a chain between two TCP connections
 //!   ([`segment::run_network_segment`]). A segment moves between hosts
 //!   when its sender redirects at a balanced point
@@ -138,7 +140,6 @@ pub mod prelude {
     pub use crate::record::{Payload, Record, RecordKind};
     pub use crate::scope::{ScopeEvent, ScopeTracker};
     pub use crate::serve::{PipelineServer, ServerHandle, ServerReport, SessionReport};
-    pub use crate::shard::ShardedPipeline;
     pub use crate::source::{ChainedSource, ChunkedF64Source, FnSource, Source};
     pub use crate::telemetry::{
         EventKind, EventSeverity, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig,
@@ -154,6 +155,5 @@ pub use pipeline::{Pipeline, StageStats, StreamStats};
 pub use record::{Payload, Record, RecordKind};
 pub use scope::ScopeTracker;
 pub use serve::{PipelineServer, ServerHandle, ServerReport, SessionReport};
-pub use shard::ShardedPipeline;
 pub use source::Source;
 pub use telemetry::{Snapshot, Telemetry, TelemetryConfig};

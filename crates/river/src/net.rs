@@ -14,6 +14,7 @@
 // module below.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::analyze::Signature;
 use crate::codec::{encode_into, write_eos, DecodeEvent, Decoder, WireFormat};
 use crate::error::PipelineError;
 use crate::operator::{Operator, Sink};
@@ -203,6 +204,12 @@ impl<W: Write + Send> Operator for StreamOut<W> {
             write_eos(pending)?;
         }
         Ok(())
+    }
+
+    /// Forwards every record unchanged, so the analyzer keeps checking
+    /// the chain through it: a scope left open upstream is still caught.
+    fn signature(&self) -> Option<Signature> {
+        Some(Signature::passthrough())
     }
 }
 
@@ -749,6 +756,56 @@ mod tests {
         let end = StreamIn::new(buf.as_slice()).pump(&mut sink).unwrap();
         assert_eq!(end, StreamEnd::Clean);
         assert_eq!(sink, scoped_records(3));
+    }
+
+    /// A `Vec<u8>` the test keeps a handle on after the chain owns the
+    /// writer.
+    #[derive(Clone, Default)]
+    struct SharedBytes(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for SharedBytes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Declares that it opens a scope it never closes.
+    struct LeakyOpener;
+
+    impl Operator for LeakyOpener {
+        fn name(&self) -> &'static str {
+            "leaky-opener"
+        }
+        fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
+            out.push(record)
+        }
+        fn signature(&self) -> Option<Signature> {
+            let opens = crate::analyze::ScopeEffect::Opens { scope_type: 9 };
+            Some(Signature::passthrough().with_scope(opens))
+        }
+    }
+
+    #[test]
+    fn streamout_does_not_hide_an_upstream_scope_leak() {
+        let wire = SharedBytes::default();
+        let mut chain = crate::pipeline::Pipeline::new();
+        chain.add(LeakyOpener);
+        chain.add(StreamOut::new(wire.clone()));
+        let err = chain
+            .run_streaming(scoped_records(2).into_iter(), &mut NullSink)
+            .unwrap_err();
+        let PipelineError::Analysis(diags) = &err else {
+            panic!("expected an analysis error, got {err}");
+        };
+        assert!(diags
+            .iter()
+            .any(|d| d.kind.code() == "RL0003" && d.operator == "leaky-opener"));
+        drop(chain); // flushes whatever the sender buffered
+        assert!(wire.0.lock().unwrap().is_empty());
     }
 
     /// A stream of 3–8 top-level scopes, some holding a nested scope,

@@ -544,11 +544,10 @@ impl Pipeline {
     }
 
     /// A clone of the pipeline's [`Telemetry`] handle: the registry a
-    /// [`ShardedPipeline::from_pipeline`](crate::shard::ShardedPipeline::from_pipeline)
-    /// built from this chain records into, and the config a
+    /// sharded run's workers record into, and the config a
     /// [`PipelineServer`](crate::serve::PipelineServer) gives each
     /// session.
-    pub fn telemetry(&self) -> Telemetry {
+    pub(crate) fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }
 
@@ -704,7 +703,10 @@ impl Pipeline {
     /// (see [`crate::shard`] for the exact contract).
     ///
     /// The pipeline itself is left untouched (workers run clones), so
-    /// it can be reused afterwards.
+    /// it can be reused afterwards. Every worker records into the
+    /// pipeline's telemetry registry: read the run's per-stage
+    /// histograms, aggregated across shards, from
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot).
     ///
     /// # Errors
     ///
@@ -713,13 +715,17 @@ impl Pipeline {
     /// diagnostic naming any operator that does not support
     /// [`Operator::clone_op`] — otherwise the first source or operator
     /// error in stream order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
     pub fn run_sharded(
         &self,
         source: impl Source + Send,
         sink: &mut dyn Sink,
         workers: usize,
     ) -> Result<StreamStats, PipelineError> {
-        crate::shard::ShardedPipeline::from_pipeline(self, workers)?.run(source, sink)
+        crate::shard::run(self, source, sink, workers)
     }
 
     /// Runs the pipeline over `input`, collecting the final stage's

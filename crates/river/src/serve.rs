@@ -8,7 +8,7 @@
 //! of a pipeline across networked hosts" (§2) — and an archive-scale
 //! deployment has many *mostly idle* sensors pushing clip streams at
 //! one analysis host. [`PipelineServer`] is that host's service loop,
-//! built readiness-first (DESIGN.md §17) so a session costs a socket
+//! built readiness-first (DESIGN.md §12) so a session costs a socket
 //! and a decode buffer rather than a parked thread:
 //!
 //! 1. **One event loop, N workers.** A single supervisor thread owns
@@ -373,11 +373,6 @@ impl PipelineServer {
     pub fn set_telemetry(&mut self, config: TelemetryConfig) -> &mut Self {
         self.telemetry = Telemetry::new(config);
         self
-    }
-
-    /// The server's [`Telemetry`] registry handle (cheap clone).
-    pub fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
     }
 
     /// Sets the concurrent-session capacity `M`: how many connections

@@ -10,7 +10,7 @@
 //! contextual meaning, such as having been produced from the same
 //! acoustic clip" (paper §2).
 //!
-//! [`ShardedPipeline`] turns that discipline into a sharding key:
+//! [`Pipeline::run_sharded`] turns that discipline into a sharding key:
 //!
 //! 1. **Splitter** — pulls records from the [`Source`], tracking scope
 //!    state with [`ScopeTracker`] semantics. A *unit* is a maximal
@@ -49,6 +49,14 @@
 //! hit first, and the records delivered to the sink before it are the
 //! same.
 //!
+//! # Telemetry
+//!
+//! Every worker records into the pipeline's own registry
+//! ([`Pipeline::set_telemetry`]): per-stage histograms aggregate across
+//! shards, so [`Pipeline::telemetry_snapshot`] after the run holds a
+//! single-lane run's totals. Events carry each worker's lane (`1 +
+//! worker index`); the splitter and merge use lane 0.
+//!
 //! # Example
 //!
 //! ```
@@ -73,6 +81,9 @@
 //! ```
 //!
 //! [`Pipeline::run_streaming`]: crate::pipeline::Pipeline::run_streaming
+//! [`Pipeline::run_sharded`]: crate::pipeline::Pipeline::run_sharded
+//! [`Pipeline::set_telemetry`]: crate::pipeline::Pipeline::set_telemetry
+//! [`Pipeline::telemetry_snapshot`]: crate::pipeline::Pipeline::telemetry_snapshot
 
 // Library code in this module must surface failures as errors, never
 // panics; unwraps are confined to the test module below.
@@ -84,7 +95,7 @@ use crate::pipeline::{emit_scope_event, Lane, Pipeline, StreamStats};
 use crate::record::Record;
 use crate::scope::ScopeTracker;
 use crate::source::Source;
-use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
+use crate::telemetry::{EventKind, EventSink};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread;
 
@@ -130,166 +141,63 @@ impl Sink for WorkerSink<'_> {
     }
 }
 
-/// A data-parallel pipeline: one cloned operator chain per worker,
-/// scope-aware splitting, deterministic ordered merge.
-///
-/// Build one with [`from_pipeline`](Self::from_pipeline) (clones an
-/// existing chain) or [`from_factory`](Self::from_factory) (builds each
-/// worker's chain from a closure — the route for chains whose operators
-/// do not implement [`Operator::clone_op`]), then call
-/// [`run`](Self::run). [`Pipeline::run_sharded`] wraps the whole
-/// sequence for the common case.
-///
-/// [`Operator::clone_op`]: crate::operator::Operator::clone_op
-pub struct ShardedPipeline {
-    chains: Vec<Pipeline>,
-    telemetry: Telemetry,
-}
-
-impl std::fmt::Debug for ShardedPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedPipeline")
-            .field("workers", &self.chains.len())
-            .field("telemetry", &self.telemetry.config())
-            .finish()
+/// The sharded runtime behind [`Pipeline::run_sharded`]: splits
+/// `source` into top-level-scope units, fans them out to `workers`
+/// clones of `pipeline`'s chain, and merges the output into `sink` in
+/// deterministic stream order. Returns the aggregated per-stage
+/// statistics ([`StreamStats::merge`]); `max_peak_burst` is the worst
+/// single shard's burst, so a constant bound per shard stays a constant
+/// bound for the run.
+pub(crate) fn run(
+    pipeline: &Pipeline,
+    source: impl Source + Send,
+    sink: &mut dyn Sink,
+    workers: usize,
+) -> Result<StreamStats, PipelineError> {
+    assert!(workers > 0, "workers must be non-zero");
+    // Pre-flight: a chain the analyzer can prove broken — including any
+    // operator without `clone_op` support — is refused here, with the
+    // offending operator named, instead of failing at shard-spawn or
+    // mid-stream.
+    pipeline.preflight(true)?;
+    // All lanes fetch the pipeline's per-stage timers (matched by name),
+    // so their latencies aggregate lock-free into one histogram per stage.
+    let telemetry = pipeline.telemetry();
+    let mut lanes = Vec::with_capacity(workers);
+    for w in 0..workers {
+        let mut chain = pipeline.clone_chain()?;
+        lanes.push(Lane::new(&mut chain, &telemetry, w as u64 + 1)?);
     }
-}
-
-impl ShardedPipeline {
-    /// Builds a sharded runtime with `workers` clones of `pipeline`'s
-    /// operator chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns an operator error naming the first operator that does
-    /// not support duplication ([`Operator::clone_op`]).
-    ///
-    /// [`Operator::clone_op`]: crate::operator::Operator::clone_op
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn from_pipeline(pipeline: &Pipeline, workers: usize) -> Result<Self, PipelineError> {
-        assert!(workers > 0, "workers must be non-zero");
-        // Pre-flight: a chain the analyzer can prove broken — including
-        // any operator without `clone_op` support — is refused here,
-        // with the offending operator named, instead of failing at
-        // shard-spawn or mid-stream.
-        pipeline.preflight(true)?;
-        let mut chains = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            chains.push(pipeline.clone_chain()?);
+    thread::scope(|scope| {
+        let mut in_txs = Vec::with_capacity(workers);
+        let mut out_rxs = Vec::with_capacity(workers);
+        for lane in lanes {
+            let (in_tx, in_rx) = sync_channel::<ShardIn>(QUEUE_CAPACITY);
+            let (out_tx, out_rx) = sync_channel::<ShardOut>(QUEUE_CAPACITY);
+            scope.spawn(move || run_worker(lane, &in_rx, &out_tx));
+            in_txs.push(in_tx);
+            out_rxs.push(out_rx);
         }
-        Ok(ShardedPipeline {
-            chains,
-            // Share the source pipeline's registry: every worker records
-            // into the same per-stage histograms, so the sharded
-            // snapshot's totals equal a single-lane run's.
-            telemetry: pipeline.telemetry(),
-        })
-    }
-
-    /// Builds a sharded runtime whose worker chains come from a
-    /// factory; `build(w)` is called once per worker index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn from_factory(workers: usize, mut build: impl FnMut(usize) -> Pipeline) -> Self {
-        assert!(workers > 0, "workers must be non-zero");
-        ShardedPipeline {
-            chains: (0..workers).map(&mut build).collect(),
-            telemetry: Telemetry::off(),
+        let splitter_events = telemetry.event_sink(0);
+        let splitter = scope.spawn(move || run_splitter(source, &in_txs, &splitter_events));
+        let merge_events = telemetry.event_sink(0);
+        let merged = run_merge(&out_rxs, sink, &merge_events);
+        // The merge consumed every worker's Done/Failed (or errored and
+        // dropped the receivers), so the splitter has either finished or
+        // will fail its next send; join cannot hang.
+        drop(out_rxs);
+        let (source_records, source_error) = match splitter.join() {
+            Ok(result) => result,
+            // The splitter only panics on a bug; re-raise it intact.
+            Err(panic) => std::panic::resume_unwind(panic),
+        };
+        let mut stats = merged?;
+        if let Some(e) = source_error {
+            return Err(e);
         }
-    }
-
-    /// Number of worker shards.
-    pub fn workers(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Enables telemetry at `config`, replacing any previous registry
-    /// (including one inherited from
-    /// [`from_pipeline`](Self::from_pipeline)). All workers record into
-    /// the shared registry: histograms aggregate across shards, events
-    /// carry each worker's lane (`1 + worker index`; the splitter and
-    /// merge use lane 0).
-    pub fn set_telemetry(&mut self, config: TelemetryConfig) -> &mut Self {
-        self.telemetry = Telemetry::new(config);
-        self
-    }
-
-    /// A clone of the runtime's [`Telemetry`] handle. Keep it before
-    /// the consuming [`run`](Self::run), then snapshot after.
-    pub fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
-    /// A point-in-time [`Snapshot`] aggregated across all workers.
-    pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.telemetry.snapshot()
-    }
-
-    /// Runs the sharded pipeline: splits `source` into top-level-scope
-    /// units, fans them out to the worker chains, and merges the output
-    /// into `sink` in deterministic stream order. Returns the
-    /// aggregated per-stage statistics ([`StreamStats::merge`]);
-    /// `max_peak_burst` is the worst single shard's burst, so a
-    /// constant bound per shard stays a constant bound for the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first source, operator or sink error in stream
-    /// order.
-    pub fn run(
-        self,
-        source: impl Source + Send,
-        sink: &mut dyn Sink,
-    ) -> Result<StreamStats, PipelineError> {
-        let telemetry = self.telemetry.clone();
-        // Every worker's lane is built — and so pre-flighted — before
-        // any thread spawns; factory-built chains (`from_factory`) have
-        // seen no constructor pre-flight. Shardability is not re-probed:
-        // each worker already has its own chain instance. All lanes
-        // fetch the same per-stage timers (matched by name), so their
-        // latencies aggregate lock-free into one histogram per stage.
-        let lanes = self
-            .chains
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut chain)| Lane::new(&mut chain, &telemetry, w as u64 + 1))
-            .collect::<Result<Vec<Lane>, PipelineError>>()?;
-        thread::scope(|scope| {
-            let mut in_txs = Vec::with_capacity(lanes.len());
-            let mut out_rxs = Vec::with_capacity(lanes.len());
-            for lane in lanes {
-                let (in_tx, in_rx) = sync_channel::<ShardIn>(QUEUE_CAPACITY);
-                let (out_tx, out_rx) = sync_channel::<ShardOut>(QUEUE_CAPACITY);
-                scope.spawn(move || run_worker(lane, &in_rx, &out_tx));
-                in_txs.push(in_tx);
-                out_rxs.push(out_rx);
-            }
-            let splitter_events = telemetry.event_sink(0);
-            let splitter = scope.spawn(move || run_splitter(source, &in_txs, &splitter_events));
-            let merge_events = telemetry.event_sink(0);
-            let merged = run_merge(&out_rxs, sink, &merge_events);
-            // The merge consumed every worker's Done/Failed (or errored
-            // and dropped the receivers), so the splitter has either
-            // finished or will fail its next send; join cannot hang.
-            drop(out_rxs);
-            let (source_records, source_error) = match splitter.join() {
-                Ok(result) => result,
-                // The splitter only panics on a bug; re-raise it intact.
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            let mut stats = merged?;
-            if let Some(e) = source_error {
-                return Err(e);
-            }
-            stats.source_records = source_records;
-            Ok(stats)
-        })
-    }
+        stats.source_records = source_records;
+        Ok(stats)
+    })
 }
 
 /// Sends into a worker queue, surfacing backpressure as telemetry:
@@ -780,24 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn factory_route_needs_no_clone_op() {
-        let sharded = ShardedPipeline::from_factory(3, |_w| {
-            let mut p = Pipeline::new();
-            p.add(MapPayload::new("gain", |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x *= 10.0);
-            }));
-            p
-        });
-        assert_eq!(sharded.workers(), 3);
-        let mut out = Vec::new();
-        sharded
-            .run(clip_stream(4, 2).into_iter(), &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 4 * 4);
-        assert_eq!(out[2].payload.as_f64().unwrap(), &[10.0]);
-    }
-
-    #[test]
     fn record_counter_clones_share_one_handle() {
         let (counter, handle) = RecordCounter::new();
         let mut p = Pipeline::new();
@@ -831,6 +721,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "workers must be non-zero")]
     fn zero_workers_panics() {
-        let _ = ShardedPipeline::from_pipeline(&Pipeline::new(), 0);
+        let _ = Pipeline::new().run_sharded(std::iter::empty(), &mut NullSink, 0);
     }
 }

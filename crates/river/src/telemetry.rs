@@ -11,8 +11,7 @@
 //!   `AtomicU64`, so sharded workers hammer the same timer without a
 //!   lock and p50/p90/p99/max stay derivable after the fact.
 //! - [`EventLog`] — a bounded ring buffer of [`TelemetryEvent`]s with
-//!   monotonic sequence numbers and a cheap severity filter applied
-//!   *before* the ring lock is touched.
+//!   monotonic sequence numbers.
 //! - [`Telemetry`] — the cloneable registry handle runners share, and
 //!   [`Snapshot`] — the mergeable, serializable view exposed by
 //!   `Pipeline::telemetry_snapshot()` and friends. Histograms merge
@@ -45,7 +44,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of log2 latency buckets in a [`StageTimer`] histogram.
@@ -83,30 +82,20 @@ impl TelemetryConfig {
     }
 }
 
-/// Severity of a [`TelemetryEvent`], used by the [`EventLog`] filter.
+/// Severity of a [`TelemetryEvent`], a label the JSON exporter writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
 pub enum EventSeverity {
     /// High-volume flow tracing (scope boundaries, shard units).
-    Debug = 0,
+    Debug,
     /// Notable domain milestones (trigger fire, cutter run, sessions).
-    Info = 1,
+    Info,
     /// Operational pressure (backpressure stalls).
-    Warn = 2,
+    Warn,
     /// Failures (session errors, rejected chains).
-    Error = 3,
+    Error,
 }
 
 impl EventSeverity {
-    fn from_u8(raw: u8) -> Self {
-        match raw {
-            0 => EventSeverity::Debug,
-            1 => EventSeverity::Info,
-            2 => EventSeverity::Warn,
-            _ => EventSeverity::Error,
-        }
-    }
-
     /// Lower-case label used by the JSON exporter.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -120,8 +109,8 @@ impl EventSeverity {
 
 /// The event taxonomy: everything a river can report about itself.
 ///
-/// Each kind has an inherent [`EventSeverity`] so the log filter needs
-/// no per-call-site severity argument.
+/// Each kind has an inherent [`EventSeverity`], so no call site passes
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// An `OpenScope` record entered the chain (subject: scope type).
@@ -238,11 +227,9 @@ struct EventRing {
 ///
 /// The ring is preallocated to capacity, so steady-state pushes never
 /// allocate: once full, the oldest event is evicted and counted in
-/// [`EventLog::dropped`]. The severity filter is an atomic read applied
-/// before the ring mutex is taken, so filtered-out events cost no lock.
+/// [`EventLog::dropped`].
 pub struct EventLog {
     seq: AtomicU64,
-    min_severity: AtomicU8,
     ring: Mutex<EventRing>,
 }
 
@@ -256,7 +243,6 @@ impl EventLog {
         let cap = capacity.max(1);
         EventLog {
             seq: AtomicU64::new(0),
-            min_severity: AtomicU8::new(EventSeverity::Debug as u8),
             ring: Mutex::new(EventRing {
                 buf: VecDeque::with_capacity(cap),
                 cap,
@@ -265,21 +251,8 @@ impl EventLog {
         }
     }
 
-    /// Drops events below `severity` at record time.
-    pub fn set_min_severity(&self, severity: EventSeverity) {
-        self.min_severity.store(severity as u8, Ordering::Relaxed);
-    }
-
-    /// The current severity floor.
-    pub fn min_severity(&self) -> EventSeverity {
-        EventSeverity::from_u8(self.min_severity.load(Ordering::Relaxed))
-    }
-
     /// Records an event, evicting the oldest if the ring is full.
     pub fn push(&self, kind: EventKind, lane: u64, subject: u64) {
-        if (kind.severity() as u8) < self.min_severity.load(Ordering::Relaxed) {
-            return;
-        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = TelemetryEvent {
             seq,
@@ -321,7 +294,6 @@ impl std::fmt::Debug for EventLog {
         f.debug_struct("EventLog")
             .field("len", &self.len())
             .field("dropped", &self.dropped())
-            .field("min_severity", &self.min_severity())
             .finish()
     }
 }
@@ -354,19 +326,6 @@ impl EventSink {
     /// Whether emitted events go anywhere.
     pub fn enabled(&self) -> bool {
         self.log.is_some()
-    }
-
-    /// The lane tag stamped on emitted events.
-    pub fn lane(&self) -> u64 {
-        self.lane
-    }
-
-    /// The same log with a different lane tag.
-    pub fn with_lane(&self, lane: u64) -> Self {
-        EventSink {
-            log: self.log.clone(),
-            lane,
-        }
     }
 
     /// Emits one event (no-op when disabled).
@@ -733,11 +692,6 @@ impl Telemetry {
         self.config
     }
 
-    /// The shared event log.
-    pub fn event_log(&self) -> &Arc<EventLog> {
-        &self.events
-    }
-
     /// An [`EventSink`] for `lane`, disabled unless the config is
     /// [`TelemetryConfig::Full`].
     pub fn event_sink(&self, lane: u64) -> EventSink {
@@ -900,17 +854,6 @@ mod tests {
         let events = log.events();
         assert_eq!(events.first().map(|e| e.subject), Some(2));
         assert_eq!(events.last().map(|e| e.subject), Some(5));
-        // Severity floor: Debug events are filtered out before the seq
-        // counter even advances.
-        log.set_min_severity(EventSeverity::Warn);
-        log.push(EventKind::ScopeOpen, 0, 99);
-        assert_eq!(log.len(), 4);
-        log.push(EventKind::StallEnter, 1, 7);
-        assert_eq!(log.len(), 4);
-        assert_eq!(
-            log.events().last().map(|e| e.kind),
-            Some(EventKind::StallEnter)
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end coverage of the event-driven service layer (DESIGN.md
-//! §17): many slow clients multiplexed over a small worker pool, idle
+//! §12): many slow clients multiplexed over a small worker pool, idle
 //! reaping vs. keepalive, and byte-identity with the single-lane
 //! streaming driver.
 //!

@@ -16,7 +16,6 @@
 //!    identical modulo interleave.
 
 use dynamic_river::prelude::*;
-use dynamic_river::shard::ShardedPipeline;
 use dynamic_river::telemetry::{
     EventKind, HistogramSnapshot, Snapshot, StageSnapshot, TelemetryEvent, HISTOGRAM_BUCKETS,
 };
@@ -179,11 +178,11 @@ fn sharded_merged_telemetry_equals_single_lane_totals() {
     // Sharded run: four workers sharing one registry.
     let mut proto = chain();
     proto.set_telemetry(TelemetryConfig::Full);
-    let sharded = ShardedPipeline::from_pipeline(&proto, 4).unwrap();
-    let telemetry = sharded.telemetry();
     let mut shard_out = Vec::new();
-    sharded.run(units().into_iter(), &mut shard_out).unwrap();
-    let merged = telemetry.snapshot();
+    proto
+        .run_sharded(units().into_iter(), &mut shard_out, 4)
+        .unwrap();
+    let merged = proto.telemetry_snapshot();
 
     // Output parity is the existing sharding guarantee; telemetry
     // parity rides on it.

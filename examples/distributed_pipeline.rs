@@ -13,6 +13,7 @@
 //! ```
 
 use acoustic_ensembles::core::ops::clip_to_records;
+use acoustic_ensembles::core::pipeline::full_pipeline;
 use acoustic_ensembles::core::prelude::*;
 use acoustic_ensembles::river::net::{send_all_with, StreamOut};
 use acoustic_ensembles::river::operator::SharedSink;
@@ -42,7 +43,6 @@ fn sensor_clip(cfg: &ExtractorConfig, seed: u64) -> Vec<Record> {
 
 fn main() {
     let cfg = ExtractorConfig::default();
-    let extractor = EnsembleExtractor::new(cfg);
 
     // ---- The analysis host -------------------------------------------
     // One server, one Figure 5 chain per session, per-session sinks
@@ -50,8 +50,12 @@ fn main() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let outputs: Arc<Mutex<Vec<(u64, String, SharedSink)>>> = Arc::new(Mutex::new(Vec::new()));
     let registry = Arc::clone(&outputs);
-    let handle = extractor
-        .serve_with_telemetry(listener, MAX_SESSIONS, TelemetryConfig::Full, move |info| {
+    let mut server = PipelineServer::from_factory(move |_session| full_pipeline(cfg, true));
+    server
+        .set_max_sessions(MAX_SESSIONS)
+        .set_telemetry(TelemetryConfig::Full);
+    let handle = server
+        .start(listener, move |info| {
             let sink = SharedSink::new();
             registry
                 .lock()

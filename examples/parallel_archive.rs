@@ -12,7 +12,7 @@
 //! are byte-identical, and reports both throughputs.
 
 use acoustic_ensembles::core::ops::clips_record_source;
-use acoustic_ensembles::core::pipeline::{full_pipeline, full_pipeline_sharded};
+use acoustic_ensembles::core::pipeline::full_pipeline;
 use acoustic_ensembles::core::prelude::*;
 use acoustic_ensembles::river::{Record, TelemetryConfig};
 use std::time::Instant;
@@ -49,18 +49,18 @@ fn main() {
     let single_secs = t0.elapsed().as_secs_f64();
 
     // Sharded: whole clip scopes fan out to worker chains, outputs
-    // merge back in archive order. Workers share one telemetry
-    // registry, so the snapshot taken after the run is already the
-    // archive-wide per-stage latency distribution (DESIGN.md §16).
+    // merge back in archive order. Workers record into the pipeline's
+    // telemetry registry, so the snapshot taken after the run is already
+    // the archive-wide per-stage latency distribution (DESIGN.md §16).
     let mut sharded: Vec<Record> = Vec::new();
     let t0 = Instant::now();
-    let mut runtime = full_pipeline_sharded(cfg, true, workers);
-    runtime.set_telemetry(TelemetryConfig::Counters);
-    let telemetry = runtime.telemetry();
-    let stats = runtime
-        .run(
+    let mut pipeline = full_pipeline(cfg, true);
+    pipeline.set_telemetry(TelemetryConfig::Counters);
+    let stats = pipeline
+        .run_sharded(
             clips_record_source(archive.clone(), cfg.sample_rate, cfg.record_len),
             &mut sharded,
+            workers,
         )
         .unwrap();
     let sharded_secs = t0.elapsed().as_secs_f64();
@@ -78,6 +78,6 @@ fn main() {
     );
     println!(
         "\nper-stage latency, merged across {workers} shards:\n{}",
-        telemetry.snapshot().render_table()
+        pipeline.telemetry_snapshot().render_table()
     );
 }

@@ -288,57 +288,6 @@ fn mixed_wire_encodings_interoperate_through_one_server() {
 }
 
 #[test]
-fn extractor_serve_runs_figure5_per_session() {
-    // The core-facade route: EnsembleExtractor::serve with two clients,
-    // asserting pattern output arrives per session.
-    let cfg = ExtractorConfig::default();
-    let ex = EnsembleExtractor::new(cfg);
-    let outputs: Arc<Mutex<Vec<SharedSink>>> = Arc::new(Mutex::new(Vec::new()));
-    let registry = Arc::clone(&outputs);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = ex
-        .serve(listener, 2, move |_info| {
-            let sink = SharedSink::new();
-            registry.lock().unwrap().push(sink.clone());
-            Box::new(sink)
-        })
-        .unwrap();
-    let addr = handle.local_addr();
-    let clients: Vec<_> = (7..9u64)
-        .map(|seed| {
-            thread::spawn(move || {
-                let cfg = ExtractorConfig::default();
-                let synth = ClipSynthesizer::new(SynthConfig::paper());
-                let clip = synth.clip(SpeciesCode::Rwbl, seed);
-                let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
-                let records = clip_to_records(
-                    &clip.samples[..usable],
-                    cfg.sample_rate,
-                    cfg.record_len,
-                    &[],
-                );
-                send_all(addr, &records).unwrap()
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().unwrap();
-    }
-    handle.wait_for_completed(2);
-    let report = handle.shutdown().unwrap();
-    assert_eq!(report.sessions.len(), 2);
-    assert_eq!(report.clean_sessions(), 2);
-    for sink in outputs.lock().unwrap().iter() {
-        let records = sink.take();
-        validate_scopes(&records).unwrap();
-        // Song clips produce pattern vectors through the full chain.
-        assert!(records
-            .iter()
-            .any(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN));
-    }
-}
-
-#[test]
 fn acoustic_pipeline_across_tcp_hosts() {
     let cfg = ExtractorConfig::default();
     let records = clip_records(&cfg, 1);

@@ -5,7 +5,7 @@
 //! runner.
 
 use acoustic_ensembles::core::ops::{clip_to_records, clips_record_source};
-use acoustic_ensembles::core::pipeline::{full_pipeline, full_pipeline_sharded};
+use acoustic_ensembles::core::pipeline::full_pipeline;
 use acoustic_ensembles::core::prelude::*;
 use acoustic_ensembles::river::fault::{DropCloses, FailAfter, TruncateAfter};
 use acoustic_ensembles::river::ops::ScopeRepair;
@@ -43,10 +43,11 @@ fn figure5_archive_sharded_equals_streaming() {
 
     for workers in [2usize, 3] {
         let mut sharded = Vec::new();
-        full_pipeline_sharded(cfg, true, workers)
-            .run(
+        full_pipeline(cfg, true)
+            .run_sharded(
                 clips_record_source(clips.clone(), cfg.sample_rate, cfg.record_len),
                 &mut sharded,
+                workers,
             )
             .unwrap();
         assert_eq!(single, sharded, "workers={workers}");
