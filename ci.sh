@@ -17,6 +17,7 @@
 #                        #   that cannot read CPU time at smoke size
 #   ./ci.sh docs         # rustdoc with warnings as errors (doctests run
 #                        #   under plain `cargo test`)
+#   ./ci.sh one_ledger   # the one-ledger source policy alone
 #
 # Requires only a Rust toolchain — the workspace has no network
 # dependencies (see DESIGN.md § Shims). Every phase prints its
@@ -181,6 +182,31 @@ one_door() {
     fi
 }
 
+# --- one per-stage ledger -------------------------------------------------
+# A stage's latency histogram lives in its `StageStats` and merges with
+# the counters (DESIGN.md §16). The shared timer registry, its fork and
+# merge, the counting and inspecting operators and the public items
+# nothing called must not come back, and the telemetry module keeps one
+# atomic: the event log's sequence counter.
+one_ledger() {
+    local gone='StageTimer|stage_timers|fork_stages|merge_stages|note_drop|RecordCounter'
+    gone+='|CounterHandle|CounterStats|Inspect::new|add_boxed|total_dropped|sessions_completed'
+    local atomics
+    if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
+        echo "one-ledger: a deleted per-stage account or unused item is named above;" \
+            "per-stage numbers live in StageStats" >&2
+        return 1
+    fi
+    atomics=$(grep -nE 'Atomic[A-Za-z0-9]*' crates/river/src/telemetry.rs |
+        grep -vE '^[0-9]+:use std::sync::atomic::\{AtomicU64, Ordering\};$|^[0-9]+: +seq: AtomicU64' || true)
+    if [ -n "$atomics" ]; then
+        echo "one-ledger: crates/river/src/telemetry.rs holds an atomic besides the" \
+            "event log's sequence counter:" >&2
+        echo "$atomics" >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -205,6 +231,10 @@ if [ "${1:-}" = "docs" ]; then
     docs_check
     exit 0
 fi
+if [ "${1:-}" = "one_ledger" ]; then
+    one_ledger
+    exit 0
+fi
 
 phase "unsafe-policy (one unsafe block, one exemption in dynamic-river)"
 unsafe_policy
@@ -220,6 +250,9 @@ no_coordinator
 
 phase "one-door (run_sharded shards, PipelineServer serves)"
 one_door
+
+phase "one-ledger (per-stage numbers live in StageStats)"
+one_ledger
 
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"

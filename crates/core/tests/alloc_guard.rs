@@ -14,10 +14,10 @@
 //! not in a `Vec` that is then copied).
 //!
 //! The telemetry layer rides in the same measured window (ISSUE 9
-//! satellite 4): [`StageTimer::record`] is pure atomics, and
-//! [`EventLog`] pushes are alloc-free once the preallocated ring has
-//! reached capacity — so a pipeline running with telemetry enabled
-//! keeps the steady-state zero-allocation property.
+//! satellite 4): [`HistogramSnapshot::record`] is plain adds into a
+//! fixed array, and [`EventLog`] pushes are alloc-free once the
+//! preallocated ring has reached capacity — so a pipeline running with
+//! telemetry enabled keeps the steady-state zero-allocation property.
 //!
 //! The counter wraps the system allocator, so the whole test binary
 //! shares it; the assertion brackets only the measured section, and the
@@ -25,7 +25,7 @@
 //! the measured window.
 
 use dynamic_river::operator::NullSink;
-use dynamic_river::telemetry::{EventKind, EventLog, StageTimer};
+use dynamic_river::telemetry::{EventKind, EventLog, HistogramSnapshot};
 use dynamic_river::{Operator, Payload, Record};
 use ensemble_core::ops::{SaxAnomaly, Spectrum, TriggerOp};
 use ensemble_core::{subtype, ExtractorConfig};
@@ -72,7 +72,7 @@ fn warm_spectral_kernels_do_not_allocate() {
     let mut mags = vec![0.0; n];
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
     let mut detector = BitmapAnomaly::new(AnomalyConfig::default());
-    let timer = StageTimer::new();
+    let mut latency = HistogramSnapshot::default();
     let events = EventLog::new(64);
 
     // Warm-up: let the detector fill its windows and both kernels
@@ -97,7 +97,7 @@ fn warm_spectral_kernels_do_not_allocate() {
         for &m in &mags {
             acc += detector.push(m * (1.0 + f64::from(round) * 1e-3));
         }
-        timer.record(u64::from(round) * 100 + 1);
+        latency.record(u64::from(round) * 100 + 1);
         events.push(EventKind::TriggerFire, 0, u64::from(round));
     }
     let after = ALLOCS.load(Ordering::Relaxed);
@@ -161,7 +161,7 @@ fn warm_spectral_kernels_do_not_allocate() {
         64,
         "trigger and spectrum: exactly one payload allocation per record each"
     );
-    assert_eq!(timer.histogram().count, 32);
+    assert_eq!(latency.count, 32);
     assert_eq!(events.len(), 64, "ring should sit exactly at capacity");
     assert_eq!(
         after - before,

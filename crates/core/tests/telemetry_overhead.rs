@@ -2,10 +2,10 @@
 //! satellite 4).
 //!
 //! With [`TelemetryConfig::Off`] the executor's only telemetry cost is
-//! a per-stage `Option<Arc<StageTimer>>` that is `None` (never taken)
+//! a per-stage latency histogram `Option` that is `None` (never taken)
 //! plus one disabled-event check — strictly less work than
 //! [`TelemetryConfig::Counters`], which takes that branch and pays the
-//! clock reads and atomic bucket updates. The pre-telemetry executor is
+//! clock reads and the histogram's bucket adds. The pre-telemetry executor is
 //! no longer in-tree to diff against, so this guard bounds the Off-mode
 //! overhead *a fortiori*: it runs the full fused Figure 5 chain with
 //! telemetry Off and with Counters and requires the **enabled** mode to

@@ -63,10 +63,11 @@
 //!   [`Diagnostic`]s, and every runner pre-flights the same analysis so
 //!   provably broken chains are refused before any record flows (see
 //!   `DESIGN.md` §15).
-//! - [`telemetry`] — runtime observability: lock-free per-stage
-//!   latency histograms, a bounded structured event log, and mergeable
-//!   [`telemetry::Snapshot`]s exposed by every runner behind a
-//!   [`telemetry::TelemetryConfig`] (see `DESIGN.md` §16).
+//! - [`telemetry`] — runtime observability behind a
+//!   [`telemetry::TelemetryConfig`]: per-stage latency histograms kept
+//!   in each stage's [`StageStats`] and merged with it, a bounded
+//!   structured event log, and mergeable [`telemetry::Snapshot`]s
+//!   exposed by every runner (see `DESIGN.md` §16).
 //! - [`fault`] — fault injection used by the resilience tests.
 //!
 //! ## Example: a scoped pipeline
@@ -133,17 +134,14 @@ pub mod prelude {
     pub use crate::codec::{DecodeEvent, Decoder, SampleEncoding, WireFormat};
     pub use crate::error::PipelineError;
     pub use crate::operator::{CountingSink, FnSink, NullSink, Operator, SharedSink, Sink};
-    pub use crate::ops::{
-        FnOp, Inspect, MapPayload, Passthrough, RecordCounter, RecordFilter, ScopeSum,
-    };
+    pub use crate::ops::{FnOp, MapPayload, Passthrough, RecordFilter, ScopeSum};
     pub use crate::pipeline::{Pipeline, StageStats, StreamStats};
     pub use crate::record::{Payload, Record, RecordKind};
     pub use crate::scope::{ScopeEvent, ScopeTracker};
     pub use crate::serve::{PipelineServer, ServerHandle, ServerReport, SessionReport};
     pub use crate::source::{ChainedSource, ChunkedF64Source, FnSource, Source};
     pub use crate::telemetry::{
-        EventKind, EventSeverity, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig,
-        TelemetryEvent,
+        EventKind, EventSeverity, EventSink, Snapshot, TelemetryConfig, TelemetryEvent,
     };
 }
 
@@ -156,4 +154,4 @@ pub use record::{Payload, Record, RecordKind};
 pub use scope::ScopeTracker;
 pub use serve::{PipelineServer, ServerHandle, ServerReport, SessionReport};
 pub use source::Source;
-pub use telemetry::{Snapshot, Telemetry, TelemetryConfig};
+pub use telemetry::{Snapshot, TelemetryConfig};

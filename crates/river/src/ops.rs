@@ -1,4 +1,5 @@
-//! General-purpose operators: map, filter, inspect, count, scope repair.
+//! General-purpose operators: map, filter, closures, scope sums, scope
+//! repair.
 //!
 //! The acoustic operators of the paper (`saxanomaly`, `trigger`,
 //! `cutter`, `spectrum`, …) live in the `ensemble-core` crate; these are the
@@ -136,49 +137,6 @@ where
     }
 }
 
-/// Invokes a closure on every record (for logging/metrics) and passes
-/// it through.
-#[derive(Clone)]
-pub struct Inspect<F> {
-    name: String,
-    f: F,
-}
-
-impl<F> Inspect<F>
-where
-    F: FnMut(&Record) + Send,
-{
-    /// Creates an inspector with a display name.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
-        Inspect {
-            name: name.into(),
-            f,
-        }
-    }
-}
-
-impl<F> Operator for Inspect<F>
-where
-    F: FnMut(&Record) + Send + Clone + 'static,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
-        (self.f)(&record);
-        out.push(record)
-    }
-
-    fn clone_op(&self) -> Option<Box<dyn Operator>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn signature(&self) -> Option<Signature> {
-        Some(Signature::passthrough())
-    }
-}
-
 /// A fully general closure operator.
 #[derive(Clone)]
 pub struct FnOp<F> {
@@ -213,97 +171,6 @@ where
 
     fn clone_op(&self) -> Option<Box<dyn Operator>> {
         Some(Box::new(self.clone()))
-    }
-}
-
-/// Counts records and payload bytes by kind; read the totals through the
-/// shared handle. Used by the data-reduction experiment and Figure 5's
-/// per-stage statistics.
-#[derive(Debug, Default)]
-pub struct RecordCounter {
-    stats: std::sync::Arc<std::sync::Mutex<CounterStats>>,
-}
-
-/// Totals accumulated by a [`RecordCounter`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CounterStats {
-    /// Data records seen.
-    pub data_records: u64,
-    /// Scope open records seen.
-    pub opens: u64,
-    /// Clean scope closes seen.
-    pub closes: u64,
-    /// Bad scope closes seen.
-    pub bad_closes: u64,
-    /// Total payload bytes across data records.
-    pub payload_bytes: u64,
-}
-
-impl CounterStats {
-    /// Total records of any kind.
-    pub fn total_records(&self) -> u64 {
-        self.data_records + self.opens + self.closes + self.bad_closes
-    }
-}
-
-/// Shared handle for reading a [`RecordCounter`]'s totals after the
-/// pipeline has run.
-#[derive(Debug, Clone, Default)]
-pub struct CounterHandle {
-    stats: std::sync::Arc<std::sync::Mutex<CounterStats>>,
-}
-
-impl CounterHandle {
-    /// Snapshot of the totals.
-    pub fn snapshot(&self) -> CounterStats {
-        *self.stats.lock().expect("counter lock poisoned")
-    }
-}
-
-impl RecordCounter {
-    /// Creates a counter and its read handle.
-    pub fn new() -> (Self, CounterHandle) {
-        let stats = std::sync::Arc::new(std::sync::Mutex::new(CounterStats::default()));
-        (
-            RecordCounter {
-                stats: stats.clone(),
-            },
-            CounterHandle { stats },
-        )
-    }
-}
-
-impl Operator for RecordCounter {
-    fn name(&self) -> &'static str {
-        "counter"
-    }
-
-    fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
-        {
-            let mut s = self.stats.lock().expect("counter lock poisoned");
-            match record.kind {
-                RecordKind::Data => {
-                    s.data_records += 1;
-                    s.payload_bytes += record.byte_len() as u64;
-                }
-                RecordKind::OpenScope => s.opens += 1,
-                RecordKind::CloseScope => s.closes += 1,
-                RecordKind::BadCloseScope => s.bad_closes += 1,
-            }
-        }
-        out.push(record)
-    }
-
-    /// Sharded clones all feed the same shared totals, so the handle
-    /// reports whole-run counts whatever the worker count.
-    fn clone_op(&self) -> Option<Box<dyn Operator>> {
-        Some(Box::new(RecordCounter {
-            stats: self.stats.clone(),
-        }))
-    }
-
-    fn signature(&self) -> Option<Signature> {
-        Some(Signature::passthrough())
     }
 }
 
@@ -529,32 +396,6 @@ mod tests {
         assert!(out
             .iter()
             .all(|r| r.kind != RecordKind::Data || r.subtype == 1));
-    }
-
-    #[test]
-    fn counter_tallies_kinds_and_bytes() {
-        let (counter, handle) = RecordCounter::new();
-        let mut p = Pipeline::new();
-        p.add(counter);
-        p.run(scoped_stream()).unwrap();
-        let s = handle.snapshot();
-        assert_eq!(s.data_records, 2);
-        assert_eq!(s.opens, 1);
-        assert_eq!(s.closes, 1);
-        assert_eq!(s.payload_bytes, 24);
-        assert_eq!(s.total_records(), 4);
-    }
-
-    #[test]
-    fn inspect_sees_every_record() {
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(0usize));
-        let seen2 = seen.clone();
-        let mut p = Pipeline::new();
-        p.add(Inspect::new("count", move |_r| {
-            *seen2.lock().expect("lock poisoned") += 1;
-        }));
-        p.run(scoped_stream()).unwrap();
-        assert_eq!(*seen.lock().expect("lock poisoned"), 4);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! buffering is bounded by operator-internal state (a cutter's open
 //! ensemble, a merger's group), never by stream length, and unbounded
 //! streams run in constant memory. A `Lane` (crate-private) is a chain
-//! being driven that way — operators, per-stage counters and timers,
-//! sink totals — and every runner is a policy for feeding lanes:
+//! being driven that way — operators, per-stage statistics, sink totals
+//! — and every runner is a policy for feeding lanes:
 //!
 //! - [`Pipeline::run_streaming`] — one lane, fed inline from a
 //!   [`Source`]; [`Pipeline::run`] collects its output.
@@ -29,8 +29,9 @@ use crate::error::PipelineError;
 use crate::operator::{Operator, Sink};
 use crate::record::{Record, RecordKind};
 use crate::source::Source;
-use crate::telemetry::{EventKind, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig};
-use std::sync::Arc;
+use crate::telemetry::{
+    EventKind, EventSink, HistogramSnapshot, Snapshot, Telemetry, TelemetryConfig,
+};
 use std::time::Instant;
 
 /// Nanoseconds since `started`, saturating at `u64::MAX`.
@@ -53,7 +54,8 @@ pub(crate) fn emit_scope_event(events: &EventSink, record: &Record) {
     }
 }
 
-/// Per-stage counters collected by the streaming driver.
+/// One stage's account of a run: the counters every runner returns and,
+/// under telemetry, its latency histogram — the only per-stage ledger.
 ///
 /// `peak_burst` is the observability hook for memory accounting: in the
 /// fused driver the only buffering is operator-internal, and whatever an
@@ -84,10 +86,11 @@ pub struct StageStats {
     /// `records_out`.
     pub records_dropped: u64,
     current_burst: u64,
-    /// Latency accounting hook ([`StageTimer`]), `None` when telemetry
-    /// is off. Excluded from equality: two stat sets that counted the
-    /// same records are equal regardless of timing.
-    pub(crate) timer: Option<Arc<StageTimer>>,
+    /// Per-record self-time histogram, recorded by the one lane that
+    /// owns the stage; `None` when telemetry is
+    /// [`TelemetryConfig::Off`]. Excluded from equality: two stat sets
+    /// that counted the same records are equal regardless of timing.
+    pub latency: Option<Box<HistogramSnapshot>>,
 }
 
 impl PartialEq for StageStats {
@@ -105,7 +108,7 @@ impl PartialEq for StageStats {
 impl Eq for StageStats {}
 
 impl StageStats {
-    fn with_timer(name: String, timer: Option<Arc<StageTimer>>) -> Self {
+    fn new(name: String, latency: Option<Box<HistogramSnapshot>>) -> Self {
         StageStats {
             name,
             records_in: 0,
@@ -115,7 +118,7 @@ impl StageStats {
             peak_burst: 0,
             records_dropped: 0,
             current_burst: 0,
-            timer,
+            latency,
         }
     }
 
@@ -139,7 +142,7 @@ impl StageStats {
     /// Folds another shard's counters for the same stage into this one:
     /// record/byte/drop totals add, `peak_burst` takes the maximum
     /// (each shard buffers independently, so the whole run's bound is
-    /// the worst shard's bound).
+    /// the worst shard's bound) and latency histograms add bucket-wise.
     pub fn merge(&mut self, other: &StageStats) {
         debug_assert_eq!(self.name, other.name, "merging stats of different stages");
         self.records_in += other.records_in;
@@ -148,6 +151,9 @@ impl StageStats {
         self.bytes_out += other.bytes_out;
         self.peak_burst = self.peak_burst.max(other.peak_burst);
         self.records_dropped += other.records_dropped;
+        if let (Some(mine), Some(theirs)) = (&mut self.latency, &other.latency) {
+            mine.merge(theirs);
+        }
     }
 }
 
@@ -169,12 +175,6 @@ impl StreamStats {
     /// bounds driver-visible buffering for the whole run.
     pub fn max_peak_burst(&self) -> u64 {
         self.stages.iter().map(|s| s.peak_burst).max().unwrap_or(0)
-    }
-
-    /// Total records consumed without output across all stages — the
-    /// runtime counterpart of the analyzer's dead-stage diagnostics.
-    pub fn total_dropped(&self) -> u64 {
-        self.stages.iter().map(|s| s.records_dropped).sum()
     }
 
     /// Aggregates another shard's run statistics into this one: stage
@@ -236,8 +236,7 @@ fn feed_chain(
         Some((op, rest_ops)) => {
             let (st, rest_stats) = stats.split_first_mut().expect("stats parallel ops");
             st.note_in(&record);
-            let timer = st.timer.clone();
-            let result = if let Some(timer) = &timer {
+            let result = if st.latency.is_some() {
                 // Self-time: the whole `on_record` call minus the time
                 // the recursive sink spent inside downstream stages.
                 let mut child_ns = 0u64;
@@ -254,7 +253,9 @@ fn feed_chain(
                     op.on_record(record, &mut sink)
                 };
                 let total_ns = elapsed_ns(started);
-                timer.record(total_ns.saturating_sub(child_ns));
+                if let Some(latency) = st.latency.as_deref_mut() {
+                    latency.record(total_ns.saturating_sub(child_ns));
+                }
                 if let Some(caller_ns) = caller_ns {
                     *caller_ns += total_ns;
                 }
@@ -272,9 +273,6 @@ fn feed_chain(
             };
             if result.is_ok() && st.current_burst == 0 {
                 st.records_dropped += 1;
-                if let Some(timer) = &timer {
-                    timer.note_drop();
-                }
             }
             result
         }
@@ -338,8 +336,8 @@ fn flush_chain(
     Ok(())
 }
 
-/// A chain being driven: its operators, per-stage counters and timers,
-/// sink totals and event sink — the one execution core under every
+/// A chain being driven: its operators, per-stage statistics, sink
+/// totals and event sink — the one execution core under every
 /// runner. The inline driver owns one lane, the sharded runtime one per
 /// worker and the server one per session; they differ only in who calls
 /// [`feed`](Self::feed) and where the sink leads.
@@ -352,9 +350,10 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// Pre-flights `chain` and, once it passes, moves its operators into
-    /// a new lane recording into `telemetry`: stage timers are fetched
-    /// by operator name and operators are attached to the event ring as
-    /// lane `lane_id`. A refused chain keeps its operators.
+    /// a new lane recording at `telemetry`'s level: each stage gets its
+    /// own histogram unless telemetry is off, and operators are attached
+    /// to the event ring as lane `lane_id`. A refused chain keeps its
+    /// operators.
     ///
     /// # Errors
     ///
@@ -367,12 +366,10 @@ impl Lane {
     ) -> Result<Self, PipelineError> {
         chain.preflight(false)?;
         let mut ops = std::mem::take(&mut chain.ops);
-        let names: Vec<String> = ops.iter().map(|op| op.name().to_string()).collect();
-        let timers = telemetry.stage_timers(&names);
-        let stats = names
-            .into_iter()
-            .zip(timers)
-            .map(|(name, timer)| StageStats::with_timer(name, timer))
+        let timed = telemetry.config().timers_enabled();
+        let stats = ops
+            .iter()
+            .map(|op| StageStats::new(op.name().to_string(), timed.then(Box::default)))
             .collect();
         let events = telemetry.event_sink(lane_id);
         if events.enabled() {
@@ -481,6 +478,11 @@ impl Lane {
 pub struct Pipeline {
     ops: Vec<Box<dyn Operator>>,
     telemetry: Telemetry,
+    /// Every run's stage statistics since the last
+    /// [`set_telemetry`](Self::set_telemetry), folded together while
+    /// histograms are recorded: what
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot) reads.
+    ledger: StreamStats,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -504,12 +506,6 @@ impl Pipeline {
         self
     }
 
-    /// Appends a boxed operator.
-    pub fn add_boxed(&mut self, op: Box<dyn Operator>) -> &mut Self {
-        self.ops.push(op);
-        self
-    }
-
     /// Appends every operator of `other`, in order — composes pipeline
     /// segments into longer chains without repeating their recipes.
     ///
@@ -530,31 +526,49 @@ impl Pipeline {
         self
     }
 
-    /// Enables telemetry at `config`, replacing any previous registry
-    /// (non-consuming builder, like [`add`](Self::add)).
+    /// Enables telemetry at `config`, starting a fresh event ring and
+    /// ledger (non-consuming builder, like [`add`](Self::add)).
     ///
-    /// With [`TelemetryConfig::Counters`] the runners populate lock-free
-    /// per-stage latency histograms; [`TelemetryConfig::Full`] adds the
-    /// structured event log. The default, [`TelemetryConfig::Off`],
-    /// costs the hot path one `Option` branch per stage. Read results
-    /// back with [`telemetry_snapshot`](Self::telemetry_snapshot).
+    /// With [`TelemetryConfig::Counters`] every stage's
+    /// [`StageStats::latency`] records a histogram;
+    /// [`TelemetryConfig::Full`] adds the structured event log. The
+    /// default, [`TelemetryConfig::Off`], costs the hot path one
+    /// `Option` branch per stage. Read results back from the returned
+    /// [`StreamStats`] or, folded over every run since this call, with
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot).
     pub fn set_telemetry(&mut self, config: TelemetryConfig) -> &mut Self {
         self.telemetry = Telemetry::new(config);
+        self.ledger = StreamStats::default();
         self
     }
 
-    /// A clone of the pipeline's [`Telemetry`] handle: the registry a
-    /// sharded run's workers record into, and the config a
+    /// A clone of the pipeline's telemetry: the level and event ring a
+    /// sharded run's workers record at, and the level a
     /// [`PipelineServer`](crate::serve::PipelineServer) gives each
     /// session.
     pub(crate) fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }
 
-    /// A point-in-time [`Snapshot`] of the pipeline's telemetry: one
-    /// latency histogram per stage plus the retained event log.
+    /// A point-in-time [`Snapshot`] of the pipeline's telemetry: each
+    /// stage's latency histogram and drop count, summed over every run
+    /// since [`set_telemetry`](Self::set_telemetry), plus the retained
+    /// event log.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.telemetry.snapshot()
+        self.telemetry.snapshot(&self.ledger.stages, None)
+    }
+
+    /// Folds one run's statistics into the ledger while histograms are
+    /// recorded. A chain that grew since the last run starts a fresh
+    /// ledger.
+    fn fold_ledger(&mut self, stats: &StreamStats) {
+        if !self.telemetry.config().timers_enabled() {
+            return;
+        }
+        if self.ledger.stages.len() != stats.stages.len() {
+            self.ledger = StreamStats::default();
+        }
+        self.ledger.merge(stats);
     }
 
     /// Number of operators.
@@ -596,9 +610,9 @@ impl Pipeline {
         }
         Ok(Pipeline {
             ops,
-            // Clones share the registry: every worker driving a cloned
-            // chain records into the same per-stage histograms.
+            // Clones share the level and the event ring, not the ledger.
             telemetry: self.telemetry.clone(),
+            ledger: StreamStats::default(),
         })
     }
 
@@ -688,9 +702,12 @@ impl Pipeline {
         let mut lane = Lane::new(self, &telemetry, 0)?;
         let driven = lane.drive(&mut source, sink);
         // The pipeline keeps its operators, and whatever state they
-        // hold, across runs — also when this one failed.
+        // hold, across runs — also when this one failed, whose counts
+        // still reach the ledger.
         self.ops = std::mem::take(&mut lane.ops);
-        Ok(lane.into_stats(driven?))
+        let stats = lane.into_stats(*driven.as_ref().unwrap_or(&0));
+        self.fold_ledger(&stats);
+        driven.map(|_| stats)
     }
 
     /// Runs the pipeline data-parallel across `workers` shards: the
@@ -702,11 +719,12 @@ impl Pipeline {
     /// [`run_streaming`](Self::run_streaming) for scope-local chains
     /// (see [`crate::shard`] for the exact contract).
     ///
-    /// The pipeline itself is left untouched (workers run clones), so
-    /// it can be reused afterwards. Every worker records into the
-    /// pipeline's telemetry registry: read the run's per-stage
-    /// histograms, aggregated across shards, from
-    /// [`telemetry_snapshot`](Self::telemetry_snapshot).
+    /// The pipeline's operators are left untouched (workers run
+    /// clones), so it can be reused afterwards. The shards' statistics,
+    /// latency histograms included, merge into the returned
+    /// [`StreamStats`] and fold into what
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot) reports, as
+    /// [`run_streaming`](Self::run_streaming)'s do.
     ///
     /// # Errors
     ///
@@ -720,12 +738,14 @@ impl Pipeline {
     ///
     /// Panics if `workers == 0`.
     pub fn run_sharded(
-        &self,
+        &mut self,
         source: impl Source + Send,
         sink: &mut dyn Sink,
         workers: usize,
     ) -> Result<StreamStats, PipelineError> {
-        crate::shard::run(self, source, sink, workers)
+        let stats = crate::shard::run(self, source, sink, workers)?;
+        self.fold_ledger(&stats);
+        Ok(stats)
     }
 
     /// Runs the pipeline over `input`, collecting the final stage's
@@ -949,6 +969,33 @@ mod tests {
         // Each record payload is one f64.
         assert_eq!(stats.stages[0].bytes_in, 80);
         assert_eq!(stats.sink_bytes, 15 * 8);
+    }
+
+    #[test]
+    fn telemetry_ledger_accumulates_runs_until_reset() {
+        let mut p = Pipeline::new();
+        p.add(Passthrough);
+        p.add(RecordFilter::new("evens", |r: &Record| {
+            r.seq.is_multiple_of(2)
+        }));
+        p.run(numbered(4)).unwrap();
+        assert!(p.telemetry_snapshot().stages.is_empty());
+
+        p.set_telemetry(TelemetryConfig::Counters);
+        let first = p
+            .run_streaming(numbered(4).into_iter(), &mut NullSink)
+            .unwrap();
+        assert_eq!(first.stages[1].latency.as_ref().unwrap().count, 4);
+        p.run_sharded(numbered(6).into_iter(), &mut NullSink, 2)
+            .unwrap();
+        let snapshot = p.telemetry_snapshot();
+        let names: Vec<&str> = snapshot.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["passthrough", "evens"]);
+        assert_eq!(snapshot.stages[0].latency.count, 10);
+        assert_eq!(snapshot.stages[1].drops, 2 + 3);
+
+        p.set_telemetry(TelemetryConfig::Counters);
+        assert!(p.telemetry_snapshot().stages.is_empty());
     }
 
     #[test]

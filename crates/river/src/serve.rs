@@ -53,14 +53,13 @@
 //!    session (its [`StreamEnd`], record/byte counts and per-stage
 //!    [`StreamStats`]) plus the aggregate via [`StreamStats::merge`].
 //! 6. **Telemetry.** With [`PipelineServer::set_telemetry`] enabled,
-//!    each session forks its own stage timers
-//!    ([`crate::telemetry::Telemetry::fork_stages`]) and shares one
-//!    event ring (lane = session id), now including per-session
-//!    keepalive and timeout events. Session summaries carry wall-clock
-//!    duration, wire-idle time and a per-session
-//!    [`crate::telemetry::Snapshot`]; the final report merges them,
-//!    and [`ServerHandle::telemetry_snapshot`] reads the live event
-//!    stream while the server runs.
+//!    each session's lane records latency histograms in its own
+//!    [`StreamStats`], and all sessions share one event ring (lane =
+//!    session id), including per-session keepalive and timeout events.
+//!    Session summaries carry wall-clock duration, wire-idle time and a
+//!    per-session [`crate::telemetry::Snapshot`]; the final report's is
+//!    the view of the aggregate, and [`ServerHandle::telemetry_snapshot`]
+//!    reads the live event stream while the server runs.
 //!
 //! A session moves through four states: *accepting* → *resident* (its
 //! data plane rests with the loop, its socket in the poll set) ⇄ *on a
@@ -220,11 +219,10 @@ pub struct SessionReport {
     /// chain. An idle session holds no thread, so this is bookkeeping,
     /// not a parked resource.
     pub idle: Duration,
-    /// The session's telemetry [`Snapshot`]: its own per-stage latency
-    /// histograms (each session forks fresh timers,
-    /// [`Telemetry::fork_stages`]) plus the events its lane (= session
-    /// id) emitted. Empty when the server's telemetry is
-    /// [`TelemetryConfig::Off`].
+    /// The session's telemetry [`Snapshot`]: the per-stage latency
+    /// histograms and drop counts of [`stats`](Self::stats) plus the
+    /// events its lane (= session id) emitted. Empty when the server's
+    /// telemetry is [`TelemetryConfig::Off`].
     pub telemetry: Snapshot,
 }
 
@@ -261,11 +259,10 @@ pub struct ServerReport {
     /// (chain construction failure, fatal listener error). Completed
     /// sessions are still fully reported.
     pub accept_error: Option<String>,
-    /// Merged telemetry across the whole run: every session's stage
-    /// histograms folded bucket-wise ([`Snapshot::merge_stages`] — the
-    /// sessions share one event ring, so events are taken once from the
-    /// server's log rather than re-merged per session) plus the full
-    /// interleaved event list.
+    /// Merged telemetry across the whole run: the per-stage latency
+    /// histograms and drop counts of [`aggregate`](Self::aggregate),
+    /// folded with it, plus the full interleaved event list of the
+    /// sessions' shared ring.
     pub telemetry: Snapshot,
 }
 
@@ -339,10 +336,8 @@ impl PipelineServer {
             max_sessions: default_parallelism(),
             workers: default_parallelism(),
             idle_timeout: None,
-            // Inherit the pipeline's telemetry *config* but not its
-            // registry: server sessions fork their own timers, and
-            // sharing the source pipeline's histograms would mix any
-            // pre-server runs into the server's report.
+            // Inherit the pipeline's telemetry level, on a ring of the
+            // server's own.
             telemetry: Telemetry::new(pipeline.telemetry().config()),
         })
     }
@@ -359,14 +354,14 @@ impl PipelineServer {
             max_sessions: default_parallelism(),
             workers: default_parallelism(),
             idle_timeout: None,
-            telemetry: Telemetry::off(),
+            telemetry: Telemetry::default(),
         }
     }
 
-    /// Enables telemetry for the server: every session gets its own
-    /// stage timers ([`Telemetry::fork_stages`]) and all sessions share
-    /// one event ring, with each session's events tagged by its id as
-    /// the lane. Read results per session from
+    /// Enables telemetry for the server: every session's lane records
+    /// its stages' latency histograms, and all sessions share one event
+    /// ring, with each session's events tagged by its id as the lane.
+    /// Read results per session from
     /// [`SessionReport::telemetry`], merged from
     /// [`ServerReport::telemetry`], or live from
     /// [`ServerHandle::telemetry_snapshot`].
@@ -504,24 +499,11 @@ impl ServerHandle {
 
     /// A live telemetry [`Snapshot`] of the running server: the shared
     /// event ring (all sessions interleaved, lane = session id), read
-    /// without stopping anything. Per-session stage histograms are
-    /// forked per session and land in each [`SessionReport::telemetry`]
+    /// without stopping anything. Stage histograms live in each
+    /// session's statistics and land in its [`SessionReport::telemetry`]
     /// (merged in [`ServerReport::telemetry`]) when the session ends.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.telemetry.snapshot()
-    }
-
-    /// Number of sessions fully served so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a service thread panicked while holding the counter.
-    pub fn sessions_completed(&self) -> u64 {
-        *self
-            .progress
-            .completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.telemetry.snapshot(&[], None)
     }
 
     /// Blocks until at least `n` sessions have been fully served —
@@ -775,8 +757,8 @@ enum Outcome<R> {
 /// Runs one job on the calling (worker) thread; `contended` answers
 /// whether another job is waiting for the pool ([`Plane::run`]). A
 /// panicking operator or sink is caught, so the pool thread survives
-/// and the session is reported with the counters its assembler had
-/// reached.
+/// and the session is reported with the counts its assembler and lane
+/// had reached.
 fn run_job<R: io::Read>(
     mut plane: Box<Plane<R>>,
     reap: Option<Duration>,
@@ -794,15 +776,15 @@ fn run_job<R: io::Read>(
                 ..
             } = *plane;
             // The chain may be mid-unwind-poisoned; dropping it can
-            // itself panic, which must not take the worker down.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                drop((lane, sink));
-            }));
-            Outcome::Closed(Ended::new(
-                &assembler,
-                StreamStats::default(),
-                Some(message),
-            ))
+            // itself panic, which must not take the worker down, and
+            // costs the session its stage counts only then.
+            let received = assembler.received();
+            let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                drop(sink);
+                lane.into_stats(received)
+            }))
+            .unwrap_or_default();
+            Outcome::Closed(Ended::new(&assembler, stats, Some(message)))
         }
     }
 }
@@ -829,8 +811,6 @@ struct Session {
     plane: Option<Box<Plane<TcpStream>>>,
     /// Loop-side event sink (same ring and lane as the chain's).
     events: EventSink,
-    /// Per-session telemetry fork, for the closing snapshot.
-    telemetry: Telemetry,
     started: Instant,
     /// The last non-empty read of the session's wire (or its accept).
     last_activity: Instant,
@@ -839,12 +819,14 @@ struct Session {
     jobs: u64,
 }
 
-/// The loop's books: live sessions, finished reports and the
-/// completed-session counter behind [`ServerHandle::wait_for_completed`].
+/// The loop's books: live sessions, finished reports, the
+/// completed-session counter behind [`ServerHandle::wait_for_completed`]
+/// and the telemetry each closing report reads.
 struct Roster<'a> {
     sessions: HashMap<u64, Session>,
     reports: Vec<SessionReport>,
     progress: &'a Progress,
+    telemetry: &'a Telemetry,
 }
 
 /// What each slot in the poll set refers to.
@@ -908,6 +890,7 @@ where
         sessions: HashMap::new(),
         reports: Vec::new(),
         progress,
+        telemetry,
     };
     let mut accept_error: Option<String> = None;
     let mut accepting = true;
@@ -1004,13 +987,10 @@ where
     let mut reports = roster.reports;
     reports.sort_by_key(|s| s.id);
     let mut aggregate = StreamStats::default();
-    // Events come once from the shared ring (already interleaved across
-    // sessions); only the per-session stage histograms need folding.
-    let mut merged_telemetry = telemetry.snapshot();
     for s in &reports {
         aggregate.merge(&s.stats);
-        merged_telemetry.merge_stages(&s.telemetry);
     }
+    let merged_telemetry = telemetry.snapshot(&aggregate.stages, None);
     Ok(ServerReport {
         sessions: reports,
         aggregate,
@@ -1106,9 +1086,9 @@ where
     }
 }
 
-/// Builds the resident state for a freshly accepted session: telemetry
-/// forked, the chain pre-flighted into the session's lane (lane id =
-/// session id), accept event emitted.
+/// Builds the resident state for a freshly accepted session: the chain
+/// pre-flighted into the session's lane (lane id = session id), accept
+/// event emitted.
 fn open_session(
     info: SessionInfo,
     stream: TcpStream,
@@ -1117,9 +1097,8 @@ fn open_session(
     telemetry: &Telemetry,
     now: Instant,
 ) -> Result<Session, PipelineError> {
-    let fork = telemetry.fork_stages();
-    let lane = Lane::new(&mut chain, &fork, info.id)?;
-    let events = fork.event_sink(info.id);
+    let lane = Lane::new(&mut chain, telemetry, info.id)?;
+    let events = telemetry.event_sink(info.id);
     events.emit(EventKind::SessionAccept, info.id);
     Ok(Session {
         info,
@@ -1131,7 +1110,6 @@ fn open_session(
             sink,
         })),
         events,
-        telemetry: fork,
         started: now,
         last_activity: now,
         busy: Duration::ZERO,
@@ -1203,7 +1181,7 @@ impl Roster<'_> {
                 self.sessions.insert(done.sid, s);
             }
             Outcome::Closed(ended) => {
-                self.reports.push(close_session(s, ended));
+                self.reports.push(close_session(s, ended, self.telemetry));
                 self.progress.bump();
             }
         }
@@ -1211,13 +1189,14 @@ impl Roster<'_> {
 }
 
 /// Builds the session's final report and emits its closing event.
-fn close_session(s: Session, ended: Ended) -> SessionReport {
+fn close_session(s: Session, ended: Ended, telemetry: &Telemetry) -> SessionReport {
     if ended.error.is_some() {
         s.events.emit(EventKind::SessionError, s.info.id);
     } else {
         s.events.emit(EventKind::SessionDrain, ended.received);
     }
     let duration = s.started.elapsed();
+    let snapshot = telemetry.snapshot(&ended.stats.stages, Some(s.info.id));
     SessionReport {
         id: s.info.id,
         peer: s.info.peer,
@@ -1230,7 +1209,7 @@ fn close_session(s: Session, ended: Ended) -> SessionReport {
         error: ended.error,
         duration,
         idle: duration.saturating_sub(s.busy),
-        telemetry: s.telemetry.snapshot_for_lane(s.info.id),
+        telemetry: snapshot,
     }
 }
 
@@ -1519,7 +1498,6 @@ mod tests {
             c.join().unwrap();
         }
         handle.wait_for_completed(3);
-        assert_eq!(handle.sessions_completed(), 3);
         let report = shutdown_checked(handle);
         assert_eq!(report.sessions.len(), 3);
         assert_eq!(report.clean_sessions(), 3);
@@ -1571,6 +1549,78 @@ mod tests {
     }
 
     #[test]
+    fn panicked_session_keeps_its_counts() {
+        // The sink panics on its third push: the lane had counted three
+        // records into `double`, and the report keeps them.
+        struct PanicOnThird(u64);
+        impl Sink for PanicOnThird {
+            fn push(&mut self, _record: Record) -> Result<(), PipelineError> {
+                self.0 += 1;
+                assert!(self.0 < 3, "sink exploded");
+                Ok(())
+            }
+        }
+        let mut server = PipelineServer::from_pipeline(&doubling_chain()).unwrap();
+        server.set_telemetry(TelemetryConfig::Counters);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = server
+            .start(listener, |_info| Box::new(PanicOnThird(0)))
+            .unwrap();
+        send_all(handle.local_addr(), &scoped_records(1.0, 5)).unwrap();
+        handle.wait_for_completed(1);
+        let report = shutdown_checked(handle);
+        let s = &report.sessions[0];
+        assert!(s.error.as_deref().unwrap().contains("panicked"));
+        assert_eq!(s.received, 3);
+        assert_eq!(s.stats.source_records, 3);
+        assert_eq!(s.stats.stages.len(), 1);
+        assert_eq!(s.stats.stages[0].records_in, 3);
+        assert_eq!(report.aggregate.stages[0].name, "double");
+        assert_eq!(report.aggregate.stages[0].records_in, 3);
+        let stat_names: Vec<&str> = s.stats.stages.iter().map(|st| st.name.as_str()).collect();
+        for telemetry in [&s.telemetry, &report.telemetry] {
+            let names: Vec<&str> = telemetry.stages.iter().map(|st| st.name.as_str()).collect();
+            assert_eq!(names, stat_names);
+        }
+    }
+
+    #[test]
+    fn same_named_stages_stay_apart() {
+        let mut server = PipelineServer::from_factory(|_id| {
+            let mut p = Pipeline::new();
+            p.add(MapPayload::new("gain", |v: &mut [f64]| {
+                v.iter_mut().for_each(|x| *x *= 2.0);
+            }));
+            p.add(MapPayload::new("gain", |v: &mut [f64]| {
+                v.iter_mut().for_each(|x| *x *= 3.0);
+            }));
+            p
+        });
+        server
+            .set_telemetry(TelemetryConfig::Counters)
+            .set_max_sessions(2);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (handle, _outputs) = start_collecting(server, listener);
+        let addr = handle.local_addr();
+        send_all(addr, &scoped_records(1.0, 2)).unwrap();
+        send_all(addr, &scoped_records(2.0, 2)).unwrap();
+        handle.wait_for_completed(2);
+        let report = shutdown_checked(handle);
+        for s in &report.sessions {
+            assert_eq!(s.telemetry.stages.len(), 2);
+            for (seen, counted) in s.telemetry.stages.iter().zip(&s.stats.stages) {
+                assert_eq!(seen.latency.count, counted.records_in);
+            }
+        }
+        assert_eq!(report.telemetry.stages.len(), 2);
+        for (seen, counted) in report.telemetry.stages.iter().zip(&report.aggregate.stages) {
+            assert_eq!(seen.name, "gain");
+            assert_eq!(seen.latency.count, counted.records_in);
+            assert_eq!(seen.latency.count, 8);
+        }
+    }
+
+    #[test]
     fn sessions_carry_telemetry_timing_and_merged_snapshot() {
         let mut pipeline = doubling_chain();
         pipeline.set_telemetry(crate::telemetry::TelemetryConfig::Full);
@@ -1597,7 +1647,7 @@ mod tests {
         let report = shutdown_checked(handle);
         assert_eq!(report.clean_sessions(), 2);
         for s in &report.sessions {
-            // Stage timers are per-session: the one "double" stage saw
+            // Stage histograms are per-session: the one "double" stage saw
             // exactly this session's records (data + scope framing).
             assert_eq!(s.telemetry.stages.len(), 1);
             assert_eq!(s.telemetry.stages[0].name, "double");

@@ -15,7 +15,8 @@
 //!   the records a fresh [`RecordAssembler`] makes of the bytes
 //!   delivered, plus the `BadCloseScope` repair suffix (DESIGN §12);
 //! - `received`, `wire_bytes`, `keepalives` and the [`StreamEnd`] equal
-//!   that assembler's, and survive a panic in the chain;
+//!   that assembler's, and survive a panic in the chain, as do the
+//!   lane's stage counts;
 //! - a job asks whether another job waits only once it has fed
 //!   [`BATCH_RECORDS`], and yields with its wire live exactly when told
 //!   one does — so an uncontended job yields only when its wire blocks
@@ -515,13 +516,14 @@ fn run_seed(seed: u64) -> Verdict {
         .unwrap();
     assert_eq!(ended.wire_bytes, delivered.len() as u64, "seed {seed}");
     if panicked {
-        // The record that blew up the sink was pulled, so it counts;
-        // the lane's statistics went down with the chain.
+        // The record that blew up the sink was pulled, so it counts,
+        // in the assembler and in the lane's statistics alike.
         let at = panic_at.unwrap();
         assert_eq!(o.fed.len(), at, "seed {seed}: panicked early");
         assert_eq!(sink, expected[..at - 1], "seed {seed}");
         assert_eq!(ended.received, o.received_after[at - 1], "seed {seed}");
-        assert_eq!(ended.stats, StreamStats::default(), "seed {seed}");
+        assert_eq!(ended.stats.source_records, ended.received, "seed {seed}");
+        assert_eq!(ended.stats.stages[0].records_in, at as u64, "seed {seed}");
         assert_eq!(
             ended.error.as_deref(),
             Some("session panicked: sink exploded")
@@ -540,7 +542,7 @@ fn run_seed(seed: u64) -> Verdict {
             // One event per keepalive, numbered in wire order (a
             // firehose's scope events would crowd them off the ring).
             let pings: Vec<u64> = telemetry
-                .snapshot()
+                .snapshot(&[], None)
                 .events
                 .iter()
                 .filter(|e| e.kind == EventKind::SessionKeepalive)

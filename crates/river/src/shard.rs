@@ -51,11 +51,13 @@
 //!
 //! # Telemetry
 //!
-//! Every worker records into the pipeline's own registry
-//! ([`Pipeline::set_telemetry`]): per-stage histograms aggregate across
-//! shards, so [`Pipeline::telemetry_snapshot`] after the run holds a
-//! single-lane run's totals. Events carry each worker's lane (`1 +
-//! worker index`); the splitter and merge use lane 0.
+//! Each worker's lane records its stages' latency histograms at the
+//! pipeline's level ([`Pipeline::set_telemetry`]) into its own
+//! [`StreamStats`], and the merge folds them bucket-wise with the
+//! counters, so the returned stats — and [`Pipeline::telemetry_snapshot`]
+//! after the run — hold a single-lane run's totals. Events go to the
+//! pipeline's one ring, tagged with each worker's lane (`1 + worker
+//! index`); the splitter and merge use lane 0.
 //!
 //! # Example
 //!
@@ -160,8 +162,6 @@ pub(crate) fn run(
     // offending operator named, instead of failing at shard-spawn or
     // mid-stream.
     pipeline.preflight(true)?;
-    // All lanes fetch the pipeline's per-stage timers (matched by name),
-    // so their latencies aggregate lock-free into one histogram per stage.
     let telemetry = pipeline.telemetry();
     let mut lanes = Vec::with_capacity(workers);
     for w in 0..workers {
@@ -418,7 +418,7 @@ mod tests {
     use super::*;
     use crate::fault::FailAfter;
     use crate::operator::{CountingSink, NullSink, Operator};
-    use crate::ops::{MapPayload, Passthrough, RecordCounter, RecordFilter, ScopeRepair, ScopeSum};
+    use crate::ops::{MapPayload, Passthrough, RecordFilter, ScopeRepair, ScopeSum};
     use crate::record::{Payload, RecordKind};
     use crate::source::FnSource;
 
@@ -685,19 +685,6 @@ mod tests {
             d.kind == crate::analyze::DiagnosticKind::ShardUnsafe && d.operator == "opaque"
         }));
         assert!(err.to_string().contains("opaque"));
-    }
-
-    #[test]
-    fn record_counter_clones_share_one_handle() {
-        let (counter, handle) = RecordCounter::new();
-        let mut p = Pipeline::new();
-        p.add(counter);
-        p.run_sharded(clip_stream(6, 3).into_iter(), &mut NullSink, 3)
-            .unwrap();
-        let s = handle.snapshot();
-        assert_eq!(s.data_records, 18);
-        assert_eq!(s.opens, 6);
-        assert_eq!(s.closes, 6);
     }
 
     #[test]

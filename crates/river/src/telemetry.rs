@@ -2,24 +2,26 @@
 //! tracing, and mergeable snapshots (`DESIGN.md` §16).
 //!
 //! The paper's rivers are meant to run unattended for weeks on
-//! distributed hosts; `StreamStats` counters alone cannot answer *where
-//! time is going* or *why a session fell behind*. This module is the
-//! zero-dependency substrate every runner threads through:
+//! distributed hosts; record counts alone cannot answer *where time is
+//! going* or *why a session fell behind*. There is one per-stage
+//! account — the lane's [`StageStats`] — and this module adds what it
+//! records under [`TelemetryConfig`] and how it is read:
 //!
-//! - [`StageTimer`] — lock-free per-operator wall-clock accounting.
-//!   Latencies are recorded into a fixed array of 64 log2 buckets of
-//!   `AtomicU64`, so sharded workers hammer the same timer without a
-//!   lock and p50/p90/p99/max stay derivable after the fact.
+//! - [`HistogramSnapshot`] — a stage's self-time per record in 64 log2
+//!   buckets, so p50/p90/p99/max stay derivable after the fact. The one
+//!   lane that owns a stage records into it with plain adds; shards and
+//!   sessions fold bucket-wise when their stats merge
+//!   ([`StreamStats::merge`]).
 //! - [`EventLog`] — a bounded ring buffer of [`TelemetryEvent`]s with
-//!   monotonic sequence numbers.
-//! - [`Telemetry`] — the cloneable registry handle runners share, and
-//!   [`Snapshot`] — the mergeable, serializable view exposed by
-//!   `Pipeline::telemetry_snapshot()` and friends. Histograms merge
-//!   bucket-wise; events interleave by sequence number.
+//!   monotonic sequence numbers, shared by every lane of a run.
+//! - [`Snapshot`] — the serializable view exposed by
+//!   `Pipeline::telemetry_snapshot()` and the server reports: each
+//!   stage's histogram and drop count, read off the stats, plus the
+//!   retained events. Snapshots merge: histograms bucket-wise, events
+//!   by sequence number.
 //!
-//! Everything is gated on [`TelemetryConfig`]: `Off` keeps the hot path
-//! at a single `Option` branch per stage, `Counters` turns on the
-//! histograms, `Full` adds event tracing.
+//! `Off` keeps the hot path at a single branch per stage, `Counters`
+//! turns on the histograms, `Full` adds event tracing.
 //!
 //! ```
 //! use dynamic_river::prelude::*;
@@ -35,19 +37,24 @@
 //!     Record::data(0, Payload::f64(vec![6.0, 8.0])),
 //! ];
 //! let mut out = Vec::new();
-//! pipeline.run_streaming(records.into_iter(), &mut out).unwrap();
+//! let stats = pipeline.run_streaming(records.into_iter(), &mut out).unwrap();
+//! assert_eq!(stats.stages[0].latency.as_ref().unwrap().count, 2);
 //!
 //! let snapshot = pipeline.telemetry_snapshot();
 //! let gain = snapshot.stages.iter().find(|s| s.name == "gain").unwrap();
 //! assert_eq!(gain.latency.count, 2); // one observation per record
 //! assert!(snapshot.to_json().starts_with("{\"stages\": ["));
 //! ```
+//!
+//! [`StageStats`]: crate::pipeline::StageStats
+//! [`StreamStats::merge`]: crate::pipeline::StreamStats::merge
 
+use crate::pipeline::StageStats;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Number of log2 latency buckets in a [`StageTimer`] histogram.
+/// Number of log2 latency buckets in a [`HistogramSnapshot`].
 ///
 /// Bucket `b` covers `[2^b, 2^(b+1))` nanoseconds (bucket 0 also
 /// absorbs 0 ns), so 64 buckets span every representable `u64` latency.
@@ -63,15 +70,15 @@ pub enum TelemetryConfig {
     /// stage; no clocks are read and no events are buffered.
     #[default]
     Off,
-    /// Latency histograms and drop counters only (two monotonic clock
-    /// reads per stage per record, all updates lock-free atomics).
+    /// Latency histograms only (two monotonic clock reads per stage per
+    /// record, recorded into the lane's own stage statistics).
     Counters,
     /// Histograms plus structured event tracing into the [`EventLog`].
     Full,
 }
 
 impl TelemetryConfig {
-    /// Whether stage timers (latency histograms) are recorded.
+    /// Whether per-stage latency histograms are recorded.
     pub fn timers_enabled(self) -> bool {
         !matches!(self, TelemetryConfig::Off)
     }
@@ -336,79 +343,7 @@ impl EventSink {
     }
 }
 
-/// Lock-free per-stage accounting: a log2 latency histogram plus a
-/// drop counter, updated with relaxed atomics so any number of sharded
-/// workers can record into the same timer without contention.
-///
-/// Counts are exact once the recording threads have quiesced (joined);
-/// a snapshot taken mid-flight may straddle a concurrent record.
-#[derive(Debug)]
-pub struct StageTimer {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-    drops: AtomicU64,
-}
-
-impl StageTimer {
-    /// A zeroed timer.
-    pub fn new() -> Self {
-        StageTimer {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-        }
-    }
-
-    /// The log2 bucket for a latency: `floor(log2(ns))`, with 0 ns
-    /// folded into bucket 0.
-    pub fn bucket_index(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        }
-    }
-
-    /// Records one per-record latency observation.
-    pub fn record(&self, ns: u64) {
-        self.buckets[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Counts a record consumed without emitting any output.
-    pub fn note_drop(&self) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records consumed without emitting any output.
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy of the histogram.
-    pub fn histogram(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for StageTimer {
-    fn default() -> Self {
-        StageTimer::new()
-    }
-}
-
-/// A frozen copy of a [`StageTimer`] histogram.
+/// A log2 latency histogram: one stage's per-record self-times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (bucket `b` = `[2^b, 2^(b+1))` ns).
@@ -433,6 +368,24 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The log2 bucket for a latency: `floor(log2(ns))`, with 0 ns
+    /// folded into bucket 0.
+    pub fn bucket_index(ns: u64) -> usize {
+        if ns == 0 {
+            0
+        } else {
+            63 - ns.leading_zeros() as usize
+        }
+    }
+
+    /// Records one per-record latency observation.
+    pub fn record(&mut self, ns: u64) {
+        self.buckets[Self::bucket_index(ns)] += 1;
+        self.count += 1;
+        self.sum_ns += ns;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
     /// Bucket-wise merge: after merging, percentiles reflect the union
     /// of both observation sets.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -499,7 +452,8 @@ pub struct StageSnapshot {
     pub drops: u64,
 }
 
-/// A mergeable, serializable view of a [`Telemetry`] registry.
+/// A mergeable, serializable view of a run's per-stage statistics and
+/// its event ring.
 ///
 /// Merging is commutative and associative: histograms add bucket-wise
 /// (stages matched by name, unknown stages appended), event lists merge
@@ -518,17 +472,6 @@ impl Snapshot {
     /// Merges `other` into `self`: stage histograms bucket-wise by
     /// name, events interleaved by sequence.
     pub fn merge(&mut self, other: &Snapshot) {
-        self.merge_stages(other);
-        self.events.extend_from_slice(&other.events);
-        self.events.sort_unstable();
-        self.events_dropped += other.events_dropped;
-    }
-
-    /// Merges only the per-stage histograms and drop counters from
-    /// `other`, leaving events untouched. Used when the event lists
-    /// already share one ring (e.g. server sessions forked from one
-    /// registry) and a full merge would double-count them.
-    pub fn merge_stages(&mut self, other: &Snapshot) {
         for stage in &other.stages {
             if let Some(mine) = self.stages.iter_mut().find(|s| s.name == stage.name) {
                 mine.latency.merge(&stage.latency);
@@ -537,6 +480,9 @@ impl Snapshot {
                 self.stages.push(stage.clone());
             }
         }
+        self.events.extend_from_slice(&other.events);
+        self.events.sort_unstable();
+        self.events_dropped += other.events_dropped;
     }
 
     /// Total records observed across all stages.
@@ -638,63 +584,38 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-struct StageEntry {
-    name: String,
-    timer: Arc<StageTimer>,
-}
-
-/// The cloneable telemetry registry handle a runner carries.
-///
-/// Clones share everything (config, event log, stage timers), which is
-/// how sharded workers aggregate into one set of histograms.
-/// [`Telemetry::fork_stages`] instead shares the config and event log
-/// but starts fresh timers — the shape server sessions need for
-/// per-session accounting against a common event stream.
+/// What a runner records beyond its stage statistics: the level, and
+/// the event ring every lane of the run shares. Clones share the ring.
 #[derive(Debug, Clone)]
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     config: TelemetryConfig,
     events: Arc<EventLog>,
-    stages: Arc<Mutex<Vec<StageEntry>>>,
-}
-
-impl std::fmt::Debug for StageEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageEntry")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for Telemetry {
     fn default() -> Self {
-        Telemetry::off()
+        Telemetry::new(TelemetryConfig::Off)
     }
 }
 
 impl Telemetry {
-    /// A registry recording at `config` whose event ring retains at
-    /// most [`DEFAULT_EVENT_CAPACITY`] events.
-    pub fn new(config: TelemetryConfig) -> Self {
+    /// Telemetry at `config` whose event ring retains at most
+    /// [`DEFAULT_EVENT_CAPACITY`] events.
+    pub(crate) fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             config,
             events: Arc::new(EventLog::new(DEFAULT_EVENT_CAPACITY)),
-            stages: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
-    /// A disabled registry (the default for every runner).
-    pub fn off() -> Self {
-        Telemetry::new(TelemetryConfig::Off)
-    }
-
     /// The recording level.
-    pub fn config(&self) -> TelemetryConfig {
+    pub(crate) fn config(&self) -> TelemetryConfig {
         self.config
     }
 
     /// An [`EventSink`] for `lane`, disabled unless the config is
     /// [`TelemetryConfig::Full`].
-    pub fn event_sink(&self, lane: u64) -> EventSink {
+    pub(crate) fn event_sink(&self, lane: u64) -> EventSink {
         if self.config.events_enabled() {
             EventSink::new(Arc::clone(&self.events), lane)
         } else {
@@ -702,76 +623,27 @@ impl Telemetry {
         }
     }
 
-    /// A handle sharing this registry's config and event log but with
-    /// a fresh, empty stage registry — per-session accounting over a
-    /// common event stream.
-    pub fn fork_stages(&self) -> Telemetry {
-        Telemetry {
-            config: self.config,
-            events: Arc::clone(&self.events),
-            stages: Arc::new(Mutex::new(Vec::new())),
+    /// A [`Snapshot`] of `stages` (those recording a histogram) and of
+    /// the retained events — only `lane`'s, when one is given.
+    pub(crate) fn snapshot(&self, stages: &[StageStats], lane: Option<u64>) -> Snapshot {
+        let mut events = self.events.events();
+        if let Some(lane) = lane {
+            events.retain(|e| e.lane == lane);
         }
-    }
-
-    /// Registers (or re-fetches) one timer per stage name, positionally.
-    ///
-    /// Returns all-`None` when timers are disabled. Repeated calls with
-    /// the same chain return the same timers, so repeated runs and
-    /// sharded workers accumulate into one histogram per stage; calling
-    /// with a *different* chain resets the mismatched suffix.
-    pub fn stage_timers(&self, names: &[String]) -> Vec<Option<Arc<StageTimer>>> {
-        if !self.config.timers_enabled() {
-            return names.iter().map(|_| None).collect();
-        }
-        let mut entries = lock_ignore_poison(&self.stages);
-        let matches =
-            entries.len() == names.len() && entries.iter().zip(names).all(|(e, n)| e.name == *n);
-        if !matches {
-            let mut fresh: Vec<StageEntry> = Vec::with_capacity(names.len());
-            for (i, name) in names.iter().enumerate() {
-                match entries.get(i) {
-                    Some(e) if e.name == *name => fresh.push(StageEntry {
-                        name: e.name.clone(),
-                        timer: Arc::clone(&e.timer),
-                    }),
-                    _ => fresh.push(StageEntry {
-                        name: name.clone(),
-                        timer: Arc::new(StageTimer::new()),
-                    }),
-                }
-            }
-            *entries = fresh;
-        }
-        entries.iter().map(|e| Some(Arc::clone(&e.timer))).collect()
-    }
-
-    /// A point-in-time [`Snapshot`] of every stage and all retained
-    /// events.
-    pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            stages: self.stage_snapshots(),
-            events: self.events.events(),
+            stages: stages
+                .iter()
+                .filter_map(|s| {
+                    Some(StageSnapshot {
+                        name: s.name.clone(),
+                        latency: s.latency.as_deref()?.clone(),
+                        drops: s.records_dropped,
+                    })
+                })
+                .collect(),
+            events,
             events_dropped: self.events.dropped(),
         }
-    }
-
-    /// Like [`Telemetry::snapshot`] but keeping only events tagged with
-    /// `lane` — the per-session view when many sessions share one log.
-    pub fn snapshot_for_lane(&self, lane: u64) -> Snapshot {
-        let mut snap = self.snapshot();
-        snap.events.retain(|e| e.lane == lane);
-        snap
-    }
-
-    fn stage_snapshots(&self) -> Vec<StageSnapshot> {
-        lock_ignore_poison(&self.stages)
-            .iter()
-            .map(|e| StageSnapshot {
-                name: e.name.clone(),
-                latency: e.timer.histogram(),
-                drops: e.timer.drops(),
-            })
-            .collect()
     }
 }
 
@@ -779,28 +651,33 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn histogram(latencies: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for &ns in latencies {
+            h.record(ns);
+        }
+        h
+    }
+
     #[test]
     fn bucket_index_is_floor_log2() {
-        assert_eq!(StageTimer::bucket_index(0), 0);
-        assert_eq!(StageTimer::bucket_index(1), 0);
-        assert_eq!(StageTimer::bucket_index(2), 1);
-        assert_eq!(StageTimer::bucket_index(3), 1);
-        assert_eq!(StageTimer::bucket_index(4), 2);
-        assert_eq!(StageTimer::bucket_index(1023), 9);
-        assert_eq!(StageTimer::bucket_index(1024), 10);
-        assert_eq!(StageTimer::bucket_index(u64::MAX), 63);
+        assert_eq!(HistogramSnapshot::bucket_index(0), 0);
+        assert_eq!(HistogramSnapshot::bucket_index(1), 0);
+        assert_eq!(HistogramSnapshot::bucket_index(2), 1);
+        assert_eq!(HistogramSnapshot::bucket_index(3), 1);
+        assert_eq!(HistogramSnapshot::bucket_index(4), 2);
+        assert_eq!(HistogramSnapshot::bucket_index(1023), 9);
+        assert_eq!(HistogramSnapshot::bucket_index(1024), 10);
+        assert_eq!(HistogramSnapshot::bucket_index(u64::MAX), 63);
     }
 
     #[test]
     fn percentiles_report_bucket_upper_bounds() {
-        let timer = StageTimer::new();
         // 99 observations around 100ns (bucket 6: 64..=127), one
         // outlier at 1_000_000ns (bucket 19).
-        for _ in 0..99 {
-            timer.record(100);
-        }
-        timer.record(1_000_000);
-        let h = timer.histogram();
+        let mut latencies = vec![100; 99];
+        latencies.push(1_000_000);
+        let h = histogram(&latencies);
         assert_eq!(h.count, 100);
         assert_eq!(h.p50_ns(), 127);
         assert_eq!(h.p90_ns(), 127);
@@ -822,25 +699,13 @@ mod tests {
 
     #[test]
     fn histogram_merge_is_bucket_wise() {
-        let a_timer = StageTimer::new();
-        let b_timer = StageTimer::new();
-        for ns in [10, 20, 30] {
-            a_timer.record(ns);
-        }
-        for ns in [1000, 2000] {
-            b_timer.record(ns);
-        }
-        let mut a = a_timer.histogram();
-        let b = b_timer.histogram();
+        let mut a = histogram(&[10, 20, 30]);
+        let b = histogram(&[1000, 2000]);
         a.merge(&b);
         assert_eq!(a.count, 5);
         assert_eq!(a.sum_ns, 3060);
         assert_eq!(a.max_ns, 2000);
-        let direct = StageTimer::new();
-        for ns in [10, 20, 30, 1000, 2000] {
-            direct.record(ns);
-        }
-        assert_eq!(a, direct.histogram());
+        assert_eq!(a, histogram(&[10, 20, 30, 1000, 2000]));
     }
 
     #[test]
@@ -866,43 +731,11 @@ mod tests {
         let full = Telemetry::new(TelemetryConfig::Full);
         let sink = full.event_sink(3);
         sink.emit(EventKind::SessionAccept, 3);
-        assert_eq!(full.snapshot().events.len(), 1);
-        assert_eq!(full.snapshot().events[0].lane, 3);
-    }
-
-    #[test]
-    fn stage_timers_are_positional_and_stable() {
-        let telemetry = Telemetry::new(TelemetryConfig::Counters);
-        let names = vec!["a".to_string(), "b".to_string()];
-        let first = telemetry.stage_timers(&names);
-        let second = telemetry.stage_timers(&names);
-        for (x, y) in first.iter().zip(&second) {
-            let (Some(x), Some(y)) = (x, y) else {
-                panic!("timers enabled")
-            };
-            assert!(Arc::ptr_eq(x, y));
-        }
-        // Off-config registries hand out no timers at all.
-        let off = Telemetry::off();
-        assert!(off.stage_timers(&names).iter().all(Option::is_none));
-        assert!(off.snapshot().stages.is_empty());
-    }
-
-    #[test]
-    fn fork_shares_events_but_not_timers() {
-        let server = Telemetry::new(TelemetryConfig::Full);
-        let session = server.fork_stages();
-        let names = vec!["stage".to_string()];
-        let t1 = server.stage_timers(&names);
-        let t2 = session.stage_timers(&names);
-        match (&t1[0], &t2[0]) {
-            (Some(a), Some(b)) => assert!(!Arc::ptr_eq(a, b)),
-            _ => panic!("timers enabled"),
-        }
-        session.event_sink(7).emit(EventKind::SessionDrain, 42);
-        assert_eq!(server.snapshot().events.len(), 1);
-        assert_eq!(session.snapshot_for_lane(7).events.len(), 1);
-        assert!(session.snapshot_for_lane(8).events.is_empty());
+        let events = full.snapshot(&[], None).events;
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].lane, 3);
+        assert_eq!(full.snapshot(&[], Some(3)).events, events);
+        assert!(full.snapshot(&[], Some(4)).events.is_empty());
     }
 
     #[test]
@@ -933,21 +766,48 @@ mod tests {
 
     #[test]
     fn to_json_leads_stage_objects_with_percentiles() {
-        let telemetry = Telemetry::new(TelemetryConfig::Full);
-        let names = vec!["spectrum".to_string()];
-        let timers = telemetry.stage_timers(&names);
-        if let Some(t) = &timers[0] {
-            t.record(100);
-            t.record(200);
-        }
-        telemetry.event_sink(0).emit(EventKind::ScopeOpen, 5);
-        let json = telemetry.snapshot().to_json();
+        let mut spectrum = crate::pipeline::Pipeline::new();
+        spectrum.add(crate::ops::MapPayload::new("spectrum", |_: &mut [f64]| {}));
+        spectrum.set_telemetry(TelemetryConfig::Full);
+        let records = vec![
+            crate::record::Record::open_scope(5, vec![]),
+            crate::record::Record::close_scope(5),
+        ];
+        spectrum.run(records).unwrap();
+        let snapshot = spectrum.telemetry_snapshot();
+        let json = snapshot.to_json();
         assert!(json.contains("{\"stage\": \"spectrum\", \"p50_ns\": "));
         assert!(json.contains("\"p99_ns\": "));
+        assert!(json.contains("\"records\": 2"));
         assert!(json.contains("\"kind\": \"scope_open\""));
         assert!(json.contains("\"events_dropped\": 0"));
-        let table = telemetry.snapshot().render_table();
+        let table = snapshot.render_table();
         assert!(table.contains("spectrum"));
         assert!(table.contains("scope_open"));
+    }
+
+    #[test]
+    fn operations_doc_lists_every_event_kind() {
+        let doc = include_str!("../../../docs/operations.md");
+        let kinds = [
+            EventKind::ScopeOpen,
+            EventKind::ScopeClose,
+            EventKind::TriggerFire,
+            EventKind::CutterRun,
+            EventKind::ShardUnitDispatched,
+            EventKind::ShardUnitMerged,
+            EventKind::StallEnter,
+            EventKind::StallExit,
+            EventKind::SessionAccept,
+            EventKind::SessionDrain,
+            EventKind::SessionKeepalive,
+            EventKind::SessionTimeout,
+            EventKind::SessionError,
+            EventKind::AnalysisReject,
+        ];
+        for kind in kinds {
+            let label = format!("`{}`", kind.as_str());
+            assert!(doc.contains(&label), "docs/operations.md omits {label}");
+        }
     }
 }

@@ -9,11 +9,12 @@
 //!    exactly.
 //! 2. Histograms merge bucket-wise: every bucket of the merge is the
 //!    sum of the operands' buckets, counts add, maxima take the max.
-//! 3. A scope-sharded run (workers = 4) records into one shared
-//!    registry, so its merged per-stage totals — record counts, drop
-//!    counts, bucket-count sums — equal a single-lane run's over the
-//!    same input, and the scope-event multiset (kind, subject) is
-//!    identical modulo interleave.
+//! 3. A scope-sharded run (workers = 4) records each shard's histograms
+//!    in its own stage statistics and merges them with the counters, so
+//!    its per-stage totals — record counts, drop counts, bucket-count
+//!    sums — equal a single-lane run's over the same input, and the
+//!    scope-event multiset (kind, subject) is identical modulo
+//!    interleave.
 
 use dynamic_river::prelude::*;
 use dynamic_river::telemetry::{
@@ -175,7 +176,7 @@ fn sharded_merged_telemetry_equals_single_lane_totals() {
         .unwrap();
     let lane = single.telemetry_snapshot();
 
-    // Sharded run: four workers sharing one registry.
+    // Sharded run: four workers, their stage statistics merged.
     let mut proto = chain();
     proto.set_telemetry(TelemetryConfig::Full);
     let mut shard_out = Vec::new();

@@ -49,9 +49,10 @@ fn main() {
     let single_secs = t0.elapsed().as_secs_f64();
 
     // Sharded: whole clip scopes fan out to worker chains, outputs
-    // merge back in archive order. Workers record into the pipeline's
-    // telemetry registry, so the snapshot taken after the run is already
-    // the archive-wide per-stage latency distribution (DESIGN.md §16).
+    // merge back in archive order. Each worker's stage statistics carry
+    // its latency histograms and merge with the counters, so the
+    // snapshot taken after the run is the archive-wide per-stage latency
+    // distribution (DESIGN.md §16).
     let mut sharded: Vec<Record> = Vec::new();
     let t0 = Instant::now();
     let mut pipeline = full_pipeline(cfg, true);
