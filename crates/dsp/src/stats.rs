@@ -466,7 +466,7 @@ impl MovingAverage {
 }
 
 /// Exponentially weighted moving average, provided as a cheaper alternative
-/// smoother for ablation benches.
+/// smoother for ablations.
 ///
 /// # Example
 ///

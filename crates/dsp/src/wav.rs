@@ -178,11 +178,21 @@ impl WavData {
 
 fn read_exact_or_malformed<R: Read>(mut r: R, buf: &mut [u8], what: &str) -> Result<(), WavError> {
     r.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => {
-            WavError::Malformed(format!("truncated while reading {what}"))
-        }
+        io::ErrorKind::UnexpectedEof => truncated(what),
         _ => WavError::Io(e),
     })
+}
+
+fn truncated(what: &str) -> WavError {
+    WavError::Malformed(format!("truncated while reading {what}"))
+}
+
+/// Consumes `n` bytes without keeping them.
+fn skip<R: Read>(r: R, n: usize, what: &str) -> Result<(), WavError> {
+    if io::copy(&mut r.take(n as u64), &mut io::sink())? < n as u64 {
+        return Err(truncated(what));
+    }
+    Ok(())
 }
 
 fn u16_le(b: &[u8]) -> u16 {
@@ -194,7 +204,8 @@ fn u32_le(b: &[u8]) -> u32 {
 }
 
 impl WavReader {
-    /// Reads and decodes an entire WAV stream.
+    /// Reads and decodes an entire WAV stream. What it allocates grows
+    /// with the bytes read, never with the sizes a header claims.
     ///
     /// A `&mut R` may be passed for `reader`.
     ///
@@ -231,8 +242,10 @@ impl WavReader {
                     if size < 16 {
                         return Err(WavError::Malformed("fmt chunk too small".into()));
                     }
-                    let mut fmt = vec![0u8; size];
+                    // The fields every format shares; skip any extension.
+                    let mut fmt = [0u8; 16];
                     read_exact_or_malformed(&mut reader, &mut fmt, "fmt chunk")?;
+                    skip(&mut reader, size - 16 + size % 2, "fmt chunk")?;
                     let format_tag = u16_le(&fmt[0..2]);
                     let channels = u16_le(&fmt[2..4]);
                     let sample_rate = u32_le(&fmt[4..8]);
@@ -261,8 +274,11 @@ impl WavReader {
                     });
                 }
                 b"data" => {
-                    let mut bytes = vec![0u8; size];
-                    read_exact_or_malformed(&mut reader, &mut bytes, "data chunk")?;
+                    // Grows with the bytes that arrive, not the size claimed.
+                    let mut bytes = Vec::new();
+                    if (&mut reader).take(size as u64).read_to_end(&mut bytes)? < size {
+                        return Err(truncated("data chunk"));
+                    }
                     data = Some(bytes);
                     // Chunks are word-aligned; consume pad byte if present.
                     if size % 2 == 1 {
@@ -270,17 +286,8 @@ impl WavReader {
                         let _ = reader.read_exact(&mut pad);
                     }
                 }
-                _ => {
-                    // Skip unknown chunk (LIST, fact, cue, ...), honoring padding.
-                    let skip = size + (size % 2);
-                    let mut remaining = skip;
-                    let mut scratch = [0u8; 512];
-                    while remaining > 0 {
-                        let take = remaining.min(scratch.len());
-                        read_exact_or_malformed(&mut reader, &mut scratch[..take], "chunk body")?;
-                        remaining -= take;
-                    }
-                }
+                // Skip unknown chunk (LIST, fact, cue, ...), honoring padding.
+                _ => skip(&mut reader, size + size % 2, "chunk body")?,
             }
             if spec.is_some() && data.is_some() {
                 break;
@@ -289,10 +296,10 @@ impl WavReader {
 
         let spec = spec.ok_or_else(|| WavError::Malformed("missing fmt chunk".into()))?;
         let bytes = data.ok_or_else(|| WavError::Malformed("missing data chunk".into()))?;
-        let bps = spec.sample_format.bytes_per_sample();
-        if bytes.len() % bps != 0 {
+        let frame = spec.bytes_per_frame();
+        if bytes.len() % frame != 0 {
             return Err(WavError::Malformed(format!(
-                "data size {} not a multiple of sample size {bps}",
+                "data size {} not a whole number of {frame}-byte frames",
                 bytes.len()
             )));
         }

@@ -107,7 +107,7 @@ impl WindowKind {
         self.coefficients(n).iter().sum::<f64>() / n as f64
     }
 
-    /// All window kinds, for sweeps and benches.
+    /// All window kinds, for sweeps and tests.
     pub const ALL: [WindowKind; 6] = [
         WindowKind::Rectangular,
         WindowKind::Welch,

@@ -29,7 +29,7 @@ impl Sink for Vec<Record> {
 }
 
 /// A sink that drops everything (useful as a pipeline terminator in
-/// benches).
+/// tests and measurements).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
