@@ -17,6 +17,11 @@
 #   ./ci.sh docs         # rustdoc with warnings as errors (doctests run
 #                        #   under plain `cargo test`)
 #   ./ci.sh one_ledger   # the one-ledger source policy alone
+#   ./ci.sh numerics     # the numerics gates alone, in release: the
+#                        #   anomaly kernel and smoother against their
+#                        #   per-sample reference, the golden score
+#                        #   digests, the boundary harness and the
+#                        #   trigger differential
 #
 # Requires only a Rust toolchain — the workspace has no network
 # dependencies (see DESIGN.md § Shims). Every phase prints its
@@ -76,8 +81,10 @@ river_bench_smoke() {
 
 # --- the suite under the optimiser --------------------------------------
 # `cargo test --release` over the workspace: the release-only gates
-# (telemetry budget) and every differential at the float code the
-# shipped binaries run. One test is left to the debug run of tier-1:
+# (telemetry budget), the release-sized pools (the boundary harness in
+# crates/core/tests/boundaries.rs runs 8 seeds × 11 paper-scale clips
+# here, 1 seed in the debug run) and every differential at the float
+# code the shipped binaries run. One test is left to the debug run of tier-1:
 # river-bench's `smoke_runs_every_workload_end_to_end` asserts
 # `cpu_us_per_record > 0`, read from /proc/self/stat in 10 ms ticks, and
 # since PR 12 an optimised `--smoke` pass of `ensembles` takes ~5 ms, so
@@ -87,6 +94,20 @@ river_bench_smoke() {
 # --skip with it.
 release_tests() {
     cargo test --release -q -- --skip smoke_runs_every_workload_end_to_end
+}
+
+# --- numerics gates -----------------------------------------------------
+# The tests that hold the scoring front end to its stated error bounds
+# (DESIGN.md §14, "The divider leaves the chain"): `block_kernel`
+# (every block cut exact, the per-sample reference within the bounds),
+# `saxanomaly_block` (golden score digests, non-finite and overflowing
+# samples) and `boundaries` (no ensemble boundary moves against the old
+# front end over the release-sized pools; the trigger's decisions
+# against the Welford trigger). A subset of release-tests, for a change
+# to the numerics that wants its verdict in a minute.
+numerics() {
+    cargo test --release -q -p river-sax --test block_kernel
+    cargo test --release -q -p ensemble-core --test saxanomaly_block --test boundaries
 }
 
 # --- rustdoc gate -----------------------------------------------------
@@ -238,6 +259,10 @@ if [ "${1:-}" = "docs" ]; then
 fi
 if [ "${1:-}" = "one_ledger" ]; then
     one_ledger
+    exit 0
+fi
+if [ "${1:-}" = "numerics" ]; then
+    numerics
     exit 0
 fi
 

@@ -75,10 +75,25 @@ pub struct ExtractionTrace {
 /// lag/lead matrices), song onsets push the score above it, and
 /// sustained tonal vocalizations *concentrate* the symbol distribution
 /// and pull the score below it.
+///
+/// The warm-up runs Welford's update. At its end the estimate is
+/// rebased onto sums shifted by the warm-up mean K — n, S = Σ(x − K) and
+/// Q = Σ(x − K)² — so a quiet sample after it costs three adds, and the
+/// test is made in squares at scale n: with d = x − K, the score fires
+/// when (n·d − S)² > sigmas² · max(n·Q − S², (0.02·(n·K + S))²). Nothing
+/// per sample divides or takes a square root (DESIGN.md §14).
 #[derive(Debug, Clone)]
 pub struct AdaptiveTrigger {
     sigmas: f64,
-    quiet: Welford,
+    /// μ₀/σ₀ over the warm-up samples.
+    warm: Welford,
+    /// From the end of warm-up on, every quiet sample so far (the
+    /// warm-up's included) as sums shifted by K = `shift`, the warm-up
+    /// mean: their count n, S = Σ(x − K) and Q = Σ(x − K)².
+    shift: f64,
+    n: f64,
+    sum: f64,
+    sum_sq: f64,
     state: bool,
     warmup: u64,
     seen: u64,
@@ -90,6 +105,10 @@ impl AdaptiveTrigger {
     /// Creates a trigger with threshold `sigmas` standard deviations;
     /// `warmup` initial samples never fire (lets the anomaly detector
     /// and smoother settle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigmas` is negative or NaN.
     pub fn new(sigmas: f64, warmup: u64) -> Self {
         Self::with_hold(sigmas, warmup, 0)
     }
@@ -98,10 +117,19 @@ impl AdaptiveTrigger {
     /// until the score remains inside the band for `hold` consecutive
     /// samples — bridging the quiet gaps between a song bout's
     /// syllables so one bout yields one ensemble rather than fragments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigmas` is negative or NaN.
     pub fn with_hold(sigmas: f64, warmup: u64, hold: u64) -> Self {
+        assert!(sigmas >= 0.0, "trigger sigmas must be non-negative");
         AdaptiveTrigger {
             sigmas,
-            quiet: Welford::new(),
+            warm: Welford::new(),
+            shift: 0.0,
+            n: 0.0,
+            sum: 0.0,
+            sum_sq: 0.0,
             state: false,
             warmup,
             seen: 0,
@@ -115,50 +143,88 @@ impl AdaptiveTrigger {
         self.state
     }
 
+    /// `(μ₀, σ₀)` of the quiet samples so far.
+    fn quiet_moments(&self) -> (f64, f64) {
+        if self.seen < self.warmup {
+            (self.warm.mean(), self.warm.population_std_dev())
+        } else if self.n == 0.0 {
+            (self.shift, 0.0)
+        } else {
+            let offset = self.sum / self.n;
+            let variance = (self.sum_sq / self.n - offset * offset).max(0.0);
+            (self.shift + offset, variance.sqrt())
+        }
+    }
+
     /// The quiet-score mean μ₀ estimated so far.
     pub fn mu0(&self) -> f64 {
-        self.quiet.mean()
+        self.quiet_moments().0
     }
 
     /// The half-width of the firing band around μ₀.
     pub fn band(&self) -> f64 {
-        let sigma = self
-            .quiet
-            .population_std_dev()
-            // σ floor: on extremely flat noise the 5σ band collapses to
-            // nothing and quantization dust would fire the trigger.
-            .max(0.02 * self.quiet.mean());
-        self.sigmas * sigma
+        let (mu0, sigma) = self.quiet_moments();
+        // σ floor: on extremely flat noise the 5σ band collapses to
+        // nothing and quantization dust would fire the trigger.
+        self.sigmas * sigma.max(0.02 * mu0)
+    }
+
+    /// Adds a quiet score to μ₀/σ₀.
+    #[inline]
+    fn learn(&mut self, score: f64) {
+        let d = score - self.shift;
+        self.n += 1.0;
+        self.sum += d;
+        self.sum_sq += d * d;
+    }
+
+    /// Whether `score` lies inside the band: |x − μ₀| ≤ sigmas·max(σ₀,
+    /// 0.02·μ₀), multiplied through by n and squared.
+    #[inline]
+    fn inside_band(&self, score: f64) -> bool {
+        let n = self.n;
+        let deviation = n * (score - self.shift) - self.sum;
+        let floor = (0.02 * (n * self.shift + self.sum)).max(0.0);
+        let spread = (n * self.sum_sq - self.sum * self.sum).max(floor * floor);
+        deviation * deviation <= self.sigmas * self.sigmas * spread
     }
 
     /// Consumes one smoothed score, returning the new trigger value.
     pub fn push(&mut self, score: f64) -> bool {
         self.seen += 1;
         if self.seen <= self.warmup {
-            self.quiet.push(score);
+            self.warm.push(score);
+            if self.seen == self.warmup {
+                // Rebase: Σ(x − K) over the warm-up is 0 by definition
+                // of K, and Σ(x − K)² is Welford's m2 (its population
+                // variance times n).
+                let n = self.warm.count() as f64;
+                self.shift = self.warm.mean();
+                self.n = n;
+                self.sum_sq = self.warm.population_variance() * n;
+            }
             self.state = false;
             return false;
         }
-        let deviation = (score - self.quiet.mean()).abs();
         if self.state {
             // Falls back to 0 when the score stays inside the band for
             // `hold` consecutive samples.
-            if deviation <= self.band() {
+            if self.inside_band(score) {
                 self.calm += 1;
                 if self.calm > self.hold {
                     self.state = false;
                     self.calm = 0;
-                    self.quiet.push(score);
+                    self.learn(score);
                 }
             } else {
                 self.calm = 0;
             }
-        } else if deviation > self.band() && self.quiet.count() > 0 {
+        } else if self.n > 0.0 && !self.inside_band(score) {
             self.state = true;
             self.calm = 0;
         } else {
             // Only quiet samples update μ₀/σ₀ (paper §3).
-            self.quiet.push(score);
+            self.learn(score);
         }
         self.state
     }

@@ -2,7 +2,8 @@
 //!
 //! The adaptive `trigger` operator "incrementally computes an estimate of
 //! the mean anomaly score, μ₀, for values when the trigger value is 0"
-//! (paper §3) — that estimator is [`Welford`]. The `saxanomaly` operator
+//! (paper §3) — over its warm-up that estimator is [`Welford`], after it
+//! sums shifted by the warm-up mean. The `saxanomaly` operator
 //! smooths scores with a moving average over 2250 samples — that is
 //! [`MovingAverage`]. [`SlidingStats`] provides exact windowed mean and
 //! variance for the streaming Z-normalization used by SAX symbolization.
@@ -395,18 +396,17 @@ impl MovingAverage {
     /// Pushes a sample and returns the current mean. Until the window
     /// fills, the mean is over the samples seen so far (warm-up behaviour).
     pub fn push(&mut self, x: f64) -> f64 {
-        if let Some(old) = self.ring.replace(x) {
-            self.sum -= old;
-        }
-        self.sum += x;
+        let old = self.ring.replace(x).unwrap_or(0.0);
+        self.sum += x - old;
         self.current()
     }
 
     /// Pushes every sample of `xs` in order and replaces it with the
     /// mean after its push — bit for bit what [`push`](Self::push)
     /// returns sample by sample. The sliding sum is walked as a
-    /// recurrence; once the window is full the division is a separate
-    /// loop the compiler packs.
+    /// recurrence of one add per sample (`sum += x − old`, the
+    /// difference off the chain); once the window is full the
+    /// multiplication by 1/window is a separate loop the compiler packs.
     pub fn smooth_in_place(&mut self, xs: &mut [f64]) {
         let filling = self.ring.room().min(xs.len());
         for x in &mut xs[..filling] {
@@ -420,24 +420,27 @@ impl MovingAverage {
             let slots = self.ring.take_run(xs.len() - done);
             let end = done + slots.len();
             for (slot, x) in slots.iter_mut().zip(&mut xs[done..end]) {
-                sum -= std::mem::replace(slot, *x);
-                sum += *x;
+                sum += *x - std::mem::replace(slot, *x);
                 *x = sum;
             }
             done = end;
         }
         self.sum = sum;
 
-        let n = self.ring.len as f64;
+        let inv = 1.0 / self.ring.len as f64;
         for x in xs {
-            *x /= n;
+            *x *= inv;
         }
     }
 
-    /// The current mean without pushing.
+    /// The current mean without pushing: the sum divided by the samples
+    /// held while the window fills, then times 1/window (the expression
+    /// [`smooth_in_place`](Self::smooth_in_place) packs).
     pub fn current(&self) -> f64 {
         if self.is_empty() {
             0.0
+        } else if self.ring.is_full() {
+            self.sum * (1.0 / self.len() as f64)
         } else {
             self.sum / self.len() as f64
         }

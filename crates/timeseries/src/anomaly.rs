@@ -13,9 +13,10 @@
 //! The detector is single-scan with O(1) work per sample and no
 //! allocation after [`BitmapAnomaly::new`]: count maintenance touches at
 //! most four cells, and the Euclidean distance is maintained
-//! incrementally from exact integer running sums (Σa², Σb², Σa·b)
-//! rather than re-scanning all alphabetⁿ cells — satisfying the paper's
-//! requirement of "processor and memory efficient techniques" (§5).
+//! incrementally from one exact integer running sum, Σ(lead − lag)²
+//! over the cells, rather than re-scanning all alphabetⁿ cells —
+//! satisfying the paper's requirement of "processor and memory
+//! efficient techniques" (§5).
 //!
 //! Scoring is a **block kernel** ([`BitmapAnomaly::score_block`],
 //! DESIGN.md §14): a record is walked in private tiles, and within a
@@ -26,7 +27,9 @@
 //! its square root) runs as separate loops the compiler can pack. Every
 //! step keeps the expression and the operation order of the one-sample
 //! definition, so a score does not depend on how the stream was cut
-//! into blocks, down to the last bit.
+//! into blocks, down to the last bit. Symbols and counts are exact; the
+//! one rounding after them is √(ΣD²/tt), within 1.5 ulp of the true
+//! distance.
 
 use crate::gaussian::sax_breakpoints;
 use crate::sax::Symbol;
@@ -80,6 +83,13 @@ impl Default for AnomalyConfig {
 /// in the vector body rather than in prologues.
 const TILE: usize = 256;
 
+/// The largest magnitude a sample may have to enter the normalisation
+/// statistics: 2⁴⁷⁸ ≈ 7.8·10¹⁴³. At most that, even 2⁶⁴ samples cannot
+/// push a running Σx² (sliding) or Welford's Σ(x − μ)² (global, whose
+/// deviations reach twice it) past `f64::MAX`. A larger sample is
+/// scored like a non-finite one (DESIGN.md §14).
+const MAX_STATISTIC_SAMPLE: f64 = 7.804_371_375_789_981e143;
+
 /// The running mean/σ estimate samples are normalised against.
 #[derive(Debug, Clone)]
 enum Normalizer {
@@ -122,28 +132,23 @@ impl Normalizer {
     }
 }
 
-/// One n-gram enters window `side` (0 lead, 1 lag) of a cell's
-/// `(lead, lag)` count pair; `own_sq` is that window's Σcount² and
-/// `cross` is Σ lead·lag.
+/// A cell's lead − lag difference goes up by one (a gram enters the
+/// lead window or leaves the lag window); returns the change of ΣD².
 #[inline]
-fn gram_enters(pair: &mut [u32; 2], side: usize, own_sq: &mut u64, cross: &mut u64) {
-    *own_sq += 2 * u64::from(pair[side]) + 1;
-    *cross += u64::from(pair[1 - side]);
-    pair[side] += 1;
+fn rise(d: &mut i32) -> i64 {
+    let change = 1 + 2 * i64::from(*d);
+    *d += 1;
+    change
 }
 
-/// One n-gram leaves window `side` of a cell's count pair.
+/// A cell's lead − lag difference goes down by one (a gram leaves the
+/// lead window or enters the lag window); returns the change of ΣD².
 #[inline]
-fn gram_leaves(pair: &mut [u32; 2], side: usize, own_sq: &mut u64, cross: &mut u64) {
-    let old = pair[side];
-    assert!(old > 0, "removing n-gram with zero count");
-    *own_sq -= 2 * u64::from(old) - 1;
-    *cross -= u64::from(pair[1 - side]);
-    pair[side] = old - 1;
+fn fall(d: &mut i32) -> i64 {
+    let change = 1 - 2 * i64::from(*d);
+    *d -= 1;
+    change
 }
-
-const LEAD: usize = 0;
-const LAG: usize = 1;
 
 /// Streaming lag/lead bitmap anomaly detector.
 ///
@@ -183,21 +188,17 @@ pub struct BitmapAnomaly {
     /// one cell copied per sample, amortised).
     cells: Vec<u32>,
     filled: usize,
-    /// Per cell, the `(lead, lag)` window counts, side by side because
-    /// every update reads both.
-    counts: Vec<[u32; 2]>,
-    /// Exact running sums over all cells — Σ lead², Σ lag², and
-    /// Σ lead·lag of the raw counts. Counts are bounded by the window
-    /// size, so these stay exact in u64, and together they give the
-    /// Euclidean distance between the two frequency matrices in O(1):
-    /// d² = Σ(a/ta − b/tb)² = Saa/ta² − 2·Sab/(ta·tb) + Sbb/tb².
-    saa: u64,
-    sbb: u64,
-    sab: u64,
+    /// Per cell, D = lead count − lag count: the one number of a cell
+    /// the distance reads, so each window crossing is one update.
+    diffs: Vec<i32>,
+    /// ΣD² over all cells, exact (|D| is bounded by the window size).
+    /// Once both windows are warm each holds the same number of grams,
+    /// ta = tb = window − ngram + 1, and the Euclidean distance between
+    /// the two frequency matrices is d = √(Σ(a/ta − b/tb)²) = √(ΣD²/ta²).
+    sum_sq: i64,
     /// Two tile-long `f64` lanes: (mean, σ) out of the normalisation
-    /// pass, then (Σ lead², Σ lag²) out of the count pass. The third
-    /// lane is the caller's output tile, which carries z, then
-    /// Σ lead·lag, then the score.
+    /// pass. The third lane is the caller's output tile, which carries
+    /// z, then ΣD², then the score.
     lane_a: Vec<f64>,
     lane_b: Vec<f64>,
 }
@@ -245,10 +246,8 @@ impl BitmapAnomaly {
             symbols: vec![0; config.ngram - 1 + TILE],
             cells: vec![0; history + history.max(TILE)],
             filled: history,
-            counts: vec![[0; 2]; cell_count],
-            saa: 0,
-            sbb: 0,
-            sab: 0,
+            diffs: vec![0; cell_count],
+            sum_sq: 0,
             lane_a: vec![0.0; TILE],
             lane_b: vec![0.0; TILE],
             config,
@@ -284,10 +283,11 @@ impl BitmapAnomaly {
     /// (`0.0` until warm-up completes) to `out`. The scores are the same,
     /// bit for bit, however the stream is cut into blocks.
     ///
-    /// A non-finite sample is scored as z = 0 (the middle of the
-    /// alphabet) and enters the normalisation statistics as their
-    /// current mean, so it cannot poison the running sums for the
-    /// samples after it.
+    /// A non-finite sample, or one whose square the running sums could
+    /// not accumulate without overflow (|x| > 2⁴⁷⁸), is scored as z = 0
+    /// (the middle of the alphabet) and enters the normalisation
+    /// statistics as their current mean, so it cannot poison the running
+    /// sums for the samples after it.
     ///
     /// # Panics
     ///
@@ -311,7 +311,8 @@ impl BitmapAnomaly {
 
     /// Tile pass 1: `z[i]` of every sample against the statistics that
     /// include it. The statistics are a recurrence (`Normalizer`); z is
-    /// pure.
+    /// pure. A sample the statistics cannot hold (non-finite, or beyond
+    /// [`MAX_STATISTIC_SAMPLE`]) enters them as their mean.
     #[inline(always)]
     fn normalize_tile(&mut self, xs: &[f64], z: &mut [f64]) {
         let k = xs.len();
@@ -320,7 +321,7 @@ impl BitmapAnomaly {
         while at < k {
             let run = xs[at..]
                 .iter()
-                .position(|x| !x.is_finite())
+                .position(|x| x.is_nan() || x.abs() > MAX_STATISTIC_SAMPLE)
                 .map_or(k, |p| at + p);
             self.normalizer
                 .push_block(&xs[at..run], &mut mean[at..run], &mut std[at..run]);
@@ -329,7 +330,8 @@ impl BitmapAnomaly {
                 let stand_in = [self.normalizer.mean()];
                 self.normalizer
                     .push_block(&stand_in, &mut mean[at..=at], &mut std[at..=at]);
-                // z = 0 whatever the statistics say: x − μ is not a number.
+                // z = 0 whatever the statistics say: x − μ is not a
+                // number, or not one they can hold.
                 std[at] = 0.0;
                 at += 1;
             }
@@ -374,51 +376,44 @@ impl BitmapAnomaly {
     }
 
     /// Tile pass 3 (recurrence): slides both windows over the tile's
-    /// grams, leaving Σ lead², Σ lag² and Σ lead·lag after each sample
-    /// in `lane_a`, `lane_b` and `sab_out`.
+    /// grams, leaving ΣD² after each sample in `sum_sq_out`. Each of the
+    /// four window crossings is one ±1 on one cell's D.
     #[inline(always)]
-    fn count_tile(&mut self, sab_out: &mut [f64]) {
+    fn count_tile(&mut self, sum_sq_out: &mut [f64]) {
         let (w, n) = (self.config.window, self.config.ngram);
         let (w64, n64) = (w as u64, n as u64);
-        let (mut saa, mut sbb, mut sab) = (self.saa, self.sbb, self.sab);
-        let lanes = self.lane_a.iter_mut().zip(self.lane_b.iter_mut());
-        for ((i, sab_out), (saa_out, sbb_out)) in sab_out.iter_mut().enumerate().zip(lanes) {
+        let mut sum_sq = self.sum_sq;
+        for (i, out) in sum_sq_out.iter_mut().enumerate() {
             let t = self.t + i as u64; // absolute index of this sample
             let at = self.filled + i;
             // Newest gram (ending at t) enters the lead window.
             if t + 1 >= n64 {
-                let pair = &mut self.counts[self.cells[at] as usize];
-                gram_enters(pair, LEAD, &mut saa, &mut sab);
+                sum_sq += rise(&mut self.diffs[self.cells[at] as usize]);
             }
             // The gram starting at t-w slides out of the lead window.
             if t >= w64 {
-                let pair = &mut self.counts[self.cells[at - w + n - 1] as usize];
-                gram_leaves(pair, LEAD, &mut saa, &mut sab);
+                sum_sq += fall(&mut self.diffs[self.cells[at - w + n - 1] as usize]);
                 // It is fully inside the lag window once its end crosses
                 // the boundary: the gram ending at t-w enters lag.
                 if t + 1 >= w64 + n64 {
-                    let pair = &mut self.counts[self.cells[at - w] as usize];
-                    gram_enters(pair, LAG, &mut sbb, &mut sab);
+                    sum_sq += fall(&mut self.diffs[self.cells[at - w] as usize]);
                 }
             }
             // The gram starting at t-2w slides out of the lag window.
             if t >= 2 * w64 {
-                let pair = &mut self.counts[self.cells[at - 2 * w + n - 1] as usize];
-                gram_leaves(pair, LAG, &mut sbb, &mut sab);
+                sum_sq += rise(&mut self.diffs[self.cells[at - 2 * w + n - 1] as usize]);
             }
-            *saa_out = saa as f64;
-            *sbb_out = sbb as f64;
-            *sab_out = sab as f64;
+            *out = sum_sq as f64;
         }
-        self.filled += sab_out.len();
-        (self.saa, self.sbb, self.sab) = (saa, sbb, sab);
+        self.filled += sum_sq_out.len();
+        self.sum_sq = sum_sq;
     }
 
     /// Tile pass 4 (pure): the same Euclidean distance as
     /// [`SaxBitmap::distance`](crate::bitmap::SaxBitmap::distance), from
-    /// the exact sums; tiny negative rounding residue is clamped when
-    /// the matrices are (near-)identical. Once warm, each window holds
-    /// exactly `window − ngram + 1` grams.
+    /// the exact ΣD²: one division and one square root, each correctly
+    /// rounded. Once warm, each window holds exactly `window − ngram +
+    /// 1` grams.
     #[inline(always)]
     fn distance_tile(&self, out: &mut [f64]) {
         let (w, n) = (self.config.window, self.config.ngram);
@@ -427,16 +422,10 @@ impl BitmapAnomaly {
             .min(out.len() as u64) as usize;
         let (cold, warm) = out.split_at_mut(cold);
         cold.fill(0.0);
-        // ta = tb = window − ngram + 1, so ta·ta, ta·tb and tb·tb of the
-        // distance formula are one value.
         let grams = (w - n + 1) as f64;
         let tt = grams * grams;
-        let lanes = self.lane_a[cold.len()..]
-            .iter()
-            .zip(&self.lane_b[cold.len()..]);
-        for (d, (&saa, &sbb)) in warm.iter_mut().zip(lanes) {
-            let d2 = saa / tt - 2.0 * *d / tt + sbb / tt;
-            *d = d2.max(0.0).sqrt();
+        for d in warm {
+            *d = (*d / tt).sqrt();
         }
     }
 
@@ -447,10 +436,8 @@ impl BitmapAnomaly {
         self.symbols.fill(0);
         self.cells.fill(0);
         self.filled = 2 * self.config.window;
-        self.counts.fill([0; 2]);
-        self.saa = 0;
-        self.sbb = 0;
-        self.sab = 0;
+        self.diffs.fill(0);
+        self.sum_sq = 0;
     }
 }
 
@@ -570,7 +557,8 @@ mod tests {
         // The O(1) running-sum score must agree with a from-scratch
         // Euclidean distance over the full matrices at every step,
         // through warm-up, events, and recovery — and the running
-        // counts with the windows they claim to describe.
+        // differences and ΣD² exactly with the windows they claim to
+        // describe.
         let cfg = small_cfg();
         let mut det = BitmapAnomaly::new(cfg);
         for i in 0..3_000usize {
@@ -583,10 +571,13 @@ mod tests {
             let s = det.push(x);
             if det.warmed_up() {
                 let (lead, lag) = window_bitmaps(&det);
-                for (idx, &[a, b]) in det.counts.iter().enumerate() {
-                    assert_eq!(u64::from(a), lead.count_at(idx), "sample {i} lead[{idx}]");
-                    assert_eq!(u64::from(b), lag.count_at(idx), "sample {i} lag[{idx}]");
+                let mut sum_sq = 0;
+                for (idx, &d) in det.diffs.iter().enumerate() {
+                    let (a, b) = (lead.count_at(idx) as i64, lag.count_at(idx) as i64);
+                    assert_eq!(i64::from(d), a - b, "sample {i}: D[{idx}]");
+                    sum_sq += (a - b) * (a - b);
                 }
+                assert_eq!(det.sum_sq, sum_sq, "sample {i}: ΣD²");
                 let full = lead.distance(&lag);
                 assert!(
                     (s - full).abs() <= 1e-12 * full.max(1.0),
@@ -676,6 +667,14 @@ mod tests {
         };
         let scores = anomaly_scores(&(0..500).map(noise).collect::<Vec<_>>(), cfg);
         assert_eq!(scores.len(), 500);
+    }
+
+    #[test]
+    fn the_statistics_bound_is_two_to_the_478() {
+        assert_eq!(MAX_STATISTIC_SAMPLE, 2f64.powi(478));
+        // 2⁶⁴ squared deviations of twice the bound stay finite.
+        let deviation = 2.0 * MAX_STATISTIC_SAMPLE;
+        assert!((deviation * deviation * 2f64.powi(64)).is_finite());
     }
 
     #[test]
