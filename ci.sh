@@ -16,6 +16,7 @@
 #                        #   that cannot read CPU time at smoke size
 #   ./ci.sh docs         # rustdoc with warnings as errors (doctests run
 #                        #   under plain `cargo test`)
+#   ./ci.sh shims_as_used  # the shims-as-used source policy alone
 #   ./ci.sh one_ledger   # the one-ledger source policy alone
 #   ./ci.sh numerics     # the numerics gates alone, in release: the
 #                        #   anomaly kernel and smoother against their
@@ -142,15 +143,19 @@ unsafe_policy() {
 # `sync_channel`s. So are the `criterion` shim, its benches and the bench
 # profile: river-bench is the one measuring instrument, so no second
 # one, nor its knobs, may come back in code or in prose (matched without
-# case). The `crossbeam` shim is the session pool's job queue, and
-# `serve.rs` is the one file outside the shims that names it.
+# case). So is the `proptest` shim: every property runs on the `seeds`
+# crate's numbered `StdRng` seeds, so neither the shim nor its macros
+# and config may come back. The `crossbeam` shim is the session pool's
+# job queue, and `serve.rs` is the one file outside the shims that
+# names it.
 shims_as_used() {
     local gone='\bbytes::|BytesMut|BufMut|set_queue_capacity|shims/bytes' users
     gone+='|cargo bench|\[\[bench\]\]|benches/|shims/criterion|`criterion`'
     gone+='|criterion(::|_group|_main|-style| shim| benches|\.workspace)|CRITERION_FAST|bench-fast|profile\.bench'
+    gone+='|proptest|prop_assert|prop_oneof|ProptestConfig|shims/proptest'
     if grep -rniE "$gone" crates src tests examples Cargo.toml README.md DESIGN.md docs .claude; then
         echo "shims-as-used: a deleted shim, bench or queue setter is named above;" \
-            "measure with river-bench" >&2
+            "measure with river-bench, test properties with seeds::check" >&2
         return 1
     fi
     users=$(grep -rlF 'crossbeam::' crates src tests examples | grep -v '^crates/shims/' | sort)
@@ -257,6 +262,10 @@ if [ "${1:-}" = "docs" ]; then
     docs_check
     exit 0
 fi
+if [ "${1:-}" = "shims_as_used" ]; then
+    shims_as_used
+    exit 0
+fi
 if [ "${1:-}" = "one_ledger" ]; then
     one_ledger
     exit 0
@@ -269,7 +278,7 @@ fi
 phase "unsafe-policy (one unsafe block, one exemption in dynamic-river)"
 unsafe_policy
 
-phase "shims-as-used (no bytes or criterion shim, no benches; crossbeam only in serve.rs)"
+phase "shims-as-used (no bytes, criterion or proptest shim, no benches; crossbeam only in serve.rs)"
 shims_as_used
 
 phase "one-figure5 (no second extraction or spectral path)"

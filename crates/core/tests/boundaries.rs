@@ -269,16 +269,13 @@ const PAPER: (f64, u64, u64) = (3.0, 2_450, 4_200);
 fn trigger_matches_welford_over_long_quiet_runs() {
     let (sigmas, warmup, hold) = PAPER;
     let streams = if cfg!(debug_assertions) { 2 } else { 8 };
-    for seed in 0..streams {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let quiet = quiet_run(&mut rng, 600_000, 0);
-        let what = format!("quiet seed {seed}");
-        assert_eq!(compare(&what, &quiet, sigmas, warmup, hold), quiet.len());
-        let eventful = quiet_run(&mut rng, 1_000_000, 40);
-        let what = format!("eventful seed {seed}");
-        let agreed = compare(&what, &eventful, sigmas, warmup, hold);
-        println!("{what}: {agreed} of {} samples agree", eventful.len());
-    }
+    seeds::check(0..streams, |rng| {
+        let quiet = quiet_run(rng, 600_000, 0);
+        assert_eq!(compare("quiet", &quiet, sigmas, warmup, hold), quiet.len());
+        let eventful = quiet_run(rng, 1_000_000, 40);
+        let agreed = compare("eventful", &eventful, sigmas, warmup, hold);
+        println!("eventful: {agreed} of {} samples agree", eventful.len());
+    });
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the DSP substrate.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
 use river_dsp::fft::{dft_naive, Fft, RealFft};
 use river_dsp::signal::normalize_oscillogram;
 use river_dsp::stats::{SlidingStats, Welford};
@@ -8,17 +9,11 @@ use river_dsp::wav::{SampleFormat, WavReader, WavSpec, WavWriter};
 use river_dsp::window::WindowKind;
 use river_dsp::Complex64;
 
-/// Deterministic pseudo-random complex samples in the unit square
-/// (xorshift64*).
-fn random_complex(n: usize, seed: u64) -> Vec<Complex64> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-    };
-    (0..n).map(|_| Complex64::new(next(), next())).collect()
+/// `n` complex samples drawn from `rng`, uniform in the unit square.
+fn random_complex(rng: &mut StdRng, n: usize) -> Vec<Complex64> {
+    (0..n)
+        .map(|_| Complex64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+        .collect()
 }
 
 /// Distance in units in the last place between two finite,
@@ -54,7 +49,7 @@ fn differential_lengths() -> Vec<usize> {
 #[test]
 fn every_transform_matches_naive_on_every_plan_shape() {
     for n in differential_lengths() {
-        let x = random_complex(n, n as u64);
+        let x = random_complex(&mut StdRng::seed_from_u64(n as u64), n);
         let expected = dft_naive(&x);
         let scale = expected.iter().map(|z| z.abs()).fold(1.0_f64, f64::max);
 
@@ -99,7 +94,7 @@ fn guarded_abs_tracks_hypot() {
     // Ordinary values: mantissas and signs from the generator, decimal
     // exponents swept independently so the components' ratio varies
     // from balanced to one-sided.
-    let mantissas = random_complex(4096, 2007);
+    let mantissas = random_complex(&mut StdRng::seed_from_u64(2007), 4096);
     for (i, m) in mantissas.iter().enumerate() {
         let z = Complex64::new(
             m.re * 10f64.powi(i as i32 % 201 - 100),
@@ -140,132 +135,151 @@ fn guarded_abs_tracks_hypot() {
     }
 }
 
-fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
-    prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(re, im)| Complex64::new(re, im))
-            .collect()
+/// 1 to `max_len - 1` complex samples with both parts in ±100.
+fn complex_vec(rng: &mut StdRng, max_len: usize) -> Vec<Complex64> {
+    seeds::vec(rng, 1..max_len, |r| {
+        Complex64::new(r.random_range(-100.0..100.0), r.random_range(-100.0..100.0))
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// FFT (any length, including Bluestein paths) agrees with the naive DFT.
-    #[test]
-    fn fft_matches_naive(x in complex_vec(64)) {
+/// FFT (any length, including Bluestein paths) agrees with the naive DFT.
+#[test]
+fn fft_matches_naive() {
+    seeds::check(0..64, |rng| {
+        let x = complex_vec(rng, 64);
         let fast = Fft::new(x.len()).forward(&x);
         let slow = dft_naive(&x);
         for (a, b) in fast.iter().zip(&slow) {
-            prop_assert!((*a - *b).abs() < 1e-6 * (1.0 + b.abs()));
+            assert!((*a - *b).abs() < 1e-6 * (1.0 + b.abs()));
         }
-    }
+    });
+}
 
-    /// forward then inverse is the identity.
-    #[test]
-    fn fft_round_trip(x in complex_vec(128)) {
+/// forward then inverse is the identity.
+#[test]
+fn fft_round_trip() {
+    seeds::check(0..64, |rng| {
+        let x = complex_vec(rng, 128);
         let fft = Fft::new(x.len());
         let back = fft.inverse(&fft.forward(&x));
         for (a, b) in x.iter().zip(&back) {
-            prop_assert!((*a - *b).abs() < 1e-7 * (1.0 + a.abs()));
+            assert!((*a - *b).abs() < 1e-7 * (1.0 + a.abs()));
         }
-    }
+    });
+}
 
-    /// Welford matches the two-pass batch computation.
-    #[test]
-    fn welford_matches_batch(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
+/// Welford matches the two-pass batch computation.
+#[test]
+fn welford_matches_batch() {
+    seeds::check(0..64, |rng| {
+        let xs = seeds::vec(rng, 1..200, |r| r.random_range(-1e6..1e6));
         let mut w = Welford::new();
         for &x in &xs {
             w.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        prop_assert!((w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((w.population_variance() - var).abs() < 1e-4 * (1.0 + var));
-    }
+        assert!((w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
+        assert!((w.population_variance() - var).abs() < 1e-4 * (1.0 + var));
+    });
+}
 
-    /// Sliding stats equal batch statistics of the trailing window.
-    #[test]
-    fn sliding_stats_match_batch(
-        xs in prop::collection::vec(-1e3f64..1e3, 1..200),
-        cap in 1usize..32,
-    ) {
+/// Sliding stats equal batch statistics of the trailing window.
+#[test]
+fn sliding_stats_match_batch() {
+    seeds::check(0..64, |rng| {
+        let xs = seeds::vec(rng, 1..200, |r| r.random_range(-1e3..1e3));
+        let cap = rng.random_range(1..32);
         let mut s = SlidingStats::new(cap);
         for (i, &x) in xs.iter().enumerate() {
             s.push(x);
             let lo = (i + 1).saturating_sub(cap);
             let window = &xs[lo..=i];
             let mean = window.iter().sum::<f64>() / window.len() as f64;
-            prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
+            assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         }
-    }
+    });
+}
 
-    /// Oscillogram normalization output is always within [-1, 1] and
-    /// zero-mean.
-    #[test]
-    fn oscillogram_normalized(xs in prop::collection::vec(-1e4f64..1e4, 2..300)) {
+/// Oscillogram normalization output is always within [-1, 1] and
+/// zero-mean.
+#[test]
+fn oscillogram_normalized() {
+    seeds::check(0..64, |rng| {
+        let xs = seeds::vec(rng, 2..300, |r| r.random_range(-1e4..1e4));
         let norm = normalize_oscillogram(&xs);
         let mean: f64 = norm.iter().sum::<f64>() / norm.len() as f64;
-        prop_assert!(mean.abs() < 1e-6);
+        assert!(mean.abs() < 1e-6);
         for &v in &norm {
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&v));
+            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&v));
         }
-    }
+    });
+}
 
-    /// Window coefficients are symmetric and within [0, 1] for all kinds.
-    #[test]
-    fn windows_symmetric_bounded(n in 2usize..512, kind_idx in 0usize..6) {
-        let kind = WindowKind::ALL[kind_idx];
+/// Window coefficients are symmetric and within [0, 1] for all kinds.
+#[test]
+fn windows_symmetric_bounded() {
+    seeds::check(0..64, |rng| {
+        let n = rng.random_range(2..512);
+        let kind = WindowKind::ALL[rng.random_range(0..WindowKind::ALL.len())];
         let w = kind.coefficients(n);
         for i in 0..n {
-            prop_assert!((-1e-12..=1.0 + 1e-12).contains(&w[i]));
-            prop_assert!((w[i] - w[n - 1 - i]).abs() < 1e-12);
+            assert!((-1e-12..=1.0 + 1e-12).contains(&w[i]));
+            assert!((w[i] - w[n - 1 - i]).abs() < 1e-12);
         }
-    }
+    });
+}
 
-    /// WAV PCM16 round trip preserves samples to quantization accuracy.
-    #[test]
-    fn wav_pcm16_round_trip(
-        xs in prop::collection::vec(-1.0f64..1.0, 1..500),
-        rate in 4_000u32..48_000,
-    ) {
-        let spec = WavSpec::mono_pcm16(rate);
+/// WAV PCM16 round trip preserves samples to quantization accuracy.
+#[test]
+fn wav_pcm16_round_trip() {
+    seeds::check(0..64, |rng| {
+        let xs = seeds::vec(rng, 1..500, |r| r.random_range(-1.0..1.0));
+        let spec = WavSpec::mono_pcm16(rng.random_range(4_000..48_000));
         let mut buf = Vec::new();
         WavWriter::write(&mut buf, spec, &xs).unwrap();
         let decoded = WavReader::read(buf.as_slice()).unwrap();
-        prop_assert_eq!(decoded.spec, spec);
-        prop_assert_eq!(decoded.samples.len(), xs.len());
+        assert_eq!(decoded.spec, spec);
+        assert_eq!(decoded.samples.len(), xs.len());
         for (a, b) in xs.iter().zip(&decoded.samples) {
-            prop_assert!((a - b).abs() < 2.0 / 32768.0);
+            assert!((a - b).abs() < 2.0 / 32768.0);
         }
-    }
+    });
+}
 
-    /// WAV float32 round trip is near-exact for all supported channel
-    /// counts.
-    #[test]
-    fn wav_float_round_trip(
-        frames in prop::collection::vec(-1.0f64..1.0, 1..200),
-        channels in 1u16..4,
-    ) {
-        let spec = WavSpec { channels, sample_rate: 20_160, sample_format: SampleFormat::Float32 };
+/// WAV float32 round trip is near-exact for all supported channel
+/// counts.
+#[test]
+fn wav_float_round_trip() {
+    seeds::check(0..64, |rng| {
+        let frames = seeds::vec(rng, 1..200, |r| r.random_range(-1.0..1.0));
+        let channels = rng.random_range(1..4);
+        let spec = WavSpec {
+            channels,
+            sample_rate: 20_160,
+            sample_format: SampleFormat::Float32,
+        };
         // Truncate to whole frames.
         let usable = frames.len() - frames.len() % channels as usize;
         if usable == 0 {
-            return Ok(());
+            return;
         }
         let samples = &frames[..usable];
         let mut buf = Vec::new();
         WavWriter::write(&mut buf, spec, samples).unwrap();
         let decoded = WavReader::read(buf.as_slice()).unwrap();
         for (a, b) in samples.iter().zip(&decoded.samples) {
-            prop_assert!((a - b).abs() < 1e-6);
+            assert!((a - b).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    /// Reading arbitrary junk either fails cleanly or succeeds; it never
-    /// panics.
-    #[test]
-    fn wav_reader_never_panics(junk in prop::collection::vec(any::<u8>(), 0..300)) {
+/// Reading arbitrary junk either fails cleanly or succeeds; it never
+/// panics.
+#[test]
+fn wav_reader_never_panics() {
+    seeds::check(0..64, |rng| {
+        let junk = seeds::vec(rng, 0..300, |r| r.next_u64() as u8);
         let _ = WavReader::read(junk.as_slice());
-    }
+    });
 }

@@ -7,21 +7,14 @@
 //! 7-smooth length rides `properties.rs`, off the reference it computes
 //! for `Fft`.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use river_dsp::fft::{dft_naive, RealFft};
 use river_dsp::Complex64;
 
-/// Deterministic pseudo-random samples in [-1, 1] (xorshift64*).
-fn random_samples(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect()
+/// `n` samples drawn from `rng`, uniform in [-1, 1).
+fn random_samples(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    (0..n).map(|_| rng.random_range(-1.0..1.0)).collect()
 }
 
 /// Asserts `got` ≡ `expected` within `tol` relative to the spectrum's
@@ -38,31 +31,33 @@ fn assert_close(got: &[Complex64], expected: &[Complex64], tol: f64) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random lengths: even ones pack into a half transform, odd ones
-    /// take the direct fallback; about half of either kind is 7-smooth
-    /// (mixed radix) below 260, the rest Bluestein.
-    #[test]
-    fn realfft_matches_naive_dft(n in 1usize..260, seed in 0u64..1_000_000) {
-        let x = random_samples(n, seed);
+/// Random lengths: even ones pack into a half transform, odd ones
+/// take the direct fallback; about half of either kind is 7-smooth
+/// (mixed radix) below 260, the rest Bluestein.
+#[test]
+fn realfft_matches_naive_dft() {
+    seeds::check(0..48, |rng| {
+        let n = rng.random_range(1..260);
+        let x = random_samples(rng, n);
         let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
         let expected = dft_naive(&packed);
         let got = RealFft::new(n).forward(&x);
         let scale = expected.iter().map(|z| z.abs()).fold(1.0_f64, f64::max);
         for (k, (a, b)) in got.iter().zip(&expected).enumerate() {
             let err = (*a - *b).abs();
-            prop_assert!(err <= 1e-9 * scale, "n={} bin {}: err {:.3e}", n, k, err);
+            assert!(err <= 1e-9 * scale, "n={n} bin {k}: err {err:.3e}");
         }
-    }
+    });
+}
 
-    /// The fused magnitude path agrees with |naive DFT of windowed
-    /// input| — the equivalence the `spectrum` operator rides on.
-    #[test]
-    fn magnitudes_match_naive_windowed(n in 1usize..160, seed in 0u64..1_000_000) {
-        let x = random_samples(n, seed);
-        let window = random_samples(n, seed ^ 0xDEAD_BEEF);
+/// The fused magnitude path agrees with |naive DFT of windowed
+/// input| — the equivalence the `spectrum` operator rides on.
+#[test]
+fn magnitudes_match_naive_windowed() {
+    seeds::check(0..48, |rng| {
+        let n = rng.random_range(1..160);
+        let x = random_samples(rng, n);
+        let window = random_samples(rng, n);
         let windowed: Vec<Complex64> = x
             .iter()
             .zip(&window)
@@ -76,16 +71,16 @@ proptest! {
         let scale = expected.iter().map(|z| z.abs()).fold(1.0_f64, f64::max);
         for (k, (&m, z)) in mags.iter().zip(&expected).enumerate() {
             let err = (m - z.abs()).abs();
-            prop_assert!(err <= 1e-9 * scale, "n={} bin {}: err {:.3e}", n, k, err);
+            assert!(err <= 1e-9 * scale, "n={n} bin {k}: err {err:.3e}");
         }
-    }
+    });
 }
 
 #[test]
 fn production_record_length_matches_naive() {
     // 840 = the 20.16 kHz record geometry: packs into a 420-point
     // mixed-radix half — the case the pipeline hot path rides.
-    let x = random_samples(840, 7);
+    let x = random_samples(&mut StdRng::seed_from_u64(7), 840);
     let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
     assert_close(&RealFft::new(840).forward(&x), &dft_naive(&packed), 1e-9);
 }
@@ -96,7 +91,7 @@ fn production_record_length_matches_naive() {
 #[test]
 fn odd_and_prime_lengths_match_naive() {
     for &n in &[1usize, 3, 5, 7, 31, 101, 127, 211, 11, 13, 421, 418, 842] {
-        let x = random_samples(n, n as u64);
+        let x = random_samples(&mut StdRng::seed_from_u64(n as u64), n);
         let packed: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
         assert_close(&RealFft::new(n).forward(&x), &dft_naive(&packed), 1e-9);
     }

@@ -8,7 +8,7 @@
 //! a single `#[test]`.
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use river_dsp::wav::SampleFormat::{Float32, Pcm16, Pcm32, Pcm8};
 use river_dsp::wav::{WavData, WavError, WavReader, WavSpec, WavWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,8 +107,7 @@ fn hostile_wav_files_never_panic_or_over_allocate() {
     partial[22] = 2;
     assert_malformed("stereo, 3 samples", &partial, "frames");
 
-    for seed in 0..256 {
-        let rng = &mut StdRng::seed_from_u64(seed);
+    seeds::check(0..256, |rng| {
         let spec = WavSpec {
             channels: rng.random_range(1..4),
             sample_rate: [8_000, 20_160, 44_100][rng.random_range(0..3usize)],
@@ -117,52 +116,51 @@ fn hostile_wav_files_never_panic_or_over_allocate() {
         let n = rng.random_range(0..48usize) * spec.channels as usize;
         let samples: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
         let file = wav(spec, &samples);
-        let want = read(&format!("seed {seed}: valid"), &file).unwrap();
+        let want = read("valid", &file).unwrap();
         let data = n * spec.sample_format.bytes_per_sample();
-        let case = |what: &str| format!("seed {seed}: {what}");
         let lie = |rng: &mut StdRng| {
             [64, 1 << 16, u32::MAX][rng.random_range(0..3usize)] - rng.random_range(0..64u32)
         };
 
         let cut = rng.random_range(0..HEADER + data);
-        assert_malformed(&case("cut short"), &file[..cut], "");
+        assert_malformed("cut short", &file[..cut], "");
 
         let m = with_u32(&file, 4, lie(rng));
-        assert_eq!(read(&case("lying RIFF size"), &m).unwrap(), want);
+        assert_eq!(read("lying RIFF size", &m).unwrap(), want);
 
         let m = with_u32(&file, FMT_SIZE, lie(rng));
-        let _ = read(&case("lying fmt size"), &m);
+        let _ = read("lying fmt size", &m);
 
         let claim = rng.random_range((file.len() - HEADER) as u32 + 1..=u32::MAX);
         let m = with_u32(&file, DATA_SIZE, claim);
-        assert_malformed(&case("data claims too much"), &m, "truncated");
+        assert_malformed("data claims too much", &m, "truncated");
 
         let ext = rng.random_range(1..40usize);
         let body = vec![0xA5; ext + ext % 2];
         let m = with_u32(&spliced(&file, FMT_END, &body), FMT_SIZE, 16 + ext as u32);
-        assert_eq!(read(&case("fmt extension"), &m).unwrap(), want);
+        assert_eq!(read("fmt extension", &m).unwrap(), want);
 
         let len = 2 * rng.random_range(0..50usize) + 1;
         let mut chunk = [*b"LIST", (len as u32).to_le_bytes()].concat();
         chunk.resize(8 + len + 1, 0x5A);
         let m = spliced(&file, [12, FMT_END][rng.random_range(0..2usize)], &chunk);
-        assert_eq!(read(&case("odd unknown chunk"), &m).unwrap(), want);
+        assert_eq!(read("odd unknown chunk", &m).unwrap(), want);
 
         let mut m = file.clone();
         m[22..24].fill(0);
-        assert_malformed(&case("zero channels"), &m, "zero channels");
-        assert_malformed(&case("0 Hz"), &with_u32(&file, 24, 0), "zero sample rate");
+        assert_malformed("zero channels", &m, "zero channels");
+        assert_malformed("0 Hz", &with_u32(&file, 24, 0), "zero sample rate");
 
         if spec.channels > 1 && n > 0 {
             let short = data - spec.sample_format.bytes_per_sample();
             let m = with_u32(&file[..HEADER + short], DATA_SIZE, short as u32);
-            assert_malformed(&case("partial frame"), &m, "frames");
+            assert_malformed("partial frame", &m, "frames");
         }
 
         let mut m = file.clone();
         for _ in 0..rng.random_range(1..5u32) {
             m[rng.random_range(0..HEADER)] ^= 1u8 << rng.random_range(0..8u32);
         }
-        let _ = read(&case("header bit flips"), &m);
-    }
+        let _ = read("header bit flips", &m);
+    });
 }

@@ -4,40 +4,43 @@ use meso::classifier::{DeltaPolicy, Meso, MesoConfig, QueryMode};
 use meso::crossval::vote;
 use meso::tree::SphereTree;
 use meso::ConfusionMatrix;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
 
-fn pattern_set(dim: usize, max: usize) -> impl Strategy<Value = Vec<(Vec<f64>, usize)>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(-100.0f64..100.0, dim..=dim),
-            0usize..5,
-        ),
-        1..max,
-    )
+/// A `dim`-dimensional point with coordinates in ±`span`.
+fn point(rng: &mut StdRng, dim: usize, span: f64) -> Vec<f64> {
+    (0..dim).map(|_| rng.random_range(-span..span)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// 1 to `max - 1` labelled patterns: `dim` features in ±100, labels 0–4.
+fn pattern_set(rng: &mut StdRng, dim: usize, max: usize) -> Vec<(Vec<f64>, usize)> {
+    seeds::vec(rng, 1..max, |r| {
+        (point(r, dim, 100.0), r.random_range(0usize..5))
+    })
+}
 
-    /// Every live pattern is accounted for in exactly one sphere, and
-    /// sphere member counts sum to the live pattern count.
-    #[test]
-    fn sphere_counts_partition_patterns(data in pattern_set(3, 60)) {
+/// Every live pattern is accounted for in exactly one sphere, and
+/// sphere member counts sum to the live pattern count.
+#[test]
+fn sphere_counts_partition_patterns() {
+    seeds::check(0..48, |rng| {
+        let data = pattern_set(rng, 3, 60);
         let mut m = Meso::new(3, MesoConfig::default());
         for (f, l) in &data {
             m.train(f, *l);
         }
         let total: usize = m.spheres().iter().map(meso::SensitivitySphere::len).sum();
-        prop_assert_eq!(total, data.len());
-        prop_assert_eq!(m.pattern_count(), data.len());
-    }
+        assert_eq!(total, data.len());
+        assert_eq!(m.pattern_count(), data.len());
+    });
+}
 
-    /// Classification always returns a label that was trained.
-    #[test]
-    fn classify_returns_trained_label(
-        data in pattern_set(2, 40),
-        query in prop::collection::vec(-200.0f64..200.0, 2..=2),
-    ) {
+/// Classification always returns a label that was trained.
+#[test]
+fn classify_returns_trained_label() {
+    seeds::check(0..48, |rng| {
+        let data = pattern_set(rng, 2, 40);
+        let query = point(rng, 2, 200.0);
         let mut m = Meso::new(2, MesoConfig::default());
         let mut labels = std::collections::HashSet::new();
         for (f, l) in &data {
@@ -45,38 +48,37 @@ proptest! {
             labels.insert(*l);
         }
         let predicted = m.classify(&query).unwrap();
-        prop_assert!(labels.contains(&predicted));
-    }
+        assert!(labels.contains(&predicted));
+    });
+}
 
-    /// Remove + restore is an exact identity on classification results.
-    #[test]
-    fn remove_restore_identity(
-        data in pattern_set(2, 40),
-        victim in 0usize..40,
-        query in prop::collection::vec(-50.0f64..50.0, 2..=2),
-    ) {
+/// Remove + restore is an exact identity on classification results.
+#[test]
+fn remove_restore_identity() {
+    seeds::check(0..48, |rng| {
+        let data = pattern_set(rng, 2, 40);
+        let victim = rng.random_range(0usize..40);
+        let query = point(rng, 2, 50.0);
         let mut m = Meso::new(2, MesoConfig::default());
         let ids: Vec<_> = data.iter().map(|(f, l)| m.train(f, *l)).collect();
         let before = m.classify(&query);
         let id = ids[victim % ids.len()];
         m.remove(id);
         m.restore(id);
-        prop_assert_eq!(m.classify(&query), before);
-        prop_assert_eq!(m.pattern_count(), data.len());
-    }
+        assert_eq!(m.classify(&query), before);
+        assert_eq!(m.pattern_count(), data.len());
+    });
+}
 
-    /// With a single trained label, every query (in either query mode)
-    /// predicts that label.
-    #[test]
-    fn single_label_memory_always_predicts_it(
-        features in prop::collection::vec(
-            prop::collection::vec(-100.0f64..100.0, 2..=2),
-            1..40,
-        ),
-        label in 0usize..7,
-        query in prop::collection::vec(-500.0f64..500.0, 2..=2),
-        nearest_mode in any::<bool>(),
-    ) {
+/// With a single trained label, every query (in either query mode)
+/// predicts that label.
+#[test]
+fn single_label_memory_always_predicts_it() {
+    seeds::check(0..48, |rng| {
+        let features = seeds::vec(rng, 1..40, |r| point(r, 2, 100.0));
+        let label = rng.random_range(0usize..7);
+        let query = point(rng, 2, 500.0);
+        let nearest_mode = rng.random_bool(0.5);
         let cfg = MesoConfig {
             delta_policy: DeltaPolicy::default(),
             query_mode: if nearest_mode {
@@ -89,49 +91,57 @@ proptest! {
         for f in &features {
             m.train(f, label);
         }
-        prop_assert_eq!(m.classify(&query), Some(label));
-    }
+        assert_eq!(m.classify(&query), Some(label));
+    });
+}
 
-    /// The ball-tree index always agrees with the linear scan.
-    #[test]
-    fn tree_matches_linear(
-        centers in prop::collection::vec(
-            prop::collection::vec(-100.0f64..100.0, 4..=4),
-            1..80,
-        ),
-        query in prop::collection::vec(-150.0f64..150.0, 4..=4),
-    ) {
-        let entries: Vec<(usize, Vec<f64>)> =
-            centers.iter().cloned().enumerate().collect();
+/// The ball-tree index always agrees with the linear scan.
+#[test]
+fn tree_matches_linear() {
+    seeds::check(0..48, |rng| {
+        let centers = seeds::vec(rng, 1..80, |r| point(r, 4, 100.0));
+        let query = point(rng, 4, 150.0);
+        let entries: Vec<(usize, Vec<f64>)> = centers.iter().cloned().enumerate().collect();
         let tree = SphereTree::build(entries.clone());
         let (tid, td) = tree.nearest(&query).unwrap();
         let (lid, ld) = entries
             .iter()
             .map(|(id, c)| {
-                let d: f64 = c.iter().zip(&query).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+                let d: f64 = c
+                    .iter()
+                    .zip(&query)
+                    .map(|(&a, &b)| (a - b) * (a - b))
+                    .sum::<f64>()
+                    .sqrt();
                 (*id, d)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .unwrap();
-        prop_assert_eq!(tid, lid);
-        prop_assert!((td - ld).abs() < 1e-9);
-    }
+        assert_eq!(tid, lid);
+        assert!((td - ld).abs() < 1e-9);
+    });
+}
 
-    /// vote() always returns the modal label.
-    #[test]
-    fn vote_returns_mode(preds in prop::collection::vec(0usize..6, 1..30)) {
+/// vote() always returns the modal label.
+#[test]
+fn vote_returns_mode() {
+    seeds::check(0..48, |rng| {
+        let preds = seeds::vec(rng, 1..30, |r| r.random_range(0usize..6));
         let winner = vote(&preds).unwrap();
         let count = |l: usize| preds.iter().filter(|&&p| p == l).count();
         for l in 0..6 {
-            prop_assert!(count(winner) >= count(l));
+            assert!(count(winner) >= count(l));
         }
-    }
+    });
+}
 
-    /// Confusion-matrix accuracy equals manual correct/total.
-    #[test]
-    fn confusion_accuracy_consistent(
-        outcomes in prop::collection::vec((0usize..4, 0usize..4), 1..100),
-    ) {
+/// Confusion-matrix accuracy equals manual correct/total.
+#[test]
+fn confusion_accuracy_consistent() {
+    seeds::check(0..48, |rng| {
+        let outcomes = seeds::vec(rng, 1..100, |r| {
+            (r.random_range(0usize..4), r.random_range(0usize..4))
+        });
         let mut cm = ConfusionMatrix::new(4);
         let mut correct = 0usize;
         for &(a, p) in &outcomes {
@@ -140,7 +150,7 @@ proptest! {
                 correct += 1;
             }
         }
-        prop_assert_eq!(cm.total(), outcomes.len() as u64);
-        prop_assert!((cm.accuracy() - correct as f64 / outcomes.len() as f64).abs() < 1e-12);
-    }
+        assert_eq!(cm.total(), outcomes.len() as u64);
+        assert!((cm.accuracy() - correct as f64 / outcomes.len() as f64).abs() < 1e-12);
+    });
 }

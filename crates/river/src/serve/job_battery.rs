@@ -41,15 +41,8 @@ use crate::fault::WireMangler;
 use crate::operator::SharedSink;
 use crate::record::Payload;
 use crate::telemetry::TelemetryConfig;
+use seeds::fuzz_iters;
 use std::cell::{Cell, RefCell};
-
-/// Bounded seed budget: deterministic by default, tunable via env.
-fn fuzz_iters() -> u64 {
-    std::env::var("FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
 
 /// Frames at least this long are bounded per burst by their length,
 /// shorter ones by their number (see [`Wire`]).

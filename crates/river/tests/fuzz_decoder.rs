@@ -19,14 +19,7 @@ use dynamic_river::fault::WireMangler;
 use dynamic_river::net::StreamIn;
 use dynamic_river::record::{Payload, Record, RecordKind};
 use dynamic_river::PipelineError;
-
-/// Bounded iteration budget: deterministic by default, tunable via env.
-fn fuzz_iters() -> u64 {
-    std::env::var("FUZZ_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
+use seeds::fuzz_iters;
 
 /// Asserts an error is the recoverable kind the decoder contract
 /// promises for in-band byte corruption.

@@ -20,65 +20,62 @@ use dynamic_river::prelude::*;
 use dynamic_river::telemetry::{
     EventKind, HistogramSnapshot, Snapshot, StageSnapshot, TelemetryEvent, HISTOGRAM_BUCKETS,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
 
 /// Stage-name pool: small so generated snapshots overlap by name and
 /// the by-name merge path is actually exercised.
 const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
 
-fn arb_hist() -> impl Strategy<Value = HistogramSnapshot> {
-    proptest::collection::vec((0usize..HISTOGRAM_BUCKETS, 1u64..100), 0..6).prop_map(|entries| {
-        let mut h = HistogramSnapshot::default();
-        for (bucket, n) in entries {
-            h.buckets[bucket] += n;
-            h.count += n;
-            // Attribute a plausible latency mass to the bucket so
-            // `sum_ns`/`max_ns` merge non-trivially (capped so the
-            // merge-addition property itself cannot overflow).
-            let ns = 1u64 << bucket.min(32);
-            h.sum_ns += ns * n;
-            h.max_ns = h.max_ns.max(ns);
-        }
-        h
-    })
+fn arb_hist(rng: &mut StdRng) -> HistogramSnapshot {
+    let mut h = HistogramSnapshot::default();
+    for _ in 0..rng.random_range(0..6) {
+        let bucket = rng.random_range(0..HISTOGRAM_BUCKETS);
+        let n = rng.random_range(1u64..100);
+        h.buckets[bucket] += n;
+        h.count += n;
+        // Attribute a plausible latency mass to the bucket so
+        // `sum_ns`/`max_ns` merge non-trivially (capped so the
+        // merge-addition property itself cannot overflow).
+        let ns = 1u64 << bucket.min(32);
+        h.sum_ns += ns * n;
+        h.max_ns = h.max_ns.max(ns);
+    }
+    h
 }
 
-fn arb_event() -> impl Strategy<Value = TelemetryEvent> {
-    let kind = prop_oneof![
-        Just(EventKind::ScopeOpen),
-        Just(EventKind::ScopeClose),
-        Just(EventKind::TriggerFire),
-        Just(EventKind::StallEnter),
-        Just(EventKind::SessionDrain),
+fn arb_event(rng: &mut StdRng) -> TelemetryEvent {
+    const KINDS: [EventKind; 5] = [
+        EventKind::ScopeOpen,
+        EventKind::ScopeClose,
+        EventKind::TriggerFire,
+        EventKind::StallEnter,
+        EventKind::SessionDrain,
     ];
-    (0u64..50, kind, 0u64..4, 0u64..100).prop_map(|(seq, kind, lane, subject)| TelemetryEvent {
-        seq,
-        kind,
-        lane,
-        subject,
-    })
+    TelemetryEvent {
+        seq: rng.random_range(0..50),
+        kind: KINDS[rng.random_range(0..KINDS.len())],
+        lane: rng.random_range(0..4),
+        subject: rng.random_range(0..100),
+    }
 }
 
-fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
-    (
-        proptest::collection::vec((any::<bool>(), arb_hist(), 0u64..5), NAMES.len()),
-        proptest::collection::vec(arb_event(), 0..8),
-        0u64..5,
-    )
-        .prop_map(|(stages, events, events_dropped)| Snapshot {
-            stages: NAMES
-                .iter()
-                .zip(stages)
-                .filter(|(_, (present, _, _))| *present)
-                .map(|(name, (_, latency, drops))| StageSnapshot {
-                    name: (*name).to_string(),
-                    latency,
-                    drops,
-                })
-                .collect(),
-            events,
-            events_dropped,
-        })
+fn arb_snapshot(rng: &mut StdRng) -> Snapshot {
+    let mut stages = Vec::new();
+    for name in NAMES {
+        if rng.random_bool(0.5) {
+            stages.push(StageSnapshot {
+                name: name.to_string(),
+                latency: arb_hist(rng),
+                drops: rng.random_range(0..5),
+            });
+        }
+    }
+    Snapshot {
+        stages,
+        events: seeds::vec(rng, 0..8, arb_event),
+        events_dropped: rng.random_range(0..5),
+    }
 }
 
 fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
@@ -94,36 +91,48 @@ fn by_name(mut s: Snapshot) -> Snapshot {
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+#[test]
+fn merge_is_associative() {
+    seeds::check(0..128, |rng| {
+        let a = arb_snapshot(rng);
+        let b = arb_snapshot(rng);
+        let c = arb_snapshot(rng);
+        assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
+    });
+}
 
-    #[test]
-    fn merge_is_associative(a in arb_snapshot(), b in arb_snapshot(), c in arb_snapshot()) {
-        prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-    }
+#[test]
+fn merge_is_commutative_up_to_stage_order() {
+    seeds::check(0..128, |rng| {
+        let a = arb_snapshot(rng);
+        let b = arb_snapshot(rng);
+        assert_eq!(by_name(merged(&a, &b)), by_name(merged(&b, &a)));
+    });
+}
 
-    #[test]
-    fn merge_is_commutative_up_to_stage_order(a in arb_snapshot(), b in arb_snapshot()) {
-        prop_assert_eq!(by_name(merged(&a, &b)), by_name(merged(&b, &a)));
-    }
-
-    #[test]
-    fn histograms_merge_bucket_wise(a in arb_hist(), b in arb_hist()) {
+#[test]
+fn histograms_merge_bucket_wise() {
+    seeds::check(0..128, |rng| {
+        let a = arb_hist(rng);
+        let b = arb_hist(rng);
         let mut m = a.clone();
         m.merge(&b);
         for i in 0..HISTOGRAM_BUCKETS {
-            prop_assert_eq!(m.buckets[i], a.buckets[i] + b.buckets[i]);
+            assert_eq!(m.buckets[i], a.buckets[i] + b.buckets[i]);
         }
-        prop_assert_eq!(m.count, a.count + b.count);
-        prop_assert_eq!(m.sum_ns, a.sum_ns + b.sum_ns);
-        prop_assert_eq!(m.max_ns, a.max_ns.max(b.max_ns));
-    }
+        assert_eq!(m.count, a.count + b.count);
+        assert_eq!(m.sum_ns, a.sum_ns + b.sum_ns);
+        assert_eq!(m.max_ns, a.max_ns.max(b.max_ns));
+    });
+}
 
-    #[test]
-    fn percentiles_are_monotone(h in arb_hist()) {
-        prop_assert!(h.p50_ns() <= h.p90_ns());
-        prop_assert!(h.p90_ns() <= h.p99_ns());
-    }
+#[test]
+fn percentiles_are_monotone() {
+    seeds::check(0..128, |rng| {
+        let h = arb_hist(rng);
+        assert!(h.p50_ns() <= h.p90_ns());
+        assert!(h.p90_ns() <= h.p99_ns());
+    });
 }
 
 /// A cloneable two-stage chain: a mapper plus a filter that drops every
