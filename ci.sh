@@ -18,6 +18,7 @@
 #                        #   under plain `cargo test`)
 #   ./ci.sh shims_as_used  # the shims-as-used source policy alone
 #   ./ci.sh one_ledger   # the one-ledger source policy alone
+#   ./ci.sh only_what_ships  # the only-what-ships source policy alone
 #   ./ci.sh numerics     # the numerics gates alone, in release: the
 #                        #   anomaly kernel and smoother against their
 #                        #   per-sample reference, the golden score
@@ -238,6 +239,26 @@ one_ledger() {
     fi
 }
 
+# --- only what ships -----------------------------------------------------
+# The library holds what the tables, the classifier, the examples and
+# the served chains run; an oracle lives in the tests. MESO is a linear
+# scan to the nearest sphere, a sphere-majority vote and one δ rule
+# (DESIGN.md §7), and its protocols are leave-one-out and
+# resubstitution. The stage-at-a-time reference is `stage_at_a_time` in
+# crates/river/tests/stage_at_a_time/mod.rs, and the paper's `readout`
+# is a `StreamOut` over a file. None of the deleted items may come back,
+# in code or in prose. `Spectrogram::bin_frequency` is the bin
+# arithmetic in use, so only the deleted `fft::` helpers are matched.
+only_what_ships() {
+    local gone='SphereTree|build_index|classify_indexed|QueryMode|NearestPattern|FirstDistance'
+    gone+='|DeltaPolicy|k_fold|train_all|run_batch|Readout|Ewma|fft::bin_frequency|frequency_bin'
+    if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
+        echo "only-what-ships: a library item that only its own tests ran is named above;" \
+            "keep oracles in the tests" >&2
+        return 1
+    fi
+}
+
 # --- static chain verification ---------------------------------------
 # Runs river-lint over every shipped pipeline chain (Figure 5 plus the
 # standalone segments, the chains every example composes) and fails on
@@ -270,6 +291,10 @@ if [ "${1:-}" = "one_ledger" ]; then
     one_ledger
     exit 0
 fi
+if [ "${1:-}" = "only_what_ships" ]; then
+    only_what_ships
+    exit 0
+fi
 if [ "${1:-}" = "numerics" ]; then
     numerics
     exit 0
@@ -292,6 +317,9 @@ one_door
 
 phase "one-ledger (per-stage numbers live in StageStats)"
 one_ledger
+
+phase "only-what-ships (no library path that only its own tests run)"
+only_what_ships
 
 # The whole pipeline compiles warning-free; keep it that way.
 export RUSTFLAGS="-D warnings"

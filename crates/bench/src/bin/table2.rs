@@ -7,9 +7,11 @@
 //! ```
 //!
 //! `--retrain` uses the paper's literal leave-one-out procedure
-//! (retraining MESO for every held-out item); the default uses exact
-//! removal-based LOO, which evaluates the identical memory state at a
-//! fraction of the cost (see `DESIGN.md`).
+//! (retraining MESO for every held-out item); the default removes the
+//! held-out item from one trained memory and restores it, at a fraction
+//! of the cost. Removal does not rewind δ or the spheres later patterns
+//! founded, so it approximates the retrained memory; `DESIGN.md` §8
+//! gives the measured difference.
 
 use ensemble_bench::{build_corpus_and_datasets, header, pct, Scale};
 use ensemble_core::classify::paper_meso_config;

@@ -5,18 +5,15 @@
 use crate::config::ExtractorConfig;
 use crate::pipeline::featurize_ensemble;
 use crate::species::SpeciesCode;
-use meso::classifier::{DeltaPolicy, Meso, MesoConfig, QueryMode};
+use meso::classifier::{Meso, MesoConfig};
 use meso::crossval::vote;
 use meso::Dataset;
 
 /// The MESO configuration calibrated for the acoustic datasets
-/// (sensitivity δ at 0.35 of the running mean nearest-sphere distance,
-/// sphere-majority queries). Used by every table/figure harness.
+/// (sensitivity δ at 0.35 of the running mean nearest-sphere
+/// distance). Used by every table/figure harness.
 pub fn paper_meso_config() -> MesoConfig {
-    MesoConfig {
-        delta_policy: DeltaPolicy::RunningMean { factor: 0.35 },
-        query_mode: QueryMode::SphereMajority,
-    }
+    MesoConfig { delta_factor: 0.35 }
 }
 
 /// A trained species recognizer over ensembles.
@@ -113,11 +110,7 @@ mod tests {
 
     #[test]
     fn paper_config_shape() {
-        let cfg = paper_meso_config();
-        assert!(matches!(
-            cfg.delta_policy,
-            DeltaPolicy::RunningMean { factor } if (factor - 0.35).abs() < 1e-12
-        ));
+        assert_eq!(paper_meso_config().delta_factor, 0.35);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! - [`ops`] — every pipeline operator of the paper's Figure 5:
 //!   `wav2rec`, `saxanomaly`, `trigger`, `cutter`, `reslice`,
 //!   `spectrum` (the paper's `welchwindow` → `float2cplx` → `dft` →
-//!   `cabs` in one pass), `cutout`, `paa`, `rec2vect` (plus `readout`),
-//!   each a `dynamic_river::Operator`;
+//!   `cabs` in one pass), `cutout`, `paa`, `rec2vect`, each a
+//!   `dynamic_river::Operator` (the paper's `readout` is
+//!   `dynamic_river`'s `StreamOut` over a file);
 //! - [`extract`] — [`extract::EnsembleExtractor`], a convenience API
 //!   that runs the extraction operators over raw samples
 //!   ([`extract`](extract::EnsembleExtractor::extract)) or any record

@@ -1,11 +1,11 @@
 //! The pipeline operators of the paper's Figure 5.
 //!
-//! Acquisition: [`wav2rec::Wav2Rec`] (and [`readout::Readout`] for
-//! archival). Ensemble extraction: [`saxanomaly::SaxAnomaly`] →
-//! [`trigger_op::TriggerOp`] → [`cutter::Cutter`]. Spectral
-//! featurization: [`reslice::Reslice`] → [`spectrum::Spectrum`] →
-//! [`cutout::Cutout`] → optional [`paa_op::PaaOp`] →
-//! [`rec2vect::Rec2Vect`]. `spectrum` is the paper's four boxes
+//! Acquisition: [`wav2rec::Wav2Rec`]; the paper's `readout` (archival)
+//! is a [`dynamic_river::net::StreamOut`] over a file. Ensemble
+//! extraction: [`saxanomaly::SaxAnomaly`] → [`trigger_op::TriggerOp`] →
+//! [`cutter::Cutter`]. Spectral featurization: [`reslice::Reslice`] →
+//! [`spectrum::Spectrum`] → [`cutout::Cutout`] → optional
+//! [`paa_op::PaaOp`] → [`rec2vect::Rec2Vect`]. `spectrum` is the paper's four boxes
 //! `welchwindow` → `float2cplx` → `dft` → `cabs` in one pass (window ×
 //! real FFT → magnitude); the test suites hold it against a plain
 //! complex-FFT oracle.
@@ -20,7 +20,8 @@ pub mod cutter;
 pub mod logscale;
 pub mod paa_op;
 pub mod plan_cache;
-pub mod readout;
+#[cfg(test)]
+mod readout;
 pub mod rec2vect;
 pub mod reslice;
 pub mod saxanomaly;
@@ -33,7 +34,6 @@ pub use cutter::Cutter;
 pub use logscale::LogScale;
 pub use paa_op::PaaOp;
 pub use plan_cache::PlanCache;
-pub use readout::Readout;
 pub use rec2vect::Rec2Vect;
 pub use reslice::Reslice;
 pub use saxanomaly::SaxAnomaly;

@@ -6,9 +6,10 @@ mod common;
 
 use common::{oracle_featurization_segment, oracle_full_pipeline};
 use dynamic_river::analyze::{CheckOptions, DiagnosticKind, PayloadKind, RecordClass, Severity};
+use dynamic_river::net::StreamOut;
 use dynamic_river::prelude::*;
 use dynamic_river::{ScopeEffect, Signature};
-use ensemble_core::ops::{clip_to_records, Cutter, Readout, Rec2Vect, SaxAnomaly, TriggerOp};
+use ensemble_core::ops::{clip_to_records, Cutter, Rec2Vect, SaxAnomaly, TriggerOp};
 use ensemble_core::pipeline::{extraction_segment, featurization_segment, full_pipeline};
 use ensemble_core::{scope_type, subtype, ExtractorConfig};
 
@@ -147,11 +148,13 @@ fn scope_unbalanced_chain_names_the_opener() {
     assert!(err.to_string().contains("leaky-opener"), "{err}");
 }
 
+/// The paper's `readout` archives the stream: a `StreamOut` over a
+/// writer, which cannot be cloned into shards.
 #[test]
 fn sharded_run_with_readout_fails_preflight_naming_it() {
     let cfg = ExtractorConfig::default();
     let mut p = full_pipeline(cfg, false);
-    p.add(Readout::new(Vec::new()));
+    p.add(StreamOut::new(Vec::new()));
     let records = clip_to_records(&[0.01; 840 * 2], 20_160.0, 840, &[]);
     let err = p
         .run_sharded(records.into_iter(), &mut NullSink, 2)
@@ -162,7 +165,7 @@ fn sharded_run_with_readout_fails_preflight_naming_it() {
     assert!(
         diags
             .iter()
-            .any(|d| d.kind == DiagnosticKind::ShardUnsafe && d.operator == "readout"),
+            .any(|d| d.kind == DiagnosticKind::ShardUnsafe && d.operator == "streamout"),
         "{diags:?}"
     );
     // The streaming driver accepts the same chain (shardability is a

@@ -1,15 +1,44 @@
 //! Streaming-executor integration tests for the Figure 5 graph:
-//! batch/streaming equivalence on real synthetic clips, and the
-//! constant-memory guarantee over streams far longer than any clip.
+//! stage-at-a-time/streaming equivalence on real synthetic clips, and
+//! the constant-memory guarantee over streams far longer than any clip.
+
+#[path = "../../river/tests/stage_at_a_time/mod.rs"]
+mod stage_at_a_time;
 
 use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
-use ensemble_core::ops::{clip_record_source, clip_to_records};
+use ensemble_core::ops::{
+    clip_record_source, clip_to_records, Cutout, Cutter, LogScale, PaaOp, Rec2Vect, SaxAnomaly,
+    Spectrum, TriggerOp,
+};
 use ensemble_core::pipeline::{extraction_segment, full_pipeline};
 use ensemble_core::prelude::*;
 use ensemble_core::subtype;
+use stage_at_a_time::{pipeline, stage_at_a_time};
 
-/// The fused streaming driver and the materializing batch runner
+/// The Figure 5 chain under the default configuration, built from the
+/// operators' public constructors.
+fn figure5_stages(cfg: ExtractorConfig, with_paa: bool) -> Vec<Box<dyn Operator>> {
+    let mut stages: Vec<Box<dyn Operator>> = vec![
+        Box::new(SaxAnomaly::new(cfg)),
+        Box::new(TriggerOp::new(cfg)),
+        Box::new(Cutter::new(cfg)),
+        Box::new(Spectrum::new()),
+        Box::new(Cutout::new(
+            cfg.cutout_low_hz,
+            cfg.cutout_high_hz,
+            cfg.sample_rate,
+        )),
+    ];
+    if with_paa {
+        stages.push(Box::new(PaaOp::new(cfg.paa_factor)));
+    }
+    stages.push(Box::new(LogScale::new()));
+    stages.push(Box::new(Rec2Vect::new(cfg.pattern_records)));
+    stages
+}
+
+/// The fused streaming driver and the stage-at-a-time reference
 /// produce record-for-record identical output for the complete
 /// Figure 5 pipeline over a clip with real song bouts.
 #[test]
@@ -26,9 +55,12 @@ fn figure5_streaming_equals_batch() {
     );
 
     for with_paa in [false, true] {
-        let batch = full_pipeline(cfg, with_paa)
-            .run_batch(records.clone())
-            .unwrap();
+        assert_eq!(
+            pipeline(figure5_stages(cfg, with_paa)).names(),
+            full_pipeline(cfg, with_paa).names(),
+            "the reference chain drifted from the library's"
+        );
+        let batch = stage_at_a_time(figure5_stages(cfg, with_paa), records.clone()).unwrap();
         let mut streamed = Vec::new();
         let stats = full_pipeline(cfg, with_paa)
             .run_streaming(records.clone().into_iter(), &mut streamed)

@@ -712,29 +712,6 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
         .collect()
 }
 
-/// The frequency in Hz of DFT bin `k` for a transform of `n` samples at
-/// `sample_rate` Hz.
-///
-/// ```
-/// use river_dsp::fft::bin_frequency;
-/// // Production geometry: 840 samples at 20.16 kHz -> 24 Hz bins.
-/// assert_eq!(bin_frequency(50, 840, 20_160.0), 1_200.0);
-/// assert_eq!(bin_frequency(400, 840, 20_160.0), 9_600.0);
-/// ```
-pub fn bin_frequency(k: usize, n: usize, sample_rate: f64) -> f64 {
-    k as f64 * sample_rate / n as f64
-}
-
-/// The DFT bin index whose center frequency is closest to `freq` Hz.
-///
-/// ```
-/// use river_dsp::fft::frequency_bin;
-/// assert_eq!(frequency_bin(1_200.0, 840, 20_160.0), 50);
-/// ```
-pub fn frequency_bin(freq: f64, n: usize, sample_rate: f64) -> usize {
-    ((freq * n as f64 / sample_rate).round() as usize).min(n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,14 +961,6 @@ mod tests {
         let x = vec![0.0; 840];
         let mut out = vec![Complex64::ZERO; 840];
         plan.forward_into(&x, &mut out, &mut []);
-    }
-
-    #[test]
-    fn bin_frequency_round_trips() {
-        for k in [0usize, 1, 50, 350, 399] {
-            let f = bin_frequency(k, 840, 20_160.0);
-            assert_eq!(frequency_bin(f, 840, 20_160.0), k);
-        }
     }
 
     #[test]

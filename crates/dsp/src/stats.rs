@@ -468,54 +468,6 @@ impl MovingAverage {
     }
 }
 
-/// Exponentially weighted moving average, provided as a cheaper alternative
-/// smoother for ablations.
-///
-/// # Example
-///
-/// ```
-/// use river_dsp::stats::Ewma;
-///
-/// let mut e = Ewma::new(0.5);
-/// e.push(0.0);
-/// assert_eq!(e.push(4.0), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]` or not finite.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Pushes a sample and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// The current average, if any sample has been pushed.
-    pub fn current(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,21 +686,6 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(ma.push(7.0), 7.0);
         }
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.2);
-        for _ in 0..200 {
-            e.push(5.0);
-        }
-        assert!((e.current().unwrap() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
     }
 
     #[test]

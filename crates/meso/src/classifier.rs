@@ -1,63 +1,29 @@
 //! The MESO classifier: leader–follower training into sensitivity
-//! spheres, with incremental removal for cheap exact leave-one-out.
+//! spheres, with incremental removal for cheap leave-one-out.
 
 use crate::dataset::Label;
 use crate::sphere::SensitivitySphere;
-use crate::tree::SphereTree;
 
-/// Policy controlling the sensitivity δ — the radius within which a new
-/// training pattern joins an existing sphere rather than founding a new
-/// one.
+/// Configuration for [`Meso`]: the sensitivity δ, the radius within
+/// which a new training pattern joins its nearest sphere rather than
+/// founding a new one.
 ///
-/// The TKDE paper grows δ as training progresses; the DEPSA paper only
-/// summarizes this. The default `RunningMean` policy — δ is a fraction
-/// of the running mean nearest-sphere distance — reproduces the
-/// qualitative behaviour (δ adapts to the data's scale without tuning)
-/// and is documented in `DESIGN.md` as an approximation.
+/// δ is `delta_factor` × the running mean of the nearest-sphere
+/// distances seen in training, so it adapts to the data's scale without
+/// tuning. The TKDE paper grows δ as training progresses and the DEPSA
+/// paper only summarizes it; this rule reproduces the qualitative
+/// behaviour and is documented in `DESIGN.md` as an approximation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeltaPolicy {
-    /// Constant sensitivity.
-    Fixed(f64),
-    /// δ = `factor` × running mean of observed nearest-sphere distances.
-    RunningMean {
-        /// Fraction of the running mean distance (0.75 works well across
-        /// the paper's datasets).
-        factor: f64,
-    },
-    /// δ = `factor` × the first non-zero nearest-sphere distance seen.
-    FirstDistance {
-        /// Fraction of the first observed distance.
-        factor: f64,
-    },
-}
-
-impl Default for DeltaPolicy {
-    fn default() -> Self {
-        DeltaPolicy::RunningMean { factor: 0.75 }
-    }
-}
-
-/// How a query maps the nearest sphere to a label (DEPSA §2: MESO
-/// "returns the label associated with the most similar training pattern
-/// or a sensitivity sphere containing a set of similar training
-/// patterns").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Majority label among the nearest sphere's members (default).
-    #[default]
-    SphereMajority,
-    /// Label of the single nearest training pattern within the nearest
-    /// sphere.
-    NearestPattern,
-}
-
-/// Configuration for [`Meso`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MesoConfig {
-    /// Sensitivity growth policy.
-    pub delta_policy: DeltaPolicy,
-    /// Query labeling mode.
-    pub query_mode: QueryMode,
+    /// Fraction of the running mean nearest-sphere distance. The
+    /// default is 0.75; the paper's tables run 0.35.
+    pub delta_factor: f64,
+}
+
+impl Default for MesoConfig {
+    fn default() -> Self {
+        MesoConfig { delta_factor: 0.75 }
+    }
 }
 
 /// Identifier of a stored training pattern, returned by
@@ -98,7 +64,7 @@ pub struct QueryResult {
 /// m.train(&[10.0], 1);
 /// assert_eq!(m.classify(&[0.1]), Some(0));
 ///
-/// // Exact leave-one-out: remove, query, restore.
+/// // Leave-one-out by removal: remove, query, restore.
 /// m.remove(id);
 /// assert_eq!(m.classify(&[0.0]), Some(0)); // neighbor at 0.2 remains
 /// m.restore(id);
@@ -108,16 +74,12 @@ pub struct Meso {
     dim: usize,
     config: MesoConfig,
     spheres: Vec<SensitivitySphere>,
-    /// Pattern ids per sphere, parallel to `spheres`.
-    members: Vec<Vec<PatternId>>,
     patterns: Vec<StoredPattern>,
     live_patterns: usize,
     delta: f64,
-    /// Running mean of nearest-sphere distances (for `RunningMean`).
+    /// Running mean of nearest-sphere distances.
     dist_mean: f64,
     dist_count: u64,
-    /// First non-zero observed distance (for `FirstDistance`).
-    first_distance: Option<f64>,
 }
 
 impl Meso {
@@ -125,32 +87,21 @@ impl Meso {
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0`, if a fixed δ is negative or non-finite, or
-    /// if a policy factor is non-positive.
+    /// Panics if `dim == 0` or if the δ factor is not positive and
+    /// finite.
     pub fn new(dim: usize, config: MesoConfig) -> Self {
         assert!(dim > 0, "pattern dimension must be non-zero");
-        match config.delta_policy {
-            DeltaPolicy::Fixed(d) => {
-                assert!(d.is_finite() && d >= 0.0, "fixed delta must be >= 0");
-            }
-            DeltaPolicy::RunningMean { factor } | DeltaPolicy::FirstDistance { factor } => {
-                assert!(factor.is_finite() && factor > 0.0, "factor must be > 0");
-            }
-        }
+        let factor = config.delta_factor;
+        assert!(factor.is_finite() && factor > 0.0, "factor must be > 0");
         Meso {
             dim,
             config,
             spheres: Vec::new(),
-            members: Vec::new(),
             patterns: Vec::new(),
             live_patterns: 0,
-            delta: match config.delta_policy {
-                DeltaPolicy::Fixed(d) => d,
-                _ => 0.0,
-            },
+            delta: 0.0,
             dist_mean: 0.0,
             dist_count: 0,
-            first_distance: None,
         }
     }
 
@@ -201,20 +152,9 @@ impl Meso {
     }
 
     fn update_delta(&mut self, observed: f64) {
-        match self.config.delta_policy {
-            DeltaPolicy::Fixed(_) => {}
-            DeltaPolicy::RunningMean { factor } => {
-                self.dist_count += 1;
-                self.dist_mean += (observed - self.dist_mean) / self.dist_count as f64;
-                self.delta = factor * self.dist_mean;
-            }
-            DeltaPolicy::FirstDistance { factor } => {
-                if self.first_distance.is_none() && observed > 0.0 {
-                    self.first_distance = Some(observed);
-                    self.delta = factor * observed;
-                }
-            }
-        }
+        self.dist_count += 1;
+        self.dist_mean += (observed - self.dist_mean) / self.dist_count as f64;
+        self.delta = self.config.delta_factor * self.dist_mean;
     }
 
     /// Trains on one labeled pattern (leader–follower step) and returns
@@ -237,7 +177,6 @@ impl Meso {
                 self.update_delta(d);
                 if d <= self.delta {
                     self.spheres[nearest].insert(features, label);
-                    self.members[nearest].push(id);
                     nearest
                 } else {
                     self.new_sphere(features, label)
@@ -256,21 +195,14 @@ impl Meso {
 
     fn new_sphere(&mut self, features: &[f64], label: Label) -> usize {
         self.spheres.push(SensitivitySphere::new(features, label));
-        self.members.push(vec![self.patterns.len()]);
         self.spheres.len() - 1
     }
 
-    /// Trains on a whole labeled set, returning the assigned ids.
-    pub fn train_all<'a, I>(&mut self, items: I) -> Vec<PatternId>
-    where
-        I: IntoIterator<Item = (&'a [f64], Label)>,
-    {
-        items.into_iter().map(|(f, l)| self.train(f, l)).collect()
-    }
-
-    /// Removes a training pattern from memory (its sphere's center and
-    /// counts are exactly rewound). Enables exact-memory leave-one-out
-    /// without retraining.
+    /// Removes a training pattern from memory: its sphere's counts and
+    /// labels are rewound exactly, its feature sum to within rounding
+    /// (see [`SensitivitySphere::remove`]). δ and the spheres that later
+    /// patterns founded or joined stay as they are, so leave-one-out by
+    /// removal approximates a memory trained without the pattern.
     ///
     /// # Panics
     ///
@@ -283,13 +215,13 @@ impl Meso {
         let label = p.label;
         let features = std::mem::take(&mut p.features);
         self.spheres[sphere].remove(&features, label);
-        self.members[sphere].retain(|&m| m != id);
         self.patterns[id].features = features;
         self.live_patterns -= 1;
     }
 
     /// Restores a previously removed pattern into the sphere it came
-    /// from (exact inverse of [`remove`](Self::remove)).
+    /// from: the inverse of [`remove`](Self::remove) in counts and
+    /// labels, and in feature sums to within rounding.
     ///
     /// # Panics
     ///
@@ -302,7 +234,6 @@ impl Meso {
         let label = p.label;
         let features = std::mem::take(&mut p.features);
         self.spheres[sphere].insert(&features, label);
-        self.members[sphere].push(id);
         self.patterns[id].features = features;
         self.live_patterns += 1;
     }
@@ -324,62 +255,17 @@ impl Meso {
     pub fn query(&self, features: &[f64]) -> Option<QueryResult> {
         assert_eq!(features.len(), self.dim, "feature dimension mismatch");
         let (sphere, distance) = self.nearest_sphere(features)?;
-        Some(self.result_for_sphere(sphere, distance, features))
+        Some(self.result_for_sphere(sphere, distance))
     }
 
-    fn result_for_sphere(&self, sphere: usize, distance: f64, features: &[f64]) -> QueryResult {
+    fn result_for_sphere(&self, sphere: usize, distance: f64) -> QueryResult {
         let s = &self.spheres[sphere];
-        let label = match self.config.query_mode {
-            QueryMode::SphereMajority => s.majority_label().expect("non-empty sphere"),
-            QueryMode::NearestPattern => {
-                let mut best = (f64::INFINITY, 0usize);
-                for &id in &self.members[sphere] {
-                    let p = &self.patterns[id];
-                    let d: f64 = p
-                        .features
-                        .iter()
-                        .zip(features)
-                        .map(|(&a, &b)| (a - b) * (a - b))
-                        .sum();
-                    if d < best.0 {
-                        best = (d, id);
-                    }
-                }
-                self.patterns[best.1].label
-            }
-        };
         QueryResult {
-            label,
+            label: s.majority_label().expect("non-empty sphere"),
             sphere,
             distance,
             votes: s.labels().collect(),
         }
-    }
-
-    /// Builds a ball-tree index over the current (non-empty) spheres for
-    /// sublinear nearest-sphere search. The index is a snapshot: it is
-    /// invalidated by any later `train`/`remove`/`restore`.
-    pub fn build_index(&self) -> SphereTree {
-        SphereTree::build(
-            self.spheres
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(i, s)| (i, s.center().to_vec())),
-        )
-    }
-
-    /// Classifies using a prebuilt index; result is identical to
-    /// [`classify`](Self::classify) as long as the index snapshot is
-    /// current.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-dimension mismatch.
-    pub fn classify_indexed(&self, index: &SphereTree, features: &[f64]) -> Option<Label> {
-        assert_eq!(features.len(), self.dim, "feature dimension mismatch");
-        let (sphere, distance) = index.nearest(features)?;
-        Some(self.result_for_sphere(sphere, distance, features).label)
     }
 }
 
@@ -479,81 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_pattern_mode_uses_member_labels() {
-        let cfg = MesoConfig {
-            delta_policy: DeltaPolicy::Fixed(10.0),
-            query_mode: QueryMode::NearestPattern,
-        };
-        let mut m = Meso::new(1, cfg);
-        // One sphere with mixed labels; majority is 0 but nearest to 0.9
-        // is the single label-1 pattern at 1.0.
-        m.train(&[0.0], 0);
-        m.train(&[0.1], 0);
-        m.train(&[0.2], 0);
-        m.train(&[1.0], 1);
-        assert_eq!(m.sphere_count(), 1);
-        assert_eq!(m.classify(&[0.9]), Some(1));
-        let majority = Meso::new(
-            1,
-            MesoConfig {
-                query_mode: QueryMode::SphereMajority,
-                ..cfg
-            },
-        );
-        let _ = majority; // majority mode covered by other tests
-    }
-
-    #[test]
     fn query_reports_votes_and_distance() {
         let m = two_cluster_memory();
         let r = m.query(&[0.0, 0.0]).unwrap();
         assert_eq!(r.label, 0);
         assert!(r.distance < 1.0);
         assert!(!r.votes.is_empty());
-    }
-
-    #[test]
-    fn fixed_delta_policy_controls_sphere_creation() {
-        let cfg = MesoConfig {
-            delta_policy: DeltaPolicy::Fixed(0.0),
-            query_mode: QueryMode::SphereMajority,
-        };
-        let mut m = Meso::new(1, cfg);
-        m.train(&[0.0], 0);
-        m.train(&[0.001], 0);
-        // delta 0: every distinct pattern founds its own sphere.
-        assert_eq!(m.sphere_count(), 2);
-    }
-
-    #[test]
-    fn first_distance_policy() {
-        let cfg = MesoConfig {
-            delta_policy: DeltaPolicy::FirstDistance { factor: 2.0 },
-            query_mode: QueryMode::SphereMajority,
-        };
-        let mut m = Meso::new(1, cfg);
-        m.train(&[0.0], 0);
-        m.train(&[1.0], 0); // first distance = 1.0 -> delta = 2.0
-        assert!((m.delta() - 2.0).abs() < 1e-12);
-        m.train(&[1.5], 0); // within delta of sphere
-        assert!(m.sphere_count() <= 2);
-    }
-
-    #[test]
-    fn indexed_classification_matches_linear() {
-        let m = two_cluster_memory();
-        let index = m.build_index();
-        for q in [[0.0, 0.0], [5.0, 5.0], [2.5, 2.5], [-1.0, 3.0]] {
-            assert_eq!(m.classify_indexed(&index, &q), m.classify(&q), "{q:?}");
-        }
-    }
-
-    #[test]
-    fn train_all_convenience() {
-        let mut m = Meso::new(1, MesoConfig::default());
-        let data: Vec<(Vec<f64>, Label)> = vec![(vec![0.0], 0), (vec![9.0], 1)];
-        let ids = m.train_all(data.iter().map(|(f, l)| (f.as_slice(), *l)));
-        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Cross-validation protocols from the paper's assessment (§4):
-//! leave-one-out and resubstitution, with ensemble grouping and voting,
-//! plus k-fold as an extension.
+//! leave-one-out and resubstitution, with ensemble grouping and voting.
 //!
 //! "A voting approach is used for testing each ensemble, specifically
 //! each pattern belonging to a given ensemble is tested independently
@@ -19,8 +18,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LooMode {
     /// Train once per iteration, then *remove* the held-out group's
-    /// patterns, query, and restore. Exact memory-without-the-group
-    /// semantics at a fraction of the cost; the default.
+    /// patterns, query, and restore; the default. Removal rewinds the
+    /// group's counts and labels, but neither δ's running mean nor which
+    /// spheres later patterns founded or joined, so it approximates the
+    /// memory without the group (`DESIGN.md` §8 gives the difference)
+    /// at a fraction of the cost.
     #[default]
     Removal,
     /// Retrain a fresh memory from scratch for every held-out group —
@@ -292,79 +294,6 @@ pub fn resubstitution(ds: &Dataset, cfg: &CrossValConfig) -> RunStats {
     stats
 }
 
-/// k-fold cross-validation over groups (extension beyond the paper's
-/// protocols; useful for larger synthetic corpora).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `k < 2`.
-pub fn k_fold(ds: &Dataset, k: usize, cfg: &CrossValConfig) -> RunStats {
-    assert!(!ds.is_empty(), "dataset must not be empty");
-    assert!(k >= 2, "k must be at least 2");
-    let classes = ds.label_count();
-    let mut stats = RunStats {
-        accuracies: Vec::with_capacity(cfg.iterations),
-        confusion: ConfusionMatrix::new(classes),
-        train_time: Duration::ZERO,
-        test_time: Duration::ZERO,
-    };
-    let members = ds.group_members();
-
-    for iter in 0..cfg.iterations {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(iter as u64));
-        let order = shuffled_group_order(ds, &mut rng);
-        let mut correct = 0usize;
-        let mut tested = 0usize;
-        for fold in 0..k {
-            let test_groups: Vec<usize> = order
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % k == fold)
-                .map(|(_, &g)| g)
-                .collect();
-            let t0 = Instant::now();
-            let mut memory = Meso::new(ds.dim(), cfg.meso);
-            for &g in &order {
-                if test_groups.contains(&g) {
-                    continue;
-                }
-                for &p in &members[g] {
-                    memory.train(ds.features(p), ds.label(p));
-                }
-            }
-            stats.train_time += t0.elapsed();
-            if memory.pattern_count() == 0 {
-                continue;
-            }
-
-            let t1 = Instant::now();
-            for &g in &test_groups {
-                if members[g].is_empty() {
-                    continue;
-                }
-                let predictions: Vec<Label> = members[g]
-                    .iter()
-                    .filter_map(|&p| memory.classify(ds.features(p)))
-                    .collect();
-                if let (Some(predicted), Some(actual)) = (vote(&predictions), ds.group_label(g)) {
-                    stats.confusion.record(actual, predicted);
-                    tested += 1;
-                    if predicted == actual {
-                        correct += 1;
-                    }
-                }
-            }
-            stats.test_time += t1.elapsed();
-        }
-        stats.accuracies.push(if tested == 0 {
-            0.0
-        } else {
-            correct as f64 / tested as f64
-        });
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,20 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn k_fold_runs_and_scores() {
-        let ds = blob_dataset(18, 13);
-        let cfg = CrossValConfig {
-            iterations: 2,
-            seed: 3,
-            loo_mode: LooMode::Retrain,
-            meso: MesoConfig::default(),
-        };
-        let stats = k_fold(&ds, 3, &cfg);
-        assert_eq!(stats.accuracies.len(), 2);
-        assert!(stats.mean_accuracy() > 0.8);
-    }
-
-    #[test]
     fn stats_mean_and_std() {
         let stats = RunStats {
             accuracies: vec![0.8, 1.0],
@@ -512,12 +427,5 @@ mod tests {
     #[should_panic(expected = "must not be empty")]
     fn rejects_empty_dataset() {
         leave_one_out(&Dataset::new(2), &CrossValConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 2")]
-    fn rejects_k_one() {
-        let ds = blob_dataset(6, 1);
-        k_fold(&ds, 1, &CrossValConfig::default());
     }
 }

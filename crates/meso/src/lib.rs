@@ -17,14 +17,13 @@
 //!
 //! ## What this crate provides
 //!
-//! - [`Meso`] — incremental training into sensitivity spheres, queries
-//!   by sphere majority or nearest pattern, and **incremental pattern
-//!   removal** (which makes exact-memory leave-one-out evaluation cheap);
-//! - [`tree::SphereTree`] — a ball-tree index over sphere centers for
-//!   sublinear nearest-sphere search (MESO's hierarchical organization);
+//! - [`Meso`] — incremental training into sensitivity spheres (δ grows
+//!   with the running mean nearest-sphere distance), queries by a linear
+//!   scan to the nearest sphere and its majority label, and
+//!   **incremental pattern removal**, which makes leave-one-out cheap;
 //! - [`crossval`] — the paper's experimental protocols: leave-one-out
-//!   and resubstitution (§4), plus k-fold as an extension, with ensemble
-//!   grouping and vote-based recognition;
+//!   and resubstitution (§4), with ensemble grouping and vote-based
+//!   recognition;
 //! - [`confusion::ConfusionMatrix`] — the Table 3 artifact.
 //!
 //! ## Example
@@ -48,9 +47,8 @@ pub mod confusion;
 pub mod crossval;
 pub mod dataset;
 pub mod sphere;
-pub mod tree;
 
-pub use classifier::{DeltaPolicy, Meso, MesoConfig, QueryMode};
+pub use classifier::{Meso, MesoConfig};
 pub use confusion::ConfusionMatrix;
 pub use crossval::{leave_one_out, resubstitution, CrossValConfig, RunStats};
 pub use dataset::{Dataset, Label};

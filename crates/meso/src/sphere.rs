@@ -3,7 +3,7 @@
 //!
 //! A sphere holds the running mean of its member patterns (its center)
 //! and a per-label member count, and supports O(dim) incremental
-//! insertion *and removal* so the classifier can implement cheap exact
+//! insertion *and removal* so the classifier can implement cheap
 //! leave-one-out evaluation.
 
 use crate::dataset::Label;
@@ -81,7 +81,10 @@ impl SensitivitySphere {
         self.refresh_center();
     }
 
-    /// Removes a member pattern (exact inverse of [`insert`](Self::insert)).
+    /// Removes a member pattern: the inverse of [`insert`](Self::insert)
+    /// in counts and labels. The feature sum is rewound by subtraction,
+    /// and in f64 `(s + x) - x` need not equal `s`: in about one case in
+    /// ten it differs in the last bit, so the center can move by an ulp.
     ///
     /// # Panics
     ///

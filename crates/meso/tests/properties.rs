@@ -1,8 +1,7 @@
 //! Property-based tests for the MESO classifier.
 
-use meso::classifier::{DeltaPolicy, Meso, MesoConfig, QueryMode};
+use meso::classifier::{Meso, MesoConfig};
 use meso::crossval::vote;
-use meso::tree::SphereTree;
 use meso::ConfusionMatrix;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -52,7 +51,9 @@ fn classify_returns_trained_label() {
     });
 }
 
-/// Remove + restore is an exact identity on classification results.
+/// Remove + restore gives back the classification and the pattern
+/// count. It is exact in counts and labels but not in the spheres' f64
+/// sums, so this holds up to queries on a rounding knife edge.
 #[test]
 fn remove_restore_identity() {
     seeds::check(0..48, |rng| {
@@ -70,55 +71,18 @@ fn remove_restore_identity() {
     });
 }
 
-/// With a single trained label, every query (in either query mode)
-/// predicts that label.
+/// With a single trained label, every query predicts that label.
 #[test]
 fn single_label_memory_always_predicts_it() {
     seeds::check(0..48, |rng| {
         let features = seeds::vec(rng, 1..40, |r| point(r, 2, 100.0));
         let label = rng.random_range(0usize..7);
         let query = point(rng, 2, 500.0);
-        let nearest_mode = rng.random_bool(0.5);
-        let cfg = MesoConfig {
-            delta_policy: DeltaPolicy::default(),
-            query_mode: if nearest_mode {
-                QueryMode::NearestPattern
-            } else {
-                QueryMode::SphereMajority
-            },
-        };
-        let mut m = Meso::new(2, cfg);
+        let mut m = Meso::new(2, MesoConfig::default());
         for f in &features {
             m.train(f, label);
         }
         assert_eq!(m.classify(&query), Some(label));
-    });
-}
-
-/// The ball-tree index always agrees with the linear scan.
-#[test]
-fn tree_matches_linear() {
-    seeds::check(0..48, |rng| {
-        let centers = seeds::vec(rng, 1..80, |r| point(r, 4, 100.0));
-        let query = point(rng, 4, 150.0);
-        let entries: Vec<(usize, Vec<f64>)> = centers.iter().cloned().enumerate().collect();
-        let tree = SphereTree::build(entries.clone());
-        let (tid, td) = tree.nearest(&query).unwrap();
-        let (lid, ld) = entries
-            .iter()
-            .map(|(id, c)| {
-                let d: f64 = c
-                    .iter()
-                    .zip(&query)
-                    .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                (*id, d)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .unwrap();
-        assert_eq!(tid, lid);
-        assert!((td - ld).abs() < 1e-9);
     });
 }
 

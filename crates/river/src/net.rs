@@ -749,7 +749,7 @@ mod tests {
             }
             op.on_eos(&mut tee).unwrap();
             assert_eq!(op.sent(), 5);
-            assert_eq!(tee.len(), 5);
+            assert_eq!(tee, scoped_records(3));
         }
         // The bytes decode back to the same stream.
         let mut sink: Vec<Record> = Vec::new();

@@ -20,9 +20,9 @@
 //! upstream [`crate::net::StreamOut::redirect`]s to another server at a
 //! balanced point, and that session's fresh lane takes over.
 //!
-//! [`Pipeline::run_batch`] is not a runner but the reference the fused
-//! step is differentially tested against: stage-barrier semantics, one
-//! materialized vector per hop.
+//! The reference the fused step is differentially tested against
+//! (stage-barrier semantics, one vector per hop) lives in the tests:
+//! `stage_at_a_time` in this crate's `tests/stage_at_a_time/mod.rs`.
 
 use crate::analyze::{CheckOptions, Diagnostic};
 use crate::error::PipelineError;
@@ -683,9 +683,10 @@ impl Pipeline {
     /// graph.
     ///
     /// The output seen by `sink` is record-for-record identical to
-    /// [`run_batch`](Self::run_batch): each operator observes the same
-    /// input sequence in the same order either way, only the
-    /// interleaving across operators differs.
+    /// running the stages one after another, each over the whole
+    /// stream (the tests' `stage_at_a_time` reference): each operator
+    /// observes the same input sequence in the same order either way,
+    /// only the interleaving across operators differs.
     ///
     /// # Errors
     ///
@@ -761,34 +762,6 @@ impl Pipeline {
         let mut out = Vec::new();
         self.run_streaming(input.into_iter(), &mut out)?;
         Ok(out)
-    }
-
-    /// Runs the pipeline stage by stage with a barrier between stages:
-    /// operator N processes the *entire* stream (including its `on_eos`
-    /// flush) before operator N+1 sees a record, materializing the full
-    /// intermediate vector at every hop.
-    ///
-    /// Memory scales with stream length × stage count, so this is only
-    /// suitable for clip-sized inputs; it is kept as the reference
-    /// semantics the fused driver is differentially tested against.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first operator error.
-    pub fn run_batch<I>(&mut self, input: I) -> Result<Vec<Record>, PipelineError>
-    where
-        I: IntoIterator<Item = Record>,
-    {
-        let mut records: Vec<Record> = input.into_iter().collect();
-        for op in &mut self.ops {
-            let mut next = Vec::with_capacity(records.len());
-            for r in records {
-                op.on_record(r, &mut next)?;
-            }
-            op.on_eos(&mut next)?;
-            records = next;
-        }
-        Ok(records)
     }
 }
 
@@ -919,27 +892,6 @@ mod tests {
         let err = p.run_streaming(src, &mut sink).unwrap_err();
         assert!(matches!(err, PipelineError::Disconnected(_)));
         assert_eq!(sink.records, 3); // everything before the failure flowed
-    }
-
-    #[test]
-    fn streaming_matches_batch_with_eos_buffering() {
-        let build = || {
-            let mut p = Pipeline::new();
-            p.add(MapPayload::new("plus1", |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x += 1.0);
-            }));
-            p.add(Buffering { held: Vec::new() });
-            p.add(RecordFilter::new("evens", |r: &Record| {
-                r.seq.is_multiple_of(2)
-            }));
-            p
-        };
-        let batch = build().run_batch(numbered(20)).unwrap();
-        let mut streamed = Vec::new();
-        build()
-            .run_streaming(numbered(20).into_iter(), &mut streamed)
-            .unwrap();
-        assert_eq!(batch, streamed);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! drop filters, balanced scope wrappers, and a scope leaker — is
 //! composed into random chains. For every chain the analyzer's verdict
 //! is compared against what actually happens when the chain runs (via
-//! the reference batch driver, which performs no pre-flight check):
+//! the stage-at-a-time reference, which performs no pre-flight check):
 //!
 //! - a chain [`Pipeline::check_with`] accepts (no error-severity
 //!   diagnostics) never produces a runtime operator error and always
@@ -20,12 +20,15 @@
 //! with undeclared signatures trade detection for soundness and are
 //! covered by the unit tests instead.
 
+mod stage_at_a_time;
+
 use dynamic_river::analyze::{CheckOptions, PayloadKind, RecordClass, Severity};
 use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
 use dynamic_river::{ScopeEffect, Signature, UnmatchedPolicy};
 use rand::rngs::StdRng;
 use rand::RngExt;
+use stage_at_a_time::{pipeline, stage_at_a_time};
 
 /// Subtypes the pool operates over.
 const SUBTYPES: std::ops::RangeInclusive<u16> = 1..=4;
@@ -208,6 +211,23 @@ fn input_options() -> CheckOptions {
     }
 }
 
+/// The chain of `specs`, one pool operator each.
+fn stages(specs: &[Spec]) -> Vec<Box<dyn Operator>> {
+    specs
+        .iter()
+        .map(|&spec| Box::new(PoolOp::new(spec)) as Box<dyn Operator>)
+        .collect()
+}
+
+/// Whether the analyzer refuses the chain of `specs` (an error-severity
+/// diagnostic) over [`input_options`].
+fn rejected(specs: &[Spec]) -> bool {
+    pipeline(stages(specs))
+        .check_with(&input_options())
+        .iter()
+        .any(|d| d.severity == Severity::Error)
+}
+
 /// A concrete stream inhabiting every class the analysis is seeded
 /// with: one input scope holding `n` subtype-1 data records.
 fn input_stream(n: usize) -> Vec<Record> {
@@ -225,45 +245,24 @@ fn input_stream(n: usize) -> Vec<Record> {
 #[test]
 fn pool_exercises_both_verdicts() {
     // Accepted and clean: map 1→2, strictly consume 2, wrap it.
-    let mut ok = Pipeline::new();
-    ok.add(PoolOp::new(Spec::Map { from: 1, to: 2 }));
-    ok.add(PoolOp::new(Spec::Strict { only: 2 }));
-    ok.add(PoolOp::new(Spec::Wrap { keep: 2, scope: 8 }));
-    assert!(
-        !ok.check_with(&input_options())
-            .iter()
-            .any(|d| d.severity == Severity::Error),
-        "clean chain rejected"
-    );
-    let out = ok.run_batch(input_stream(3)).expect("clean chain ran");
+    let ok = [
+        Spec::Map { from: 1, to: 2 },
+        Spec::Strict { only: 2 },
+        Spec::Wrap { keep: 2, scope: 8 },
+    ];
+    assert!(!rejected(&ok), "clean chain rejected");
+    let out = stage_at_a_time(stages(&ok), input_stream(3)).expect("clean chain ran");
     validate_scopes(&out).expect("clean chain balanced");
 
     // Rejected and failing: map 1→2, then strictly consume 1.
-    let mut bad = Pipeline::new();
-    bad.add(PoolOp::new(Spec::Map { from: 1, to: 2 }));
-    bad.add(PoolOp::new(Spec::Strict { only: 1 }));
-    assert!(
-        bad.check_with(&input_options())
-            .iter()
-            .any(|d| d.severity == Severity::Error),
-        "failing chain not flagged"
-    );
-    bad.run_batch(input_stream(3))
-        .expect_err("mismatched chain fails at runtime");
+    let bad = [Spec::Map { from: 1, to: 2 }, Spec::Strict { only: 1 }];
+    assert!(rejected(&bad), "failing chain not flagged");
+    stage_at_a_time(stages(&bad), input_stream(3)).expect_err("mismatched chain fails at runtime");
 
     // Rejected and failing: a leaked scope.
-    let mut leaky = Pipeline::new();
-    leaky.add(PoolOp::new(Spec::Leak { scope: 9 }));
-    assert!(
-        leaky
-            .check_with(&input_options())
-            .iter()
-            .any(|d| d.severity == Severity::Error),
-        "leaky chain not flagged"
-    );
-    let out = leaky
-        .run_batch(input_stream(3))
-        .expect("leak is not an error");
+    let leaky = [Spec::Leak { scope: 9 }];
+    assert!(rejected(&leaky), "leaky chain not flagged");
+    let out = stage_at_a_time(stages(&leaky), input_stream(3)).expect("leak is not an error");
     validate_scopes(&out).expect_err("leaked scope left output unbalanced");
 }
 
@@ -274,18 +273,11 @@ fn verdict_matches_runtime() {
     seeds::check(0..512, |rng| {
         let specs = seeds::vec(rng, 0..8, arb_spec);
         let n = rng.random_range(1usize..4);
-        let mut p = Pipeline::new();
-        for &spec in &specs {
-            p.add(PoolOp::new(spec));
-        }
-        let accepted = !p
-            .check_with(&input_options())
-            .iter()
-            .any(|d| d.severity == Severity::Error);
+        let accepted = !rejected(&specs);
 
-        // The reference batch driver performs no pre-flight analysis,
-        // so this observes the chain's true runtime behavior.
-        let outcome = p.run_batch(input_stream(n));
+        // The stage-at-a-time reference performs no pre-flight
+        // analysis, so this observes the chain's true runtime behavior.
+        let outcome = stage_at_a_time(stages(&specs), input_stream(n));
         let ran_clean = match &outcome {
             Ok(out) => validate_scopes(out).is_ok(),
             Err(_) => false,

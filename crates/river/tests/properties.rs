@@ -1,6 +1,8 @@
 //! Property-based tests for Dynamic River: codec round trips, scope
-//! repair invariants, and pipeline equivalence (batch vs streaming vs
-//! sharded).
+//! repair invariants, and pipeline equivalence (stage-at-a-time vs
+//! streaming vs sharded).
+
+mod stage_at_a_time;
 
 use dynamic_river::codec::{
     encode_into, write_eos, DecodeEvent, Decoder, SampleEncoding, WireFormat,
@@ -12,6 +14,7 @@ use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
+use stage_at_a_time::{pipeline, stage_at_a_time};
 use std::ops::Range;
 
 /// `rec` as one frame in the given sample encoding.
@@ -221,9 +224,9 @@ fn streamin_repairs_truncated_streams() {
 }
 
 /// The fused streaming driver agrees record-for-record with the
-/// batch (stage-barrier) runner for arbitrary record streams —
-/// including scope records and operators that buffer until
-/// end-of-stream — and its counters account for every record.
+/// stage-at-a-time reference for arbitrary record streams — including
+/// scope records and operators that buffer until end-of-stream — and
+/// its counters account for every record.
 #[test]
 fn streaming_equals_batch() {
     /// Holds everything until EOS, then replays — the worst case
@@ -250,21 +253,22 @@ fn streaming_equals_batch() {
         let gain = rng.random_range(-3.0..3.0);
         let keep_even = rng.random_bool(0.5);
         let build = move || {
-            let mut p = Pipeline::new();
-            p.add(MapPayload::new("gain", move |v: &mut [f64]| {
-                v.iter_mut().for_each(|x| *x *= gain);
-            }));
-            p.add(Buffering(Vec::new()));
+            let mut stages: Vec<Box<dyn Operator>> = vec![
+                Box::new(MapPayload::new("gain", move |v: &mut [f64]| {
+                    v.iter_mut().for_each(|x| *x *= gain);
+                })),
+                Box::new(Buffering(Vec::new())),
+            ];
             if keep_even {
-                p.add(RecordFilter::new("evens", |r: &Record| {
+                stages.push(Box::new(RecordFilter::new("evens", |r: &Record| {
                     r.seq.is_multiple_of(2)
-                }));
+                })));
             }
-            p
+            stages
         };
-        let batch = build().run_batch(stream.clone()).unwrap();
+        let batch = stage_at_a_time(build(), stream.clone()).unwrap();
         let mut streamed = Vec::new();
-        let stats = build()
+        let stats = pipeline(build())
             .run_streaming(stream.clone().into_iter(), &mut streamed)
             .unwrap();
         assert_eq!(&batch, &streamed);
@@ -278,25 +282,26 @@ fn streaming_equals_batch() {
 }
 
 /// `run` (the streaming wrapper) and the streaming driver's sink
-/// count agree with the batch reference for arbitrary streams.
+/// count agree with the stage-at-a-time reference for arbitrary
+/// streams.
 #[test]
 fn run_and_sink_records_match_batch() {
     seeds::check(0..64, |rng| {
         let stream = arb_stream(rng);
         let keep_even = rng.random_bool(0.5);
         let build = move || {
-            let mut p = Pipeline::new();
+            let mut stages: Vec<Box<dyn Operator>> = Vec::new();
             if keep_even {
-                p.add(RecordFilter::new("evens", |r: &Record| {
+                stages.push(Box::new(RecordFilter::new("evens", |r: &Record| {
                     r.seq.is_multiple_of(2)
-                }));
+                })));
             }
-            p.add(MapPayload::new("id", |_: &mut [f64]| {}));
-            p
+            stages.push(Box::new(MapPayload::new("id", |_: &mut [f64]| {})));
+            stages
         };
-        let batch = build().run_batch(stream.clone()).unwrap();
-        assert_eq!(&build().run(stream.clone()).unwrap(), &batch);
-        let stats = build()
+        let batch = stage_at_a_time(build(), stream.clone()).unwrap();
+        assert_eq!(&pipeline(build()).run(stream.clone()).unwrap(), &batch);
+        let stats = pipeline(build())
             .run_streaming(stream.into_iter(), &mut NullSink)
             .unwrap();
         assert_eq!(stats.sink_records as usize, batch.len());
