@@ -244,17 +244,42 @@ one_ledger() {
 # the served chains run; an oracle lives in the tests. MESO is a linear
 # scan to the nearest sphere, a sphere-majority vote and one δ rule
 # (DESIGN.md §7), and its protocols are leave-one-out and
-# resubstitution. The stage-at-a-time reference is `stage_at_a_time` in
-# crates/river/tests/stage_at_a_time/mod.rs, and the paper's `readout`
-# is a `StreamOut` over a file. None of the deleted items may come back,
-# in code or in prose. `Spectrogram::bin_frequency` is the bin
-# arithmetic in use, so only the deleted `fft::` helpers are matched.
+# resubstitution. The stage-at-a-time reference, the fault injectors
+# and the toy operators are the test kit, crates/river/tests/testkit/,
+# and the paper's `readout` is a `StreamOut` over a file. None of the
+# deleted items may come back, in code or in prose; the generic names
+# are matched qualified or call-shaped so prose does not trip them.
+# `Spectrogram::bin_frequency` is the bin arithmetic in use, so only the
+# deleted `fft::` helpers are matched. Then the library itself — each
+# crates/*/src file outside the bench crate, up to its test module, the
+# served job's test battery skipped — may not name a test-kit item or
+# a reference the tests keep (`dft_naive`, `norm_cdf`).
 only_what_ships() {
     local gone='SphereTree|build_index|classify_indexed|QueryMode|NearestPattern|FirstDistance'
     gone+='|DeltaPolicy|k_fold|train_all|run_batch|Readout|Ewma|fft::bin_frequency|frequency_bin'
+    gone+='|CorruptSubtype|send_all_with|normalize_oscillogram|signal::energy|dbfs|band_presence'
+    gone+='|high_pass|\.applied\(|coherent_gain|column_time|max_magnitude|sample_std_dev|from_polar'
+    gone+='|mindist|paa_inverse|map_features|classify_pattern|context_key::SPECIES|open_scopes'
+    gone+='|total_records'
     if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
         echo "only-what-ships: a library item that only its own tests ran is named above;" \
             "keep oracles in the tests" >&2
+        return 1
+    fi
+    local kit='FailAfter|DropCloses|TruncateAfter|WireMangler|Mangle|FnOp|MapPayload|RecordFilter'
+    kit+='|Passthrough|ScopeSum|FnSink|serve_once|dft_naive|\bnorm_cdf|pub mod fault'
+    local file found hits=''
+    for file in $(find crates/*/src -name '*.rs' | grep -v -e '^crates/bench/' -e '/serve/job_battery\.rs$'); do
+        found=$(awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" |
+            grep -E "$kit" || true)
+        if [ -n "$found" ]; then
+            hits+="$found"$'\n'
+        fi
+    done
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        echo "only-what-ships: library code names a test-kit item above;" \
+            "it belongs in crates/river/tests/testkit/ or the tests that use it" >&2
         return 1
     fi
 }

@@ -92,13 +92,6 @@ impl SpeciesClassifier {
             .collect();
         vote(&votes).and_then(SpeciesCode::from_label)
     }
-
-    /// Classifies a single pattern vector directly.
-    pub fn classify_pattern(&self, features: &[f64]) -> Option<SpeciesCode> {
-        self.memory
-            .classify(features)
-            .and_then(SpeciesCode::from_label)
-    }
 }
 
 #[cfg(test)]

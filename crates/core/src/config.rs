@@ -2,8 +2,9 @@
 //!
 //! Defaults reproduce the paper's experimental parameters (§3–4): SAX
 //! anomaly window 100 samples, alphabet 8, moving-average window 2250
-//! samples, trigger threshold 5σ, cutout ≈[1.2 kHz, 9.6 kHz], optional
-//! PAA ×10, patterns of 3 records = 0.125 s = 1050 features.
+//! samples, cutout ≈[1.2 kHz, 9.6 kHz], optional PAA ×10, patterns of 3
+//! records = 0.125 s = 1050 features. One departs from the paper: the
+//! trigger threshold is 3σ, where the paper used 5σ (`DESIGN.md` §8).
 //!
 //! The record geometry (20.16 kHz, 840-sample records, 24 Hz bins) is
 //! reverse-engineered from the published feature arithmetic — see

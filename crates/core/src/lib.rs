@@ -110,6 +110,4 @@ pub mod context_key {
     pub const SAMPLE_RATE: &str = "sample_rate";
     /// First sample index (within the clip) of an ensemble scope.
     pub const START_SAMPLE: &str = "start_sample";
-    /// Ground-truth species code (synthetic corpora only).
-    pub const SPECIES: &str = "species";
 }

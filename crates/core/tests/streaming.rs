@@ -2,8 +2,8 @@
 //! stage-at-a-time/streaming equivalence on real synthetic clips, and
 //! the constant-memory guarantee over streams far longer than any clip.
 
-#[path = "../../river/tests/stage_at_a_time/mod.rs"]
-mod stage_at_a_time;
+#[path = "../../river/tests/testkit/mod.rs"]
+mod testkit;
 
 use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
@@ -14,7 +14,7 @@ use ensemble_core::ops::{
 use ensemble_core::pipeline::{extraction_segment, full_pipeline};
 use ensemble_core::prelude::*;
 use ensemble_core::subtype;
-use stage_at_a_time::{pipeline, stage_at_a_time};
+use testkit::{pipeline, stage_at_a_time};
 
 /// The Figure 5 chain under the default configuration, built from the
 /// operators' public constructors.

@@ -48,26 +48,13 @@ impl Complex64 {
         Complex64 { re, im: 0.0 }
     }
 
-    /// Creates a complex number from polar coordinates.
-    ///
-    /// ```
-    /// use river_dsp::Complex64;
-    /// let z = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_2);
-    /// assert!((z.re).abs() < 1e-12);
-    /// assert!((z.im - 2.0).abs() < 1e-12);
-    /// ```
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64 {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// `e^{i theta}`: a unit-magnitude complex number at angle `theta`.
     #[inline]
     pub fn cis(theta: f64) -> Self {
-        Self::from_polar(1.0, theta)
+        Complex64 {
+            re: theta.cos(),
+            im: theta.sin(),
+        }
     }
 
     /// The complex conjugate.
@@ -297,13 +284,6 @@ mod tests {
         let z = Complex64::new(1.0, 2.0);
         assert_eq!(z.conj(), Complex64::new(1.0, -2.0));
         assert!((z * z.conj()).im.abs() < EPS);
-    }
-
-    #[test]
-    fn polar_round_trip() {
-        let z = Complex64::from_polar(2.0, 0.7);
-        assert!((z.abs() - 2.0).abs() < EPS);
-        assert!((z.arg() - 0.7).abs() < EPS);
     }
 
     #[test]

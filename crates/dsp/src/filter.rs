@@ -64,18 +64,6 @@ impl Biquad {
         Self::from_rbj(b0, b1, b0, 1.0 + alpha, -2.0 * cos, 1.0 - alpha)
     }
 
-    /// High-pass filter with cutoff `fc` Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fc < fs / 2` and `q > 0`.
-    pub fn high_pass(fc: f64, fs: f64, q: f64) -> Self {
-        let (_sin, cos, alpha) = rbj_prelude(fc, fs, q);
-        let b1 = -(1.0 + cos);
-        let b0 = f64::midpoint(1.0, cos);
-        Self::from_rbj(b0, b1, b0, 1.0 + alpha, -2.0 * cos, 1.0 - alpha)
-    }
-
     /// Band-pass filter (constant peak gain) centered at `fc` Hz.
     ///
     /// # Panics
@@ -152,13 +140,6 @@ mod tests {
         let lp = Biquad::low_pass(1_000.0, FS, Q);
         assert!(gain_at(lp, 100.0, FS) > 0.95);
         assert!(gain_at(lp, 6_000.0, FS) < 0.1);
-    }
-
-    #[test]
-    fn high_pass_blocks_low_passes_high() {
-        let hp = Biquad::high_pass(1_000.0, FS, Q);
-        assert!(gain_at(hp, 100.0, FS) < 0.1);
-        assert!(gain_at(hp, 6_000.0, FS) > 0.9);
     }
 
     #[test]

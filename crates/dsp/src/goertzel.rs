@@ -52,24 +52,6 @@ pub fn goertzel_magnitude(samples: &[f64], freq: f64, fs: f64) -> f64 {
     (real * real + imag * imag).sqrt()
 }
 
-/// Relative band energy: the summed Goertzel magnitude over `freqs`
-/// divided by the total signal RMS; a quick detector for "is there energy
-/// near these frequencies".
-pub fn band_presence(samples: &[f64], freqs: &[f64], fs: f64) -> f64 {
-    if samples.is_empty() || freqs.is_empty() {
-        return 0.0;
-    }
-    let rms = crate::signal::rms(samples);
-    if rms == 0.0 {
-        return 0.0;
-    }
-    let total: f64 = freqs
-        .iter()
-        .map(|&f| goertzel_magnitude(samples, f, fs))
-        .sum();
-    total / (rms * samples.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,21 +79,5 @@ mod tests {
     #[test]
     fn empty_input_is_zero() {
         assert_eq!(goertzel_magnitude(&[], 100.0, 1_000.0), 0.0);
-    }
-
-    #[test]
-    fn band_presence_detects_tone() {
-        let fs = 20_160.0;
-        let x: Vec<f64> = (0..4_096)
-            .map(|i| (2.0 * PI * 2_400.0 * i as f64 / fs).sin())
-            .collect();
-        let present = band_presence(&x, &[2_400.0], fs);
-        let absent = band_presence(&x, &[7_000.0], fs);
-        assert!(present > 10.0 * absent, "{present} vs {absent}");
-    }
-
-    #[test]
-    fn band_presence_zero_for_silence() {
-        assert_eq!(band_presence(&[0.0; 128], &[100.0], 1_000.0), 0.0);
     }
 }

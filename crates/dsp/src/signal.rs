@@ -1,34 +1,4 @@
-//! Whole-signal utilities: normalization, energy, and the oscillogram
-//! rendering used in the paper's Figure 2.
-
-/// Normalizes a signal the way the paper's oscillogram is drawn:
-/// "normalized by subtracting the mean and scaling by the maximum
-/// amplitude" (§2).
-///
-/// Returns all zeros for a constant (or empty) signal.
-///
-/// # Example
-///
-/// ```
-/// use river_dsp::signal::normalize_oscillogram;
-///
-/// let v = normalize_oscillogram(&[1.0, 2.0, 3.0]);
-/// assert_eq!(v, vec![-1.0, 0.0, 1.0]);
-/// ```
-pub fn normalize_oscillogram(samples: &[f64]) -> Vec<f64> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let max_amp = samples
-        .iter()
-        .map(|&x| (x - mean).abs())
-        .fold(0.0f64, f64::max);
-    if max_amp == 0.0 {
-        return vec![0.0; samples.len()];
-    }
-    samples.iter().map(|&x| (x - mean) / max_amp).collect()
-}
+//! Whole-signal utilities: RMS, peak, peak normalization and mixing.
 
 /// Root-mean-square amplitude of a signal; `0.0` when empty.
 ///
@@ -41,11 +11,6 @@ pub fn rms(samples: &[f64]) -> f64 {
         return 0.0;
     }
     (samples.iter().map(|&x| x * x).sum::<f64>() / samples.len() as f64).sqrt()
-}
-
-/// Total energy (sum of squares) of a signal.
-pub fn energy(samples: &[f64]) -> f64 {
-    samples.iter().map(|&x| x * x).sum()
 }
 
 /// Peak absolute amplitude; `0.0` when empty.
@@ -81,51 +46,13 @@ pub fn mix_into(dst: &mut [f64], src: &[f64], offset: usize, gain: f64) {
     }
 }
 
-/// Amplitude in decibels relative to full scale (1.0). Silent input maps
-/// to `f64::NEG_INFINITY`.
-pub fn dbfs(amplitude: f64) -> f64 {
-    if amplitude <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        20.0 * amplitude.log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn oscillogram_normalization_bounds() {
-        let samples: Vec<f64> = (0..500)
-            .map(|i| (i as f64 * 0.1).sin() * 3.0 + 1.0)
-            .collect();
-        let norm = normalize_oscillogram(&samples);
-        let max = norm.iter().copied().fold(f64::MIN, f64::max);
-        let min = norm.iter().copied().fold(f64::MAX, f64::min);
-        assert!(max <= 1.0 + 1e-12);
-        assert!(min >= -1.0 - 1e-12);
-        // Mean removed.
-        let mean: f64 = norm.iter().sum::<f64>() / norm.len() as f64;
-        assert!(mean.abs() < 1e-9);
-        // Peak reaches exactly 1 in magnitude.
-        assert!((max.max(-min) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oscillogram_constant_signal_is_zeros() {
-        assert_eq!(normalize_oscillogram(&[5.0; 10]), vec![0.0; 10]);
-    }
-
-    #[test]
-    fn oscillogram_empty() {
-        assert!(normalize_oscillogram(&[]).is_empty());
-    }
-
-    #[test]
-    fn rms_energy_peak_basics() {
+    fn rms_peak_basics() {
         assert_eq!(rms(&[]), 0.0);
-        assert_eq!(energy(&[2.0, 2.0]), 8.0);
         assert_eq!(peak(&[-4.0, 3.0]), 4.0);
     }
 
@@ -154,12 +81,5 @@ mod tests {
         let mut dst = vec![1.0; 3];
         mix_into(&mut dst, &[1.0; 3], 0, 1.0);
         assert_eq!(dst, vec![2.0; 3]);
-    }
-
-    #[test]
-    fn dbfs_reference_points() {
-        assert!((dbfs(1.0) - 0.0).abs() < 1e-12);
-        assert!((dbfs(0.5) + 6.0206).abs() < 1e-3);
-        assert_eq!(dbfs(0.0), f64::NEG_INFINITY);
     }
 }

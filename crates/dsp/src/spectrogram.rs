@@ -143,11 +143,6 @@ impl Spectrogram {
         b as f64 * self.config.sample_rate / self.config.frame_len as f64
     }
 
-    /// Time in seconds of the start of column `t`.
-    pub fn column_time(&self, t: usize) -> f64 {
-        (t * self.config.hop) as f64 / self.config.sample_rate
-    }
-
     /// Returns a new spectrogram with each column reduced by a mapping
     /// function (e.g. PAA); the per-column bin count becomes
     /// `map(column).len()`.
@@ -156,16 +151,6 @@ impl Spectrogram {
         F: FnMut(&[f64]) -> Vec<f64>,
     {
         self.data.iter().map(|c| map(c)).collect()
-    }
-
-    /// The maximum magnitude across the whole spectrogram; `0.0` when
-    /// empty.
-    pub fn max_magnitude(&self) -> f64 {
-        self.data
-            .iter()
-            .flat_map(|c| c.iter())
-            .copied()
-            .fold(0.0, f64::max)
     }
 
     /// Renders an ASCII-art view with `rows` frequency rows (downsampled,
@@ -292,14 +277,12 @@ mod tests {
     fn short_input_yields_empty() {
         let spec = Spectrogram::compute(&[0.0; 10], SpectrogramConfig::production());
         assert_eq!(spec.columns(), 0);
-        assert_eq!(spec.max_magnitude(), 0.0);
     }
 
     #[test]
     fn axis_mapping() {
         let spec = Spectrogram::compute(&vec![0.0; 1400], SpectrogramConfig::production());
         assert_eq!(spec.bin_frequency(50), 1_200.0);
-        assert!((spec.column_time(2) - 840.0 / 20_160.0).abs() < 1e-12);
     }
 
     #[test]
@@ -354,6 +337,6 @@ mod tests {
     fn silence_is_all_zero_columns() {
         let spec = Spectrogram::compute(&vec![0.0; 2_100], SpectrogramConfig::production());
         assert!(spec.columns() >= 1);
-        assert_eq!(spec.max_magnitude(), 0.0);
+        assert!(spec.into_inner().iter().flatten().all(|&m| m == 0.0));
     }
 }

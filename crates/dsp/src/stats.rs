@@ -82,11 +82,6 @@ impl Welford {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Resets to the empty state.
     pub fn reset(&mut self) {
         *self = Self::default();

@@ -91,22 +91,6 @@ impl WindowKind {
         }
     }
 
-    /// Returns a windowed copy of `samples`.
-    pub fn applied(self, samples: &[f64]) -> Vec<f64> {
-        let mut out = samples.to_vec();
-        self.apply(&mut out);
-        out
-    }
-
-    /// The coherent gain (mean coefficient) of an `n`-point window; useful
-    /// for amplitude-calibrated spectra.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.coefficients(n).iter().sum::<f64>() / n as f64
-    }
-
     /// All window kinds, for sweeps and tests.
     pub const ALL: [WindowKind; 6] = [
         WindowKind::Rectangular,
@@ -188,15 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_matches_applied() {
-        let samples: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        let copied = WindowKind::Welch.applied(&samples);
-        let mut in_place = samples.clone();
-        WindowKind::Welch.apply(&mut in_place);
-        assert_eq!(copied, in_place);
-    }
-
-    #[test]
     fn single_point_window_is_one() {
         for kind in WindowKind::ALL {
             assert_eq!(kind.coefficient(0, 1), 1.0);
@@ -208,16 +183,6 @@ mod tests {
         let mut v: Vec<f64> = vec![];
         WindowKind::Welch.apply(&mut v);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn coherent_gain_sane() {
-        // Rectangular gain is exactly 1; tapered windows are below 1.
-        assert!((WindowKind::Rectangular.coherent_gain(128) - 1.0).abs() < 1e-12);
-        for kind in [WindowKind::Welch, WindowKind::Hann, WindowKind::Hamming] {
-            let g = kind.coherent_gain(128);
-            assert!(g > 0.0 && g < 1.0, "{kind}: {g}");
-        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the DSP substrate.
 
+mod reference;
+
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use river_dsp::fft::{dft_naive, Fft, RealFft};
-use river_dsp::signal::normalize_oscillogram;
+use reference::dft_naive;
+use river_dsp::fft::{Fft, RealFft};
 use river_dsp::stats::{SlidingStats, Welford};
 use river_dsp::wav::{SampleFormat, WavReader, WavSpec, WavWriter};
 use river_dsp::window::WindowKind;
@@ -83,6 +85,40 @@ fn every_transform_matches_naive_on_every_plan_shape() {
             let err = (mags[k] - want.abs()).abs();
             assert!(err <= 1e-9 * scale, "n={n} magnitude {k}: err {err:.3e}");
         }
+    }
+}
+fn probe(n: usize) -> Vec<Complex64> {
+    (0..n)
+        .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos()))
+        .collect()
+}
+
+fn assert_spectra_close(a: &[Complex64], b: &[Complex64], tol: f64) {
+    assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            (*x - *y).abs() < tol,
+            "bin {i}: {x} vs {y} (|diff|={})",
+            (*x - *y).abs()
+        );
+    }
+}
+
+/// One length per butterfly and per mix of them, powers of two with
+/// and without the odd radix-2 pass included.
+#[test]
+fn mixed_radix_matches_naive() {
+    for &n in &[2usize, 3, 4, 5, 7, 8, 12, 64, 100, 105, 128, 175, 420, 700] {
+        let x = probe(n);
+        assert_spectra_close(&Fft::new(n).forward(&x), &dft_naive(&x), 1e-9);
+    }
+}
+
+#[test]
+fn bluestein_matches_naive_for_awkward_lengths() {
+    for &n in &[11usize, 13, 31, 101, 143, 418, 421, 842] {
+        let x = probe(n);
+        assert_spectra_close(&Fft::new(n).forward(&x), &dft_naive(&x), 1e-9);
     }
 }
 
@@ -197,21 +233,6 @@ fn sliding_stats_match_batch() {
             let window = &xs[lo..=i];
             let mean = window.iter().sum::<f64>() / window.len() as f64;
             assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        }
-    });
-}
-
-/// Oscillogram normalization output is always within [-1, 1] and
-/// zero-mean.
-#[test]
-fn oscillogram_normalized() {
-    seeds::check(0..64, |rng| {
-        let xs = seeds::vec(rng, 2..300, |r| r.random_range(-1e4..1e4));
-        let norm = normalize_oscillogram(&xs);
-        let mean: f64 = norm.iter().sum::<f64>() / norm.len() as f64;
-        assert!(mean.abs() < 1e-6);
-        for &v in &norm {
-            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&v));
         }
     });
 }

@@ -7,9 +7,12 @@
 //! 7-smooth length rides `properties.rs`, off the reference it computes
 //! for `Fft`.
 
+mod reference;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use river_dsp::fft::{dft_naive, RealFft};
+use reference::dft_naive;
+use river_dsp::fft::RealFft;
 use river_dsp::Complex64;
 
 /// `n` samples drawn from `rng`, uniform in [-1, 1).

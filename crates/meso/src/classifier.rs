@@ -1,5 +1,5 @@
 //! The MESO classifier: leader–follower training into sensitivity
-//! spheres, with incremental removal for cheap leave-one-out.
+//! spheres, with scoped hold-outs for cheap leave-one-out.
 
 use crate::dataset::Label;
 use crate::sphere::SensitivitySphere;
@@ -27,7 +27,7 @@ impl Default for MesoConfig {
 }
 
 /// Identifier of a stored training pattern, returned by
-/// [`Meso::train`]; needed for [`Meso::remove`] / [`Meso::restore`].
+/// [`Meso::train`]; names the patterns of a [`Meso::hold_out`].
 pub type PatternId = usize;
 
 #[derive(Debug, Clone)]
@@ -64,10 +64,12 @@ pub struct QueryResult {
 /// m.train(&[10.0], 1);
 /// assert_eq!(m.classify(&[0.1]), Some(0));
 ///
-/// // Leave-one-out by removal: remove, query, restore.
-/// m.remove(id);
-/// assert_eq!(m.classify(&[0.0]), Some(0)); // neighbor at 0.2 remains
-/// m.restore(id);
+/// // Leave-one-out by removal: hold the pattern out, query, and get
+/// // the memory back exactly as it was.
+/// let before = m.clone();
+/// let held_out = m.hold_out(&[id], |m| m.classify(&[0.0]));
+/// assert_eq!(held_out, Some(0)); // neighbor at 0.2 remains
+/// assert_eq!(m.spheres(), before.spheres());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Meso {
@@ -198,44 +200,41 @@ impl Meso {
         self.spheres.len() - 1
     }
 
-    /// Removes a training pattern from memory: its sphere's counts and
-    /// labels are rewound exactly, its feature sum to within rounding
-    /// (see [`SensitivitySphere::remove`]). δ and the spheres that later
-    /// patterns founded or joined stay as they are, so leave-one-out by
-    /// removal approximates a memory trained without the pattern.
+    /// Holds the patterns `ids` out of memory while `query` runs, and
+    /// returns what it returns.
+    ///
+    /// While they are out, their spheres lack their counts, labels and
+    /// feature sums. δ and the spheres that later patterns founded or
+    /// joined stay as they are, so a hold-out approximates a memory
+    /// trained without the patterns (`DESIGN.md` §8). Afterwards every
+    /// sphere the patterns touched is copied back from a snapshot taken
+    /// before they left, so the memory is bit-identical to what it was.
     ///
     /// # Panics
     ///
-    /// Panics if the id is unknown or already removed.
-    pub fn remove(&mut self, id: PatternId) {
-        let p = &mut self.patterns[id];
-        assert!(p.alive, "pattern {id} already removed");
-        p.alive = false;
-        let sphere = p.sphere;
-        let label = p.label;
-        let features = std::mem::take(&mut p.features);
-        self.spheres[sphere].remove(&features, label);
-        self.patterns[id].features = features;
-        self.live_patterns -= 1;
-    }
-
-    /// Restores a previously removed pattern into the sphere it came
-    /// from: the inverse of [`remove`](Self::remove) in counts and
-    /// labels, and in feature sums to within rounding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown or not currently removed.
-    pub fn restore(&mut self, id: PatternId) {
-        let p = &mut self.patterns[id];
-        assert!(!p.alive, "pattern {id} is not removed");
-        p.alive = true;
-        let sphere = p.sphere;
-        let label = p.label;
-        let features = std::mem::take(&mut p.features);
-        self.spheres[sphere].insert(&features, label);
-        self.patterns[id].features = features;
-        self.live_patterns += 1;
+    /// Panics if an id is unknown or named twice.
+    pub fn hold_out<R>(&mut self, ids: &[PatternId], query: impl FnOnce(&Meso) -> R) -> R {
+        let mut touched: Vec<usize> = ids.iter().map(|&id| self.patterns[id].sphere).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let snapshot: Vec<SensitivitySphere> =
+            touched.iter().map(|&s| self.spheres[s].clone()).collect();
+        for &id in ids {
+            let p = &mut self.patterns[id];
+            assert!(p.alive, "pattern {id} held out twice");
+            p.alive = false;
+            self.spheres[p.sphere].remove(&p.features, p.label);
+        }
+        self.live_patterns -= ids.len();
+        let result = query(self);
+        for (s, sphere) in touched.into_iter().zip(snapshot) {
+            self.spheres[s] = sphere;
+        }
+        for &id in ids {
+            self.patterns[id].alive = true;
+        }
+        self.live_patterns += ids.len();
+        result
     }
 
     /// Classifies a query pattern; `None` when the memory is empty.
@@ -328,24 +327,22 @@ mod tests {
     #[test]
     fn remove_then_restore_is_identity() {
         let mut m = two_cluster_memory();
-        let spheres_before: Vec<usize> = m
-            .spheres()
-            .iter()
-            .map(super::super::sphere::SensitivitySphere::len)
-            .collect();
+        let lens =
+            |m: &Meso| -> Vec<usize> { m.spheres().iter().map(SensitivitySphere::len).collect() };
+        let spheres_before = lens(&m);
         let id = m.train(&[0.005, 0.005], 0);
-        m.remove(id);
-        let spheres_after: Vec<usize> = m
-            .spheres()
-            .iter()
-            .map(super::super::sphere::SensitivitySphere::len)
-            .collect();
-        // Removing the just-added pattern rewinds counts exactly (a new
-        // sphere may exist but must be empty).
+        let trained = format!("{m:?}");
+        let spheres_held_out = m.hold_out(&[id], |m| {
+            assert_eq!(m.pattern_count(), 20);
+            lens(m)
+        });
+        // Holding out the just-added pattern rewinds counts exactly (a
+        // new sphere may exist but must be empty).
         for (i, &n) in spheres_before.iter().enumerate() {
-            assert_eq!(spheres_after[i], n);
+            assert_eq!(spheres_held_out[i], n);
         }
-        m.restore(id);
+        // Afterwards the memory is the trained one, bit for bit.
+        assert_eq!(format!("{m:?}"), trained);
         assert_eq!(m.pattern_count(), 21);
         assert_eq!(m.classify(&[0.005, 0.005]), Some(0));
     }
@@ -357,10 +354,8 @@ mod tests {
         let mut m = two_cluster_memory();
         let id = m.train(&[100.0, 100.0], 9);
         assert_eq!(m.classify(&[100.0, 100.0]), Some(9));
-        m.remove(id);
-        let pred = m.classify(&[100.0, 100.0]).unwrap();
+        let pred = m.hold_out(&[id], |m| m.classify(&[100.0, 100.0])).unwrap();
         assert_ne!(pred, 9);
-        m.restore(id);
         assert_eq!(m.classify(&[100.0, 100.0]), Some(9));
     }
 
@@ -374,12 +369,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already removed")]
+    #[should_panic(expected = "held out twice")]
     fn double_remove_panics() {
         let mut m = Meso::new(1, MesoConfig::default());
         let id = m.train(&[0.0], 0);
-        m.remove(id);
-        m.remove(id);
+        m.train(&[0.0], 0);
+        m.hold_out(&[id, id], |_| ());
     }
 
     #[test]

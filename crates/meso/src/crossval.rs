@@ -17,12 +17,13 @@ use std::time::{Duration, Instant};
 /// How leave-one-out holds a group out of the trained memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LooMode {
-    /// Train once per iteration, then *remove* the held-out group's
-    /// patterns, query, and restore; the default. Removal rewinds the
-    /// group's counts and labels, but neither δ's running mean nor which
-    /// spheres later patterns founded or joined, so it approximates the
-    /// memory without the group (`DESIGN.md` §8 gives the difference)
-    /// at a fraction of the cost.
+    /// Train once per iteration, then hold each group out of it
+    /// ([`Meso::hold_out`]) while its patterns are queried; the default.
+    /// A hold-out removes the group's counts, labels and sums, but
+    /// neither δ's running mean nor which spheres later patterns founded
+    /// or joined, so it approximates the memory without the group
+    /// (`DESIGN.md` §8 gives the difference) at a fraction of the cost.
+    /// The memory comes back bit for bit after each group.
     #[default]
     Removal,
     /// Retrain a fresh memory from scratch for every held-out group —
@@ -66,7 +67,7 @@ pub struct RunStats {
     pub confusion: ConfusionMatrix,
     /// Total time spent training memories.
     pub train_time: Duration,
-    /// Total time spent testing (including removal/restore in
+    /// Total time spent testing (including the hold-outs of
     /// [`LooMode::Removal`]).
     pub test_time: Duration,
 }
@@ -161,13 +162,12 @@ pub fn leave_one_out(ds: &Dataset, cfg: &CrossValConfig) -> RunStats {
                     if members[g].is_empty() {
                         continue;
                     }
-                    for &id in &ids[g] {
-                        memory.remove(id);
-                    }
-                    let predictions: Vec<Label> = members[g]
-                        .iter()
-                        .filter_map(|&p| memory.classify(ds.features(p)))
-                        .collect();
+                    let predictions: Vec<Label> = memory.hold_out(&ids[g], |memory| {
+                        members[g]
+                            .iter()
+                            .filter_map(|&p| memory.classify(ds.features(p)))
+                            .collect()
+                    });
                     if let (Some(predicted), Some(actual)) = (vote(&predictions), ds.group_label(g))
                     {
                         stats.confusion.record(actual, predicted);
@@ -175,9 +175,6 @@ pub fn leave_one_out(ds: &Dataset, cfg: &CrossValConfig) -> RunStats {
                         if predicted == actual {
                             correct += 1;
                         }
-                    }
-                    for &id in &ids[g] {
-                        memory.restore(id);
                     }
                 }
                 stats.test_time += t1.elapsed();

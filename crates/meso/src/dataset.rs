@@ -153,26 +153,6 @@ impl Dataset {
         }
         ds
     }
-
-    /// Applies a feature transform to every pattern, keeping labels and
-    /// groups (e.g. PAA reduction for the paper's PAA datasets).
-    pub fn map_features<F>(&self, mut f: F) -> Dataset
-    where
-        F: FnMut(&[f64]) -> Vec<f64>,
-    {
-        let transformed: Vec<Vec<f64>> = self.features.iter().map(|x| f(x)).collect();
-        let dim = transformed.first().map_or(0, std::vec::Vec::len);
-        for t in &transformed {
-            assert_eq!(t.len(), dim, "transform produced ragged features");
-        }
-        Dataset {
-            dim,
-            features: transformed,
-            labels: self.labels.clone(),
-            groups: self.groups.clone(),
-            group_count: self.group_count,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,15 +204,6 @@ mod tests {
         for i in 0..flat.len() {
             assert_eq!(flat.group(i), i);
         }
-    }
-
-    #[test]
-    fn map_features_transforms_dim() {
-        let ds = sample();
-        let halved = ds.map_features(|f| vec![f[0] + f[1]]);
-        assert_eq!(halved.dim(), 1);
-        assert_eq!(halved.features(0), &[3.0]);
-        assert_eq!(halved.group(1), 0); // structure preserved
     }
 
     #[test]

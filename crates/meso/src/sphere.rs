@@ -3,8 +3,8 @@
 //!
 //! A sphere holds the running mean of its member patterns (its center)
 //! and a per-label member count, and supports O(dim) incremental
-//! insertion *and removal* so the classifier can implement cheap
-//! leave-one-out evaluation.
+//! insertion *and removal* so the classifier can hold patterns out for
+//! cheap leave-one-out evaluation.
 
 use crate::dataset::Label;
 
@@ -81,10 +81,11 @@ impl SensitivitySphere {
         self.refresh_center();
     }
 
-    /// Removes a member pattern: the inverse of [`insert`](Self::insert)
-    /// in counts and labels. The feature sum is rewound by subtraction,
-    /// and in f64 `(s + x) - x` need not equal `s`: in about one case in
-    /// ten it differs in the last bit, so the center can move by an ulp.
+    /// Removes a member pattern: its count, its label and, by
+    /// subtraction, its feature sum. [`Meso::hold_out`] puts a sphere
+    /// back by copy, never by re-inserting.
+    ///
+    /// [`Meso::hold_out`]: crate::Meso::hold_out
     ///
     /// # Panics
     ///

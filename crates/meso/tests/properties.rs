@@ -51,23 +51,27 @@ fn classify_returns_trained_label() {
     });
 }
 
-/// Remove + restore gives back the classification and the pattern
-/// count. It is exact in counts and labels but not in the spheres' f64
-/// sums, so this holds up to queries on a rounding knife edge.
+/// A hold-out gives the memory back bit for bit: every sphere's sum,
+/// center and label list (in order), δ and the pattern count. `Debug`
+/// prints each f64 in its shortest round-trip form, so equal text is
+/// equal bits.
 #[test]
 fn remove_restore_identity() {
     seeds::check(0..48, |rng| {
         let data = pattern_set(rng, 2, 40);
-        let victim = rng.random_range(0usize..40);
+        let victims = seeds::vec(rng, 1..6, |r| r.random_range(0usize..40));
         let query = point(rng, 2, 50.0);
         let mut m = Meso::new(2, MesoConfig::default());
         let ids: Vec<_> = data.iter().map(|(f, l)| m.train(f, *l)).collect();
-        let before = m.classify(&query);
-        let id = ids[victim % ids.len()];
-        m.remove(id);
-        m.restore(id);
-        assert_eq!(m.classify(&query), before);
-        assert_eq!(m.pattern_count(), data.len());
+        let before = format!("{m:?}");
+        let classified = m.classify(&query);
+        let mut held: Vec<_> = victims.iter().map(|v| ids[v % ids.len()]).collect();
+        held.sort_unstable();
+        held.dedup();
+        let remaining = m.hold_out(&held, Meso::pattern_count);
+        assert_eq!(remaining, data.len() - held.len());
+        assert_eq!(format!("{m:?}"), before);
+        assert_eq!(m.classify(&query), classified);
     });
 }
 

@@ -38,17 +38,29 @@
 //! `UnknownSignature` warning surfaces.
 //!
 //! ```
+//! use dynamic_river::ops::ScopeRepair;
 //! use dynamic_river::prelude::*;
 //!
+//! /// A stage that declares no signature.
+//! #[derive(Clone)]
+//! struct Mystery;
+//! # impl Operator for Mystery {
+//! #     fn name(&self) -> &str {
+//! #         "mystery"
+//! #     }
+//! #     fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
+//! #         out.push(record)
+//! #     }
+//! #     fn clone_op(&self) -> Option<Box<dyn Operator>> {
+//! #         Some(Box::new(self.clone()))
+//! #     }
+//! # }
+//!
 //! let mut pipeline = Pipeline::new();
-//! pipeline.add(MapPayload::new("gain", |v: &mut [f64]| {
-//!     v.iter_mut().for_each(|x| *x *= 2.0);
-//! }));
-//! // A closure operator with no declared signature: legal, but the
-//! // analyzer loses precision from this stage on and says so.
-//! pipeline.add(FnOp::new("mystery", |record, out: &mut dyn Sink| {
-//!     out.push(record)
-//! }));
+//! pipeline.add(ScopeRepair::new());
+//! // An operator with no declared signature: legal, but the analyzer
+//! // loses precision from this stage on and says so.
+//! pipeline.add(Mystery);
 //!
 //! let diags = pipeline.check();
 //! assert_eq!(diags.len(), 1);
@@ -668,9 +680,10 @@ mod tests {
     use super::*;
     use crate::error::PipelineError;
     use crate::operator::Sink;
-    use crate::ops::{Passthrough, ScopeRepair, ScopeSum};
+    use crate::ops::ScopeRepair;
     use crate::pipeline::Pipeline;
     use crate::record::Record;
+    use crate::testkit::{Passthrough, ScopeSum};
 
     /// Test operator with a fully scripted signature.
     struct Scripted {

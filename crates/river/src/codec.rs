@@ -1322,7 +1322,7 @@ mod tests {
 
     /// `len` bytes of seeded noise.
     fn noise(seed: u64, len: usize) -> Vec<u8> {
-        let mut rng = crate::fault::WireMangler::new(seed);
+        let mut rng = crate::testkit::WireMangler::new(seed);
         let mut buf = Vec::with_capacity(len + 8);
         while buf.len() < len {
             buf.extend_from_slice(&rng.next_u64().to_le_bytes());
@@ -1382,7 +1382,7 @@ mod tests {
             return;
         }
         let buf = noise(0x5EA4, 8 * 1024);
-        let mut rng = crate::fault::WireMangler::new(0x5EA5);
+        let mut rng = crate::testkit::WireMangler::new(0x5EA5);
         for _ in 0..512 {
             let len = 64 + rng.next_u64() as usize % (buf.len() - 63);
             let start = rng.next_u64() as usize % (buf.len() - len + 1);
@@ -1702,7 +1702,7 @@ mod tests {
             check(x);
         }
         // Random bit patterns: every exponent, NaN payloads, subnormals.
-        let mut rng = crate::fault::WireMangler::new(0x1016);
+        let mut rng = crate::testkit::WireMangler::new(0x1016);
         for _ in 0..200_000 {
             check(f64::from_bits(rng.next_u64()));
         }

@@ -68,26 +68,26 @@
 //!   in each stage's [`StageStats`] and merged with it, a bounded
 //!   structured event log, and mergeable [`telemetry::Snapshot`]s
 //!   exposed by every runner (see `DESIGN.md` §16).
-//! - [`fault`] — fault injection used by the resilience tests.
+//! - Test support — fault injectors, toy operators and the
+//!   stage-at-a-time reference — lives in `tests/testkit/`, not here.
 //!
 //! ## Example: a scoped pipeline
 //!
 //! ```
+//! use dynamic_river::ops::ScopeRepair;
 //! use dynamic_river::prelude::*;
 //!
-//! // Scope a little stream, double every payload value, and count.
+//! // A stream whose producer died with its scope open: `ScopeRepair`
+//! // closes it with a `BadCloseScope`, so downstream stays in step.
 //! let records = vec![
 //!     Record::open_scope(7, vec![]),
 //!     Record::data(1, Payload::f64(vec![1.0, 2.0])),
-//!     Record::close_scope(7),
 //! ];
 //! let mut pipeline = Pipeline::new();
-//! pipeline.add(MapPayload::new("double", |v: &mut [f64]| {
-//!     v.iter_mut().for_each(|x| *x *= 2.0);
-//! }));
+//! pipeline.add(ScopeRepair::new());
 //! let out = pipeline.run(records).unwrap();
 //! assert_eq!(out.len(), 3);
-//! assert_eq!(out[1].payload.as_f64().unwrap(), &[2.0, 4.0]);
+//! assert_eq!(out[2].kind, RecordKind::BadCloseScope);
 //! ```
 //!
 //! ## Unsafe policy
@@ -111,7 +111,6 @@ pub mod analyze;
 pub mod buf;
 pub mod codec;
 pub mod error;
-pub mod fault;
 pub mod net;
 pub mod operator;
 pub mod ops;
@@ -133,8 +132,7 @@ pub mod prelude {
     pub use crate::buf::SampleBuf;
     pub use crate::codec::{DecodeEvent, Decoder, SampleEncoding, WireFormat};
     pub use crate::error::PipelineError;
-    pub use crate::operator::{CountingSink, FnSink, NullSink, Operator, SharedSink, Sink};
-    pub use crate::ops::{FnOp, MapPayload, Passthrough, RecordFilter, ScopeSum};
+    pub use crate::operator::{CountingSink, NullSink, Operator, SharedSink, Sink};
     pub use crate::pipeline::{Pipeline, StageStats, StreamStats};
     pub use crate::record::{Payload, Record, RecordKind};
     pub use crate::scope::{ScopeEvent, ScopeTracker};
@@ -155,3 +153,15 @@ pub use scope::ScopeTracker;
 pub use serve::{PipelineServer, ServerHandle, ServerReport, SessionReport};
 pub use source::Source;
 pub use telemetry::{Snapshot, TelemetryConfig};
+
+// The test kit is written against `dynamic_river::` paths so that one
+// copy compiles here and in every integration test that includes it.
+extern crate self as dynamic_river;
+
+#[cfg(test)]
+#[path = "../tests/testkit/mod.rs"]
+mod testkit;
+
+#[cfg(test)]
+#[path = "../tests/testkit/kit_tests.rs"]
+mod kit_tests;

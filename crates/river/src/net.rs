@@ -23,7 +23,7 @@ use crate::scope::ScopeTracker;
 use crate::source::Source;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// `streamout`: an operator that forwards every record over a byte sink
 /// (typically a TCP connection) and emits the clean end-of-stream
@@ -597,43 +597,14 @@ impl<R: Read> Source for StreamIn<R> {
     }
 }
 
-/// Serves exactly one upstream connection: accepts on `listener`,
-/// pumps all records into `sink`, and reports how the session ended
-/// together with the number of records received
-/// ([`StreamIn::received`]).
-///
-/// # Errors
-///
-/// Propagates accept/read failures.
-pub fn serve_once(
-    listener: &TcpListener,
-    sink: &mut dyn Sink,
-) -> Result<(StreamEnd, u64), PipelineError> {
-    let (stream, _peer) = listener.accept()?;
-    stream.set_nodelay(true)?;
-    let mut streamin = StreamIn::new(stream);
-    let end = streamin.pump(sink)?;
-    Ok((end, streamin.received()))
-}
-
 /// Sends a record batch (plus the sentinel) to `addr` over one framed
-/// [`StreamOut`] connection, returning the number of records sent —
-/// the convenience used by sources and tests.
+/// [`StreamOut`] connection in `format`, returning the number of
+/// records sent.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Io`] on connection or write failure.
-pub fn send_all<A: ToSocketAddrs>(addr: A, records: &[Record]) -> Result<u64, PipelineError> {
-    send_all_with(addr, records, WireFormat::default())
-}
-
-/// Like [`send_all`], but emitting frames in the given [`WireFormat`] —
-/// how a sensor opts into a compact sample encoding.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Io`] on connection or write failure.
-pub fn send_all_with<A: ToSocketAddrs>(
+pub fn send_all<A: ToSocketAddrs>(
     addr: A,
     records: &[Record],
     format: WireFormat,
@@ -654,6 +625,7 @@ mod tests {
     use crate::codec::SampleEncoding;
     use crate::operator::NullSink;
     use crate::record::Payload;
+    use crate::testkit::{serve_once, ScopeSum, WireMangler};
     use std::net::TcpListener;
     use std::thread;
 
@@ -677,7 +649,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let records = scoped_records(50);
         let send = records.clone();
-        let sender = thread::spawn(move || send_all(addr, &send).unwrap());
+        let sender = thread::spawn(move || send_all(addr, &send, WireFormat::default()).unwrap());
         let mut sink: Vec<Record> = Vec::new();
         let (end, received) = serve_once(&listener, &mut sink).unwrap();
         let sent = sender.join().unwrap();
@@ -812,7 +784,7 @@ mod tests {
     /// and 1–4 redirect requests as record indices (`len` means after
     /// the last record), sorted, some back to back.
     fn redirect_script(seed: u64) -> (Vec<Record>, Vec<usize>) {
-        let mut rng = crate::fault::WireMangler::new(0x5ED1 ^ seed);
+        let mut rng = WireMangler::new(0x5ED1 ^ seed);
         let mut below = |n: u64| (rng.next_u64() % n) as usize;
         let mut stream = Vec::new();
         let datum = |stream: &mut Vec<Record>| {
@@ -874,7 +846,7 @@ mod tests {
         let (stream, requests) = redirect_script(seed);
         let chain = || {
             let mut p = crate::pipeline::Pipeline::new();
-            p.add(crate::ops::ScopeSum::new(99));
+            p.add(ScopeSum::new(99));
             p
         };
         let mut expected: Vec<Record> = Vec::new();

@@ -123,18 +123,6 @@ impl Sink for SharedSink {
     }
 }
 
-/// A sink adapter that invokes a closure per record.
-pub struct FnSink<F>(pub F);
-
-impl<F> Sink for FnSink<F>
-where
-    F: FnMut(Record) -> Result<(), PipelineError>,
-{
-    fn push(&mut self, record: Record) -> Result<(), PipelineError> {
-        (self.0)(record)
-    }
-}
-
 /// A record-stream processing operator.
 ///
 /// # Example
@@ -276,21 +264,6 @@ mod tests {
         let mut sink = NullSink;
         op.on_record(Record::data(1, Payload::Empty), &mut sink)
             .unwrap();
-    }
-
-    #[test]
-    fn fn_sink_invokes_closure() {
-        let mut count = 0usize;
-        {
-            let mut sink = FnSink(|_r| {
-                count += 1;
-                Ok(())
-            });
-            let mut op = Echo;
-            op.on_record(Record::data(1, Payload::Empty), &mut sink)
-                .unwrap();
-        }
-        assert_eq!(count, 1);
     }
 
     #[test]

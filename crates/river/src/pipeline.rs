@@ -22,7 +22,7 @@
 //!
 //! The reference the fused step is differentially tested against
 //! (stage-barrier semantics, one vector per hop) lives in the tests:
-//! `stage_at_a_time` in this crate's `tests/stage_at_a_time/mod.rs`.
+//! `stage_at_a_time` in this crate's test kit, `tests/testkit/mod.rs`.
 
 use crate::analyze::{CheckOptions, Diagnostic};
 use crate::error::PipelineError;
@@ -463,16 +463,20 @@ impl Lane {
 /// # Example
 ///
 /// ```
+/// use dynamic_river::ops::ScopeRepair;
 /// use dynamic_river::prelude::*;
 ///
 /// let mut p = Pipeline::new();
-/// p.add(MapPayload::new("gain", |v: &mut [f64]| {
-///     v.iter_mut().for_each(|x| *x *= 10.0);
-/// }));
-/// p.add(RecordFilter::new("nonempty", |r: &Record| r.byte_len() > 0));
-/// assert_eq!(p.len(), 2);
-/// let out = p.run(vec![Record::data(0, Payload::f64(vec![1.0]))]).unwrap();
-/// assert_eq!(out[0].payload.as_f64().unwrap(), &[10.0]);
+/// p.add(ScopeRepair::new());
+/// assert_eq!(p.len(), 1);
+/// // The producer died inside its scope: the repair closes it.
+/// let records = vec![
+///     Record::open_scope(1, vec![]),
+///     Record::data(0, Payload::f64(vec![1.0])),
+/// ];
+/// let mut sink = CountingSink::default();
+/// p.run_streaming(records.into_iter(), &mut sink).unwrap();
+/// assert_eq!(sink.records, 3);
 /// ```
 #[derive(Default)]
 pub struct Pipeline {
@@ -512,14 +516,16 @@ impl Pipeline {
     /// # Example
     ///
     /// ```
+    /// use dynamic_river::net::StreamOut;
+    /// use dynamic_river::ops::ScopeRepair;
     /// use dynamic_river::prelude::*;
     ///
     /// let mut front = Pipeline::new();
-    /// front.add(Passthrough);
+    /// front.add(ScopeRepair::new());
     /// let mut back = Pipeline::new();
-    /// back.add(RecordFilter::new("evens", |r: &Record| r.seq % 2 == 0));
+    /// back.add(StreamOut::new(std::io::sink()));
     /// front.extend(back);
-    /// assert_eq!(front.names(), vec!["passthrough", "evens"]);
+    /// assert_eq!(front.names(), vec!["scope-repair", "streamout"]);
     /// ```
     pub fn extend(&mut self, other: Pipeline) -> &mut Self {
         self.ops.extend(other.ops);
@@ -631,10 +637,11 @@ impl Pipeline {
     /// # Example
     ///
     /// ```
+    /// use dynamic_river::ops::ScopeRepair;
     /// use dynamic_river::prelude::*;
     ///
     /// let mut p = Pipeline::new();
-    /// p.add(Passthrough);
+    /// p.add(ScopeRepair::new());
     /// assert!(p.check().is_empty());
     /// ```
     pub fn check(&self) -> Vec<Diagnostic> {
@@ -769,9 +776,9 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::operator::{CountingSink, NullSink};
-    use crate::ops::{FnOp, MapPayload, Passthrough, RecordFilter};
     use crate::record::Payload;
     use crate::source::FnSource;
+    use crate::testkit::{FnOp, FnSink, MapPayload, Passthrough, RecordFilter};
 
     fn numbered(n: usize) -> Vec<Record> {
         (0..n)
@@ -978,7 +985,7 @@ mod tests {
             let mut p = Pipeline::new();
             p.add(Passthrough);
             p.add(Passthrough);
-            let mut sink = crate::operator::FnSink(|r: Record| {
+            let mut sink = FnSink(|r: Record| {
                 arrived_at_pull.push((r.seq, pulled.get()));
                 Ok(())
             });

@@ -74,11 +74,6 @@ impl ScopeTracker {
         self.stack.last().copied()
     }
 
-    /// The open-scope stack, outermost first.
-    pub fn open_scopes(&self) -> &[OpenScopeInfo] {
-        &self.stack
-    }
-
     /// `true` when no scopes are open (a safe cut point for a shard
     /// split).
     pub fn is_balanced(&self) -> bool {

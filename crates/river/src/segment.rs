@@ -55,9 +55,10 @@ pub fn run_network_segment<A: ToSocketAddrs>(
 mod tests {
     use super::*;
     use crate::analyze::{PayloadKind, RecordClass, Signature};
-    use crate::ops::MapPayload;
+    use crate::codec::WireFormat;
     use crate::record::{Payload, Record, RecordKind};
     use crate::scope::validate_scopes;
+    use crate::testkit::{serve_once, MapPayload};
     use std::thread;
 
     fn scope_burst(scope_type: u16, n: usize, base_seq: u64) -> Vec<Record> {
@@ -91,7 +92,7 @@ mod tests {
 
         let sink_thread = thread::spawn(move || {
             let mut records: Vec<Record> = Vec::new();
-            let (end, _received) = crate::net::serve_once(&sink_listener, &mut records).unwrap();
+            let (end, _received) = serve_once(&sink_listener, &mut records).unwrap();
             (end, records)
         });
         let segment_thread =
@@ -106,7 +107,8 @@ mod tests {
     #[test]
     fn network_segment_processes_and_forwards() {
         let (upstream_end, end, records) = relay_through_segment(doubling(), |seg_addr| {
-            let sent = crate::net::send_all(seg_addr, &scope_burst(1, 4, 0)).unwrap();
+            let sent = crate::net::send_all(seg_addr, &scope_burst(1, 4, 0), WireFormat::default())
+                .unwrap();
             assert_eq!(sent, 6);
         });
         assert_eq!(upstream_end.unwrap(), StreamEnd::Clean);
@@ -178,7 +180,7 @@ mod tests {
         chain.add(Declared("starved", Signature::map(f64_data, f64_data)));
         let (upstream_end, end, records) = relay_through_segment(chain, |seg_addr| {
             // The segment host may already have refused and hung up.
-            let _ = crate::net::send_all(seg_addr, &scope_burst(1, 3, 0));
+            let _ = crate::net::send_all(seg_addr, &scope_burst(1, 3, 0), WireFormat::default());
         });
         let err = upstream_end.unwrap_err();
         assert!(matches!(err, PipelineError::Analysis(_)), "{err}");

@@ -80,16 +80,15 @@
 //! # Example
 //!
 //! ```
-//! use dynamic_river::operator::SharedSink;
 //! use dynamic_river::net::send_all;
+//! use dynamic_river::operator::SharedSink;
+//! use dynamic_river::ops::ScopeRepair;
 //! use dynamic_river::prelude::*;
 //! use dynamic_river::serve::PipelineServer;
 //! use std::net::TcpListener;
 //!
 //! let mut chain = Pipeline::new();
-//! chain.add(MapPayload::new("gain", |v: &mut [f64]| {
-//!     v.iter_mut().for_each(|x| *x *= 2.0);
-//! }));
+//! chain.add(ScopeRepair::new());
 //! let mut server = PipelineServer::from_pipeline(&chain).unwrap();
 //! server.set_max_sessions(8).set_workers(2);
 //!
@@ -105,7 +104,7 @@
 //!     Record::data(0, Payload::f64(vec![21.0])),
 //!     Record::close_scope(1),
 //! ];
-//! send_all(handle.local_addr(), &records).unwrap();
+//! send_all(handle.local_addr(), &records, WireFormat::default()).unwrap();
 //!
 //! handle.wait_for_completed(1);
 //! let report = handle.shutdown().unwrap();
@@ -113,7 +112,7 @@
 //! assert_eq!(report.clean_sessions(), 1);
 //! assert_eq!(report.workers, 2);
 //! assert_eq!(report.session_capacity, 8);
-//! assert_eq!(out.take()[1].payload.as_f64().unwrap(), &[42.0]);
+//! assert_eq!(out.take(), records);
 //! ```
 
 // Library code in this module must surface failures as errors, never
@@ -1228,8 +1227,8 @@ mod tests {
     use crate::codec::{encode_into, write_eos, SampleEncoding, WireFormat};
     use crate::net::send_all;
     use crate::operator::SharedSink;
-    use crate::ops::{MapPayload, Passthrough};
     use crate::record::{Payload, Record, RecordKind};
+    use crate::testkit::{MapPayload, Passthrough};
     use std::io::Write;
     use std::sync::Mutex;
 
@@ -1365,7 +1364,11 @@ mod tests {
         });
         // Two healthy clients.
         let healthy: Vec<_> = (0..2u64)
-            .map(|c| thread::spawn(move || send_all(addr, &scoped_records(c as f64, 10)).unwrap()))
+            .map(|c| {
+                thread::spawn(move || {
+                    send_all(addr, &scoped_records(c as f64, 10), WireFormat::default()).unwrap()
+                })
+            })
             .collect();
         crasher.join().unwrap();
         for h in healthy {
@@ -1415,7 +1418,9 @@ mod tests {
             write_eos(&mut w).unwrap();
             send_raw(addr, &w);
         });
-        let healthy = thread::spawn(move || send_all(addr, &scoped_records(7.0, 12)).unwrap());
+        let healthy = thread::spawn(move || {
+            send_all(addr, &scoped_records(7.0, 12), WireFormat::default()).unwrap()
+        });
         corrupt.join().unwrap();
         healthy.join().unwrap();
 
@@ -1465,7 +1470,9 @@ mod tests {
             w.truncate(whole + (w.len() - whole) / 2);
             send_raw(addr, &w);
         });
-        let healthy = thread::spawn(move || send_all(addr, &scoped_records(1.0, 5)).unwrap());
+        let healthy = thread::spawn(move || {
+            send_all(addr, &scoped_records(1.0, 5), WireFormat::default()).unwrap()
+        });
         truncator.join().unwrap();
         healthy.join().unwrap();
 
@@ -1492,7 +1499,11 @@ mod tests {
         let addr = handle.local_addr();
 
         let clients: Vec<_> = (0..3u64)
-            .map(|c| thread::spawn(move || send_all(addr, &scoped_records(c as f64, 50)).unwrap()))
+            .map(|c| {
+                thread::spawn(move || {
+                    send_all(addr, &scoped_records(c as f64, 50), WireFormat::default()).unwrap()
+                })
+            })
             .collect();
         for c in clients {
             c.join().unwrap();
@@ -1534,9 +1545,9 @@ mod tests {
             .unwrap();
         let addr = handle.local_addr();
 
-        send_all(addr, &scoped_records(1.0, 3)).unwrap();
+        send_all(addr, &scoped_records(1.0, 3), WireFormat::default()).unwrap();
         handle.wait_for_completed(1); // deadlocks here if panics leak
-        send_all(addr, &scoped_records(2.0, 3)).unwrap();
+        send_all(addr, &scoped_records(2.0, 3), WireFormat::default()).unwrap();
         handle.wait_for_completed(2);
 
         let report = shutdown_checked(handle);
@@ -1566,7 +1577,12 @@ mod tests {
         let handle = server
             .start(listener, |_info| Box::new(PanicOnThird(0)))
             .unwrap();
-        send_all(handle.local_addr(), &scoped_records(1.0, 5)).unwrap();
+        send_all(
+            handle.local_addr(),
+            &scoped_records(1.0, 5),
+            WireFormat::default(),
+        )
+        .unwrap();
         handle.wait_for_completed(1);
         let report = shutdown_checked(handle);
         let s = &report.sessions[0];
@@ -1602,8 +1618,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (handle, _outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
-        send_all(addr, &scoped_records(1.0, 2)).unwrap();
-        send_all(addr, &scoped_records(2.0, 2)).unwrap();
+        send_all(addr, &scoped_records(1.0, 2), WireFormat::default()).unwrap();
+        send_all(addr, &scoped_records(2.0, 2), WireFormat::default()).unwrap();
         handle.wait_for_completed(2);
         let report = shutdown_checked(handle);
         for s in &report.sessions {
@@ -1630,8 +1646,8 @@ mod tests {
         let (handle, _outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
 
-        send_all(addr, &scoped_records(1.0, 6)).unwrap();
-        send_all(addr, &scoped_records(2.0, 9)).unwrap();
+        send_all(addr, &scoped_records(1.0, 6), WireFormat::default()).unwrap();
+        send_all(addr, &scoped_records(2.0, 9), WireFormat::default()).unwrap();
         handle.wait_for_completed(2);
 
         // Live view while the server still runs: the shared event ring
@@ -1694,7 +1710,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (handle, _outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
-        send_all(addr, &scoped_records(1.0, 4)).unwrap();
+        send_all(addr, &scoped_records(1.0, 4), WireFormat::default()).unwrap();
         handle.wait_for_completed(1);
         let report = shutdown_checked(handle);
         assert!(report.sessions[0].telemetry.stages.is_empty());
@@ -1731,7 +1747,7 @@ mod tests {
         let (handle, _outputs) = start_collecting(server, listener);
         let addr = handle.local_addr();
         for c in 0..3u64 {
-            send_all(addr, &scoped_records(c as f64, 3)).unwrap();
+            send_all(addr, &scoped_records(c as f64, 3), WireFormat::default()).unwrap();
         }
         handle.wait_for_completed(3);
         let report = shutdown_checked(handle);
@@ -1802,7 +1818,7 @@ mod tests {
             put(&mut wire, r);
         }
         let expected = wire.len() as u64 + 4; // EOS sentinel
-        send_all(addr, &records).unwrap();
+        send_all(addr, &records, WireFormat::default()).unwrap();
         handle.wait_for_completed(1);
         let report = shutdown_checked(handle);
         assert_eq!(report.sessions[0].wire_bytes, expected);
@@ -1830,7 +1846,9 @@ mod tests {
             write_eos(&mut w).unwrap();
             send_raw(addr, &w);
         });
-        let healthy = thread::spawn(move || send_all(addr, &scoped_records(7.0, 12)).unwrap());
+        let healthy = thread::spawn(move || {
+            send_all(addr, &scoped_records(7.0, 12), WireFormat::default()).unwrap()
+        });
         corrupt.join().unwrap();
         healthy.join().unwrap();
 

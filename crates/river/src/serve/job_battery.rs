@@ -37,10 +37,10 @@
 use super::tests::doubling_chain;
 use super::*;
 use crate::codec::{encode_into, write_eos, write_keepalive, SampleEncoding, WireFormat};
-use crate::fault::WireMangler;
 use crate::operator::SharedSink;
 use crate::record::Payload;
 use crate::telemetry::TelemetryConfig;
+use crate::testkit::WireMangler;
 use seeds::fuzz_iters;
 use std::cell::{Cell, RefCell};
 

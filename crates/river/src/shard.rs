@@ -62,9 +62,10 @@
 //! # Example
 //!
 //! ```
+//! use dynamic_river::ops::ScopeRepair;
 //! use dynamic_river::prelude::*;
 //!
-//! // Two clips, each a top-level scope; double every sample.
+//! // Two clips, each a top-level scope.
 //! let mut records = Vec::new();
 //! for clip in 0..2 {
 //!     records.push(Record::open_scope(7, vec![]));
@@ -72,9 +73,7 @@
 //!     records.push(Record::close_scope(7));
 //! }
 //! let mut p = Pipeline::new();
-//! p.add(MapPayload::new("double", |v: &mut [f64]| {
-//!     v.iter_mut().for_each(|x| *x *= 2.0);
-//! }));
+//! p.add(ScopeRepair::new());
 //! let mut single = Vec::new();
 //! p.run_streaming(records.clone().into_iter(), &mut single).unwrap();
 //! let mut sharded = Vec::new();
@@ -416,11 +415,11 @@ fn run_merge(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::fault::FailAfter;
     use crate::operator::{CountingSink, NullSink, Operator};
-    use crate::ops::{MapPayload, Passthrough, RecordFilter, ScopeRepair, ScopeSum};
+    use crate::ops::ScopeRepair;
     use crate::record::{Payload, RecordKind};
     use crate::source::FnSource;
+    use crate::testkit::{FailAfter, MapPayload, Passthrough, RecordFilter, ScopeSum};
 
     /// `clips` top-level scopes with `per_clip` data records each.
     fn clip_stream(clips: usize, per_clip: usize) -> Vec<Record> {

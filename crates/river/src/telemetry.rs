@@ -24,12 +24,11 @@
 //! turns on the histograms, `Full` adds event tracing.
 //!
 //! ```
+//! use dynamic_river::ops::ScopeRepair;
 //! use dynamic_river::prelude::*;
 //!
 //! let mut pipeline = Pipeline::new();
-//! pipeline.add(MapPayload::new("gain", |v: &mut [f64]| {
-//!     v.iter_mut().for_each(|x| *x *= 0.5);
-//! }));
+//! pipeline.add(ScopeRepair::new());
 //! pipeline.set_telemetry(TelemetryConfig::Counters);
 //!
 //! let records = vec![
@@ -41,8 +40,8 @@
 //! assert_eq!(stats.stages[0].latency.as_ref().unwrap().count, 2);
 //!
 //! let snapshot = pipeline.telemetry_snapshot();
-//! let gain = snapshot.stages.iter().find(|s| s.name == "gain").unwrap();
-//! assert_eq!(gain.latency.count, 2); // one observation per record
+//! let repair = snapshot.stages.iter().find(|s| s.name == "scope-repair").unwrap();
+//! assert_eq!(repair.latency.count, 2); // one observation per record
 //! assert!(snapshot.to_json().starts_with("{\"stages\": ["));
 //! ```
 //!
@@ -485,11 +484,6 @@ impl Snapshot {
         self.events_dropped += other.events_dropped;
     }
 
-    /// Total records observed across all stages.
-    pub fn total_records(&self) -> u64 {
-        self.stages.iter().map(|s| s.latency.count).sum()
-    }
-
     /// Serializes the snapshot as a single JSON object.
     ///
     /// Each stage object leads with exactly
@@ -767,7 +761,10 @@ mod tests {
     #[test]
     fn to_json_leads_stage_objects_with_percentiles() {
         let mut spectrum = crate::pipeline::Pipeline::new();
-        spectrum.add(crate::ops::MapPayload::new("spectrum", |_: &mut [f64]| {}));
+        spectrum.add(crate::testkit::MapPayload::new(
+            "spectrum",
+            |_: &mut [f64]| {},
+        ));
         spectrum.set_telemetry(TelemetryConfig::Full);
         let records = vec![
             crate::record::Record::open_scope(5, vec![]),

@@ -20,7 +20,7 @@
 //! with undeclared signatures trade detection for soundness and are
 //! covered by the unit tests instead.
 
-mod stage_at_a_time;
+mod testkit;
 
 use dynamic_river::analyze::{CheckOptions, PayloadKind, RecordClass, Severity};
 use dynamic_river::prelude::*;
@@ -28,7 +28,7 @@ use dynamic_river::scope::validate_scopes;
 use dynamic_river::{ScopeEffect, Signature, UnmatchedPolicy};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use stage_at_a_time::{pipeline, stage_at_a_time};
+use testkit::{pipeline, stage_at_a_time};
 
 /// Subtypes the pool operates over.
 const SUBTYPES: std::ops::RangeInclusive<u16> = 1..=4;

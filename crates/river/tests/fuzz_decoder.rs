@@ -14,12 +14,14 @@
 //!    must always terminate with balanced scopes (repairs included) and
 //!    may only surface `Codec` errors.
 
+mod testkit;
+
 use dynamic_river::codec::{crc32, encode_into, write_eos, Decoder, SampleEncoding, WireFormat};
-use dynamic_river::fault::WireMangler;
 use dynamic_river::net::StreamIn;
 use dynamic_river::record::{Payload, Record, RecordKind};
 use dynamic_river::PipelineError;
 use seeds::fuzz_iters;
+use testkit::WireMangler;
 
 /// Asserts an error is the recoverable kind the decoder contract
 /// promises for in-band byte corruption.

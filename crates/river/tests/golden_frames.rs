@@ -10,11 +10,12 @@
 //! the retired fixed-header format, kept as inputs: every one of them
 //! must stop at the version gate.
 
+mod testkit;
+
 use dynamic_river::buf::SampleBuf;
 use dynamic_river::codec::{encode_into, write_eos, Decoder, SampleEncoding, WireFormat};
 use dynamic_river::net::{send_all, StreamEnd, StreamIn, StreamOut};
 use dynamic_river::operator::{NullSink, Operator, SharedSink};
-use dynamic_river::ops::MapPayload;
 use dynamic_river::record::{Payload, Record, RecordKind};
 use dynamic_river::scope::validate_scopes;
 use dynamic_river::serve::PipelineServer;
@@ -22,6 +23,7 @@ use dynamic_river::{Pipeline, PipelineError};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
+use testkit::MapPayload;
 
 const GOLDEN: &str = include_str!("golden_frames.txt");
 
@@ -234,7 +236,7 @@ fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
     let mut healthy = vec![Record::open_scope(1, vec![])];
     healthy.extend((0..40).map(|i| Record::data(2, Payload::f64(vec![f64::from(i); 8]))));
     healthy.push(Record::close_scope(1));
-    send_all(addr, &healthy).unwrap();
+    send_all(addr, &healthy, WireFormat::default()).unwrap();
 
     handle.wait_for_completed(v1_sessions as u64 + 1);
     let report = handle.shutdown().unwrap();

@@ -2,20 +2,22 @@
 //! repair invariants, and pipeline equivalence (stage-at-a-time vs
 //! streaming vs sharded).
 
-mod stage_at_a_time;
+mod testkit;
 
 use dynamic_river::codec::{
     encode_into, write_eos, DecodeEvent, Decoder, SampleEncoding, WireFormat,
 };
-use dynamic_river::fault::{DropCloses, FailAfter, TruncateAfter};
 use dynamic_river::net::StreamIn;
-use dynamic_river::ops::{ScopeRepair, ScopeSum};
+use dynamic_river::ops::ScopeRepair;
 use dynamic_river::prelude::*;
 use dynamic_river::scope::validate_scopes;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
-use stage_at_a_time::{pipeline, stage_at_a_time};
 use std::ops::Range;
+use testkit::{
+    pipeline, stage_at_a_time, DropCloses, FailAfter, MapPayload, RecordFilter, ScopeSum,
+    TruncateAfter,
+};
 
 /// `rec` as one frame in the given sample encoding.
 fn frame(rec: &Record, enc: SampleEncoding) -> Vec<u8> {

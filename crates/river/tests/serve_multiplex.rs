@@ -10,6 +10,8 @@
 //! running that client's records through
 //! [`Pipeline::run_streaming`] on a single lane.
 
+mod testkit;
+
 use dynamic_river::codec::{encode_into, write_eos, write_keepalive};
 use dynamic_river::net::StreamEnd;
 use dynamic_river::prelude::*;
@@ -20,6 +22,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
+use testkit::MapPayload;
 
 /// The chain under service: tags every sample so output provenance is
 /// visible, and is cheap enough that 100 sessions finish promptly.

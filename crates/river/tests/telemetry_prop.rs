@@ -16,12 +16,15 @@
 //!    scope-event multiset (kind, subject) is identical modulo
 //!    interleave.
 
+mod testkit;
+
 use dynamic_river::prelude::*;
 use dynamic_river::telemetry::{
     EventKind, HistogramSnapshot, Snapshot, StageSnapshot, TelemetryEvent, HISTOGRAM_BUCKETS,
 };
 use rand::rngs::StdRng;
 use rand::RngExt;
+use testkit::{MapPayload, RecordFilter};
 
 /// Stage-name pool: small so generated snapshots overlap by name and
 /// the by-name merge path is actually exercised.

@@ -1,15 +1,12 @@
-//! Fault injection for resilience testing.
-//!
-//! The paper argues that "pipelines composed for data acquisition and
-//! analysis of continuous sensor data streams must be able to
-//! resynchronize and enable the continuation of meaningful data stream
-//! processing in the face of pipeline recomposition and faults" (§5).
-//! These operators let tests inject the faults those mechanisms must
-//! absorb.
+//! Fault injectors. The paper asks that "pipelines composed for data
+//! acquisition and analysis of continuous sensor data streams must be
+//! able to resynchronize and enable the continuation of meaningful data
+//! stream processing in the face of pipeline recomposition and faults"
+//! (§5); these operators and the [`WireMangler`] inject the faults
+//! those mechanisms must absorb.
 
-use crate::error::PipelineError;
-use crate::operator::{Operator, Sink};
-use crate::record::{Record, RecordKind};
+use dynamic_river::codec::frame_len;
+use dynamic_river::{Operator, PipelineError, Record, Sink};
 
 /// Fails the pipeline after passing `n` records — simulates an operator
 /// crash mid-stream.
@@ -126,48 +123,6 @@ impl Operator for TruncateAfter {
     }
 }
 
-/// Corrupts the subtype of every `k`-th data record — used to verify
-/// that consumers validate rather than trust headers.
-#[derive(Debug, Clone, Copy)]
-pub struct CorruptSubtype {
-    k: u64,
-    seen: u64,
-}
-
-impl CorruptSubtype {
-    /// Corrupts every `k`-th data record (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn every(k: u64) -> Self {
-        assert!(k > 0, "k must be non-zero");
-        CorruptSubtype { k, seen: 0 }
-    }
-}
-
-impl Operator for CorruptSubtype {
-    fn name(&self) -> &'static str {
-        "corrupt-subtype"
-    }
-
-    fn on_record(&mut self, mut record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
-        if record.kind == RecordKind::Data {
-            self.seen += 1;
-            if self.seen.is_multiple_of(self.k) {
-                record.subtype = u16::MAX;
-            }
-        }
-        out.push(record)
-    }
-
-    /// Clones carry the current countdown/counter — note that in a
-    /// sharded run each worker's clone counts its own shard's records.
-    fn clone_op(&self) -> Option<Box<dyn Operator>> {
-        Some(Box::new(*self))
-    }
-}
-
 /// One wire-level mutation a [`WireMangler`] can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mangle {
@@ -184,7 +139,7 @@ pub enum Mangle {
 }
 
 /// Byte-level corruption injector that understands *frame boundaries*
-/// (via [`crate::codec::frame_len`]), so tests
+/// (via [`frame_len`]), so tests
 /// and the fuzz harness can aim mutations precisely: inside a frame
 /// (checksum territory), between frames (magic/sync territory), or at
 /// whole-frame granularity (duplicate/delete). Deterministic: the same
@@ -225,7 +180,7 @@ impl WireMangler {
         let mut frames = Vec::new();
         let mut rest = wire;
         while !rest.is_empty() {
-            if let Ok(Some(n)) = crate::codec::frame_len(rest) {
+            if let Ok(Some(n)) = frame_len(rest) {
                 frames.push(rest[..n].to_vec());
                 rest = &rest[n..];
             } else {
@@ -301,135 +256,5 @@ impl WireMangler {
             3 => Mangle::DuplicateFrame,
             _ => Mangle::DeleteFrame,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::ScopeRepair;
-    use crate::pipeline::Pipeline;
-    use crate::record::Payload;
-    use crate::scope::validate_scopes;
-
-    fn stream() -> Vec<Record> {
-        let mut v = Vec::new();
-        for s in 0..3 {
-            v.push(Record::open_scope(1, vec![]));
-            for i in 0..4 {
-                v.push(Record::data(1, Payload::f64(vec![i as f64])).with_seq(s * 10 + i));
-            }
-            v.push(Record::close_scope(1));
-        }
-        v
-    }
-
-    #[test]
-    fn fail_after_aborts() {
-        let mut p = Pipeline::new();
-        p.add(FailAfter::new(5));
-        let err = p.run(stream()).unwrap_err();
-        assert!(matches!(err, PipelineError::Operator { .. }));
-    }
-
-    #[test]
-    fn fail_after_passes_when_stream_shorter() {
-        let mut p = Pipeline::new();
-        p.add(FailAfter::new(100));
-        assert_eq!(p.run(stream()).unwrap().len(), 18);
-    }
-
-    #[test]
-    fn drop_closes_then_repair_resynchronizes() {
-        let mut p = Pipeline::new();
-        p.add(DropCloses::every(2)); // drops closes 2, (4), ...
-        p.add(ScopeRepair::new());
-        let out = p.run(stream()).unwrap();
-        // Repair must leave the stream balanced.
-        validate_scopes(&out).unwrap();
-        // And some BadCloseScope records must exist.
-        assert!(out.iter().any(|r| r.kind == RecordKind::BadCloseScope));
-    }
-
-    #[test]
-    fn truncate_then_repair() {
-        let mut p = Pipeline::new();
-        p.add(TruncateAfter::new(8)); // cuts inside the second scope
-        p.add(ScopeRepair::new());
-        let out = p.run(stream()).unwrap();
-        validate_scopes(&out).unwrap();
-        let bad = out
-            .iter()
-            .filter(|r| r.kind == RecordKind::BadCloseScope)
-            .count();
-        assert_eq!(bad, 1);
-    }
-
-    #[test]
-    fn corrupt_subtype_marks_records() {
-        let mut p = Pipeline::new();
-        p.add(CorruptSubtype::every(3));
-        let out = p.run(stream()).unwrap();
-        let corrupted = out.iter().filter(|r| r.subtype == u16::MAX).count();
-        assert_eq!(corrupted, 4); // 12 data records / 3
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be non-zero")]
-    fn rejects_zero_k() {
-        DropCloses::every(0);
-    }
-
-    fn wire() -> Vec<u8> {
-        use crate::codec::{encode_into, write_eos, SampleEncoding, WireFormat};
-        let mut buf = Vec::new();
-        for (i, r) in stream().iter().enumerate() {
-            let enc = if i % 2 == 0 {
-                SampleEncoding::F64
-            } else {
-                SampleEncoding::F32
-            };
-            encode_into(r, WireFormat::V2(enc), &mut buf);
-        }
-        write_eos(&mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn mangler_splits_mixed_encoding_wire_at_frame_boundaries() {
-        let wire = wire();
-        let frames = WireMangler::frames(&wire);
-        // 18 records + the EOS sentinel.
-        assert_eq!(frames.len(), 19);
-        assert_eq!(frames.iter().map(Vec::len).sum::<usize>(), wire.len());
-        assert_eq!(frames.last().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn mangler_is_deterministic_per_seed() {
-        let wire = wire();
-        for how in [
-            Mangle::FlipBit,
-            Mangle::Truncate,
-            Mangle::InsertGarbage,
-            Mangle::DuplicateFrame,
-            Mangle::DeleteFrame,
-        ] {
-            let a = WireMangler::new(42).mangle(&wire, how);
-            let b = WireMangler::new(42).mangle(&wire, how);
-            assert_eq!(a, b, "{how:?}");
-            let c = WireMangler::new(43).mangle(&wire, how);
-            assert!(a != c || how == Mangle::DeleteFrame || how == Mangle::DuplicateFrame);
-        }
-    }
-
-    #[test]
-    fn whole_frame_mutations_change_frame_counts() {
-        let wire = wire();
-        let baseline = WireMangler::frames(&wire).len();
-        let dup = WireMangler::new(7).mangle(&wire, Mangle::DuplicateFrame);
-        assert_eq!(WireMangler::frames(&dup).len(), baseline + 1);
-        let del = WireMangler::new(7).mangle(&wire, Mangle::DeleteFrame);
-        assert_eq!(WireMangler::frames(&del).len(), baseline - 1);
     }
 }

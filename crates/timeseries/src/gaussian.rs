@@ -72,24 +72,6 @@ pub fn inv_norm_cdf(p: f64) -> f64 {
     }
 }
 
-/// CDF of the standard normal distribution (via `erf`-free Abramowitz &
-/// Stegun 7.1.26 approximation; |error| < 1.5e-7). Used by tests to
-/// verify breakpoint equiprobability.
-pub fn norm_cdf(x: f64) -> f64 {
-    // A&S 7.1.26 for erf.
-    let t = 1.0 / (1.0 + 0.3275911 * x.abs() / std::f64::consts::SQRT_2);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x / 2.0).exp();
-    if x >= 0.0 {
-        0.5 * (1.0 + y)
-    } else {
-        0.5 * (1.0 - y)
-    }
-}
-
 /// The `alphabet - 1` SAX breakpoints for an alphabet of the given size:
 /// the standard-normal quantiles at `i / alphabet`, `i = 1..alphabet`.
 ///
@@ -145,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_inverts_quantile() {
-        for i in 1..100 {
-            let p = i as f64 / 100.0;
-            let z = inv_norm_cdf(p);
-            assert!((norm_cdf(z) - p).abs() < 1e-5, "p={p} z={z}");
-        }
-    }
-
-    #[test]
     fn breakpoints_are_sorted_and_symmetric() {
         for a in 2..=20 {
             let b = sax_breakpoints(a);
@@ -164,24 +137,6 @@ mod tests {
             for i in 0..b.len() {
                 assert!((b[i] + b[b.len() - 1 - i]).abs() < 1e-9, "a={a} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn breakpoints_yield_equiprobable_cells() {
-        for a in [3usize, 5, 8, 10] {
-            let b = sax_breakpoints(a);
-            let mut prev = 0.0;
-            for (i, &bp) in b.iter().enumerate() {
-                let cum = norm_cdf(bp);
-                let cell = cum - prev;
-                assert!(
-                    (cell - 1.0 / a as f64).abs() < 1e-4,
-                    "alphabet {a} cell {i}: {cell}"
-                );
-                prev = cum;
-            }
-            assert!((1.0 - prev - 1.0 / a as f64).abs() < 1e-4);
         }
     }
 

@@ -98,22 +98,6 @@ pub fn paa_by_factor_iter(q: &[f64], factor: usize) -> impl ExactSizeIterator<It
         .map(|c| c.iter().sum::<f64>() / c.len() as f64)
 }
 
-/// Reconstructs an approximation of the original sequence from PAA
-/// segment means by holding each mean over its segment (useful for
-/// visualizing the Figure 3 PAA spectrogram at original scale).
-pub fn paa_inverse(means: &[f64], n: usize) -> Vec<f64> {
-    if means.is_empty() || n == 0 {
-        return vec![0.0; n];
-    }
-    let seg_len = n as f64 / means.len() as f64;
-    (0..n)
-        .map(|i| {
-            let s = ((i as f64 / seg_len) as usize).min(means.len() - 1);
-            means[s]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,18 +161,6 @@ mod tests {
         assert_eq!(paa_by_factor(&[1.0; 350], 10).len(), 35);
         assert_eq!(paa_by_factor(&[1.0; 351], 10).len(), 36);
         assert_eq!(paa_by_factor(&[4.0, 8.0], 5), vec![6.0]);
-    }
-
-    #[test]
-    fn inverse_holds_segments() {
-        let rec = paa_inverse(&[1.0, 2.0], 4);
-        assert_eq!(rec, vec![1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn inverse_empty() {
-        assert_eq!(paa_inverse(&[], 3), vec![0.0; 3]);
-        assert!(paa_inverse(&[1.0], 0).is_empty());
     }
 
     #[test]

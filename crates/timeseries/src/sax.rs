@@ -133,40 +133,6 @@ impl SaxEncoder {
     pub fn encode_paa(&self, reduced: &[f64]) -> SaxWord {
         SaxWord(reduced.iter().map(|&v| self.quantize(v)).collect())
     }
-
-    /// MINDIST lower-bound distance between two equal-length SAX words
-    /// (Lin et al. 2003): zero for adjacent symbols, breakpoint gap
-    /// otherwise, scaled by `sqrt(n / w)` where `n` is the original
-    /// subsequence length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if word lengths differ.
-    pub fn mindist(&self, a: &SaxWord, b: &SaxWord, original_len: usize) -> f64 {
-        assert_eq!(a.len(), b.len(), "word lengths must match");
-        let w = a.len();
-        if w == 0 {
-            return 0.0;
-        }
-        let cell = |x: Symbol, y: Symbol| -> f64 {
-            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-            if hi - lo <= 1 {
-                0.0
-            } else {
-                self.breakpoints[hi as usize - 1] - self.breakpoints[lo as usize]
-            }
-        };
-        let sum: f64 = a
-            .symbols()
-            .iter()
-            .zip(b.symbols())
-            .map(|(&x, &y)| {
-                let d = cell(x, y);
-                d * d
-            })
-            .sum();
-        (original_len as f64 / w as f64).sqrt() * sum.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -238,44 +204,6 @@ mod tests {
         let word = enc.encode(&series);
         assert_eq!(word.len(), 18);
         assert!(word.symbols().iter().all(|&s| s < 5));
-    }
-
-    #[test]
-    fn mindist_zero_for_adjacent_symbols() {
-        let enc = SaxEncoder::new(4, 2);
-        let a = SaxWord(vec![1, 2]);
-        let b = SaxWord(vec![2, 1]);
-        assert_eq!(enc.mindist(&a, &b, 16), 0.0);
-    }
-
-    #[test]
-    fn mindist_positive_for_distant_symbols() {
-        let enc = SaxEncoder::new(4, 2);
-        let a = SaxWord(vec![0, 0]);
-        let b = SaxWord(vec![3, 3]);
-        assert!(enc.mindist(&a, &b, 16) > 0.0);
-    }
-
-    #[test]
-    fn mindist_symmetric() {
-        let enc = SaxEncoder::new(8, 4);
-        let a = SaxWord(vec![0, 7, 3, 2]);
-        let b = SaxWord(vec![5, 1, 3, 6]);
-        assert_eq!(enc.mindist(&a, &b, 32), enc.mindist(&b, &a, 32));
-    }
-
-    #[test]
-    fn mindist_identity_is_zero() {
-        let enc = SaxEncoder::new(8, 4);
-        let a = SaxWord(vec![0, 7, 3, 2]);
-        assert_eq!(enc.mindist(&a, &a, 32), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "word lengths must match")]
-    fn mindist_rejects_mismatched_words() {
-        let enc = SaxEncoder::new(4, 2);
-        enc.mindist(&SaxWord(vec![0]), &SaxWord(vec![0, 1]), 8);
     }
 
     #[test]

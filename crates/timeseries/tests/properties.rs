@@ -3,10 +3,27 @@
 use rand::RngExt;
 use river_sax::anomaly::{anomaly_scores, AnomalyConfig, Normalization};
 use river_sax::bitmap::SaxBitmap;
-use river_sax::gaussian::{norm_cdf, sax_breakpoints};
+use river_sax::gaussian::{inv_norm_cdf, sax_breakpoints};
 use river_sax::paa::{paa, paa_by_factor};
 use river_sax::sax::SaxEncoder;
 use river_sax::znorm::znormalize;
+
+/// CDF of the standard normal distribution: Abramowitz & Stegun 7.1.26
+/// for `erf`, |error| < 1.5e-7 — the independent yardstick the
+/// breakpoint quantiles are checked against.
+fn norm_cdf(x: f64) -> f64 {
+    let t = 1.0 / (1.0 + 0.3275911 * x.abs() / std::f64::consts::SQRT_2);
+    let y = 1.0
+        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
+            + 0.254829592)
+            * t
+            * (-x * x / 2.0).exp();
+    if x >= 0.0 {
+        0.5 * (1.0 + y)
+    } else {
+        0.5 * (1.0 - y)
+    }
+}
 
 /// Z-normalization always yields zero mean and unit variance (or all
 /// zeros for constant input).
@@ -108,6 +125,35 @@ fn breakpoints_equiprobable() {
             prev_cum = cum;
         }
     });
+}
+
+/// The breakpoint quantile and the CDF invert each other.
+#[test]
+fn cdf_inverts_quantile() {
+    for i in 1..100 {
+        let p = i as f64 / 100.0;
+        let z = inv_norm_cdf(p);
+        assert!((norm_cdf(z) - p).abs() < 1e-5, "p={p} z={z}");
+    }
+}
+
+/// The paper-sized alphabets' cells each hold 1/a of the mass.
+#[test]
+fn breakpoints_yield_equiprobable_cells() {
+    for a in [3usize, 5, 8, 10] {
+        let b = sax_breakpoints(a);
+        let mut prev = 0.0;
+        for (i, &bp) in b.iter().enumerate() {
+            let cum = norm_cdf(bp);
+            let cell = cum - prev;
+            assert!(
+                (cell - 1.0 / a as f64).abs() < 1e-4,
+                "alphabet {a} cell {i}: {cell}"
+            );
+            prev = cum;
+        }
+        assert!((1.0 - prev - 1.0 / a as f64).abs() < 1e-4);
+    }
 }
 
 /// Bitmap frequencies sum to 1 after counting any sequence of

@@ -15,7 +15,7 @@
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::pipeline::full_pipeline;
 use acoustic_ensembles::core::prelude::*;
-use acoustic_ensembles::river::net::{send_all_with, StreamOut};
+use acoustic_ensembles::river::net::{send_all, StreamOut};
 use acoustic_ensembles::river::operator::SharedSink;
 use acoustic_ensembles::river::prelude::*;
 use acoustic_ensembles::river::telemetry::EventKind;
@@ -86,7 +86,7 @@ fn main() {
                 } else {
                     SampleEncoding::F32
                 });
-                let sent = send_all_with(addr, &records, format).unwrap();
+                let sent = send_all(addr, &records, format).unwrap();
                 println!("sensor {s}: streamout sent {sent} records ({format:?} wire)");
                 sent
             })

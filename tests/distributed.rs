@@ -2,12 +2,14 @@
 //! fault recovery and segment relocation by redirect, driven by the
 //! acoustic operators.
 
+#[path = "../crates/river/tests/testkit/mod.rs"]
+mod testkit;
+
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::pipeline::{extraction_segment, full_pipeline};
 use acoustic_ensembles::core::prelude::*;
 use acoustic_ensembles::core::{scope_type, subtype};
-use acoustic_ensembles::river::fault::{DropCloses, TruncateAfter};
-use acoustic_ensembles::river::net::{send_all, serve_once, StreamEnd, StreamOut};
+use acoustic_ensembles::river::net::{send_all, StreamEnd, StreamOut};
 use acoustic_ensembles::river::operator::{NullSink, Operator, SharedSink};
 use acoustic_ensembles::river::ops::ScopeRepair;
 use acoustic_ensembles::river::prelude::*;
@@ -18,6 +20,7 @@ use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
+use testkit::{serve_once, DropCloses, TruncateAfter};
 
 fn clip_records(cfg: &ExtractorConfig, seed: u64) -> Vec<Record> {
     let synth = ClipSynthesizer::new(SynthConfig {
@@ -306,7 +309,7 @@ fn acoustic_pipeline_across_tcp_hosts() {
     let segment = thread::spawn(move || {
         run_network_segment(&seg_listener, sink_addr, extraction_segment(cfg)).unwrap()
     });
-    let sent = send_all(seg_addr, &records).unwrap();
+    let sent = send_all(seg_addr, &records, WireFormat::default()).unwrap();
     assert_eq!(sent as usize, records.len());
 
     assert_eq!(segment.join().unwrap(), StreamEnd::Clean);

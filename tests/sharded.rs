@@ -4,13 +4,16 @@
 //! `FailAfter` / `DropCloses`-shaped streams through the sharded
 //! runner.
 
+#[path = "../crates/river/tests/testkit/mod.rs"]
+mod testkit;
+
 use acoustic_ensembles::core::ops::{clip_to_records, clips_record_source};
 use acoustic_ensembles::core::pipeline::full_pipeline;
 use acoustic_ensembles::core::prelude::*;
-use acoustic_ensembles::river::fault::{DropCloses, FailAfter, TruncateAfter};
 use acoustic_ensembles::river::ops::ScopeRepair;
 use acoustic_ensembles::river::scope::validate_scopes;
 use acoustic_ensembles::river::{Pipeline, PipelineError, Record, RecordKind};
+use testkit::{DropCloses, FailAfter, TruncateAfter};
 
 fn archive_clips(n: u64) -> Vec<Vec<f64>> {
     let cfg = ExtractorConfig::default();

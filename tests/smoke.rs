@@ -71,7 +71,7 @@ fn facade_reexports_cover_every_subsystem() {
     assert_eq!(memory.classify(&[0.1, 0.1]), Some(0));
 
     let mut pipeline = Pipeline::new();
-    pipeline.add(Passthrough);
+    pipeline.add(acoustic_ensembles::river::ops::ScopeRepair::new());
     let out = pipeline
         .run(vec![Record::open_scope(1, vec![]), Record::close_scope(1)])
         .expect("trivial pipeline");
