@@ -100,8 +100,11 @@ release_tests() {
 
 # --- numerics gates -----------------------------------------------------
 # The tests that hold the scoring front end to its stated error bounds
-# (DESIGN.md §14, "The divider leaves the chain"): `block_kernel`
-# (every block cut exact, the per-sample reference within the bounds),
+# (DESIGN.md §14, "The divider leaves the chain" and "Symbols in
+# squares"): `block_kernel` (every block cut exact, the per-sample
+# reference within the bounds), the anomaly unit tests (the tie battery
+# at every breakpoint of alphabets 2, 3, 8, 64 and 256, the cancelling
+# streams, the band's margin, and E and ΣD² against rebuilt bitmaps),
 # `saxanomaly_block` (golden score digests, non-finite and overflowing
 # samples) and `boundaries` (no ensemble boundary moves against the old
 # front end over the release-sized pools; the trigger's decisions
@@ -109,6 +112,7 @@ release_tests() {
 # to the numerics that wants its verdict in a minute.
 numerics() {
     cargo test --release -q -p river-sax --test block_kernel
+    cargo test --release -q -p river-sax --lib anomaly::
     cargo test --release -q -p ensemble-core --test saxanomaly_block --test boundaries
 }
 
@@ -248,7 +252,10 @@ one_ledger() {
 # and the toy operators are the test kit, crates/river/tests/testkit/,
 # and the paper's `readout` is a `StreamOut` over a file. None of the
 # deleted items may come back, in code or in prose; the generic names
-# are matched qualified or call-shaped so prose does not trip them.
+# are matched qualified or call-shaped so prose does not trip them. The
+# Goertzel probe is a test helper of the synthesizer's tests
+# (crates/core/src/synth/tone.rs), so only a library module or path of
+# that name is matched.
 # `Spectrogram::bin_frequency` is the bin arithmetic in use, so only the
 # deleted `fft::` helpers are matched. Then the library itself — each
 # crates/*/src file outside the bench crate, up to its test module, the
@@ -260,7 +267,7 @@ only_what_ships() {
     gone+='|CorruptSubtype|send_all_with|normalize_oscillogram|signal::energy|dbfs|band_presence'
     gone+='|high_pass|\.applied\(|coherent_gain|column_time|max_magnitude|sample_std_dev|from_polar'
     gone+='|mindist|paa_inverse|map_features|classify_pattern|context_key::SPECIES|open_scopes'
-    gone+='|total_records'
+    gone+='|total_records|goertzel::|pub mod goertzel'
     if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
         echo "only-what-ships: a library item that only its own tests ran is named above;" \
             "keep oracles in the tests" >&2

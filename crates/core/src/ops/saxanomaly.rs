@@ -61,8 +61,9 @@ impl Operator for SaxAnomaly {
                     ));
                 };
                 // The one allocation a record costs: the score payload,
-                // which the kernel and the smoother then write in place.
-                let mut scores = SampleBuf::from(samples);
+                // allocated zeroed (not as a copy of the audio) and then
+                // written in place by the kernel and the smoother.
+                let mut scores: SampleBuf = std::iter::repeat_n(0.0, samples.len()).collect();
                 let in_place = scores.make_mut();
                 self.detector.score_block(samples, in_place);
                 self.smoother.smooth_in_place(in_place);

@@ -9,7 +9,7 @@ use crate::config::ExtractorConfig;
 use crate::extract::AdaptiveTrigger;
 use crate::{scope_type, subtype};
 use dynamic_river::telemetry::{EventKind, EventSink};
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
 
 /// The `trigger` operator.
 #[derive(Clone)]
@@ -59,33 +59,26 @@ impl Operator for TriggerOp {
                 out.push(record)
             }
             RecordKind::Data if record.subtype == subtype::SCORE => {
-                let Some(scores) = record.payload.as_f64() else {
+                let mut record = record;
+                let Payload::F64(scores) = &mut record.payload else {
                     return Err(PipelineError::operator(
                         "trigger",
                         "score record without F64 payload",
                     ));
                 };
-                // Collected straight into the payload's allocation.
-                let values: SampleBuf = scores
-                    .iter()
-                    .map(|&s| {
-                        let high = self.trigger.push(s);
-                        if high && !self.was_high {
-                            self.events.emit(EventKind::TriggerFire, record.seq);
-                        }
-                        self.was_high = high;
-                        if high {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                out.push(
-                    Record::data(subtype::TRIGGER, Payload::f64(values))
-                        .with_seq(record.seq)
-                        .with_depth(record.scope_depth),
-                )
+                // The decisions overwrite the scores in their own buffer,
+                // which `saxanomaly` hands over unshared: no copy, no
+                // allocation.
+                for s in scores.make_mut() {
+                    let high = self.trigger.push(*s);
+                    if high && !self.was_high {
+                        self.events.emit(EventKind::TriggerFire, record.seq);
+                    }
+                    self.was_high = high;
+                    *s = if high { 1.0 } else { 0.0 };
+                }
+                record.subtype = subtype::TRIGGER;
+                out.push(record)
             }
             _ => out.push(record),
         }

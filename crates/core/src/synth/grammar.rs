@@ -214,8 +214,8 @@ pub fn song(species: SpeciesCode, fs: f64, rng: &mut StdRng) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::tone::goertzel_magnitude;
     use rand::SeedableRng;
-    use river_dsp::goertzel::goertzel_magnitude;
 
     const FS: f64 = 20_160.0;
 

@@ -11,6 +11,8 @@
 pub mod grammar;
 pub mod noise;
 pub mod primitives;
+#[cfg(test)]
+mod tone;
 
 use crate::species::SpeciesCode;
 use rand::rngs::StdRng;

@@ -91,8 +91,8 @@ pub fn ambient_bed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::tone::goertzel_magnitude;
     use rand::SeedableRng;
-    use river_dsp::goertzel::goertzel_magnitude;
 
     const FS: f64 = 20_160.0;
 

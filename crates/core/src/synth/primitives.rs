@@ -160,8 +160,8 @@ pub fn concat(parts: &[Vec<f64>]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::tone::goertzel_magnitude;
     use rand::SeedableRng;
-    use river_dsp::goertzel::goertzel_magnitude;
     use river_dsp::signal::{peak, rms};
 
     const FS: f64 = 20_160.0;

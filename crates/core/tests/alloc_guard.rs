@@ -8,10 +8,11 @@
 //! §14). This test pins that property with a counting
 //! `#[global_allocator]`: after a warm-up pass, a sustained run of both
 //! kernels — the detector through one-sample `push` calls and through
-//! `score_block` — must perform **zero** heap allocations, and the
-//! `saxanomaly`, `trigger` and `spectrum` operators exactly one per
-//! record each, the payload they emit (built in its shared allocation,
-//! not in a `Vec` that is then copied).
+//! `score_block` — must perform **zero** heap allocations; `saxanomaly`
+//! exactly one per record, the score payload, which `trigger` then
+//! overwrites with its decisions without allocating; and `spectrum`
+//! exactly one per record, the payload it emits (built in its shared
+//! allocation, not in a `Vec` that is then copied).
 //!
 //! The telemetry layer rides in the same measured window (ISSUE 9
 //! satellite 4): [`HistogramSnapshot::record`] is plain adds into a
@@ -26,7 +27,7 @@
 
 use dynamic_river::operator::NullSink;
 use dynamic_river::telemetry::{EventKind, EventLog, HistogramSnapshot};
-use dynamic_river::{Operator, Payload, Record};
+use dynamic_river::{Operator, Payload, PipelineError, Record, Sink};
 use ensemble_core::ops::{SaxAnomaly, Spectrum, TriggerOp};
 use ensemble_core::{subtype, ExtractorConfig};
 use river_dsp::complex::Complex64;
@@ -61,6 +62,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Feeds `saxanomaly`'s score records to `trigger`, as the chain does.
+struct IntoTrigger(TriggerOp);
+
+impl Sink for IntoTrigger {
+    fn push(&mut self, record: Record) -> Result<(), PipelineError> {
+        if record.subtype == subtype::SCORE {
+            self.0.on_record(record, &mut NullSink)
+        } else {
+            Ok(())
+        }
+    }
+}
 
 #[test]
 fn warm_spectral_kernels_do_not_allocate() {
@@ -117,32 +131,29 @@ fn warm_spectral_kernels_do_not_allocate() {
     acc += scores[1_679];
     let after_block = ALLOCS.load(Ordering::Relaxed);
 
-    // The operator around it: one allocation per audio record — the
-    // score payload, scored and smoothed in place.
+    // The operators around it: one allocation per audio record — the
+    // score payload, allocated zeroed, scored and smoothed in place, then
+    // handed to `trigger` unshared, which writes its decisions into the
+    // same buffer and re-tags the record.
     let mut op = SaxAnomaly::new(ExtractorConfig::paper());
+    let mut into_trigger = IntoTrigger(TriggerOp::new(ExtractorConfig::paper()));
     let audio = Record::data(subtype::AUDIO, Payload::f64(samples.clone())).with_seq(7);
-    let mut sink = NullSink;
     for _ in 0..4 {
-        op.on_record(audio.clone(), &mut sink).unwrap();
+        op.on_record(audio.clone(), &mut into_trigger).unwrap();
     }
     let before_op = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..32 {
-        op.on_record(audio.clone(), &mut sink).unwrap();
+        op.on_record(audio.clone(), &mut into_trigger).unwrap();
     }
     let after_op = ALLOCS.load(Ordering::Relaxed);
 
-    // `trigger` and `spectrum` build their payloads in place: one
-    // allocation per record each, not a `Vec` copied into a second one.
-    let mut trigger = TriggerOp::new(ExtractorConfig::paper());
+    // `spectrum` builds its payload in place: one allocation per record,
+    // not a `Vec` copied into a second one.
+    let mut sink = NullSink;
     let mut spectrum = Spectrum::new();
-    let score = Record::data(subtype::SCORE, Payload::f64(samples.clone())).with_seq(7);
-    let mut both = || {
-        trigger.on_record(score.clone(), &mut sink).unwrap();
-        spectrum.on_record(audio.clone(), &mut sink).unwrap();
-    };
-    (0..4).for_each(|_| both());
+    (0..4).for_each(|_| spectrum.on_record(audio.clone(), &mut sink).unwrap());
     let before_payloads = ALLOCS.load(Ordering::Relaxed);
-    (0..32).for_each(|_| both());
+    (0..32).for_each(|_| spectrum.on_record(audio.clone(), &mut sink).unwrap());
     let after_payloads = ALLOCS.load(Ordering::Relaxed);
 
     assert!(acc.is_finite(), "kernels produced non-finite output");
@@ -154,12 +165,12 @@ fn warm_spectral_kernels_do_not_allocate() {
     assert_eq!(
         after_op - before_op,
         32,
-        "saxanomaly: exactly the score payload per audio record"
+        "saxanomaly then trigger: exactly the score payload per audio record"
     );
     assert_eq!(
         after_payloads - before_payloads,
-        64,
-        "trigger and spectrum: exactly one payload allocation per record each"
+        32,
+        "spectrum: exactly one payload allocation per record"
     );
     assert_eq!(latency.count, 32);
     assert_eq!(events.len(), 64, "ring should sit exactly at capacity");

@@ -12,12 +12,15 @@
 //! stay within 5% ns/record of Off. Whatever the dead branch costs is
 //! necessarily below that.
 //!
-//! The two configs are timed in alternation, seven back-to-back pairs,
-//! and the verdict is the **median of the per-pair ratios** (as
+//! The two configs are timed in alternation, eleven back-to-back pairs
+//! of passes over six 30 s clips each (~0.1 s a pass optimised), and
+//! the verdict is the **median of the per-pair ratios** (as
 //! river-bench's `telemetry.counters_overhead_ratio` judges it): slow
 //! drift on a loaded CI host (a background build, a noisy neighbor)
 //! hits both sides of a pair alike, and one disturbed pass moves one
-//! ratio out of seven instead of deciding a minimum. The chain's
+//! ratio out of eleven instead of deciding a minimum. Passes of one
+//! clip (~15 ms) were too short: their ratios spread 0.70–1.24 over ten
+//! release runs, and the median crossed the bound in one run of five. The chain's
 //! per-record work (SAX anomaly scoring, fused spectra) dwarfs the
 //! timer's clock reads by an order of magnitude, so the honest Counters
 //! cost sits well inside the budget. The file holds a single `#[test]`
@@ -29,31 +32,28 @@ use ensemble_core::pipeline::full_pipeline;
 use ensemble_core::prelude::*;
 use std::time::Instant;
 
-/// One timed pass of the fused Figure 5 chain under `config`,
-/// returning ns per source record.
-fn ns_per_record(cfg: ExtractorConfig, samples: &[f64], config: TelemetryConfig) -> f64 {
+/// One timed pass of the fused Figure 5 chain over `clips` under
+/// `config`, returning ns per source record.
+fn ns_per_record(cfg: ExtractorConfig, clips: &[Vec<f64>], config: TelemetryConfig) -> f64 {
     let mut p = full_pipeline(cfg, true);
     p.set_telemetry(config);
     let mut sink = CountingSink::default();
-    let source = clips_record_source(
-        std::iter::once(samples.to_vec()),
-        cfg.sample_rate,
-        cfg.record_len,
-    );
+    let source = clips_record_source(clips.to_vec(), cfg.sample_rate, cfg.record_len);
     let t0 = Instant::now();
     let stats = p.run_streaming(source, &mut sink).expect("chain run");
     let dt = t0.elapsed().as_secs_f64();
     dt / stats.source_records as f64 * 1e9
 }
 
-/// Counters over Off, ns/record, of seven alternating pairs, sorted.
-fn pair_ratios(cfg: ExtractorConfig, samples: &[f64]) -> [f64; 7] {
-    let mut ratios = [0.0; 7];
-    for ratio in &mut ratios {
-        let off = ns_per_record(cfg, samples, TelemetryConfig::Off);
-        let counters = ns_per_record(cfg, samples, TelemetryConfig::Counters);
-        *ratio = counters / off;
-    }
+/// Counters over Off, ns/record, of `pairs` alternating pairs, sorted.
+fn pair_ratios(cfg: ExtractorConfig, clips: &[Vec<f64>], pairs: usize) -> Vec<f64> {
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let off = ns_per_record(cfg, clips, TelemetryConfig::Off);
+            let counters = ns_per_record(cfg, clips, TelemetryConfig::Counters);
+            counters / off
+        })
+        .collect();
     ratios.sort_by(f64::total_cmp);
     ratios
 }
@@ -62,14 +62,29 @@ fn pair_ratios(cfg: ExtractorConfig, samples: &[f64]) -> [f64; 7] {
 fn telemetry_off_overhead_stays_under_five_percent() {
     let cfg = ExtractorConfig::paper();
     let synth = ClipSynthesizer::new(SynthConfig::paper());
-    let clip = synth.clip(SpeciesCode::Noca, 5);
-    let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
-    let samples = &clip.samples[..usable];
+    // An unoptimised build only runs the functional halves below, so it
+    // times the short form.
+    let (clip_count, pairs) = if cfg!(debug_assertions) {
+        (1, 7)
+    } else {
+        (6, 11)
+    };
+    let clips: Vec<Vec<f64>> = [SpeciesCode::Noca, SpeciesCode::Amgo, SpeciesCode::Bcch]
+        .into_iter()
+        .cycle()
+        .zip(5..)
+        .take(clip_count)
+        .map(|(species, seed)| {
+            let clip = synth.clip(species, seed);
+            let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
+            clip.samples[..usable].to_vec()
+        })
+        .collect();
 
     // One throwaway pass warms caches and the allocator.
-    let _ = ns_per_record(cfg, samples, TelemetryConfig::Off);
+    let _ = ns_per_record(cfg, &clips, TelemetryConfig::Off);
 
-    let ratios = pair_ratios(cfg, samples);
+    let ratios = pair_ratios(cfg, &clips, pairs);
     let median = ratios[ratios.len() / 2];
     eprintln!("telemetry overhead: counters/off per pair {ratios:.3?}, median {median:.3}");
 
@@ -90,13 +105,7 @@ fn telemetry_off_overhead_stays_under_five_percent() {
     // Functional halves of the same guard: Off registers nothing (the
     // hot-path branch is a None), Counters populates every stage's
     // histogram but traces no events (that is Full's job).
-    let source = || {
-        clips_record_source(
-            std::iter::once(samples.to_vec()),
-            cfg.sample_rate,
-            cfg.record_len,
-        )
-    };
+    let source = || clips_record_source(clips.clone(), cfg.sample_rate, cfg.record_len);
 
     let mut p = full_pipeline(cfg, true);
     let mut sink = CountingSink::default();

@@ -44,7 +44,6 @@
 pub mod complex;
 pub mod fft;
 pub mod filter;
-pub mod goertzel;
 pub mod signal;
 pub mod spectrogram;
 pub mod stats;

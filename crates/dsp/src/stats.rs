@@ -239,66 +239,50 @@ impl SlidingStats {
         evicted
     }
 
-    /// Pushes every sample of `xs` in order, writing the window's
-    /// [`mean`](Self::mean) and
-    /// [`population_std_dev`](Self::population_std_dev) after each push
-    /// to `mean[i]` and `std[i]` — bit for bit what [`push`](Self::push)
-    /// followed by those two calls returns.
+    /// Pushes every sample of `xs` in order, calling `each(i, Σx, Σx²,
+    /// n)` after the i-th push with the window's running sums and the
+    /// samples it then holds: [`moments`](Self::moments)`(Σx, Σx², n)`
+    /// is bit for bit what [`mean`](Self::mean) and
+    /// [`population_std_dev`](Self::population_std_dev) return at that
+    /// point.
     ///
-    /// The running sums are a recurrence and are walked sample by
-    /// sample; the two divisions and the square root depend on nothing
-    /// but their own sample's sums, so once the window is full (a
-    /// constant divisor) they run as a separate loop the compiler packs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length.
-    pub fn push_block(&mut self, xs: &[f64], mean: &mut [f64], std: &mut [f64]) {
-        assert!(
-            xs.len() == mean.len() && xs.len() == std.len(),
-            "block slices must be equally long"
-        );
-        // Still filling: the divisor changes with every sample.
+    /// The sums are a recurrence, two dependent adds a sample each;
+    /// whatever `each` derives from one sample's sums is off that chain
+    /// and runs in its shadow.
+    #[inline]
+    pub fn push_sums(&mut self, xs: &[f64], mut each: impl FnMut(usize, f64, f64, f64)) {
+        // Still filling: nothing is evicted, and n grows.
         let filling = self.ring.room().min(xs.len());
-        for ((&x, m), s) in xs
-            .iter()
-            .zip(mean.iter_mut())
-            .zip(std.iter_mut())
-            .take(filling)
-        {
+        for (i, &x) in xs[..filling].iter().enumerate() {
             self.push(x);
-            *m = self.mean();
-            *s = self.population_std_dev();
+            each(i, self.sum, self.sum_sq, self.ring.len as f64);
         }
-        let (xs, mean, std) = (&xs[filling..], &mut mean[filling..], &mut std[filling..]);
-
-        // Recurrence: the sums after each sample, parked in the outputs.
+        let n = self.ring.len as f64;
         let (mut sum, mut sum_sq) = (self.sum, self.sum_sq);
-        let mut done = 0;
+        let mut done = filling;
         while done < xs.len() {
             let slots = self.ring.take_run(xs.len() - done);
-            let end = done + slots.len();
-            let outs = mean[done..end].iter_mut().zip(&mut std[done..end]);
-            for ((slot, &x), (m, s)) in slots.iter_mut().zip(&xs[done..end]).zip(outs) {
+            for (i, (slot, &x)) in (done..).zip(slots.iter_mut().zip(&xs[done..])) {
                 let old = std::mem::replace(slot, x);
                 sum -= old;
                 sum_sq -= old * old;
                 sum += x;
                 sum_sq += x * x;
-                *m = sum;
-                *s = sum_sq;
+                each(i, sum, sum_sq, n);
             }
-            done = end;
+            done += slots.len();
         }
         self.sum = sum;
         self.sum_sq = sum_sq;
+    }
 
-        // Pure: sums to moments, same expressions as the accessors.
-        let n = self.ring.len as f64;
-        for (m, s) in mean.iter_mut().zip(std.iter_mut()) {
-            *m /= n;
-            *s = variance_of(*s, n, *m).sqrt();
-        }
+    /// The mean and population standard deviation of `n > 0` samples
+    /// with running sums `sum` and `sum_sq`, by the expressions the
+    /// accessors use: μ = Σx/n and σ = √max(Σx²/n − μ², 0).
+    #[inline]
+    pub fn moments(sum: f64, sum_sq: f64, n: f64) -> (f64, f64) {
+        let mean = sum / n;
+        (mean, variance_of(sum_sq, n, mean).sqrt())
     }
 
     /// Number of samples currently held.
@@ -609,19 +593,13 @@ mod tests {
                 .collect();
             for block in BLOCKS {
                 let mut s = SlidingStats::new(cap);
-                let (mut mean, mut std) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
-                for ((xs, mean), std) in xs
-                    .chunks(block)
-                    .zip(mean.chunks_mut(block))
-                    .zip(std.chunks_mut(block))
-                {
-                    s.push_block(xs, mean, std);
+                let mut got = Vec::new();
+                for xs in xs.chunks(block) {
+                    s.push_sums(xs, |_, sum, sum_sq, n| {
+                        let (m, s) = SlidingStats::moments(sum, sum_sq, n);
+                        got.push((m.to_bits(), s.to_bits()));
+                    });
                 }
-                let got: Vec<(u64, u64)> = mean
-                    .iter()
-                    .zip(&std)
-                    .map(|(m, s)| (m.to_bits(), s.to_bits()))
-                    .collect();
                 assert_eq!(got, want, "capacity {cap}, blocks of {block}");
                 assert!(s.iter().eq(one.iter()), "capacity {cap}, blocks of {block}");
                 assert_eq!(s.len(), one.len());

@@ -12,24 +12,31 @@
 //!
 //! The detector is single-scan with O(1) work per sample and no
 //! allocation after [`BitmapAnomaly::new`]: count maintenance touches at
-//! most four cells, and the Euclidean distance is maintained
-//! incrementally from one exact integer running sum, Σ(lead − lag)²
-//! over the cells, rather than re-scanning all alphabetⁿ cells —
-//! satisfying the paper's requirement of "processor and memory
-//! efficient techniques" (§5).
+//! most three cells, and the Euclidean distance is maintained
+//! incrementally from one exact integer running sum rather than by
+//! re-scanning all alphabetⁿ cells — satisfying the paper's requirement
+//! of "processor and memory efficient techniques" (§5).
 //!
 //! Scoring is a **block kernel** ([`BitmapAnomaly::score_block`],
 //! DESIGN.md §14): a record is walked in private tiles, and within a
 //! tile the work is split by kind. The true recurrences — the running
-//! normalisation sums and the n-gram counts — run as short sequential
-//! passes over flat buffers; everything that depends on one sample
-//! alone (mean/σ/z, quantisation, gram cell indices, the distance and
-//! its square root) runs as separate loops the compiler can pack. Every
-//! step keeps the expression and the operation order of the one-sample
-//! definition, so a score does not depend on how the stream was cut
-//! into blocks, down to the last bit. Symbols and counts are exact; the
-//! one rounding after them is √(ΣD²/tt), within 1.5 ulp of the true
-//! distance.
+//! normalisation sums and the n-gram counts — run as sequential passes
+//! over flat buffers, each carrying the per-sample work that hangs off
+//! its chain; the quantiser and the gram cell indices run as loops the
+//! compiler packs. Every step keeps the expression and the operation
+//! order of the one-sample definition, so a score does not depend on how
+//! the stream was cut into blocks, down to the last bit.
+//!
+//! Symbols are decided **in squares**: with the window's running sums
+//! S = Σx and Q = Σx² over n samples, z = d/√v for d = n·x − S and
+//! v = n·Q − S², and z lies on the same side of a breakpoint b as d² of
+//! b²·v, so the common sample pays no division and no square root. A
+//! sample whose z² falls within a relative 2⁻²⁴ of some b², or whose d
+//! or v cancels (DESIGN.md §14 states the bound), takes the exact
+//! expression instead — μ = S/n, σ = √max(Q/n − μ², 0), [`znorm_value`]
+//! and the count of breakpoints ≤ z — so every symbol, and with it every
+//! count, is the exact expression's. The one rounding after the counts is √(ΣD²/tt),
+//! within 1.5 ulp of the true distance.
 
 use crate::gaussian::sax_breakpoints;
 use crate::sax::Symbol;
@@ -77,10 +84,10 @@ impl Default for AnomalyConfig {
 }
 
 /// Samples per private tile of [`BitmapAnomaly::score_block`]. A tile's
-/// working set (input, output, two `f64` lanes, symbols and gram cells:
-/// 37 bytes a sample) stays well inside L1 beside the normalisation
-/// ring that streams through it, and the packed loops spend their time
-/// in the vector body rather than in prologues.
+/// working set (input, output, the `f64` lanes, symbols and gram cells)
+/// stays inside L1 beside the normalisation ring that streams through
+/// it, and the packed loops spend their time in the vector body rather
+/// than in prologues.
 const TILE: usize = 256;
 
 /// The largest magnitude a sample may have to enter the normalisation
@@ -90,6 +97,10 @@ const TILE: usize = 256;
 /// scored like a non-finite one (DESIGN.md §14).
 const MAX_STATISTIC_SAMPLE: f64 = 7.804_371_375_789_981e143;
 
+/// Samples the quantiser decides together, their counts held in
+/// registers while it walks the thresholds.
+const BLOCK: usize = 8;
+
 /// The running mean/σ estimate samples are normalised against.
 #[derive(Debug, Clone)]
 enum Normalizer {
@@ -97,20 +108,32 @@ enum Normalizer {
     Sliding(SlidingStats),
 }
 
+/// One sample in squares: z = d/√v in exact arithmetic, d the
+/// difference of terms whose magnitudes add up to `d_terms` and v of
+/// terms adding up to `v_terms`. Those sums bound the rounding of d and
+/// v, and of the exact expression's numerator and variance (DESIGN.md
+/// §14, "Symbols in squares").
+struct Squares {
+    d: f64,
+    v: f64,
+    d_terms: f64,
+    v_terms: f64,
+}
+
 impl Normalizer {
-    /// Pushes `xs` in order, writing the mean and population σ after
-    /// each push.
+    /// Pushes `xs` in order, calling `each(i, a, b, n)` after the i-th
+    /// push with two statistics — Σx and Σx² (sliding) or the mean and
+    /// population variance (global) — and the samples they are over.
     #[inline]
-    fn push_block(&mut self, xs: &[f64], mean: &mut [f64], std: &mut [f64]) {
+    fn push_each(&mut self, xs: &[f64], mut each: impl FnMut(usize, f64, f64, f64)) {
         match self {
-            Normalizer::Sliding(s) => s.push_block(xs, mean, std),
+            Normalizer::Sliding(s) => s.push_sums(xs, each),
             // Welford's mean update divides inside the recurrence, so
             // this mode is one latency-bound chain whatever the layout.
             Normalizer::Global(w) => {
-                for ((&x, m), s) in xs.iter().zip(mean).zip(std) {
+                for (i, &x) in xs.iter().enumerate() {
                     w.push(x);
-                    *m = w.mean();
-                    *s = w.population_std_dev();
+                    each(i, w.mean(), w.population_variance(), w.count() as f64);
                 }
             }
         }
@@ -132,22 +155,198 @@ impl Normalizer {
     }
 }
 
-/// A cell's lead − lag difference goes up by one (a gram enters the
-/// lead window or leaves the lag window); returns the change of ΣD².
+/// Sliding mode in squares, at scale n: d = n·x − Σx and v = n·Σx² −
+/// (Σx)².
 #[inline]
-fn rise(d: &mut i32) -> i64 {
-    let change = 1 + 2 * i64::from(*d);
-    *d += 1;
+fn sliding_squares(x: f64, sum: f64, sum_sq: f64, n: f64) -> Squares {
+    let nx = n * x;
+    let nq = n * sum_sq;
+    let ss = sum * sum;
+    Squares {
+        d: nx - sum,
+        v: nq - ss,
+        d_terms: nx.abs() + sum.abs(),
+        v_terms: nq.abs() + ss,
+    }
+}
+
+/// Global mode in squares: d = x − μ, the exact expression's own
+/// numerator, and v the variance both paths read; neither cancels
+/// unless it is 0.
+#[inline]
+fn global_squares(x: f64, mean: f64, variance: f64, _: f64) -> Squares {
+    let d = x - mean;
+    Squares {
+        d,
+        v: variance,
+        d_terms: d.abs(),
+        v_terms: variance,
+    }
+}
+
+/// The breakpoints as the quantiser reads them.
+#[derive(Debug, Clone)]
+struct Quantiser {
+    /// The `alphabet` − 1 breakpoints, ascending: the exact expression
+    /// counts those ≤ z.
+    breakpoints: Vec<f64>,
+    /// b²·(1 ∓ ρ) of each positive breakpoint b, ascending: a z² outside
+    /// the bands crosses an even number of them, twice the positive
+    /// breakpoints below |z|; one within ρ of a b² crosses an odd
+    /// number.
+    thresholds: Vec<f64>,
+    /// Breakpoints < 0 (as many as > 0), and breakpoints ≤ 0.
+    negative: u32,
+    non_positive: u32,
+}
+
+/// ρ = 2⁻²⁴, the relative half-width of the band around each b² inside
+/// which the exact expression decides. It has to cover how far d²/v and
+/// the exact expression's z² can lie apart, at most 14u/κ + 5u ≈
+/// 1.0·10⁻¹⁰ relatively (u = 2⁻⁵³), and how far a negative breakpoint's
+/// square lies from its positive mirror's, which the quantiser compares
+/// both signs against: 0 at alphabet 8, at most 2.3·10⁻¹³ (alphabet
+/// 233) over 2..=256 (DESIGN.md §14).
+const BAND: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// κ = 2⁻¹⁶: the fast path takes a sample only when |d| exceeds κ times
+/// the terms it is the difference of, and v κ times its terms; then
+/// their rounding, and the exact expression's, is at most 2u/κ and 4u/κ
+/// of them. Below that the subtraction cancels, and the exact expression
+/// decides.
+const CANCELLATION: f64 = 1.0 / (1u64 << 16) as f64;
+
+// `decide` runs inside the kernel's tile passes, which force their
+// callees inline (see the note on `BitmapAnomaly`'s methods).
+#[allow(clippy::inline_always)]
+impl Quantiser {
+    fn new(alphabet: usize) -> Self {
+        let breakpoints = sax_breakpoints(alphabet);
+        let negative = breakpoints.iter().filter(|&&b| b < 0.0).count();
+        let positive: Vec<f64> = breakpoints.iter().copied().filter(|&b| b > 0.0).collect();
+        assert_eq!(negative, positive.len(), "breakpoints mirror around 0");
+        let thresholds: Vec<f64> = positive
+            .iter()
+            .flat_map(|b| [b * b * (1.0 - BAND), b * b * (1.0 + BAND)])
+            .collect();
+        assert!(thresholds.is_sorted(), "bands around the squares overlap");
+        Quantiser {
+            negative: negative as u32,
+            non_positive: (breakpoints.len() - positive.len()) as u32,
+            thresholds,
+            breakpoints,
+        }
+    }
+
+    /// Decides `L` samples from v and the signed d² (NaN: in doubt),
+    /// holding the crossing counts in registers while it walks the
+    /// thresholds — `f64` counts, so the walk is not reassociated into a
+    /// reduction over the thresholds and the `L` samples pack instead.
+    /// Returns how many it left to the exact expression (marked by a
+    /// NaN in `sdd`).
+    #[inline(always)]
+    fn decide<const L: usize>(&self, v: &[f64], sdd: &mut [f64], symbols: &mut [Symbol]) -> u32 {
+        let mut dd = [0.0; L];
+        for j in 0..L {
+            dd[j] = sdd[j].abs();
+        }
+        let mut crossed = [0.0f64; L];
+        for &threshold in &self.thresholds {
+            for j in 0..L {
+                crossed[j] += if threshold * v[j] > dd[j] { 0.0 } else { 1.0 };
+            }
+        }
+        let mut doubtful = 0;
+        for j in 0..L {
+            // An integer below 2⁵² added to 2⁵² lands in the low bits
+            // of the mantissa: a conversion that packs.
+            let crossed = (crossed[j] + 4_503_599_627_370_496.0).to_bits() as u32;
+            let (half, odd) = (crossed >> 1, crossed & 1 == 1 || sdd[j].is_nan());
+            let symbol = if sdd[j] > 0.0 {
+                self.non_positive + half
+            } else {
+                self.negative.wrapping_sub(half)
+            };
+            symbols[j] = symbol as Symbol;
+            if odd {
+                sdd[j] = f64::NAN;
+            }
+            doubtful += u32::from(odd);
+        }
+        doubtful
+    }
+
+    /// The symbol of z: the number of breakpoints ≤ z.
+    #[inline]
+    fn exact(&self, z: f64) -> Symbol {
+        self.breakpoints.iter().filter(|&&b| b <= z).count() as Symbol
+    }
+}
+
+/// Tile-long `f64` lanes between the passes.
+#[derive(Debug, Clone)]
+struct Lanes {
+    /// Out of the statistics pass: Σx and Σx², or mean and variance,
+    /// and the samples they are over. A NaN in `b` marks a sample the
+    /// statistics could not hold.
+    a: Vec<f64>,
+    b: Vec<f64>,
+    n: Vec<f64>,
+    /// v and the signed d² of each sample; NaN in `sdd` marks one the
+    /// exact expression decides.
+    v: Vec<f64>,
+    sdd: Vec<f64>,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        let lane = || vec![0.0; TILE];
+        Lanes {
+            a: lane(),
+            b: lane(),
+            n: lane(),
+            v: lane(),
+            sdd: lane(),
+        }
+    }
+}
+
+/// A cell's lead − lag difference goes up by one (a gram enters the
+/// lead window or leaves the lag window); returns the change of ΣE².
+#[inline]
+fn rise(e: &mut i32) -> i64 {
+    let change = 1 + 2 * i64::from(*e);
+    *e += 1;
     change
 }
 
-/// A cell's lead − lag difference goes down by one (a gram leaves the
-/// lead window or enters the lag window); returns the change of ΣD².
+/// A gram leaves the lead window and enters the lag window in the same
+/// step: its cell's difference goes down by two; returns the change of
+/// ΣE².
 #[inline]
-fn fall(d: &mut i32) -> i64 {
-    let change = 1 - 2 * i64::from(*d);
-    *d -= 1;
+fn cross(e: &mut i32) -> i64 {
+    let change = 4 - 4 * i64::from(*e);
+    *e -= 2;
     change
+}
+
+/// ΣD² − ΣE²: the grams in `straddling` (cell indices, the last the
+/// one that crossed this step) have left the lead window but not yet
+/// entered the true lag window, so each still counts one less against
+/// its cell than E says. Adding them back one by one, the r-th copy of a
+/// cell adds 2·(E + r) + 1. Out of line: the count loop reads the
+/// bigram case itself, and inlining the general loop slowed it.
+#[inline(never)]
+fn straddle(straddling: &[u32], diffs: &[i32]) -> i64 {
+    let Some((&last, older)) = straddling.split_last() else {
+        return 0;
+    };
+    let mut extra = 2 * i64::from(diffs[last as usize]) + 1;
+    for (j, &cell) in older.iter().enumerate() {
+        let copies = older[..j].iter().filter(|&&c| c == cell).count() + usize::from(cell == last);
+        extra += 2 * (i64::from(diffs[cell as usize]) + copies as i64) + 1;
+    }
+    extra
 }
 
 /// Streaming lag/lead bitmap anomaly detector.
@@ -169,10 +368,13 @@ fn fall(d: &mut i32) -> i64 {
 #[derive(Debug, Clone)]
 pub struct BitmapAnomaly {
     config: AnomalyConfig,
-    breakpoints: Vec<f64>,
+    quantiser: Quantiser,
     normalizer: Normalizer,
     /// Samples consumed so far.
     t: u64,
+    /// Samples whose symbol the exact expression decided since `new`
+    /// or `reset` (DESIGN.md §14 measures the rate).
+    exact_symbols: u64,
     /// `[ngram − 1 symbols of history | tile]`: the symbols a tile's
     /// gram cells are computed from, contiguous so a gram that starts
     /// in the previous tile needs no special case.
@@ -183,29 +385,28 @@ pub struct BitmapAnomaly {
     /// `cells[..filled]` ends with the grams of the last `2·window`
     /// samples, which is as far back as a gram leaving the lag window
     /// reaches, and a tile appends at `filled`. Each index is computed
-    /// once and read at its four window crossings by plain offset; when
-    /// the buffer is full the history moves back to the front (at most
-    /// one cell copied per sample, amortised).
+    /// once and read by plain offset; when the buffer is full the
+    /// history moves back to the front (at most one cell copied per
+    /// sample, amortised).
     cells: Vec<u32>,
     filled: usize,
-    /// Per cell, D = lead count − lag count: the one number of a cell
-    /// the distance reads, so each window crossing is one update.
+    /// Per cell, E = lead count − count in the lag window *widened* by
+    /// the `ngram − 1` grams that straddle the boundary between the
+    /// two: a gram enters it at the step it leaves the lead window, so
+    /// each sample moves three cells, not four.
     diffs: Vec<i32>,
-    /// ΣD² over all cells, exact (|D| is bounded by the window size).
-    /// Once both windows are warm each holds the same number of grams,
-    /// ta = tb = window − ngram + 1, and the Euclidean distance between
-    /// the two frequency matrices is d = √(Σ(a/ta − b/tb)²) = √(ΣD²/ta²).
+    /// ΣE² over all cells, exact (|E| is bounded by the window size).
+    /// With the straddling grams added back, ΣD² for D = lead − lag;
+    /// once both windows are warm each holds ta = tb = window − ngram +
+    /// 1 grams, and the Euclidean distance between the two frequency
+    /// matrices is d = √(Σ(a/ta − b/tb)²) = √(ΣD²/ta²).
     sum_sq: i64,
-    /// Two tile-long `f64` lanes: (mean, σ) out of the normalisation
-    /// pass. The third lane is the caller's output tile, which carries
-    /// z, then ΣD², then the score.
-    lane_a: Vec<f64>,
-    lane_b: Vec<f64>,
+    lanes: Lanes,
 }
 
 // `push` is the kernel with a trip count of one. Forcing the tile passes
 // into both callers lets the compiler fold that count through every
-// loop (35 ns a one-sample call; 42 ns when the passes stay calls).
+// loop.
 #[allow(clippy::inline_always)]
 impl BitmapAnomaly {
     /// Creates a detector. Every buffer the detector will ever use is
@@ -240,16 +441,16 @@ impl BitmapAnomaly {
         };
         let history = 2 * config.window;
         BitmapAnomaly {
-            breakpoints: sax_breakpoints(config.alphabet),
+            quantiser: Quantiser::new(config.alphabet),
             normalizer,
             t: 0,
+            exact_symbols: 0,
             symbols: vec![0; config.ngram - 1 + TILE],
             cells: vec![0; history + history.max(TILE)],
             filled: history,
             diffs: vec![0; cell_count],
             sum_sq: 0,
-            lane_a: vec![0.0; TILE],
-            lane_b: vec![0.0; TILE],
+            lanes: Lanes::new(),
             config,
         }
     }
@@ -302,58 +503,123 @@ impl BitmapAnomaly {
     /// Scores at most [`TILE`] samples.
     #[inline(always)]
     fn score_tile(&mut self, xs: &[f64], out: &mut [f64]) {
-        self.normalize_tile(xs, out);
-        self.index_tile(out);
+        match self.normalizer {
+            Normalizer::Sliding(_) => {
+                self.statistics_tile(xs, sliding_squares);
+                self.quantise_tile(xs, SlidingStats::moments);
+            }
+            Normalizer::Global(_) => {
+                self.statistics_tile(xs, global_squares);
+                self.quantise_tile(xs, |mean, variance: f64, _| (mean, variance.sqrt()));
+            }
+        }
+        self.index_tile(xs.len());
         self.count_tile(out);
-        self.distance_tile(out);
         self.t += xs.len() as u64;
     }
 
-    /// Tile pass 1: `z[i]` of every sample against the statistics that
-    /// include it. The statistics are a recurrence (`Normalizer`); z is
-    /// pure. A sample the statistics cannot hold (non-finite, or beyond
-    /// [`MAX_STATISTIC_SAMPLE`]) enters them as their mean.
+    /// Tile pass 1 (recurrence): the statistics that include each
+    /// sample, and in the shadow of their chain each sample in squares
+    /// (`squares`). A sample the statistics cannot hold (non-finite, or
+    /// beyond [`MAX_STATISTIC_SAMPLE`]) enters them as their mean, is
+    /// marked with a NaN in lane `b` and left to the exact expression.
     #[inline(always)]
-    fn normalize_tile(&mut self, xs: &[f64], z: &mut [f64]) {
+    fn statistics_tile(&mut self, xs: &[f64], squares: impl Fn(f64, f64, f64, f64) -> Squares) {
         let k = xs.len();
-        let (mean, std) = (&mut self.lane_a[..k], &mut self.lane_b[..k]);
+        let l = &mut self.lanes;
+        let (a, b, n) = (&mut l.a[..k], &mut l.b[..k], &mut l.n[..k]);
+        let (v, sdd) = (&mut l.v[..k], &mut l.sdd[..k]);
+        // One packed test for the common tile, with nothing to stand in.
+        let clean = !xs.iter().fold(false, |bad, x| {
+            bad | x.is_nan() | (x.abs() > MAX_STATISTIC_SAMPLE)
+        });
         let mut at = 0;
         while at < k {
-            let run = xs[at..]
-                .iter()
-                .position(|x| x.is_nan() || x.abs() > MAX_STATISTIC_SAMPLE)
-                .map_or(k, |p| at + p);
-            self.normalizer
-                .push_block(&xs[at..run], &mut mean[at..run], &mut std[at..run]);
-            at = run;
-            if at < k {
-                let stand_in = [self.normalizer.mean()];
-                self.normalizer
-                    .push_block(&stand_in, &mut mean[at..=at], &mut std[at..=at]);
-                // z = 0 whatever the statistics say: x − μ is not a
-                // number, or not one they can hold.
-                std[at] = 0.0;
+            let run = if clean {
+                k
+            } else {
+                xs[at..]
+                    .iter()
+                    .position(|x| x.is_nan() || x.abs() > MAX_STATISTIC_SAMPLE)
+                    .map_or(k, |p| at + p)
+            };
+            let stand_in = [self.normalizer.mean()];
+            let block = if at < run {
+                &xs[at..run]
+            } else {
+                &stand_in[..]
+            };
+            self.normalizer.push_each(block, |i, sa, sb, sn| {
+                let i = at + i;
+                a[i] = sa;
+                b[i] = sb;
+                n[i] = sn;
+                let s = squares(xs[i], sa, sb, sn);
+                v[i] = s.v;
+                let certain =
+                    s.d.abs() > CANCELLATION * s.d_terms && s.v > CANCELLATION * s.v_terms;
+                sdd[i] = if certain { s.d * s.d.abs() } else { f64::NAN };
+            });
+            if at == run {
+                b[at] = f64::NAN;
+                sdd[at] = f64::NAN;
                 at += 1;
+            } else {
+                at = run;
             }
-        }
-        for (((z, &x), &mean), &std) in z.iter_mut().zip(xs).zip(&*mean).zip(&*std) {
-            *z = znorm_value(x, mean, std);
         }
     }
 
-    /// Tile pass 2 (pure): z to symbols — the number of breakpoints
-    /// ≤ z, which is the partition point of the sorted breakpoints as a
-    /// packed count (measured against `partition_point` itself, DESIGN.md
-    /// §14) — and symbols to the cell index of the gram ending at each
-    /// sample, appended to `cells`.
+    /// Tile pass 2 (pure, one quantiser for both normalisation modes):
+    /// symbols decided in squares, packed [`BLOCK`] samples at a time,
+    /// and each sample left in doubt by the exact expression — μ and σ
+    /// by `moments` from the statistics lanes, z = `znorm_value(x, μ,
+    /// σ)` and the count of breakpoints ≤ z.
     #[inline(always)]
-    fn index_tile(&mut self, z: &[f64]) {
-        let k = z.len();
+    fn quantise_tile(&mut self, xs: &[f64], moments: impl Fn(f64, f64, f64) -> (f64, f64)) {
+        let k = xs.len();
         let n = self.config.ngram;
-        for (symbol, &z) in self.symbols[n - 1..].iter_mut().zip(z) {
-            *symbol = self.breakpoints.iter().filter(|&&b| b <= z).count() as Symbol;
+        let q = &self.quantiser;
+        let l = &mut self.lanes;
+        let symbols = &mut self.symbols[n - 1..n - 1 + k];
+        let (v, sdd) = (&l.v[..k], &mut l.sdd[..k]);
+        let whole = k - k % BLOCK;
+        let mut doubtful = 0;
+        for ((v, sdd), symbols) in v[..whole]
+            .chunks_exact(BLOCK)
+            .zip(sdd[..whole].chunks_exact_mut(BLOCK))
+            .zip(symbols[..whole].chunks_exact_mut(BLOCK))
+        {
+            doubtful += q.decide::<BLOCK>(v, sdd, symbols);
         }
+        for ((v, sdd), symbol) in v[whole..]
+            .chunks_exact(1)
+            .zip(sdd[whole..].chunks_exact_mut(1))
+            .zip(symbols[whole..].chunks_exact_mut(1))
+        {
+            doubtful += q.decide::<1>(v, sdd, symbol);
+        }
+        if doubtful > 0 {
+            for (i, symbol) in symbols.iter_mut().enumerate() {
+                if sdd[i].is_nan() {
+                    let (a, b, n) = (l.a[i], l.b[i], l.n[i]);
+                    let (mean, std) = if b.is_nan() {
+                        (0.0, 0.0)
+                    } else {
+                        moments(a, b, n)
+                    };
+                    *symbol = q.exact(znorm_value(xs[i], mean, std));
+                }
+            }
+            self.exact_symbols += u64::from(doubtful);
+        }
+    }
 
+    /// Tile pass 3 (pure): symbols to the cell index of the gram ending
+    /// at each sample, appended to `cells`.
+    #[inline(always)]
+    fn index_tile(&mut self, k: usize) {
+        let n = self.config.ngram;
         let history = 2 * self.config.window;
         if self.filled + k > self.cells.len() {
             self.cells
@@ -375,64 +641,73 @@ impl BitmapAnomaly {
         }
     }
 
-    /// Tile pass 3 (recurrence): slides both windows over the tile's
-    /// grams, leaving ΣD² after each sample in `sum_sq_out`. Each of the
-    /// four window crossings is one ±1 on one cell's D.
+    /// Tile pass 4 (recurrence): slides both windows over the tile's
+    /// grams and writes each sample's score. Three cells move a sample
+    /// — the newest gram enters the lead window, the gram leaving it
+    /// enters the widened lag window, the oldest leaves that — and
+    /// once warm the score is the same Euclidean distance as
+    /// [`SaxBitmap::distance`](crate::bitmap::SaxBitmap::distance),
+    /// √(ΣD²/tt) from the exact ΣD² = ΣE² plus the straddling grams:
+    /// one division and one square root, each correctly rounded, off
+    /// the recurrence's chain.
     #[inline(always)]
-    fn count_tile(&mut self, sum_sq_out: &mut [f64]) {
-        let (w, n) = (self.config.window, self.config.ngram);
-        let (w64, n64) = (w as u64, n as u64);
-        let mut sum_sq = self.sum_sq;
-        for (i, out) in sum_sq_out.iter_mut().enumerate() {
-            let t = self.t + i as u64; // absolute index of this sample
-            let at = self.filled + i;
-            // Newest gram (ending at t) enters the lead window.
-            if t + 1 >= n64 {
-                sum_sq += rise(&mut self.diffs[self.cells[at] as usize]);
-            }
-            // The gram starting at t-w slides out of the lead window.
-            if t >= w64 {
-                sum_sq += fall(&mut self.diffs[self.cells[at - w + n - 1] as usize]);
-                // It is fully inside the lag window once its end crosses
-                // the boundary: the gram ending at t-w enters lag.
-                if t + 1 >= w64 + n64 {
-                    sum_sq += fall(&mut self.diffs[self.cells[at - w] as usize]);
-                }
-            }
-            // The gram starting at t-2w slides out of the lag window.
-            if t >= 2 * w64 {
-                sum_sq += rise(&mut self.diffs[self.cells[at - 2 * w + n - 1] as usize]);
-            }
-            *out = sum_sq as f64;
+    fn count_tile(&mut self, scores: &mut [f64]) {
+        if self.t >= 2 * self.config.window as u64 {
+            self.count_run::<true>(scores);
+        } else {
+            self.count_run::<false>(scores);
         }
-        self.filled += sum_sq_out.len();
-        self.sum_sq = sum_sq;
     }
 
-    /// Tile pass 4 (pure): the same Euclidean distance as
-    /// [`SaxBitmap::distance`](crate::bitmap::SaxBitmap::distance), from
-    /// the exact ΣD²: one division and one square root, each correctly
-    /// rounded. Once warm, each window holds exactly `window − ngram +
-    /// 1` grams.
+    /// [`count_tile`](Self::count_tile) with every window crossing
+    /// tested (`WARM` false) or known to happen (`WARM`: the tile starts
+    /// past warm-up).
     #[inline(always)]
-    fn distance_tile(&self, out: &mut [f64]) {
+    fn count_run<const WARM: bool>(&mut self, scores: &mut [f64]) {
         let (w, n) = (self.config.window, self.config.ngram);
-        let cold = (2 * w as u64 - 1)
-            .saturating_sub(self.t)
-            .min(out.len() as u64) as usize;
-        let (cold, warm) = out.split_at_mut(cold);
-        cold.fill(0.0);
+        let (w64, n64) = (w as u64, n as u64);
         let grams = (w - n + 1) as f64;
         let tt = grams * grams;
-        for d in warm {
-            *d = (*d / tt).sqrt();
+        let mut sum_sq = self.sum_sq;
+        let cells = &self.cells;
+        let diffs = &mut self.diffs;
+        for (i, score) in scores.iter_mut().enumerate() {
+            let t = self.t + i as u64; // absolute index of this sample
+            let at = self.filled + i; // `cells[at]`: the gram ending at t
+            if WARM || t + 1 >= n64 {
+                sum_sq += rise(&mut diffs[cells[at] as usize]);
+            }
+            // The gram ending at t − w + n − 1 (starting at t − w).
+            if WARM || t >= w64 {
+                sum_sq += cross(&mut diffs[cells[at - w + n - 1] as usize]);
+            }
+            // The gram starting at t − 2w leaves the lag window.
+            if WARM || t >= 2 * w64 {
+                sum_sq += rise(&mut diffs[cells[at - 2 * w + n - 1] as usize]);
+            }
+            *score = if WARM || t + 1 >= 2 * w64 {
+                // One straddling gram (bigrams, the paper's) is the
+                // general sum with one term, read without the loop.
+                let total = sum_sq
+                    + match n {
+                        1 => 0,
+                        2 => 2 * i64::from(diffs[cells[at + 1 - w] as usize]) + 1,
+                        _ => straddle(&cells[at + 1 - w..at + n - w], diffs),
+                    };
+                (total as f64 / tt).sqrt()
+            } else {
+                0.0
+            };
         }
+        self.filled += scores.len();
+        self.sum_sq = sum_sq;
     }
 
     /// Resets all stream state (windows, counters and normalization).
     pub fn reset(&mut self) {
         self.normalizer.reset();
         self.t = 0;
+        self.exact_symbols = 0;
         self.symbols.fill(0);
         self.cells.fill(0);
         self.filled = 2 * self.config.window;
@@ -530,63 +805,251 @@ mod tests {
         assert!(tail < during / 2.0, "tail {tail} vs during {during}");
     }
 
-    /// Both windows' bitmaps rebuilt from scratch out of the gram
-    /// history: once warm, the lead window is the newest
-    /// `window − ngram + 1` grams and the lag window the same number
-    /// ending `window` samples earlier.
-    fn window_bitmaps(det: &BitmapAnomaly) -> (SaxBitmap, SaxBitmap) {
-        let AnomalyConfig {
-            window,
-            alphabet,
-            ngram,
-            ..
-        } = det.config;
-        let grams = window - ngram + 1;
-        let rebuild = |end: usize| {
-            let mut bitmap = SaxBitmap::new(alphabet, ngram);
-            for &cell in &det.cells[end - grams..end] {
-                bitmap.add_index(cell as usize);
-            }
-            bitmap
-        };
-        (rebuild(det.filled), rebuild(det.filled - window))
+    /// The bitmap of the grams ending in the `from..to` samples before
+    /// the newest one (0 = the newest), rebuilt from the gram history.
+    fn rebuild(det: &BitmapAnomaly, from: usize, to: usize) -> SaxBitmap {
+        let mut bitmap = SaxBitmap::new(det.config.alphabet, det.config.ngram);
+        for &cell in &det.cells[det.filled - to..det.filled - from] {
+            bitmap.add_index(cell as usize);
+        }
+        bitmap
     }
 
     #[test]
     fn incremental_distance_matches_full_recompute() {
-        // The O(1) running-sum score must agree with a from-scratch
-        // Euclidean distance over the full matrices at every step,
-        // through warm-up, events, and recovery — and the running
-        // differences and ΣD² exactly with the windows they claim to
-        // describe.
-        let cfg = small_cfg();
-        let mut det = BitmapAnomaly::new(cfg);
-        for i in 0..3_000usize {
-            let x = noise(i)
-                + if i % 700 < 80 {
-                    (i as f64 * 0.4).sin() * 2.0
-                } else {
-                    0.0
-                };
-            let s = det.push(x);
-            if det.warmed_up() {
-                let (lead, lag) = window_bitmaps(&det);
-                let mut sum_sq = 0;
-                for (idx, &d) in det.diffs.iter().enumerate() {
-                    let (a, b) = (lead.count_at(idx) as i64, lag.count_at(idx) as i64);
-                    assert_eq!(i64::from(d), a - b, "sample {i}: D[{idx}]");
-                    sum_sq += (a - b) * (a - b);
+        // At every step, through warm-up, events and recovery: E
+        // exactly against the lead window minus the widened lag window,
+        // ΣE², ΣD² (the straddling grams added back) against the true
+        // windows, and the score against a from-scratch Euclidean
+        // distance over the full matrices.
+        let mut geometries = vec![(50, 2)];
+        for window in [1, 2, 3, 5] {
+            geometries.extend((1..=3.min(window)).map(|ngram| (window, ngram)));
+        }
+        for (window, ngram) in geometries {
+            let cfg = AnomalyConfig {
+                window,
+                ngram,
+                ..small_cfg()
+            };
+            let grams = window - ngram + 1;
+            let mut det = BitmapAnomaly::new(cfg);
+            for i in 0..3_000usize {
+                let x = noise(i)
+                    + if i % 700 < 80 {
+                        (i as f64 * 0.4).sin() * 2.0
+                    } else {
+                        0.0
+                    };
+                let s = det.push(x);
+                let what = format!("window {window}, ngram {ngram}, sample {i}");
+                if !det.warmed_up() {
+                    assert_eq!(s, 0.0, "{what}");
+                    continue;
                 }
-                assert_eq!(det.sum_sq, sum_sq, "sample {i}: ΣD²");
+                let lead = rebuild(&det, 0, grams);
+                let widened = rebuild(&det, grams, grams + window);
+                let lag = rebuild(&det, window, window + grams);
+                let (mut sum_sq_e, mut sum_sq_d) = (0, 0);
+                for (idx, &e) in det.diffs.iter().enumerate() {
+                    let a = lead.count_at(idx) as i64;
+                    let widened = widened.count_at(idx) as i64;
+                    assert_eq!(i64::from(e), a - widened, "{what}: E[{idx}]");
+                    sum_sq_e += (a - widened) * (a - widened);
+                    let d = a - lag.count_at(idx) as i64;
+                    sum_sq_d += d * d;
+                }
+                assert_eq!(det.sum_sq, sum_sq_e, "{what}: ΣE²");
+                let straddling = &det.cells[det.filled - window..det.filled - window + ngram - 1];
+                assert_eq!(
+                    det.sum_sq + straddle(straddling, &det.diffs),
+                    sum_sq_d,
+                    "{what}: ΣD²"
+                );
                 let full = lead.distance(&lag);
                 assert!(
                     (s - full).abs() <= 1e-12 * full.max(1.0),
-                    "sample {i}: incremental {s} vs full {full}"
+                    "{what}: incremental {s} vs full {full}"
                 );
-            } else {
-                assert_eq!(s, 0.0);
             }
         }
+    }
+
+    /// The exact expression, run beside a detector: the symbol of each
+    /// pushed sample from the accessors of a twin `SlidingStats` or
+    /// `Welford`.
+    #[derive(Clone)]
+    struct Exact {
+        stats: Normalizer,
+        breakpoints: Vec<f64>,
+    }
+
+    impl Exact {
+        fn new(cfg: AnomalyConfig) -> Self {
+            Exact {
+                stats: BitmapAnomaly::new(cfg).normalizer,
+                breakpoints: sax_breakpoints(cfg.alphabet),
+            }
+        }
+
+        fn push(&mut self, x: f64) -> Symbol {
+            let (mean, std) = match &mut self.stats {
+                Normalizer::Sliding(s) => {
+                    s.push(x);
+                    (s.mean(), s.population_std_dev())
+                }
+                Normalizer::Global(w) => {
+                    w.push(x);
+                    (w.mean(), w.population_std_dev())
+                }
+            };
+            let z = znorm_value(x, mean, std);
+            self.breakpoints.iter().filter(|&&b| b <= z).count() as Symbol
+        }
+    }
+
+    /// The symbol a unigram detector gave the sample it was last pushed.
+    fn last_symbol(det: &BitmapAnomaly) -> Symbol {
+        det.cells[det.filled - 1] as Symbol
+    }
+
+    /// f64s in order as integers, so bisection can walk adjacent floats.
+    fn ordered(x: f64) -> i64 {
+        let bits = x.to_bits() as i64;
+        if bits < 0 {
+            i64::MIN - bits
+        } else {
+            bits
+        }
+    }
+
+    fn unordered(k: i64) -> f64 {
+        f64::from_bits(if k < 0 { i64::MIN - k } else { k } as u64)
+    }
+
+    #[test]
+    fn symbols_at_breakpoint_ties_are_the_exact_expressions() {
+        // A window held at μ = offset, σ = 1 exactly by alternating
+        // offset ± 1; then, for every breakpoint, the float at which the
+        // exact expression's symbol steps over it and the two floats on
+        // either side. Every such sample lies within the band and must
+        // take the exact path. Offsets make d and v cancel partly — 150
+        // is near the most the fast path accepts, (Σx)² about 2·10⁴
+        // times v — and a window of 50 (no power of two) makes n·x and
+        // n·Σx² round, so d²/v carries rounding of ~10⁻¹² of z² that
+        // the band has to cover.
+        let mut ties = 0;
+        for alphabet in [2, 3, 8, 64, 256] {
+            for offset in [0.0, 100.0, 150.0] {
+                let cfg = AnomalyConfig {
+                    window: 4,
+                    alphabet,
+                    ngram: 1,
+                    normalization: Normalization::Sliding(50),
+                };
+                let (mut det, mut exact) = (BitmapAnomaly::new(cfg), Exact::new(cfg));
+                for i in 0..50 {
+                    let x = offset + if i % 2 == 0 { 1.0 } else { -1.0 };
+                    det.push(x);
+                    exact.push(x);
+                }
+                for k in 0..alphabet - 1 {
+                    // The first float whose symbol is above k.
+                    let above = |x: f64| usize::from(exact.clone().push(x)) > k;
+                    let (mut lo, mut hi) = (ordered(offset - 10.0), ordered(offset + 10.0));
+                    assert!(!above(unordered(lo)) && above(unordered(hi)));
+                    while i128::from(hi) - i128::from(lo) > 1 {
+                        let mid = lo.midpoint(hi);
+                        if above(unordered(mid)) {
+                            hi = mid;
+                        } else {
+                            lo = mid;
+                        }
+                    }
+                    for step in -2..=2 {
+                        let x = unordered(hi + step);
+                        let mut tried = det.clone();
+                        tried.push(x);
+                        let what = format!("alphabet {alphabet}, offset {offset}, b[{k}], x {x:e}");
+                        assert_eq!(last_symbol(&tried), exact.clone().push(x), "{what}");
+                        assert_eq!(
+                            tried.exact_symbols,
+                            det.exact_symbols + 1,
+                            "{what}: fast path"
+                        );
+                        ties += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(ties, 5 * 3 * (1 + 2 + 7 + 63 + 255));
+    }
+
+    #[test]
+    fn cancelling_streams_take_the_exact_expression() {
+        // Offsets that swamp the signal, a constant and silence: d or v
+        // cancels, and every symbol must still be the exact expression's.
+        type Stream = (&'static str, fn(usize) -> f64);
+        let streams: [Stream; 3] = [
+            ("1e9 + signal", |i| {
+                1e9 + noise(i) + (i as f64 * 0.3).sin() * 0.2
+            }),
+            ("constant", |_| 0.25),
+            ("all-zero", |_| 0.0),
+        ];
+        for (name, stream) in streams {
+            for normalization in [Normalization::Sliding(50), Normalization::Global] {
+                for alphabet in [3, 8, 256] {
+                    let cfg = AnomalyConfig {
+                        window: 4,
+                        alphabet,
+                        ngram: 1,
+                        normalization,
+                    };
+                    let (mut det, mut exact) = (BitmapAnomaly::new(cfg), Exact::new(cfg));
+                    for i in 0..2_000 {
+                        let x = stream(i);
+                        det.push(x);
+                        let what =
+                            format!("{name}, {normalization:?}, alphabet {alphabet}, sample {i}");
+                        assert_eq!(last_symbol(&det), exact.push(x), "{what}");
+                    }
+                    assert!(det.exact_symbols > 0, "{name}: the exact path never ran");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_band_covers_rounding_and_breakpoint_asymmetry() {
+        // How far a negative breakpoint lies from its positive mirror,
+        // worst over every alphabet, and where; their squares differ by
+        // twice that, relatively.
+        let (mut worst, mut at) = (0.0, 0);
+        for alphabet in 2..=256 {
+            let b = sax_breakpoints(alphabet);
+            for (neg, pos) in b.iter().zip(b.iter().rev()).take(b.len() / 2) {
+                let asymmetry = (neg + pos).abs() / pos;
+                if asymmetry > worst {
+                    (worst, at) = (asymmetry, alphabet);
+                }
+            }
+        }
+        assert!(
+            worst < 2.4e-13 && at == 233,
+            "asymmetry {worst:e} at alphabet {at}"
+        );
+        let symmetric = sax_breakpoints(8);
+        assert!(symmetric
+            .iter()
+            .zip(symmetric.iter().rev())
+            .all(|(n, p)| -n == *p));
+        // d²/v against the exact expression's z², and the asymmetry,
+        // well inside ρ.
+        let u = f64::EPSILON / 2.0;
+        let rounding = 14.0 * u / CANCELLATION + 5.0 * u;
+        assert!(rounding < 1.1e-10);
+        assert!(4.0 * (rounding + 2.0 * worst) < BAND);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   bit for every way of cutting the stream into blocks, and the same
 //!   as one-sample `push` calls.
 //! - **The reference is a bound.** Symbols and window counts are exact
-//!   in both, so only the arithmetic after the counts differs. The
-//!   kernel takes d = √(ΣD²/tt) from one exact integer ΣD², the
-//!   reference d² = Saa/tt − 2·Sab/tt + Sbb/tt, three roundings of terms
+//!   in both — the kernel decides a symbol in squares and takes the
+//!   reference's own expression for every sample near a breakpoint or
+//!   under cancellation — so only the arithmetic after the counts
+//!   differs. The kernel takes d = √(ΣD²/tt) from one exact integer ΣD²,
+//!   the reference d² = Saa/tt − 2·Sab/tt + Sbb/tt, three roundings of terms
 //!   up to 1, 2 and 1. So with u = 2⁻⁵³ their squares differ by at most
 //!   about 10u, and as a nonzero ΣD² is at least 2 (ΣD = 0 once warm),
 //!   d ≥ √(2/tt): a raw score lies within (5·tt + 4)·u of the reference,
