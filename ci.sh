@@ -268,6 +268,11 @@ only_what_ships() {
     gone+='|high_pass|\.applied\(|coherent_gain|column_time|max_magnitude|sample_std_dev|from_polar'
     gone+='|mindist|paa_inverse|map_features|classify_pattern|context_key::SPECIES|open_scopes'
     gone+='|total_records|goertzel::|pub mod goertzel'
+    # Settings no shipped caller gave a second value: the whole-stream
+    # normaliser, five window shapes, the log-scale switch and the
+    # hold-less trigger constructor.
+    gone+='|Normalization|global_squares|WindowKind::(Rectangular|Hann|Hamming|Blackman|Bartlett)'
+    gone+='|\.log_scale\b|log_scale:|with_hold'
     if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
         echo "only-what-ships: a library item that only its own tests ran is named above;" \
             "keep oracles in the tests" >&2

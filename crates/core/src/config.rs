@@ -9,8 +9,13 @@
 //! The record geometry (20.16 kHz, 840-sample records, 24 Hz bins) is
 //! reverse-engineered from the published feature arithmetic — see
 //! `DESIGN.md`.
+//!
+//! Two stages run in every chain with no switch: `saxanomaly`
+//! normalises over a trailing `norm_window`, and featurization always
+//! log-compresses its spectra (`logscale`). `reslice` and the PAA
+//! datasets are the chain's optional stages.
 
-use river_sax::anomaly::{AnomalyConfig, Normalization};
+use river_sax::anomaly::AnomalyConfig;
 
 /// Full configuration for ensemble extraction and featurization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,10 +31,9 @@ pub struct ExtractorConfig {
     /// Bitmap n-gram length (Kumar et al. use 1–3; 2 here).
     pub ngram: usize,
     /// Sliding window (samples) for streaming Z-normalization before
-    /// symbol quantization; `0` selects whole-stream (global
-    /// incremental) normalization. SAX Z-normalizes each subsequence
-    /// (paper §2); a sliding window is the streaming equivalent and
-    /// keeps the quiet-time score baseline independent of loud events.
+    /// symbol quantization. SAX Z-normalizes each subsequence (paper
+    /// §2); a sliding window is the streaming equivalent and keeps the
+    /// quiet-time score baseline independent of loud events.
     pub norm_window: usize,
     /// Moving-average window over anomaly scores (paper: 2250).
     pub ma_window: usize,
@@ -49,15 +53,10 @@ pub struct ExtractorConfig {
     pub paa_factor: usize,
     /// Spectral records merged per pattern (paper: 3 ⇒ 0.125 s).
     pub pattern_records: usize,
-    /// Insert 50 %-overlap records (`reslice`) before windowing. The
-    /// figure pipelines enable this; the dataset geometry keeps it off
-    /// so that 3 records span exactly 0.125 s (see `DESIGN.md`).
+    /// Insert 50 %-overlap records (`reslice`) before windowing — the
+    /// paper's Figure 5 stage. The dataset geometry keeps it off so
+    /// that 3 records span exactly 0.125 s (see `DESIGN.md`).
     pub reslice: bool,
-    /// Apply logarithmic magnitude compression (`ln(1 + 100·x)`) to the
-    /// spectral features. This "equalizes similar acoustic patterns that
-    /// differ in signal strength" (the paper's stated reason for
-    /// Z-normalization, §2) at the pattern level; see `DESIGN.md`.
-    pub log_scale: bool,
     /// Minimum ensemble length in samples; shorter trigger bursts are
     /// discarded as noise (as is any burst under one record, which has
     /// no whole record for `cutter` to emit).
@@ -82,7 +81,6 @@ impl ExtractorConfig {
             paa_factor: 10,
             pattern_records: 3,
             reslice: false,
-            log_scale: true,
             min_ensemble_samples: 840,
         }
     }
@@ -93,11 +91,7 @@ impl ExtractorConfig {
             window: self.anomaly_window,
             alphabet: self.alphabet,
             ngram: self.ngram,
-            normalization: if self.norm_window == 0 {
-                Normalization::Global
-            } else {
-                Normalization::Sliding(self.norm_window)
-            },
+            norm_window: self.norm_window,
         }
     }
 
@@ -147,6 +141,7 @@ impl ExtractorConfig {
         assert!(self.sample_rate > 0.0, "sample_rate must be positive");
         assert!(self.record_len > 0, "record_len must be non-zero");
         assert!(self.anomaly_window > 0, "anomaly_window must be non-zero");
+        assert!(self.norm_window > 0, "norm_window must be non-zero");
         assert!(self.ma_window > 0, "ma_window must be non-zero");
         assert!(self.trigger_sigmas > 0.0, "trigger_sigmas must be positive");
         assert!(
@@ -191,6 +186,17 @@ mod tests {
         let a = c.anomaly_config();
         assert_eq!(a.window, 100);
         assert_eq!(a.alphabet, 8);
+        assert_eq!(a.norm_window, 8_400);
+    }
+
+    #[test]
+    #[should_panic(expected = "norm_window must be non-zero")]
+    fn validate_rejects_zero_norm_window() {
+        let c = ExtractorConfig {
+            norm_window: 0,
+            ..ExtractorConfig::paper()
+        };
+        c.validate();
     }
 
     #[test]

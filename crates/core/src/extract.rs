@@ -104,24 +104,16 @@ pub struct AdaptiveTrigger {
 impl AdaptiveTrigger {
     /// Creates a trigger with threshold `sigmas` standard deviations;
     /// `warmup` initial samples never fire (lets the anomaly detector
-    /// and smoother settle).
+    /// and smoother settle). Once fired, the trigger stays high until
+    /// the score remains inside the band for `hold` consecutive samples
+    /// — bridging the quiet gaps between a song bout's syllables so one
+    /// bout yields one ensemble rather than fragments (0: it falls at
+    /// the first score inside the band).
     ///
     /// # Panics
     ///
     /// Panics if `sigmas` is negative or NaN.
-    pub fn new(sigmas: f64, warmup: u64) -> Self {
-        Self::with_hold(sigmas, warmup, 0)
-    }
-
-    /// Like [`new`](Self::new), but once fired the trigger stays high
-    /// until the score remains inside the band for `hold` consecutive
-    /// samples — bridging the quiet gaps between a song bout's
-    /// syllables so one bout yields one ensemble rather than fragments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigmas` is negative or NaN.
-    pub fn with_hold(sigmas: f64, warmup: u64, hold: u64) -> Self {
+    pub fn new(sigmas: f64, warmup: u64, hold: u64) -> Self {
         assert!(sigmas >= 0.0, "trigger sigmas must be non-negative");
         AdaptiveTrigger {
             sigmas,
@@ -420,7 +412,7 @@ mod tests {
 
     #[test]
     fn adaptive_trigger_fires_on_outliers_only() {
-        let mut t = AdaptiveTrigger::new(5.0, 10);
+        let mut t = AdaptiveTrigger::new(5.0, 10, 0);
         // Quiet phase: scores near 0.1 with small jitter.
         for i in 0..500 {
             let s = 0.1 + 0.001 * ((i % 7) as f64 - 3.0);
@@ -434,7 +426,7 @@ mod tests {
 
     #[test]
     fn trigger_does_not_adapt_while_high() {
-        let mut t = AdaptiveTrigger::new(5.0, 5);
+        let mut t = AdaptiveTrigger::new(5.0, 5, 0);
         for _ in 0..100 {
             t.push(0.1);
         }
@@ -449,7 +441,7 @@ mod tests {
 
     #[test]
     fn trigger_warmup_suppresses_firing() {
-        let mut t = AdaptiveTrigger::new(5.0, 100);
+        let mut t = AdaptiveTrigger::new(5.0, 100, 0);
         for i in 0..100 {
             assert!(!t.push(10.0 + i as f64), "fired during warmup");
         }

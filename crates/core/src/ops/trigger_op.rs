@@ -42,7 +42,7 @@ impl TriggerOp {
 
     fn fresh_trigger(config: &ExtractorConfig) -> AdaptiveTrigger {
         let warmup = (2 * config.anomaly_window + config.ma_window) as u64;
-        AdaptiveTrigger::with_hold(config.trigger_sigmas, warmup, config.trigger_hold as u64)
+        AdaptiveTrigger::new(config.trigger_sigmas, warmup, config.trigger_hold as u64)
     }
 }
 

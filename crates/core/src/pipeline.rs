@@ -23,7 +23,7 @@ pub fn extraction_segment(config: ExtractorConfig) -> Pipeline {
 
 /// Builds the spectral featurization segment, the second half of
 /// Figure 5: `[reslice]` → `spectrum` → `cutout` → `[paa]` →
-/// `[logscale]` → `rec2vect`. `spectrum` fuses the paper's
+/// `logscale` → `rec2vect`. `spectrum` fuses the paper's
 /// `welchwindow` → `float2cplx` → `dft` → `cabs` boxes into one pass;
 /// the test suites hold it to a plain complex-FFT oracle.
 pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipeline {
@@ -40,9 +40,7 @@ pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipelin
     if with_paa {
         p.add(PaaOp::new(config.paa_factor));
     }
-    if config.log_scale {
-        p.add(LogScale::new());
-    }
+    p.add(LogScale::new());
     p.add(Rec2Vect::new(config.pattern_records));
     p
 }

@@ -259,7 +259,6 @@ mod tests {
         let cfg = river_dsp::SpectrogramConfig {
             frame_len: 840,
             hop: 420,
-            window: river_dsp::WindowKind::Hann,
             sample_rate: FS,
         };
         for species in SpeciesCode::ALL {

@@ -32,9 +32,10 @@ use reference::{RefAnomaly, RefMovingAverage, RefSlidingStats};
 use river_dsp::stats::Welford;
 
 /// The adaptive trigger as it stood before it kept shifted sums,
-/// verbatim: Welford's update for μ₀/σ₀ over every quiet sample, and
-/// the band test on |x − μ₀| with a square root and a division a
-/// sample.
+/// verbatim but for its constructor's name (`new`, as the shipped
+/// trigger's one constructor): Welford's update for μ₀/σ₀ over every
+/// quiet sample, and the band test on |x − μ₀| with a square root and
+/// a division a sample.
 #[derive(Debug, Clone)]
 pub struct RefTrigger {
     sigmas: f64,
@@ -47,7 +48,7 @@ pub struct RefTrigger {
 }
 
 impl RefTrigger {
-    pub fn with_hold(sigmas: f64, warmup: u64, hold: u64) -> Self {
+    pub fn new(sigmas: f64, warmup: u64, hold: u64) -> Self {
         RefTrigger {
             sigmas,
             quiet: Welford::new(),
@@ -115,7 +116,7 @@ fn reference_triggers(samples: &[f64], cfg: &ExtractorConfig) -> Vec<f64> {
         stats: RefSlidingStats::new(cfg.ma_window),
     };
     let warmup = (2 * cfg.anomaly_window + cfg.ma_window) as u64;
-    let mut trigger = RefTrigger::with_hold(cfg.trigger_sigmas, warmup, cfg.trigger_hold as u64);
+    let mut trigger = RefTrigger::new(cfg.trigger_sigmas, warmup, cfg.trigger_hold as u64);
     let whole = samples.len() / cfg.record_len * cfg.record_len;
     let mut high = |x: f64| trigger.push(smoother.push(detector.push(x)));
     let trace = samples[..whole].iter().map(|&x| high(x));
@@ -208,8 +209,8 @@ const NEAR: f64 = 1.0 / (1u64 << 26) as f64;
 /// trigger's hold count and not the other's, and the outputs then part
 /// up to `hold` samples later.) Returns how many samples agreed.
 fn compare(what: &str, scores: &[f64], sigmas: f64, warmup: u64, hold: u64) -> usize {
-    let mut want = RefTrigger::with_hold(sigmas, warmup, hold);
-    let mut got = AdaptiveTrigger::with_hold(sigmas, warmup, hold);
+    let mut want = RefTrigger::new(sigmas, warmup, hold);
+    let mut got = AdaptiveTrigger::new(sigmas, warmup, hold);
     let close = |a: f64, b: f64| (a - b).abs() <= NEAR * a.abs().max(b.abs());
     let mut near = false;
     for (i, &score) in scores.iter().enumerate() {

@@ -81,9 +81,7 @@ pub fn oracle_featurization_segment(config: ExtractorConfig, with_paa: bool) -> 
     if with_paa {
         p.add(PaaOp::new(config.paa_factor));
     }
-    if config.log_scale {
-        p.add(LogScale::new());
-    }
+    p.add(LogScale::new());
     p.add(Rec2Vect::new(config.pattern_records));
     p
 }
@@ -105,8 +103,7 @@ pub fn oracle_extraction(samples: &[f64], cfg: &ExtractorConfig) -> ExtractionTr
     let mut detector = BitmapAnomaly::new(cfg.anomaly_config());
     let mut smoother = MovingAverage::new(cfg.ma_window);
     let warmup = (2 * cfg.anomaly_window + cfg.ma_window) as u64;
-    let mut trigger =
-        AdaptiveTrigger::with_hold(cfg.trigger_sigmas, warmup, cfg.trigger_hold as u64);
+    let mut trigger = AdaptiveTrigger::new(cfg.trigger_sigmas, warmup, cfg.trigger_hold as u64);
     let (mut scores, mut highs, mut ensembles) = (Vec::new(), Vec::new(), Vec::new());
     let mut open: Option<(usize, Vec<f64>)> = None;
     let mut close = |open: &mut Option<(usize, Vec<f64>)>| {

@@ -99,7 +99,7 @@ fn trigger_sane() {
     seeds::check(0..24, |rng| {
         let warmup = rng.random_range(1u64..200);
         let scores = seeds::vec(rng, 10..300, |r| r.random_range(0.0..2.0));
-        let mut t = AdaptiveTrigger::new(5.0, warmup);
+        let mut t = AdaptiveTrigger::new(5.0, warmup, 0);
         for (i, &s) in scores.iter().enumerate() {
             let fired = t.push(s);
             if (i as u64) < warmup {

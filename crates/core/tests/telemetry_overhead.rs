@@ -1,5 +1,4 @@
-//! Telemetry overhead guard for the fused Figure 5 chain (ISSUE 9
-//! satellite 4).
+//! Telemetry overhead guard for the fused Figure 5 chain.
 //!
 //! With [`TelemetryConfig::Off`] the executor's only telemetry cost is
 //! a per-stage latency histogram `Option` that is `None` (never taken)
@@ -12,19 +11,25 @@
 //! stay within 5% ns/record of Off. Whatever the dead branch costs is
 //! necessarily below that.
 //!
-//! The two configs are timed in alternation, eleven back-to-back pairs
-//! of passes over six 30 s clips each (~0.1 s a pass optimised), and
-//! the verdict is the **median of the per-pair ratios** (as
-//! river-bench's `telemetry.counters_overhead_ratio` judges it): slow
-//! drift on a loaded CI host (a background build, a noisy neighbor)
-//! hits both sides of a pair alike, and one disturbed pass moves one
-//! ratio out of eleven instead of deciding a minimum. Passes of one
-//! clip (~15 ms) were too short: their ratios spread 0.70–1.24 over ten
-//! release runs, and the median crossed the bound in one run of five. The chain's
-//! per-record work (SAX anomaly scoring, fused spectra) dwarfs the
-//! timer's clock reads by an order of magnitude, so the honest Counters
-//! cost sits well inside the budget. The file holds a single `#[test]`
-//! so no sibling test competes for the core inside the measured window.
+//! The two configs are timed in alternation, eleven pairs over six 30 s
+//! clips, and the verdict is the **median of the per-pair ratios** (as
+//! river-bench's `telemetry.counters_overhead_ratio` judges it): one
+//! disturbed pair moves one ratio out of eleven instead of deciding a
+//! minimum. Within a pair the sides alternate **clip by clip** (~20 ms
+//! a clip optimised), and each side's ns/record is summed over the six
+//! clips. The shared host's speed drifts by tens of percent from one
+//! tenth of a second to the next, so a whole six-clip pass a side left
+//! the two sides of a pair in different weather: their ratios spread
+//! 0.62–1.46, and the median crossed the bound in about one release run
+//! of fourteen — in two of nine with each side the fastest of three
+//! passes in a row, in two of six with four interleaved rounds of
+//! whole passes. Two runs of one clip, back to back, see the same host;
+//! summed over six clips, 40 such pairs read 0.95–1.19, median 1.026,
+//! quartiles 1.018 and 1.034. The chain's per-record work (SAX anomaly
+//! scoring, fused spectra) dwarfs the timer's clock reads, so the
+//! honest Counters cost (~2.6 % on the 2-core reference VM) sits inside
+//! the budget. The file holds a single `#[test]` so no sibling test
+//! competes for the core inside the measured window.
 
 use dynamic_river::{CountingSink, TelemetryConfig};
 use ensemble_core::ops::clips_record_source;
@@ -45,12 +50,24 @@ fn ns_per_record(cfg: ExtractorConfig, clips: &[Vec<f64>], config: TelemetryConf
     dt / stats.source_records as f64 * 1e9
 }
 
-/// Counters over Off, ns/record, of `pairs` alternating pairs, sorted.
+/// Counters over Off, ns/record, of `pairs` pairs, sorted. A pair
+/// times each clip under both configs back to back, the side that goes
+/// first alternating from clip to clip, and compares the two sides'
+/// sums over the clips.
 fn pair_ratios(cfg: ExtractorConfig, clips: &[Vec<f64>], pairs: usize) -> Vec<f64> {
+    let time = |clip, config| ns_per_record(cfg, clip, config);
     let mut ratios: Vec<f64> = (0..pairs)
-        .map(|_| {
-            let off = ns_per_record(cfg, clips, TelemetryConfig::Off);
-            let counters = ns_per_record(cfg, clips, TelemetryConfig::Counters);
+        .map(|pair| {
+            let (mut off, mut counters) = (0.0, 0.0);
+            for (k, clip) in clips.chunks(1).enumerate() {
+                if (pair + k) % 2 == 0 {
+                    off += time(clip, TelemetryConfig::Off);
+                    counters += time(clip, TelemetryConfig::Counters);
+                } else {
+                    counters += time(clip, TelemetryConfig::Counters);
+                    off += time(clip, TelemetryConfig::Off);
+                }
+            }
             counters / off
         })
         .collect();

@@ -8,9 +8,8 @@
 //! - [`Complex64`] arithmetic and the [`fft`] module (mixed-radix FFT for
 //!   7-smooth lengths, Bluestein for the rest, and a naive reference DFT)
 //!   behind the pipeline's `spectrum` stage (the paper's `dft`);
-//! - [`window`] functions, most importantly the **Welch window** that
-//!   `spectrum` applies (the paper's `welchwindow`) to minimize record
-//!   edge effects;
+//! - the [`window`], the **Welch window** that `spectrum` applies (the
+//!   paper's `welchwindow`) to minimize record edge effects;
 //! - [`wav`], a from-scratch RIFF/WAVE codec standing in for the field
 //!   stations' clip format (`wav2rec` operator);
 //! - [`spectrogram`], the STFT used to render the paper's Figure 2/3

@@ -18,8 +18,6 @@ pub struct SpectrogramConfig {
     /// Samples to advance between frames; `frame_len` for no overlap,
     /// `frame_len / 2` for the pipeline's resliced 50 % overlap.
     pub hop: usize,
-    /// Window applied to each frame.
-    pub window: WindowKind,
     /// Sample rate in Hz, used for axis labeling.
     pub sample_rate: f64,
 }
@@ -31,7 +29,6 @@ impl SpectrogramConfig {
         SpectrogramConfig {
             frame_len: 840,
             hop: 420,
-            window: WindowKind::Welch,
             sample_rate: 20_160.0,
         }
     }
@@ -49,12 +46,10 @@ impl Default for SpectrogramConfig {
 ///
 /// ```
 /// use river_dsp::{Spectrogram, SpectrogramConfig};
-/// use river_dsp::window::WindowKind;
 ///
 /// let cfg = SpectrogramConfig {
 ///     frame_len: 128,
 ///     hop: 64,
-///     window: WindowKind::Hann,
 ///     sample_rate: 1_000.0,
 /// };
 /// let samples: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.3).sin()).collect();
@@ -71,7 +66,8 @@ pub struct Spectrogram {
 }
 
 impl Spectrogram {
-    /// Computes the one-sided magnitude spectrogram of `samples`.
+    /// Computes the one-sided magnitude spectrogram of `samples`, each
+    /// frame under a Welch window.
     ///
     /// Trailing samples that do not fill a whole frame are discarded.
     ///
@@ -82,7 +78,7 @@ impl Spectrogram {
         assert!(config.frame_len > 0, "frame_len must be non-zero");
         assert!(config.hop > 0, "hop must be non-zero");
         let fft = RealFft::new(config.frame_len);
-        let coeffs = config.window.coefficients(config.frame_len);
+        let coeffs = WindowKind::Welch.coefficients(config.frame_len);
         let bins = config.frame_len / 2;
         let mut data = Vec::new();
         let mut mags = vec![0.0; config.frame_len];
@@ -241,7 +237,6 @@ mod tests {
         let cfg = SpectrogramConfig {
             frame_len: 256,
             hop: 256,
-            window: WindowKind::Hann,
             sample_rate: 1_024.0,
         };
         // 128 Hz at 1024 Hz rate -> bin 32 of 256.
@@ -264,7 +259,6 @@ mod tests {
         let cfg = SpectrogramConfig {
             frame_len: 100,
             hop: 50,
-            window: WindowKind::Welch,
             sample_rate: 1_000.0,
         };
         let spec = Spectrogram::compute(&vec![0.0; 1_000], cfg);
@@ -290,7 +284,6 @@ mod tests {
         let cfg = SpectrogramConfig {
             frame_len: 64,
             hop: 64,
-            window: WindowKind::Hann,
             sample_rate: 640.0,
         };
         let samples = tone(100.0, 640.0, 640);
@@ -324,7 +317,6 @@ mod tests {
         let cfg = SpectrogramConfig {
             frame_len: 8,
             hop: 8,
-            window: WindowKind::Rectangular,
             sample_rate: 8.0,
         };
         let spec = Spectrogram::compute(&[1.0; 32], cfg);

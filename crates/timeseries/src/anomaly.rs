@@ -27,6 +27,11 @@
 //! order of the one-sample definition, so a score does not depend on how
 //! the stream was cut into blocks, down to the last bit.
 //!
+//! Each sample is Z-normalised against the mean and σ of the trailing
+//! [`norm_window`](AnomalyConfig::norm_window) samples, itself included
+//! — the streaming form of SAX's per-subsequence normalisation (§2),
+//! kept as running sums by [`SlidingStats`].
+//!
 //! Symbols are decided **in squares**: with the window's running sums
 //! S = Σx and Q = Σx² over n samples, z = d/√v for d = n·x − S and
 //! v = n·Q − S², and z lies on the same side of a breakpoint b as d² of
@@ -35,26 +40,13 @@
 //! or v cancels (DESIGN.md §14 states the bound), takes the exact
 //! expression instead — μ = S/n, σ = √max(Q/n − μ², 0), [`znorm_value`]
 //! and the count of breakpoints ≤ z — so every symbol, and with it every
-//! count, is the exact expression's. The one rounding after the counts is √(ΣD²/tt),
-//! within 1.5 ulp of the true distance.
+//! count, is the exact expression's. The one rounding after the counts
+//! is √(ΣD²/tt), within 1.5 ulp of the true distance.
 
 use crate::gaussian::sax_breakpoints;
 use crate::sax::Symbol;
 use crate::znorm::znorm_value;
-use river_dsp::stats::{SlidingStats, Welford};
-
-/// How incoming samples are Z-normalized before symbol quantization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Normalization {
-    /// Incrementally estimated mean/σ over the whole stream so far
-    /// (Welford). Stable for stationary noise floors; the default.
-    #[default]
-    Global,
-    /// Mean/σ over a trailing window of the given size. Adapts to slow
-    /// drift (e.g. changing wind levels) at the cost of partially
-    /// normalizing away long events.
-    Sliding(usize),
-}
+use river_dsp::stats::SlidingStats;
 
 /// Configuration for [`BitmapAnomaly`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,19 +58,24 @@ pub struct AnomalyConfig {
     pub alphabet: usize,
     /// Bitmap subsequence length (1–3 per Kumar et al.; 2 by default).
     pub ngram: usize,
-    /// Sample normalization mode.
-    pub normalization: Normalization,
+    /// Samples in the trailing window whose mean and σ Z-normalise each
+    /// sample — the streaming form of SAX's per-subsequence
+    /// normalisation (paper §2). It adapts to slow drift (e.g. changing
+    /// wind levels) at the cost of partially normalising away long
+    /// events.
+    pub norm_window: usize,
 }
 
 impl Default for AnomalyConfig {
     /// The paper's acoustic-pipeline parameters: window 100, alphabet 8,
-    /// bigram bitmaps, global normalization.
+    /// bigram bitmaps, normalised over the trailing 8,400 samples (the
+    /// shipped chain's `norm_window`).
     fn default() -> Self {
         AnomalyConfig {
             window: 100,
             alphabet: 8,
             ngram: 2,
-            normalization: Normalization::Global,
+            norm_window: 8_400,
         }
     }
 }
@@ -92,97 +89,13 @@ const TILE: usize = 256;
 
 /// The largest magnitude a sample may have to enter the normalisation
 /// statistics: 2⁴⁷⁸ ≈ 7.8·10¹⁴³. At most that, even 2⁶⁴ samples cannot
-/// push a running Σx² (sliding) or Welford's Σ(x − μ)² (global, whose
-/// deviations reach twice it) past `f64::MAX`. A larger sample is
-/// scored like a non-finite one (DESIGN.md §14).
+/// push the running Σx² past `f64::MAX`, with a factor of 16 to spare.
+/// A larger sample is scored like a non-finite one (DESIGN.md §14).
 const MAX_STATISTIC_SAMPLE: f64 = 7.804_371_375_789_981e143;
 
 /// Samples the quantiser decides together, their counts held in
 /// registers while it walks the thresholds.
 const BLOCK: usize = 8;
-
-/// The running mean/σ estimate samples are normalised against.
-#[derive(Debug, Clone)]
-enum Normalizer {
-    Global(Welford),
-    Sliding(SlidingStats),
-}
-
-/// One sample in squares: z = d/√v in exact arithmetic, d the
-/// difference of terms whose magnitudes add up to `d_terms` and v of
-/// terms adding up to `v_terms`. Those sums bound the rounding of d and
-/// v, and of the exact expression's numerator and variance (DESIGN.md
-/// §14, "Symbols in squares").
-struct Squares {
-    d: f64,
-    v: f64,
-    d_terms: f64,
-    v_terms: f64,
-}
-
-impl Normalizer {
-    /// Pushes `xs` in order, calling `each(i, a, b, n)` after the i-th
-    /// push with two statistics — Σx and Σx² (sliding) or the mean and
-    /// population variance (global) — and the samples they are over.
-    #[inline]
-    fn push_each(&mut self, xs: &[f64], mut each: impl FnMut(usize, f64, f64, f64)) {
-        match self {
-            Normalizer::Sliding(s) => s.push_sums(xs, each),
-            // Welford's mean update divides inside the recurrence, so
-            // this mode is one latency-bound chain whatever the layout.
-            Normalizer::Global(w) => {
-                for (i, &x) in xs.iter().enumerate() {
-                    w.push(x);
-                    each(i, w.mean(), w.population_variance(), w.count() as f64);
-                }
-            }
-        }
-    }
-
-    /// The current mean; `0.0` while empty.
-    fn mean(&self) -> f64 {
-        match self {
-            Normalizer::Global(w) => w.mean(),
-            Normalizer::Sliding(s) => s.mean(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Normalizer::Global(w) => w.reset(),
-            Normalizer::Sliding(s) => s.clear(),
-        }
-    }
-}
-
-/// Sliding mode in squares, at scale n: d = n·x − Σx and v = n·Σx² −
-/// (Σx)².
-#[inline]
-fn sliding_squares(x: f64, sum: f64, sum_sq: f64, n: f64) -> Squares {
-    let nx = n * x;
-    let nq = n * sum_sq;
-    let ss = sum * sum;
-    Squares {
-        d: nx - sum,
-        v: nq - ss,
-        d_terms: nx.abs() + sum.abs(),
-        v_terms: nq.abs() + ss,
-    }
-}
-
-/// Global mode in squares: d = x − μ, the exact expression's own
-/// numerator, and v the variance both paths read; neither cancels
-/// unless it is 0.
-#[inline]
-fn global_squares(x: f64, mean: f64, variance: f64, _: f64) -> Squares {
-    let d = x - mean;
-    Squares {
-        d,
-        v: variance,
-        d_terms: d.abs(),
-        v_terms: variance,
-    }
-}
 
 /// The breakpoints as the quantiser reads them.
 #[derive(Debug, Clone)]
@@ -286,9 +199,9 @@ impl Quantiser {
 /// Tile-long `f64` lanes between the passes.
 #[derive(Debug, Clone)]
 struct Lanes {
-    /// Out of the statistics pass: Σx and Σx², or mean and variance,
-    /// and the samples they are over. A NaN in `b` marks a sample the
-    /// statistics could not hold.
+    /// Out of the statistics pass: Σx and Σx², and the samples they
+    /// are over. A NaN in `b` marks a sample the statistics could not
+    /// hold.
     a: Vec<f64>,
     b: Vec<f64>,
     n: Vec<f64>,
@@ -369,7 +282,8 @@ fn straddle(straddling: &[u32], diffs: &[i32]) -> i64 {
 pub struct BitmapAnomaly {
     config: AnomalyConfig,
     quantiser: Quantiser,
-    normalizer: Normalizer,
+    /// The trailing window samples are normalised against.
+    stats: SlidingStats,
     /// Samples consumed so far.
     t: u64,
     /// Samples whose symbol the exact expression decided since `new`
@@ -414,9 +328,9 @@ impl BitmapAnomaly {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`, `ngram == 0`, `ngram > window`, the
-    /// alphabet is outside `2..=256`, or the count matrix would exceed
-    /// 2²⁴ cells (e.g. alphabet 256 with ngram 3).
+    /// Panics if `window == 0`, `norm_window == 0`, `ngram == 0`,
+    /// `ngram > window`, the alphabet is outside `2..=256`, or the count
+    /// matrix would exceed 2²⁴ cells (e.g. alphabet 256 with ngram 3).
     pub fn new(config: AnomalyConfig) -> Self {
         assert!(config.window > 0, "window must be non-zero");
         assert!(
@@ -432,17 +346,11 @@ impl BitmapAnomaly {
             .checked_pow(config.ngram as u32)
             .filter(|&c| c <= 1 << 24)
             .expect("bitmap too large: alphabet^ngram must be <= 2^24");
-        let normalizer = match config.normalization {
-            Normalization::Sliding(w) => {
-                assert!(w > 0, "sliding normalization window must be non-zero");
-                Normalizer::Sliding(SlidingStats::new(w))
-            }
-            Normalization::Global => Normalizer::Global(Welford::new()),
-        };
+        assert!(config.norm_window > 0, "norm_window must be non-zero");
         let history = 2 * config.window;
         BitmapAnomaly {
             quantiser: Quantiser::new(config.alphabet),
-            normalizer,
+            stats: SlidingStats::new(config.norm_window),
             t: 0,
             exact_symbols: 0,
             symbols: vec![0; config.ngram - 1 + TILE],
@@ -503,28 +411,20 @@ impl BitmapAnomaly {
     /// Scores at most [`TILE`] samples.
     #[inline(always)]
     fn score_tile(&mut self, xs: &[f64], out: &mut [f64]) {
-        match self.normalizer {
-            Normalizer::Sliding(_) => {
-                self.statistics_tile(xs, sliding_squares);
-                self.quantise_tile(xs, SlidingStats::moments);
-            }
-            Normalizer::Global(_) => {
-                self.statistics_tile(xs, global_squares);
-                self.quantise_tile(xs, |mean, variance: f64, _| (mean, variance.sqrt()));
-            }
-        }
+        self.statistics_tile(xs);
+        self.quantise_tile(xs);
         self.index_tile(xs.len());
         self.count_tile(out);
         self.t += xs.len() as u64;
     }
 
-    /// Tile pass 1 (recurrence): the statistics that include each
-    /// sample, and in the shadow of their chain each sample in squares
-    /// (`squares`). A sample the statistics cannot hold (non-finite, or
+    /// Tile pass 1 (recurrence): the running sums that include each
+    /// sample, and in the shadow of their chain each sample in squares.
+    /// A sample the statistics cannot hold (non-finite, or
     /// beyond [`MAX_STATISTIC_SAMPLE`]) enters them as their mean, is
     /// marked with a NaN in lane `b` and left to the exact expression.
     #[inline(always)]
-    fn statistics_tile(&mut self, xs: &[f64], squares: impl Fn(f64, f64, f64, f64) -> Squares) {
+    fn statistics_tile(&mut self, xs: &[f64]) {
         let k = xs.len();
         let l = &mut self.lanes;
         let (a, b, n) = (&mut l.a[..k], &mut l.b[..k], &mut l.n[..k]);
@@ -543,22 +443,28 @@ impl BitmapAnomaly {
                     .position(|x| x.is_nan() || x.abs() > MAX_STATISTIC_SAMPLE)
                     .map_or(k, |p| at + p)
             };
-            let stand_in = [self.normalizer.mean()];
+            let stand_in = [self.stats.mean()];
             let block = if at < run {
                 &xs[at..run]
             } else {
                 &stand_in[..]
             };
-            self.normalizer.push_each(block, |i, sa, sb, sn| {
+            self.stats.push_sums(block, |i, sum, sum_sq, count| {
                 let i = at + i;
-                a[i] = sa;
-                b[i] = sb;
-                n[i] = sn;
-                let s = squares(xs[i], sa, sb, sn);
-                v[i] = s.v;
-                let certain =
-                    s.d.abs() > CANCELLATION * s.d_terms && s.v > CANCELLATION * s.v_terms;
-                sdd[i] = if certain { s.d * s.d.abs() } else { f64::NAN };
+                a[i] = sum;
+                b[i] = sum_sq;
+                n[i] = count;
+                // In squares at scale n: z = d/√v in exact arithmetic for
+                // d = n·x − Σx and v = n·Σx² − (Σx)². The magnitudes of
+                // the terms each is the difference of bound its rounding,
+                // and the exact expression's (DESIGN.md §14, "Symbols in
+                // squares").
+                let (nx, nq, ss) = (count * xs[i], count * sum_sq, sum * sum);
+                let (d, var) = (nx - sum, nq - ss);
+                v[i] = var;
+                let certain = d.abs() > CANCELLATION * (nx.abs() + sum.abs())
+                    && var > CANCELLATION * (nq.abs() + ss);
+                sdd[i] = if certain { d * d.abs() } else { f64::NAN };
             });
             if at == run {
                 b[at] = f64::NAN;
@@ -570,13 +476,13 @@ impl BitmapAnomaly {
         }
     }
 
-    /// Tile pass 2 (pure, one quantiser for both normalisation modes):
-    /// symbols decided in squares, packed [`BLOCK`] samples at a time,
-    /// and each sample left in doubt by the exact expression — μ and σ
-    /// by `moments` from the statistics lanes, z = `znorm_value(x, μ,
-    /// σ)` and the count of breakpoints ≤ z.
+    /// Tile pass 2 (pure): symbols decided in squares, packed [`BLOCK`]
+    /// samples at a time, and each sample left in doubt by the exact
+    /// expression — μ and σ by [`SlidingStats::moments`] from the
+    /// statistics lanes, z = `znorm_value(x, μ, σ)` and the count of
+    /// breakpoints ≤ z.
     #[inline(always)]
-    fn quantise_tile(&mut self, xs: &[f64], moments: impl Fn(f64, f64, f64) -> (f64, f64)) {
+    fn quantise_tile(&mut self, xs: &[f64]) {
         let k = xs.len();
         let n = self.config.ngram;
         let q = &self.quantiser;
@@ -606,7 +512,7 @@ impl BitmapAnomaly {
                     let (mean, std) = if b.is_nan() {
                         (0.0, 0.0)
                     } else {
-                        moments(a, b, n)
+                        SlidingStats::moments(a, b, n)
                     };
                     *symbol = q.exact(znorm_value(xs[i], mean, std));
                 }
@@ -703,9 +609,9 @@ impl BitmapAnomaly {
         self.sum_sq = sum_sq;
     }
 
-    /// Resets all stream state (windows, counters and normalization).
+    /// Resets all stream state (windows, counters and normalisation).
     pub fn reset(&mut self) {
-        self.normalizer.reset();
+        self.stats.clear();
         self.t = 0;
         self.exact_symbols = 0;
         self.symbols.fill(0);
@@ -740,7 +646,7 @@ mod tests {
             window: 50,
             alphabet: 6,
             ngram: 2,
-            normalization: Normalization::Global,
+            norm_window: 8_400,
         }
     }
 
@@ -876,33 +782,24 @@ mod tests {
     }
 
     /// The exact expression, run beside a detector: the symbol of each
-    /// pushed sample from the accessors of a twin `SlidingStats` or
-    /// `Welford`.
+    /// pushed sample from the accessors of a twin `SlidingStats`.
     #[derive(Clone)]
     struct Exact {
-        stats: Normalizer,
+        stats: SlidingStats,
         breakpoints: Vec<f64>,
     }
 
     impl Exact {
         fn new(cfg: AnomalyConfig) -> Self {
             Exact {
-                stats: BitmapAnomaly::new(cfg).normalizer,
+                stats: SlidingStats::new(cfg.norm_window),
                 breakpoints: sax_breakpoints(cfg.alphabet),
             }
         }
 
         fn push(&mut self, x: f64) -> Symbol {
-            let (mean, std) = match &mut self.stats {
-                Normalizer::Sliding(s) => {
-                    s.push(x);
-                    (s.mean(), s.population_std_dev())
-                }
-                Normalizer::Global(w) => {
-                    w.push(x);
-                    (w.mean(), w.population_std_dev())
-                }
-            };
+            self.stats.push(x);
+            let (mean, std) = (self.stats.mean(), self.stats.population_std_dev());
             let z = znorm_value(x, mean, std);
             self.breakpoints.iter().filter(|&&b| b <= z).count() as Symbol
         }
@@ -945,7 +842,7 @@ mod tests {
                     window: 4,
                     alphabet,
                     ngram: 1,
-                    normalization: Normalization::Sliding(50),
+                    norm_window: 50,
                 };
                 let (mut det, mut exact) = (BitmapAnomaly::new(cfg), Exact::new(cfg));
                 for i in 0..50 {
@@ -998,20 +895,21 @@ mod tests {
             ("all-zero", |_| 0.0),
         ];
         for (name, stream) in streams {
-            for normalization in [Normalization::Sliding(50), Normalization::Global] {
+            for norm_window in [50, 8_400] {
                 for alphabet in [3, 8, 256] {
                     let cfg = AnomalyConfig {
                         window: 4,
                         alphabet,
                         ngram: 1,
-                        normalization,
+                        norm_window,
                     };
                     let (mut det, mut exact) = (BitmapAnomaly::new(cfg), Exact::new(cfg));
                     for i in 0..2_000 {
                         let x = stream(i);
                         det.push(x);
-                        let what =
-                            format!("{name}, {normalization:?}, alphabet {alphabet}, sample {i}");
+                        let what = format!(
+                            "{name}, norm_window {norm_window}, alphabet {alphabet}, sample {i}"
+                        );
                         assert_eq!(last_symbol(&det), exact.push(x), "{what}");
                     }
                     assert!(det.exact_symbols > 0, "{name}: the exact path never ran");
@@ -1079,7 +977,7 @@ mod tests {
     #[test]
     fn sliding_normalization_mode_works() {
         let cfg = AnomalyConfig {
-            normalization: Normalization::Sliding(200),
+            norm_window: 200,
             ..small_cfg()
         };
         let mut det = BitmapAnomaly::new(cfg);
@@ -1135,7 +1033,8 @@ mod tests {
     #[test]
     fn the_statistics_bound_is_two_to_the_478() {
         assert_eq!(MAX_STATISTIC_SAMPLE, 2f64.powi(478));
-        // 2⁶⁴ squared deviations of twice the bound stay finite.
+        // 2⁶⁴ squares of twice the bound stay finite: the running Σx²
+        // has room to spare.
         let deviation = 2.0 * MAX_STATISTIC_SAMPLE;
         assert!((deviation * deviation * 2f64.powi(64)).is_finite());
     }

@@ -25,7 +25,7 @@
 //!   difference.
 
 use river_dsp::stats::MovingAverage;
-use river_sax::anomaly::{anomaly_scores, AnomalyConfig, BitmapAnomaly, Normalization};
+use river_sax::anomaly::{anomaly_scores, AnomalyConfig, BitmapAnomaly};
 
 mod reference;
 
@@ -169,18 +169,15 @@ fn check(what: &str, xs: &[f64], cfg: AnomalyConfig, ma_window: usize, reset_at:
     }
 }
 
-fn paper(normalization: Normalization) -> AnomalyConfig {
+fn paper(norm_window: usize) -> AnomalyConfig {
     AnomalyConfig {
-        normalization,
+        norm_window,
         ..AnomalyConfig::default()
     }
 }
 
-const NORMALIZATIONS: [Normalization; 3] = [
-    Normalization::Sliding(8_400),
-    Normalization::Sliding(50),
-    Normalization::Global,
-];
+/// The shipped normalisation window, and one that wraps within a tile.
+const NORM_WINDOWS: [usize; 2] = [8_400, 50];
 
 /// The paper's geometry (window 100, alphabet 8, bigrams, MA 2,250)
 /// over a stream long enough to wrap the 8,400-sample normalisation
@@ -190,15 +187,15 @@ const NORMALIZATIONS: [Normalization; 3] = [
 #[test]
 fn paper_geometry_matches_the_reference_within_the_bound() {
     let xs = signal(30_000);
-    for normalization in NORMALIZATIONS {
-        check("signal", &xs, paper(normalization), 2_250, None);
+    for norm_window in NORM_WINDOWS {
+        check("signal", &xs, paper(norm_window), 2_250, None);
     }
 }
 
 #[test]
 fn every_ngram_and_alphabet_matches_the_reference() {
     let xs = signal(6_000);
-    for normalization in NORMALIZATIONS {
+    for norm_window in NORM_WINDOWS {
         for ngram in 1..=3 {
             for alphabet in [2, 6, 8, 256] {
                 if alphabet == 256 && ngram == 3 {
@@ -208,7 +205,7 @@ fn every_ngram_and_alphabet_matches_the_reference() {
                     window: 60,
                     alphabet,
                     ngram,
-                    normalization,
+                    norm_window,
                 };
                 check("signal", &xs, cfg, 500, None);
             }
@@ -218,25 +215,19 @@ fn every_ngram_and_alphabet_matches_the_reference() {
 
 #[test]
 fn degenerate_input_matches_the_reference() {
-    for normalization in NORMALIZATIONS {
-        check(
-            "all-zero",
-            &vec![0.0; 3_000],
-            paper(normalization),
-            700,
-            None,
-        );
+    for norm_window in NORM_WINDOWS {
+        check("all-zero", &vec![0.0; 3_000], paper(norm_window), 700, None);
         check(
             "constant",
             &vec![0.25; 3_000],
-            paper(normalization),
+            paper(norm_window),
             700,
             None,
         );
         // A step: σ leaves zero mid-stream.
         let mut step = vec![1e9 + 0.1; 1_500];
         step.extend(signal(1_500));
-        check("step", &step, paper(normalization), 700, None);
+        check("step", &step, paper(norm_window), 700, None);
     }
 }
 
@@ -244,27 +235,21 @@ fn degenerate_input_matches_the_reference() {
 fn short_streams_and_tiny_windows_match_the_reference() {
     let xs = signal(700);
     for len in [0, 1, 2, 3, 199, 200, 201, 255, 256, 257, 700] {
-        check(
-            "prefix",
-            &xs[..len],
-            paper(Normalization::Sliding(50)),
-            64,
-            None,
-        );
+        check("prefix", &xs[..len], paper(50), 64, None);
     }
     for (window, ngram) in [(1, 1), (2, 2), (3, 3), (5, 2)] {
         let cfg = AnomalyConfig {
             window,
             alphabet: 4,
             ngram,
-            normalization: Normalization::Sliding(7),
+            norm_window: 7,
         };
         check("tiny windows", &xs, cfg, 3, None);
     }
     // A window far wider than a tile: the gram history outgrows it.
     let wide = AnomalyConfig {
         window: 700,
-        ..paper(Normalization::Sliding(300))
+        ..paper(300)
     };
     check("wide window", &signal(5_000), wide, 100, None);
 }
@@ -272,10 +257,10 @@ fn short_streams_and_tiny_windows_match_the_reference() {
 #[test]
 fn reset_mid_stream_matches_the_reference() {
     let xs = signal(12_000);
-    for normalization in NORMALIZATIONS {
+    for norm_window in NORM_WINDOWS {
         // Mid-tile, mid-record, before and after the rings have wrapped.
         for reset_at in [130, 5_003, 9_100] {
-            check("reset", &xs, paper(normalization), 2_250, Some(reset_at));
+            check("reset", &xs, paper(norm_window), 2_250, Some(reset_at));
         }
     }
 }
@@ -283,7 +268,7 @@ fn reset_mid_stream_matches_the_reference() {
 #[test]
 fn batch_helper_and_one_sample_calls_are_the_kernel() {
     let xs = signal(5_000);
-    let cfg = paper(Normalization::Sliding(8_400));
+    let cfg = paper(8_400);
     let (want, _) = kernel(&xs, cfg, 1, 0, None);
     assert_bits_equal("anomaly_scores", &anomaly_scores(&xs, cfg), &want);
     let mut det = BitmapAnomaly::new(cfg);

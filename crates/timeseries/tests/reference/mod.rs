@@ -6,13 +6,14 @@
 //! distance as Saa/ta² − 2·Sab/(ta·tb) + Sbb/tb², everything in one loop
 //! body. It is the oracle, not a second implementation: one copy, read
 //! by `block_kernel.rs` here and by `ensemble-core`'s boundary harness
-//! (`crates/core/tests/boundaries.rs`) through a `#[path]` module.
+//! (`crates/core/tests/boundaries.rs`) through a `#[path]` module. Its
+//! whole-stream (Welford) normalisation went when the detector kept
+//! only the sliding window.
 
 // Each test binary uses the part it needs.
 #![allow(dead_code)]
 
-use river_dsp::stats::Welford;
-use river_sax::anomaly::{AnomalyConfig, Normalization};
+use river_sax::anomaly::AnomalyConfig;
 use river_sax::gaussian::sax_breakpoints;
 use river_sax::sax::Symbol;
 use river_sax::SaxBitmap;
@@ -103,17 +104,12 @@ pub struct RefAnomaly {
     saa: u64,
     sbb: u64,
     sab: u64,
-    global_stats: Welford,
-    sliding_stats: Option<RefSlidingStats>,
+    sliding_stats: RefSlidingStats,
 }
 
 impl RefAnomaly {
     pub fn new(config: AnomalyConfig) -> Self {
         let ring_len = 2 * config.window + config.ngram;
-        let sliding_stats = match config.normalization {
-            Normalization::Sliding(w) => Some(RefSlidingStats::new(w)),
-            Normalization::Global => None,
-        };
         RefAnomaly {
             breakpoints: sax_breakpoints(config.alphabet),
             ring: vec![0; ring_len],
@@ -123,8 +119,7 @@ impl RefAnomaly {
             saa: 0,
             sbb: 0,
             sab: 0,
-            global_stats: Welford::new(),
-            sliding_stats,
+            sliding_stats: RefSlidingStats::new(config.norm_window),
             config,
         }
     }
@@ -178,16 +173,9 @@ impl RefAnomaly {
     }
 
     pub fn push(&mut self, x: f64) -> f64 {
-        let (mean, std) = if let Some(s) = &mut self.sliding_stats {
-            s.push(x);
-            (s.mean(), s.population_std_dev())
-        } else {
-            self.global_stats.push(x);
-            (
-                self.global_stats.mean(),
-                self.global_stats.population_std_dev(),
-            )
-        };
+        let s = &mut self.sliding_stats;
+        s.push(x);
+        let (mean, std) = (s.mean(), s.population_std_dev());
         let symbol = self.quantize(znorm_value(x, mean, std));
 
         let t = self.t;
@@ -229,9 +217,6 @@ impl RefAnomaly {
         self.saa = 0;
         self.sbb = 0;
         self.sab = 0;
-        self.global_stats.reset();
-        if let Some(s) = &mut self.sliding_stats {
-            s.clear();
-        }
+        self.sliding_stats.clear();
     }
 }
