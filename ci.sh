@@ -17,6 +17,7 @@
 #   ./ci.sh docs         # rustdoc with warnings as errors (doctests run
 #                        #   under plain `cargo test`)
 #   ./ci.sh shims_as_used  # the shims-as-used source policy alone
+#   ./ci.sh one_figure5  # the one-Figure-5 source policy alone
 #   ./ci.sh one_ledger   # the one-ledger source policy alone
 #   ./ci.sh only_what_ships  # the only-what-ships source policy alone
 #   ./ci.sh numerics     # the numerics gates alone, in release: the
@@ -175,14 +176,19 @@ shims_as_used() {
 # Extraction and featurization exist once, as the shipped operators:
 # `extract`, `extract_from`, `extract_with_trace` and
 # `featurize_ensemble` drive the shipped chain (DESIGN.md §3, "One
-# Figure 5"), and `spectrum` is the one spectral stage (§14). Neither
-# deleted fork may come back under its old names, in code or in prose:
-# not the sample-granular extractor, nor the four public spectral
-# operators with their complex subtype. Both live on as test oracles in
-# crates/core/tests/common/mod.rs under other names.
+# Figure 5"), and `spectrum` is the one spectral stage (§14): the
+# figures drive it through `reslice` (`spectrogram_columns`), the
+# datasets without. No deleted fork may come back under its old names,
+# in code or in prose: not the sample-granular extractor, nor the four
+# public spectral operators with their complex subtype, nor the second
+# STFT loop the figures ran with its column helpers, nor the setting
+# that put `reslice` into the datasets' chain. The first two live on as
+# test oracles in crates/core/tests/common/mod.rs under other names.
 one_figure5() {
     local fork='StreamingExtractor|StreamStep|extract_stream|push_chunk|push_sample'
     fork+='|\b(WelchWindow|Float2Cplx|Dft|Cabs)\b|subtype::SPECTRUM'
+    fork+='|\bSpectrogram\b|SpectrogramConfig|map_columns|river_dsp::spectrogram|pub mod spectrogram'
+    fork+='|\.reslice\b|reslice:([^:]|$)'
     if grep -rnE "$fork" crates src tests examples README.md DESIGN.md docs .claude; then
         echo "one-figure5: a deleted extraction or spectral fork is named above;" \
             "drive extraction_segment / featurization_segment instead" >&2
@@ -256,14 +262,13 @@ one_ledger() {
 # Goertzel probe is a test helper of the synthesizer's tests
 # (crates/core/src/synth/tone.rs), so only a library module or path of
 # that name is matched.
-# `Spectrogram::bin_frequency` is the bin arithmetic in use, so only the
-# deleted `fft::` helpers are matched. Then the library itself — each
+# Then the library itself — each
 # crates/*/src file outside the bench crate, up to its test module, the
 # served job's test battery skipped — may not name a test-kit item or
 # a reference the tests keep (`dft_naive`, `norm_cdf`).
 only_what_ships() {
     local gone='SphereTree|build_index|classify_indexed|QueryMode|NearestPattern|FirstDistance'
-    gone+='|DeltaPolicy|k_fold|train_all|run_batch|Readout|Ewma|fft::bin_frequency|frequency_bin'
+    gone+='|DeltaPolicy|k_fold|train_all|run_batch|Readout|Ewma|bin_frequency|frequency_bin'
     gone+='|CorruptSubtype|send_all_with|normalize_oscillogram|signal::energy|dbfs|band_presence'
     gone+='|high_pass|\.applied\(|coherent_gain|column_time|max_magnitude|sample_std_dev|from_polar'
     gone+='|mindist|paa_inverse|map_features|classify_pattern|context_key::SPECIES|open_scopes'
@@ -322,6 +327,10 @@ if [ "${1:-}" = "docs" ]; then
 fi
 if [ "${1:-}" = "shims_as_used" ]; then
     shims_as_used
+    exit 0
+fi
+if [ "${1:-}" = "one_figure5" ]; then
+    one_figure5
     exit 0
 fi
 if [ "${1:-}" = "one_ledger" ]; then

@@ -5,13 +5,15 @@
 //! cargo run -p ensemble-bench --release --bin fig2_signal [-- --seed N]
 //! ```
 //!
-//! Also writes `fig2_spectrogram.pgm` (grayscale image) to the current
-//! directory for viewing with any image tool.
+//! The spectrogram is Figure 5's own `reslice` → `spectrum` over the
+//! clip's records ([`spectrogram_columns`]): 840-sample Welch frames at
+//! 50 % overlap. Also writes `fig2_spectrogram.pgm` (grayscale image)
+//! to the current directory for viewing with any image tool.
 
 use ensemble_bench::{header, Scale};
+use ensemble_core::pipeline::spectrogram_columns;
 use ensemble_core::prelude::*;
-use ensemble_core::render::{ascii_oscillogram, seconds_ruler};
-use river_dsp::spectrogram::{render_pgm, Spectrogram, SpectrogramConfig};
+use ensemble_core::render::{ascii_oscillogram, render_ascii, render_pgm, seconds_ruler};
 
 fn main() {
     let scale = Scale::from_args();
@@ -31,19 +33,18 @@ fn main() {
     print!("{}", ascii_oscillogram(&clip.samples, 96, 13));
     println!("{}", seconds_ruler(clip.duration(), 96, 5.0));
 
-    let spec = Spectrogram::compute(&clip.samples, SpectrogramConfig::production());
+    let columns = spectrogram_columns(&clip.samples, &ExtractorConfig::paper());
     println!("\nkHz (0 at bottom, {:.1} at top)", clip.sample_rate / 2e3);
-    print!("{}", spec.render_ascii(20));
+    print!("{}", render_ascii(&columns, 20));
     println!(
         "{}",
-        seconds_ruler(clip.duration(), spec.columns().min(96), 5.0)
+        seconds_ruler(clip.duration(), columns.len().min(96), 5.0)
     );
 
-    let pgm = render_pgm(&spec.clone().into_inner());
-    std::fs::write("fig2_spectrogram.pgm", &pgm).expect("write pgm");
+    std::fs::write("fig2_spectrogram.pgm", render_pgm(&columns)).expect("write pgm");
     println!(
         "\nwrote fig2_spectrogram.pgm ({} x {} px)",
-        spec.columns(),
-        spec.bins()
+        columns.len(),
+        columns.first().map_or(0, Vec::len)
     );
 }

@@ -14,16 +14,20 @@
 //! their own — which between them are the chains built by every
 //! example (`quickstart`, `parallel_archive`, `anomaly_monitor`,
 //! `distributed_pipeline`, `species_survey` all compose
-//! `full_pipeline` / `EnsembleExtractor`). The test oracle's chain,
-//! with its complex-FFT stage in `spectrum`'s place, is linted where
-//! it is composed, in `crates/core/tests/analyze.rs`.
+//! `full_pipeline` / `EnsembleExtractor`) — and the `reslice` →
+//! `spectrum` chain that draws Figures 2 and 3 (`fig2_signal` and
+//! `fig3_paa` run it through `spectrogram_columns`). The test oracle's
+//! chain, with its complex-FFT stage in `spectrum`'s place, is linted
+//! where it is composed, in `crates/core/tests/analyze.rs`.
 //!
 //! Exit status is non-zero if any chain produces an `error`-severity
 //! diagnostic; warnings are reported but do not fail the lint.
 
 use dynamic_river::analyze::{CheckOptions, Severity};
 use dynamic_river::{PayloadKind, Pipeline, RecordClass};
-use ensemble_core::pipeline::{extraction_segment, featurization_segment, full_pipeline};
+use ensemble_core::pipeline::{
+    extraction_segment, featurization_segment, full_pipeline, spectrogram_segment,
+};
 use ensemble_core::{scope_type, subtype, ExtractorConfig};
 use std::time::Instant;
 
@@ -49,6 +53,7 @@ fn chains(cfg: ExtractorConfig) -> Vec<(String, Pipeline)> {
             featurization_segment(cfg, with_paa),
         ));
     }
+    out.push(("figure-spectrogram".to_string(), spectrogram_segment()));
     out
 }
 

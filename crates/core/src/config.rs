@@ -12,8 +12,10 @@
 //!
 //! Two stages run in every chain with no switch: `saxanomaly`
 //! normalises over a trailing `norm_window`, and featurization always
-//! log-compresses its spectra (`logscale`). `reslice` and the PAA
-//! datasets are the chain's optional stages.
+//! log-compresses its spectra (`logscale`). PAA is the chain's one
+//! optional stage. `reslice` is no setting: the figures' spectrogram
+//! chain always runs it and the datasets' chain never does
+//! (`DESIGN.md` §5).
 
 use river_sax::anomaly::AnomalyConfig;
 
@@ -53,10 +55,6 @@ pub struct ExtractorConfig {
     pub paa_factor: usize,
     /// Spectral records merged per pattern (paper: 3 ⇒ 0.125 s).
     pub pattern_records: usize,
-    /// Insert 50 %-overlap records (`reslice`) before windowing — the
-    /// paper's Figure 5 stage. The dataset geometry keeps it off so
-    /// that 3 records span exactly 0.125 s (see `DESIGN.md`).
-    pub reslice: bool,
     /// Minimum ensemble length in samples; shorter trigger bursts are
     /// discarded as noise (as is any burst under one record, which has
     /// no whole record for `cutter` to emit).
@@ -80,7 +78,6 @@ impl ExtractorConfig {
             cutout_high_hz: 9_600.0,
             paa_factor: 10,
             pattern_records: 3,
-            reslice: false,
             min_ensemble_samples: 840,
         }
     }
@@ -125,8 +122,8 @@ impl ExtractorConfig {
         self.bins_per_record().div_ceil(self.paa_factor) * self.pattern_records
     }
 
-    /// Seconds of audio represented by one pattern (the paper's 0.125 s
-    /// when `reslice` is off).
+    /// Seconds of audio represented by one pattern (the paper's
+    /// 0.125 s: the datasets' chain has no `reslice`).
     pub fn pattern_seconds(&self) -> f64 {
         (self.pattern_records * self.record_len) as f64 / self.sample_rate
     }

@@ -22,9 +22,11 @@
 //!   source ([`extract_from`](extract::EnsembleExtractor::extract_from))
 //!   and reads `cutter`'s ensemble scopes back into
 //!   [`extract::Ensemble`] values;
-//! - [`pipeline`] — assembles the full Figure 5 operator graph, and
+//! - [`pipeline`] — assembles the full Figure 5 operator graph,
 //!   drives its featurization half over one ensemble
-//!   ([`pipeline::featurize_ensemble`]). The graph is a plain
+//!   ([`pipeline::featurize_ensemble`]), and draws the spectrogram
+//!   columns of Figures 2 and 3 with `reslice` → `spectrum`
+//!   ([`pipeline::spectrogram_columns`]). The graph is a plain
 //!   `dynamic_river::Pipeline`: `full_pipeline(cfg, paa).run_sharded(..)`
 //!   shards an archive, and
 //!   `PipelineServer::from_factory(move |_| full_pipeline(cfg, true))`
@@ -37,7 +39,8 @@
 //!   (Pattern, Ensemble, PAA Pattern, PAA Ensemble) of Table 2;
 //! - [`reduction`] — the §4 data-reduction accounting (the paper
 //!   reports 80.6 %);
-//! - [`render`] — text rendering of oscillograms/trigger traces for the
+//! - [`render`] — text rendering of oscillograms, spectrogram columns
+//!   and trigger traces (and PGM images of the columns) for the
 //!   figure-regeneration binaries.
 //!
 //! ## Quickstart

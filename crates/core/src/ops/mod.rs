@@ -3,12 +3,13 @@
 //! Acquisition: [`wav2rec::Wav2Rec`]; the paper's `readout` (archival)
 //! is a [`dynamic_river::net::StreamOut`] over a file. Ensemble
 //! extraction: [`saxanomaly::SaxAnomaly`] → [`trigger_op::TriggerOp`] →
-//! [`cutter::Cutter`]. Spectral featurization: [`reslice::Reslice`] →
-//! [`spectrum::Spectrum`] → [`cutout::Cutout`] → optional
-//! [`paa_op::PaaOp`] → [`rec2vect::Rec2Vect`]. `spectrum` is the paper's four boxes
-//! `welchwindow` → `float2cplx` → `dft` → `cabs` in one pass (window ×
-//! real FFT → magnitude); the test suites hold it against a plain
-//! complex-FFT oracle.
+//! [`cutter::Cutter`]. Spectral featurization: [`spectrum::Spectrum`] →
+//! [`cutout::Cutout`] → optional [`paa_op::PaaOp`] →
+//! [`logscale::LogScale`] → [`rec2vect::Rec2Vect`]. The spectrograms
+//! of Figures 2 and 3 are [`reslice::Reslice`] → [`spectrum::Spectrum`].
+//! `spectrum` is the paper's four boxes `welchwindow` → `float2cplx` →
+//! `dft` → `cabs` in one pass (window × real FFT → magnitude); the test
+//! suites hold it against a plain complex-FFT oracle.
 //!
 //! All operators preserve scope discipline: clip scopes pass through
 //! `saxanomaly`/`trigger`, `cutter` nests ensemble scopes inside clip

@@ -1,6 +1,7 @@
-//! Assembly of the paper's Figure 5 operator graph, and the
-//! one-ensemble driver of its featurization half that dataset
-//! construction and the classifier use.
+//! Assembly of the paper's Figure 5 operator graph, the one-ensemble
+//! driver of its featurization half that dataset construction and the
+//! classifier use, and the `reslice` → `spectrum` chain that draws the
+//! spectrograms of Figures 2 and 3.
 
 use crate::config::ExtractorConfig;
 use crate::ops::{
@@ -22,15 +23,14 @@ pub fn extraction_segment(config: ExtractorConfig) -> Pipeline {
 }
 
 /// Builds the spectral featurization segment, the second half of
-/// Figure 5: `[reslice]` → `spectrum` → `cutout` → `[paa]` →
+/// Figure 5 as the datasets run it: `spectrum` → `cutout` → `[paa]` →
 /// `logscale` → `rec2vect`. `spectrum` fuses the paper's
 /// `welchwindow` → `float2cplx` → `dft` → `cabs` boxes into one pass;
-/// the test suites hold it to a plain complex-FFT oracle.
+/// the test suites hold it to a plain complex-FFT oracle. The paper's
+/// `reslice` runs in [`spectrogram_segment`] instead: without it, a
+/// pattern's 3 records span exactly 0.125 s (DESIGN.md §5).
 pub fn featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipeline {
     let mut p = Pipeline::new();
-    if config.reslice {
-        p.add(Reslice::new());
-    }
     p.add(Spectrum::new());
     p.add(Cutout::new(
         config.cutout_low_hz,
@@ -85,25 +85,56 @@ pub fn featurize_ensemble(
     config: &ExtractorConfig,
     with_paa: bool,
 ) -> Vec<Vec<f64>> {
+    featurization_segment(*config, with_paa)
+        .run(ensemble_scope(samples, config))
+        .expect("an ensemble scope of audio records is well-formed")
+        .iter()
+        .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN)
+        .filter_map(|r| r.payload.as_f64().map(<[f64]>::to_vec))
+        .collect()
+}
+
+/// Builds the chain that draws the paper's spectrograms (Figures 2 and
+/// 3): `reslice` → `spectrum`, Figure 5's 50 %-overlap stage feeding
+/// its one spectral stage, over audio records inside ensemble scopes.
+pub fn spectrogram_segment() -> Pipeline {
+    let mut p = Pipeline::new();
+    p.add(Reslice::new());
+    p.add(Spectrum::new());
+    p
+}
+
+/// The spectrogram columns of `samples`, oldest first: the samples made
+/// one ensemble scope as [`featurize_ensemble`] makes it, run through
+/// [`spectrogram_segment`]. Each spectrum record's first
+/// `record_len / 2` magnitudes (the one-sided spectrum) is one column,
+/// so the columns step by half a record.
+pub fn spectrogram_columns(samples: &[f64], config: &ExtractorConfig) -> Vec<Vec<f64>> {
+    let bins = config.record_len / 2;
+    spectrogram_segment()
+        .run(ensemble_scope(samples, config))
+        .expect("an ensemble scope of audio records is well-formed")
+        .iter()
+        .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::POWER)
+        .filter_map(|r| r.payload.as_f64().map(|m| m[..bins].to_vec()))
+        .collect()
+}
+
+/// `samples` as a clip scope of whole `record_len`-sample records made
+/// one ensemble, the tail under `cutter`'s closing rule (a tail left
+/// unpadded is dropped).
+fn ensemble_scope(samples: &[f64], config: &ExtractorConfig) -> Vec<Record> {
     let n = config.record_len;
     let tail = samples.len() % n;
     let mut audio = Cow::Borrowed(samples);
     if tail > 0 && tail >= n / 2 {
         audio.to_mut().resize(samples.len() + n - tail, 0.0);
     }
-    // A clip scope of whole records (a tail left unpadded is dropped),
-    // made one ensemble.
     let mut scope = clip_to_records(&audio, config.sample_rate, n, &[]);
     scope.insert(1, Record::open_scope(scope_type::ENSEMBLE, vec![]));
     let close = Record::close_scope(scope_type::ENSEMBLE);
     scope.insert(scope.len() - 1, close);
-    featurization_segment(*config, with_paa)
-        .run(scope)
-        .expect("an ensemble scope of audio records is well-formed")
-        .iter()
-        .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::PATTERN)
-        .filter_map(|r| r.payload.as_f64().map(<[f64]>::to_vec))
-        .collect()
+    scope
 }
 
 #[cfg(test)]
@@ -123,20 +154,13 @@ mod tests {
             featurization_segment(cfg, true).names(),
             ["spectrum", "cutout", "paa", "logscale", "rec2vect"]
         );
-        let resliced = ExtractorConfig {
-            reslice: true,
-            ..cfg
-        };
-        assert_eq!(featurization_segment(resliced, false).names()[0], "reslice");
+        assert_eq!(spectrogram_segment().names(), ["reslice", "spectrum"]);
     }
 
     #[test]
     fn full_pipeline_is_the_two_segments_composed() {
-        for (with_paa, reslice) in [(false, false), (true, false), (true, true)] {
-            let cfg = ExtractorConfig {
-                reslice,
-                ..ExtractorConfig::default()
-            };
+        let cfg = ExtractorConfig::default();
+        for with_paa in [false, true] {
             let mut expected: Vec<String> = extraction_segment(cfg)
                 .names()
                 .iter()
@@ -167,17 +191,14 @@ mod tests {
     fn direct_path_matches_operator_pipeline() {
         // `featurize_ensemble` over each extracted ensemble is exactly
         // `full_pipeline`'s pattern output for the clip, with and
-        // without `reslice` and PAA.
+        // without PAA.
         let synth = ClipSynthesizer::new(SynthConfig {
             clip_seconds: 10.0,
             ..SynthConfig::paper()
         });
         let clip = synth.clip(SpeciesCode::Hofi, 9);
-        for (reslice, with_paa) in [(false, false), (false, true), (true, false), (true, true)] {
-            let cfg = ExtractorConfig {
-                reslice,
-                ..ExtractorConfig::default()
-            };
+        let cfg = ExtractorConfig::default();
+        for with_paa in [false, true] {
             let chained: Vec<Vec<f64>> = full_pipeline(cfg, with_paa)
                 .run(clip_to_records(
                     &clip.samples,
@@ -196,7 +217,7 @@ mod tests {
                 .iter()
                 .flat_map(|e| featurize_ensemble(&e.samples, &cfg, with_paa))
                 .collect();
-            assert_eq!(driven, chained, "reslice={reslice} with_paa={with_paa}");
+            assert_eq!(driven, chained, "with_paa={with_paa}");
         }
     }
 

@@ -1,5 +1,6 @@
-//! Text rendering of oscillograms and traces for the figure
-//! regeneration binaries (Figures 2, 3 and 6 of the paper).
+//! Text and image rendering of oscillograms, spectrogram columns and
+//! traces for the figure regeneration binaries (Figures 2, 3 and 6 of
+//! the paper).
 
 /// Downsamples a signal to `width` columns of `(min, max)` envelope
 /// pairs — the standard oscillogram drawing primitive.
@@ -104,6 +105,70 @@ pub fn seconds_ruler(seconds: f64, width: usize, tick_every: f64) -> String {
     String::from_utf8(out).expect("ascii ruler")
 }
 
+/// Renders arbitrary column data (e.g. a PAA-reduced spectrogram) as
+/// ASCII art; `rows` output rows, low frequency at the bottom.
+pub fn render_ascii(columns: &[Vec<f64>], rows: usize) -> String {
+    const RAMP: &[u8] = b" .:-=+*#%@";
+    if columns.is_empty() || rows == 0 {
+        return String::new();
+    }
+    let bins = columns[0].len();
+    if bins == 0 {
+        return String::new();
+    }
+    let max = columns
+        .iter()
+        .flat_map(|c| c.iter())
+        .copied()
+        .fold(f64::MIN_POSITIVE, f64::max);
+    let mut out = String::with_capacity((columns.len() + 1) * rows);
+    for row in (0..rows).rev() {
+        let lo = row * bins / rows;
+        let hi = (((row + 1) * bins) / rows).max(lo + 1).min(bins);
+        for col in columns {
+            let band_max = col[lo..hi].iter().copied().fold(0.0, f64::max);
+            // Log compression over ~4 decades.
+            let norm = if band_max <= 0.0 {
+                0.0
+            } else {
+                ((band_max / max).log10() / 4.0 + 1.0).clamp(0.0, 1.0)
+            };
+            let idx = ((norm * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1);
+            out.push(RAMP[idx] as char);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Serializes column data as a binary PGM (P5) grayscale image, low
+/// frequencies at the bottom; suitable for viewing the paper's figures.
+pub fn render_pgm(columns: &[Vec<f64>]) -> Vec<u8> {
+    let width = columns.len();
+    let height = columns.first().map_or(0, Vec::len);
+    let mut out = format!("P5\n{width} {height}\n255\n").into_bytes();
+    if width == 0 || height == 0 {
+        return out;
+    }
+    let max = columns
+        .iter()
+        .flat_map(|c| c.iter())
+        .copied()
+        .fold(f64::MIN_POSITIVE, f64::max);
+    for row in (0..height).rev() {
+        for col in columns {
+            let v = col.get(row).copied().unwrap_or(0.0);
+            let norm = if v <= 0.0 {
+                0.0
+            } else {
+                ((v / max).log10() / 4.0 + 1.0).clamp(0.0, 1.0)
+            };
+            out.push((norm * 255.0) as u8);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +228,39 @@ mod tests {
         assert!(r.contains('0'));
         assert!(r.contains("10"));
         assert!(r.contains("30"));
+    }
+
+    #[test]
+    fn ascii_render_shape() {
+        // Ten columns of 32 bins, a peak moving up one bin per column.
+        let columns: Vec<Vec<f64>> = (0..10)
+            .map(|t| {
+                (0..32)
+                    .map(|b| if b == 2 * t { 1.0 } else { 1e-3 })
+                    .collect()
+            })
+            .collect();
+        let art = render_ascii(&columns, 8);
+        let lines: Vec<&str> = art.lines().collect();
+        assert_eq!(lines.len(), 8);
+        for l in &lines {
+            assert_eq!(l.len(), columns.len());
+        }
+    }
+
+    #[test]
+    fn ascii_render_empty_input() {
+        assert_eq!(render_ascii(&[], 8), "");
+        assert_eq!(render_ascii(&[vec![1.0; 4]], 0), "");
+        assert_eq!(render_ascii(&[Vec::new()], 8), "");
+    }
+
+    #[test]
+    fn pgm_header_and_size() {
+        let columns = vec![vec![0.0, 1.0], vec![0.5, 0.25], vec![1.0, 0.0]];
+        let pgm = render_pgm(&columns);
+        let header = b"P5\n3 2\n255\n";
+        assert_eq!(&pgm[..header.len()], header);
+        assert_eq!(pgm.len(), header.len() + 6);
     }
 }

@@ -253,20 +253,18 @@ mod tests {
     fn species_have_energy_in_analysis_band() {
         // Every species must put meaningful energy into 1.2–9.6 kHz —
         // otherwise the cutout stage would erase it. Measured as the
-        // in-band fraction of STFT energy (840-sample frames, 24 Hz bins,
-        // band = bins 50..400 — the production cutout).
+        // in-band fraction of the figures' spectrogram energy
+        // (840-sample frames at 50 % overlap, 24 Hz bins, band = bins
+        // 50..400 — the production cutout).
         let mut rng = StdRng::seed_from_u64(4);
-        let cfg = river_dsp::SpectrogramConfig {
-            frame_len: 840,
-            hop: 420,
-            sample_rate: FS,
-        };
+        let cfg = crate::ExtractorConfig::paper();
+        assert_eq!(cfg.sample_rate, FS);
         for species in SpeciesCode::ALL {
             let s = song(species, FS, &mut rng);
-            let spec = river_dsp::Spectrogram::compute(&s, cfg);
+            let columns = crate::pipeline::spectrogram_columns(&s, &cfg);
             let mut in_band = 0.0f64;
             let mut total = 0.0f64;
-            for col in spec.iter() {
+            for col in &columns {
                 for (bin, &mag) in col.iter().enumerate() {
                     let e = mag * mag;
                     total += e;

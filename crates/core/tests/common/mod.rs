@@ -13,7 +13,7 @@ use dynamic_river::{
     Signature, Sink,
 };
 use ensemble_core::extract::{AdaptiveTrigger, Ensemble, ExtractionTrace};
-use ensemble_core::ops::{Cutout, LogScale, PaaOp, Rec2Vect, Reslice};
+use ensemble_core::ops::{Cutout, LogScale, PaaOp, Rec2Vect};
 use ensemble_core::pipeline::extraction_segment;
 use ensemble_core::{subtype, ExtractorConfig};
 use river_dsp::stats::MovingAverage;
@@ -69,9 +69,6 @@ impl Operator for OracleSpectrum {
 /// `spectrum`.
 pub fn oracle_featurization_segment(config: ExtractorConfig, with_paa: bool) -> Pipeline {
     let mut p = Pipeline::new();
-    if config.reslice {
-        p.add(Reslice::new());
-    }
     p.add(OracleSpectrum);
     p.add(Cutout::new(
         config.cutout_low_hz,

@@ -2,10 +2,11 @@
 
 mod common;
 
-use common::oracle_full_pipeline;
+use common::oracle_featurization_segment;
 use dynamic_river::Pipeline;
 use ensemble_core::extract::AdaptiveTrigger;
-use ensemble_core::pipeline::{featurize_ensemble, full_pipeline};
+use ensemble_core::ops::Reslice;
+use ensemble_core::pipeline::{extraction_segment, featurization_segment, featurize_ensemble};
 use ensemble_core::prelude::*;
 use rand::RngExt;
 
@@ -172,7 +173,8 @@ fn assert_records_equivalent(a: &[dynamic_river::Record], b: &[dynamic_river::Re
 /// four-operator oracle chain: over whole synthesized clips, the
 /// full pipeline's outputs agree record-for-record to ≤ 1e-9
 /// relative error — under `run_streaming` AND under the sharded
-/// runtime.
+/// runtime, with and without the figures' `reslice` between the two
+/// segments.
 #[test]
 fn fused_spectrum_matches_oracle_chain_end_to_end() {
     seeds::check(0..8, |rng| {
@@ -182,10 +184,7 @@ fn fused_spectrum_matches_oracle_chain_end_to_end() {
         let reslice = rng.random_bool(0.5);
         let workers = rng.random_range(1usize..4);
         let species = SpeciesCode::ALL[species_idx];
-        let cfg = ExtractorConfig {
-            reslice,
-            ..ExtractorConfig::default()
-        };
+        let cfg = ExtractorConfig::default();
         let synth = ClipSynthesizer::new(SynthConfig::short_test());
         let clips: Vec<Vec<f64>> = (0..2u64)
             .map(|i| {
@@ -195,10 +194,18 @@ fn fused_spectrum_matches_oracle_chain_end_to_end() {
             })
             .collect();
 
-        let (fused_stream, fused_shard) =
-            run_both_modes(cfg, || full_pipeline(cfg, with_paa), &clips, workers);
-        let (oracle_stream, oracle_shard) =
-            run_both_modes(cfg, || oracle_full_pipeline(cfg, with_paa), &clips, workers);
+        let chain = |featurization: Pipeline| {
+            let mut p = extraction_segment(cfg);
+            if reslice {
+                p.add(Reslice::new());
+            }
+            p.extend(featurization);
+            p
+        };
+        let fused = || chain(featurization_segment(cfg, with_paa));
+        let oracle = || chain(oracle_featurization_segment(cfg, with_paa));
+        let (fused_stream, fused_shard) = run_both_modes(cfg, fused, &clips, workers);
+        let (oracle_stream, oracle_shard) = run_both_modes(cfg, oracle, &clips, workers);
 
         // Sharding is deterministic within a path…
         assert_eq!(&fused_stream, &fused_shard);

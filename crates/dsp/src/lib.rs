@@ -12,8 +12,6 @@
 //!   paper's `welchwindow`) to minimize record edge effects;
 //! - [`wav`], a from-scratch RIFF/WAVE codec standing in for the field
 //!   stations' clip format (`wav2rec` operator);
-//! - [`spectrogram`], the STFT used to render the paper's Figure 2/3
-//!   spectrograms;
 //! - [`stats`], streaming statistics (Welford, sliding windows, moving
 //!   averages) that the adaptive `trigger` operator and the anomaly
 //!   smoother rely on;
@@ -44,14 +42,12 @@ pub mod complex;
 pub mod fft;
 pub mod filter;
 pub mod signal;
-pub mod spectrogram;
 pub mod stats;
 pub mod wav;
 pub mod window;
 
 pub use complex::Complex64;
 pub use fft::{Fft, RealFft};
-pub use spectrogram::{Spectrogram, SpectrogramConfig};
 pub use stats::{MovingAverage, SlidingStats, Welford};
 pub use wav::{WavError, WavReader, WavSpec, WavWriter};
 pub use window::WindowKind;

@@ -67,41 +67,9 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divides by `n - 1`); `0.0` for fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Resets to the empty state.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Merges another estimator into this one (parallel Welford/Chan).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
     }
 }
 
@@ -475,7 +443,6 @@ mod tests {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.count(), 0);
     }
 
@@ -485,50 +452,6 @@ mod tests {
         w.push(42.0);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.77).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..200] {
-            left.push(x);
-        }
-        for &x in &xs[200..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - all.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut b = Welford::new();
-        b.merge(&before);
-        assert_eq!(b, before);
-    }
-
-    #[test]
-    fn welford_reset() {
-        let mut w = Welford::new();
-        w.push(5.0);
-        w.reset();
-        assert_eq!(w.count(), 0);
-        assert_eq!(w.mean(), 0.0);
     }
 
     #[test]

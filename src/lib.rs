@@ -4,7 +4,7 @@
 //! *Automated Ensemble Extraction and Analysis of Acoustic Data Streams*
 //! (DEPSA / ICDCS 2007). Re-exports the workspace crates under one roof:
 //!
-//! - [`dsp`] — signal processing substrate (FFT, windows, WAV, spectrograms)
+//! - [`dsp`] — signal processing substrate (FFT, windows, WAV, streaming statistics)
 //! - [`sax`] — PAA / SAX / bitmap anomaly substrate
 //! - [`meso`] — the MESO perceptual-memory classifier
 //! - [`river`] — the Dynamic River distributed pipeline
