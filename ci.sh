@@ -278,6 +278,13 @@ only_what_ships() {
     # hold-less trigger constructor.
     gone+='|Normalization|global_squares|WindowKind::(Rectangular|Hann|Hamming|Blackman|Bartlett)'
     gone+='|\.log_scale\b|log_scale:|with_hold'
+    # Payload kinds no shipped producer emits (complex samples and text),
+    # their wire block types, and the frame-boundary finder that only
+    # tests called. One exception: `Payload::as_complex` stays, always
+    # `None`, because river-bench's clip digest calls it; it goes with
+    # the next change that may edit the benchmark (ROADMAP item 22).
+    gone+='|Payload::Complex|Payload::Text|Payload::complex|PayloadKind::(Complex|Text)'
+    gone+='|as_complex_buf|\bas_text\b|TLV_COMPLEX|TLV_TEXT|\bframe_len\b'
     if grep -rnE "$gone" crates src tests examples README.md DESIGN.md docs .claude; then
         echo "only-what-ships: a library item that only its own tests ran is named above;" \
             "keep oracles in the tests" >&2

@@ -198,7 +198,7 @@ mod tests {
         let err = p
             .run(vec![Record::data(
                 subtype::AUDIO,
-                Payload::Text("x".into()),
+                Payload::Bytes(b"RIFF"[..].into()),
             )])
             .unwrap_err();
         assert!(matches!(err, PipelineError::Operator { .. }));

@@ -87,12 +87,8 @@ pub enum PayloadKind {
     Empty,
     /// Real samples.
     F64,
-    /// Interleaved (re, im) complex samples.
-    Complex,
     /// Raw bytes.
     Bytes,
-    /// UTF-8 text.
-    Text,
     /// Key/value string pairs.
     Pairs,
 }
@@ -103,9 +99,7 @@ impl PayloadKind {
         match payload {
             Payload::Empty => PayloadKind::Empty,
             Payload::F64(_) => PayloadKind::F64,
-            Payload::Complex(_) => PayloadKind::Complex,
             Payload::Bytes(_) => PayloadKind::Bytes,
-            Payload::Text(_) => PayloadKind::Text,
             Payload::Pairs(_) => PayloadKind::Pairs,
         }
     }
@@ -114,9 +108,7 @@ impl PayloadKind {
         match self {
             PayloadKind::Empty => "empty",
             PayloadKind::F64 => "f64",
-            PayloadKind::Complex => "complex",
             PayloadKind::Bytes => "bytes",
-            PayloadKind::Text => "text",
             PayloadKind::Pairs => "pairs",
         }
     }
@@ -761,8 +753,8 @@ mod tests {
     fn strict_payload_clash_is_a_type_mismatch() {
         let mut p = Pipeline::new();
         p.add(scripted(
-            "cplx",
-            Signature::map(A, RecordClass::of(1, PayloadKind::Complex)),
+            "bytes",
+            Signature::map(A, RecordClass::of(1, PayloadKind::Bytes)),
         ));
         p.add(scripted(
             "strict",

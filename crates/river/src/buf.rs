@@ -1,6 +1,6 @@
 //! Shared, sliceable sample buffers — the zero-copy payload backbone.
 //!
-//! Every `F64`/`Complex` payload in the record model is a [`SampleBuf`]:
+//! Every `F64` payload in the record model is a [`SampleBuf`]:
 //! an `(offset, len)` view over an immutable, reference-counted
 //! `Arc<[f64]>` backing allocation. Cloning a record is then O(1)
 //! whatever its payload size, re-windowing operators (`reslice`,

@@ -19,10 +19,13 @@
 //! ·+n     4        CRC-32 (IEEE, LE) over bytes [0, ·+n)
 //! ```
 //!
-//! Each body block is `varint type · varint length · value`. Unknown
-//! block types are **skipped, not fatal** — a reader stays compatible
-//! with future extensions. At most one *payload* block (types 1–9) may
-//! appear; a body with none decodes as [`Payload::Empty`]. The sender's
+//! Each body block is `varint type · varint length · value`. At most
+//! one *payload* block (types 1–3, 7 and 9) may appear; a body with none
+//! decodes as [`Payload::Empty`]. Unknown block types are **skipped,
+//! not fatal** — a reader stays compatible with future extensions —
+//! except the retired payload types 4–6 and 8 (complex samples and
+//! text, payload kinds the record model no longer has), which are
+//! refused with a [`PipelineError::Codec`] naming the type. The sender's
 //! [`WireFormat`] picks how sample payloads are encoded
 //! ([`SampleEncoding`]: lossless `f64`, or compact `f32` / `i16`); the
 //! receiver reads the block type, so there is nothing to negotiate.
@@ -48,7 +51,7 @@
 //! has it (x86-64 with `pclmulqdq`) and the input is at least 64 bytes,
 //! and slice-by-16 tables built at compile time for everything else.
 //! The CPU picks; there is nothing to configure. `DESIGN.md` §13 has the
-//! reasoning and the measurements.
+//! reasoning.
 //!
 //! The decoder is push-based and incremental — feed it byte chunks of
 //! any size and frame boundaries are its problem, not the reader's:
@@ -97,7 +100,7 @@ const V1_MAGIC: [u8; 4] = *b"RVDR";
 /// length fields allocating unbounded memory.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// How frames encode `F64`/`Complex` sample payloads on the wire.
+/// How frames encode `F64` sample payloads on the wire.
 ///
 /// Chosen per stream by the sender; the receiver reads the block type,
 /// so mixed encodings on one stream also decode fine.
@@ -502,19 +505,25 @@ fn decode_pairs(bytes: &[u8]) -> Result<Payload, PipelineError> {
     Ok(Payload::Pairs(pairs))
 }
 
-// TLV payload block types. 1–9 are payload blocks (at most one per
-// frame); all other types are reserved for future extensions and are
-// skipped by decoders (`decode_block` is the one place that knows which
-// is which).
+// TLV payload block types (at most one per frame). The retired types
+// are refused and every other type is reserved for future extensions
+// and skipped by decoders (`decode_block` is the one place that knows
+// which is which).
 const TLV_F64_AS_F64: u64 = 1;
 const TLV_F64_AS_F32: u64 = 2;
 const TLV_F64_AS_I16: u64 = 3;
-const TLV_COMPLEX_AS_F64: u64 = 4;
-const TLV_COMPLEX_AS_F32: u64 = 5;
-const TLV_COMPLEX_AS_I16: u64 = 6;
 const TLV_BYTES: u64 = 7;
-const TLV_TEXT: u64 = 8;
 const TLV_PAIRS: u64 = 9;
+
+/// Payload block types of kinds the record model no longer has. A
+/// decoder refuses them by name: skipping them like an unknown type
+/// would turn an old peer's records into empty payloads without a word.
+const RETIRED_TLV: [(u64, &str); 4] = [
+    (4, "complex samples as f64"),
+    (5, "complex samples as f32"),
+    (6, "complex samples as i16"),
+    (8, "utf-8 text"),
+];
 
 /// The value of a payload block, settled before the frame header is
 /// written because the header declares the body length.
@@ -527,23 +536,25 @@ enum BlockValue<'a> {
 }
 
 impl<'a> BlockValue<'a> {
-    /// A sample block and its type from the payload kind's
-    /// `[f64, f32, i16]` block types. The i16 request falls back to f64
+    /// A sample block and its type. The i16 request falls back to f64
     /// when quantization cannot bound the error: non-finite samples, or
     /// a maximum magnitude so small that `max / 32767` underflows to 0.
-    fn samples(v: &'a [f64], enc: SampleEncoding, types: [u64; 3]) -> (u64, BlockValue<'a>) {
+    fn samples(v: &'a [f64], enc: SampleEncoding) -> (u64, BlockValue<'a>) {
         let mut scale = 0.0;
         if enc == SampleEncoding::I16 {
             let max = v.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
             scale = max / f64::from(i16::MAX);
             if !(v.iter().all(|x| x.is_finite()) && (max == 0.0 || scale > 0.0)) {
-                return (types[0], BlockValue::Samples(v, SampleEncoding::F64, 0.0));
+                return (
+                    TLV_F64_AS_F64,
+                    BlockValue::Samples(v, SampleEncoding::F64, 0.0),
+                );
             }
         }
         let ty = match enc {
-            SampleEncoding::F64 => types[0],
-            SampleEncoding::F32 => types[1],
-            SampleEncoding::I16 => types[2],
+            SampleEncoding::F64 => TLV_F64_AS_F64,
+            SampleEncoding::F32 => TLV_F64_AS_F32,
+            SampleEncoding::I16 => TLV_F64_AS_I16,
         };
         (ty, BlockValue::Samples(v, enc, scale))
     }
@@ -609,18 +620,8 @@ pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
         // Empty is the *absence* of a payload block, not a block of its
         // own — an all-unknown (or empty) body decodes as Empty.
         Payload::Empty => None,
-        Payload::F64(v) => Some(BlockValue::samples(
-            v,
-            enc,
-            [TLV_F64_AS_F64, TLV_F64_AS_F32, TLV_F64_AS_I16],
-        )),
-        Payload::Complex(v) => Some(BlockValue::samples(
-            v,
-            enc,
-            [TLV_COMPLEX_AS_F64, TLV_COMPLEX_AS_F32, TLV_COMPLEX_AS_I16],
-        )),
+        Payload::F64(v) => Some(BlockValue::samples(v, enc)),
         Payload::Bytes(b) => Some((TLV_BYTES, BlockValue::Raw(b))),
-        Payload::Text(s) => Some((TLV_TEXT, BlockValue::Raw(s.as_bytes()))),
         Payload::Pairs(pairs) => {
             put_uvarint(&mut pairs_value, pairs.len() as u64);
             for s in pairs.iter().flat_map(|(k, v)| [k, v]) {
@@ -652,8 +653,8 @@ pub fn encode_into(record: &Record, format: WireFormat, dst: &mut Vec<u8>) {
 }
 
 /// What the front of a byte buffer holds — the single place frame
-/// boundaries are computed. [`Decoder`] and [`frame_len`] consult this
-/// rather than indexing headers by hand.
+/// boundaries are computed. [`Decoder`] consults this rather than
+/// indexing headers by hand.
 enum Scan {
     /// More bytes are required before another scan can make progress.
     Need,
@@ -717,21 +718,6 @@ fn scan(buf: &[u8]) -> Result<Scan, PipelineError> {
             })
         }
         b => Err(PipelineError::Codec(format!("bad frame magic [{b:02x}]"))),
-    }
-}
-
-/// Returns the total length of the complete frame (or sentinel) at the
-/// front of `buf`, or `Ok(None)` if more bytes are needed — the frame
-/// boundary finder used by frame-aware fault injectors.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Codec`] for unrecognizable frame headers.
-pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, PipelineError> {
-    match scan(buf)? {
-        Scan::Need => Ok(None),
-        Scan::Eos | Scan::KeepAlive => Ok(Some(4)),
-        Scan::Frame { total } => Ok((buf.len() >= total).then_some(total)),
     }
 }
 
@@ -825,56 +811,33 @@ fn decode_body(body: &[u8]) -> Result<Payload, PipelineError> {
 }
 
 /// Decodes one TLV block: `Ok(None)` for a type that is not a payload
-/// block (the caller skips it).
+/// block (the caller skips it), an error for a retired one.
+///
+/// Sample blocks always decode to a canonical owned buffer: offset 0,
+/// view length == backing length, collected straight into the shared
+/// allocation.
 fn decode_block(ty: u64, value: &[u8]) -> Result<Option<Payload>, PipelineError> {
     let codec_err = |m: String| PipelineError::Codec(m);
-    let complex = matches!(
-        ty,
-        TLV_COMPLEX_AS_F64 | TLV_COMPLEX_AS_F32 | TLV_COMPLEX_AS_I16
-    );
-    // Complex payloads are interleaved [re, im, …] pairs; an odd sample
-    // count cannot be produced by any in-process constructor and must
-    // not enter through the wire.
-    let check_pairs = |samples: usize| -> Result<(), PipelineError> {
-        if complex && !samples.is_multiple_of(2) {
-            return Err(codec_err(format!(
-                "complex payload of {samples} samples is not a whole number of (re, im) pairs"
-            )));
-        }
-        Ok(())
-    };
-    // Decoding always yields a canonical owned buffer: offset 0, view
-    // length == backing length, collected straight into the shared
-    // allocation.
-    let wrap = |buf: SampleBuf| {
-        if complex {
-            Payload::Complex(buf)
-        } else {
-            Payload::F64(buf)
-        }
-    };
     let payload = match ty {
-        TLV_F64_AS_F64 | TLV_COMPLEX_AS_F64 => {
+        TLV_F64_AS_F64 => {
             if !value.len().is_multiple_of(8) {
                 return Err(codec_err(format!(
                     "f64 payload length {} not a multiple of 8",
                     value.len()
                 )));
             }
-            check_pairs(value.len() / 8)?;
-            wrap(SampleBuf::from_f64_le_bytes(value))
+            Payload::F64(SampleBuf::from_f64_le_bytes(value))
         }
-        TLV_F64_AS_F32 | TLV_COMPLEX_AS_F32 => {
+        TLV_F64_AS_F32 => {
             if !value.len().is_multiple_of(4) {
                 return Err(codec_err(format!(
                     "f32 payload length {} not a multiple of 4",
                     value.len()
                 )));
             }
-            check_pairs(value.len() / 4)?;
-            wrap(SampleBuf::from_f32_le_bytes(value))
+            Payload::F64(SampleBuf::from_f32_le_bytes(value))
         }
-        TLV_F64_AS_I16 | TLV_COMPLEX_AS_I16 => {
+        TLV_F64_AS_I16 => {
             if value.len() < 8 {
                 return Err(codec_err(
                     "i16 sample block shorter than its scale header".into(),
@@ -891,15 +854,16 @@ fn decode_block(ty: u64, value: &[u8]) -> Result<Option<Payload>, PipelineError>
                     rest.len()
                 )));
             }
-            check_pairs(rest.len() / 2)?;
-            wrap(SampleBuf::from_i16_scaled_le_bytes(scale, rest))
+            Payload::F64(SampleBuf::from_i16_scaled_le_bytes(scale, rest))
         }
         TLV_BYTES => Payload::Bytes(value.into()),
-        TLV_TEXT => String::from_utf8(value.to_vec())
-            .map(Payload::Text)
-            .map_err(|e| codec_err(format!("invalid utf-8 text payload: {e}")))?,
         TLV_PAIRS => decode_pairs(value)?,
-        _ => return Ok(None),
+        _ => {
+            return match RETIRED_TLV.iter().find(|&&(retired, _)| retired == ty) {
+                Some((_, what)) => Err(codec_err(format!("retired TLV block type {ty} ({what})"))),
+                None => Ok(None),
+            };
+        }
     };
     Ok(Some(payload))
 }
@@ -1188,9 +1152,11 @@ mod tests {
         vec![
             Record::data(1, Payload::Empty),
             Record::data(2, Payload::f64(vec![1.5, -2.5, 0.0])).with_seq(99),
-            Record::data(3, Payload::complex(vec![1.0, 2.0])),
             Record::data(4, Payload::Bytes(b"hello"[..].into())),
-            Record::data(5, Payload::Text("héllo wörld".into())),
+            Record::data(
+                5,
+                Payload::Pairs(vec![("clip".into(), "héllo wörld".into())]),
+            ),
             Record::open_scope(
                 7,
                 vec![
@@ -1261,34 +1227,15 @@ mod tests {
         use crate::buf::SampleBuf;
         let backing = SampleBuf::from((0..16).map(|i| i as f64).collect::<Vec<f64>>());
         let view = backing.slice(5..11);
-        for make in [Payload::F64, Payload::Complex] {
-            let viewed = Record::data(2, make(view.clone())).with_seq(3);
-            let owned = Record::data(2, make(SampleBuf::from(view.to_vec()))).with_seq(3);
-            let frame_view = lossless(&viewed);
-            assert_eq!(frame_view, lossless(&owned));
-            let decoded = decode_one(&frame_view);
-            assert_eq!(decoded, viewed);
-            let buf = decoded
-                .payload
-                .as_f64_buf()
-                .or_else(|| decoded.payload.as_complex_buf())
-                .unwrap();
-            assert_eq!(buf.offset(), 0, "decode yields a canonical buffer");
-            assert_eq!(buf.backing().len(), buf.len());
-        }
-    }
-
-    #[test]
-    fn odd_complex_payload_rejected() {
-        // Re-type an F64 block with 3 samples as Complex and fix the
-        // CRC: 24 bytes is a valid f64 count but not a whole (re, im)
-        // pair count, so decode must refuse it.
-        let rec = Record::data(1, Payload::f64(vec![1.0, 2.0, 3.0]));
-        let mut body = body_of(&rec);
-        assert_eq!(u64::from(body[0]), TLV_F64_AS_F64);
-        body[0] = TLV_COMPLEX_AS_F64 as u8;
-        let err = decode(&frame_around(&rec, &body)).unwrap_err();
-        assert!(matches!(err, PipelineError::Codec(m) if m.contains("pairs")));
+        let viewed = Record::data(2, Payload::F64(view.clone())).with_seq(3);
+        let owned = Record::data(2, Payload::f64(view.to_vec())).with_seq(3);
+        let frame_view = lossless(&viewed);
+        assert_eq!(frame_view, lossless(&owned));
+        let decoded = decode_one(&frame_view);
+        assert_eq!(decoded, viewed);
+        let buf = decoded.payload.as_f64_buf().unwrap();
+        assert_eq!(buf.offset(), 0, "decode yields a canonical buffer");
+        assert_eq!(buf.backing().len(), buf.len());
     }
 
     #[test]
@@ -1614,9 +1561,7 @@ mod tests {
         for rec in samples() {
             for enc in ENCODINGS {
                 let decoded = decode_one(&frame(&rec, enc));
-                if enc == SampleEncoding::F64
-                    || !matches!(rec.payload, Payload::F64(_) | Payload::Complex(_))
-                {
+                if enc == SampleEncoding::F64 || !matches!(rec.payload, Payload::F64(_)) {
                     // Non-sample payloads are lossless under every encoding.
                     assert_eq!(decoded, rec, "{enc:?}");
                 } else {
@@ -1771,7 +1716,7 @@ mod tests {
         // the payload block: a forward-compatible reader must decode
         // the record unchanged. Type 0, the first type past the payload
         // range, and one- and two-byte varint types further out.
-        let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
+        let rec = Record::data(5, Payload::Bytes(b"hi"[..].into())).with_seq(7);
         let frame = lossless(&rec);
         assert_eq!(frame_around(&rec, &body_of(&rec)), frame);
         for ty in [0u64, 10, 127, 128, 200, 16_383] {
@@ -1792,7 +1737,7 @@ mod tests {
 
     #[test]
     fn v2_duplicate_payload_block_rejected() {
-        let rec = Record::data(5, Payload::Text("hi".into()));
+        let rec = Record::data(5, Payload::Bytes(b"hi"[..].into()));
         let body = [body_of(&rec), body_of(&rec)].concat();
         let err = decode(&frame_around(&rec, &body)).unwrap_err();
         assert!(matches!(err, PipelineError::Codec(m) if m.contains("duplicate")));
@@ -1803,7 +1748,7 @@ mod tests {
         // `scan` sizes a frame from its body-length varint, so through
         // the decoder the two cannot disagree: one more declared byte
         // just means one more byte is awaited.
-        let rec = Record::data(5, Payload::Text("hi".into())).with_seq(7);
+        let rec = Record::data(5, Payload::Bytes(b"hi"[..].into())).with_seq(7);
         let frame = lossless(&rec);
         let len_at = frame.len() - 4 - body_of(&rec).len() - 1;
         assert_eq!(usize::from(frame[len_at]), body_of(&rec).len());
@@ -1993,19 +1938,30 @@ mod tests {
     }
 
     #[test]
-    fn frame_len_reports_boundaries_for_every_encoding() {
+    fn decoder_consumes_exactly_each_frame_for_every_encoding() {
+        // Where `scan` puts a frame's end: a whole frame is consumed to
+        // its last byte and nothing past it, a frame short by one byte
+        // is awaited, and each sentinel is four bytes.
         let rec = &samples()[1];
         for enc in ENCODINGS {
             let frame = frame(rec, enc);
-            assert_eq!(frame_len(&frame).unwrap(), Some(frame.len()));
-            assert_eq!(frame_len(&frame[..frame.len() - 1]).unwrap(), None);
-            let mut extended = frame.clone();
-            extended.extend_from_slice(b"tail");
-            assert_eq!(frame_len(&extended).unwrap(), Some(frame.len()));
+            let mut dec = Decoder::new();
+            dec.push_bytes(&frame[..frame.len() - 1]).unwrap();
+            assert_eq!(dec.poll().unwrap(), None, "{enc:?}");
+            dec.push_bytes(&frame[frame.len() - 1..]).unwrap();
+            dec.push_bytes(b"tail").unwrap();
+            assert!(matches!(dec.poll().unwrap(), Some(DecodeEvent::Record(_))));
+            assert_eq!(dec.buffered(), 4, "{enc:?}: the frame ends where scan says");
         }
-        assert_eq!(frame_len(&EOS_MAGIC).unwrap(), Some(4));
-        assert_eq!(frame_len(&KEEPALIVE_MAGIC).unwrap(), Some(4));
-        assert!(frame_len(&[0x00]).is_err());
-        assert!(frame_len(b"RVDR").is_err());
+        for (sentinel, event) in [
+            (EOS_MAGIC, DecodeEvent::CleanEnd),
+            (KEEPALIVE_MAGIC, DecodeEvent::KeepAlive),
+        ] {
+            let mut dec = Decoder::new();
+            dec.push_bytes(&sentinel).unwrap();
+            dec.push_bytes(b"tail").unwrap();
+            assert_eq!(dec.poll().unwrap(), Some(event));
+            assert_eq!(dec.buffered(), 4);
+        }
     }
 }

@@ -57,13 +57,14 @@ impl RecordKind {
 
 /// Typed record payload.
 ///
-/// Sample-carrying variants (`F64`, `Complex`) hold a [`SampleBuf`] —
-/// an `Arc`-backed view — so cloning a record never copies samples and
-/// re-windowing operators can emit O(1) sub-views of their input
-/// (`reslice`, `cutout`, `cutter`). Construct them from owned data with
-/// `Payload::F64(vec.into())` or the [`f64`](Self::f64) /
-/// [`complex`](Self::complex) helpers; equality is by sample content,
-/// not by allocation.
+/// A variant exists because a shipped producer emits it: `F64` is
+/// every audio, score and spectrum record, `Bytes` a WAV file on its
+/// way into `wav2rec`, `Pairs` a scope's context. `F64` holds a
+/// [`SampleBuf`] — an `Arc`-backed view — so cloning a record never
+/// copies samples and re-windowing operators can emit O(1) sub-views
+/// of their input (`reslice`, `cutout`, `cutter`). Construct it from
+/// owned data with `Payload::F64(vec.into())` or the [`f64`](Self::f64)
+/// helper; equality is by sample content, not by allocation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Payload {
     /// No payload (scope records, markers).
@@ -72,17 +73,10 @@ pub enum Payload {
     /// 64-bit float samples (audio, anomaly scores, spectra) as a
     /// shared, sliceable view.
     F64(SampleBuf),
-    /// Interleaved complex values as `[re, im, re, im, …]`, also a
-    /// shared view. By contract the length is a whole number of pairs:
-    /// constructors do not enforce it, but the wire codec rejects odd
-    /// counts on decode.
-    Complex(SampleBuf),
     /// Raw bytes (encapsulated file content, opaque blobs). Cloning
     /// shares the bytes; build it from a `Vec<u8>` or `&[u8]` with
     /// `.into()`.
     Bytes(Arc<[u8]>),
-    /// UTF-8 text.
-    Text(String),
     /// Key/value context pairs (e.g. `sample_rate` on an `OpenScope`).
     Pairs(Vec<(String, String)>),
 }
@@ -94,12 +88,6 @@ impl Payload {
         Payload::F64(samples.into())
     }
 
-    /// Builds a `Complex` payload (interleaved `[re, im, …]`) from
-    /// anything convertible to a [`SampleBuf`].
-    pub fn complex(interleaved: impl Into<SampleBuf>) -> Payload {
-        Payload::Complex(interleaved.into())
-    }
-
     /// Borrows the `F64` samples, if that is the variant.
     pub fn as_f64(&self) -> Option<&[f64]> {
         match self {
@@ -108,12 +96,12 @@ impl Payload {
         }
     }
 
-    /// Borrows the interleaved complex values, if that is the variant.
+    /// Always `None`: no payload holds complex values since the complex
+    /// variant was retired. Kept only because river-bench's clip
+    /// digest still calls it; ROADMAP item 22 owns its removal, in a
+    /// change that may edit the benchmark.
     pub fn as_complex(&self) -> Option<&[f64]> {
-        match self {
-            Payload::Complex(v) => Some(v.as_slice()),
-            _ => None,
-        }
+        None
     }
 
     /// Borrows the `F64` sample view, if that is the variant — for
@@ -121,22 +109,6 @@ impl Payload {
     pub fn as_f64_buf(&self) -> Option<&SampleBuf> {
         match self {
             Payload::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrows the `Complex` sample view, if that is the variant.
-    pub fn as_complex_buf(&self) -> Option<&SampleBuf> {
-        match self {
-            Payload::Complex(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrows the text, if that is the variant.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Payload::Text(s) => Some(s),
             _ => None,
         }
     }
@@ -170,9 +142,8 @@ impl Payload {
     pub fn byte_len(&self) -> usize {
         match self {
             Payload::Empty => 0,
-            Payload::F64(v) | Payload::Complex(v) => v.len() * 8,
+            Payload::F64(v) => v.len() * 8,
             Payload::Bytes(b) => b.len(),
-            Payload::Text(s) => s.len(),
             Payload::Pairs(p) => p.iter().map(|(k, v)| k.len() + v.len()).sum(),
         }
     }
@@ -346,15 +317,14 @@ mod tests {
     #[test]
     fn payload_accessors() {
         assert_eq!(Payload::f64(vec![1.0]).as_f64(), Some(&[1.0][..]));
-        assert_eq!(Payload::f64(vec![1.0]).as_text(), None);
-        assert_eq!(
-            Payload::complex(vec![1.0, 2.0]).as_complex(),
-            Some(&[1.0, 2.0][..])
-        );
         assert!(Payload::f64(vec![1.0]).as_f64_buf().is_some());
-        assert!(Payload::f64(vec![1.0]).as_complex_buf().is_none());
-        assert!(Payload::complex(vec![1.0, 0.0]).as_complex_buf().is_some());
-        assert_eq!(Payload::Text("x".into()).as_text(), Some("x"));
+        assert!(Payload::f64(vec![1.0]).as_bytes().is_none());
+        assert!(Payload::f64(vec![1.0]).as_complex().is_none());
+        let bytes = Payload::Bytes(b"x"[..].into());
+        assert_eq!(bytes.as_bytes(), Some(&b"x"[..]));
+        assert!(bytes.as_f64().is_none());
+        assert!(bytes.as_f64_buf().is_none());
+        assert!(bytes.as_pairs().is_none());
         let pairs = Payload::Pairs(vec![("rate".into(), "20160".into())]);
         assert_eq!(pairs.context("rate"), Some("20160"));
         assert_eq!(pairs.context("missing"), None);
@@ -365,8 +335,9 @@ mod tests {
     fn byte_len_accounting() {
         assert_eq!(Payload::Empty.byte_len(), 0);
         assert_eq!(Payload::f64(vec![0.0; 10]).byte_len(), 80);
-        assert_eq!(Payload::Text("abc".into()).byte_len(), 3);
         assert_eq!(Payload::Bytes(b"abcd"[..].into()).byte_len(), 4);
+        let pairs = Payload::Pairs(vec![("rate".into(), "20160".into())]);
+        assert_eq!(pairs.byte_len(), 9);
     }
 
     #[test]
@@ -416,21 +387,18 @@ mod tests {
     #[test]
     fn record_clone_shares_sample_backing() {
         // The acceptance criterion for the zero-copy payload redesign:
-        // cloning an F64/Complex record copies no samples — the clone's
+        // cloning an F64 record copies no samples — the clone's
         // payload is a view into the same backing allocation. `Bytes`
         // holds an `Arc` for the same reason: a clone shares the bytes.
         use crate::buf::SampleBuf;
         for payload in [
             Payload::f64((0..840).map(|i| i as f64).collect::<Vec<f64>>()),
-            Payload::complex(vec![1.0; 1_680]),
             Payload::Bytes(vec![7u8; 4_096].into()),
         ] {
             let rec = Record::data(1, payload).with_seq(7);
             let cloned = rec.clone();
             match (&rec.payload, &cloned.payload) {
-                (Payload::F64(a), Payload::F64(b)) | (Payload::Complex(a), Payload::Complex(b)) => {
-                    assert!(SampleBuf::shares_backing(a, b));
-                }
+                (Payload::F64(a), Payload::F64(b)) => assert!(SampleBuf::shares_backing(a, b)),
                 (Payload::Bytes(a), Payload::Bytes(b)) => assert!(Arc::ptr_eq(a, b)),
                 other => panic!("variant changed by clone: {other:?}"),
             }

@@ -172,7 +172,7 @@ fn build_wire(rng: &mut WireMangler, firehose: bool) -> Wire {
                 _ if firehose => Payload::f64(samples(64 + rng.next_u64() % 128)),
                 0 => Payload::Empty,
                 1 => Payload::f64(samples(8)),
-                2 => Payload::Text(format!("clip-{scope}-{i}")),
+                2 => Payload::Pairs(vec![("clip".into(), format!("{scope}-{i}"))]),
                 _ => Payload::Bytes(rng.next_u64().to_le_bytes().to_vec().into()),
             };
             put(Record::data((i % 5) as u16, payload), rng, &mut bytes);

@@ -94,7 +94,7 @@ fn valid_wire(rng: &mut WireMangler) -> Vec<u8> {
                         .map(|k| (k + i) as f64 * 0.25 - s as f64)
                         .collect::<Vec<f64>>(),
                 ),
-                2 => Payload::Text(format!("clip-{s}-{i}")),
+                2 => Payload::Pairs(vec![("clip".into(), format!("{s}-{i}"))]),
                 _ => Payload::Bytes(rng.next_u64().to_le_bytes().to_vec().into()),
             };
             push(&Record::data((i + 1) as u16, payload).with_seq(seq), rng);
@@ -205,6 +205,41 @@ fn every_single_bit_flip_of_a_full_frame_is_refused() {
                 "{enc:?}: bit {bit} flipped, yet {events:?}"
             );
             frame[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+/// Family 2c: a production-size frame whose payload block is re-typed
+/// to a retired type (complex samples as f64/f32/i16, text) and
+/// re-CRC'd. Skipping the block like an unknown type would deliver the
+/// record with an empty payload, so each must be refused with a `Codec`
+/// error naming the type, however the bytes arrive, with no record.
+#[test]
+fn retired_block_types_are_refused() {
+    let samples: Vec<f64> = (0..840).map(|i| (i as f64 * 0.37).sin() * 0.8).collect();
+    let record = Record::data(3, Payload::f64(samples)).with_seq(0x1234);
+    let mut rng = WireMangler::new(0x4E7);
+    for (enc, width, ty) in [(SampleEncoding::F64, 8, 1u8), (SampleEncoding::F32, 4, 2)] {
+        let mut frame = Vec::new();
+        encode_into(&record, WireFormat::V2(enc), &mut frame);
+        // The body is the block type, a two-byte length and the samples.
+        let at = frame.len() - 4 - (3 + 840 * width);
+        assert_eq!(frame[at], ty, "{enc:?}: block type moved");
+        for retired in [4u8, 5, 6, 8] {
+            frame[at] = retired;
+            let body_end = frame.len() - 4;
+            let crc = crc32(&frame[..body_end]);
+            frame[body_end..].copy_from_slice(&crc.to_le_bytes());
+            let context = format!("{enc:?} as type {retired}");
+            let mut events = Vec::new();
+            let err = Decoder::new().feed(&frame, &mut events).unwrap_err();
+            let named = format!("retired TLV block type {retired} (");
+            assert!(
+                matches!(&err, PipelineError::Codec(m) if m.contains(&named)),
+                "{context}: {err}"
+            );
+            assert!(events.is_empty(), "{context}: {events:?}");
+            assert_eq!(drive_decoder(&mut rng, &frame, &context), 0, "{context}");
         }
     }
 }

@@ -6,9 +6,12 @@
 //! with the two-buffer encoders) from the records below, one
 //! `name format hex` line per record and format. The wire format is a
 //! compatibility contract, so the file is never regenerated: a new
-//! payload kind or encoding appends lines. Its `v1` lines are frames of
-//! the retired fixed-header format, kept as inputs: every one of them
-//! must stop at the version gate.
+//! payload kind or encoding appends lines. Two kinds of line are kept
+//! as inputs that must be refused. The `v1` lines are frames of the
+//! retired fixed-header format, and each must stop at the version
+//! gate. The v2 lines of the [`RETIRED`] records carry payload kinds
+//! the record model no longer has (complex samples and text), and each
+//! must be refused with an error naming its block type.
 
 mod testkit;
 
@@ -40,14 +43,9 @@ fn records() -> Vec<(&'static str, Record)> {
             Record::data(2, Payload::f64(vec![1.5, -2.5, 0.0, 1e-3, -7.25e4])).with_seq(99),
         ),
         (
-            "complex",
-            Record::data(3, Payload::complex(vec![1.0, 2.0, -0.5, 0.25])).with_seq(128),
-        ),
-        (
             "bytes",
             Record::data(4, Payload::Bytes(b"hello\x00\xff".to_vec().into())),
         ),
-        ("text", Record::data(5, Payload::Text("héllo wörld".into()))),
         (
             "pairs",
             Record::open_scope(
@@ -80,10 +78,6 @@ fn records() -> Vec<(&'static str, Record)> {
             "offset_view",
             Record::data(2, Payload::F64(backing.slice(5..11))).with_seq(3),
         ),
-        (
-            "offset_view_complex",
-            Record::data(3, Payload::Complex(backing.slice(2..8))).with_seq(4),
-        ),
     ]
 }
 
@@ -91,6 +85,14 @@ const FORMATS: [(&str, WireFormat); 3] = [
     ("v2-f64", WireFormat::V2(SampleEncoding::F64)),
     ("v2-f32", WireFormat::V2(SampleEncoding::F32)),
     ("v2-i16", WireFormat::V2(SampleEncoding::I16)),
+];
+
+/// Golden records of retired payload kinds, with the block type each
+/// of their lines in [`FORMATS`] carries.
+const RETIRED: [(&str, [u64; 3]); 3] = [
+    ("complex", [4, 5, 6]),
+    ("text", [8, 8, 8]),
+    ("offset_view_complex", [4, 5, 6]),
 ];
 
 /// The golden frame for `name` in `format`, as bytes.
@@ -111,10 +113,11 @@ fn golden(name: &str, format: &str) -> Vec<u8> {
 
 #[test]
 fn every_encode_entry_point_produces_the_golden_bytes() {
-    // One line per record for each encoding, plus its retired v1 line.
+    // One line per record, retired kinds included, for each encoding,
+    // plus its v1 line.
     assert_eq!(
         GOLDEN.lines().count(),
-        records().len() * (FORMATS.len() + 1)
+        (records().len() + RETIRED.len()) * (FORMATS.len() + 1)
     );
     for (name, record) in records() {
         for (label, format) in FORMATS {
@@ -156,48 +159,72 @@ fn frames(records: &[Record]) -> Vec<u8> {
     wire
 }
 
-/// A healthy opening, then the golden v1 frame `name`, then traffic
-/// that must never be trusted.
-fn wire_with_v1_frame(name: &str) -> Vec<u8> {
+/// Every golden line a receiver must refuse, as `(name, format, what
+/// the error names)`: each record's v1 line, and each retired record's
+/// v2 lines.
+fn refused() -> Vec<(&'static str, &'static str, String)> {
+    let v1 = records()
+        .into_iter()
+        .map(|(name, _)| name)
+        .chain(RETIRED.iter().map(|&(name, _)| name))
+        .map(|name| (name, "v1", "version 1".to_string()));
+    let retired = RETIRED.iter().flat_map(|&(name, types)| {
+        FORMATS
+            .iter()
+            .zip(types)
+            .map(move |(&(label, _), ty)| (name, label, format!("retired TLV block type {ty} (")))
+    });
+    v1.chain(retired).collect()
+}
+
+/// A healthy opening, then the golden frame `name` in `format`, then
+/// traffic that must never be trusted.
+fn wire_with_refused_frame(name: &str, format: &str) -> Vec<u8> {
     let mut wire = frames(&[
         Record::open_scope(3, vec![]),
         Record::data(0, Payload::f64(vec![1.0])),
     ]);
-    wire.extend_from_slice(&golden(name, "v1"));
+    wire.extend_from_slice(&golden(name, format));
     wire.extend_from_slice(&frames(&[Record::close_scope(3)]));
     write_eos(&mut wire).unwrap();
     wire
 }
 
-fn names_version_1(err: &PipelineError) -> bool {
-    matches!(err, PipelineError::Codec(m) if m.contains("version 1"))
+fn names(err: &PipelineError, what: &str) -> bool {
+    matches!(err, PipelineError::Codec(m) if m.contains(what))
 }
 
 #[test]
-fn v1_golden_frames_stop_at_the_version_gate() {
-    for (name, _) in records() {
-        // The bare frame, through the decoder: an error naming the
-        // version, never a record.
+fn refused_golden_frames_stop_at_the_decoder() {
+    let refused = refused();
+    assert_eq!(
+        refused.len(),
+        GOLDEN.lines().count() - records().len() * FORMATS.len()
+    );
+    for (name, format, what) in refused {
+        let ctx = format!("{name} {format}");
+        // The bare frame, through the decoder: an error naming what is
+        // refused, never a record.
         let mut events = Vec::new();
         let err = Decoder::new()
-            .feed(&golden(name, "v1"), &mut events)
+            .feed(&golden(name, format), &mut events)
             .unwrap_err();
-        assert!(names_version_1(&err), "{name}: {err}");
-        assert!(events.is_empty(), "{name}");
+        assert!(names(&err, &what), "{ctx}: {err}");
+        assert!(events.is_empty(), "{ctx}");
 
         // Mid-stream, through `streamin`: the records before it are
         // delivered first, and the standard repair balances the session.
-        let wire = wire_with_v1_frame(name);
+        let wire = wire_with_refused_frame(name, format);
         let mut streamin = StreamIn::new(wire.as_slice());
         let mut delivered = vec![
             streamin.next_record().unwrap().unwrap(),
             streamin.next_record().unwrap().unwrap(),
         ];
         let err = streamin.next_record().unwrap_err();
-        assert!(names_version_1(&err), "{name}: {err}");
+        assert!(names(&err, &what), "{ctx}: {err}");
         delivered.extend(streamin.abort_repair());
-        assert_eq!(delivered.len(), 3, "{name}");
-        assert_eq!(delivered[2].kind, RecordKind::BadCloseScope, "{name}");
+        assert_eq!(delivered.len(), 3, "{ctx}");
+        assert_eq!(delivered[2].kind, RecordKind::BadCloseScope, "{ctx}");
         validate_scopes(&delivered).unwrap();
         assert_eq!(
             streamin.end(),
@@ -207,7 +234,7 @@ fn v1_golden_frames_stop_at_the_version_gate() {
 }
 
 #[test]
-fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
+fn refused_sessions_are_repaired_beside_a_healthy_neighbour() {
     let chain = || {
         let mut p = Pipeline::new();
         p.add(MapPayload::new("double", |v: &mut [f64]| {
@@ -215,9 +242,9 @@ fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
         }));
         p
     };
-    let v1_sessions = records().len();
+    let refused = refused();
     let mut server = PipelineServer::from_pipeline(&chain()).unwrap();
-    server.set_max_sessions(v1_sessions + 1);
+    server.set_max_sessions(refused.len() + 1);
     let outputs: Arc<Mutex<Vec<(u64, SharedSink)>>> = Arc::default();
     let registry = Arc::clone(&outputs);
     let handle = server
@@ -229,24 +256,30 @@ fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
         .unwrap();
     let addr = handle.local_addr();
 
-    for (name, _) in records() {
+    for (name, format, _) in &refused {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&wire_with_v1_frame(name)).unwrap();
+        stream
+            .write_all(&wire_with_refused_frame(name, format))
+            .unwrap();
     }
     let mut healthy = vec![Record::open_scope(1, vec![])];
     healthy.extend((0..40).map(|i| Record::data(2, Payload::f64(vec![f64::from(i); 8]))));
     healthy.push(Record::close_scope(1));
     send_all(addr, &healthy, WireFormat::default()).unwrap();
 
-    handle.wait_for_completed(v1_sessions as u64 + 1);
+    handle.wait_for_completed(refused.len() as u64 + 1);
     let report = handle.shutdown().unwrap();
     assert_eq!(report.clean_sessions(), 1);
-    assert_eq!(report.repaired_sessions(), v1_sessions);
+    assert_eq!(report.repaired_sessions(), refused.len());
 
     let mut expected = Vec::new();
     chain()
         .run_streaming(healthy.into_iter(), &mut expected)
         .unwrap();
+    // What each repaired session's error names, matched against what
+    // the refused lines must be refused for, line for line.
+    let mut want: Vec<&str> = refused.iter().map(|(_, _, what)| what.as_str()).collect();
+    let mut named = Vec::new();
     for session in &report.sessions {
         let outputs = outputs.lock().unwrap();
         let (_, sink) = outputs.iter().find(|(id, _)| *id == session.id).unwrap();
@@ -255,15 +288,19 @@ fn v1_sessions_are_repaired_beside_a_healthy_neighbour() {
             assert_eq!(got, expected, "the v2 neighbour is untouched");
             continue;
         }
-        // Only its own session is poisoned: the error names the
-        // version, nothing after the v1 frame was trusted, and the
+        // Only its own session is poisoned: the error names what was
+        // refused, nothing after the refused frame was trusted, and the
         // output is open + data + the synthesized close.
         let err = session.error.as_deref().unwrap();
-        assert!(err.contains("version 1"), "{err}");
+        let what = want.iter().find(|what| err.contains(**what));
+        named.push(*what.unwrap_or_else(|| panic!("unexpected error: {err}")));
         assert_eq!(session.end, StreamEnd::Unclean { repaired_scopes: 1 });
         assert_eq!(session.received, 2);
         assert_eq!(got.len(), 3);
         assert_eq!(got[2].kind, RecordKind::BadCloseScope);
         validate_scopes(&got).unwrap();
     }
+    want.sort_unstable();
+    named.sort_unstable();
+    assert_eq!(named, want);
 }

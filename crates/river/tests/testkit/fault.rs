@@ -5,7 +5,7 @@
 //! (§5); these operators and the [`WireMangler`] inject the faults
 //! those mechanisms must absorb.
 
-use dynamic_river::codec::frame_len;
+use dynamic_river::codec::Decoder;
 use dynamic_river::{Operator, PipelineError, Record, Sink};
 
 /// Fails the pipeline after passing `n` records — simulates an operator
@@ -139,7 +139,7 @@ pub enum Mangle {
 }
 
 /// Byte-level corruption injector that understands *frame boundaries*
-/// (via [`frame_len`]), so tests
+/// (where a [`Decoder`] finds them), so tests
 /// and the fuzz harness can aim mutations precisely: inside a frame
 /// (checksum territory), between frames (magic/sync territory), or at
 /// whole-frame granularity (duplicate/delete). Deterministic: the same
@@ -173,20 +173,22 @@ impl WireMangler {
         (self.next_u64() % n as u64) as usize
     }
 
-    /// Splits a wire byte stream at frame boundaries. Trailing bytes
-    /// that do not form a complete frame (or are unparseable) are
-    /// returned as a final undersized chunk.
+    /// Splits a wire byte stream at the frame and sentinel boundaries
+    /// a decoder finds. Trailing bytes that do not form a complete
+    /// frame (or do not decode) are returned as a final chunk.
     pub fn frames(wire: &[u8]) -> Vec<Vec<u8>> {
+        let mut decoder = Decoder::new();
         let mut frames = Vec::new();
-        let mut rest = wire;
-        while !rest.is_empty() {
-            if let Ok(Some(n)) = frame_len(rest) {
-                frames.push(rest[..n].to_vec());
-                rest = &rest[n..];
-            } else {
-                frames.push(rest.to_vec());
-                break;
+        let mut at = 0;
+        if decoder.push_bytes(wire).is_ok() {
+            while let Ok(Some(_)) = decoder.poll() {
+                let end = wire.len() - decoder.buffered();
+                frames.push(wire[at..end].to_vec());
+                at = end;
             }
+        }
+        if at < wire.len() {
+            frames.push(wire[at..].to_vec());
         }
         frames
     }
